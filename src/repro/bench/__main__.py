@@ -582,7 +582,10 @@ def _run_recovery_scaling(args) -> int:
     count is not bounded well below the log (dirty-page recLSNs, not
     log length), if more workers make recovery slower, or if any leg
     recovers different table contents (worker count and checkpoint
-    regime must never change recovered state).
+    regime must never change recovered state), or if restart scans more
+    log records for the DML versions behind a 10x longer archived
+    history (restart cost must be bounded by the live log, not by
+    history).
     """
     import datetime
     import json
@@ -644,6 +647,28 @@ def _run_recovery_scaling(args) -> int:
                       "different table contents than the "
                       "never-checkpoint leg")
                 failed = True
+    short, long = (experiments.restart_scan_after_history(rounds)
+                   for rounds in experiments.RECOVERY_HISTORY_ROUNDS)
+    print(f"[restart version scan: {short['version_records_scanned']} "
+          f"records behind {short['archived_records']} archived, "
+          f"{long['version_records_scanned']} behind "
+          f"{long['archived_records']} archived]")
+    if long["archived_records"] < 5 * short["archived_records"]:
+        print("FAIL: the long-history leg archived only "
+              f"{long['archived_records']} records against "
+              f"{short['archived_records']} — the gate compares nothing")
+        failed = True
+    for leg in (short, long):
+        if leg["version_records_scanned"] != leg["live_records"]:
+            print(f"FAIL: restart scanned {leg['version_records_scanned']} "
+                  f"records for DML versions, live log holds "
+                  f"{leg['live_records']}")
+            failed = True
+    if long["version_records_scanned"] > short["version_records_scanned"]:
+        print("FAIL: restart's version scan grew with archived history: "
+              f"{short['version_records_scanned']} -> "
+              f"{long['version_records_scanned']} records")
+        failed = True
     return 1 if failed else 0
 
 

@@ -944,14 +944,7 @@ RECOVERY_SCALING_RECORDS_PER_ROUND = RECOVERY_SCALING_TABLES * 25
 RECOVERY_SCALING_CHECKPOINTS = 12
 
 
-def _recovery_scaling_leg(rounds: int, mode: str, workers: int = 0,
-                          interval: float = 0.0) -> dict:
-    """One crash/restart measurement.  ``mode``: none | sharp | fuzzy."""
-    costs = CostModel()
-    if mode == "fuzzy":
-        costs.checkpoint_interval_seconds = interval
-        costs.checkpoint_truncate_log = True
-        costs.redo_workers = workers
+def _recovery_scaling_world(costs: CostModel):
     server = DatabaseServer(meter=Meter(costs))
     app = BenchmarkApp(server)
     for t in range(RECOVERY_SCALING_TABLES):
@@ -960,11 +953,27 @@ def _recovery_scaling_leg(rounds: int, mode: str, workers: int = 0,
             "PRIMARY KEY (k))")
         app.run_statement(f"INSERT INTO r{t} VALUES " + ", ".join(
             f"({i}, 0, {i % 7})" for i in range(RECOVERY_SCALING_ROWS)))
+    return server, app
+
+
+def _recovery_scaling_round(app: BenchmarkApp) -> None:
+    for t in range(RECOVERY_SCALING_TABLES):
+        app.run_statement(f"UPDATE r{t} SET v = v + 1 WHERE k < 25")
+
+
+def _recovery_scaling_leg(rounds: int, mode: str, workers: int = 0,
+                          interval: float = 0.0) -> dict:
+    """One crash/restart measurement.  ``mode``: none | sharp | fuzzy."""
+    costs = CostModel()
+    if mode == "fuzzy":
+        costs.checkpoint_interval_seconds = interval
+        costs.checkpoint_truncate_log = True
+        costs.redo_workers = workers
+    server, app = _recovery_scaling_world(costs)
     start = server.meter.now
     sharp_every = max(1, rounds // 10)
     for rnd in range(rounds):
-        for t in range(RECOVERY_SCALING_TABLES):
-            app.run_statement(f"UPDATE r{t} SET v = v + 1 WHERE k < 25")
+        _recovery_scaling_round(app)
         # Never checkpoint on the final round — the crash must land
         # off-cadence so the sharp leg always has a redo tail.
         if mode == "sharp" and (rnd + 1) % sharp_every == 0 \
@@ -1019,6 +1028,36 @@ def run_recovery_scaling(
                  leg["workload_seconds"]))
             result.fingerprints[(records, leg_name)] = leg["fingerprint"]
     return result
+
+
+#: History-independence gate: rounds of *archived* history (1x, 10x)
+#: ahead of the same live tail.
+RECOVERY_HISTORY_ROUNDS = (20, 200)
+RECOVERY_HISTORY_TAIL_ROUNDS = 3
+
+
+def restart_scan_after_history(rounds: int) -> dict:
+    """Crash and restart behind ``rounds`` of history that a truncating
+    checkpoint archived, plus a fixed tail of live work.  Restart may
+    only pay for the tail: ``version_records_scanned`` (the records the
+    engine read to rebuild the per-table DML versions) must not depend
+    on ``rounds``.  Deterministic — counts, not time."""
+    server, app = _recovery_scaling_world(CostModel())
+    for _ in range(rounds):
+        _recovery_scaling_round(app)
+    # Flushed pool: nothing pins the log below the checkpoint's Begin.
+    server.engine.buffer_pool.flush_all()
+    server.engine.fuzzy_checkpoint(truncate=True)
+    for _ in range(RECOVERY_HISTORY_TAIL_ROUNDS):
+        _recovery_scaling_round(app)
+    server.crash()
+    server.restart()
+    return {
+        "archived_records": server.wal.truncated_records,
+        "live_records": server.wal.last_lsn - server.wal.truncated_lsn,
+        "version_records_scanned":
+            server.engine.last_recovery.version_records_scanned,
+    }
 
 
 # ---------------------------------------------------------------------------

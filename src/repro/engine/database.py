@@ -27,6 +27,13 @@ from repro.errors import (
 )
 from repro.errors import SqlSyntaxError
 from repro.obs.views import SYSTEM_VIEWS, system_view
+# After the imports above: dml_versions reaches repro.obs, which only
+# imports cleanly once repro.sim is initialised (obs <-> sim cycle).
+from repro.engine.dml_versions import (
+    BASE_BLOB,
+    DmlVersionFold,
+    version_tracked,
+)
 from repro.sim.costs import SERVER_CPU, SERVER_DISK
 from repro.sim.meter import Meter
 from repro.sql import ast
@@ -227,12 +234,8 @@ class DatabaseEngine:
             # ANALYZE persists statistics in their own blob the moment
             # they are collected (unlike DDL they are not WAL-logged), so
             # stats taken after the last checkpoint still survive a crash.
-            stats_blob = self.disk.read_blob("table_stats_snapshot")
-            if stats_blob:
-                self.catalog.table_stats.update(
-                    stats_blob.get("table_stats", {}))
-                self.catalog.stats_versions.update(
-                    stats_blob.get("stats_versions", {}))
+            self.catalog.load_stats_snapshot(
+                self.disk.read_blob("table_stats_snapshot"))
         else:
             self.catalog = Catalog()
         self._tables: dict[str, Table] = {}
@@ -271,19 +274,24 @@ class DatabaseEngine:
         # ``checkpoint_interval_seconds`` knob is on).
         self._next_checkpoint_at = 0.0
         self._last_fuzzy_begin_lsn = 0
+        #: ``catalog.generation`` of the last catalog snapshot this
+        #: incarnation wrote (None: not yet — the first checkpoint after
+        #: a restart always writes one).
+        self._snapshot_generation: int | None = None
         if recover:
             self.last_recovery = RecoveryManager(self.wal, self).recover()
             checkpoint = self.wal.last_complete_checkpoint()
             if isinstance(checkpoint, EndCheckpointRecord):
                 self._last_fuzzy_begin_lsn = checkpoint.begin_lsn
-            if self.meter.costs.result_cache_entries > 0:
-                self._recompute_dml_versions()
+            self._restore_dml_versions()
 
     @classmethod
     def restart(cls, disk: SimulatedDisk, wal: WriteAheadLog,
-                meter: Meter | None = None) -> "DatabaseEngine":
+                meter: Meter | None = None,
+                plan_cache_capacity: int = 128) -> "DatabaseEngine":
         """Build a post-crash engine from the surviving disk and log."""
-        return cls(meter=meter, disk=disk, wal=wal, recover=True)
+        return cls(meter=meter, disk=disk, wal=wal, recover=True,
+                   plan_cache_capacity=plan_cache_capacity)
 
     # ------------------------------------------------------------------
     # Table runtimes
@@ -475,8 +483,7 @@ class DatabaseEngine:
         # request's latency ledger bill it as checkpoint overhead.
         with self.meter.attribute_to("checkpoint"):
             self.buffer_pool.flush_all()
-            self.disk.write_blob("catalog_snapshot",
-                                 self.catalog.snapshot())
+            self._write_catalog_snapshot()
             record = CheckpointRecord(
                 txn_id=0, active_txns=self.txns.active_txn_lsns())
             lsn = self.wal.append(record)
@@ -517,7 +524,7 @@ class DatabaseEngine:
         begin_lsn = self.wal.append(BeginCheckpointRecord(txn_id=0))
         # The catalog snapshot reflects every DDL record below begin_lsn
         # (appends are single-threaded), so redo skips pre-Begin DDL.
-        self.disk.write_blob("catalog_snapshot", self.catalog.snapshot())
+        self._write_catalog_snapshot()
         # Background flusher: write out pages that stayed dirty for a
         # whole interval, advancing the DPT's minimum recLSN.
         flushed = self.buffer_pool.flush_dirtied_before(
@@ -552,31 +559,53 @@ class DatabaseEngine:
         self._last_fuzzy_begin_lsn = begin_lsn
         return begin_lsn
 
+    def _write_catalog_snapshot(self) -> None:
+        """Checkpoint step: make the catalog durable — unless the blob
+        already on disk is this catalog (nothing changed since this
+        incarnation last wrote it)."""
+        generation = self.catalog.generation
+        if generation == self._snapshot_generation:
+            self.meter.count("catalog_snapshots_skipped")
+            return
+        self.disk.write_blob("catalog_snapshot", self.catalog.snapshot())
+        self._snapshot_generation = generation
+        self.meter.count("catalog_snapshots_written")
+
     def _archive_log_records(self, records: list) -> None:
-        """Truncation sink: move the dropped log prefix to cold storage."""
-        self.disk.append_blob("wal_archive", records)
+        """Truncation sink: fold the dropped prefix's DML-version effect
+        into the durable base, then move it to cold storage.
+
+        The records are archived by reference (see the ownership
+        contract in :mod:`repro.storage.disk`).  ``through_lsn`` guards
+        both steps, so a prefix handed over twice is folded and archived
+        once.
+        """
+        base = DmlVersionFold.restore(self.disk.read_blob(BASE_BLOB))
+        fresh = [rec for rec in records if rec.lsn > base.through_lsn]
+        if not fresh:
+            return
+        base.fold(fresh)
+        self.disk.append_blob("wal_archive", fresh)
+        self.disk.write_blob(BASE_BLOB, base.snapshot())
+
+    def durable_log_stats(self) -> dict[str, int]:
+        """What truncation has left on disk (``sys_checkpoint`` rows)."""
+        base = self.disk.read_blob(BASE_BLOB)
+        return {
+            "archived_records": len(self.disk.read_blob("wal_archive", ())),
+            "dml_versions_through_lsn": base["through_lsn"] if base else 0,
+        }
 
     # ------------------------------------------------------------------
     # Per-table DML versions (shared result cache invalidation keys)
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _version_tracked(name: str) -> bool:
-        """Whether the shared result cache stamps/invalidates by ``name``.
-
-        Temp tables are session-private, ``sys_*`` snapshots are rebuilt
-        per query, and Phoenix's own overhead tables churn constantly —
-        none of them may pollute the shared version vector.
-        """
-        return not (name.startswith("#") or name.startswith("phoenix")
-                    or name in SYSTEM_VIEWS)
 
     def note_committed_writes(self, table_names) -> None:
         """Commit hook (see ``TransactionManager.commit``): bump the DML
         version of every table the committed transaction wrote and queue
         the new values for the next response piggyback."""
         for name in sorted(table_names):
-            if self._version_tracked(name):
+            if version_tracked(name):
                 self.pending_version_updates[name] = \
                     self.catalog.bump_dml_version(name)
 
@@ -588,56 +617,16 @@ class DatabaseEngine:
         self.pending_version_updates = {}
         return updates
 
-    def _recompute_dml_versions(self) -> None:
-        """Rebuild ``catalog.dml_versions`` from the log after a crash.
-
-        The counters are deliberately never snapshotted: replaying one
-        +1 per table per committed transaction over the archived prefix
-        plus the surviving log yields versions *exactly* consistent with
-        the recovered data (uncommitted work never counted — redo/undo
-        leaves no trace of it in table contents either).  With
-        asynchronous commit a crash can lose acked commits, so the same
-        count can name different data across a crash; the client side
-        handles that by discarding its cache wholesale on reconnect
-        (see ``SharedResultCache.revalidate``).
-        """
-        from repro.wal.records import (
-            AbortRecord,
-            CommitRecord,
-            CreateIndexRecord,
-            CreateProcedureRecord,
-            CreateTableRecord,
-            CreateViewRecord,
-            DropIndexRecord,
-            DropProcedureRecord,
-            DropTableRecord,
-            DropViewRecord,
-        )
-
-        pending: dict[int, set[str]] = {}
-        archived = self.disk.read_blob("wal_archive", [])
-        for rec in list(archived) + list(self.wal.all_records()):
-            name = None
-            if isinstance(rec, (InsertRecord, DeleteRecord, UpdateRecord)):
-                name = rec.table_name
-            elif isinstance(rec, (CreateTableRecord, DropTableRecord)):
-                name = rec.table["name"]
-            elif isinstance(rec, (CreateIndexRecord, DropIndexRecord)):
-                name = rec.index["table_name"]
-            elif isinstance(rec, (CreateViewRecord, DropViewRecord)):
-                name = rec.name
-            elif isinstance(rec, (CreateProcedureRecord,
-                                  DropProcedureRecord)):
-                pass  # procedures are not read dependencies; untracked
-            elif isinstance(rec, CommitRecord):
-                for table in sorted(pending.pop(rec.txn_id, ())):
-                    self.catalog.bump_dml_version(table)
-                continue
-            elif isinstance(rec, AbortRecord):
-                pending.pop(rec.txn_id, None)
-                continue
-            if name is not None and self._version_tracked(name.lower()):
-                pending.setdefault(rec.txn_id, set()).add(name.lower())
+    def _restore_dml_versions(self) -> None:
+        """Rebuild ``catalog.dml_versions`` after a crash: the durable
+        base (everything log truncation ever dropped, folded at the
+        time) plus a fold over the live log — never the archive.  See
+        :mod:`repro.engine.dml_versions` for why this equals replaying
+        the full history."""
+        state = DmlVersionFold.restore(self.disk.read_blob(BASE_BLOB))
+        self.last_recovery.version_records_scanned = state.fold(
+            self.wal.all_records())
+        self.catalog.dml_versions = state.versions
 
     # ------------------------------------------------------------------
     # Statement execution
@@ -740,7 +729,7 @@ class DatabaseEngine:
         names = self._plan_dependencies(statement)
         versions: dict[str, int] = {}
         for name in names:
-            if not self._version_tracked(name):
+            if not version_tracked(name):
                 return
             versions[name] = self.catalog.dml_version_of(name)
         result.read_versions = versions
@@ -1214,10 +1203,8 @@ class DatabaseEngine:
                                        stats["row_count"], "analyze scan")
             self.catalog.set_table_stats(name, stats)
         if names:
-            self.disk.write_blob("table_stats_snapshot", {
-                "table_stats": dict(self.catalog.table_stats),
-                "stats_versions": dict(self.catalog.stats_versions),
-            })
+            self.disk.write_blob("table_stats_snapshot",
+                                 self.catalog.stats_snapshot())
         return StatementResult.ok(f"analyzed {len(names)} table(s)")
 
     # -- INSERT -------------------------------------------------------------

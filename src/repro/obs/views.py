@@ -265,17 +265,23 @@ def _sys_checkpoint(engine):
     """Fuzzy-checkpoint / log-truncation observability.
 
     Counters (``checkpoints_taken``, ``pages_flushed_background``,
-    ``log_records_truncated``) accumulate in the world counters; the
-    remaining rows are instantaneous state read straight off the buffer
-    pool and the WAL, so a query always sees the live dirty-page table
-    even between checkpoints.
+    ``log_records_truncated``, ``catalog_snapshots_written`` /
+    ``_skipped``) accumulate in the world counters; the remaining rows
+    are instantaneous state read straight off the buffer pool, the WAL
+    and the disk's blobs (``archived_records``: length of the log
+    archive; ``dml_versions_through_lsn``: how far truncation has folded
+    the log into the durable DML-version base), so a query always sees
+    the live dirty-page table even between checkpoints.
     """
+
     columns = [Column("metric", SqlType.VARCHAR, 48),
                Column("value", SqlType.FLOAT)]
     counters = engine.meter.counters
     rows = [(name, float(counters.get(name, 0)))
             for name in ("checkpoints_taken", "pages_flushed_background",
-                         "log_records_truncated")]
+                         "log_records_truncated",
+                         "catalog_snapshots_written",
+                         "catalog_snapshots_skipped")]
     dirty = engine.buffer_pool.dirty_page_table()
     rows.append(("dirty_pages", float(len(dirty))))
     rows.append(("min_reclsn", float(min(dirty.values(), default=0))))
@@ -285,6 +291,8 @@ def _sys_checkpoint(engine):
     rows.append(("truncated_lsn", float(engine.wal.truncated_lsn)))
     rows.append(("flushed_lsn", float(engine.wal.flushed_lsn)))
     rows.append(("last_lsn", float(engine.wal.last_lsn)))
+    rows.extend((name, float(value))
+                for name, value in engine.durable_log_stats().items())
     return columns, rows
 
 

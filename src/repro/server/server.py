@@ -69,6 +69,9 @@ class DatabaseServer:
     def __init__(self, meter: Meter | None = None,
                  plan_cache_capacity: int = 128):
         self.meter = meter if meter is not None else Meter()
+        #: Construction-time engine settings; every restarted engine
+        #: incarnation gets the same ones.
+        self._plan_cache_capacity = plan_cache_capacity
         self.engine = DatabaseEngine(
             meter=self.meter, plan_cache_capacity=plan_cache_capacity)
         self.disk = self.engine.disk
@@ -107,11 +110,9 @@ class DatabaseServer:
         if obs.enabled:
             with obs.tracer.span("server.restart", layer="server",
                                  crash=self.crashes):
-                self.engine = DatabaseEngine.restart(self.disk, self.wal,
-                                                     meter=self.meter)
+                self.engine = self._restart_engine()
         else:
-            self.engine = DatabaseEngine.restart(self.disk, self.wal,
-                                                 meter=self.meter)
+            self.engine = self._restart_engine()
         self._running = True
         report = self.engine.last_recovery
         if report is not None:
@@ -119,6 +120,11 @@ class DatabaseServer:
                 "server restarted: redo=%d skipped=%d undo=%d losers=%s",
                 report.redo_applied, report.redo_skipped,
                 report.undo_applied, sorted(report.losers))
+
+    def _restart_engine(self) -> DatabaseEngine:
+        return DatabaseEngine.restart(
+            self.disk, self.wal, meter=self.meter,
+            plan_cache_capacity=self._plan_cache_capacity)
 
     def checkpoint(self, fuzzy: bool = False) -> None:
         self._require_up()

@@ -1,10 +1,16 @@
 """The system catalog: tables, indexes and stored procedures.
 
 The catalog is pure metadata — runtime structures (heap handles, B-trees)
-are owned by the engine.  It is made durable by *snapshotting*: every
-checkpoint writes ``snapshot()`` to the disk as a blob, and DDL is also
-logged in the WAL so that redo can roll the restored snapshot forward to
-the crash point.
+are owned by the engine.  It is made durable by *snapshotting*: a
+checkpoint writes ``snapshot()`` to the disk as a blob (skipped while
+:attr:`Catalog.generation` says nothing changed since the last one), and
+DDL is also logged in the WAL so that redo can roll the restored snapshot
+forward to the crash point.
+
+Snapshots obey the disk's ownership contract (see
+:mod:`repro.storage.disk`): ``snapshot()`` hands over a structure that
+aliases no live catalog state, and ``restore()`` builds fresh objects
+without keeping references into the snapshot it read.
 
 Name scoping: all object names are case-insensitive (stored lowercased).
 Tables created in the ``phoenix`` schema (``phoenix.Txxx``) carry
@@ -23,6 +29,16 @@ from repro.errors import (
     TableNotFoundError,
 )
 from repro.types import Column, SqlType
+
+
+def _copy_plain(value):
+    """Structural copy of plain data (nested dicts/lists; scalars and
+    tuples are immutable and shared) — the shape of ANALYZE output."""
+    if isinstance(value, dict):
+        return {key: _copy_plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copy_plain(item) for item in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -95,10 +111,12 @@ class Catalog:
     schema_version: int = 0
     #: Per-table *DML* version counters, bumped once per committed
     #: transaction that wrote the table (the shared result cache's
-    #: invalidation keys).  Deliberately volatile — never snapshotted.
-    #: When the result cache is enabled they are recomputed from the WAL
-    #: at restart so post-recovery versions are exactly consistent with
-    #: the recovered data; when it is off they are never touched at all.
+    #: invalidation keys).  Deliberately volatile — never snapshotted:
+    #: restart derives them from the log (a durable base folded at each
+    #: truncation plus the live log, see ``repro.engine.dml_versions``)
+    #: so post-recovery versions are exactly consistent with the
+    #: recovered data.  Commits bump them only while the result cache
+    #: is on.
     dml_versions: dict[str, int] = field(default_factory=dict)
     #: ANALYZE output per table (plain dicts — see repro.sql.stats).
     #: Snapshotted, so statistics survive restart and Phoenix recovery.
@@ -108,6 +126,11 @@ class Catalog:
     #: separate from :attr:`versions` because a stats refresh is not DDL
     #: and must not perturb the client-visible ``schema_version``.
     stats_versions: dict[str, int] = field(default_factory=dict)
+    #: Volatile change stamp: bumped by every mutation :meth:`snapshot`
+    #: would show (all DDL, ANALYZE, a restored statistics blob).  The
+    #: engine compares it with the stamp of the last snapshot it wrote
+    #: and skips rewriting an unchanged catalog at checkpoint time.
+    generation: int = 0
 
     # -- versioning ----------------------------------------------------------
 
@@ -115,6 +138,7 @@ class Catalog:
         """Record a DDL change to the named object."""
         key = name.lower()
         self.versions[key] = self.versions.get(key, 0) + 1
+        self.generation += 1
         if not key.startswith("phoenix"):
             self.schema_version += 1
 
@@ -139,6 +163,7 @@ class Catalog:
         key = name.lower()
         self.table_stats[key] = stats
         self.stats_versions[key] = self.stats_versions.get(key, 0) + 1
+        self.generation += 1
 
     def get_table_stats(self, name: str) -> dict | None:
         return self.table_stats.get(name.lower())
@@ -277,7 +302,8 @@ class Catalog:
     # -- snapshot / restore ----------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Plain-data snapshot (durable tables/procs only) for the disk blob."""
+        """Plain-data snapshot (durable tables/procs only) for the disk
+        blob; shares no mutable object with the live catalog."""
         return {
             "tables": [
                 {
@@ -320,11 +346,28 @@ class Catalog:
             "versions": dict(self.versions),
             "schema_version": self.schema_version,
             "table_stats": {
-                name: stats for name, stats in self.table_stats.items()
+                name: _copy_plain(stats)
+                for name, stats in self.table_stats.items()
                 if name in self.tables and not self.tables[name].volatile
             },
             "stats_versions": dict(self.stats_versions),
         }
+
+    def stats_snapshot(self) -> dict:
+        """Just the statistics, for the blob ANALYZE writes immediately
+        (statistics are not WAL-logged, so they cannot wait for the next
+        checkpoint)."""
+        return {"table_stats": _copy_plain(self.table_stats),
+                "stats_versions": dict(self.stats_versions)}
+
+    def load_stats_snapshot(self, snapshot: dict | None) -> None:
+        """Overlay :meth:`stats_snapshot` output onto this catalog."""
+        if not snapshot:
+            return
+        self.table_stats.update(
+            _copy_plain(snapshot.get("table_stats", {})))
+        self.stats_versions.update(snapshot.get("stats_versions", {}))
+        self.generation += 1
 
     @classmethod
     def restore(cls, snapshot: dict | None) -> "Catalog":
@@ -354,7 +397,7 @@ class Catalog:
         catalog.versions = dict(snapshot.get("versions", catalog.versions))
         catalog.schema_version = snapshot.get("schema_version",
                                               catalog.schema_version)
-        catalog.table_stats = dict(snapshot.get("table_stats", {}))
+        catalog.table_stats = _copy_plain(snapshot.get("table_stats", {}))
         catalog.stats_versions = dict(snapshot.get("stats_versions", {}))
         return catalog
 

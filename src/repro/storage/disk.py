@@ -1,17 +1,34 @@
 """The simulated durable medium.
 
 ``SimulatedDisk`` is the only component whose contents survive a server
-crash.  It stores page images keyed by ``(file_id, page_no)`` plus named
-blobs (catalog snapshots; the WAL keeps its own durable tail).  All I/O
-*timing* is charged by the buffer pool / WAL, not here; the disk itself
-only counts operations so tests can assert physical behaviour.
+crash.  It stores page images per file (``file_id -> {page_no: image}``)
+plus named blobs (catalog snapshots, the archived log prefix, the
+DML-version base; the WAL keeps its own durable tail).  All I/O *timing*
+is charged by the buffer pool / WAL, not here; the disk itself only
+counts operations so tests can assert physical behaviour.
 
-Ownership contract: the disk stores the exact object it is given and
-returns the exact object it stored.  The buffer pool — the only page
-client — clones pages on both sides of the boundary
-(:meth:`~repro.storage.page.Page.clone` is cheap because row tuples are
-immutable), so a post-crash read can never observe in-memory mutation that
-was not explicitly written back.
+Ownership contract — one rule for pages and blobs: the disk stores the
+exact object it is given and returns the exact object it stored, and it
+never copies.  A writer *transfers ownership*: what it hands over must
+alias no state it will mutate later.  A reader *borrows*: it must build
+its own structures from what it reads and never mutate the stored
+object.  The clients keep their side of the rule where the data is
+produced, which is far cheaper than a generic deep copy here:
+
+* the buffer pool — the only page client — clones pages on both sides of
+  the boundary (:meth:`~repro.storage.page.Page.clone` is cheap because
+  row tuples are immutable);
+* :meth:`Catalog.snapshot <repro.storage.catalog.Catalog.snapshot>`
+  builds a fresh plain-data structure and
+  :meth:`Catalog.restore <repro.storage.catalog.Catalog.restore>` builds
+  fresh catalog objects from it;
+* log truncation archives forced log records by reference: a forced
+  record already *is* durable state inside the log, nothing mutates it
+  after it leaves the live log, and moving it to the archive changes
+  where it lives, not who owns it.
+
+So a post-crash read can never observe in-memory mutation that was not
+explicitly written back.
 
 Crash semantics: :class:`~repro.server.server.DatabaseServer` discards
 every volatile structure (buffer pool, sessions, temp tables) but keeps the
@@ -20,14 +37,12 @@ every volatile structure (buffer pool, sessions, temp tables) but keeps the
 
 from __future__ import annotations
 
-import copy
-
 
 class SimulatedDisk:
     """Durable page and blob store."""
 
     def __init__(self):
-        self._pages: dict[tuple[int, int], object] = {}
+        self._files: dict[int, dict[int, object]] = {}
         self._blobs: dict[str, object] = {}
         self.page_reads = 0
         self.page_writes = 0
@@ -36,48 +51,51 @@ class SimulatedDisk:
 
     def write_page(self, file_id: int, page_no: int, image: object) -> None:
         """Durably store ``image`` (caller transfers ownership)."""
-        self._pages[(file_id, page_no)] = image
+        pages = self._files.get(file_id)
+        if pages is None:
+            pages = self._files[file_id] = {}
+        pages[page_no] = image
         self.page_writes += 1
 
     def read_page(self, file_id: int, page_no: int) -> object:
         """Return the stored image (caller must clone before mutating)."""
         self.page_reads += 1
-        return self._pages.get((file_id, page_no))
+        pages = self._files.get(file_id)
+        return pages.get(page_no) if pages else None
 
     def has_page(self, file_id: int, page_no: int) -> bool:
-        return (file_id, page_no) in self._pages
+        return page_no in self._files.get(file_id, ())
 
     def drop_file(self, file_id: int) -> int:
         """Remove every page of ``file_id``; returns how many were dropped."""
-        keys = [k for k in self._pages if k[0] == file_id]
-        for key in keys:
-            del self._pages[key]
-        return len(keys)
+        return len(self._files.pop(file_id, ()))
 
     def file_page_numbers(self, file_id: int) -> list[int]:
         """Sorted page numbers currently stored for ``file_id``."""
-        return sorted(p for (f, p) in self._pages if f == file_id)
+        return sorted(self._files.get(file_id, ()))
 
     # -- blobs (catalog snapshots etc.) ---------------------------------------
 
     def write_blob(self, name: str, value: object) -> None:
-        """Durably store a deep copy of ``value`` under ``name``."""
-        self._blobs[name] = copy.deepcopy(value)
+        """Durably store ``value`` under ``name`` (caller transfers
+        ownership: ``value`` must alias no live mutable state)."""
+        self._blobs[name] = value
 
     def append_blob(self, name: str, items: list) -> None:
-        """Append deep copies of ``items`` to a list-valued blob.
+        """Append ``items`` to a list-valued blob (ownership of each item
+        transfers; the list itself is not kept).
 
         Used by WAL truncation to archive the dropped log prefix without
-        rewriting (and re-deep-copying) the whole archive each time.
+        rewriting the whole archive each time.
         """
         existing = self._blobs.setdefault(name, [])
         if not isinstance(existing, list):
             raise TypeError(f"blob {name!r} is not appendable")
-        existing.extend(copy.deepcopy(items))
+        existing.extend(items)
 
     def read_blob(self, name: str, default=None):
-        value = self._blobs.get(name, default)
-        return copy.deepcopy(value)
+        """Return the stored object (caller must not mutate it)."""
+        return self._blobs.get(name, default)
 
     def has_blob(self, name: str) -> bool:
         return name in self._blobs

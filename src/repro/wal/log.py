@@ -194,8 +194,10 @@ class WriteAheadLog:
 
         Only the durable prefix may be truncated (the volatile tail is
         not yet on the log disk, let alone the archive).  ``archive``,
-        when given, receives the list of dropped records before they
-        leave the live log — the engine points it at a disk blob.
+        when given, receives the list of dropped records — the records
+        themselves, which nothing mutates once forced — before they
+        leave the live log; the engine folds them into its durable
+        DML-version base and moves them to a disk blob.
         Returns how many records were truncated.
 
         The *caller* is responsible for the safety rule: ``up_to_lsn``

@@ -210,6 +210,10 @@ class RecoveryReport:
     #: Virtual seconds of per-partition redo apply work, by file id
     #: (parallel redo only; the charged makespan is <= the sum of these).
     partition_seconds: dict = field(default_factory=dict)
+    #: Log records the engine scanned after the three passes to rebuild
+    #: the per-table DML versions — exactly the live log (``last_lsn -
+    #: truncated_lsn``), however long the archived history is.
+    version_records_scanned: int = 0
 
 
 class RecoveryManager:

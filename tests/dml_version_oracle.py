@@ -1,0 +1,71 @@
+"""Test-only oracle: per-table DML versions by full-history replay.
+
+This is the restart code the engine ran before log truncation started
+folding versions into a durable base (``repro.engine.dml_versions``):
+one +1 per table per committed transaction, replayed over the *whole*
+history — the archived prefix plus the live log.  It is deliberately an
+independent implementation (isinstance chains, no shared helper), so the
+production fold has a judge that does not share its bugs.  Cost grows
+with history; that is why it lives under ``tests/``.
+"""
+
+from repro.obs.views import SYSTEM_VIEWS
+from repro.wal.records import (
+    AbortRecord,
+    CommitRecord,
+    CreateIndexRecord,
+    CreateTableRecord,
+    CreateViewRecord,
+    DeleteRecord,
+    DropIndexRecord,
+    DropTableRecord,
+    DropViewRecord,
+    InsertRecord,
+    UpdateRecord,
+)
+
+
+def _tracked(name: str) -> bool:
+    return not (name.startswith("#") or name.startswith("phoenix")
+                or name in SYSTEM_VIEWS)
+
+
+def full_history_records(disk, wal) -> list:
+    """Every record ever logged, once each, in LSN order."""
+    by_lsn = {rec.lsn: rec for rec in disk.read_blob("wal_archive", ())}
+    for rec in wal.all_records():
+        by_lsn.setdefault(rec.lsn, rec)
+    return [by_lsn[lsn] for lsn in sorted(by_lsn)]
+
+
+def full_history_dml_versions(disk, wal) -> dict[str, int]:
+    versions: dict[str, int] = {}
+    pending: dict[int, set[str]] = {}
+    for rec in full_history_records(disk, wal):
+        name = None
+        if isinstance(rec, (InsertRecord, DeleteRecord, UpdateRecord)):
+            name = rec.table_name
+        elif isinstance(rec, (CreateTableRecord, DropTableRecord)):
+            name = rec.table["name"]
+        elif isinstance(rec, (CreateIndexRecord, DropIndexRecord)):
+            name = rec.index["table_name"]
+        elif isinstance(rec, (CreateViewRecord, DropViewRecord)):
+            name = rec.name
+        elif isinstance(rec, CommitRecord):
+            for table in sorted(pending.pop(rec.txn_id, ())):
+                versions[table] = versions.get(table, 0) + 1
+            continue
+        elif isinstance(rec, AbortRecord):
+            pending.pop(rec.txn_id, None)
+            continue
+        if name is not None and _tracked(name.lower()):
+            pending.setdefault(rec.txn_id, set()).add(name.lower())
+    return versions
+
+
+def assert_versions_match_full_history(engine) -> dict[str, int]:
+    """``catalog.dml_versions`` of a just-restarted engine equals the
+    full-history replay; returns the versions."""
+    expected = full_history_dml_versions(engine.disk, engine.wal)
+    assert engine.catalog.dml_versions == expected
+    return expected

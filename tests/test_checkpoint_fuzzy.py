@@ -261,6 +261,16 @@ def test_sys_checkpoint_view_is_queryable():
     assert rows["last_checkpoint_lsn"] > 0
     assert rows["flushed_lsn"] >= rows["truncated_lsn"]
     assert rows["dirty_pages"] >= 0
+    # What truncation left on disk: the archive holds every dropped
+    # record, and the DML-version base has folded exactly that prefix.
+    assert rows["truncated_lsn"] > 0
+    assert rows["archived_records"] == rows["log_records_truncated"] \
+        == rows["dml_versions_through_lsn"] == rows["truncated_lsn"]
+    # Only the CREATE TABLE changed the catalog: one snapshot written,
+    # every later checkpoint skipped the rewrite.
+    assert rows["catalog_snapshots_written"] == 1
+    assert rows["catalog_snapshots_written"] \
+        + rows["catalog_snapshots_skipped"] == rows["checkpoints_taken"]
 
 
 def test_recovery_phases_recorded_for_fuzzy_restarts():

@@ -26,6 +26,7 @@ from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
 from repro.sim.meter import Meter
 from repro.storage.btree import encode_key
+from tests.dml_version_oracle import assert_versions_match_full_history
 
 
 class CrashHarness:
@@ -55,6 +56,10 @@ class CrashHarness:
     def restart(self):
         self.engine = DatabaseEngine.restart(self.disk, self.wal,
                                              meter=self.meter)
+        # Every crash point of every sweep built on this harness: the
+        # versions restart derived from the durable base + the live log
+        # equal a replay of the full history.
+        assert_versions_match_full_history(self.engine)
         return self.engine.last_recovery
 
 

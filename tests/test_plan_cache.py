@@ -345,3 +345,37 @@ class TestVirtualFidelity:
             if result.kind == "rows":
                 result.fetch_all()
         assert engine2.meter.now - start == script_seconds
+
+
+# ---------------------------------------------------------------------------
+# Server restart keeps the construction-time cache setting
+# ---------------------------------------------------------------------------
+
+
+def test_caches_stay_off_across_server_restart():
+    """A server built with ``plan_cache_capacity=0`` (the wall-clock
+    baseline) must not get its caches back from the first crash."""
+    from repro.server.server import DatabaseServer
+    from repro.workloads.app import BenchmarkApp
+
+    server = DatabaseServer(meter=Meter(), plan_cache_capacity=0)
+    app = BenchmarkApp(server)
+    app.run_statement("CREATE TABLE t (k INT NOT NULL, v INT, "
+                      "PRIMARY KEY (k))")
+    app.run_statement("INSERT INTO t VALUES (1, 0)")
+    assert not server.engine.plan_cache_enabled
+    server.crash()
+    server.restart()
+    assert not server.engine.plan_cache_enabled
+    survivor = BenchmarkApp(server)
+    for _ in range(3):
+        assert survivor.query_rows("SELECT v FROM t WHERE k = 1") == [(0,)]
+    stats = dict(survivor.query_rows(
+        "SELECT metric, value FROM sys_plan_cache"))
+    assert not any(stats.values()), stats
+
+    # ... and a default server keeps them on.
+    cached = DatabaseServer(meter=Meter())
+    cached.crash()
+    cached.restart()
+    assert cached.engine.plan_cache_enabled

@@ -182,3 +182,26 @@ class TestBufferPool:
         pool = BufferPool(disk, meter)
         with pytest.raises(ValueError):
             pool.mark_dirty(1, 0)
+
+
+class TestSimulatedDiskFiles:
+    """Pages are keyed per file, so per-file operations never look at
+    another file's pages."""
+
+    def test_per_file_listing_and_drop(self, disk):
+        for page_no in (3, 0, 7):
+            disk.write_page(1, page_no, f"f1p{page_no}")
+        disk.write_page(2, 5, "f2p5")
+        assert disk.file_page_numbers(1) == [0, 3, 7]
+        assert disk.file_page_numbers(2) == [5]
+        assert disk.file_page_numbers(9) == []
+        assert disk.has_page(1, 3) and not disk.has_page(1, 5)
+        assert not disk.has_page(9, 0)
+        assert disk.drop_file(1) == 3
+        assert disk.drop_file(1) == 0
+        assert disk.file_page_numbers(1) == []
+        assert disk.read_page(1, 3) is None
+        assert disk.read_page(2, 5) == "f2p5"
+        # Only page I/O counts; listing and dropping are metadata.
+        assert disk.page_writes == 4
+        assert disk.page_reads == 2
