@@ -136,16 +136,19 @@ class LedgerEntry:
         self.hidden = _ZERO
 
     def add(self, resource: str, seconds: float, note: str,
-            hidden: bool, hint: str | None) -> None:
-        """Record one charge (called from ``Meter.charge``)."""
+            hint: str | None) -> None:
+        """Record one clocked charge (called from ``Meter.charge``)."""
         fraction = Fraction(seconds)
-        if hidden:
-            self.hidden += fraction
-            return
         component = classify(resource, note, hint)
         self.total += fraction
         self.components[component] = (
             self.components.get(component, _ZERO) + fraction)
+
+    def hide(self, seconds: float, n: int = 1) -> None:
+        """Record ``n`` charges of ``seconds`` made inside an overlap
+        window.  Fractions are exact, so one multiplication equals the
+        ``n`` separate additions."""
+        self.hidden += Fraction(seconds) * n
 
     def add_attributed(self, component: str, seconds: float) -> None:
         """Record clock time that bypassed ``charge`` (the realized

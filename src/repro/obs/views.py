@@ -128,8 +128,11 @@ def _sys_executor(engine):
 
     Per-world counters come from ``meter.executor_stats`` (kept separate
     from ``meter.counters`` so virtual-output equivalence comparisons are
-    not perturbed by host-side bookkeeping); ``expr_*`` compile totals
-    come from the process-wide :data:`repro.sql.expressions.EXPR_STATS`.
+    not perturbed by host-side bookkeeping); the expression-compiler
+    totals (``exprs_compiled``, ``exprs_generated`` and the code memo's
+    ``code_memo_hits`` / ``code_memo_misses`` — a plan-time compile
+    storm shows up as misses) come from the process-wide
+    :data:`repro.sql.expressions.EXPR_STATS`.
     """
     from repro.sql.expressions import EXPR_STATS
 

@@ -88,7 +88,7 @@ class SimulatedNetwork:
         entry = meter.latency_open(type(request).__name__)
         try:
             self._send(server, request)
-            sink = meter.begin_overlap()
+            meter.begin_overlap()
             try:
                 response = self._serve(server, request)
             except BaseException:
@@ -97,7 +97,7 @@ class SimulatedNetwork:
                 # re-raise.  The raw advance bypasses ``charge``, so the
                 # ledger books it explicitly — the client spent it
                 # waiting on the failed exchange.
-                seconds = meter.end_overlap(sink)
+                seconds = meter.end_overlap()
                 if seconds > 0:
                     meter.clock.advance(seconds)
                     meter.latency_attribute(entry, "server_queue", seconds)
@@ -105,7 +105,7 @@ class SimulatedNetwork:
         except BaseException:
             meter.latency_close(entry)
             raise
-        service = meter.end_overlap(sink)
+        service = meter.end_overlap()
         # Success: the entry stays open — its latency is not known until
         # the driver realizes the batch's stall (or discards it).
         meter.latency_detach(entry)

@@ -32,6 +32,13 @@ from repro.sim.costs import ALL_RESOURCES, CostModel
 _RESOURCE_SET = frozenset(ALL_RESOURCES)
 
 
+def _reject(resource: str, seconds: float) -> None:
+    """Raise what ``Meter.charge`` raises for an invalid charge."""
+    if resource not in _RESOURCE_SET:
+        raise ValueError(f"unknown resource {resource!r}")
+    raise ValueError("cannot charge negative time")
+
+
 class Segment(NamedTuple):
     """One contiguous use of one resource.
 
@@ -76,10 +83,14 @@ class Meter:
         #: registry's counter store, so both views stay in sync.
         self.counters: dict[str, float] = self.obs.metrics.counters
         self._open_requests: list[RequestTrace] = []
-        #: When False, ``charge`` records segments but does not advance the
-        #: clock.  Multi-stream experiments set this so elapsed time comes
-        #: from the queueing simulator instead of serial accumulation.
+        #: Multi-stream mode when False: ``charge`` records segments but
+        #: does not advance the clock, and every individual charge keeps
+        #: its own segment — the queueing simulator replays the traces
+        #: and segment boundaries decide how streams interleave.
         self.advance_clock: bool = True
+        #: Running total of the open overlap window (None = no window);
+        #: a state of its own, independent of multi-stream mode.
+        self._window: float | None = None
         # Pending batched charge:
         # (resource, note, accumulated seconds, component hint).
         # The hint is captured when the batch *starts* (first-hint-wins on
@@ -110,11 +121,6 @@ class Meter:
         # Memoized "charge.<resource>" metric names (host-only: avoids an
         # f-string per charge).
         self._charge_metric_names: dict[str, str] = {}
-        # Overlap window state (pipelined result delivery): while a
-        # window is open, charges are recorded (recorders + metrics) but
-        # neither advance the clock nor land in the open request trace.
-        self._overlap_saved_advance: bool | None = None
-        self._suppress_trace = False
 
     # -- charging -----------------------------------------------------------
 
@@ -128,7 +134,10 @@ class Meter:
             if seconds < 0:
                 raise ValueError("cannot charge negative time")
             return
-        if self.advance_clock:
+        window = self._window
+        if window is not None:
+            self._window = window + seconds
+        elif self.advance_clock:
             self.clock.advance(seconds)
         obs = self.obs
         if obs.enabled:
@@ -137,18 +146,49 @@ class Meter:
                 metric = f"charge.{resource}"
                 self._charge_metric_names[resource] = metric
             obs.metrics.observe(metric, seconds)
-        segment = Segment(resource, seconds, note)
-        open_requests = self._open_requests
-        if open_requests and not self._suppress_trace:
-            open_requests[-1].segments.append(segment)
-        for sink in self._recorders:
-            sink.append(segment)
+        # A window keeps the open request trace client-perspective, so
+        # inside one a Segment exists only for a listening recorder.
+        trace = (self._open_requests[-1]
+                 if window is None and self._open_requests else None)
+        recorders = self._recorders
+        if trace is not None or recorders:
+            segment = Segment(resource, seconds, note)
+            if trace is not None:
+                trace.segments.append(segment)
+            for sink in recorders:
+                sink.append(segment)
         latency = self._latency
         if latency is not None:
             entry = latency.current
             if entry is not None:
-                entry.add(resource, seconds, note, self._suppress_trace,
-                          self._component_hint)
+                if window is not None:
+                    entry.hide(seconds)
+                else:
+                    entry.add(resource, seconds, note, self._component_hint)
+
+    def _per_charge(self) -> bool:
+        """True when each individual charge must surface on its own.
+
+        Multi-stream mode: segment boundaries feed the queueing
+        simulator.  Overlap window: only while somebody observes the
+        individual charges (a recorder pushed inside or around the
+        window, or the metrics registry under tracing); otherwise the
+        window is just its running total.
+        """
+        if self._window is None:
+            return not self.advance_clock
+        return bool(self._recorders) or self.obs.enabled
+
+    def _fold_into_window(self, per_row: float, n: int) -> None:
+        """``n`` charges of ``per_row`` into an un-listened window."""
+        total = self._window
+        for _ in range(n):
+            total += per_row
+        self._window = total
+        latency = self._latency
+        if latency is not None and latency.current is not None:
+            # Exact, so equal to n separate additions.
+            latency.current.hide(per_row, n)
 
     def charge_batched(self, resource: str, seconds: float,
                        note: str = "") -> None:
@@ -156,19 +196,23 @@ class Meter:
 
         Batching changes only the *granularity* of segments, never the
         total, so it is safe only when the serial clock is authoritative.
-        Multi-stream experiments (``advance_clock`` False) replay traces
-        through the queueing simulator, where segment boundaries determine
-        how streams interleave — there we fall through to per-call
-        ``charge`` so recorded traces are identical to the unbatched ones.
+        In multi-stream mode segment boundaries determine how streams
+        interleave, and in an overlap window the total is a left fold
+        over the individual charges — in both nothing is deferred.
         """
-        if not self.advance_clock:
-            self.charge(resource, seconds, note)
+        if resource not in _RESOURCE_SET or seconds < 0:
+            _reject(resource, seconds)
+        if self._window is not None or not self.advance_clock:
+            if seconds > 0 and not self._per_charge():
+                self._fold_into_window(seconds, 1)
+            else:
+                self.charge(resource, seconds, note)
             return
-        if self._pending is not None:
-            p_resource, p_note, p_seconds, p_hint = self._pending
-            if p_resource == resource and p_note == note:
-                self._pending = (resource, note, p_seconds + seconds,
-                                 p_hint)
+        pending = self._pending
+        if pending is not None:
+            if pending[0] == resource and pending[1] == note:
+                self._pending = (resource, note, pending[2] + seconds,
+                                 pending[3])
                 return
             self._flush_pending()
         self._pending = (resource, note, seconds, self._component_hint)
@@ -183,23 +227,25 @@ class Meter:
         the batch executor requires reproducing the exact left-fold the
         row-at-a-time path performs, so this loops rather than multiplies.
         """
-        if n <= 0 or per_row <= 0:
+        if resource not in _RESOURCE_SET or per_row < 0:
+            _reject(resource, per_row)
+        if n <= 0 or per_row == 0:
             return
-        if not self.advance_clock:
-            # Multi-stream mode: segment boundaries feed the queueing
-            # simulator, so emit per-row segments exactly as before.
-            for _ in range(n):
-                self.charge(resource, per_row, note)
+        if self._window is not None or not self.advance_clock:
+            if self._per_charge():
+                for _ in range(n):
+                    self.charge(resource, per_row, note)
+            else:
+                self._fold_into_window(per_row, n)
             return
-        if self._pending is not None:
-            p_resource, p_note, total, hint = self._pending
-            if p_resource != resource or p_note != note:
-                self._flush_pending()
-                total = 0.0
-                hint = self._component_hint
+        pending = self._pending
+        if pending is not None and pending[0] == resource \
+                and pending[1] == note:
+            total, hint = pending[2], pending[3]
         else:
-            total = 0.0
-            hint = self._component_hint
+            if pending is not None:
+                self._flush_pending()
+            total, hint = 0.0, self._component_hint
         for _ in range(n):
             total += per_row
         self._pending = (resource, note, total, hint)
@@ -210,32 +256,48 @@ class Meter:
         The batch executor defers per-row charges and replays them here in
         the exact order the row-at-a-time engine would have issued them;
         each run expands to ``count`` individual additions into the
-        pending accumulator (see :meth:`charge_rows` for why).
+        accumulator (see :meth:`charge_rows` for why).  ``runs`` may be a
+        generator, so a negative run raises when the replay reaches it.
         """
+        if resource not in _RESOURCE_SET:
+            raise ValueError(f"unknown resource {resource!r}")
         if not runs:
             return
-        if not self.advance_clock:
-            for per_row, n in runs:
-                if per_row > 0:
+        window, entry = self._window, None
+        if window is not None or not self.advance_clock:
+            if self._per_charge():
+                for per_row, n in runs:
                     for _ in range(n):
                         self.charge(resource, per_row, note)
-            return
-        if self._pending is not None:
-            p_resource, p_note, total, hint = self._pending
-            if p_resource != resource or p_note != note:
-                self._flush_pending()
-                total = 0.0
-                hint = self._component_hint
+                return
+            total, hint = window, None
+            if self._latency is not None:
+                entry = self._latency.current
         else:
-            total = 0.0
-            hint = self._component_hint
+            pending = self._pending
+            if pending is not None and pending[0] == resource \
+                    and pending[1] == note:
+                total, hint = pending[2], pending[3]
+            else:
+                if pending is not None:
+                    self._flush_pending()
+                total, hint = 0.0, self._component_hint
         for per_row, n in runs:
+            if per_row <= 0:
+                if per_row < 0:
+                    _reject(resource, per_row)
+                continue
             if n == 1:
                 total += per_row
             else:
                 for _ in range(n):
                     total += per_row
-        self._pending = (resource, note, total, hint)
+            if entry is not None:
+                entry.hide(per_row, n)
+        if window is not None:
+            self._window = total
+        else:
+            self._pending = (resource, note, total, hint)
 
     def _flush_pending(self) -> None:
         """Emit the accumulated batched charge as one real segment.
@@ -282,35 +344,32 @@ class Meter:
 
     # -- overlap windows (pipelined result delivery) -------------------------
 
-    def begin_overlap(self) -> list[Segment]:
-        """Open an overlap window: subsequent charges are *recorded but
+    def begin_overlap(self) -> None:
+        """Open an overlap window: subsequent charges are *summed but
         not clocked*.
 
         Used for requests whose service overlaps client compute
         (fetch-ahead, pipelined persist loads): every charge inside the
-        window still reaches the metrics registry and any recorder
-        sinks — it is real resource usage — but the serial clock stays
-        put and the open request trace stays client-perspective (the
-        caller charges the *unoverlapped* remainder at its sync point).
-        Windows do not nest.
+        window is real resource usage — it reaches the metrics
+        registry, the ledger's hidden column and any recorder — but the
+        serial clock stays put and the open request trace stays
+        client-perspective (the caller charges the *unoverlapped*
+        remainder at its sync point).  The window itself is one running
+        float, folded charge by charge from zero.  Windows do not nest.
         """
-        if self._suppress_trace:
+        if self._window is not None:
             raise ValueError("overlap windows do not nest")
-        sink = self.push_recorder()
-        self._overlap_saved_advance = self.advance_clock
-        self.advance_clock = False
-        self._suppress_trace = True
-        return sink
+        self._flush_pending()
+        self._window = 0.0
 
-    def end_overlap(self, sink: list[Segment]) -> float:
-        """Close the overlap window; returns its total recorded seconds
-        (the request's virtual service time)."""
-        self._flush_pending()  # still suppressed: lands in the sink
-        self.pop_recorder(sink)
-        self.advance_clock = self._overlap_saved_advance
-        self._overlap_saved_advance = None
-        self._suppress_trace = False
-        return sum(segment.seconds for segment in sink)
+    def end_overlap(self) -> float:
+        """Close the overlap window; returns the seconds charged inside
+        it (the request's virtual service time)."""
+        total = self._window
+        if total is None:
+            raise ValueError("no overlap window is open")
+        self._window = None
+        return total
 
     def count(self, counter: str, amount: float = 1.0) -> None:
         """Increment a named diagnostic counter (a registry counter)."""

@@ -1,8 +1,12 @@
 """Expression compilation and evaluation.
 
-Expressions are compiled once per plan into Python closures that evaluate
-against an :class:`EvalContext` (the current row plus the chain of outer
-rows for correlated subqueries).  SQL semantics implemented here:
+Expressions are compiled once per plan into one generated Python
+function each: :class:`ExprCompiler` emits source for every pure node
+kind, compiles it (memoized by source text) and hands back a
+``fn(ctx)`` that evaluates against an :class:`EvalContext` (the current
+row plus the chain of outer rows for correlated subqueries).  Subquery
+nodes stay closures, called from the generated code.  SQL semantics
+implemented here:
 
 * three-valued logic — comparisons with NULL yield unknown (``None``);
   AND/OR/NOT follow Kleene logic; WHERE/HAVING treat unknown as false;
@@ -23,15 +27,23 @@ from dataclasses import dataclass, field
 
 from repro.errors import ColumnNotFoundError, PlanningError, TypeMismatchError
 from repro.sql import ast
+from repro.sql.plan_cache import LRUCache
 
 #: Process-wide compiler diagnostics, surfaced through the ``sys_executor``
 #: system view.  Counts compilations, not evaluations, so steady-state
 #: workloads running from the plan cache leave these flat.
 EXPR_STATS: dict[str, int] = {
-    "exprs_compiled": 0,
+    "exprs_compiled": 0,       # AST nodes emitted
+    "exprs_generated": 0,      # functions built from generated source
+    "code_memo_hits": 0,       # ... whose code object was already compiled
+    "code_memo_misses": 0,
     "consts_folded": 0,
     "slot_refs": 0,
 }
+
+#: Bound on the two process-wide compilation memos: LIKE regexes by
+#: pattern text, code objects by generated source.
+MEMO_CAPACITY = 1024
 
 
 def slot_of(fn) -> int | None:
@@ -218,27 +230,10 @@ def _sub(a, b):
     return a - b
 
 
-def _mul(a, b):
-    if a is None or b is None:
-        return None
-    return a * b
-
-
-def _div(a, b):
-    if a is None or b is None:
-        return None
-    if b == 0:
-        return None  # SQL engines raise; returning NULL keeps queries total
-    return a / b
-
-
 def _concat(a, b):
     if a is None or b is None:
         return None
     return str(a) + str(b)
-
-
-_ARITH = {"+": _add, "-": _sub, "*": _mul, "/": _div, "||": _concat}
 
 
 @dataclass(frozen=True)
@@ -273,12 +268,10 @@ def _days_in_month(year: int, month: int) -> int:
     return (first_next - datetime.timedelta(days=1)).day
 
 
-_LIKE_CACHE: dict[str, re.Pattern] = {}
+_LIKE_CACHE = LRUCache(MEMO_CAPACITY)
 
 
-def like_match(value, pattern) -> bool | None:
-    if value is None or pattern is None:
-        return None
+def _like_regex(pattern: str) -> re.Pattern:
     regex = _LIKE_CACHE.get(pattern)
     if regex is None:
         parts = []
@@ -290,8 +283,19 @@ def like_match(value, pattern) -> bool | None:
             else:
                 parts.append(re.escape(ch))
         regex = re.compile("^" + "".join(parts) + "$", re.DOTALL)
-        _LIKE_CACHE[pattern] = regex
-    return regex.match(str(value)) is not None
+        _LIKE_CACHE.put(pattern, regex)
+    return regex
+
+
+def like_match(value, pattern) -> bool | None:
+    if value is None or pattern is None:
+        return None
+    return _like_regex(pattern).match(str(value)) is not None
+
+
+def _extract_error(value):
+    raise TypeMismatchError(
+        f"EXTRACT expects a date, got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +430,147 @@ class CompiledSubquery:
     memo: dict = field(default_factory=dict)
 
 
+#: Exact operand types whose comparison is the bare Python operator; bool
+#: and everything else (mixed numerics included) go through sql_compare.
+_INLINE_COMPARE = frozenset({int, float, str, datetime.date})
+_NUMERIC = frozenset({int, float})
+_TYPE_NAMES = {int: "int", float: "float", str: "str",
+               datetime.date: "date"}
+_PY_COMPARES = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">",
+                ">=": ">="}
+
+_NULL_IN = "None if {a} is None or {b} is None else "
+_NOT = "None if {a} is None else not {a}"
+_AND = ("False if {a} is False or {b} is False else "
+        "(None if {a} is None or {b} is None else True)")
+#: Source of ``t = a <op> b`` for the non-comparison binary operators.
+#: Both operands are already evaluated (they are atoms) — there is no
+#: short circuit, so an operand's TypeMismatchError always surfaces.
+_BINARY_SOURCE = {
+    "AND": _AND,
+    "OR": ("True if {a} is True or {b} is True else "
+           "(None if {a} is None or {b} is None else False)"),
+    "+": _NULL_IN + ("({a} + {b} if type({a}) in _NUMERIC "
+                     "and type({b}) in _NUMERIC else _add({a}, {b}))"),
+    "-": _NULL_IN + ("({a} - {b} if type({a}) in _NUMERIC "
+                     "and type({b}) in _NUMERIC else _sub({a}, {b}))"),
+    "*": _NULL_IN + "{a} * {b}",
+    # SQL engines raise on x / 0; returning NULL keeps queries total.
+    "/": "None if {a} is None or {b} is None or {b} == 0 else {a} / {b}",
+    "||": "_concat({a}, {b})",
+}
+
+#: Globals of every generated function (shared, so nothing per function).
+_GEN_GLOBALS = {
+    "sql_compare": sql_compare, "like_match": like_match,
+    "_add": _add, "_sub": _sub, "_concat": _concat,
+    "_extract_error": _extract_error, "date": datetime.date,
+    "_INLINE_COMPARE": _INLINE_COMPARE, "_NUMERIC": _NUMERIC,
+}
+_CODE_MEMO = LRUCache(MEMO_CAPACITY)
+
+
+class _Source:
+    """The statements of one generated function, in evaluation order.
+
+    Every emitted node leaves its value in an *atom* — a local temp or a
+    bound constant name — that later statements may read any number of
+    times.  ``known`` maps the atoms of compile-time constants to their
+    values (comparison against a typed literal specializes on it).
+    ``fold`` is off only in the throwaway function that evaluates a
+    constant subtree at plan time.
+    """
+
+    def __init__(self, fold: bool = True):
+        self.fold = fold
+        self.lines: list[str] = []
+        self.bound: list = []           # values of k0, k1, ... in order
+        self.known: dict[str, object] = {}
+        self.slots: dict[str, int] = {}  # atom -> level-0 row index
+        self._slot_atoms: dict[int, str] = {}
+        self.depth = 2
+        self._temps = 0
+        self.params_atom: str | None = None
+
+    def bind(self, value) -> str:
+        self.bound.append(value)
+        return f"k{len(self.bound) - 1}"
+
+    def const(self, value) -> str:
+        atom = self.bind(value)
+        self.known[atom] = value
+        return atom
+
+    def temp(self) -> str:
+        self._temps += 1
+        return f"t{self._temps}"
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
+
+    def let(self, expr: str) -> str:
+        atom = self.temp()
+        self.line(f"{atom} = {expr}")
+        return atom
+
+    def slot(self, index: int) -> str:
+        EXPR_STATS["slot_refs"] += 1
+        atom = self._slot_atoms.get(index)
+        if atom is None:
+            atom = self.let(f"row[{index}]")
+            self.slots[atom] = index
+            if self.depth == 2:
+                # Read unconditionally: every later statement may reuse
+                # it (a read inside a lazy branch is not always made).
+                self._slot_atoms[index] = atom
+        return atom
+
+    def build(self, result: str):
+        """Compile (or fetch) the code and bind the constants."""
+        names = ", ".join(f"k{i}" for i in range(len(self.bound)))
+        text = "\n".join(
+            [f"def _make({names}):", "    def _expr(ctx):",
+             *(["        row = ctx.row"] if self.slots else []),
+             *self.lines, f"        return {result}", "    return _expr",
+             ""])
+        EXPR_STATS["exprs_generated"] += 1
+        code = _CODE_MEMO.get(text)
+        if code is None:
+            EXPR_STATS["code_memo_misses"] += 1
+            code = compile(text, "<sql-expr>", "exec")
+            _CODE_MEMO.put(text, code)
+        else:
+            EXPR_STATS["code_memo_hits"] += 1
+        exec(code, _GEN_GLOBALS)
+        return _GEN_GLOBALS.pop("_make")(*self.bound)
+
+
+def _compare_source(op: str, a: str, b: str, out: _Source) -> str:
+    """Source of the three-valued comparison of atoms ``a <op> b``.
+
+    The bare Python operator runs only when both values have the same
+    exact type in ``_INLINE_COMPARE`` (what sql_compare would do with
+    them); against a typed literal that is one exact-type test.
+    """
+    inline = f"{a} {_PY_COMPARES[op]} {b}"
+    general = f"sql_compare({op!r}, {a}, {b})"
+    for other, literal in ((a, b), (b, a)):
+        kind = _TYPE_NAMES.get(type(out.known.get(literal)))
+        if kind is not None:
+            return (f"None if {other} is None else ({inline} "
+                    f"if type({other}) is {kind} else {general})")
+    return (f"None if {a} is None or {b} is None else ({inline} "
+            f"if type({a}) is type({b}) and type({a}) in _INLINE_COMPARE "
+            f"else {general})")
+
+
 class ExprCompiler:
-    """Compiles AST expressions into evaluator closures.
+    """Compiles AST expressions into generated evaluator functions.
 
     ``subquery_planner(select, scope)`` is provided by the planner and
     returns a plan object; ``subquery_runner(plan, ctx)`` is provided by
     the executor at run time through the context — here we receive it at
-    construction to keep closures self-contained.
+    construction to keep the subquery closures self-contained.
 
     ``replacements`` maps ``id(ast_node)`` to an output slot index — the
     planner uses it to make post-aggregation expressions read aggregate
@@ -453,198 +591,191 @@ class ExprCompiler:
     def compile(self, node: ast.Expr):
         """Return ``fn(ctx: EvalContext) -> value``.
 
-        Compiled closures carry two advisory attributes read through
-        :func:`slot_of` / :func:`is_impure`: ``_slot`` (the closure is a
-        bare level-0 column read of that tuple index — eligible for the
-        batch executor's direct-indexing fast paths) and ``_impure`` (the
-        subtree contains a subquery, so evaluation charges the meter and
-        the operator must stay row-at-a-time).  Constant subtrees are
-        folded to their value at compile time; a fold that raises falls
-        back to the runtime closure so errors still surface during
-        execution, exactly as before.
+        The whole tree becomes one function; only subquery nodes remain
+        closures inside it.  Compiled functions carry two advisory
+        attributes read through :func:`slot_of` / :func:`is_impure`:
+        ``_slot`` (a bare level-0 column read of that tuple index —
+        eligible for the batch executor's direct-indexing fast paths) and
+        ``_impure`` (the tree contains a subquery, so evaluation charges
+        the meter and the operator must stay row-at-a-time).  Constant
+        subtrees are folded to their value at compile time; a fold that
+        raises stays in the generated code so the error still surfaces
+        during execution.
         """
+        out = _Source()
+        result = self._emit(node, out)
+        fn = out.build(result)
+        if result in out.slots:
+            fn._slot = out.slots[result]
+        elif expr_has_subquery(node):
+            fn._impure = True
+        return fn
+
+    def _emit(self, node: ast.Expr, out: _Source) -> str:
+        """Emit the statements evaluating ``node``; returns its atom."""
         slot = self._replacements.get(id(node))
         if slot is not None:
-            fn = lambda ctx, s=slot: ctx.row[s]  # noqa: E731
-            fn._slot = slot
-            EXPR_STATS["slot_refs"] += 1
-            return fn
-        method = getattr(self, "_compile_" + type(node).__name__.lower(),
-                         None)
+            return out.slot(slot)
+        method = getattr(self, "_emit_" + type(node).__name__.lower(), None)
         if method is None:
             raise PlanningError(
                 f"cannot compile expression node {type(node).__name__}")
-        fn = method(node)
-        EXPR_STATS["exprs_compiled"] += 1
-        if expr_has_subquery(node):
-            fn._impure = True
-            return fn
-        if not isinstance(node, _CONST_LEAVES) and _is_constant(node):
+        if out.fold and not isinstance(node, _CONST_LEAVES) \
+                and _is_constant(node):
+            probe = _Source(fold=False)
             try:
-                value = fn(_CONST_CTX)
+                value = probe.build(method(node, probe))(_CONST_CTX)
             except Exception:
-                return fn
-            EXPR_STATS["consts_folded"] += 1
-            return lambda ctx, v=value: v
-        return fn
+                pass  # evaluated (and raised) at run time instead
+            else:
+                EXPR_STATS["consts_folded"] += 1
+                return out.const(value)
+        EXPR_STATS["exprs_compiled"] += 1
+        return method(node, out)
 
     # -- leaves ---------------------------------------------------------------
 
-    def _compile_literal(self, node: ast.Literal):
-        value = node.value
-        return lambda ctx: value
+    def _emit_literal(self, node: ast.Literal, out):
+        return out.const(node.value)
 
-    def _compile_interval(self, node: ast.Interval):
-        value = _IntervalValue(node.amount, node.unit)
-        return lambda ctx: value
+    def _emit_interval(self, node: ast.Interval, out):
+        return out.const(_IntervalValue(node.amount, node.unit))
 
-    def _compile_param(self, node: ast.Param):
+    def _emit_param(self, node: ast.Param, out):
         if node.name not in self._params:
             raise PlanningError(f"unbound parameter @{node.name}")
-        # Look the value up at eval time: cached plans are re-executed with
-        # the same (mutable) params dict rebound to new values.
-        params = self._params
-        name = node.name
-        return lambda ctx: params[name]
+        # Looked up at eval time (cached plans rebind the same dict) by
+        # a *bound* name: auto-parameterized statements number their
+        # markers, and one shape must stay one source.
+        if out.params_atom is None:
+            out.params_atom = out.bind(self._params)
+        return out.let(f"{out.params_atom}[{out.bind(node.name)}]")
 
-    def _compile_columnref(self, node: ast.ColumnRef):
+    def _emit_columnref(self, node: ast.ColumnRef, out):
         level, index = self._scope.resolve(node.table, node.name)
         if level == 0:
-            fn = lambda ctx, i=index: ctx.row[i]  # noqa: E731
-            fn._slot = index
-            EXPR_STATS["slot_refs"] += 1
-            return fn
-        return lambda ctx, l=level, i=index: ctx.at_level(l).row[i]
+            return out.slot(index)
+        return out.let(f"ctx.at_level({level}).row[{index}]")
 
     # -- operators ---------------------------------------------------------
 
-    def _compile_unary(self, node: ast.Unary):
-        operand = self.compile(node.operand)
+    def _emit_unary(self, node: ast.Unary, out):
+        a = self._emit(node.operand, out)
         if node.op == "NOT":
-            return lambda ctx: sql_not(operand(ctx))
+            return out.let(_NOT.format(a=a))
         if node.op == "-":
-            return lambda ctx: None if operand(ctx) is None else -operand(ctx)
-        return operand
+            return out.let(f"None if {a} is None else -{a}")
+        return a
 
-    def _compile_binary(self, node: ast.Binary):
-        left = self.compile(node.left)
-        right = self.compile(node.right)
-        op = node.op
-        if op == "AND":
-            return lambda ctx: sql_and(left(ctx), right(ctx))
-        if op == "OR":
-            return lambda ctx: sql_or(left(ctx), right(ctx))
-        if op in _COMPARES:
-            return lambda ctx: sql_compare(op, left(ctx), right(ctx))
-        if op in _ARITH:
-            fn = _ARITH[op]
-            return lambda ctx: fn(left(ctx), right(ctx))
-        raise PlanningError(f"unknown binary operator {op!r}")
+    def _emit_binary(self, node: ast.Binary, out):
+        a = self._emit(node.left, out)
+        b = self._emit(node.right, out)
+        if node.op in _PY_COMPARES:
+            return out.let(_compare_source(node.op, a, b, out))
+        source = _BINARY_SOURCE.get(node.op)
+        if source is None:
+            raise PlanningError(f"unknown binary operator {node.op!r}")
+        return out.let(source.format(a=a, b=b))
 
-    def _compile_isnull(self, node: ast.IsNull):
-        operand = self.compile(node.operand)
-        if node.negated:
-            return lambda ctx: operand(ctx) is not None
-        return lambda ctx: operand(ctx) is None
+    def _emit_isnull(self, node: ast.IsNull, out):
+        a = self._emit(node.operand, out)
+        return out.let(f"{a} is not None" if node.negated
+                       else f"{a} is None")
 
-    def _compile_between(self, node: ast.Between):
-        operand = self.compile(node.operand)
-        low = self.compile(node.low)
-        high = self.compile(node.high)
+    def _emit_between(self, node: ast.Between, out):
+        value = self._emit(node.operand, out)
+        low = self._emit(node.low, out)
+        above = out.let(_compare_source(">=", value, low, out))
+        high = self._emit(node.high, out)
+        below = out.let(_compare_source("<=", value, high, out))
+        result = out.let(_AND.format(a=above, b=below))
+        return out.let(_NOT.format(a=result)) if node.negated else result
 
-        def evaluate(ctx):
-            value = operand(ctx)
-            result = sql_and(sql_compare(">=", value, low(ctx)),
-                             sql_compare("<=", value, high(ctx)))
-            return sql_not(result) if node.negated else result
+    def _emit_inlist(self, node: ast.InList, out):
+        value = self._emit(node.operand, out)
+        hit, miss = ("False", "True") if node.negated else ("True", "False")
+        result, depth = out.temp(), out.depth
+        out.line(f"{result} = None")
+        out.line(f"if {value} is not None:")
+        out.depth += 1
+        # Fast path: every item is a literal of one comparison family.
+        # A frozenset probe matches sql_compare's ``=`` exactly there
+        # (int/float hash equality; str equality) and no candidate is
+        # NULL.  Any other operand type takes the general scan, so
+        # coercion and error behaviour stay identical.
+        kinds = {type(item.value) if isinstance(item, ast.Literal)
+                 else None for item in node.items}
+        guard = None
+        if kinds and kinds <= _NUMERIC:
+            guard = f"type({value}) is int or type({value}) is float"
+        elif kinds == {str}:
+            guard = f"type({value}) is str"
+        if guard is not None:
+            candidates = out.bind(frozenset(i.value for i in node.items))
+            out.line(f"if {guard}:")
+            out.line(f"    {result} = {value} "
+                     f"{'not in' if node.negated else 'in'} {candidates}")
+            out.line("else:")
+            out.depth += 1
+        # General scan: items are evaluated lazily, in order, up to the
+        # first match (a one-pass ``while`` keeps the source flat).
+        saw_null = out.temp()
+        out.line(f"{saw_null} = False")
+        out.line("while True:")
+        out.depth += 1
+        for item in node.items:
+            candidate = self._emit(item, out)
+            out.line(f"if {candidate} is None:")
+            out.line(f"    {saw_null} = True")
+            out.line("elif ("
+                     + _compare_source("=", value, candidate, out)
+                     + ") is True:")
+            out.line(f"    {result} = {hit}")
+            out.line("    break")
+        out.line(f"{result} = None if {saw_null} else {miss}")
+        out.line("break")
+        out.depth = depth
+        return result
 
-        return evaluate
+    def _emit_like(self, node: ast.Like, out):
+        value = self._emit(node.operand, out)
+        pattern = self._emit(node.pattern, out)
+        if type(out.known.get(pattern)) is str:
+            # Constant pattern: bind its regex, no cache probe per row.
+            match = out.bind(_like_regex(out.known[pattern]).match)
+            result = out.let(f"None if {value} is None "
+                             f"else {match}(str({value})) is not None")
+        else:
+            result = out.let(f"like_match({value}, {pattern})")
+        return out.let(_NOT.format(a=result)) if node.negated else result
 
-    def _compile_inlist(self, node: ast.InList):
-        operand = self.compile(node.operand)
-        items = [self.compile(item) for item in node.items]
-        negated = node.negated
+    def _emit_casewhen(self, node: ast.CaseWhen, out):
+        result = out.temp()
+        out.line("while True:")  # one pass; ``break`` = branch taken
+        out.depth += 1
+        for cond, then in node.whens:
+            test = self._emit(cond, out)
+            out.line(f"if {test} is True:")
+            out.depth += 1
+            out.line(f"{result} = {self._emit(then, out)}")
+            out.line("break")
+            out.depth -= 1
+        otherwise = (self._emit(node.else_result, out)
+                     if node.else_result is not None else "None")
+        out.line(f"{result} = {otherwise}")
+        out.line("break")
+        out.depth -= 1
+        return result
 
-        def evaluate(ctx):
-            value = operand(ctx)
-            if value is None:
-                return None
-            saw_null = False
-            for item in items:
-                candidate = item(ctx)
-                if candidate is None:
-                    saw_null = True
-                    continue
-                if sql_compare("=", value, candidate) is True:
-                    return False if negated else True
-            if saw_null:
-                return None
-            return True if negated else False
+    def _emit_extract(self, node: ast.Extract, out):
+        if node.field_name not in ("year", "month", "day"):
+            raise PlanningError(f"unknown EXTRACT field {node.field_name!r}")
+        a = self._emit(node.operand, out)
+        return out.let(
+            f"None if {a} is None else ({a}.{node.field_name} "
+            f"if isinstance({a}, date) else _extract_error({a}))")
 
-        # Fast path: every list item is a numeric literal.  A frozenset
-        # probe matches sql_compare's numeric ``=`` exactly (int/float
-        # hash equality), and the NULL bookkeeping vanishes because no
-        # candidate is NULL.  Non-numeric operand values (a string
-        # compared against numbers, a date mismatch) fall back to the
-        # general loop so coercion and error behavior stay identical.
-        if items and all(isinstance(item, ast.Literal)
-                         and type(item.value) in (int, float)
-                         for item in node.items):
-            candidates = frozenset(item.value for item in node.items)
-
-            def evaluate_fast(ctx):
-                value = operand(ctx)
-                if value is None:
-                    return None
-                if type(value) is int or type(value) is float:
-                    hit = value in candidates
-                    return (not hit) if negated else hit
-                return evaluate(ctx)
-
-            return evaluate_fast
-
-        return evaluate
-
-    def _compile_like(self, node: ast.Like):
-        operand = self.compile(node.operand)
-        pattern = self.compile(node.pattern)
-
-        def evaluate(ctx):
-            result = like_match(operand(ctx), pattern(ctx))
-            return sql_not(result) if node.negated else result
-
-        return evaluate
-
-    def _compile_casewhen(self, node: ast.CaseWhen):
-        whens = [(self.compile(cond), self.compile(result))
-                 for cond, result in node.whens]
-        else_fn = (self.compile(node.else_result)
-                   if node.else_result is not None else None)
-
-        def evaluate(ctx):
-            for cond, result in whens:
-                if is_true(cond(ctx)):
-                    return result(ctx)
-            return else_fn(ctx) if else_fn is not None else None
-
-        return evaluate
-
-    def _compile_extract(self, node: ast.Extract):
-        operand = self.compile(node.operand)
-        attr = node.field_name
-
-        def evaluate(ctx):
-            value = operand(ctx)
-            if value is None:
-                return None
-            if not isinstance(value, datetime.date):
-                raise TypeMismatchError(
-                    f"EXTRACT expects a date, got {type(value).__name__}")
-            return getattr(value, attr)
-
-        return evaluate
-
-    def _compile_funccall(self, node: ast.FuncCall):
+    def _emit_funccall(self, node: ast.FuncCall, out):
         if node.name in AGGREGATE_NAMES:
             raise PlanningError(
                 f"aggregate {node.name.upper()} used outside an "
@@ -652,12 +783,15 @@ class ExprCompiler:
         fn = _SCALAR_FUNCS.get(node.name)
         if fn is None:
             raise PlanningError(f"unknown function {node.name!r}")
-        args = [self.compile(arg) for arg in node.args]
-        return lambda ctx: fn([arg(ctx) for arg in args])
+        args = [self._emit(arg, out) for arg in node.args]
+        return out.let(f"{out.bind(fn)}([{', '.join(args)}])")
 
     # -- subqueries ----------------------------------------------------------
 
-    def _compile_scalarsubquery(self, node: ast.ScalarSubquery):
+    # Subqueries charge the meter and memoize per correlation key; they
+    # stay closures, called from the generated code as ``kN(ctx)``.
+
+    def _emit_scalarsubquery(self, node: ast.ScalarSubquery, out):
         compiled = self._prepare_subquery(node.subquery)
 
         def evaluate(ctx):
@@ -671,9 +805,9 @@ class ExprCompiler:
                     "scalar subquery must return one column")
             return rows[0][0]
 
-        return evaluate
+        return out.let(f"{out.bind(evaluate)}(ctx)")
 
-    def _compile_exists(self, node: ast.Exists):
+    def _emit_exists(self, node: ast.Exists, out):
         compiled = self._prepare_subquery(node.subquery, limit_one=True)
 
         def evaluate(ctx):
@@ -681,9 +815,9 @@ class ExprCompiler:
             result = bool(rows)
             return (not result) if node.negated else result
 
-        return evaluate
+        return out.let(f"{out.bind(evaluate)}(ctx)")
 
-    def _compile_insubquery(self, node: ast.InSubquery):
+    def _emit_insubquery(self, node: ast.InSubquery, out):
         operand = self.compile(node.operand)
         compiled = self._prepare_subquery(node.subquery)
 
@@ -704,7 +838,7 @@ class ExprCompiler:
                 return None
             return True if node.negated else False
 
-        return evaluate
+        return out.let(f"{out.bind(evaluate)}(ctx)")
 
     def _prepare_subquery(self, select: ast.SelectStatement,
                           limit_one: bool = False) -> CompiledSubquery:

@@ -462,7 +462,7 @@ class RecoveryManager:
         serial_seconds = 0.0
         makespan = 0.0
         round_loads: dict[int, float] = {}
-        sink = meter.begin_overlap()
+        meter.begin_overlap()
         try:
             for rec in self._log.records_from(report.redo_start):
                 read_seconds += meter.costs.log_write_seconds(
@@ -494,7 +494,7 @@ class RecoveryManager:
                     serial_seconds += seconds
             makespan += _partition_makespan(round_loads, workers)
         finally:
-            meter.end_overlap(sink)
+            meter.end_overlap()
         meter.charge(SERVER_DISK,
                      read_seconds + serial_seconds + makespan,
                      "parallel redo")

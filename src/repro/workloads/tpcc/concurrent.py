@@ -503,9 +503,9 @@ class ConcurrentMix:
         if waited <= 0.0:
             return
         meter = self.meter
-        sink = meter.begin_overlap()
+        meter.begin_overlap()
         meter.charge(SERVER_CPU, waited, "lock wait")
-        meter.end_overlap(sink)
+        meter.end_overlap()
         meter.count("locks.lock_wait_seconds", waited)
         self.result.lock_wait_seconds += waited
 

@@ -1,0 +1,151 @@
+"""Overlap windows are accumulators: fold equivalence and call counts.
+
+Inside ``begin_overlap`` / ``end_overlap`` the meter keeps one running
+float.  Whatever mix of entry points charged it, the total must equal
+the plain left fold of the *individual* charges — that is what the
+window's former segment list summed to, and every virtual number
+downstream (pipeline stalls, parallel-redo makespans) depends on it
+bit for bit.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.phoenix.config import PhoenixConfig
+from repro.server.server import DatabaseServer
+from repro.sim.costs import NETWORK, SERVER_CPU, SERVER_DISK, CostModel
+from repro.sim.meter import Meter
+from repro.workloads.app import BenchmarkApp
+from repro.workloads.tpch.datagen import generate
+from repro.workloads.tpch.schema import setup_tpch_server
+
+# Awkward binary fractions on purpose: their sums round differently
+# depending on association, so a re-associated fold would be caught.
+seconds = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1e-7, 3.3e-5, 0.007, 1.7])
+resources = st.sampled_from([SERVER_CPU, SERVER_DISK, NETWORK])
+runs = st.lists(st.tuples(seconds, st.integers(0, 6)), max_size=5)
+operations = st.lists(st.one_of(
+    st.tuples(st.just("charge"), resources, seconds),
+    st.tuples(st.just("charge_batched"), resources, seconds),
+    st.tuples(st.just("charge_rows"), resources, seconds,
+              st.integers(0, 9)),
+    st.tuples(st.just("charge_run_list"), resources, runs),
+), max_size=30)
+
+
+def individual_charges(operation) -> list[float]:
+    """The non-zero charges one call stands for, in charge order."""
+    kind, _resource, *rest = operation
+    if kind == "charge_rows":
+        expanded = [rest[0]] * rest[1]
+    elif kind == "charge_run_list":
+        expanded = [per_row for per_row, n in rest[0] for _ in range(n)]
+    else:
+        expanded = [rest[0]]
+    return [s for s in expanded if s > 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=operations, nested_recorder=st.booleans(), ledger=st.booleans(),
+       run_lists_as_generators=st.booleans())
+def test_window_total_is_the_left_fold(ops, nested_recorder, ledger,
+                                       run_lists_as_generators):
+    meter = Meter(CostModel())
+    if ledger:
+        meter.enable_latency_ledger()
+    with meter.request("r") as trace:
+        meter.charge(NETWORK, 0.5, "uplink")
+        entry = meter.latency_open("Probe")
+        clock_before = meter.clock.now
+        traced_before = list(trace.segments)
+
+        meter.begin_overlap()
+        sink = meter.push_recorder() if nested_recorder else None
+        for kind, resource, *rest in ops:
+            if kind == "charge_run_list" and run_lists_as_generators:
+                rest = [iter(rest[0])]
+            getattr(meter, kind)(resource, *rest, "note")
+        if sink is not None:
+            meter.pop_recorder(sink)
+        total = meter.end_overlap()
+
+        expected = 0.0
+        charged = [s for op in ops for s in individual_charges(op)]
+        for s in charged:
+            expected += s
+        assert total.hex() == expected.hex()
+        assert meter.clock.now == clock_before
+        assert meter.peek_now() == clock_before   # nothing left pending
+        assert trace.segments == traced_before
+        if sink is not None:
+            assert [seg.seconds for seg in sink] == charged
+            assert [seg.resource for seg in sink] == [
+                op[1] for op in ops for _ in individual_charges(op)]
+        if ledger:
+            assert entry.hidden == sum(map(Fraction, charged), Fraction(0))
+            assert entry.total == 0
+        meter.latency_close(entry)
+    assert meter.obs.latency.identity_violations == []
+
+
+def test_outer_recorder_still_hears_window_charges():
+    """A recorder pushed *before* the window (the metadata-probe
+    recorder) keeps receiving per-charge segments, as it always did."""
+    meter = Meter(CostModel())
+    sink = meter.push_recorder()
+    meter.begin_overlap()
+    meter.charge_rows(SERVER_CPU, 0.1, 3, "query cpu")
+    assert meter.end_overlap() == 0.1 + 0.1 + 0.1
+    meter.pop_recorder(sink)
+    assert [seg.seconds for seg in sink] == [0.1, 0.1, 0.1]
+
+
+def test_window_inside_multi_stream_mode_stays_a_window():
+    """The two states are independent: a lock-wait window opened while
+    the queueing simulator owns elapsed time neither clocks nor traces."""
+    meter = Meter(CostModel())
+    meter.advance_clock = False
+    with meter.request("txn") as trace:
+        meter.charge_rows(SERVER_CPU, 0.25, 2)         # per-row segments
+        meter.begin_overlap()
+        meter.charge_rows(SERVER_CPU, 0.25, 4)         # summed, untraced
+        assert meter.end_overlap() == 1.0
+        meter.charge_batched(SERVER_CPU, 0.5)
+    assert [s.seconds for s in trace.segments] == [0.25, 0.25, 0.5]
+    assert meter.clock.now == 0.0
+
+
+def test_persisted_select_charges_per_batch_not_per_row(monkeypatch):
+    """Pipelined persistence runs ``INSERT INTO T <query>`` inside an
+    overlap window; the scan's per-row CPU must arrive as run lists,
+    not as one ``Meter.charge`` call (and one Segment) per row."""
+    server = DatabaseServer(meter=Meter(CostModel(persist_pipeline=True)))
+    setup_tpch_server(server, generate(scale=0.001, seed=7))
+    app = BenchmarkApp(server, use_phoenix=True,
+                       phoenix_config=PhoenixConfig(client_cache_rows=0))
+    lineitems = app.query_rows("SELECT count(*) FROM lineitem")[0][0]
+    assert lineitems > 4000
+
+    calls = {"charge": 0}
+    original = Meter.charge
+
+    def counting_charge(self, resource, seconds, note=""):
+        calls["charge"] += 1
+        return original(self, resource, seconds, note)
+
+    monkeypatch.setattr(Meter, "charge", counting_charge)
+    before = dict(server.meter.executor_stats)
+    rows = app.query_rows(
+        "SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity > 48")
+    assert 0 < len(rows) < lineitems / 10
+    assert server.meter.counters["pipeline_requests"] > 0
+    batches = sum(n - before.get(name, 0)
+                  for name, n in server.meter.executor_stats.items()
+                  if name.startswith("batches."))
+    assert batches > 0
+    # Every lineitem is examined by the filter inside the window; only
+    # the few result rows (inserted, then fetched back) and the batch
+    # boundaries may cost a call each.
+    assert calls["charge"] < lineitems / 4, (calls, lineitems, batches)

@@ -353,9 +353,9 @@ def test_overlap_window_records_without_clocking():
     meter = Meter(CostModel())
     with meter.request("r") as trace:
         meter.charge(NETWORK, 1.0, "before")
-        sink = meter.begin_overlap()
+        meter.begin_overlap()
         meter.charge(NETWORK, 5.0, "inside")
-        service = meter.end_overlap(sink)
+        service = meter.end_overlap()
         meter.charge(NETWORK, 0.5, "after")
     assert service == 5.0
     assert meter.clock.now == 1.5
@@ -364,8 +364,8 @@ def test_overlap_window_records_without_clocking():
     assert [s.note for s in trace.segments] == ["before", "after"]
     assert meter.obs.metrics.counters == {}
     with pytest.raises(ValueError):
-        inner = meter.begin_overlap()
+        meter.begin_overlap()
         try:
             meter.begin_overlap()
         finally:
-            meter.end_overlap(inner)
+            meter.end_overlap()

@@ -107,6 +107,93 @@ class TestMeter:
         assert meter.now == pytest.approx(1.0)
 
 
+def _clocked(meter):
+    pass
+
+
+def _multi_stream(meter):
+    meter.advance_clock = False
+
+
+def _in_window(meter):
+    meter.begin_overlap()
+
+
+def _in_recorded_window(meter):
+    meter.begin_overlap()
+    meter.push_recorder()
+
+
+ENTRY_POINTS = {
+    "charge": lambda m, r, s: m.charge(r, s, "n"),
+    "charge_batched": lambda m, r, s: m.charge_batched(r, s, "n"),
+    "charge_rows": lambda m, r, s: m.charge_rows(r, s, 3, "n"),
+    "charge_run_list": lambda m, r, s: m.charge_run_list(
+        r, [(0.5, 2), (s, 3)], "n"),
+}
+
+
+by_entry = pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+
+
+@pytest.mark.parametrize("state", [_clocked, _multi_stream, _in_window,
+                                   _in_recorded_window])
+class TestChargeValidationParity:
+    """All four charging entry points reject what ``charge`` rejects, at
+    the call, in every meter state."""
+
+    @by_entry
+    def test_unknown_resource_raises_at_the_call(self, entry, state):
+        meter = Meter()
+        state(meter)
+        with pytest.raises(ValueError, match="unknown resource"):
+            ENTRY_POINTS[entry](meter, "gpu", 1.0)
+        # Nothing was deferred: a later, valid call is not poisoned.
+        meter.charge(SERVER_CPU, 0.25)
+
+    @by_entry
+    def test_negative_seconds_raise(self, entry, state):
+        meter = Meter()
+        state(meter)
+        with pytest.raises(ValueError, match="negative"):
+            ENTRY_POINTS[entry](meter, SERVER_CPU, -1.0)
+
+    def test_zero_seconds_charge_nothing(self, state):
+        meter = Meter()
+        state(meter)
+        before = meter.peek_now()
+        meter.charge_rows(SERVER_CPU, 0.0, 5)
+        meter.charge_run_list(SERVER_CPU, [(0.0, 4)])
+        meter.charge_batched(SERVER_CPU, 0.0)
+        meter.charge(SERVER_CPU, 0.0)
+        assert meter.peek_now() == before
+        if meter._window is not None:
+            assert meter.end_overlap() == 0.0
+
+
+def test_run_list_skips_zero_runs_in_every_state():
+    """Clocked, multi-stream and windowed replays agree on a run list
+    with zero runs in it (the clocked path used to add them)."""
+    runs = [(0.25, 2), (0.0, 7), (0.5, 1)]
+    clocked = Meter()
+    clocked.charge_run_list(SERVER_CPU, runs)
+    streamed = Meter()
+    streamed.advance_clock = False
+    with streamed.request("q") as trace:
+        streamed.charge_run_list(SERVER_CPU, runs)
+    windowed = Meter()
+    windowed.begin_overlap()
+    windowed.charge_run_list(SERVER_CPU, iter(runs))
+    assert clocked.now == 1.0
+    assert [s.seconds for s in trace.segments] == [0.25, 0.25, 0.5]
+    assert windowed.end_overlap() == 1.0
+
+
+def test_end_overlap_without_window_raises():
+    with pytest.raises(ValueError):
+        Meter().end_overlap()
+
+
 class TestCostModel:
     def test_transfer_includes_message_overhead(self):
         costs = CostModel()

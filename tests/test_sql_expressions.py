@@ -5,11 +5,18 @@ import datetime
 import pytest
 
 from repro.errors import TypeMismatchError
+from repro.sql import ast, expressions
 from repro.sql.expressions import (
+    EXPR_STATS,
+    EvalContext,
+    ExprCompiler,
+    Scope,
     _IntervalValue,
     _shift_date,
+    is_impure,
     is_true,
     like_match,
+    slot_of,
     sql_and,
     sql_compare,
     sql_not,
@@ -110,3 +117,152 @@ class TestDateArithmetic:
         d = datetime.date(1994, 11, 15)
         assert _shift_date(d, 3, "month") == datetime.date(1995, 2, 15)
         assert _shift_date(d, -12, "month") == datetime.date(1993, 11, 15)
+
+
+class TestCompilationMemos:
+    """The two process-wide memos (LIKE regexes by pattern text, code
+    objects by generated source) are bounded LRUs."""
+
+    def compiler(self, params=None):
+        return ExprCompiler(Scope([("t", "a"), ("t", "b")]), params=params)
+
+    def test_parameterised_like_does_not_leak_regexes(self, monkeypatch):
+        monkeypatch.setattr(expressions._LIKE_CACHE, "capacity", 8)
+        params = {"p": "x%"}
+        fn = self.compiler(params).compile(
+            ast.Like(ast.ColumnRef(None, "a"), ast.Param("p")))
+        before = expressions._LIKE_CACHE.evictions
+        for i in range(50):
+            params["p"] = f"row-{i}%"     # rebound, read at evaluation
+            assert fn(EvalContext(row=(f"row-{i}-tail", None))) is True
+            assert fn(EvalContext(row=("other", None))) is False
+        assert len(expressions._LIKE_CACHE) <= 8
+        assert expressions._LIKE_CACHE.evictions - before >= 42
+        assert "row-49%" in expressions._LIKE_CACHE      # most recent kept
+        assert "row-0%" not in expressions._LIKE_CACHE   # oldest evicted
+
+    def test_constant_like_pattern_binds_its_regex(self):
+        fn = self.compiler().compile(
+            ast.Like(ast.ColumnRef(None, "a"), ast.Literal("ab_d%"),
+                     negated=True))
+        expressions._LIKE_CACHE.clear()
+        assert fn(EvalContext(row=("abcdef", None))) is False
+        assert fn(EvalContext(row=("abdef", None))) is True
+        assert fn(EvalContext(row=(None, None))) is None
+        assert len(expressions._LIKE_CACHE) == 0   # no probe per row
+
+    def test_code_memo_is_bounded_and_evicts(self, monkeypatch):
+        monkeypatch.setattr(expressions._CODE_MEMO, "capacity", 4)
+        before = expressions._CODE_MEMO.evictions
+        for width in range(1, 12):
+            # ``width`` chained additions: a new source shape each time.
+            node = ast.ColumnRef(None, "a")
+            for _ in range(width):
+                node = ast.Binary("+", node, ast.ColumnRef(None, "b"))
+            assert self.compiler().compile(node)(
+                EvalContext(row=(1, 2))) == 1 + 2 * width
+        assert len(expressions._CODE_MEMO) <= 4
+        assert expressions._CODE_MEMO.evictions > before
+
+    def test_same_shape_compiles_once(self):
+        def predicate(low):
+            return ast.Binary(">", ast.ColumnRef(None, "a"),
+                              ast.Literal(low))
+
+        first = self.compiler().compile(predicate(10))
+        stats = dict(EXPR_STATS)
+        second = self.compiler().compile(predicate(99))
+        assert EXPR_STATS["exprs_generated"] == stats["exprs_generated"] + 1
+        assert EXPR_STATS["code_memo_hits"] == stats["code_memo_hits"] + 1
+        assert EXPR_STATS["code_memo_misses"] == stats["code_memo_misses"]
+        # One code object, two functions with their own constants.
+        assert first.__code__ is second.__code__
+        row = EvalContext(row=(50, None))
+        assert first(row) is True and second(row) is False
+        # Parameter names are bound too: the auto-parameterizer numbers
+        # its markers, and @__lit0 / @__lit1 must not be two sources.
+        params = {"__lit0": 1, "__lit1": 2}
+        by_name = [self.compiler(params).compile(ast.Param(name))
+                   for name in params]
+        assert by_name[0].__code__ is by_name[1].__code__
+        assert [fn(row) for fn in by_name] == [1, 2]
+
+    def test_sys_executor_shows_generation_and_memo_counters(self):
+        from repro.engine.database import DatabaseEngine
+        from repro.engine.session import EngineSession
+        from repro.sim.meter import Meter
+
+        engine = DatabaseEngine(meter=Meter())
+        session = EngineSession(session_id=1)
+        engine.execute("CREATE TABLE t (a INT, b INT)", session)
+
+        def view():
+            return dict(engine.execute(
+                "SELECT metric, value FROM sys_executor",
+                session).fetch_all())
+
+        before = view()
+        engine.execute("SELECT a + b FROM t WHERE a > 1 AND b IS NOT NULL",
+                       session).fetch_all()
+        after = view()
+        for name in ("exprs_generated", "code_memo_hits",
+                     "code_memo_misses", "exprs_compiled"):
+            assert name in after
+        assert after["exprs_generated"] > before["exprs_generated"]
+        assert (after["code_memo_hits"] + after["code_memo_misses"]
+                == after["exprs_generated"])
+
+
+class TestGeneratedFunctions:
+    def compile(self, node, **kwargs):
+        scope = Scope([("t", "a"), ("t", "b"), ("t", "c")])
+        return ExprCompiler(scope, **kwargs).compile(node)
+
+    def test_bare_column_keeps_its_slot(self):
+        fn = self.compile(ast.ColumnRef(None, "b"))
+        assert slot_of(fn) == 1 and not is_impure(fn)
+        assert fn(EvalContext(row=(1, 2, 3))) == 2
+
+    def test_replacement_slot_wins_over_the_node(self):
+        node = ast.Binary("+", ast.ColumnRef(None, "a"), ast.Literal(1))
+        fn = self.compile(node, replacements={id(node): 2})
+        assert slot_of(fn) == 2
+
+    def test_constant_fold_that_raises_falls_back_to_runtime(self):
+        node = ast.Binary("<", ast.Literal(datetime.date(1994, 1, 1)),
+                          ast.Literal(5))
+        fn = self.compile(node)          # planning does not raise ...
+        with pytest.raises(TypeMismatchError):
+            fn(EvalContext(row=(0, 0, 0)))   # ... execution does
+
+    def test_params_are_read_at_evaluation_time(self):
+        params = {"lo": 1}
+        fn = self.compile(ast.Binary(">", ast.ColumnRef(None, "a"),
+                                     ast.Param("lo")), params=params)
+        assert fn(EvalContext(row=(5, 0, 0))) is True
+        params["lo"] = 9
+        assert fn(EvalContext(row=(5, 0, 0))) is False
+
+    def test_case_and_in_list_evaluate_lazily(self):
+        """A branch not taken / an item after the match is never
+        evaluated, so its type error never surfaces."""
+        bad = ast.Binary("<", ast.ColumnRef(None, "c"), ast.Literal(5))
+        case = ast.CaseWhen([(ast.Binary("=", ast.ColumnRef(None, "a"),
+                                         ast.Literal(1)),
+                              ast.Literal("one"))], else_result=bad)
+        in_list = ast.InList(ast.ColumnRef(None, "a"),
+                             [ast.ColumnRef(None, "b"), bad])
+        row = EvalContext(row=(1, 1, datetime.date(1994, 1, 1)))
+        assert self.compile(case)(row) == "one"
+        assert self.compile(in_list)(row) is True
+        miss = EvalContext(row=(2, 1, datetime.date(1994, 1, 1)))
+        for node in (case, in_list):
+            with pytest.raises(TypeMismatchError):
+                self.compile(node)(miss)
+
+    def test_extract_rejects_non_dates(self):
+        fn = self.compile(ast.Extract("year", ast.ColumnRef(None, "a")))
+        assert fn(EvalContext(row=(datetime.date(1994, 5, 6), 0, 0))) == 1994
+        assert fn(EvalContext(row=(None, 0, 0))) is None
+        with pytest.raises(TypeMismatchError):
+            fn(EvalContext(row=(1994, 0, 0)))
