@@ -842,7 +842,6 @@ def run_indexbench(rows: int = 4000, group_size: int = 100,
     """Measure disk pages read by the same range query on an indexed
     and an unindexed copy of one table."""
     from repro.engine.session import EngineSession
-    from repro.types import coerce_column
 
     server = DatabaseServer(meter=Meter(CostModel()))
     engine = server.engine
@@ -859,15 +858,9 @@ def run_indexbench(rows: int = 4000, group_size: int = 100,
         engine.execute(
             "CREATE INDEX ix_indexed_grp ON indexed (grp, id)", session)
         for name in ("scanned", "indexed"):
-            table = engine.table(name)
-            columns = table.info.columns
-            txn = engine.txns.begin()
-            for i in range(rows):
-                row = tuple(coerce_column(v, c) for v, c in zip(
-                    (i, i // group_size, i * 7 % 997, f"pad-{i}"),
-                    columns))
-                table.insert(row, txn, engine.txns)
-            engine.txns.commit(txn)
+            engine.bulk_load(
+                name, [(i, i // group_size, i * 7 % 997, f"pad-{i}")
+                       for i in range(rows)])
         engine.checkpoint()
     finally:
         meter.advance_clock = saved

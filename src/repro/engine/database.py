@@ -207,8 +207,9 @@ class _CompiledDml:
     table: Table
     iterate: object = None              # UPDATE/DELETE row-source factory
     assignments: list = field(default_factory=list)   # (position, fn)
-    target_columns: list = field(default_factory=list)
-    column_positions: list = field(default_factory=list)
+    #: INSERT: table position of each value (None: one per column, in
+    #: table order — the only form ``RowShape.build`` takes untouched).
+    column_positions: list | None = None
     row_fns: list = field(default_factory=list)   # VALUES row closures
     select_plan: object = None          # INSERT ... SELECT source plan
 
@@ -331,9 +332,21 @@ class DatabaseEngine:
         heap = HeapFile(file_id, self._rows_per_page(columns),
                         self.buffer_pool, cost_factor=1.0)
         runtime = Table(info, heap, self.meter)
-        for row in rows:
-            runtime.insert(row, None, None)
+        runtime.insert_many(rows, None, None)
         return runtime
+
+    def bulk_load(self, table_name: str, rows) -> None:
+        """Load ``rows`` into a table in one transaction, without SQL —
+        the ``bcp`` of workload setup, on the statement write path."""
+        table = self.table(table_name)
+        txn = self.txns.begin()
+        try:
+            table.insert_many(list(map(table.shape.build, rows)), txn,
+                              self.txns)
+        except Exception:
+            self.txns.abort(txn)
+            raise
+        self.txns.commit(txn)
 
     def table_provider(self, session: EngineSession | None):
         """Closure handed to the planner for name resolution."""
@@ -1125,20 +1138,29 @@ class DatabaseEngine:
             self._session = session
             self._own = not session.in_transaction
             self.txn: Transaction | None = None
+            self._savepoint = 0
 
         def __enter__(self) -> Transaction:
             if self._own:
                 self.txn = self._engine.txns.begin()
             else:
                 self.txn = self._session.current_txn
+                self._savepoint = self.txn.last_lsn
             return self.txn
 
         def __exit__(self, exc_type, exc, tb) -> None:
-            if self._own:
-                if exc_type is None:
-                    self._engine.txns.commit(self.txn)
-                elif self.txn.is_active:
-                    self._engine.txns.abort(self.txn)
+            """A failed statement leaves no effects: its own transaction
+            aborts; inside an explicit one only the statement's records
+            are undone (a lock-wait unwind has logged none)."""
+            txns = self._engine.txns
+            if exc_type is None:
+                if self._own:
+                    txns.commit(self.txn)
+            elif self.txn.is_active:
+                if self._own:
+                    txns.abort(self.txn)
+                else:
+                    txns.rollback_to(self.txn, self._savepoint)
 
     # -- SELECT -------------------------------------------------------------
 
@@ -1229,10 +1251,16 @@ class DatabaseEngine:
                 compiled.row_fns = [
                     [planner.compile_scalar(e) for e in row_exprs]
                     for row_exprs in statement.rows]
-            compiled.target_columns = statement.columns or [
-                c.name for c in table.info.columns]
-            compiled.column_positions = [table.info.column_index(c)
-                                         for c in compiled.target_columns]
+            if statement.columns:
+                positions = [table.info.column_index(c)
+                             for c in statement.columns]
+                for i, position in enumerate(positions):
+                    if position in positions[:i]:
+                        raise EngineError(
+                            f"column {table.info.columns[position].name!r}"
+                            f" specified more than once in INSERT")
+                if positions != list(range(len(table.info.columns))):
+                    compiled.column_positions = positions
             return compiled
         iterate, table = planner.plan_dml_source(statement.table,
                                                  statement.where)
@@ -1265,54 +1293,26 @@ class DatabaseEngine:
             ctx = EvalContext(row=())
             source_rows = [tuple(fn(ctx) for fn in fns)
                            for fns in compiled.row_fns]
-        target_columns = compiled.target_columns
-        column_positions = compiled.column_positions
-        count = 0
+        positions = compiled.column_positions
         with DatabaseEngine._TxnScope(self, session) as txn:
             mode = self._lock_for_write(session, txn, table)
+            # Every row is built before the first one is placed, so a
+            # malformed row fails the statement before it mutates.
+            build = table.shape.build
+            rows = [build(source, positions) for source in source_rows]
             if mode is LockMode.INTENT_EXCLUSIVE:
-                # Row granularity: build every row and take all row X
-                # locks *before* the first insert, so a LockWaitError can
-                # only unwind a statement that has not mutated anything —
-                # the retry re-runs it from scratch safely.
-                rows = []
-                for source in source_rows:
-                    if len(source) != len(target_columns):
-                        raise EngineError(
-                            f"INSERT has {len(source)} values for "
-                            f"{len(target_columns)} columns")
-                    rows.append(self._build_row(table, column_positions,
-                                                source))
+                # Row granularity: all row X locks before the first
+                # insert too, so a LockWaitError can only unwind a
+                # statement that has not mutated anything — the retry
+                # re-runs it from scratch safely.
                 name = table.info.name
                 for row in rows:
                     self.locks.acquire_row(txn.txn_id, name,
                                            table.row_lock_key(row),
                                            LockMode.EXCLUSIVE)
-                for row in rows:
-                    table.insert(row, txn, self.txns)
-                    count += 1
-            else:
-                for source in source_rows:
-                    if len(source) != len(target_columns):
-                        raise EngineError(
-                            f"INSERT has {len(source)} values for "
-                            f"{len(target_columns)} columns")
-                    row = self._build_row(table, column_positions, source)
-                    table.insert(row, txn, self.txns)
-                    count += 1
+            table.insert_many(rows, txn, self.txns)
+        count = len(rows)
         return StatementResult.of_rowcount(count, f"{count} rows inserted")
-
-    def _build_row(self, table: Table, positions: list[int],
-                   source: tuple) -> tuple:
-        values: list = [None] * len(table.info.columns)
-        for position, value in zip(positions, source):
-            column = table.info.columns[position]
-            values[position] = coerce_column(value, column)
-        for i, column in enumerate(table.info.columns):
-            if values[i] is None and not column.nullable:
-                raise EngineError(
-                    f"column {column.name!r} is NOT NULL")
-        return tuple(values)
 
     # -- UPDATE / DELETE -----------------------------------------------------
 

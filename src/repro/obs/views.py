@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.types import Column, SqlType
+from repro.types import ROW_STATS, Column, SqlType
 
 #: table name -> fn(engine) -> (columns, rows)
 SYSTEM_VIEWS: dict[str, Callable] = {}
@@ -132,7 +132,11 @@ def _sys_executor(engine):
     totals (``exprs_compiled``, ``exprs_generated`` and the code memo's
     ``code_memo_hits`` / ``code_memo_misses`` — a plan-time compile
     storm shows up as misses) come from the process-wide
-    :data:`repro.sql.expressions.EXPR_STATS`.
+    :data:`repro.sql.expressions.EXPR_STATS`, the write path's
+    (``row_shapes_generated``, ``rows_built_fast`` against
+    ``rows_built_coerced`` — the page-at-a-time insert only pays off
+    where rows arrive already conforming — ``rows_inserted_bulk``,
+    ``pages_filled_bulk``) from :data:`repro.types.ROW_STATS`.
     """
     from repro.sql.expressions import EXPR_STATS
 
@@ -141,6 +145,7 @@ def _sys_executor(engine):
     stats = engine.meter.executor_stats
     rows = [(name, int(stats[name])) for name in sorted(stats)]
     rows += [(name, int(EXPR_STATS[name])) for name in sorted(EXPR_STATS)]
+    rows += [(name, int(ROW_STATS[name])) for name in sorted(ROW_STATS)]
     # Async-commit traffic lives in the deterministic world counters
     # (the windows/deferrals split is part of the simulated WAL
     # behaviour, not host bookkeeping), but it belongs in the executor

@@ -24,6 +24,7 @@ application actually saw and in-flight batches are simply discarded
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import OdbcError
@@ -207,7 +208,7 @@ class NativeDriver:
         if response.kind == "rows":
             result.columns = response.columns
             result.statement_id = response.statement_id
-            result.buffered = list(response.rows)
+            result.buffered = deque(response.rows)
             result.done = response.done
         elif response.kind == "rowcount":
             result.rowcount = response.rowcount
@@ -353,7 +354,8 @@ class NativeDriver:
             # batches (their rows are already off the server's stream).
             if result.buffered:
                 take = min(count - skipped, len(result.buffered))
-                del result.buffered[:take]
+                for _ in range(take):
+                    result.buffered.popleft()
                 skipped += take
                 continue
             if result.prefetch:
@@ -414,13 +416,13 @@ class NativeDriver:
                 response = self._call(FetchRequest(
                     session_token=statement.connection.session_token,
                     statement_id=result.statement_id))
-                result.buffered = list(response.rows)
+                result.buffered = deque(response.rows)
                 result.done = response.done
             if not result.done:
                 # Top the pipeline back up after a refill.
                 self._issue_prefetch(statement, result)
         if result.buffered:
-            return result.buffered.pop(0)
+            return result.buffered.popleft()
         return None
 
     # -- pipelined delivery ---------------------------------------------------
@@ -550,5 +552,5 @@ class NativeDriver:
         self.meter.count("prefetch_overlap_seconds",
                          max(0.0, entry.service_seconds - stall))
         response = entry.response
-        result.buffered = list(response.rows)
+        result.buffered = deque(response.rows)
         result.done = response.done

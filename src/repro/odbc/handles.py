@@ -9,6 +9,7 @@ equivalent of ``SQLGetDiagRec``.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.types import Column
@@ -70,7 +71,7 @@ class ResultState:
 
     columns: list[Column] = field(default_factory=list)
     statement_id: int = 0          # server-side handle (0 = none open)
-    buffered: list[tuple] = field(default_factory=list)
+    buffered: deque[tuple] = field(default_factory=deque)
     done: bool = False
     position: int = 0              # rows already delivered to the app
     rowcount: int = -1

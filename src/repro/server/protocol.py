@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.types import Column, value_width_bytes
+from repro.types import Column
 
 
 class Request:
@@ -130,6 +130,9 @@ class ExecuteResponse:
     statement_id: int = 0
     columns: list[Column] = field(default_factory=list)
     rows: list[tuple] = field(default_factory=list)
+    #: Wire width of ``rows``: the server's result set sizes each batch
+    #: once as it leaves the output buffer.
+    row_bytes: int = 0
     done: bool = True            # row stream exhausted?
     rowcount: int = -1
     message: str = ""
@@ -151,21 +154,20 @@ class ExecuteResponse:
 
     def wire_bytes(self) -> int:
         meta = 32 + 16 * len(self.columns)
-        data = sum(sum(map(value_width_bytes, row)) for row in self.rows)
         piggyback = 12 * (len(self.read_versions or ())
                           + len(self.table_versions)
                           + len(self.dirty_tables))
-        return meta + data + piggyback
+        return meta + self.row_bytes + piggyback
 
 
 @dataclass(slots=True)
 class FetchResponse:
     rows: list[tuple] = field(default_factory=list)
     done: bool = True
+    row_bytes: int = 0  # wire width of ``rows`` (see ExecuteResponse)
 
     def wire_bytes(self) -> int:
-        return 16 + sum(sum(map(value_width_bytes, row))
-                        for row in self.rows)
+        return 16 + self.row_bytes
 
 
 @dataclass(slots=True)

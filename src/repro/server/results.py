@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro.sim.costs import SERVER_CPU
 from repro.sim.meter import Meter
-from repro.types import Column
+from repro.types import Column, RowShape
 
 
 class ServerResultSet:
@@ -55,6 +55,7 @@ class ServerResultSet:
         self._row_width = max(1, sum(c.width_bytes for c in columns) or 1)
         self._rows_per_page = max(
             1, meter.costs.page_size_bytes // self._row_width)
+        self._value_width = RowShape(columns).width
 
     # -- production ----------------------------------------------------------
 
@@ -94,6 +95,11 @@ class ServerResultSet:
         self._buffer = self._buffer[max_rows:]
         self._buffer_bytes = len(self._buffer) * self._row_width
         return batch
+
+    def wire_bytes(self, batch: list[tuple]) -> int:
+        """Width of ``batch`` on the wire — its actual values, not the
+        declared row width the buffer is metered in."""
+        return sum(map(self._value_width, batch))
 
     def skip_rows(self, count: int) -> int:
         """Advance past ``count`` rows server-side (no delivery costs

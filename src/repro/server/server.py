@@ -226,6 +226,7 @@ class DatabaseServer:
             statement_id = 0 if not rows else statement_id
         return ExecuteResponse(kind="rows", statement_id=statement_id,
                                columns=result.columns, rows=rows,
+                               row_bytes=open_result.wire_bytes(rows),
                                done=done, schema_version=schema_version,
                                read_versions=getattr(result,
                                                      "read_versions", None),
@@ -267,7 +268,8 @@ class DatabaseServer:
         done = open_result.exhausted
         if done:
             session.results.pop(request.statement_id, None)
-        return FetchResponse(rows=rows, done=done)
+        return FetchResponse(rows=rows, done=done,
+                             row_bytes=open_result.wire_bytes(rows))
 
     def _handle_advance(self, request: AdvanceRequest) -> AdvanceResponse:
         session = self._session(request.session_token)

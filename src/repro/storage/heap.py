@@ -58,19 +58,39 @@ class HeapFile:
 
     # -- normal operations (used via the transaction manager) -----------------
 
+    def page_for_insert(self) -> tuple[int, Page]:
+        """The page new rows go to: the lowest-numbered page with a free
+        slot, else a fresh one.  One pool access per call — the bulk
+        insert path fills the page it gets and reports back through
+        :meth:`stamp_filled`."""
+        candidates = self._pages_with_space
+        while candidates:
+            page_no = min(candidates)
+            page = self._page(page_no, create=False)
+            if page is not None and page.has_space():
+                return page_no, page
+            candidates.discard(page_no)
+        page_no = self.page_count
+        return page_no, self._page(page_no, create=True)
+
     def find_insert_target(self) -> RowId:
         """Choose the address a new row will be inserted at.
 
         The transaction manager needs the address *before* mutating so it
         can write the log record first (write-ahead rule).
         """
-        page_no = self._page_with_space()
-        page = self._page(page_no, create=True)
-        if page.free_slots:
-            slot = page.free_slots[-1]
-        else:
-            slot = len(page.slots)
-        return RowId(self.file_id, page_no, slot)
+        page_no, page = self.page_for_insert()
+        return RowId(self.file_id, page_no, page.next_slot())
+
+    def stamp_filled(self, page_no: int, page: Page, first_lsn: int,
+                     last_lsn: int) -> None:
+        """Book a run of logged inserts into ``page`` (records
+        ``first_lsn..last_lsn``, 0 when unlogged) as one page change."""
+        if last_lsn > page.page_lsn:
+            page.page_lsn = last_lsn
+        self._pool.mark_dirty(self.file_id, page_no, rec_lsn=first_lsn)
+        if not page.has_space():
+            self._pages_with_space.discard(page_no)
 
     def apply_insert(self, rid: RowId, row: tuple, lsn: int = 0) -> None:
         """Insert ``row`` at ``rid`` and stamp the page LSN (redo-safe)."""
@@ -134,14 +154,6 @@ class HeapFile:
         return sum(1 for _ in self.scan())
 
     # -- internals -----------------------------------------------------------
-
-    def _page_with_space(self) -> int:
-        for page_no in sorted(self._pages_with_space):
-            page = self._page(page_no, create=False)
-            if page is not None and page.has_space():
-                return page_no
-            self._pages_with_space.discard(page_no)
-        return self.page_count  # allocate a fresh page
 
     def _page(self, page_no: int, create: bool) -> Page | None:
         if page_no < self.page_count:

@@ -33,6 +33,10 @@ class Page:
     def has_space(self) -> bool:
         return bool(self.free_slots) or len(self.slots) < self.capacity
 
+    def next_slot(self) -> int:
+        """The slot :meth:`insert` would use (the page must have space)."""
+        return self.free_slots[-1] if self.free_slots else len(self.slots)
+
     def insert(self, row: tuple) -> int:
         """Place ``row`` in a free slot; returns the slot number."""
         if self.free_slots:

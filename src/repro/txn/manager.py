@@ -174,29 +174,36 @@ class TransactionManager:
         return {t.txn_id: t.first_lsn for t in self._active.values()}
 
     # -- logged data changes (called by the table runtime pre-mutation) --------
+    #
+    # ``row_bytes`` is the width of the row image(s) the record carries,
+    # sized once by the table runtime (``RowShape.width``).
 
     def log_insert(self, txn: Transaction, table_name: str, rid: RowId,
-                   row: tuple, cost_factor: float = 1.0) -> int:
+                   row: tuple, row_bytes: int,
+                   cost_factor: float = 1.0) -> int:
         txn.modified_tables.add(table_name.lower())
         return self._chain(txn, InsertRecord(
             txn_id=txn.txn_id, table_name=table_name, file_id=rid.file_id,
-            page_no=rid.page_no, slot=rid.slot, row=row), cost_factor)
+            page_no=rid.page_no, slot=rid.slot, row=row,
+            row_bytes=row_bytes), cost_factor)
 
     def log_delete(self, txn: Transaction, table_name: str, rid: RowId,
-                   row: tuple, cost_factor: float = 1.0) -> int:
+                   row: tuple, row_bytes: int,
+                   cost_factor: float = 1.0) -> int:
         txn.modified_tables.add(table_name.lower())
         return self._chain(txn, DeleteRecord(
             txn_id=txn.txn_id, table_name=table_name, file_id=rid.file_id,
-            page_no=rid.page_no, slot=rid.slot, row=row), cost_factor)
+            page_no=rid.page_no, slot=rid.slot, row=row,
+            row_bytes=row_bytes), cost_factor)
 
     def log_update(self, txn: Transaction, table_name: str, rid: RowId,
-                   old_row: tuple, new_row: tuple,
+                   old_row: tuple, new_row: tuple, row_bytes: int,
                    cost_factor: float = 1.0) -> int:
         txn.modified_tables.add(table_name.lower())
         return self._chain(txn, UpdateRecord(
             txn_id=txn.txn_id, table_name=table_name, file_id=rid.file_id,
             page_no=rid.page_no, slot=rid.slot, old_row=old_row,
-            new_row=new_row), cost_factor)
+            new_row=new_row, row_bytes=row_bytes), cost_factor)
 
     # -- logged DDL -----------------------------------------------------------
 
@@ -259,8 +266,17 @@ class TransactionManager:
         txn.last_lsn = self._log.append(record, cost_factor)
         return txn.last_lsn
 
-    def _rollback(self, txn: Transaction) -> None:
-        """Online rollback.
+    def rollback_to(self, txn: Transaction, lsn: int) -> None:
+        """Undo what ``txn`` logged after record ``lsn`` and keep it
+        open: how a failed statement inside an explicit transaction
+        takes back its own effects (locks stay, strict 2PL).  The CLRs
+        make a later abort — or restart undo — skip the undone range.
+        """
+        self._require_active(txn)
+        self._rollback(txn, stop_lsn=lsn)
+
+    def _rollback(self, txn: Transaction, stop_lsn: int = 0) -> None:
+        """Online rollback of everything after ``stop_lsn``.
 
         Compensating actions are applied through the target's
         ``undo_action`` (which keeps indexes maintained) rather than the
@@ -270,7 +286,7 @@ class TransactionManager:
         from repro.wal.recovery import compensate
 
         lsn = txn.last_lsn
-        while lsn:
+        while lsn > stop_lsn:
             rec = self._log.record(lsn)
             if isinstance(rec, CLRRecord):
                 lsn = rec.undo_next_lsn

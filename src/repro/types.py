@@ -4,6 +4,10 @@ Values are plain Python objects at runtime (int, float, str,
 ``datetime.date``, ``None``); this module defines the *declared* types,
 coercion into them, and per-row byte-width estimation used by the page
 layout and the network cost model.
+
+:class:`RowShape` is the per-row work of the write path compiled once
+per column vector: building a stored row out of source values and
+sizing it for the log and the wire.
 """
 
 from __future__ import annotations
@@ -11,9 +15,21 @@ from __future__ import annotations
 import datetime
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 
-from repro.errors import TypeMismatchError
+from repro.errors import EngineError, TypeMismatchError
+
+#: Process-wide write-path diagnostics, surfaced through ``sys_executor``
+#: next to the expression compiler's ``EXPR_STATS``.  Host bookkeeping
+#: only — never in ``Meter.counters``, which equivalence gates compare.
+ROW_STATS: dict[str, int] = {
+    "row_shapes_generated": 0,  # width functions compiled from source
+    "rows_built_fast": 0,       # source row already conformed: untouched
+    "rows_built_coerced": 0,    # ... went through the coerce ladder
+    "rows_inserted_bulk": 0,    # rows placed by Table.insert_many
+    "pages_filled_bulk": 0,     # ... and the pages they were placed on
+}
 
 
 class SqlType(enum.Enum):
@@ -168,6 +184,99 @@ def value_width_bytes(value) -> int:
     if isinstance(value, str):
         return max(1, len(value))
     return 8
+
+
+_INT_WIDTH = "(4 if -2147483648 <= {v} < 2147483648 else 8)"
+_TEXT_WIDTH = "(len({v}) or 1)"
+#: Runtime type of a conforming value and the source of its width: what
+#: ``value_width_bytes`` returns for a value of exactly that type.
+_RUNTIME = {
+    SqlType.INTEGER: (int, _INT_WIDTH),
+    SqlType.BIGINT: (int, _INT_WIDTH),
+    SqlType.FLOAT: (float, "8"),
+    SqlType.DECIMAL: (float, "8"),
+    SqlType.VARCHAR: (str, _TEXT_WIDTH),
+    SqlType.CHAR: (str, _TEXT_WIDTH),
+    SqlType.DATE: (datetime.date, "4"),
+}
+_SQL_TYPE_OF = operator.attrgetter("sql_type")
+_WIDTH_GLOBALS = {"_vw": value_width_bytes, "_sum": sum, "_map": map,
+                  "date": datetime.date}
+
+
+@functools.lru_cache(maxsize=1024)
+def _compile_shape(sql_types: tuple[SqlType, ...]):
+    """``(runtime types, width function)`` of one column-type vector.
+
+    The width function is generated source: one exact-type test per
+    value picks the declared type's width expression, any other value
+    (NULL, bool, a subclass, a foreign type) falls back to
+    ``value_width_bytes`` on its own, and a row of the wrong arity is
+    summed value by value — so the result equals
+    ``sum(map(value_width_bytes, row))`` for every input.
+    """
+    ROW_STATS["row_shapes_generated"] += 1
+    names = [f"v{i}" for i in range(len(sql_types))]
+    terms = []
+    for name, sql_type in zip(names, sql_types):
+        runtime, width = _RUNTIME[sql_type]
+        terms.append(f"({width.format(v=name)} if type({name}) is "
+                     f"{runtime.__name__} else _vw({name}))")
+    lines = ["def _width(row):",
+             f"    if len(row) != {len(names)}:",
+             "        return _sum(_map(_vw, row))"]
+    if names:
+        lines.append(f"    {', '.join(names)}, = row")
+    lines += [f"    return {' + '.join(terms) or 0}", ""]
+    exec(compile("\n".join(lines), "<row-shape>", "exec"), _WIDTH_GLOBALS)
+    return (tuple(_RUNTIME[t][0] for t in sql_types),
+            _WIDTH_GLOBALS.pop("_width"))
+
+
+class RowShape:
+    """What the write path does per row, compiled once per column vector.
+
+    ``width(row)`` sizes a row for the log payload and the wire;
+    ``build`` turns source values into a stored row.  The compiled part
+    is memoised per column-*type* vector (bounded), so every table and
+    result set of one shape shares it.
+    """
+
+    __slots__ = ("columns", "types", "width")
+
+    def __init__(self, columns):
+        self.columns = tuple(columns)
+        self.types, self.width = _compile_shape(
+            tuple(map(_SQL_TYPE_OF, self.columns)))
+
+    def build(self, source, positions=None) -> tuple:
+        """The row storing ``source``; ``positions`` names the column
+        each value goes to (None: one value per column, in order).
+
+        A source tuple whose values already have exactly the declared
+        runtime types is the row.  Anything else — NULLs, bools, ints
+        for FLOAT, strings for DATE, a column subset, the wrong arity —
+        is coerced value by value, unnamed columns are NULL, and NOT
+        NULL is enforced.
+        """
+        if positions is None and type(source) is tuple \
+                and tuple(map(type, source)) == self.types:
+            ROW_STATS["rows_built_fast"] += 1
+            return source
+        ROW_STATS["rows_built_coerced"] += 1
+        columns = self.columns
+        if positions is None:
+            positions = range(len(columns))
+        if len(source) != len(positions):
+            raise EngineError(f"INSERT has {len(source)} values for "
+                              f"{len(positions)} columns")
+        values: list = [None] * len(columns)
+        for position, value in zip(positions, source):
+            values[position] = coerce(value, columns[position].sql_type)
+        for value, column in zip(values, columns):
+            if value is None and not column.nullable:
+                raise EngineError(f"column {column.name!r} is NOT NULL")
+        return tuple(values)
 
 
 def infer_sql_type(value) -> SqlType:

@@ -28,11 +28,11 @@ class LogRecord:
         """Estimated payload size, for log-write cost charging."""
         return 16
 
-    @staticmethod
-    def _row_bytes(row) -> int:
-        if row is None:
-            return 0
-        return sum(map(value_width_bytes, row))
+
+def _row_bytes(row) -> int:
+    if row is None:
+        return 0
+    return sum(map(value_width_bytes, row))
 
 
 @dataclass
@@ -62,9 +62,15 @@ class InsertRecord(LogRecord):
     page_no: int = 0
     slot: int = 0
     row: tuple = ()
+    #: Width of the row image(s) the record carries.  The table runtime
+    #: sizes each row once (``RowShape.width``) and passes the number
+    #: in; a record built without it walks its values when asked.
+    row_bytes: int | None = None
 
     def payload_bytes(self) -> int:
-        return 24 + self._row_bytes(self.row)
+        if self.row_bytes is None:
+            return 24 + _row_bytes(self.row)
+        return 24 + self.row_bytes
 
 
 @dataclass
@@ -74,9 +80,12 @@ class DeleteRecord(LogRecord):
     page_no: int = 0
     slot: int = 0
     row: tuple = ()  # the deleted row (needed for undo)
+    row_bytes: int | None = None  # see InsertRecord
 
     def payload_bytes(self) -> int:
-        return 24 + self._row_bytes(self.row)
+        if self.row_bytes is None:
+            return 24 + _row_bytes(self.row)
+        return 24 + self.row_bytes
 
 
 @dataclass
@@ -87,9 +96,12 @@ class UpdateRecord(LogRecord):
     slot: int = 0
     old_row: tuple = ()
     new_row: tuple = ()
+    row_bytes: int | None = None  # both images; see InsertRecord
 
     def payload_bytes(self) -> int:
-        return 24 + self._row_bytes(self.old_row) + self._row_bytes(self.new_row)
+        if self.row_bytes is None:
+            return 24 + _row_bytes(self.old_row) + _row_bytes(self.new_row)
+        return 24 + self.row_bytes
 
 
 @dataclass

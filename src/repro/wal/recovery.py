@@ -72,16 +72,18 @@ def compensate(rec: LogRecord) -> LogRecord | None:
     if isinstance(rec, InsertRecord):
         return DeleteRecord(txn_id=rec.txn_id, table_name=rec.table_name,
                             file_id=rec.file_id, page_no=rec.page_no,
-                            slot=rec.slot, row=rec.row)
+                            slot=rec.slot, row=rec.row,
+                            row_bytes=rec.row_bytes)
     if isinstance(rec, DeleteRecord):
         return InsertRecord(txn_id=rec.txn_id, table_name=rec.table_name,
                             file_id=rec.file_id, page_no=rec.page_no,
-                            slot=rec.slot, row=rec.row)
+                            slot=rec.slot, row=rec.row,
+                            row_bytes=rec.row_bytes)
     if isinstance(rec, UpdateRecord):
         return UpdateRecord(txn_id=rec.txn_id, table_name=rec.table_name,
                             file_id=rec.file_id, page_no=rec.page_no,
                             slot=rec.slot, old_row=rec.new_row,
-                            new_row=rec.old_row)
+                            new_row=rec.old_row, row_bytes=rec.row_bytes)
     if isinstance(rec, CreateTableRecord):
         return DropTableRecord(txn_id=rec.txn_id, table=rec.table)
     if isinstance(rec, DropTableRecord):

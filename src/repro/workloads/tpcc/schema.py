@@ -72,8 +72,6 @@ def create_schema(engine: DatabaseEngine, session: EngineSession) -> None:
 
 def setup_tpcc_server(server, data) -> None:
     """Create + bulk load TPC-C into a server (meter paused)."""
-    from repro.types import coerce_column
-
     session = EngineSession(session_id=0)
     meter = server.meter
     saved = meter.advance_clock
@@ -82,14 +80,7 @@ def setup_tpcc_server(server, data) -> None:
         create_schema(server.engine, session)
         engine = server.engine
         for table_name, rows in data.table_rows().items():
-            table = engine.table(table_name)
-            txn = engine.txns.begin()
-            columns = table.info.columns
-            for row in rows:
-                coerced = tuple(coerce_column(v, c)
-                                for v, c in zip(row, columns))
-                table.insert(coerced, txn, engine.txns)
-            engine.txns.commit(txn)
+            engine.bulk_load(table_name, rows)
         engine.checkpoint()
     finally:
         meter.advance_clock = saved

@@ -74,28 +74,10 @@ def load(engine: DatabaseEngine, session: EngineSession,
     meter.advance_clock = False
     try:
         for table_name, rows in data.table_rows().items():
-            _bulk_insert(engine, table_name, rows)
+            engine.bulk_load(table_name, rows)
         engine.checkpoint()
     finally:
         meter.advance_clock = saved
-
-
-def _bulk_insert(engine: DatabaseEngine, table_name: str,
-                 rows: list[tuple]) -> None:
-    table = engine.table(table_name)
-    txn = engine.txns.begin()
-    try:
-        from repro.types import coerce_column
-
-        columns = table.info.columns
-        for row in rows:
-            coerced = tuple(coerce_column(v, c)
-                            for v, c in zip(row, columns))
-            table.insert(coerced, txn, engine.txns)
-    except Exception:
-        engine.txns.abort(txn)
-        raise
-    engine.txns.commit(txn)
 
 
 def setup_tpch_server(server, data: TpchData) -> None:
