@@ -714,6 +714,7 @@ def main(argv: list[str] | None = None) -> int:
         else [args.experiment]
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(exist_ok=True)
+    failed = False
     for name in names:
         started = time.time()
         result = EXPERIMENTS[name](args)
@@ -721,7 +722,11 @@ def main(argv: list[str] | None = None) -> int:
         print(text)
         print(f"[{name}: {time.time() - started:.1f}s wall]\n")
         (out_dir / f"{name}.txt").write_text(text + "\n")
-    return 0
+        # indexbench carries an exit-1 gate (its IN-list leg).
+        for failure in getattr(result, "failures", list)():
+            print(f"FAIL: {name}: {failure}")
+            failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

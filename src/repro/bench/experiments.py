@@ -811,6 +811,10 @@ class IndexBenchResult:
     rows_matched: int
     queries: list = field(default_factory=list)  # (label, rows, pages, s)
     plans: dict = field(default_factory=dict)
+    #: The IN-list leg (cost mode against the heuristic plan of the same
+    #: statement): label -> (result rows, heap rows examined, pages,
+    #: virtual seconds, index access lines of the plan).
+    in_list: dict = field(default_factory=dict)
 
     def format(self) -> str:
         body = [[label, rows, pages, f"{seconds:.6f}"]
@@ -822,7 +826,40 @@ class IndexBenchResult:
         lines = [head, ""]
         for label in sorted(self.plans):
             lines.append(f"plan[{label}]: {self.plans[label]}")
+        body = [[label, len(rows), heap_rows, pages, f"{seconds:.6f}"]
+                for label, (rows, heap_rows, pages, seconds, _plan)
+                in self.in_list.items()]
+        lines += ["", format_table(
+            f"{INDEXBENCH_IN_KEYS}-key IN-list on a primary key: "
+            "multi-point seek vs heap scan",
+            ["Access path", "Rows", "Heap rows", "Pages read",
+             "Virtual s"], body), ""]
+        for label, (*_measured, plan) in self.in_list.items():
+            lines += [f"plan[{label}]: {line}" for line in plan]
         return "\n".join(lines)
+
+    def failures(self) -> list[str]:
+        """The IN-list gate: a seek examines exactly the heap rows its
+        distinct keys name — per table, so twice that for the
+        transferred two-table form — and returns the rows of the scan
+        it replaces."""
+        failed = []
+        for seek, scan, tables in (
+                ("IndexSeek IN (cost)", "SeqScan + Filter IN", 1),
+                ("IndexSeek IN, transferred (cost)",
+                 "SeqScan + Filter IN, two tables", 2)):
+            rows, heap_rows = self.in_list[seek][:2]
+            if heap_rows != tables * INDEXBENCH_IN_KEYS:
+                failed.append(
+                    f"{seek}: examined {heap_rows} heap rows for "
+                    f"{INDEXBENCH_IN_KEYS} distinct keys on {tables} "
+                    f"table(s)")
+            if rows != self.in_list[scan][0]:
+                failed.append(f"{seek}: rows differ from {scan}")
+            if len(self.in_list[seek][4]) != tables:
+                failed.append(f"{seek}: plan does not seek {tables} "
+                              f"table(s) by key list")
+        return failed
 
 
 _INDEXBENCH_DDL = (
@@ -835,6 +872,34 @@ _INDEXBENCH_FETCH = ("SELECT val FROM {name} "
                      "WHERE grp >= 10 AND grp < 12")
 _INDEXBENCH_COVER = ("SELECT grp, id FROM {name} "
                      "WHERE grp >= 10 AND grp < 12")
+
+
+#: Distinct keys of the IN-list leg; the lists repeat one of them.
+INDEXBENCH_IN_KEYS = 10
+_INDEXBENCH_IN_LIST = ", ".join(
+    str(k) for k in (3907, 15, 2048, 977, 15, 3100, 402, 1555, 2600, 88,
+                     3333))
+_INDEXBENCH_IN_ONE = ("SELECT id, val FROM indexed "
+                      f"WHERE id IN ({_INDEXBENCH_IN_LIST})")
+_INDEXBENCH_IN_TWO = ("SELECT a.id, a.val, b.grp FROM scanned a, indexed b "
+                      f"WHERE b.id = a.id AND a.id IN ({_INDEXBENCH_IN_LIST})")
+
+
+def _count_heap_rows(table, tally: list) -> None:
+    """Count every row ``table``'s heap hands to an access path."""
+    heap = table.heap
+    read, scan_pages = heap.read, heap.scan_pages
+
+    def counted_read(rid):
+        tally[0] += 1
+        return read(rid)
+
+    def counted_pages():
+        for block in scan_pages():
+            tally[0] += len(block)
+            yield block
+
+    heap.read, heap.scan_pages = counted_read, counted_pages
 
 
 def run_indexbench(rows: int = 4000, group_size: int = 100,
@@ -884,6 +949,34 @@ def run_indexbench(rows: int = 4000, group_size: int = 100,
         scan_lines = [line for (line,) in plan if "Scan" in line]
         result.plans[label] = scan_lines[0].strip() if scan_lines \
             else plan[0][0].strip()
+
+    # IN-list leg: the same statements planned by the heuristic planner
+    # (scan + filter), then by the cost-based one (a seek per distinct
+    # key).  The ANALYZE in between also retires the cached plans.
+    heap_rows = [0]
+    for name in ("scanned", "indexed"):
+        _count_heap_rows(engine.table(name), heap_rows)
+    for label, sql, mode in (
+            ("SeqScan + Filter IN", _INDEXBENCH_IN_ONE, "heuristic"),
+            ("SeqScan + Filter IN, two tables", _INDEXBENCH_IN_TWO,
+             "heuristic"),
+            ("IndexSeek IN (cost)", _INDEXBENCH_IN_ONE, "cost"),
+            ("IndexSeek IN, transferred (cost)", _INDEXBENCH_IN_TWO,
+             "cost")):
+        if mode != meter.costs.optimizer_mode:
+            engine.execute("ANALYZE", session)
+            meter.costs.optimizer_mode = mode
+        plan = [line.strip() for (line,) in app.query_rows("EXPLAIN " + sql)
+                if " in=" in line]
+        io_before = meter.counters.get("disk_io", 0)
+        heap_rows[0] = 0
+        start = meter.now
+        fetched = app.query_rows(sql)
+        result.in_list[label] = (
+            fetched, heap_rows[0],
+            int(meter.counters.get("disk_io", 0) - io_before),
+            meter.now - start, plan)
+    meter.costs.optimizer_mode = "heuristic"
     return result
 
 

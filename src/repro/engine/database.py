@@ -715,11 +715,9 @@ class DatabaseEngine:
                 and prepared.cacheable_plan):
             if isinstance(statement,
                           (ast.SelectStatement, ast.UnionSelect)):
-                result = self._execute_select_cached(prepared, norm,
-                                                     session, exec_params,
-                                                     params)
-                self._stamp_read_versions(result, statement)
-                return result
+                return self._execute_select_cached(prepared, norm,
+                                                   session, exec_params,
+                                                   params)
             if isinstance(statement, (ast.InsertStatement,
                                       ast.UpdateStatement,
                                       ast.DeleteStatement)):
@@ -731,15 +729,19 @@ class DatabaseEngine:
         return result
 
     def _stamp_read_versions(self, result: StatementResult,
-                             statement: ast.Statement) -> None:
+                             statement: ast.Statement,
+                             entry: PlanCacheEntry | None = None) -> None:
         """Stamp a SELECT result with the DML version of every table its
         plan reads (the shared result cache's validity certificate).
         ``None`` — the knob-off state — also marks results whose
         dependencies the shared cache must not serve (temp tables,
-        ``sys_*`` views, Phoenix overhead tables)."""
+        ``sys_*`` views, Phoenix overhead tables).  A cached plan
+        ``entry`` already knows its dependencies; without one the
+        statement is walked."""
         if self.meter.costs.result_cache_entries <= 0:
             return
-        names = self._plan_dependencies(statement)
+        names = (entry.dependencies if entry is not None
+                 else self._plan_dependencies(statement))
         versions: dict[str, int] = {}
         for name in names:
             if not version_tracked(name):
@@ -909,6 +911,7 @@ class DatabaseEngine:
                        session: EngineSession) -> None:
         """Record revalidation facts and store the entry (when legal)."""
         names = self._plan_dependencies(statement)
+        entry.dependencies = tuple(names)
         if any(name in SYSTEM_VIEWS for name in names):
             return  # sys_* snapshots are rebuilt (and charged) per query
         for name in names:
@@ -980,6 +983,7 @@ class DatabaseEngine:
         result = StatementResult.of_rows(plan.output_columns,
                                          guarded_rows())
         result.streamable = entry.streamable
+        self._stamp_read_versions(result, statement, entry)
         return result
 
     def _execute_parsed(self, statement: ast.Statement,
@@ -1087,27 +1091,43 @@ class DatabaseEngine:
 
     def _reader_probe(self, txn: Transaction):
         """Per-row S-lock probe (see ``Meter.lock_probe``), or None under
-        the default table granularity."""
+        the default table granularity.  One probe serves one statement:
+        what it needs to know about a table (name, key function, whether
+        its rows are locked at all) and the table IS lock are resolved
+        at the statement's first row of that table."""
         if not self._row_locking():
             return None
-        locks = self.locks
+        acquire = self.locks.acquire
+        acquire_row = self.locks.acquire_row
+        txn_id = txn.txn_id
+        #: Table -> (name, row -> pk tuple); () when rows are not locked
+        tables: dict = {}
+        #: tables whose IS lock this statement has requested
+        intent: set = set()
 
         def probe(table: Table, rid: RowId, row: tuple | None) -> None:
-            info = table.info
-            if info.volatile or not info.primary_key:
+            entry = tables.get(table)
+            if entry is None:
+                info = table.info
+                entry = tables[table] = (
+                    () if info.volatile or not info.primary_key
+                    else (info.name, table.row_lock_key))
+            if not entry:
                 return
             if not txn.is_active:
                 raise DeadlockError(
-                    f"txn {txn.txn_id} was aborted as a deadlock victim")
+                    f"txn {txn_id} was aborted as a deadlock victim")
             if row is None:
                 # Covering (index-only) scan: the probe must identify the
                 # row to lock it, so it reads the heap itself.
                 row = table.heap.read(rid)
                 if row is None:
                     return
-            locks.acquire(txn.txn_id, info.name, LockMode.INTENT_SHARED)
-            locks.acquire_row(txn.txn_id, info.name,
-                              table.row_lock_key(row), LockMode.SHARED)
+            name, key = entry
+            if table not in intent:
+                acquire(txn_id, name, LockMode.INTENT_SHARED)
+                intent.add(table)
+            acquire_row(txn_id, name, key(row), LockMode.SHARED)
 
         return probe
 

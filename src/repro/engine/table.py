@@ -15,6 +15,7 @@ a post-reconnect server session is the same one it had before.
 from __future__ import annotations
 
 from itertools import groupby
+from operator import itemgetter
 
 from repro.errors import ConstraintError
 from repro.sim.costs import SERVER_CPU
@@ -37,9 +38,20 @@ class Table:
         self._indexes: dict[str, tuple[IndexInfo, BTree]] = {}
         #: index name -> column positions, memoized off the DML hot path
         self._key_positions: dict[str, list[int]] = {}
-        #: primary-key column positions for row_lock_key, memoized
-        self._pk_positions: list[int] | None = None
+        #: ``row -> primary-key tuple`` identifying a row for the row
+        #: lock manager (None without a primary key).  Row locks are
+        #: logical (keyed by primary key, not rid) so a lock survives
+        #: physical movement and a retried statement re-locks the same
+        #: resource.
+        self.row_lock_key = None
         if info.primary_key:
+            positions = [info.column_index(c) for c in info.primary_key]
+            if len(positions) == 1:
+                # itemgetter with one index returns the bare value
+                self.row_lock_key = (
+                    lambda row, p=positions[0]: (row[p],))
+            else:
+                self.row_lock_key = itemgetter(*positions)
             # Built from the heap, not created empty: a runtime attached
             # to a non-empty heap (restart recovery, re-materialization
             # after cache eviction) must start with a complete PK tree —
@@ -75,19 +87,6 @@ class Table:
     def scan_pages(self):
         """Page-block scan for the batch executor (see HeapFile.scan_pages)."""
         return self.heap.scan_pages()
-
-    def row_lock_key(self, row: tuple) -> tuple:
-        """Primary-key tuple identifying ``row`` for the row lock manager.
-
-        Row locks are logical (keyed by primary key, not rid) so a lock
-        survives physical movement and a retried statement re-locks the
-        same resource.  Only called for tables with a primary key.
-        """
-        positions = self._pk_positions
-        if positions is None:
-            positions = self._pk_positions = [
-                self.info.column_index(c) for c in self.info.primary_key]
-        return tuple(row[p] for p in positions)
 
     # -- index management ----------------------------------------------------
 

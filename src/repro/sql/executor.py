@@ -278,6 +278,11 @@ class IndexSeek(PlanOperator):
     ``hi_fn`` optionally bound the next key column.  Values are computed
     at run time so parameters and correlated values work.
 
+    ``in_fns`` (an IN-list on the key column right after the prefix)
+    turns the seek into one seek per distinct non-NULL list value, in
+    ascending key order — the order a scan of the same rows has, so
+    duplicates and NULLs in the list add no rows and change no order.
+
     ``index_only=True`` (covering scans) synthesizes output rows from the
     index keys alone — key columns carry their values, every other slot
     is None — and never touches the heap, so no page faults are paid.
@@ -288,10 +293,11 @@ class IndexSeek(PlanOperator):
     def __init__(self, table, index_name: str, prefix_fns: list,
                  lo_fn=None, hi_fn=None, lo_inclusive: bool = True,
                  hi_inclusive: bool = True, cost_factor: float = 1.0,
-                 index_only: bool = False):
+                 index_only: bool = False, in_fns: list | None = None):
         self.table = table
         self.index_name = index_name
         self.prefix_fns = prefix_fns
+        self.in_fns = in_fns
         self.lo_fn = lo_fn
         self.hi_fn = hi_fn
         self.lo_inclusive = lo_inclusive
@@ -331,16 +337,6 @@ class IndexSeek(PlanOperator):
         for _rid, row in self.rows_with_rids(exec_ctx):
             yield row
 
-    def _bounds(self, exec_ctx: ExecContext):
-        """(tree, equality prefix, exact?) for this execution's key values."""
-        ctx = EvalContext(row=(), outer=exec_ctx.outer)
-        prefix = tuple(fn(ctx) for fn in self.prefix_fns)
-        tree = self.table.index_tree(self.index_name)
-        index_width = len(self.table.index_info(self.index_name).column_names)
-        exact = (self.lo_fn is None and self.hi_fn is None
-                 and len(prefix) == index_width)
-        return tree, prefix, ctx, index_width, exact
-
     def _null_bounded(self, prefix: tuple, ctx) -> bool:
         """SQL three-valued logic: an equality or range comparison
         against NULL is *unknown*, so a seek binding NULL matches no
@@ -354,29 +350,37 @@ class IndexSeek(PlanOperator):
             return True
         return False
 
-    def _matching_rids(self, exec_ctx: ExecContext) -> list:
-        tree, prefix, ctx, index_width, exact = self._bounds(exec_ctx)
-        if self._null_bounded(prefix, ctx):
-            return []
-        if exact:
-            return tree.search(prefix)
-        lo_key, lo_inc = self._lower_key(prefix, ctx, index_width)
-        hi_key, hi_inc = self._upper_key(prefix, ctx, index_width)
-        return [rid for _key, rid in tree.range(
-            lo_key, hi_key, lo_inclusive=lo_inc, hi_inclusive=hi_inc)]
+    def _seek_prefixes(self, prefix: tuple, ctx) -> list[tuple]:
+        """The equality prefixes this execution seeks: the bound prefix,
+        or one per distinct non-NULL IN-list value, ascending."""
+        if self.in_fns is None:
+            return [prefix]
+        values = {fn(ctx) for fn in self.in_fns}
+        values.discard(None)
+        return [prefix + (value,) for value in sorted(values)]
 
     def _matching_entries(self, exec_ctx: ExecContext) -> list:
-        """Like :meth:`_matching_rids` but keeps the index keys (used by
-        index-only scans, which never consult the heap)."""
-        tree, prefix, ctx, index_width, exact = self._bounds(exec_ctx)
+        """``(index key, rid)`` of every matching entry, in key order."""
+        ctx = EvalContext(row=(), outer=exec_ctx.outer)
+        prefix = tuple(fn(ctx) for fn in self.prefix_fns)
         if self._null_bounded(prefix, ctx):
             return []
-        if exact:
-            return [(prefix, rid) for rid in tree.search(prefix)]
-        lo_key, lo_inc = self._lower_key(prefix, ctx, index_width)
-        hi_key, hi_inc = self._upper_key(prefix, ctx, index_width)
-        return list(tree.range(lo_key, hi_key,
-                               lo_inclusive=lo_inc, hi_inclusive=hi_inc))
+        tree = self.table.index_tree(self.index_name)
+        index_width = len(self.table.index_info(self.index_name).column_names)
+        ranged = self.lo_fn is not None or self.hi_fn is not None
+        entries: list = []
+        for eq in self._seek_prefixes(prefix, ctx):
+            if len(eq) == index_width and not ranged:
+                entries.extend((eq, rid) for rid in tree.search(eq))
+                continue
+            lo_key, lo_inc = self._lower_key(eq, ctx, index_width)
+            hi_key, hi_inc = self._upper_key(eq, ctx, index_width)
+            entries.extend(tree.range(lo_key, hi_key, lo_inclusive=lo_inc,
+                                      hi_inclusive=hi_inc))
+        return entries
+
+    def _matching_rids(self, exec_ctx: ExecContext) -> list:
+        return [rid for _key, rid in self._matching_entries(exec_ctx)]
 
     def _synth_row(self, key: tuple) -> tuple:
         slots = self._key_slots

@@ -55,6 +55,8 @@ def _describe(op: PlanOperator) -> str:
     if isinstance(op, IndexSeek):
         parts = [f"index={op.index_name}",
                  f"prefix={len(op.prefix_fns)}"]
+        if op.in_fns is not None:
+            parts.append(f"in={len(op.in_fns)}")
         if op.lo_fn is not None:
             parts.append("lo" + (">=" if op.lo_inclusive else ">"))
         if op.hi_fn is not None:

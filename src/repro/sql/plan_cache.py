@@ -501,6 +501,11 @@ class PlanCacheEntry:
     #: (the shared-lock set for transactional reads).  Computed lazily on
     #: first transactional use; a pure function of the template AST.
     lock_tables: list[str] | None = None
+    #: Every table/view name the plan depends on, views expanded (what
+    #: ``table_versions`` and ``temp_tables`` are keyed by once the entry
+    #: is stored).  As current as the entry: redefining any of them fails
+    #: the revalidation above.
+    dependencies: tuple[str, ...] = ()
     #: Referenced name -> catalog *statistics* version at compile time.
     #: ANALYZE bumps the counter, so plans costed under stale statistics
     #: are invalidated and replanned exactly like post-DDL plans.

@@ -8,7 +8,10 @@ Heuristics (deliberately simple, in the spirit of a 2001-era engine):
   order is the FROM order (left-deep);
 * a pushed conjunct set matching an index's key prefix (equality prefix
   plus an optional range on the next column) turns the scan into an
-  :class:`~repro.sql.executor.IndexSeek`;
+  :class:`~repro.sql.executor.IndexSeek`; in cost mode an IN-list of
+  constants on the next column seeks once per listed key instead, and a
+  list on one side of a join equality is offered to the other side's
+  index too (DESIGN.md §15);
 * aggregates are computed by one hash-aggregate whose output rows are
   ``group keys + aggregate values``; select/having/order expressions are
   rewritten to read those slots;
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from repro.errors import ColumnNotFoundError, PlanningError
+from repro.errors import ColumnNotFoundError, EngineError, PlanningError
 from repro.sim.costs import SERVER_CPU
 from repro.sql import ast
 from repro.sql import stats as table_stats
@@ -60,7 +63,7 @@ from repro.sql.expressions import (
     find_aggregates,
     is_impure,
 )
-from repro.types import Column, SqlType, infer_sql_type
+from repro.types import Column, SqlType, infer_sql_type, stored_type
 
 
 @dataclass
@@ -426,12 +429,14 @@ class Planner:
             [bc for rel in prepared for bc in rel.schema])
         conjuncts = [_Conjunct(e, column_owner, ambiguous)
                      for e in _split_conjuncts(where)]
+        implied = (self._implied_in_lists(conjuncts, prepared, column_owner)
+                   if self._cost_mode else [])
         cost_join = (self._cost_mode and reorder_ok and len(prepared) > 1)
         if cost_join:
             prepared = self._order_join_tree(prepared, conjuncts,
                                              column_owner, outer_scope)
         for rel in prepared:
-            self._finish_relation(rel, conjuncts, outer_scope)
+            self._finish_relation(rel, conjuncts, outer_scope, implied)
         if cost_join:
             for rel in prepared:
                 if rel.op is not None and rel.est_rows is not None:
@@ -484,10 +489,15 @@ class Planner:
                             for e in _split_conjuncts(item.condition)]
             # Pushing single-side ON conjuncts below the join is safe for
             # inner joins on both sides, and on the null-supplying (right)
-            # side of a left join.
-            self._finish_relation(right, on_conjuncts, outer_scope)
+            # side of a left join.  Nothing is derived through an outer
+            # join's ON clause.
+            implied = (self._implied_in_lists(on_conjuncts, [left, right],
+                                              owner)
+                       if self._cost_mode and item.kind != "left" else [])
+            self._finish_relation(right, on_conjuncts, outer_scope, implied)
             if item.kind != "left":
-                self._finish_relation(left, on_conjuncts, outer_scope)
+                self._finish_relation(left, on_conjuncts, outer_scope,
+                                      implied)
             else:
                 self._finish_relation(left, [], outer_scope)
             joined = self._join_relations(left, right, on_conjuncts,
@@ -502,8 +512,14 @@ class Planner:
 
     def _finish_relation(self, rel: _Relation,
                          conjuncts: list["_Conjunct"],
-                         outer_scope: Scope | None) -> None:
-        """Give ``rel`` its access path, consuming its local conjuncts."""
+                         outer_scope: Scope | None,
+                         implied: list = ()) -> None:
+        """Give ``rel`` its access path, consuming its local conjuncts.
+
+        ``implied`` are ``(relation, IN-list)`` pairs from
+        :meth:`_implied_in_lists`: the ones for ``rel`` are offered to
+        the access path and dropped unless its seek answers them — an
+        implied predicate is never worth a filter of its own."""
         if rel.op is not None and rel.table is None:
             # Derived table or already-finished join: only add a filter.
             self._apply_pushable(rel, conjuncts, outer_scope)
@@ -515,18 +531,81 @@ class Planner:
         local = [c for c in conjuncts
                  if not c.consumed and not c.has_subquery
                  and c.bindings and c.bindings <= rel.bindings]
+        offered = [expr for target, expr in implied if target is rel]
         access = self._choose_access_path(
-            table, [c.expr for c in local], scope, outer_scope)
-        if access.index_seek is not None:
-            rel.op = access.index_seek
+            table, [c.expr for c in local] + offered, scope, outer_scope)
+        residual = access.residual_conjuncts
+        if offered:
+            offered_ids = {id(expr) for expr in offered}
+            residual = [e for e in residual if id(e) not in offered_ids]
+            if (len(access.residual_conjuncts) - len(residual)
+                    < len(offered)):  # the seek answered one of them
+                self._count_opt("optimizer.in_list_transfers")
+        seek = access.index_seek
+        if seek is not None:
+            rel.op = seek
+            if seek.in_fns is not None and rel.est_rows is not None:
+                # Keys sought times rows per key, not the default
+                # selectivity an IN-list gets as a filter.
+                rel.est_rows = max(1.0, seek.est_rows
+                                   * self._conjunct_selectivity(
+                                       table, residual, outer_scope))
         else:
             rel.op = SeqScan(table, cost_factor=table.cost_factor)
-        if access.residual_conjuncts:
+        if residual:
             compiler = self._compiler(scope)
             rel.op = Filter(rel.op, compiler.compile(
-                _combine_conjuncts(access.residual_conjuncts)))
+                _combine_conjuncts(residual)))
         for c in local:
             c.consumed = True
+
+    def _implied_in_lists(self, conjuncts: list["_Conjunct"],
+                          relations: list[_Relation],
+                          owner: dict[str, str]) -> list:
+        """IN-list transfer across equalities: for conjuncts ``A.x = B.y``
+        and ``A.x IN (constants)`` of one conjunct list, ``B.y IN
+        (constants)`` holds on every row the equality keeps (it rejects
+        rows where either side is NULL).  Returns ``(B's relation, the
+        implied IN-list)`` pairs for base tables that still choose their
+        access path.
+
+        Derived only between columns of one comparison family (numeric,
+        text or date): across families ``=`` coerces, and coercion is
+        not transitive.  One step only — nothing is derived from a
+        derived list, from ranges or from plain constants."""
+        in_lists = []
+        for c in conjuncts:
+            e = c.expr
+            if (isinstance(e, ast.InList) and not e.negated
+                    and not c.consumed):
+                source = _resolve_column(e.operand, relations, owner)
+                if source is not None:
+                    in_lists.append((source[1], e))
+        if not in_lists:
+            return []
+        implied = []
+        for c in conjuncts:
+            e = c.expr
+            if c.consumed or not (isinstance(e, ast.Binary)
+                                  and e.op == "="):
+                continue
+            left = _resolve_column(e.left, relations, owner)
+            right = _resolve_column(e.right, relations, owner)
+            if left is None or right is None or left[0] is right[0]:
+                continue
+            for source, target, ref in ((left, right, e.right),
+                                        (right, left, e.left)):
+                rel = target[0]
+                if rel.table is None or rel.op is not None:
+                    continue
+                if (_type_family(source[1].column.sql_type)
+                        != _type_family(target[1].column.sql_type)):
+                    continue
+                for column, in_list in in_lists:
+                    if column is source[1]:
+                        implied.append((rel, ast.InList(
+                            operand=ref, items=in_list.items)))
+        return implied
 
     def _apply_pushable(self, rel: _Relation,
                         conjuncts: list["_Conjunct"],
@@ -664,11 +743,14 @@ class Planner:
     def _choose_access_path(self, table, conjuncts: list[ast.Expr],
                             scope: Scope,
                             outer_scope: Scope | None) -> "_AccessPath":
-        """Pick the best index for a conjunct set (longest equality
-        prefix, optional range on the next column)."""
+        """Pick the best index for a conjunct set: longest equality
+        prefix, then (cost mode) an IN-list or else a range on the next
+        key column."""
         best = None
         best_score = 0
         const_scope = self._new_scope([], outer_scope)
+        in_lists = (self._seekable_in_lists(table, conjuncts, const_scope)
+                    if self._cost_mode else {})
         for index in table.indexes():
             eq_map: dict[str, ast.Expr] = {}
             range_lo: dict[str, tuple[ast.Expr, bool]] = {}
@@ -692,39 +774,48 @@ class Planner:
                     prefix.append(eq_map[col])
                 else:
                     break
-            if not prefix and not (index.column_names
-                                   and (index.column_names[0] in range_lo
-                                        or index.column_names[0] in range_hi)):
-                continue
             next_col = (index.column_names[len(prefix)]
                         if len(prefix) < len(index.column_names) else None)
-            lo = range_lo.get(next_col) if next_col else None
-            hi = range_hi.get(next_col) if next_col else None
-            score = 2 * len(prefix) + (1 if (lo or hi) else 0)
+            in_list = in_lists.get(next_col)
+            # An IN-list seeks its column; a range on the same column
+            # then stays in the residual filter.
+            lo = range_lo.get(next_col) if next_col and not in_list else None
+            hi = range_hi.get(next_col) if next_col and not in_list else None
+            # An equality column outranks an IN-list outranks a range.
+            score = 4 * len(prefix) + (3 if in_list else
+                                       2 if (lo or hi) else 0)
             if score > best_score:
                 best_score = score
-                best = (index, prefix, lo, hi, eq_map, next_col)
+                best = (index, prefix, lo, hi, eq_map, next_col, in_list)
         if best is None:
             return Planner._AccessPath(residual_conjuncts=list(conjuncts))
-        index, prefix, lo, hi, eq_map, next_col = best
+        index, prefix, lo, hi, eq_map, next_col, in_list = best
         compiler = self._compiler(const_scope)
         prefix_fns = [compiler.compile(e) for e in prefix]
         lo_fn = compiler.compile(lo[0]) if lo else None
         hi_fn = compiler.compile(hi[0]) if hi else None
-        # A full-width equality prefix is a point seek; anything that
-        # walks part of the key space (partial prefix and/or a range
-        # bound) is an ordered range scan.
+        in_fns = ([compiler.compile(e) for e in in_list.expr.items]
+                  if in_list else None)
+        # Equalities (an IN-list is one per value) over the full key
+        # width are point seeks; anything that walks part of the key
+        # space (partial prefix and/or a range bound) is an ordered
+        # range scan.
         exact = (lo is None and hi is None
-                 and len(prefix) == len(index.column_names))
+                 and len(prefix) + bool(in_list) == len(index.column_names))
         op_class = IndexSeek if exact else IndexRangeScan
         seek = op_class(table, index.name, prefix_fns,
                         lo_fn=lo_fn, hi_fn=hi_fn,
                         lo_inclusive=lo[1] if lo else True,
                         hi_inclusive=hi[1] if hi else True,
-                        cost_factor=table.cost_factor)
+                        cost_factor=table.cost_factor, in_fns=in_fns)
         # Conjuncts fully answered by the seek are dropped; everything
         # else (including eq conjuncts beyond the usable prefix) stays.
         answered: set[int] = set()
+        if in_list:
+            self._count_opt("optimizer.in_list_seeks")
+            seek.est_rows = self._in_seek_rows(
+                table, index.column_names[:len(prefix) + 1], in_list.keys)
+            answered.add(id(in_list.expr))
         prefix_cols = index.column_names[:len(prefix)]
         for conj in conjuncts:
             parsed = self._index_conjunct(conj, table)
@@ -742,6 +833,64 @@ class Planner:
         residual = [c for c in conjuncts if id(c) not in answered]
         return Planner._AccessPath(index_seek=seek,
                                    residual_conjuncts=residual)
+
+    @dataclass
+    class _InList:
+        """A seekable ``col IN (c1 ... cn)`` conjunct."""
+
+        expr: ast.InList
+        #: distinct non-NULL values the items have at plan time
+        keys: int
+
+    def _seekable_in_lists(self, table, conjuncts: list[ast.Expr],
+                           const_scope: Scope) -> dict:
+        """Column name -> the first conjunct on it an index can seek by
+        key list: a non-negated ``col IN (...)`` whose items are all
+        plan-time constants (literals, parameters, arithmetic over them
+        — no column of any scope, no subquery) of exactly the column's
+        stored type.  Only then does a seek per item return the rows the
+        Filter would: items of another type compare by coercion (or
+        raise), which a key probe cannot reproduce, so such a list stays
+        a residual predicate.  NULL items are allowed (they match
+        nothing)."""
+        columns = {c.name.lower(): c for c in table.info.columns}
+        found: dict[str, Planner._InList] = {}
+        compiler = self._compiler(const_scope)
+        for conj in conjuncts:
+            if not (isinstance(conj, ast.InList) and not conj.negated
+                    and isinstance(conj.operand, ast.ColumnRef)):
+                continue
+            column = columns.get(conj.operand.name.lower())
+            if column is None or column.name.lower() in found:
+                continue
+            if any(_expr_bindings(item) or _has_subquery(item)
+                   for item in conj.items):
+                continue
+            try:
+                values = {compiler.compile(item)(EvalContext(row=()))
+                          for item in conj.items}
+            except (EngineError, ArithmeticError, TypeError, ValueError):
+                continue  # not evaluable at plan time: leave to the Filter
+            values.discard(None)
+            stored = stored_type(column.sql_type)
+            if all(type(v) is stored for v in values):
+                found[column.name.lower()] = Planner._InList(
+                    conj, len(values))
+        return found
+
+    def _in_seek_rows(self, table, key_columns: list[str],
+                      keys: int) -> float:
+        """Estimated rows of an IN-list seek: distinct list items times
+        the rows per ``key_columns`` value (uniform over each column's
+        distinct values, from ANALYZE statistics)."""
+        stats = self._catalog.get_table_stats(table.info.name)
+        if stats is None:
+            self._count_opt("optimizer.stats_missing_fallbacks")
+        per_key = float(stats["row_count"]) if stats else self._DEFAULT_ROWS
+        for name in key_columns:
+            per_key *= table_stats.equality_selectivity(
+                table_stats.column_stats(stats, name))
+        return max(1.0, keys * per_key)
 
     def _index_conjunct(self, expr: ast.Expr, table):
         """Parse ``col <op> rhs`` (either orientation) for ``table``."""
@@ -857,13 +1006,22 @@ class Planner:
         stats = self._catalog.get_table_stats(rel.table.info.name)
         if stats is None:
             self._count_opt("optimizer.stats_missing_fallbacks")
-            sel = table_stats.combine_conjuncts(
-                [self._DEFAULT_SEL] * len(local)) if local else 1.0
-            return max(1.0, self._DEFAULT_ROWS * sel)
-        const_scope = self._new_scope([], outer_scope)
-        sel = self._relation_selectivity(rel.table, stats, local,
-                                         const_scope)
-        return max(1.0, float(stats["row_count"]) * sel)
+        rows = float(stats["row_count"]) if stats else self._DEFAULT_ROWS
+        return max(1.0, rows * self._conjunct_selectivity(
+            rel.table, local, outer_scope))
+
+    def _conjunct_selectivity(self, table, exprs: list[ast.Expr],
+                              outer_scope: Scope | None) -> float:
+        """Combined selectivity of ``exprs`` over ``table``: from its
+        statistics when ANALYZEd, the default per conjunct otherwise."""
+        if not exprs:
+            return 1.0
+        stats = self._catalog.get_table_stats(table.info.name)
+        if stats is None:
+            return table_stats.combine_conjuncts(
+                [self._DEFAULT_SEL] * len(exprs))
+        return self._relation_selectivity(
+            table, stats, exprs, self._new_scope([], outer_scope))
 
     def _ndv_for(self, rel: _Relation, expr: ast.Expr) -> int | None:
         """NDV of a join-key column, resolved through the relation's
@@ -1584,6 +1742,30 @@ def _column_owner_map(
         else:
             owner[name] = bc.binding
     return owner, ambiguous
+
+
+def _resolve_column(expr: ast.Expr, relations: list[_Relation],
+                    owner: dict[str, str]):
+    """``(relation, bound column)`` a bare column reference names among
+    ``relations``; None for anything else (expressions, ambiguous or
+    outer names)."""
+    if not isinstance(expr, ast.ColumnRef):
+        return None
+    name = expr.name.lower()
+    binding = expr.table.lower() if expr.table else owner.get(name)
+    for rel in relations:
+        if binding in rel.bindings:
+            for bc in rel.schema:
+                if bc.binding == binding and bc.column.name.lower() == name:
+                    return rel, bc
+    return None
+
+
+def _type_family(sql_type: SqlType) -> str:
+    """Comparison family: values of one family compare without coercion."""
+    if sql_type.is_numeric:
+        return "numeric"
+    return "text" if sql_type.is_text else "date"
 
 
 def _split_conjuncts(expr: ast.Expr | None) -> list:

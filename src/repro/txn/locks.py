@@ -62,35 +62,41 @@ _IX = LockMode.INTENT_EXCLUSIVE
 _S = LockMode.SHARED
 _X = LockMode.EXCLUSIVE
 
-#: (held, requested) pairs that may coexist across transactions.
-_COMPATIBLE: frozenset = frozenset({
-    (_IS, _IS), (_IS, _IX), (_IS, _S),
-    (_IX, _IS), (_IX, _IX),
-    (_S, _IS), (_S, _S),
-})
+#: held mode -> requested modes another transaction may hold beside it.
+_COMPATIBLE: dict[LockMode, tuple] = {
+    _IS: (_IS, _IX, _S),
+    _IX: (_IS, _IX),
+    _S: (_IS, _S),
+    _X: (),
+}
 
 #: held mode -> requested modes it subsumes for the *same* transaction.
-_COVERS: dict[LockMode, frozenset] = {
-    _X: frozenset({_X, _S, _IX, _IS}),
-    _S: frozenset({_S, _IS}),
-    _IX: frozenset({_IX, _IS}),
-    _IS: frozenset({_IS}),
+_COVERS: dict[LockMode, tuple] = {
+    _X: (_X, _S, _IX, _IS),
+    _S: (_S, _IS),
+    _IX: (_IX, _IS),
+    _IS: (_IS,),
 }
+
+# Every request tests both tables, per row under row granularity, and an
+# Enum member hashes through Python-level ``Enum.__hash__`` — so each
+# mode carries its rows as bit masks: ``held.covers & requested.bit``.
+for _i, _mode in enumerate(LockMode):
+    _mode.bit = 1 << _i
+for _mode in LockMode:
+    _mode.covers = sum(m.bit for m in _COVERS[_mode])
+    _mode.compatible = sum(m.bit for m in _COMPATIBLE[_mode])
 
 #: mode pair -> the weakest mode covering both (same-transaction merge).
 _SUPREMUM: dict[tuple, LockMode] = {}
 for _a in LockMode:
     for _b in LockMode:
-        if _b in _COVERS[_a]:
+        if _a.covers & _b.bit:
             _SUPREMUM[(_a, _b)] = _a
-        elif _a in _COVERS[_b]:
+        elif _b.covers & _a.bit:
             _SUPREMUM[(_a, _b)] = _b
         else:
             _SUPREMUM[(_a, _b)] = _X  # {S, IX} (and anything with X) -> X
-
-
-def _compatible(held: LockMode, requested: LockMode) -> bool:
-    return (held, requested) in _COMPATIBLE
 
 
 def _describe_holders(conflicts: dict) -> str:
@@ -115,6 +121,8 @@ class LockManager:
         self._row_locks: dict[tuple, dict[int, LockMode]] = {}
         # txn_id -> table -> set of row keys (release + escalation count)
         self._txn_rows: dict[int, dict[str, set]] = {}
+        # txn_id -> tables it holds a table-granularity lock on (release)
+        self._txn_tables: dict[int, list[str]] = {}
         # (txn_id, table) pairs whose row locks were escalated away
         self._escalated: set[tuple] = set()
         # txn_id -> (frozenset of blocker txn ids, resource description)
@@ -135,12 +143,6 @@ class LockManager:
             return "table"
         return self._meter.costs.lock_granularity
 
-    @property
-    def _escalation_threshold(self) -> int:
-        if self._meter is None:
-            return 0
-        return self._meter.costs.lock_escalation_threshold
-
     def _count(self, counter: str, amount: float = 1.0) -> None:
         if self._meter is not None:
             self._meter.count(counter, amount)
@@ -157,18 +159,24 @@ class LockManager:
         table = table_name.lower()
         holders = self._locks[table]
         current = holders.get(txn_id)
-        if current is not None and mode in _COVERS[current]:
+        if current is not None and current.covers & mode.bit:
             return
         needed = (mode if current is None
                   else _SUPREMUM[(current, mode)])
         conflicts = {other: held for other, held in holders.items()
                      if other != txn_id
-                     and not _compatible(held, needed)}
+                     and not held.compatible & needed.bit}
         if not conflicts:
-            holders[txn_id] = needed
+            self._grant_table(txn_id, table, holders, needed)
             self._waits.pop(txn_id, None)
             return
         self._on_conflict(txn_id, conflicts, f"table {table!r}", needed)
+
+    def _grant_table(self, txn_id: int, table: str, holders: dict,
+                     mode: LockMode) -> None:
+        if txn_id not in holders:
+            self._txn_tables.setdefault(txn_id, []).append(table)
+        holders[txn_id] = mode
 
     # -- row-granularity requests ---------------------------------------------
 
@@ -181,21 +189,23 @@ class LockManager:
         (e.g. after escalation) subsumes the row lock.
         """
         table = table_name.lower()
-        table_held = self._locks[table].get(txn_id)
-        if table_held is not None and mode in _COVERS[table_held]:
-            return
+        table_holders = self._locks.get(table)
+        if table_holders:
+            table_held = table_holders.get(txn_id)
+            if table_held is not None and table_held.covers & mode.bit:
+                return
         resource = (table, key)
         holders = self._row_locks.get(resource)
         if holders is None:
             holders = self._row_locks[resource] = {}
         current = holders.get(txn_id)
-        if current is not None and mode in _COVERS[current]:
+        if current is not None and current.covers & mode.bit:
             return
         needed = (mode if current is None
                   else _SUPREMUM[(current, mode)])
         conflicts = {other: held for other, held in holders.items()
                      if other != txn_id
-                     and not _compatible(held, needed)}
+                     and not held.compatible & needed.bit}
         if not conflicts:
             holders[txn_id] = needed
             self._waits.pop(txn_id, None)
@@ -211,7 +221,8 @@ class LockManager:
     # -- escalation -----------------------------------------------------------
 
     def _maybe_escalate(self, txn_id: int, table: str) -> None:
-        threshold = self._escalation_threshold
+        threshold = (self._meter.costs.lock_escalation_threshold
+                     if self._meter is not None else 0)
         if threshold <= 0 or (txn_id, table) in self._escalated:
             return
         keys = self._txn_rows.get(txn_id, {}).get(table)
@@ -226,12 +237,12 @@ class LockManager:
         current = holders.get(txn_id)
         needed = target if current is None else _SUPREMUM[(current, target)]
         for other, held in holders.items():
-            if other != txn_id and not _compatible(held, needed):
+            if other != txn_id and not held.compatible & needed.bit:
                 return  # somebody conflicts at table level; retry later
         # Other transactions' *row* locks on this table would also
         # conflict with the escalated lock — but any such holder holds an
         # intention lock on the table, which the loop above just checked.
-        holders[txn_id] = needed
+        self._grant_table(txn_id, table, holders, needed)
         self._drop_txn_rows(txn_id, table)
         self._escalated.add((txn_id, table))
         self._count("locks.escalations")
@@ -320,18 +331,17 @@ class LockManager:
 
     def release_all(self, txn_id: int) -> None:
         """Drop every lock and wait of ``txn_id`` (commit/abort time)."""
-        empty = []
-        for table, holders in self._locks.items():
+        for table in self._txn_tables.pop(txn_id, ()):
+            holders = self._locks[table]
             holders.pop(txn_id, None)
             if not holders:
-                empty.append(table)
-        for table in empty:
-            del self._locks[table]
+                del self._locks[table]
         for table in list(self._txn_rows.get(txn_id, {})):
             self._drop_txn_rows(txn_id, table)
         self._txn_rows.pop(txn_id, None)
-        self._escalated = {pair for pair in self._escalated
-                           if pair[0] != txn_id}
+        if self._escalated:
+            self._escalated = {pair for pair in self._escalated
+                               if pair[0] != txn_id}
         self._waits.pop(txn_id, None)
 
     def held(self, txn_id: int, table_name: str) -> LockMode | None:
@@ -386,6 +396,7 @@ class LockManager:
         self._locks.clear()
         self._row_locks.clear()
         self._txn_rows.clear()
+        self._txn_tables.clear()
         self._escalated.clear()
         self._waits.clear()
         self.last_conflict = None

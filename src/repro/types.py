@@ -200,6 +200,14 @@ _RUNTIME = {
     SqlType.DATE: (datetime.date, "4"),
 }
 _SQL_TYPE_OF = operator.attrgetter("sql_type")
+
+
+def stored_type(sql_type: SqlType) -> type:
+    """The exact Python type stored (non-NULL) values of ``sql_type``
+    have: what ``coerce`` produces and index keys are made of."""
+    return _RUNTIME[sql_type][0]
+
+
 _WIDTH_GLOBALS = {"_vw": value_width_bytes, "_sum": sum, "_map": map,
                   "date": datetime.date}
 

@@ -142,7 +142,7 @@ def test_phoenix_crash_workload_batch_vs_row(monkeypatch, crash_at,
 # ---------------------------------------------------------------------------
 
 
-def _mixed_dml_outputs():
+def _mixed_dml_outputs(cost_mode: bool = False):
     engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=128)
     session = EngineSession(session_id=1)
     run = lambda sql: engine.execute(sql, session)
@@ -154,6 +154,9 @@ def _mixed_dml_outputs():
         f"({i}, 'own{i % 3}', {i * 100})" for i in range(1, 21)))
     run("INSERT INTO movement VALUES " + ", ".join(
         f"({1 + (i * 7) % 20}, {(-1) ** i * i})" for i in range(40)))
+    if cost_mode:
+        run("ANALYZE")
+        engine.meter.costs.optimizer_mode = "cost"
     outputs = []
     for _ in range(3):  # repeat so the plan cache's hot path is exercised
         run("UPDATE acct SET balance = balance + 1 "
@@ -167,6 +170,14 @@ def _mixed_dml_outputs():
         outputs.append(run(
             "SELECT id, balance FROM acct WHERE balance > 500 "
             "ORDER BY balance DESC").fetch_all())
+        # In cost mode: a key-list seek on acct, its list carried over
+        # the equality to ix_move, and a covering (index-only) list seek.
+        outputs.append(run(
+            "SELECT a.id, m.delta FROM acct a, movement m "
+            "WHERE m.acct_id = a.id AND a.id IN (9, 3, 15, 3, NULL)"
+        ).fetch_all())
+        outputs.append(run(
+            "SELECT id FROM acct WHERE id IN (20, 1, 7)").fetch_all())
     return outputs, engine.meter.now, dict(engine.meter.counters)
 
 
@@ -178,6 +189,18 @@ def test_mixed_dml_batch_vs_row_bit_identical(monkeypatch):
     assert batch[0] == rows[0]
     assert batch[1] == rows[1]
     assert batch[2] == rows[2]
+
+
+def test_in_list_seeks_batch_vs_row_bit_identical(monkeypatch):
+    _set_mode(monkeypatch, "batch")
+    batch = _mixed_dml_outputs(cost_mode=True)
+    _set_mode(monkeypatch, "rows")
+    rows = _mixed_dml_outputs(cost_mode=True)
+    assert batch == rows
+    # 3 rounds x (UPDATE + join's two sides + covering SELECT), planned
+    # once each: the later rounds reuse the cached plans.
+    assert batch[2]["optimizer.in_list_seeks"] == 4
+    assert batch[2]["optimizer.in_list_transfers"] == 1
 
 
 # ---------------------------------------------------------------------------

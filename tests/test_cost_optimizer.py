@@ -319,6 +319,172 @@ class TestStatsInvalidation:
 
 
 # ---------------------------------------------------------------------------
+# IN-list transfer across join equalities
+# ---------------------------------------------------------------------------
+
+
+class TestInListTransfer:
+    """``A.x = B.y AND A.x IN (constants)`` implies ``B.y IN (constants)``;
+    the planner derives it so B's index can seek by the same key list,
+    and keeps it only when B's access path consumes it."""
+
+    LIST = "4, 1, 7, 4"
+
+    @pytest.fixture(autouse=True)
+    def tables(self, run, engine):
+        # The new-order shape: item(i), stock(w, i) — plus a heap-only
+        # copy of stock and a text-keyed table.
+        run("CREATE TABLE item (i INT NOT NULL, price INT, "
+            "PRIMARY KEY (i))")
+        run("CREATE TABLE stock (w INT NOT NULL, i INT NOT NULL, "
+            "qty INT, PRIMARY KEY (w, i))")
+        run("CREATE TABLE bare (w INT, i INT, qty INT)")
+        run("CREATE TABLE tag (name VARCHAR(4) NOT NULL, n INT, "
+            "PRIMARY KEY (name))")
+        run("INSERT INTO item VALUES " + ", ".join(
+            f"({i}, {i * 10})" for i in range(1, 9)))
+        stock = ", ".join(f"({w}, {i}, {w * 100 + i})"
+                          for w in (1, 2) for i in range(1, 9) if i != 7)
+        run(f"INSERT INTO stock VALUES {stock}")
+        run(f"INSERT INTO bare VALUES {stock}")
+        run("INSERT INTO tag VALUES ('1', 1), ('4', 4), ('x', 0)")
+        run("ANALYZE")
+        _cost_mode(engine)
+
+    def _both(self, run, engine, sql):
+        """(cost-mode rows, heuristic rows) — each in its own order.
+        The plan cache is not keyed by optimizer mode; an ANALYZE
+        retires the plan the other mode left behind."""
+        cost = run(sql)
+        engine.meter.costs.optimizer_mode = "heuristic"
+        try:
+            run("ANALYZE")
+            return cost, run(sql)
+        finally:
+            run("ANALYZE")
+            _cost_mode(engine)
+
+    def _transfers(self, engine) -> int:
+        return int(engine.meter.counters.get(
+            "optimizer.in_list_transfers", 0))
+
+    def test_comma_join_seeks_both_sides_by_the_list(self, run, engine):
+        sql = (f"SELECT item.i, price, qty FROM item, stock "
+               f"WHERE w = 2 AND stock.i = item.i "
+               f"AND item.i IN ({self.LIST})")
+        plan = _explain(run, sql)
+        assert any("IndexSeek(stock index=__pk_stock prefix=1 in=4" in line
+                   and "est_rows=3 " in line for line in plan)
+        assert any("IndexSeek(item index=__pk_item prefix=0 in=4" in line
+                   and "est_rows=3 " in line for line in plan)
+        assert not any("Filter" in line or "SeqScan" in line
+                       for line in plan)
+        assert self._transfers(engine) == 1
+        cost, heuristic = self._both(run, engine, sql)
+        # Ascending key order on both sides: the order the scans had.
+        assert cost == heuristic == [(1, 10, 201), (4, 40, 204)]
+
+    def test_list_on_either_side_of_the_equality(self, run, engine):
+        sql = (f"SELECT price, qty FROM stock, item "
+               f"WHERE item.i = stock.i AND w = 1 "
+               f"AND stock.i IN ({self.LIST})")
+        plan = _explain(run, sql)
+        assert any("IndexSeek(item index=__pk_item prefix=0 in=4" in line
+                   for line in plan)
+        cost, heuristic = self._both(run, engine, sql)
+        assert cost == heuristic == [(10, 101), (40, 104)]
+
+    def test_inner_join_on_clause(self, run, engine):
+        sql = (f"SELECT item.i, qty FROM item JOIN stock "
+               f"ON stock.i = item.i AND w = 2 "
+               f"AND item.i IN ({self.LIST})")
+        plan = _explain(run, sql)
+        assert any("IndexSeek(stock index=__pk_stock prefix=1 in=4" in line
+                   for line in plan)
+        assert self._transfers(engine) == 1
+        cost, heuristic = self._both(run, engine, sql)
+        assert cost == heuristic == [(1, 201), (4, 204)]
+
+    @pytest.mark.parametrize("sql", [
+        # The list names the preserved side: pushing it to item would
+        # drop rows the outer join must keep.
+        "SELECT item.i, qty FROM item LEFT JOIN stock "
+        "ON stock.i = item.i AND w = 2 AND stock.i IN (4, 1, 7)",
+        # The list names the preserved side itself: stays in ON.
+        "SELECT item.i, qty FROM item LEFT JOIN stock "
+        "ON stock.i = item.i AND w = 2 AND item.i IN (4, 1, 7)",
+    ])
+    def test_never_through_a_left_join(self, run, engine, sql):
+        plan = _explain(run, sql)
+        assert not any("item index=" in line and "in=" in line
+                       for line in plan)
+        assert self._transfers(engine) == 0
+        cost, heuristic = self._both(run, engine, sql)
+        assert sorted(cost, key=repr) == sorted(heuristic, key=repr)
+        assert len(cost) == 8  # every item survives
+
+    def test_dropped_when_no_access_path_consumes_it(self, run, engine):
+        sql = (f"SELECT item.i, qty FROM item, bare "
+               f"WHERE w = 2 AND bare.i = item.i "
+               f"AND item.i IN ({self.LIST})")
+        plan = _explain(run, sql)
+        engine.meter.costs.optimizer_mode = "heuristic"
+        heuristic_plan = _explain(run, sql)
+        _cost_mode(engine)
+        # bare has no index: its scan keeps exactly the one filter
+        # (w = 2) it had — no redundant IN predicate is evaluated.
+        assert sum("Filter" in line for line in plan) \
+            == sum("Filter" in line for line in heuristic_plan) - 1
+        assert self._transfers(engine) == 0
+        cost, heuristic = self._both(run, engine, sql)
+        assert sorted(cost) == sorted(heuristic) == [(1, 201), (4, 204)]
+
+    def test_not_across_comparison_families(self, run, engine):
+        # '=' between INT and VARCHAR coerces; coercion is not
+        # transitive, so nothing is derived for tag.name.
+        sql = ("SELECT item.i, n FROM item, tag "
+               "WHERE tag.name = item.i AND item.i IN (4, 1)")
+        plan = _explain(run, sql)
+        assert not any("tag index=" in line for line in plan)
+        assert self._transfers(engine) == 0
+        cost, heuristic = self._both(run, engine, sql)
+        assert sorted(cost) == sorted(heuristic)
+
+    def test_not_from_not_in_ranges_or_constants(self, run, engine):
+        for predicate in ("item.i NOT IN (4, 1)", "item.i > 6",
+                          "item.i = 4"):
+            sql = (f"SELECT item.i, qty FROM item, stock WHERE w = 2 "
+                   f"AND stock.i = item.i AND {predicate}")
+            assert not any("stock index=" in line and "in=" in line
+                           for line in _explain(run, sql))
+            cost, heuristic = self._both(run, engine, sql)
+            assert sorted(cost) == sorted(heuristic)
+        assert self._transfers(engine) == 0
+
+    def test_heuristic_mode_derives_nothing(self, run, engine):
+        engine.meter.costs.optimizer_mode = "heuristic"
+        sql = (f"SELECT item.i, qty FROM item, stock WHERE w = 2 "
+               f"AND stock.i = item.i AND item.i IN ({self.LIST})")
+        plan = _explain(run, sql)
+        assert not any("in=" in line for line in plan)
+        run(sql)
+        assert not any(name.startswith("optimizer.")
+                       for name in engine.meter.counters)
+
+    def test_three_relations(self, run, engine):
+        sql = (f"SELECT item.i, a.qty, b.qty FROM item, stock a, stock b "
+               f"WHERE a.w = 1 AND b.w = 2 AND a.i = item.i "
+               f"AND b.i = item.i AND item.i IN ({self.LIST})")
+        plan = _explain(run, sql)
+        assert sum("index=__pk_stock prefix=1 in=4" in line
+                   for line in plan) == 2
+        assert self._transfers(engine) == 2
+        cost, heuristic = self._both(run, engine, sql)
+        assert sorted(cost) == sorted(heuristic) \
+            == [(1, 101, 201), (4, 104, 204)]
+
+
+# ---------------------------------------------------------------------------
 # optimizer.* counters + sys_optimizer
 # ---------------------------------------------------------------------------
 

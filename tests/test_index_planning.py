@@ -284,6 +284,247 @@ class TestNullIndexKeys:
 
 
 # ---------------------------------------------------------------------------
+# IN-list multi-point seeks (cost mode)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def cost_world(world):
+    """``world`` plus two secondary indexes, ANALYZEd, in cost mode.
+    ``run.heuristic(sql)`` runs one statement under the heuristic
+    planner: the SeqScan/IndexRangeScan + Filter reading of the same
+    predicate, the semantics every IN-seek must reproduce."""
+    engine, run = world
+    run("CREATE INDEX ev_note ON ev (note)")
+    run("CREATE INDEX ev_dv ON ev (d, v)")
+    run("ANALYZE")
+    costs = engine.meter.costs
+    costs.optimizer_mode = "cost"
+
+    def heuristic(sql):
+        costs.optimizer_mode = "heuristic"
+        try:
+            return run(sql)
+        finally:
+            costs.optimizer_mode = "cost"
+
+    run.heuristic = heuristic
+    return engine, run
+
+
+def seek_line(plan):
+    """The plan's index access line ('' when it scans the heap)."""
+    return next((line.strip() for line in plan if "index=" in line), "")
+
+
+class TestInListSeek:
+    def test_full_width_pk_in_list_is_an_index_seek(self, cost_world,
+                                                    exec_mode):
+        _engine, run = cost_world
+        sql = ("SELECT w, d, id, v FROM ev "
+               "WHERE w = 1 AND d = 2 AND id IN (3, 1)")
+        line = seek_line(plan_of(run, sql))
+        assert line.startswith("IndexSeek(ev index=__pk_ev prefix=2 in=2")
+        assert "est_rows=2 " in line
+        # Key order, not list order — and no Filter left above the seek.
+        assert run(sql) == [(1, 2, 1, 121), (1, 2, 3, 123)]
+        assert not any("Filter" in ln for ln in plan_of(run, sql))
+
+    def test_prefix_plus_in_list_walks_ranges_in_key_order(self, cost_world,
+                                                           exec_mode):
+        _engine, run = cost_world
+        sql = "SELECT d, id FROM ev WHERE w = 2 AND d IN (2, 1)"
+        line = seek_line(plan_of(run, sql))
+        assert line.startswith(
+            "IndexRangeScan(ev index=__pk_ev prefix=1 in=2")
+        assert "est_rows=6 " in line  # 2 keys x 12 rows / (2 w x 2 d)
+        assert run(sql) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+
+    def test_in_list_on_leading_column_needs_no_prefix(self, cost_world):
+        _engine, run = cost_world
+        sql = "SELECT count(*) FROM ev WHERE w IN (2, 7)"
+        assert "prefix=0 in=2" in seek_line(plan_of(run, sql))
+        assert run(sql) == [(6,)]
+
+    def test_secondary_indexes(self, cost_world, exec_mode):
+        _engine, run = cost_world
+        by_note = "SELECT w, d, id FROM ev WHERE note IN ('n3', 'n1')"
+        assert "index=ev_note prefix=0 in=2" in seek_line(
+            plan_of(run, by_note))
+        assert sorted(run(by_note)) == sorted(run.heuristic(by_note))
+        assert len(run(by_note)) == 8
+        by_dv = "SELECT id FROM ev WHERE d = 2 AND v IN (223, 121, 5)"
+        assert "index=ev_dv prefix=1 in=3" in seek_line(plan_of(run, by_dv))
+        assert run(by_dv) == [(1,), (3,)]  # v order: 121, 223
+
+    @pytest.mark.parametrize("predicate", [
+        "id NOT IN (1, 3)",                      # negated
+        "id IN (v - 120, 3)",                    # column-valued item
+        "id IN (SELECT id FROM ev WHERE v = 113)",   # subquery
+        "id + 0 IN (1, 3)",                      # operand not a column
+    ])
+    def test_left_alone(self, cost_world, predicate):
+        _engine, run = cost_world
+        sql = f"SELECT id, v FROM ev WHERE w = 1 AND d = 2 AND {predicate}"
+        assert "in=" not in seek_line(plan_of(run, sql))
+        assert run(sql) == run.heuristic(sql)
+
+    def test_heuristic_mode_never_seeks_by_list(self, cost_world):
+        engine, run = cost_world
+        sql = "SELECT v FROM ev WHERE w = 1 AND d = 2 AND id IN (3, 1)"
+        engine.meter.costs.optimizer_mode = "heuristic"
+        plan = plan_of(run, sql)
+        assert "in=" not in seek_line(plan)
+        assert any("Filter" in line for line in plan)
+
+    @pytest.mark.parametrize("items,expected", [
+        ("3, 1, 3, 1", [(1,), (3,)]),            # duplicates: no extra rows
+        ("NULL, 2", [(2,)]),                     # NULL items match nothing
+        ("NULL", []),                            # empty after NULLs
+        ("NULL, NULL", []),
+        ("9, 0", []),
+        ("1 + 1, 4 - 1", [(2,), (3,)]),          # constant arithmetic
+    ])
+    def test_list_contents(self, cost_world, exec_mode, items, expected):
+        _engine, run = cost_world
+        sql = f"SELECT id FROM ev WHERE w = 1 AND d = 1 AND id IN ({items})"
+        assert "in=" in seek_line(plan_of(run, sql))
+        assert run(sql) == expected == run.heuristic(sql)
+
+    def test_null_prefix_value_matches_nothing(self, cost_world, exec_mode):
+        _engine, run = cost_world
+        sql = "SELECT id FROM ev WHERE w = NULL AND d IN (1, 2)"
+        assert "prefix=1 in=2" in seek_line(plan_of(run, sql))
+        assert run(sql) == []
+
+    @pytest.mark.parametrize("items", [
+        "1, 2.0",            # float item against an INT key
+        "'3', 1",            # numeric string: '=' coerces it
+        "2.5, 3",
+        "1.0",
+    ])
+    def test_mixed_type_lists_keep_filter_semantics(self, cost_world,
+                                                    exec_mode, items):
+        """Items that are not of the key column's stored type compare by
+        coercion, which a key probe cannot reproduce: the list stays a
+        residual predicate and the rows are the Filter's."""
+        _engine, run = cost_world
+        sql = f"SELECT id FROM ev WHERE w = 1 AND d = 1 AND id IN ({items})"
+        plan = plan_of(run, sql)
+        assert "in=" not in seek_line(plan)
+        assert any("Filter" in line for line in plan)
+        assert run(sql) == run.heuristic(sql)
+
+    def test_uncomparable_item_raises_like_the_filter(self, cost_world):
+        from repro.errors import TypeMismatchError
+
+        _engine, run = cost_world
+        sql = "SELECT id FROM ev WHERE w = 1 AND d = 1 AND id IN (1, 'x')"
+        with pytest.raises(TypeMismatchError):
+            run.heuristic(sql)
+        with pytest.raises(TypeMismatchError):
+            run(sql)
+
+    def test_range_on_the_list_column_stays_residual(self, cost_world):
+        _engine, run = cost_world
+        sql = ("SELECT id FROM ev WHERE w = 1 AND d = 1 "
+               "AND id IN (1, 2, 3) AND id > 1")
+        plan = plan_of(run, sql)
+        assert "prefix=2 in=3" in seek_line(plan)
+        assert "lo" not in seek_line(plan)
+        assert run(sql) == [(2,), (3,)]
+
+    def test_longer_equality_prefix_still_wins(self, cost_world):
+        _engine, run = cost_world
+        sql = ("SELECT v FROM ev WHERE w IN (1, 2) AND d = 2 AND v = 221")
+        # ev_dv answers both equalities; the pk could only seek w by list.
+        assert "index=ev_dv prefix=2" in seek_line(plan_of(run, sql))
+        assert run(sql) == [(221,)]
+
+    def test_covering_in_list_is_index_only(self, cost_world, exec_mode):
+        engine, run = cost_world
+        sql = "SELECT id FROM ev WHERE w = 2 AND d = 1 AND id IN (3, 2)"
+        assert "in=2 index-only" in seek_line(plan_of(run, sql))
+        reads = engine.meter.executor_stats.get("index_only_scans", 0)
+        assert run(sql) == [(2,), (3,)]
+        assert engine.meter.executor_stats["index_only_scans"] == reads + 1
+
+    def test_list_order_keeps_sort_elimination(self, cost_world, exec_mode):
+        _engine, run = cost_world
+        sql = ("SELECT d, id FROM ev WHERE w = 1 AND d IN (2, 1) "
+               "ORDER BY d, id")
+        assert not any(line.strip().startswith("Sort")
+                       for line in plan_of(run, sql))
+        assert run(sql) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+
+    def test_not_a_point_lookup(self, cost_world):
+        _engine, run = cost_world
+        plan = plan_of(run, "SELECT v FROM ev WHERE w = 1 AND d = 2 "
+                            "AND id IN (3)")
+        assert not plan[0].startswith("PointLookup")
+        assert "in=1" in seek_line(plan)
+
+    def test_update_and_delete_seek_by_list(self, cost_world):
+        engine, run = cost_world
+        seeks = engine.meter.counters.get("optimizer.in_list_seeks", 0)
+        assert run("UPDATE ev SET v = 0 WHERE w = 1 AND d = 1 "
+                   "AND id IN (1, 3, 9)") == 2
+        assert run("DELETE FROM ev WHERE w = 2 AND d IN (1, 2) "
+                   "AND id = 2") == 2
+        assert engine.meter.counters["optimizer.in_list_seeks"] == seeks + 2
+        assert run("SELECT id FROM ev WHERE v = 0 ORDER BY id") == \
+            [(1,), (3,)]
+        assert run("SELECT count(*) FROM ev") == [(10,)]
+
+    def test_counter_and_sys_optimizer(self, cost_world):
+        engine, run = cost_world
+        run("SELECT v FROM ev WHERE w = 1 AND d = 2 AND id IN (3, 1)")
+        run("SELECT v FROM ev WHERE w = 1 AND d = 2 AND id = 3")
+        assert engine.meter.counters["optimizer.in_list_seeks"] == 1
+        assert ("optimizer.in_list_seeks", 1) in run(
+            "SELECT metric, value FROM sys_optimizer")
+
+    def test_unanalyzed_table_still_seeks(self, world):
+        engine, run = world
+        engine.meter.costs.optimizer_mode = "cost"
+        sql = "SELECT id FROM ev WHERE w = 1 AND d = 2 AND id IN (3, 1)"
+        assert "prefix=2 in=2" in seek_line(plan_of(run, sql))
+        assert run(sql) == [(1,), (3,)]
+
+
+def test_in_list_plans_are_reused_per_list_length():
+    """Auto-parameterization keys the template on the list's length and
+    duplicate pattern; the seek reads its values at run time, so one
+    cached plan serves every list of that shape."""
+    engine = DatabaseEngine(meter=Meter(CostModel(optimizer_mode="cost")))
+    session = EngineSession(session_id=1)
+
+    def run(sql):
+        return engine.execute(sql, session).fetch_all()
+
+    engine.execute("CREATE TABLE p (k INT NOT NULL, v INT, "
+                   "PRIMARY KEY (k))", session)
+    engine.execute("INSERT INTO p VALUES " + ", ".join(
+        f"({k}, {k * k})" for k in range(10)), session)
+    select = "SELECT k, v FROM p WHERE k IN ({})"
+    assert run(select.format("2, 5, 7")) == [(2, 4), (5, 25), (7, 49)]
+    stats = dict(engine.cache_stats)
+    assert run(select.format("9, 1, 4")) == [(1, 1), (4, 16), (9, 81)]
+    assert run(select.format("8, 3, 11")) == [(3, 9), (8, 64)]
+    assert engine.cache_stats["plan_hits"] == stats["plan_hits"] + 2
+    assert engine.cache_stats["plan_misses"] == stats["plan_misses"]
+    # Another length (or a repeated literal) is another template.
+    assert run(select.format("6, 0")) == [(0, 0), (6, 36)]
+    assert run(select.format("6, 6, 0")) == [(0, 0), (6, 36)]
+    assert engine.cache_stats["plan_misses"] == stats["plan_misses"] + 2
+    assert engine.meter.counters["optimizer.in_list_seeks"] == 3
+    # Bound parameters work the same way.
+    assert engine.execute(
+        "SELECT v FROM p WHERE k IN (@a, @b)", session,
+        {"a": 3, "b": 2}).fetch_all() == [(4,), (9,)]
+
+
+# ---------------------------------------------------------------------------
 # Asynchronous commit
 # ---------------------------------------------------------------------------
 

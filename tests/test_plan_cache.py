@@ -287,6 +287,107 @@ class TestTempTablePlans:
 
 
 # ---------------------------------------------------------------------------
+# Read-version stamps from the cached dependency names
+# ---------------------------------------------------------------------------
+
+
+class TestCachedDependencies:
+    """With the shared result cache on, every SELECT result is stamped
+    with the DML versions of the tables its plan reads.  A cached plan
+    keeps those names; an engine without a plan cache walks the AST every
+    time.  The stamps must be equal, key for key, whatever DDL happens
+    in between."""
+
+    SCRIPT = (
+        "CREATE TABLE a (k INT NOT NULL, v INT, PRIMARY KEY (k))",
+        "CREATE TABLE b (k INT NOT NULL, v INT, PRIMARY KEY (k))",
+        "INSERT INTO a VALUES (1, 10), (2, 20)",
+        "INSERT INTO b VALUES (1, 11), (3, 31)",
+        "CREATE VIEW vw AS SELECT k, v FROM a",
+        "SELECT v FROM vw WHERE k = 1",
+        "SELECT v FROM vw WHERE k = 2",            # plan-cache hit
+        "UPDATE a SET v = v + 1 WHERE k = 1",      # bumps a's DML version
+        "SELECT v FROM vw WHERE k = 1",
+        # View redefinition: the same text now depends on b, not a.
+        "DROP VIEW vw",
+        "CREATE VIEW vw AS SELECT k, v FROM b",
+        "SELECT v FROM vw WHERE k = 1",
+        "SELECT v FROM vw WHERE k = 3",
+        "SELECT a.v, b.v FROM a, b WHERE a.k = b.k AND a.k = 1",
+        "SELECT v FROM a WHERE k IN (SELECT k FROM vw)",
+        "DELETE FROM b WHERE k = 3",
+        "SELECT a.v, b.v FROM a, b WHERE a.k = b.k AND a.k = 1",
+        "SELECT v FROM a WHERE k IN (SELECT k FROM vw)",
+        # Temp tables are never stamped — before and after a recreate.
+        "CREATE TABLE #s (k INT)",
+        "INSERT INTO #s VALUES (1)",
+        "SELECT a.v FROM a, #s WHERE a.k = #s.k",
+        "DROP TABLE #s",
+        "CREATE TABLE #s (k INT)",
+        "INSERT INTO #s VALUES (2)",
+        "SELECT a.v FROM a, #s WHERE a.k = #s.k",
+        "SELECT metric FROM sys_plan_cache",       # sys_* views neither
+        "SELECT v FROM a WHERE k = 2",
+    )
+
+    @staticmethod
+    def _stamps(plan_cache_capacity):
+        from repro.sim.costs import CostModel
+
+        engine = DatabaseEngine(
+            meter=Meter(CostModel(result_cache_entries=8)),
+            plan_cache_capacity=plan_cache_capacity)
+        session = EngineSession(session_id=1)
+        walks = [0]
+        walk = engine._plan_dependencies
+
+        def counted(statement):
+            walks[0] += 1
+            return walk(statement)
+
+        engine._plan_dependencies = counted
+        stamps = []
+        for sql in TestCachedDependencies.SCRIPT:
+            before = walks[0]
+            result = engine.execute(sql, session)
+            if result.kind == "rows":
+                rows = result.fetch_all()
+                stamps.append((sql, rows, result.read_versions,
+                               walks[0] - before))
+        return stamps, engine
+
+    def test_cached_stamps_equal_walked_stamps(self):
+        cached, engine = self._stamps(plan_cache_capacity=64)
+        walked, _ = self._stamps(plan_cache_capacity=0)
+        assert [s[:3] for s in cached] == [s[:3] for s in walked]
+        by_sql = [(sql, versions) for sql, _rows, versions, _w in cached]
+        # The redefined view reads b; the first definition read a.
+        assert set(by_sql[0][1]) == {"vw", "a"}
+        assert set(by_sql[3][1]) == {"vw", "b"}
+        assert by_sql[2][1]["a"] == by_sql[0][1]["a"] + 1
+        assert [v for sql, v in by_sql if "#s" in sql] == [None, None]
+        assert engine.cache_stats["plan_hits"] >= 4
+
+    def test_plan_cache_hits_do_not_walk_the_statement(self):
+        cached, _engine = self._stamps(plan_cache_capacity=64)
+        walks = {}
+        for sql, _rows, _versions, count in cached:
+            walks.setdefault(sql.replace("= 2", "= 1").replace(
+                "= 3", "= 1"), []).append(count)
+        # One walk when the plan is compiled (and stored), none on reuse.
+        assert walks["SELECT v FROM vw WHERE k = 1"] == [1, 0, 0, 1, 0]
+        assert walks["SELECT a.v, b.v FROM a, b WHERE a.k = b.k "
+                     "AND a.k = 1"] == [1, 0]
+
+    def test_knob_off_stamps_nothing(self, engine, session):
+        engine.execute("CREATE TABLE a (k INT)", session)
+        for _ in range(2):  # compile, then reuse
+            result = engine.execute("SELECT k FROM a WHERE k = 1", session)
+            assert result.fetch_all() == []
+            assert result.read_versions is None
+
+
+# ---------------------------------------------------------------------------
 # Virtual-time fidelity
 # ---------------------------------------------------------------------------
 

@@ -430,3 +430,199 @@ class TestConcurrentTpcc:
         reference = mixes["row"][0]
         assert result.makespan_seconds == reference.makespan_seconds
         assert digest_database(server.engine) == mixes["row"][1]
+
+
+# ---------------------------------------------------------------------------
+# Lock what you seek: the read set of an IN-list statement (cost mode)
+# ---------------------------------------------------------------------------
+
+
+def cost_mode_tpcc(num_sessions: int = 8, **sizes):
+    """The concurrent TPC-C world with the cost-based planner on."""
+    from repro.workloads.tpcc.concurrent import build_concurrent_world
+
+    sizes = {"txns_per_session": 2, "items": 60,
+             "customers_per_district": 8,
+             "initial_orders_per_district": 4, **sizes}
+    server, apps, plans, scale = build_concurrent_world(
+        num_sessions, "row", **sizes)
+    apps[0].run_statement("ANALYZE")
+    server.meter.costs.optimizer_mode = "cost"
+    return server, apps, plans, scale
+
+
+class TestInListReadSet:
+    ITEMS = (3, 17, 17, 41, 58)
+    NEW_ORDER = ("SELECT i_id, i_price, s_quantity FROM item, stock "
+                 "WHERE s_w_id = 1 AND s_i_id = i_id AND i_id IN ({})")
+
+    def test_new_order_locks_the_rows_it_returns(self):
+        server, _apps, _plans, _scale = cost_mode_tpcc()
+        engine = server.engine
+        alice, bob = EngineSession(session_id=901), \
+            EngineSession(session_id=902)
+        distinct = sorted(set(self.ITEMS))
+        run(engine, alice, "BEGIN TRANSACTION")
+        rows = run(engine, alice, self.NEW_ORDER.format(
+            ", ".join(str(i) for i in self.ITEMS)))
+        assert [r[0] for r in rows] == distinct
+        txn_id = alice.current_txn.txn_id
+        # One row S lock per distinct list item, on each table — not the
+        # 60 items and 60 stock rows of the warehouse.
+        assert engine.locks.row_lock_count(txn_id, "item") == len(distinct)
+        assert engine.locks.row_lock_count(txn_id, "stock") == len(distinct)
+        for i_id in distinct:
+            assert engine.locks.row_holders("item", (i_id,)) == {txn_id: S}
+            assert engine.locks.row_holders("stock", (1, i_id)) == \
+                {txn_id: S}
+        # Another session updates a different stock row of the same
+        # warehouse without waiting; a row alice read still blocks.
+        run(engine, bob, "BEGIN TRANSACTION")
+        assert run(engine, bob, "UPDATE stock SET s_quantity = 9 "
+                                "WHERE s_w_id = 1 AND s_i_id = 4") == 1
+        with pytest.raises(LockWaitError):
+            run(engine, bob, "UPDATE stock SET s_quantity = 9 "
+                             "WHERE s_w_id = 1 AND s_i_id = 17")
+        run(engine, bob, "ROLLBACK")
+        run(engine, alice, "COMMIT")
+
+    def test_heuristic_plan_still_locks_what_it_scans(self):
+        from repro.workloads.tpcc.concurrent import build_concurrent_world
+
+        server, _apps, _plans, _scale = build_concurrent_world(
+            8, "row", txns_per_session=2, items=60,
+            customers_per_district=8, initial_orders_per_district=4)
+        engine = server.engine
+        alice = EngineSession(session_id=901)
+        run(engine, alice, "BEGIN TRANSACTION")
+        run(engine, alice, self.NEW_ORDER.format("3, 17"))
+        txn_id = alice.current_txn.txn_id
+        # The probe fires per row the access path reads, before any
+        # Filter: a SeqScan of item, the s_w_id prefix of stock.
+        assert engine.locks.row_lock_count(txn_id, "item") == 60
+        assert engine.locks.row_lock_count(txn_id, "stock") == 60
+        run(engine, alice, "ROLLBACK")
+
+    def test_interleaved_cost_mode_matches_serial_digests(self):
+        from repro.workloads.tpcc.concurrent import (ConcurrentMix,
+                                                     digest_database)
+
+        digests, results = {}, {}
+        for leg in ("serial", "interleaved"):
+            server, apps, plans, scale = cost_mode_tpcc()
+            mix = ConcurrentMix(server, apps, plans, scale)
+            results[leg] = (mix.run_serial() if leg == "serial"
+                            else mix.run_interleaved())
+            digests[leg] = digest_database(server.engine)
+            assert server.meter.counters["optimizer.in_list_seeks"] > 0
+            assert server.meter.counters["optimizer.in_list_transfers"] > 0
+        assert digests["interleaved"] == digests["serial"]
+        assert results["interleaved"].committed == \
+            results["serial"].committed
+        assert results["serial"].committed \
+            + results["serial"].rolled_back == 16
+
+
+# ---------------------------------------------------------------------------
+# The lock manager's decisions are the parent commit's, event for event
+# ---------------------------------------------------------------------------
+
+
+def lock_trace(monkeypatch, scenario) -> list:
+    """Every state change and every refusal of the lock manager while
+    ``scenario()`` runs: grants (with the mode held afterwards),
+    conflicts (with the message, which names holders and victims) and
+    releases — not the requests already covered, which change nothing."""
+    events: list = []
+    originals = {name: getattr(LockManager, name)
+                 for name in ("acquire", "acquire_row", "release_all")}
+
+    def acquire(self, txn_id, table_name, mode):
+        before = self.held(txn_id, table_name)
+        try:
+            originals["acquire"](self, txn_id, table_name, mode)
+        except (LockWaitError, DeadlockError) as exc:
+            events.append(("refused", txn_id, table_name.lower(), None,
+                           mode.value, type(exc).__name__, str(exc)))
+            raise
+        after = self.held(txn_id, table_name)
+        if after is not before:
+            events.append(("table", txn_id, table_name.lower(),
+                           after.value))
+
+    def acquire_row(self, txn_id, table_name, key, mode):
+        before = (self.held(txn_id, table_name),
+                  self.row_holders(table_name, key).get(txn_id))
+        try:
+            originals["acquire_row"](self, txn_id, table_name, key, mode)
+        except (LockWaitError, DeadlockError) as exc:
+            events.append(("refused", txn_id, table_name.lower(), key,
+                           mode.value, type(exc).__name__, str(exc)))
+            raise
+        after = (self.held(txn_id, table_name),
+                 self.row_holders(table_name, key).get(txn_id))
+        if after != before:
+            events.append(("row", txn_id, table_name.lower(), key,
+                           after[0].value if after[0] else None,
+                           after[1].value if after[1] else None))
+
+    def release_all(self, txn_id):
+        events.append(("release", txn_id, self.row_lock_count(txn_id)))
+        originals["release_all"](self, txn_id)
+
+    monkeypatch.setattr(LockManager, "acquire", acquire)
+    monkeypatch.setattr(LockManager, "acquire_row", acquire_row)
+    monkeypatch.setattr(LockManager, "release_all", release_all)
+    scenario()
+    return events
+
+
+def trace_digest(events: list) -> tuple[int, str]:
+    """(event count, SHA-256).  A statement requests its tables' locks in
+    the iteration order of a *set* of names, which moves with the
+    process's string-hash seed; each run of adjacent table grants of one
+    transaction is therefore sorted first."""
+    import hashlib
+    from itertools import groupby
+
+    canonical: list = []
+    for _key, run_ in groupby(
+            events, key=lambda e: e[:2] if e[0] == "table" else id(e)):
+        canonical.extend(sorted(run_))
+    return len(canonical), hashlib.sha256(
+        "\n".join(repr(e) for e in canonical).encode()).hexdigest()
+
+
+class TestLockTraceUnchanged:
+    """Golden digests recorded at the parent commit (2739a94) with this
+    very recorder: the faster probe, the mask-indexed mode tables and the
+    per-transaction release list grant the same locks, refuse the same
+    requests at the same row, in the same order."""
+
+    def test_directed_scenarios(self, monkeypatch):
+        """Every lock-manager and engine scenario of this file."""
+        def scenario():
+            for cls in (TestModeAlgebra, TestConflictReporting,
+                        TestDeadlockDetection, TestEscalation,
+                        TestRowModeEngine):
+                for name in sorted(vars(cls)):
+                    if name.startswith("test_"):
+                        getattr(cls(), name)()
+
+        assert trace_digest(lock_trace(monkeypatch, scenario)) == (
+            161, "1bc443cc49218ab6293f5508291a33c5"
+                 "59d7dcd5d95c04cc90c4f0c191127858")
+
+    def test_interleaved_tpcc(self, monkeypatch):
+        from repro.workloads.tpcc.concurrent import (ConcurrentMix,
+                                                     build_concurrent_world)
+
+        def scenario():
+            server, apps, plans, scale = build_concurrent_world(
+                8, "row", txns_per_session=2, items=60,
+                customers_per_district=8, initial_orders_per_district=4)
+            ConcurrentMix(server, apps, plans, scale).run_interleaved()
+
+        assert trace_digest(lock_trace(monkeypatch, scenario)) == (
+            1359, "643e2b1258908318d8261fdcbb5d6310"
+                  "c92eef2f44393916e307216b5e0f0b44")

@@ -186,6 +186,128 @@ def test_batch_and_row_engines_bit_identical(rows, threshold):
 
 
 # ---------------------------------------------------------------------------
+# IN-lists on key and non-key columns, judged by sqlite3
+# ---------------------------------------------------------------------------
+#
+# The cost-mode planner seeks an index by key list and carries a list
+# across a join equality; the oracle is another engine altogether.  Every
+# generated query runs under both optimizer modes and both executors:
+# each must return sqlite's rows, and the two executors of one mode must
+# agree to the bit on rows *in order*, the virtual clock and the
+# counters.
+
+import os  # noqa: E402
+import sqlite3  # noqa: E402
+
+IN_DDL = (
+    "CREATE TABLE t (k1 INT NOT NULL, k2 INT NOT NULL, v INT, "
+    "PRIMARY KEY (k1, k2))",
+    "CREATE INDEX t_v ON t (v)",
+    "CREATE TABLE u (x INT NOT NULL, y INT, PRIMARY KEY (x))",
+)
+
+#: ``{L}`` is the generated list, ``{c}`` a generated constant.
+IN_QUERIES = (
+    # one table: full-width pk, pk prefix, leading column, secondary
+    # index, a key column no index leads with, a non-key pair, negation
+    "SELECT k1, k2, v FROM t WHERE k1 = {c} AND k2 IN ({L})",
+    "SELECT k1, k2 FROM t WHERE k1 IN ({L})",
+    "SELECT k1, k2, v FROM t WHERE v IN ({L})",
+    "SELECT k1, k2 FROM t WHERE k2 IN ({L})",
+    "SELECT k2 FROM t WHERE k1 = {c} AND k2 IN ({L}) AND k2 > 1",
+    "SELECT k1, k2 FROM t WHERE k1 = {c} AND k2 NOT IN ({L})",
+    "SELECT count(*) FROM t WHERE k1 IN ({L}) AND v IN ({L})",
+    "SELECT x, y FROM u WHERE y IN ({L})",
+    # two tables: the list on either side of the equality, on nullable
+    # columns, in ON clauses, around outer joins
+    "SELECT k1, k2, y FROM t, u WHERE k2 = x AND k2 IN ({L})",
+    "SELECT k1, k2, y FROM t, u WHERE k1 = {c} AND x = k2 AND x IN ({L})",
+    "SELECT k1, k2, x FROM t, u WHERE v = y AND y IN ({L})",
+    "SELECT k1, k2, x FROM t, u WHERE v = x AND v IN ({L})",
+    "SELECT k1, k2, y FROM t JOIN u ON k2 = x AND x IN ({L})",
+    "SELECT k1, k2, y FROM t LEFT JOIN u ON k2 = x AND k2 IN ({L})",
+    "SELECT k1, k2, y FROM t LEFT JOIN u ON k2 = x AND x IN ({L})",
+    "SELECT x, k1, k2 FROM u LEFT JOIN t ON k2 = x AND x IN ({L})",
+    "SELECT x, k1, k2 FROM u LEFT JOIN t ON k2 = x AND k2 IN ({L})",
+    "SELECT k1, k2, y FROM t LEFT JOIN u ON k2 = x WHERE k2 IN ({L})",
+)
+
+
+@st.composite
+def in_list_case(draw):
+    t_rows = draw(st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 5),
+                  st.one_of(st.none(), st.integers(0, 5))),
+        max_size=14, unique_by=lambda r: (r[0], r[1])))
+    u_rows = draw(st.lists(
+        st.tuples(st.integers(0, 6),
+                  st.one_of(st.none(), st.integers(0, 5))),
+        max_size=7, unique_by=lambda r: r[0]))
+    items = draw(st.lists(st.one_of(st.none(), st.integers(-1, 6)),
+                          min_size=1, max_size=5))
+    rendered = ", ".join("NULL" if i is None else str(i) for i in items)
+    query = draw(st.sampled_from(IN_QUERIES)).format(
+        L=rendered, c=draw(st.integers(0, 2)))
+    return t_rows, u_rows, query
+
+
+def _in_list_inserts(t_rows, u_rows):
+    def values(rows):
+        return ", ".join(
+            "(" + ", ".join("NULL" if v is None else str(v) for v in row)
+            + ")" for row in rows)
+
+    return ([f"INSERT INTO t VALUES {values(t_rows)}"] if t_rows else []) \
+        + ([f"INSERT INTO u VALUES {values(u_rows)}"] if u_rows else [])
+
+
+def _null_low(row):
+    return tuple((value is not None, value) for value in row)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=in_list_case())
+def test_in_lists_match_sqlite_in_both_modes_and_engines(case):
+    t_rows, u_rows, query = case
+    setup = list(IN_DDL) + _in_list_inserts(t_rows, u_rows)
+    oracle = sqlite3.connect(":memory:")
+    try:
+        for statement in setup:
+            oracle.execute(statement)
+        expected = sorted(oracle.execute(query).fetchall(), key=_null_low)
+    finally:
+        oracle.close()
+
+    def outputs(mode):
+        engine = DatabaseEngine(meter=Meter())
+        session = EngineSession(session_id=1)
+        for statement in setup:
+            engine.execute(statement, session)
+        if mode == "cost":
+            engine.execute("ANALYZE", session)
+            engine.meter.costs.optimizer_mode = "cost"
+        got = run(engine, session, query)
+        return got, engine.meter.now, dict(engine.meter.counters)
+
+    saved = os.environ.pop("REPRO_ROW_EXEC", None)
+    try:
+        for mode in ("heuristic", "cost"):
+            os.environ.pop("REPRO_ROW_EXEC", None)
+            batch = outputs(mode)
+            os.environ["REPRO_ROW_EXEC"] = "1"
+            row = outputs(mode)
+            assert batch == row, (mode, query)
+            assert sorted(batch[0], key=_null_low) == expected, \
+                (mode, query)
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_ROW_EXEC", None)
+        else:
+            os.environ["REPRO_ROW_EXEC"] = saved
+
+
+# ---------------------------------------------------------------------------
 # Generated expressions vs an independent three-valued evaluator
 # ---------------------------------------------------------------------------
 #
