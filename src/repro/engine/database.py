@@ -15,6 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.engine.dml_versions import (
+    BASE_BLOB,
+    DmlVersionFold,
+    version_tracked,
+)
 from repro.engine.results import StatementResult
 from repro.engine.session import EngineSession
 from repro.engine.table import Table
@@ -22,18 +27,11 @@ from repro.errors import (
     DeadlockError,
     EngineError,
     PlanningError,
+    SqlSyntaxError,
     TableNotFoundError,
     TransactionError,
 )
-from repro.errors import SqlSyntaxError
 from repro.obs.views import SYSTEM_VIEWS, system_view
-# After the imports above: dml_versions reaches repro.obs, which only
-# imports cleanly once repro.sim is initialised (obs <-> sim cycle).
-from repro.engine.dml_versions import (
-    BASE_BLOB,
-    DmlVersionFold,
-    version_tracked,
-)
 from repro.sim.costs import SERVER_CPU, SERVER_DISK
 from repro.sim.meter import Meter
 from repro.sql import ast

@@ -76,7 +76,9 @@ class Observability:
         """Log one completed session recovery's phase breakdown.
 
         Always recorded (recoveries are rare; the log is how
-        ``sys_recovery_phases`` answers even with tracing off).
+        ``sys_recovery_phases`` answers even with tracing off).  A phase
+        that had nothing to do arrives as 0.0 and keeps its row, so
+        readers can look every canonical phase up by name.
         """
         self._recovery_seq += 1
         ordered = [(phase, phase_seconds[phase])

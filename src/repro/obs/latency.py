@@ -35,7 +35,7 @@ import os
 from collections import deque
 from fractions import Fraction
 
-from repro.sim.costs import CLIENT_CPU, NETWORK, SERVER_CPU, SERVER_DISK
+from repro.resources import CLIENT_CPU, NETWORK, SERVER_CPU, SERVER_DISK
 
 __all__ = ["COMPONENTS", "LatencyLedger", "LedgerEntry", "classify",
            "latency_enabled_from_env", "format_latency_report"]
@@ -55,6 +55,7 @@ _NETWORK_NOTES = {
     "response": "net_downlink",
     "prefetch stall": "prefetch_stall",
     "pipeline stall": "server_queue",
+    "connect stall": "server_queue",
 }
 
 #: SERVER_CPU notes that are planning/compilation rather than execution.

@@ -71,7 +71,8 @@ class PhoenixDriverManager(DriverManager):
                                           self._status)
         self._detector = FailureDetector(driver, self.meter, self.config)
         self._recovery = SessionRecovery(driver, self.meter, self.config,
-                                         self._persistor, self._detector)
+                                         self._persistor, self._detector,
+                                         self._redial_private)
         self._cache = ClientCache(driver, self.config)
         self._private_env = EnvironmentHandle()
         self._private: ConnectionHandle | None = None
@@ -239,8 +240,7 @@ class PhoenixDriverManager(DriverManager):
             self.stats["cache_overflows"] += 1
         op_key = self._next_op_key()
         self._with_recovery(vconn, lambda: self._persistor.persist(
-            vconn.app_handle, self._private_connection(), state, sql,
-            op_key, in_app_txn=vconn.in_app_txn))
+            vconn, self._private_connection(), state, sql, op_key))
         self.stats["persisted_results"] += 1
 
     # -- shared result cache (transaction-consistent, all sessions) ----------
@@ -357,16 +357,30 @@ class PhoenixDriverManager(DriverManager):
             state.rowcount = result.rowcount
             return
         op_key = self._next_op_key()
+        retry = False
+        handle = vconn.app_handle
 
         def wrapped():
-            recorded = self._status.completed(vconn.app_handle, op_key)
-            if recorded is not None:
-                state.rowcount = recorded
-                return
-            # A survived session may hold the half-done transaction of a
-            # blip-interrupted attempt; discard it before retrying.
-            self._status.reset_open_transaction(vconn.app_handle)
-            scratch = StatementHandle(vconn.app_handle)
+            nonlocal retry
+            if vconn.wrapper_txn_open:
+                # The session survived a blip and may hold the half-done
+                # transaction of the attempt it interrupted.  Discard it
+                # before looking anything up: inside it the lookup would
+                # read back that attempt's own uncommitted status row.
+                self._status.reset_open_transaction(handle)
+                vconn.wrapper_txn_open = False
+            if retry:
+                # ``_with_recovery`` calls again only after a transport
+                # failure interrupted the previous attempt, and only such
+                # an attempt can have committed ``op_key`` unacknowledged:
+                # the first one has nothing to look up.
+                recorded = self._status.completed(handle, op_key)
+                if recorded is not None:
+                    state.rowcount = recorded
+                    return
+            retry = True
+            scratch = StatementHandle(handle)
+            vconn.wrapper_txn_open = True
             self.driver.execute(scratch, "BEGIN TRANSACTION")
             try:
                 result = self.driver.execute(state.handle, sql, params)
@@ -377,8 +391,10 @@ class PhoenixDriverManager(DriverManager):
             except EngineError:
                 # Statement failed for SQL reasons: roll back our wrapper
                 # transaction and surface the error unchanged.
-                self._status.reset_open_transaction(vconn.app_handle)
+                self._status.reset_open_transaction(handle)
+                vconn.wrapper_txn_open = False
                 raise
+            vconn.wrapper_txn_open = False
             state.rowcount = count
 
         self._with_recovery(vconn, wrapped)
@@ -651,21 +667,21 @@ class PhoenixDriverManager(DriverManager):
         """Detect, reconnect, recover.  Returns 'blip' or 'recovered'."""
         logger.info("failure intercepted: %s", original)
         if self._private is not None:
-            self._private.connected = False  # will re-dial lazily
+            # Re-dialled by the one-window reconnect of recovery, or (the
+            # paper's serialized chain, and after a blip) lazily.
+            self._private.connected = False
         # Failure detection is the first of the five recovery phases:
         # everything up to knowing whether the *session* (not just the
         # server) survived.  Timed with pure clock reads so the
         # bookkeeping itself costs no virtual time.
         obs = self.meter.obs
-        peek = self.meter.peek_now
-        detect_start = peek()
+        intercepted_at = self.meter.peek_now()
         if obs.enabled:
             with obs.tracer.span("recovery.failure_detection",
                                  layer="phoenix"):
                 verdict = self._detect_failure(vconn)
         else:
             verdict = self._detect_failure(vconn)
-        detection_seconds = peek() - detect_start
         if verdict == "down":
             # Give up and reveal the failure to the application,
             # passing along the original error (§2.3).
@@ -677,8 +693,7 @@ class PhoenixDriverManager(DriverManager):
             return "blip"
         while True:
             try:
-                self._recovery.recover_connection(
-                    vconn, detection_seconds=detection_seconds)
+                self._recovery.recover_connection(vconn, intercepted_at)
                 break
             except ReproError as error:
                 # A failure during recovery: recovery is idempotent, so
@@ -742,10 +757,20 @@ class PhoenixDriverManager(DriverManager):
     def _private_connection(self) -> ConnectionHandle:
         """Phoenix's own connection for masked activity (§2.2)."""
         if self._private is None or not self._private.connected:
-            self._private = ConnectionHandle(self._private_env)
-            self.driver.connect(self._private, "phoenix-private")
-            self._status.ensure(self._private)
+            # Installed only once it is usable: a failure in here must
+            # not leave a half-made handle marked connected.
+            private = ConnectionHandle(self._private_env)
+            self.driver.connect(private, "phoenix-private")
+            self._status.ensure(private)
+            self._private = private
         return self._private
+
+    def _redial_private(self) -> None:
+        """Replace the private connection whatever its handle claims
+        (recovery calls this; the old session died with the server)."""
+        if self._private is not None:
+            self._private.connected = False
+        self._private_connection()
 
     def _next_op_key(self) -> str:
         self._op_seq += 1

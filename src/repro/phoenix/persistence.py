@@ -24,7 +24,11 @@ from repro.odbc.driver import NativeDriver
 from repro.odbc.handles import ConnectionHandle, StatementHandle
 from repro.phoenix.config import PhoenixConfig
 from repro.phoenix.status_table import StatusTable
-from repro.phoenix.virtual_session import StatementMode, StatementState
+from repro.phoenix.virtual_session import (
+    StatementMode,
+    StatementState,
+    VirtualConnection,
+)
 from repro.sim.costs import CLIENT_CPU
 from repro.sim.meter import Meter
 from repro.sql.plan_cache import LRUCache
@@ -54,10 +58,9 @@ class ResultPersistor:
 
     # -- the pipeline ----------------------------------------------------------
 
-    def persist(self, app_connection: ConnectionHandle,
+    def persist(self, vconn: VirtualConnection,
                 private_connection: ConnectionHandle,
-                state: StatementState, sql: str, op_key: str,
-                in_app_txn: bool = False) -> None:
+                state: StatementState, sql: str, op_key: str) -> None:
         """Run steps 1-4 for ``sql`` on the app's statement handle.
 
         When the application holds an open transaction the load joins it
@@ -67,6 +70,8 @@ class ResultPersistor:
         normal transaction failure.
         """
         sql = sql.rstrip().rstrip(";")
+        app_connection = vconn.app_handle
+        in_app_txn = vconn.in_app_txn
         steps: dict[str, float] = {}
         obs = self._meter.obs
         tracer = obs.tracer if obs.enabled else None
@@ -93,8 +98,8 @@ class ResultPersistor:
         step("create_table",
              lambda: self._create_result_table(create_connection,
                                                table_name, columns))
-        step("load", lambda: self._load_result(app_connection, table_name,
-                                               sql, op_key, in_app_txn))
+        step("load", lambda: self._load_result(vconn, table_name, sql,
+                                               op_key))
         step("reopen", lambda: self.reopen(state, table_name, columns,
                                            sql, position=0))
         self.last_step_seconds = steps
@@ -156,12 +161,20 @@ class ResultPersistor:
         except TableExistsError:
             pass  # created before a crash interrupted us — reuse it
 
-    def _load_result(self, connection: ConnectionHandle, table_name: str,
-                     sql: str, op_key: str, in_app_txn: bool) -> None:
+    def _load_result(self, vconn: VirtualConnection, table_name: str,
+                     sql: str, op_key: str) -> None:
         """Step 3: stored-procedure load, status-guarded for idempotence."""
-        if not in_app_txn \
-                and self._status.completed(connection, op_key) is not None:
-            return  # a pre-crash incarnation already loaded the table
+        connection = vconn.app_handle
+        in_app_txn = vconn.in_app_txn
+        if not in_app_txn:
+            if vconn.wrapper_txn_open:
+                # A blip interrupted an earlier wrapper transaction on
+                # this surviving session; inside it the lookup below
+                # would read that attempt's own uncommitted status row.
+                self._status.reset_open_transaction(connection)
+                vconn.wrapper_txn_open = False
+            if self._status.completed(connection, op_key) is not None:
+                return  # a pre-crash incarnation already loaded the table
         proc_name = f"{self._config.table_prefix}load_{op_key}"
         scratch = StatementHandle(connection)
         execute = self._driver.execute
@@ -185,10 +198,12 @@ class ResultPersistor:
             # uncommitted writes, and it aborts with the transaction.
             self._driver.execute(scratch, f"EXEC {proc_name}")
         else:
+            vconn.wrapper_txn_open = True
             execute(scratch, "BEGIN TRANSACTION")
             execute(scratch, f"EXEC {proc_name}")
             execute(scratch, self._status.record_sql(op_key, 0))
             execute(scratch, "COMMIT")
+            vconn.wrapper_txn_open = False
         try:
             execute(scratch, f"DROP PROCEDURE {proc_name}")
         except CatalogError:

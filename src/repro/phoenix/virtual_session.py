@@ -18,9 +18,9 @@ from repro.types import Column
 
 
 #: Connection options every ODBC session carries (driver defaults).
-#: Phoenix re-installs each with one round trip during virtual-session
-#: recovery — together with the reconnect these make up the paper's
-#: constant ~0.37 s phase-1 cost.
+#: Under the paper's serialized chain Phoenix re-installs each with one
+#: round trip during virtual-session recovery — together with the
+#: reconnect these make up the paper's constant ~0.37 s phase-1 cost.
 DEFAULT_CONNECTION_OPTIONS: tuple[tuple[str, object], ...] = (
     ("autocommit", True),
     ("login_timeout", 15),
@@ -88,8 +88,9 @@ class VirtualConnection:
 
     app_handle: ConnectionHandle          # handle the application holds
     login: str = ""
-    #: Options in the order the application set them — replayed one
-    #: round-trip each during virtual-session recovery.
+    #: Options in the order the application set them — replayed during
+    #: virtual-session recovery (one round trip each, or all of them on
+    #: the login exchange).
     option_log: list[tuple[str, object]] = field(default_factory=list)
     #: Statement states keyed by the app's statement handle id.
     statements: dict[int, StatementState] = field(default_factory=dict)
@@ -98,6 +99,12 @@ class VirtualConnection:
     #: Name of the session-probe temp table (crash-vs-blip detection).
     probe_table: str = "#phoenix_probe"
     connected: bool = False
+    #: True from the moment a status-table-wrapped statement sends its
+    #: BEGIN until its COMMIT (or a ROLLBACK) is acknowledged: the
+    #: server session may hold that wrapper transaction.  A blip leaves
+    #: it set, and the next wrapped attempt rolls back first; session
+    #: recovery clears it, because a new session holds nothing.
+    wrapper_txn_open: bool = False
     #: Shareable results produced inside the current application
     #: transaction — held session-private (as ``(sql, columns, rows,
     #: stamps)`` tuples) until COMMIT promotes them into the shared
@@ -107,6 +114,19 @@ class VirtualConnection:
     #: server's piggyback — the shared cache is bypassed for statements
     #: reading any of them (read-your-writes).
     dirty_tables: set = field(default_factory=set)
+
+    def login_options(self) -> dict:
+        """The option log as one dict for the login exchange to carry.
+
+        Each name sits at the position of its *last* write, so a server
+        applying the dict in order ends exactly where sequential replay
+        of the whole log would — also for names the server folds onto
+        one setting (it lower-cases them)."""
+        options: dict = {}
+        for name, value in self.option_log:
+            options.pop(name, None)
+            options[name] = value
+        return options
 
     def statement_state(self, handle: StatementHandle) -> StatementState:
         state = self.statements.get(handle.handle_id)

@@ -107,12 +107,19 @@ class DatabaseServer:
         if self._running:
             return
         obs = self.meter.obs
-        if obs.enabled:
-            with obs.tracer.span("server.restart", layer="server",
-                                 crash=self.crashes):
+        # A fault injector may restart us in the middle of an exchange a
+        # client is overlapping with something else.  Restart recovery
+        # is not that client's service: it runs on the clock.
+        window = self.meter.suspend_overlap()
+        try:
+            if obs.enabled:
+                with obs.tracer.span("server.restart", layer="server",
+                                     crash=self.crashes):
+                    self.engine = self._restart_engine()
+            else:
                 self.engine = self._restart_engine()
-        else:
-            self.engine = self._restart_engine()
+        finally:
+            self.meter.resume_overlap(window)
         self._running = True
         report = self.engine.last_recovery
         if report is not None:

@@ -25,16 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
-# Resource names used in meter traces.  Shared server resources contend in
-# the queueing simulator; CLIENT_CPU is per-stream.
-CLIENT_CPU = "client_cpu"
-SERVER_CPU = "server_cpu"
-SERVER_DISK = "server_disk"
-NETWORK = "network"
-
-ALL_RESOURCES = (CLIENT_CPU, SERVER_CPU, SERVER_DISK, NETWORK)
-SHARED_RESOURCES = (SERVER_CPU, SERVER_DISK, NETWORK)
+# Resource names used in meter traces (re-exported: callers import them
+# from here).
+from repro.resources import (  # noqa: F401
+    ALL_RESOURCES,
+    CLIENT_CPU,
+    NETWORK,
+    SERVER_CPU,
+    SERVER_DISK,
+    SHARED_RESOURCES,
+)
 
 
 @dataclass
@@ -112,7 +112,15 @@ class CostModel:
     #: it (status record, commit, procedure drop): requests are pipelined
     #: — uplinks charged as sent, server work and downlinks realized at
     #: the next synchronization point.  False serializes every round trip
-    #: (seed behaviour).
+    #: (seed behaviour).  The same switch selects session recovery's
+    #: reconnect chain: on, the option log rides the login exchange and
+    #: the private connection re-dials next to the application's; off,
+    #: connect, then one round trip per option, private re-dial on first
+    #: use (the paper's 0.37 s).  One switch for both because it is the
+    #: existing "serialize Phoenix's round trips as the paper did" bit —
+    #: every paper reproduction leaves it off, the benchmark profile has
+    #: it on — and the two cannot be ablated apart until ROADMAP's frozen
+    #: ``paper()`` profile takes the reconnect-chain choice over.
     persist_pipeline: bool = False
 
     # -- shared result cache (all default-off = seed-identical) --------------

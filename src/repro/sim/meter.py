@@ -355,7 +355,9 @@ class Meter:
         serial clock stays put and the open request trace stays
         client-perspective (the caller charges the *unoverlapped*
         remainder at its sync point).  The window itself is one running
-        float, folded charge by charge from zero.  Windows do not nest.
+        float, folded charge by charge from zero.  Windows do not nest;
+        work that must not land in the caller's window steps out of it
+        with :meth:`suspend_overlap`.
         """
         if self._window is not None:
             raise ValueError("overlap windows do not nest")
@@ -370,6 +372,26 @@ class Meter:
             raise ValueError("no overlap window is open")
         self._window = None
         return total
+
+    def suspend_overlap(self) -> float | None:
+        """Step out of the open overlap window, if there is one; returns
+        what :meth:`resume_overlap` needs to step back in.
+
+        For work that is nobody's overlapped service although it runs
+        while a client holds a window open — a server restart set off by
+        a fault injector mid-exchange: it is clocked in full, reads real
+        timestamps, and may open a window of its own.
+        """
+        saved = self._window
+        self._window = None
+        return saved
+
+    def resume_overlap(self, saved: float | None) -> None:
+        """Re-enter the window :meth:`suspend_overlap` stepped out of
+        (nothing to do, not even a flush, when there was none)."""
+        if saved is not None:
+            self._flush_pending()
+            self._window = saved
 
     def count(self, counter: str, amount: float = 1.0) -> None:
         """Increment a named diagnostic counter (a registry counter)."""

@@ -117,6 +117,33 @@ def test_window_inside_multi_stream_mode_stays_a_window():
     assert meter.clock.now == 0.0
 
 
+def test_suspended_window_clocks_and_may_host_another_window():
+    """Work that is not the window holder's service (a server restart a
+    fault injector sets off mid-exchange) steps out of the window: it is
+    clocked, batches as on the open clock, can open a window of its own
+    (parallel redo), and the outer window resumes with its total."""
+    meter = Meter(CostModel())
+    meter.begin_overlap()
+    meter.charge(NETWORK, 0.25)
+    saved = meter.suspend_overlap()
+    meter.charge(SERVER_DISK, 0.5)                     # clocked
+    meter.begin_overlap()                              # no nesting error
+    meter.charge(SERVER_DISK, 4.0)
+    assert meter.end_overlap() == 4.0
+    meter.charge_batched(SERVER_CPU, 0.125)            # pending on resume
+    assert meter.peek_now() == 0.625
+    meter.resume_overlap(saved)
+    assert meter.clock.now == 0.625                    # flushed to the clock
+    meter.charge(NETWORK, 0.25)
+    assert meter.end_overlap() == 0.5
+    assert meter.now == 0.625
+    # No window open: stepping out and back is nothing at all, not even
+    # a flush of the pending batch.
+    meter.charge_batched(SERVER_CPU, 0.125)
+    meter.resume_overlap(meter.suspend_overlap())
+    assert meter.clock.now == 0.625 and meter.peek_now() == 0.75
+
+
 def test_persisted_select_charges_per_batch_not_per_row(monkeypatch):
     """Pipelined persistence runs ``INSERT INTO T <query>`` inside an
     overlap window; the scan's per-row CPU must arrive as run lists,

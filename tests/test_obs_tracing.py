@@ -151,8 +151,9 @@ def test_peek_now_never_flushes_pending_batch():
 # ---------------------------------------------------------------------------
 
 
-def crashed_phoenix_world():
-    meter = Meter(CostModel(output_buffer_bytes=16))
+def crashed_phoenix_world(pipelined: bool = False):
+    meter = Meter(CostModel(output_buffer_bytes=16,
+                            persist_pipeline=pipelined))
     meter.obs.tracer.enable()
     server = DatabaseServer(meter=meter)
     setup = BenchmarkApp(server)
@@ -184,6 +185,19 @@ def test_sys_recovery_phases_row_per_phase_nonzero():
         assert seconds > 0, f"phase {phase} has zero duration"
     assert app.manager.recovery_phase_breakdown.keys() \
         == set(RECOVERY_PHASES)
+    # Under the login-carried chain the options ride the reconnect: the
+    # phase keeps its row, in order, and is legitimately zero.
+    _server, app = crashed_phoenix_world(pipelined=True)
+    rows = app.query_rows("SELECT recovery_id, phase, seconds "
+                          "FROM sys_recovery_phases")
+    assert [phase for _rid, phase, _s in rows] == list(RECOVERY_PHASES)
+    for _rid, phase, seconds in rows:
+        if phase == "option_replay":
+            assert seconds == 0
+        else:
+            assert seconds > 0, f"phase {phase} has zero duration"
+    assert list(app.manager.recovery_phase_breakdown) \
+        == list(RECOVERY_PHASES)
 
 
 def test_sys_traces_and_sys_metrics_views():
@@ -327,8 +341,24 @@ def test_summarize_spans_tolerates_parentless_and_cut_spans(tmp_path):
 def test_recovery_log_records_even_when_tracing_disabled():
     obs = Observability(lambda: 0.0, enabled=False)
     record = obs.record_recovery(
-        {"reposition": 0.5, "failure_detection": 0.1, "custom": 0.2},
+        {"reposition": 0.5, "failure_detection": 0.1, "custom": 0.2,
+         "option_replay": 0.0},
         finished_at=1.0)
     assert record["phases"][0] == ("failure_detection", 0.1)
+    assert record["phases"][1] == ("option_replay", 0.0)  # zero is kept
     assert record["phases"][-1] == ("custom", 0.2)  # extras sort last
     assert list(obs.recovery_log) == [record]
+
+
+def test_obs_imports_first():
+    """``repro.obs`` used to import only after ``repro.sim`` (its ledger
+    pulled the resource names from ``repro.sim.costs``, whose package
+    imports the meter, which imports ``repro.obs``)."""
+    import os
+    import subprocess
+    import sys
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for module in ("repro.obs", "repro.obs.report", "repro.sim.meter"):
+        subprocess.run([sys.executable, "-c", f"import {module}"],
+                       check=True, env=env)

@@ -341,6 +341,34 @@ class TestVirtualSession:
         session = world.server._sessions[token].engine_session
         assert session.get_option("lock_timeout") == 30
 
+    def test_login_options_equal_sequential_replay(self):
+        """The login-carried option dict (``persist_pipeline`` on) must
+        leave the recovered session exactly where one-by-one replay
+        does — also when the log rewrites a name, or writes one setting
+        under two spellings (the server lower-cases names)."""
+        settings = {}
+        for pipelined in (False, True):
+            world = PhoenixWorld()
+            world.meter.costs.persist_pipeline = pipelined
+            world.seed(1)
+            for name, value in (("lock_timeout", 30), ("Lock_Timeout", 5),
+                                ("textsize", 1024), ("lock_timeout", 60),
+                                ("LOCK_TIMEOUT", 7), ("Lock_Timeout", 9)):
+                world.manager.set_connect_option(world.conn, name, value)
+            before = world.network.requests_sent
+            world.crash_and_restart()
+            world.fetch_all(world.execute("SELECT id FROM items"))
+            session = world.server._sessions[
+                world.conn.session_token].engine_session
+            settings[pipelined] = (dict(session.settings),
+                                   world.network.requests_sent - before)
+        assert settings[True][0] == settings[False][0]
+        assert settings[True][0]["lock_timeout"] == 9
+        assert settings[True][0]["textsize"] == 1024
+        # 8 default options + 6 set above: one round trip each when
+        # replayed, none when they ride the login.
+        assert settings[False][1] - settings[True][1] == 14
+
     def test_connection_handle_identity_stable(self, world):
         world.seed(1)
         handle_before = world.conn

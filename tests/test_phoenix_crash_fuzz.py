@@ -26,8 +26,11 @@ from repro.workloads.app import BenchmarkApp
 
 
 def build_world(cache_rows: int = 0, prefetch: bool = False,
-                result_cache: bool = False, cost_mode: bool = False):
-    costs = CostModel(output_buffer_bytes=16)
+                result_cache: bool = False, cost_mode: bool = False,
+                redo_workers: int = 0):
+    # ``redo_workers >= 1`` makes every restart open an overlap window of
+    # its own (parallel redo), whatever window the client holds open.
+    costs = CostModel(output_buffer_bytes=16, redo_workers=redo_workers)
     if cost_mode:
         # The cost-based optimizer plans every statement from ANALYZE
         # statistics (collected below, once the ledger is loaded):
@@ -92,6 +95,12 @@ def workload(app) -> list:
     rc = app.manager.exec_direct(upd,
                                  "UPDATE ledger SET v = v + 1 WHERE k < 3")
     observed.append(("update", rc, app.manager.row_count(upd)))
+    # A second wrapped update: a failure-free wrapped statement is four
+    # round trips (no status probe, no defensive ROLLBACK), and the
+    # sweeps below need boundaries inside more than one of them.
+    rc = app.manager.exec_direct(upd,
+                                 "UPDATE ledger SET v = v + 2 WHERE k >= 6")
+    observed.append(("update-2", rc, app.manager.row_count(upd)))
     run_query(app, "sum", "SELECT sum(v) FROM ledger", observed)
     # Repeat the aggregate: with the shared result cache on this is a
     # hit — when a crash lands between the two executions the cache must
@@ -208,6 +217,273 @@ def test_crash_at_every_request_boundary(cache_rows, prefetch,
             f"latency accounting identity broken when crashing at "
             f"request {crash_at} (cache_rows={cache_rows}, "
             f"prefetch={prefetch}): {ledger.identity_violations[:3]}")
+
+
+# ---------------------------------------------------------------------------
+# Double faults: a second failure while the first is being handled
+# ---------------------------------------------------------------------------
+
+STATUS_SQL = ("SELECT op_key, rows_affected FROM phoenix_status "
+              "ORDER BY op_key")
+
+
+def status_rows(server) -> list:
+    """The status table as a fresh native session reads it."""
+    return BenchmarkApp(server).query_rows(STATUS_SQL)
+
+
+def inject_crashes(server, app, crash_at: set) -> dict:
+    """Crash-and-restart at each request index in ``crash_at``; the
+    returned dict counts requests and records, per failure Phoenix
+    handles, the request count on entry and on return."""
+    seen = {"count": 0, "handled": []}
+
+    def injector(request):
+        seen["count"] += 1
+        if seen["count"] in crash_at:
+            server.crash()
+            server.restart()
+
+    handle_failure = app.manager._handle_failure
+
+    def watched(vconn, original):
+        entered = seen["count"]
+        try:
+            return handle_failure(vconn, original)
+        finally:
+            seen["handled"].append((entered, seen["count"]))
+
+    app.manager._handle_failure = watched
+    app.network.fault_injector = injector
+    return seen
+
+
+def assert_only_a_pause(server, app, observed, expected, expected_status,
+                        where: str, crashed: bool = True) -> None:
+    assert observed == expected, f"output diverged {where}"
+    # Exactly-once: one status row per completed op key, the recorded
+    # counts those of the crash-free run.
+    assert status_rows(server) == expected_status, (
+        f"status table diverged {where}")
+    tracer = app.meter.obs.tracer
+    if crashed:
+        # (Without a crash, a cursor the retry abandoned stays open on
+        # the surviving session, and so does its executor stream span.)
+        assert tracer.open_span_count == 0, f"spans leaked open {where}"
+    errors = validate_spans(tracer.finished)
+    assert errors == [], f"span tree invalid {where}: {errors[:3]}"
+    ledger = app.meter.obs.latency
+    assert ledger.identity_violations == [], (
+        f"latency accounting identity broken {where}: "
+        f"{ledger.identity_violations[:3]}")
+
+
+@pytest.mark.parametrize("cache_rows,pipelined,redo_workers", [
+    (0, False, 0), (100, False, 0), (0, True, 0), (100, True, 0),
+    (0, True, 4), (100, True, 4),
+], ids=["serial", "serial-cache", "pipelined", "pipelined-cache",
+        "bench-profile", "bench-profile-cache"])
+def test_second_crash_at_every_boundary_of_the_recovery(cache_rows,
+                                                        pipelined,
+                                                        redo_workers):
+    """Recovery is idempotent under a crash *during* recovery.
+
+    For every request boundary k of the workload and every boundary
+    k + j inside the failure handling that a crash at k sets off — the
+    pings, the session probe, both reconnects (the login-carried,
+    one-window chain when ``pipelined``; connect plus one round trip per
+    option otherwise), the probe re-creation, verify, reopen and
+    reposition — crash at k and again at k + j.  The application still
+    sees only a pause, every wrapped statement took effect exactly once,
+    and observability stays whole.  The ``bench-profile`` legs add
+    parallel redo, the combination the benchmark ships: a restart that
+    lands inside the reconnect window opens a window of its own.
+    """
+    def world():
+        return build_world(cache_rows, pipelined, redo_workers=redo_workers)
+
+    server, app = world()
+    expected = workload(app)
+    expected_status = status_rows(server)
+    assert len(expected_status) >= 2  # at least the two wrapped updates
+    total = count_requests(cache_rows, pipelined)
+    second_crashes = 0
+    for k in range(1, total + 1):
+        server, app = world()
+        seen = inject_crashes(server, app, {k})
+        assert workload(app) == expected
+        assert seen["handled"], f"crash at request {k} went unnoticed"
+        entered, returned = seen["handled"][0]
+        for at in range(entered + 1, returned + 1):
+            server, app = world()
+            seen = inject_crashes(server, app, {k, at})
+            observed = workload(app)
+            second_crashes += 1
+            assert_only_a_pause(
+                server, app, observed, expected, expected_status,
+                f"crashing at requests {k} and {at} "
+                f"(cache_rows={cache_rows}, pipelined={pipelined}, "
+                f"redo_workers={redo_workers})")
+            assert app.manager.stats["recoveries"] >= 1
+    # Failure handling is many requests long; the sweep really went
+    # inside it.
+    assert second_crashes > 4 * total
+
+
+@pytest.mark.parametrize("redo_workers", [0, 4],
+                         ids=["serial-redo", "parallel-redo"])
+def test_crash_inside_the_reconnect_window_marks_no_handle_connected(
+        redo_workers):
+    """The application and the private connection re-dial in one overlap
+    window.  A crash between the private connection's login and its
+    status-table check fails the window after the application's
+    reconnect already succeeded: neither handle may stay marked
+    connected, the window must be closed, and the failure handler's
+    retry loop finishes the job.  The restart itself is no part of the
+    window: it is clocked, and parallel redo opens its own."""
+    server, app = build_world(0, True, redo_workers=redo_workers)
+    expected = workload(app)
+    server, app = build_world(0, True, redo_workers=redo_workers)
+    manager = app.manager
+    seen = {"count": 0, "in_window": 0, "flags": [], "restart_seconds": []}
+
+    def injector(request):
+        seen["count"] += 1
+        ensure = (seen["count"] > 4 and getattr(request, "sql", "")
+                  .startswith("CREATE TABLE phoenix_status"))
+        if seen["count"] == 4 or (ensure and not seen["in_window"]):
+            seen["in_window"] += ensure
+            window = app.meter._window
+            server.crash()
+            before = app.meter.now
+            server.restart()
+            seen["restart_seconds"].append(app.meter.now - before)
+            assert app.meter._window == window  # stepped back in
+
+    await_server = manager._detector.await_server
+
+    def watched():
+        seen["flags"].append((app.conn.connected,
+                              manager._private.connected,
+                              app.meter._window))
+        return await_server()
+
+    manager._detector.await_server = watched
+    app.network.fault_injector = injector
+    assert workload(app) == expected
+    assert seen["in_window"] == 1
+    # Both restarts reached the clock, the one inside the window too.
+    outside, inside = seen["restart_seconds"]
+    assert outside > 0 and inside > 0
+    # First wait: the original failure.  Second wait: the one that
+    # follows the failed window.
+    assert seen["flags"][1] == (False, False, None)
+    assert app.conn.connected and manager._private.connected
+    assert manager.stats["recoveries"] == 1
+    breakdown = manager.recovery_phase_breakdown
+    # The abandoned attempt stays on the books, as part of noticing that
+    # the server had gone again: its reconnect and the in-window restart.
+    assert breakdown["failure_detection"] \
+        > app.meter.costs.connect_seconds + inside
+    assert breakdown["reconnect"] < 2 * app.meter.costs.connect_seconds
+    assert breakdown["option_replay"] == 0.0
+
+
+@pytest.mark.parametrize("cache_rows,pipelined", [
+    (0, False), (100, False), (0, True), (100, True),
+], ids=["serial", "serial-cache", "pipelined", "pipelined-cache"])
+def test_blip_at_every_request_boundary(cache_rows, pipelined):
+    """A request lost on the wire with the server (and the session) up.
+
+    The sharp boundaries are inside Phoenix's own wrapper transactions —
+    a wrapped UPDATE, a result load: the session survives holding the
+    half-done transaction, so the retry has to discard it *before* it
+    consults the status table (inside it, the attempt's own uncommitted
+    status row reads as success) and before it begins again."""
+    from repro.errors import RequestTimeoutError
+
+    server, app = build_world(cache_rows, pipelined)
+    expected = workload(app)
+    expected_status = status_rows(server)
+    for blip_at in range(1, count_requests(cache_rows, pipelined) + 1):
+        server, app = build_world(cache_rows, pipelined)
+        seen = {"count": 0}
+
+        def injector(request, seen=seen, blip_at=blip_at):
+            seen["count"] += 1
+            if seen["count"] == blip_at:
+                raise RequestTimeoutError("spurious timeout")
+
+        app.network.fault_injector = injector
+        observed = workload(app)
+        app.network.fault_injector = None
+        assert_only_a_pause(
+            server, app, observed, expected, expected_status,
+            f"with a blip at request {blip_at} (cache_rows={cache_rows}, "
+            f"pipelined={pipelined})", crashed=False)
+        assert app.manager.stats["blips"] == 1
+        assert app.manager.stats["recoveries"] == 0
+
+
+def test_blip_then_crash_inside_one_wrapped_update():
+    """A blip leaves the wrapper transaction half-done on a surviving
+    session; a crash on the retry then takes that session away.  For
+    every blip point b inside one wrapped UPDATE and every crash point
+    after it (until the statement is acknowledged) the update applies
+    exactly once and its status row is written exactly once."""
+    from repro.errors import RequestTimeoutError
+
+    sql = "UPDATE ledger SET v = v + 1 WHERE k < 3"
+
+    def run(blip_at=0, crash_at=0):
+        server, app = build_world()
+        seen = {"count": 0}
+
+        def injector(request):
+            seen["count"] += 1
+            if seen["count"] == blip_at:
+                raise RequestTimeoutError("spurious timeout")
+            if seen["count"] == crash_at:
+                server.crash()
+                server.restart()
+
+        app.network.fault_injector = injector
+        statement = app.manager.alloc_statement(app.conn)
+        rc = app.manager.exec_direct(statement, sql)
+        observed = [(rc, app.manager.row_count(statement))]
+        requests = seen["count"]
+        app.network.fault_injector = None
+        observed.append(app.query_rows("SELECT k, v FROM ledger ORDER BY k"))
+        return server, app, observed, requests
+
+    server, _app, expected, clean = run()
+    assert clean == 4  # BEGIN, statement, status INSERT, COMMIT
+    assert expected[0] == (SQL_SUCCESS, 3)
+    expected_status = status_rows(server)
+    # The update's row, and the read-back's status-guarded load.
+    assert expected_status == [("1_1", 3), ("1_2", 0)]
+    pairs = 0
+    for blip_at in range(1, clean + 1):
+        server, app, observed, blipped = run(blip_at)
+        # A blip on the COMMIT itself is the sharp case: the retry must
+        # not mistake the survivor's uncommitted status row for success.
+        assert_only_a_pause(server, app, observed, expected,
+                            expected_status, f"blip at request {blip_at}",
+                            crashed=False)
+        assert app.manager.stats["blips"] == 1
+        # The retry consults the status table and rolls the survivor's
+        # transaction back — exchanges the clean run never sends.
+        assert blipped > clean + 2
+        for crash_at in range(blip_at + 1, blipped + 1):
+            server, app, observed, _ = run(blip_at, crash_at)
+            pairs += 1
+            assert_only_a_pause(
+                server, app, observed, expected, expected_status,
+                f"blip at request {blip_at}, crash at {crash_at}")
+            # (A crash on the blip's own ping or session probe turns the
+            # verdict into "session lost": no blip is counted then.)
+            assert app.manager.stats["recoveries"] >= 1
+    assert pairs > 20
 
 
 # ---------------------------------------------------------------------------
