@@ -195,6 +195,12 @@ def _run_wallclock(args) -> int:
                                              0)),
                  "locks.txn_retries":
                      int(result.counters.get("locks.txn_retries", 0))}
+        if leg == "cached-shared":
+            # An identity field, not a metric: the sentinel judges the
+            # leg against lines recorded under the same invalidation
+            # rule only (its wire bytes, and so its virtual clock, moved
+            # when table-granular invalidation became key-precise).
+            entry["invalidation"] = "read-set"
         with history.open("a") as handle:
             handle.write(json.dumps(entry) + "\n")
         print(f"[wallclock history: {entry}]")

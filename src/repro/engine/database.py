@@ -35,7 +35,7 @@ from repro.obs.views import SYSTEM_VIEWS, system_view
 from repro.sim.costs import SERVER_CPU, SERVER_DISK
 from repro.sim.meter import Meter
 from repro.sql import ast
-from repro.sql.executor import is_streamable_plan, iterate_plan
+from repro.sql.executor import is_streamable_plan, iterate_plan, read_set
 from repro.sql.expressions import EvalContext
 from repro.sql.parser import parse_script, parse_statement
 from repro.sql.plan_cache import (
@@ -51,7 +51,11 @@ from repro.storage.catalog import Catalog, TableInfo
 from repro.storage.disk import SimulatedDisk
 from repro.storage.heap import HeapFile, RowId
 from repro.txn.locks import LockManager, LockMode
-from repro.txn.manager import Transaction, TransactionManager
+from repro.txn.manager import (
+    WRITE_KEY_CAP,
+    Transaction,
+    TransactionManager,
+)
 from repro.types import Column, SqlType, coerce_column, row_width_bytes
 from repro.wal.log import WriteAheadLog
 from repro.wal.records import (
@@ -259,12 +263,14 @@ class DatabaseEngine:
             "stmt_hits": 0, "stmt_misses": 0,
         }
         self.txns = TransactionManager(self.wal, self.locks, self)
-        #: Per-table DML version bumps accumulated since the last
-        #: :meth:`pop_version_updates` — the server piggybacks them onto
-        #: the next ``ExecuteResponse`` so clients can invalidate shared
+        #: Committed writes accumulated since the last
+        #: :meth:`pop_version_updates`, as ``table -> (base version, new
+        #: version, written primary keys or None for the whole table)``
+        #: — the server piggybacks them onto the next
+        #: ``ExecuteResponse`` so clients can invalidate shared
         #: result-cache entries transactionally.  Empty (and never
         #: written) while the result cache is off.
-        self.pending_version_updates: dict[str, int] = {}
+        self.pending_version_updates: dict[str, tuple] = {}
         #: Live engine sessions by connection token — lets system views
         #: (``sys_plan_cache``) report per-session temp-plan state.
         self.sessions: dict[int, EngineSession] = {}
@@ -611,17 +617,35 @@ class DatabaseEngine:
     # Per-table DML versions (shared result cache invalidation keys)
     # ------------------------------------------------------------------
 
-    def note_committed_writes(self, table_names) -> None:
+    def note_committed_writes(self, written: dict) -> None:
         """Commit hook (see ``TransactionManager.commit``): bump the DML
         version of every table the committed transaction wrote and queue
-        the new values for the next response piggyback."""
-        for name in sorted(table_names):
-            if version_tracked(name):
-                self.pending_version_updates[name] = \
-                    self.catalog.bump_dml_version(name)
+        the bump, with the keys written, for the next response
+        piggyback.  Bumps of one table not yet picked up merge: the
+        oldest base, the newest version, the union of the keys."""
+        pending = self.pending_version_updates
+        for name in sorted(written):
+            if not version_tracked(name):
+                continue
+            keys = written[name]
+            if type(keys) is str:
+                self.meter.count("result_cache.wholesale_writes." + keys)
+                keys = None
+            base = self.catalog.dml_version_of(name)
+            version = self.catalog.bump_dml_version(name)
+            if name in pending:
+                base, _version, earlier = pending[name]
+                if keys is not None and earlier is not None:
+                    keys = keys | earlier
+                    if len(keys) > WRITE_KEY_CAP:
+                        self.meter.count("result_cache.wholesale_writes.cap")
+                        keys = None
+                else:
+                    keys = None
+            pending[name] = (base, version, keys)
 
-    def pop_version_updates(self) -> dict[str, int]:
-        """Drain the version bumps accumulated since the last call."""
+    def pop_version_updates(self) -> dict[str, tuple]:
+        """Drain the committed writes accumulated since the last call."""
         if not self.pending_version_updates:
             return {}
         updates = self.pending_version_updates
@@ -721,31 +745,44 @@ class DatabaseEngine:
                                       ast.DeleteStatement)):
                 return self._execute_dml_cached(prepared, norm, session,
                                                 exec_params, params)
-        result = self._execute_parsed(statement, session, exec_params)
-        if isinstance(statement, (ast.SelectStatement, ast.UnionSelect)):
-            self._stamp_read_versions(result, statement)
-        return result
+        return self._execute_parsed(statement, session, exec_params)
 
-    def _stamp_read_versions(self, result: StatementResult,
-                             statement: ast.Statement,
+    def _stamp_read_versions(self, result: StatementResult, plan,
+                             subqueries: list, statement: ast.Statement,
+                             session: EngineSession,
                              entry: PlanCacheEntry | None = None) -> None:
-        """Stamp a SELECT result with the DML version of every table its
-        plan reads (the shared result cache's validity certificate).
-        ``None`` — the knob-off state — also marks results whose
-        dependencies the shared cache must not serve (temp tables,
-        ``sys_*`` views, Phoenix overhead tables).  A cached plan
+        """Stamp a SELECT result with its read set: for every table (or
+        view) the statement depends on, its DML version and the
+        primary-key prefixes ``plan`` and the plans of its compiled
+        ``subqueries`` seek in it, the empty prefix standing for all of
+        it (the shared result cache's validity certificate).  ``None``
+        — the knob-off state — also marks results the shared cache must
+        not serve: those depending on temp tables, ``sys_*`` views or
+        Phoenix overhead tables, and those over a table another open
+        transaction has written — they may show its uncommitted work (a
+        statement outside a transaction takes no locks at all, and no
+        lock stands in for a row someone deleted), which a ROLLBACK
+        would take back without a version ever moving.  A cached plan
         ``entry`` already knows its dependencies; without one the
         statement is walked."""
         if self.meter.costs.result_cache_entries <= 0:
             return
         names = (entry.dependencies if entry is not None
                  else self._plan_dependencies(statement))
-        versions: dict[str, int] = {}
-        for name in names:
-            if not version_tracked(name):
-                return
-            versions[name] = self.catalog.dml_version_of(name)
-        result.read_versions = versions
+        if not all(map(version_tracked, names)):
+            return
+        own = session.current_txn if session is not None else None
+        if any(name in txn.modified_tables
+               for txn in self.txns.active_transactions.values()
+               if txn is not own and txn.modified_tables
+               for name in names):
+            return
+        sought = read_set([plan.root] + [subquery.plan.root
+                                         for subquery in subqueries])
+        version_of = self.catalog.dml_version_of
+        result.read_versions = {
+            name: (version_of(name), tuple(sought.get(name, ((),))))
+            for name in names}
 
     # -- statement preparation (levels 1 and 2) -----------------------------
 
@@ -981,7 +1018,8 @@ class DatabaseEngine:
         result = StatementResult.of_rows(plan.output_columns,
                                          guarded_rows())
         result.streamable = entry.streamable
-        self._stamp_read_versions(result, statement, entry)
+        self._stamp_read_versions(result, plan, entry.subqueries,
+                                  statement, session, entry)
         return result
 
     def _execute_parsed(self, statement: ast.Statement,
@@ -1200,6 +1238,8 @@ class DatabaseEngine:
             rows = self._probed_rows(plan.root, probe)
         result = StatementResult.of_rows(plan.output_columns, rows)
         result.streamable = is_streamable_plan(plan.root)
+        self._stamp_read_versions(result, plan, planner.subquery_log,
+                                  statement, session)
         return result
 
     def _execute_explain(self, statement: ast.ExplainStatement,

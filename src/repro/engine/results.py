@@ -27,10 +27,11 @@ class StatementResult:
     #: deliver page-at-a-time (see executor.is_streamable_plan).
     streamable: bool = False
     #: For SELECT results while the shared result cache is enabled: the
-    #: per-table DML version of every table the plan reads (the cache
-    #: entry's validity certificate), or None when the result must not
-    #: be cached (temp tables, sys_* views, Phoenix overhead tables —
-    #: or the knob is off).
+    #: read set, ``table -> (DML version, primary-key prefixes sought)``
+    #: for every table the plan reads (the cache entry's validity
+    #: certificate), or None when the result must not be cached (temp
+    #: tables, sys_* views, Phoenix overhead tables — or the knob is
+    #: off).
     read_versions: dict | None = None
 
     @classmethod

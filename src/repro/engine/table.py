@@ -39,10 +39,10 @@ class Table:
         #: index name -> column positions, memoized off the DML hot path
         self._key_positions: dict[str, list[int]] = {}
         #: ``row -> primary-key tuple`` identifying a row for the row
-        #: lock manager (None without a primary key).  Row locks are
-        #: logical (keyed by primary key, not rid) so a lock survives
-        #: physical movement and a retried statement re-locks the same
-        #: resource.
+        #: lock manager and for a transaction's write set (None without
+        #: a primary key).  Row locks are logical (keyed by primary key,
+        #: not rid) so a lock survives physical movement and a retried
+        #: statement re-locks the same resource.
         self.row_lock_key = None
         if info.primary_key:
             positions = [info.column_index(c) for c in info.primary_key]
@@ -150,6 +150,7 @@ class Table:
             and txns is not None
         factor = self.cost_factor
         width = self.shape.width
+        key_of = self.row_lock_key
         trees = [tree for _info, tree in self._indexes.values()]
         pages = 0
         remaining = iter(rows)
@@ -166,7 +167,7 @@ class Table:
                     rid = RowId(file_id, page_no, page.next_slot())
                     if logged:
                         lsn = txns.log_insert(txn, name, rid, row,
-                                              width(row), factor)
+                                              width(row), factor, key_of)
                         first_lsn = first_lsn or lsn
                     page.insert(row)
                     for tree, key in zip(trees, keys):
@@ -192,7 +193,8 @@ class Table:
         lsn = 0
         if not self.info.volatile and txn is not None and txns is not None:
             lsn = txns.log_delete(txn, self.info.name, rid, row,
-                                  self.shape.width(row), self.cost_factor)
+                                  self.shape.width(row), self.cost_factor,
+                                  self.row_lock_key)
         self.heap.apply_delete(rid, lsn)
         for info, tree in self._indexes.values():
             tree.delete(self._index_key(row, info), rid)
@@ -210,7 +212,7 @@ class Table:
             width = self.shape.width
             lsn = txns.log_update(txn, self.info.name, rid, old_row,
                                   new_row, width(old_row) + width(new_row),
-                                  self.cost_factor)
+                                  self.cost_factor, self.row_lock_key)
         self.heap.apply_update(rid, new_row, lsn)
         for (info, tree), new_key in zip(self._indexes.values(), new_keys):
             old_key = self._index_key(old_row, info)

@@ -7,13 +7,13 @@ those files never had: for each history file it groups entries by their
 identity fields (``leg``, ``records``, ... — everything that is not a
 date, commit or tracked metric), compares the latest entry of each
 group against the *median of its trailing window*, and fails when a
-tracked metric grew beyond its per-metric tolerance:
+tracked metric moved the wrong way beyond its per-metric tolerance:
 
 * deterministic integer counters (``log_forces``, ``requests_sent``,
-  ``fetch_requests``, ``redo_applied``, ``result_cache_hits``) must not
-  grow at all — any increase means simulated behaviour changed (a *drop*
-  in shared-cache hits surfaces as ``requests_sent`` growth, which is
-  equally zero-tolerance);
+  ``fetch_requests``, ``redo_applied``) must not grow at all — any
+  increase means simulated behaviour changed;
+* ``result_cache_hits`` is the one tracked metric where more is better
+  (:data:`HIGHER_IS_BETTER`): it must not *drop* at all, and may grow;
 * virtual-clock metrics (``virtual_seconds``, ``recovery_seconds``,
   ``p95_execute_seconds``) get a hair of float slack — they are
   deterministic, so anything visible is a real drift;
@@ -23,9 +23,9 @@ tracked metric grew beyond its per-metric tolerance:
   runner's own policy for host-time noise).
 
 Metrics absent from older lines are skipped (history formats grow),
-decreases never fail, and a group needs at least one prior entry to be
-judged.  ``python -m repro.bench sentinel`` is the CLI; CI runs it
-after the bench legs.
+moves in the good direction never fail, and a group needs at least one
+prior entry to be judged.  ``python -m repro.bench sentinel`` is the
+CLI; CI runs it after the bench legs.
 """
 
 from __future__ import annotations
@@ -34,11 +34,13 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 
-__all__ = ["ADVISORY_METRICS", "METRIC_TOLERANCES", "SentinelReport",
-           "run_sentinel", "check_history_file"]
+__all__ = ["ADVISORY_METRICS", "HIGHER_IS_BETTER", "METRIC_TOLERANCES",
+           "SentinelReport", "run_sentinel", "check_history_file"]
 
-#: metric name -> allowed relative increase of latest over the trailing
-#: window median.  0.0 means "must not grow at all".
+#: metric name -> allowed relative move of latest against the trailing
+#: window median, in the metric's bad direction (up, unless the metric
+#: is in :data:`HIGHER_IS_BETTER`).  0.0 means "must not move that way
+#: at all".
 METRIC_TOLERANCES: dict[str, float] = {
     "log_forces": 0.0,
     "requests_sent": 0.0,
@@ -67,6 +69,9 @@ METRIC_TOLERANCES: dict[str, float] = {
     "host_seconds": 0.5,
 }
 
+#: Metrics that regress by dropping.
+HIGHER_IS_BETTER = frozenset({"result_cache_hits"})
+
 #: Metrics whose regressions warn instead of failing: anything measured
 #: in host wall time depends on the machine running the bench.
 ADVISORY_METRICS = frozenset({"host_seconds"})
@@ -94,8 +99,10 @@ class Finding:
     limit: float
 
     def format(self) -> str:
+        verb = ("falls below" if self.metric in HIGHER_IS_BETTER
+                else "exceeds")
         return (f"{self.file} [{self.group}] {self.metric}: latest "
-                f"{self.latest:g} exceeds {self.limit:g} (median "
+                f"{self.latest:g} {verb} {self.limit:g} (median "
                 f"{self.median:g} over the trailing window, tolerance "
                 f"{METRIC_TOLERANCES[self.metric]:g})")
 
@@ -182,10 +189,15 @@ def check_history_file(path, window: int = DEFAULT_WINDOW,
             if not window_values:
                 continue
             median = _median([float(value) for value in window_values])
-            limit = median * (1.0 + tolerance)
             report.checked.append((path.name, group, metric,
                                    float(latest_value), median))
-            if float(latest_value) > limit + _ABS_EPS:
+            if metric in HIGHER_IS_BETTER:
+                limit = median * (1.0 - tolerance)
+                regressed = float(latest_value) < limit - _ABS_EPS
+            else:
+                limit = median * (1.0 + tolerance)
+                regressed = float(latest_value) > limit + _ABS_EPS
+            if regressed:
                 finding = Finding(
                     file=path.name, group=group, metric=metric,
                     latest=float(latest_value), median=median,

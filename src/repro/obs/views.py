@@ -23,7 +23,9 @@ views:
   per request kind), wire bytes up/down, fetch-ahead hit/waste counts
   and overlap seconds, persist-pipeline bookings and stalls;
 * ``sys_result_cache`` — shared-result-cache traffic: hits, misses,
-  insertions, evictions and invalidations, with per-table breakdowns.
+  insertions, evictions and invalidations, with per-table breakdowns,
+  why entries died or lived (by key, spared, wholesale writes by
+  reason) and the live entries by read-set precision.
 
 View functions only read engine/meter state; they import nothing from
 the engine so the registry itself stays dependency-free.
@@ -181,11 +183,19 @@ def _sys_network(engine):
 def _sys_result_cache(engine):
     """Shared-result-cache observability (hit/miss/invalidation traffic).
 
-    Everything here comes from the ``result_cache.*`` world counters
-    maintained by :class:`~repro.phoenix.result_cache.SharedResultCache`
-    — totals plus the per-table ``result_cache.hits.<t>`` /
-    ``result_cache.misses.<t>`` / ``result_cache.invalidations.<t>``
-    families.  Empty while ``result_cache_entries`` is 0 (seed runs).
+    The ``result_cache.*`` world counters maintained by
+    :class:`~repro.phoenix.result_cache.SharedResultCache` — totals plus
+    the per-table ``result_cache.hits.<t>`` / ``result_cache.misses.<t>``
+    / ``result_cache.invalidations.<t>`` families — say why an entry
+    died or lived: ``invalidations_by_key`` (evicted by a write that
+    named its keys; the rest of ``invalidations`` fell to wholesale
+    writes), ``spared`` (entries of a written table the write did not
+    overlap) and ``wholesale_writes.<reason>`` (``no_pk`` / ``ddl`` /
+    ``cap`` counted by the server per committed table write, ``gap`` by
+    the client per bump that did not start at its mirror).
+    ``result_cache.entries.key_stamped`` / ``.table_stamped`` are the
+    live entries by the precision of their read set.  Empty while
+    ``result_cache_entries`` is 0 (seed runs).
     """
     columns = [Column("metric", SqlType.VARCHAR, 80),
                Column("value", SqlType.BIGINT)]
@@ -193,7 +203,11 @@ def _sys_result_cache(engine):
     rows = [(name, int(counters[name]))
             for name in sorted(counters)
             if name.startswith("result_cache.")]
-    return columns, rows
+    cache = getattr(engine.meter, "_shared_result_cache", None)
+    if cache is not None:
+        rows.extend((f"result_cache.entries.{kind}", count)
+                    for kind, count in cache.census().items())
+    return columns, sorted(rows)
 
 
 @system_view("sys_optimizer")

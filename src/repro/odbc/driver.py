@@ -76,14 +76,10 @@ class NativeDriver:
         #: ExecuteResponse).  Client-side metadata caches key on it so any
         #: DDL observed through this driver invalidates them.
         self.last_schema_version = 0
-        #: Shared-result-cache piggybacks off the most recent
-        #: ExecuteResponse (all stay at their empty defaults while the
-        #: cache knob is off): the executed SELECT's read-version stamps,
-        #: the committed version bumps the response carried, and the
-        #: session's own uncommitted write set.
+        #: The read set the most recent ExecuteResponse stamped on its
+        #: SELECT, for the shared result cache (None while the cache
+        #: knob is off, and for results that must not be shared).
         self.last_read_versions: dict | None = None
-        self.last_table_versions: dict = {}
-        self.last_dirty_tables: tuple = ()
         # Modeled FIFO pipeline: virtual time until which in-flight
         # (overlapped) requests keep the server/wire busy, and the crash
         # epoch that booking belongs to.
@@ -193,17 +189,14 @@ class NativeDriver:
         """Turn an ExecuteResponse into this statement's ResultState."""
         self.last_schema_version = response.schema_version
         self.last_read_versions = getattr(response, "read_versions", None)
-        self.last_table_versions = getattr(response, "table_versions", {})
-        self.last_dirty_tables = tuple(
-            getattr(response, "dirty_tables", ()))
-        if self.last_table_versions:
-            # Committed version bumps ride on every response; fold them
-            # into the shared result cache's mirror (evicting stamped
-            # entries) no matter which virtual session carried them.
+        committed = getattr(response, "table_versions", None)
+        if committed:
+            # Committed writes ride on every response; fold them into
+            # the shared result cache (evicting the entries whose read
+            # set they overlap) no matter which session carried them.
             cache = getattr(self.meter, "_shared_result_cache", None)
             if cache is not None:
-                cache.observe_committed(self.last_table_versions,
-                                        self.server.crashes)
+                cache.observe_committed(committed, self.server.crashes)
         result = ResultState()
         if response.kind == "rows":
             result.columns = response.columns

@@ -130,6 +130,7 @@ class PhoenixDriverManager(DriverManager):
     def disconnect(self, connection: ConnectionHandle) -> int:
         vconn = self._vconns.pop(connection.handle_id, None)
         if vconn is not None:
+            self._discard_staged(vconn)
             for state in vconn.statements.values():
                 self._drop_quietly(state.table_name)
         rc, _ = self._guard(connection,
@@ -186,8 +187,6 @@ class PhoenixDriverManager(DriverManager):
             self._with_recovery(vconn, lambda: self.driver.execute(
                 state.handle, sql, params))
             vconn.in_app_txn = True
-            vconn.staged_results.clear()
-            vconn.dirty_tables.clear()
             state.mode = StatementMode.PASSTHROUGH
             return
         if request_class is RequestClass.COMMIT:
@@ -215,11 +214,6 @@ class PhoenixDriverManager(DriverManager):
             state.mode = StatementMode.PASSTHROUGH
             state.rowcount = result.rowcount
             state.columns = list(result.columns)
-        if vconn.in_app_txn and self._shared_cache is not None:
-            # The server piggybacks the transaction's write set on every
-            # response; remember it so promote-time restamping knows
-            # which staged reads saw the transaction's own writes.
-            vconn.dirty_tables.update(self.driver.last_dirty_tables)
 
     # -- result-generating statements (§2.1 / §4) ------------------------------
 
@@ -298,51 +292,35 @@ class PhoenixDriverManager(DriverManager):
         """Admit (or stage) a freshly cached result into the shared cache.
 
         The execute that filled the §4 cache also delivered the result's
-        read-version stamps (``driver.last_read_versions``); None means
-        the server declared it unshareable.  Inside an application
-        transaction the entry stays session-private until COMMIT."""
+        read set (``driver.last_read_versions``); None means the server
+        declared it unshareable.  Inside an application transaction the
+        entry stays invisible to lookups until COMMIT."""
         cache = self._shared_cache
         if cache is None:
             return
-        stamps = self.driver.last_read_versions
-        if stamps is None:
-            return
-        if vconn.in_app_txn:
-            vconn.staged_results.append(
-                (sql, list(state.columns), list(state.cache_rows),
-                 dict(stamps)))
+        admitted = cache.insert(
+            sql, state.columns, state.cache_rows,
+            self.driver.last_read_versions,
+            owner=vconn.app_handle.handle_id if vconn.in_app_txn else None)
+        if admitted and vconn.in_app_txn:
             self.stats["shared_cache_staged"] += 1
-            return
-        cache.insert(sql, state.columns, state.cache_rows, stamps)
 
     def _promote_staged(self, vconn: VirtualConnection) -> None:
         """COMMIT: publish the transaction's staged results.
 
-        Under strict 2PL the shared locks a transactional SELECT takes
-        are held to commit, so a staged read table can only have moved
-        if *this* transaction wrote it.  Entries whose read set
-        intersects the commit's own write set are dropped outright —
-        the write set carries no ordering, so a read that saw the write
-        is indistinguishable from one the write later invalidated, and
-        only dropping is sound.  The rest promote with their original
-        stamps, which the commit just proved still current.
-        """
-        staged = vconn.staged_results
-        vconn.staged_results = []
-        vconn.dirty_tables = set()
-        cache = self._shared_cache
-        if cache is None or not staged:
-            return
-        committed = self.driver.last_table_versions
-        for sql, columns, rows, stamps in staged:
-            if not any(name in committed for name in stamps):
-                cache.insert(sql, columns, rows, stamps)
+        The COMMIT response carried the transaction's own write set and
+        the driver folded it like any other commit's, so a staged read
+        the transaction itself overwrote (or one that saw its own
+        uncommitted write) is already evicted; what is left was valid
+        when read and no commit since has touched it."""
+        if self._shared_cache is not None:
+            self._shared_cache.promote(vconn.app_handle.handle_id)
 
     def _discard_staged(self, vconn: VirtualConnection) -> None:
         """ROLLBACK (or crash-induced abort): the staged results were
         produced by a transaction that never happened."""
-        vconn.staged_results = []
-        vconn.dirty_tables = set()
+        if self._shared_cache is not None:
+            self._shared_cache.discard(vconn.app_handle.handle_id)
 
     # -- modifications / DDL (status-table wrapping, §3.2) -----------------------
 

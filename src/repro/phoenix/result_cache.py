@@ -3,26 +3,46 @@
 One cache per simulated world, shared by every virtual session the
 driver manager multiplexes — the natural widening of the paper's §4
 per-session client cache.  Entries are keyed by the normalized statement
-text (parameters arrive pre-inlined at this layer) and stamped with the
-per-table *DML version* of every table the plan read, as reported by the
-server alongside the result (``ExecuteResponse.read_versions``).  The
-consistency recipe follows "Theory and Practice of Transactional Method
-Caching": versions bump once per committed writer transaction, every
-response piggybacks the bumps committed since the last round trip
-(``ExecuteResponse.table_versions``), and the client folds them into a
-committed-version *mirror* — evicting any entry stamped with a bumped
-table.  A lookup therefore only has to compare stamps against the
-mirror: no round trip, no re-execution.
+text (parameters arrive pre-inlined at this layer) and carry the *read
+set* the server reported alongside the result
+(``ExecuteResponse.read_versions``): for every table the plan read, the
+primary-key prefixes it sought there, the empty prefix ``()`` standing
+for the whole table.  The consistency recipe follows "Theory and
+Practice of Transactional Method Caching": every response piggybacks the
+writes committed since the last round trip
+(``ExecuteResponse.table_versions`` — per table the version the bump
+started from, the new version and the primary keys written), and the
+client folds them into a committed-version *mirror* under one rule:
 
-Crash epochs: piggybacked versions are only trusted within one server
+    a committed write evicts exactly the entries whose read set it
+    overlaps — those that read a prefix of a written key.
+
+A write without keys (DDL, a table without primary key, more keys than
+the server's cap) is a write to the empty prefix and evicts every entry
+that read the table; so does a bump whose base version is not the
+mirror's (a piggyback went missing: what it wrote is unknown).  Entries
+are indexed ``table -> prefix -> entries``, so folding a written key
+probes one bucket per prefix of the key, whatever the cache holds.
+Eviction is eager: a live entry is valid at the mirror by construction,
+and a lookup compares nothing.
+
+Results produced inside an application transaction are *staged*: linked
+into the same index — so the same rule evicts them when another
+session's commit, or finally their own transaction's, overlaps what
+they read — but invisible to lookups until COMMIT promotes the
+survivors; ROLLBACK (or a crash-induced abort) discards them.
+
+Crash epochs: piggybacked writes are only trusted within one server
 incarnation (``server.crashes``).  When the epoch moves — or any
 observation arrives from an unexpected epoch — the cache flags itself
 stale and the next probe revalidates the whole cache with a single
-``VersionProbeRequest``: entries whose stamps match the server's
-recomputed vector survive (the paper's crash-proof client cache,
-demonstrated at driver-manager scale), the rest are discarded.  Under
-asynchronous commit a crash can lose acked commits, making equal counts
-name different data, so revalidation then discards everything
+``VersionProbeRequest``: a table whose recomputed version is not the
+mirror's was written by a commit this client never heard of (its
+response died with the server) and is treated as written wholesale;
+entries of every other table survive (the paper's crash-proof client
+cache, demonstrated at driver-manager scale).  Under asynchronous commit
+a crash can lose acked commits, making equal counts name different
+data, so revalidation then treats every table as written
 (``discard_all``).
 
 All observability counters (``result_cache.*``, including the per-table
@@ -34,8 +54,8 @@ carry none of them.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections import Counter, OrderedDict
+from dataclasses import dataclass
 
 
 def normalize_key(sql: str) -> str:
@@ -43,26 +63,35 @@ def normalize_key(sql: str) -> str:
     return " ".join(sql.split())
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class CacheEntry:
-    """One cached result with its validity certificate."""
+    """One cached result with its read set."""
 
     key: str
     columns: list
     rows: list
-    #: table -> DML version observed when the result was produced.
-    stamps: dict
-    tables: frozenset = field(default_factory=frozenset)
+    #: table -> the primary-key prefixes read in it (``()`` = all of it).
+    reads: dict
+    #: The application transaction that staged the entry (any hashable
+    #: token); None once it is visible to lookups.
+    owner: object = None
 
 
 class SharedResultCache:
-    """LRU of version-stamped results, shared across virtual sessions."""
+    """LRU of results with their read sets, shared across virtual
+    sessions."""
 
     def __init__(self, meter):
         self.meter = meter
         self.capacity = meter.costs.result_cache_entries
         self.max_rows = meter.costs.result_cache_max_rows
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
+        #: owner -> key -> entry staged by its open transaction.
+        self._staged: dict[object, dict[str, CacheEntry]] = {}
+        #: table -> prefix -> the entries (visible and staged) that read
+        #: it, and how many entries read each table at all.
+        self._index: dict[str, dict[tuple, set[CacheEntry]]] = {}
+        self._readers: Counter = Counter()
         #: Committed per-table versions as far as this client knows
         #: (absent = 0, matching the server's own convention).
         self.versions: dict[str, int] = {}
@@ -86,104 +115,178 @@ class SharedResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def census(self) -> dict[str, int]:
+        """Visible entries by the precision of their read set: an entry
+        that read any table wholesale is table-stamped."""
+        table_stamped = sum(
+            1 for entry in self._entries.values()
+            if any(() in prefixes for prefixes in entry.reads.values()))
+        return {"key_stamped": len(self._entries) - table_stamped,
+                "table_stamped": table_stamped}
+
     # -- invalidation ------------------------------------------------------
 
     def observe_committed(self, updates: dict, epoch: int) -> None:
-        """Fold piggybacked version bumps into the mirror, evicting every
-        entry stamped with a bumped table.  Bumps from another server
+        """Fold piggybacked committed writes, ``table -> (base, version,
+        keys)``, into the mirror.  Writes from another server
         incarnation are *not* trusted — they flag the cache stale so the
         next probe revalidates against the full recomputed vector."""
         if epoch != self.epoch:
             self.stale = True
             return
-        for name, version in updates.items():
-            if self.versions.get(name, 0) != version:
-                self._evict_stamped(name)
-                self.versions[name] = version
+        for table, (base, version, keys) in updates.items():
+            self._advance(table, base, version, keys)
 
     def needs_revalidation(self, current_epoch: int) -> bool:
         return self.stale or current_epoch != self.epoch
 
     def revalidate(self, server_versions: dict, current_epoch: int,
                    discard_all: bool = False) -> None:
-        """Adopt the server's version vector wholesale; keep only entries
-        every one of whose stamps it confirms.  ``discard_all`` (async
-        commit: lost acked commits make counts ambiguous across a crash)
-        drops everything regardless of stamps."""
-        survivors: list[CacheEntry] = []
-        for entry in self._entries.values():
-            if not discard_all and all(
-                    server_versions.get(name, 0) == version
-                    for name, version in entry.stamps.items()):
-                survivors.append(entry)
-            else:
-                self._count_invalidation(entry)
-        self._entries = OrderedDict((e.key, e) for e in survivors)
+        """Adopt the server's version vector wholesale; a table whose
+        version it does not confirm counts as written.  ``discard_all``
+        (async commit: lost acked commits make counts ambiguous across
+        a crash) distrusts every table."""
+        for table in list(self._index):
+            if discard_all or server_versions.get(table, 0) \
+                    != self.versions.get(table, 0):
+                self._write(table, None)
         self.versions = dict(server_versions)
         self.epoch = current_epoch
         self.stale = False
 
-    def _evict_stamped(self, table: str) -> None:
-        for key in [k for k, e in self._entries.items()
-                    if table in e.tables]:
-            self._count_invalidation(self._entries.pop(key))
+    def _advance(self, table: str, base, version: int, keys) -> None:
+        """Move the mirror of ``table`` to ``version``, reached from
+        ``base`` by writing ``keys``.  When the mirror is not at
+        ``base``, writes in between went unreported."""
+        current = self.versions.get(table, 0)
+        if version == current:
+            return
+        if base != current:
+            self.meter.count("result_cache.wholesale_writes.gap")
+            keys = None
+        self._write(table, keys)
+        self.versions[table] = version
 
-    def _count_invalidation(self, entry: CacheEntry) -> None:
-        self.meter.count("result_cache.invalidations")
-        for name in sorted(entry.tables):
-            self.meter.count(f"result_cache.invalidations.{name}")
+    def _write(self, table: str, keys) -> None:
+        """The one invalidation rule: evict the entries whose read set
+        in ``table`` overlaps the written primary ``keys`` (None: the
+        whole table)."""
+        buckets = self._index.get(table)
+        if not buckets:
+            return
+        doomed: set[CacheEntry] = set()
+        if keys is None:
+            doomed.update(*buckets.values())
+        else:
+            for key in keys:
+                for width in range(len(key) + 1):
+                    readers = buckets.get(key[:width])
+                    if readers:
+                        doomed |= readers
+            self.meter.count("result_cache.invalidations_by_key",
+                             len(doomed))
+            self.meter.count("result_cache.spared",
+                             self._readers[table] - len(doomed))
+        for entry in doomed:
+            self._unlink(entry)
+            if entry.owner is None:
+                del self._entries[entry.key]
+            else:
+                del self._staged[entry.owner][entry.key]
+            self.meter.count("result_cache.invalidations")
+            for name in sorted(entry.reads):
+                self.meter.count(f"result_cache.invalidations.{name}")
+
+    def _link(self, entry: CacheEntry) -> None:
+        for table, prefixes in entry.reads.items():
+            buckets = self._index.setdefault(table, {})
+            for prefix in prefixes:
+                buckets.setdefault(prefix, set()).add(entry)
+            self._readers[table] += 1
+
+    def _unlink(self, entry: CacheEntry) -> None:
+        for table, prefixes in entry.reads.items():
+            buckets = self._index[table]
+            for prefix in prefixes:
+                readers = buckets[prefix]
+                readers.discard(entry)
+                if not readers:
+                    del buckets[prefix]
+            if not buckets:
+                del self._index[table]
+            self._readers[table] -= 1
 
     # -- lookup / insert ---------------------------------------------------
 
     def lookup(self, sql: str) -> CacheEntry | None:
-        """A valid entry for ``sql``, or None (counted as hit/miss)."""
+        """The entry for ``sql``, or None (counted as hit/miss)."""
         key = normalize_key(sql)
         entry = self._entries.get(key)
-        if entry is not None and any(
-                self.versions.get(name, 0) != version
-                for name, version in entry.stamps.items()):
-            # Defensive: observe_committed evicts eagerly, so a live
-            # entry should always match the mirror — but a mismatch must
-            # never be served.
-            self._count_invalidation(self._entries.pop(key))
-            entry = None
         if entry is None:
             self.meter.count("result_cache.misses")
             return None
         self._entries.move_to_end(key)
         self.meter.count("result_cache.hits")
-        for name in sorted(entry.tables):
+        for name in sorted(entry.reads):
             self.meter.count(f"result_cache.hits.{name}")
         return entry
 
     def insert(self, sql: str, columns: list, rows: list,
-               stamps: dict | None) -> bool:
-        """Admit one result (post-miss).  Refused when the server marked
-        it unshareable (``stamps`` None), it exceeds ``max_rows``, or a
-        stamp is *behind* the mirror (the read predates a bump the
-        client already folded — e.g. a transaction's staged entry whose
-        read table it later wrote itself).  A stamp *ahead* of the
-        mirror is a fresher committed-version observation than any
-        response piggyback delivered (commits from before this cache
-        existed): it is folded in, evicting anything stamped older."""
-        if stamps is None or len(rows) > self.max_rows:
+               reads: dict | None, owner=None) -> bool:
+        """Admit one result (post-miss) with its read set, ``table ->
+        (version, prefixes)``; with an ``owner``, stage it until
+        :meth:`promote`.  Refused when the server marked it unshareable
+        (``reads`` None), it exceeds ``max_rows``, or a version is
+        *behind* the mirror (the read predates a write the client
+        already folded, and the entry was not there to be judged by it).
+        A version *ahead* of the mirror is a fresher committed-version
+        observation than any response piggyback delivered (commits from
+        before this cache existed): the mirror advances to it over the
+        gap."""
+        if reads is None or len(rows) > self.max_rows:
             return False
-        if any(version < self.versions.get(name, 0)
-               for name, version in stamps.items()):
+        if any(version < self.versions.get(table, 0)
+               for table, (version, _prefixes) in reads.items()):
             return False
-        for name in sorted(stamps):
-            if stamps[name] > self.versions.get(name, 0):
-                self._evict_stamped(name)
-                self.versions[name] = stamps[name]
-        key = normalize_key(sql)
-        for name in sorted(stamps):
+        for table in sorted(reads):
+            self._advance(table, None, reads[table][0], None)
+        entry = CacheEntry(
+            normalize_key(sql), list(columns), list(rows),
+            {table: prefixes for table, (_v, prefixes) in reads.items()},
+            owner)
+        self._link(entry)
+        if owner is None:
+            self._publish(entry)
+        else:
+            staged = self._staged.setdefault(owner, {})
+            if entry.key in staged:
+                self._unlink(staged[entry.key])
+            staged[entry.key] = entry
+        return True
+
+    def promote(self, owner) -> None:
+        """COMMIT: what ``owner``'s transaction staged and no commit —
+        its own, just folded, included — has evicted becomes visible."""
+        for entry in self._staged.pop(owner, {}).values():
+            entry.owner = None
+            self._publish(entry)
+
+    def discard(self, owner) -> None:
+        """ROLLBACK: the staged results belong to a transaction that
+        never happened."""
+        for entry in self._staged.pop(owner, {}).values():
+            self._unlink(entry)
+
+    def _publish(self, entry: CacheEntry) -> None:
+        """Make ``entry`` the visible result of its statement."""
+        replaced = self._entries.pop(entry.key, None)
+        if replaced is not None:
+            self._unlink(replaced)
+        self._entries[entry.key] = entry
+        for name in sorted(entry.reads):
             self.meter.count(f"result_cache.misses.{name}")
-        self._entries[key] = CacheEntry(
-            key=key, columns=list(columns), rows=list(rows),
-            stamps=dict(stamps), tables=frozenset(stamps))
-        self._entries.move_to_end(key)
         self.meter.count("result_cache.insertions")
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            _key, evicted = self._entries.popitem(last=False)
+            self._unlink(evicted)
             self.meter.count("result_cache.evictions")
-        return True

@@ -105,15 +105,6 @@ class VirtualConnection:
     #: it set, and the next wrapped attempt rolls back first; session
     #: recovery clears it, because a new session holds nothing.
     wrapper_txn_open: bool = False
-    #: Shareable results produced inside the current application
-    #: transaction — held session-private (as ``(sql, columns, rows,
-    #: stamps)`` tuples) until COMMIT promotes them into the shared
-    #: result cache; ROLLBACK (or a crash-induced abort) discards them.
-    staged_results: list = field(default_factory=list)
-    #: Tables the current application transaction has written, per the
-    #: server's piggyback — the shared cache is bypassed for statements
-    #: reading any of them (read-your-writes).
-    dirty_tables: set = field(default_factory=set)
 
     def login_options(self) -> dict:
         """The option log as one dict for the login exchange to carry.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.types import Column
+from repro.types import Column, value_width_bytes
 
 
 class Request:
@@ -140,24 +140,32 @@ class ExecuteResponse:
     #: header (the 32-byte meta block already has room), so it adds no
     #: wire bytes.  Clients use it to invalidate metadata caches.
     schema_version: int = 0
-    #: Shared-result-cache piggybacks (all empty/None while the cache
+    #: Shared-result-cache piggybacks (both empty/None while the cache
     #: knob is off, keeping the seed wire sizes bit-identical):
-    #: ``read_versions`` stamps a SELECT's result with the DML version of
-    #: every table its plan read (None = result not shareable);
-    #: ``table_versions`` carries the version bumps committed since the
-    #: last response, so every round trip doubles as an invalidation
-    #: broadcast; ``dirty_tables`` lists the tables the session's own
-    #: uncommitted transaction has written (read-your-writes bypass).
+    #: ``read_versions`` stamps a SELECT's result with its read set,
+    #: ``table -> (DML version, primary-key prefixes sought)``, the
+    #: empty prefix meaning the whole table (None = result not
+    #: shareable); ``table_versions`` carries the writes committed since
+    #: the last response as ``table -> (version the bump started from,
+    #: new version, primary keys written or None for the whole table)``,
+    #: so every round trip doubles as an invalidation broadcast.
     read_versions: dict | None = None
     table_versions: dict = field(default_factory=dict)
-    dirty_tables: list = field(default_factory=list)
 
     def wire_bytes(self) -> int:
         meta = 32 + 16 * len(self.columns)
-        piggyback = 12 * (len(self.read_versions or ())
-                          + len(self.table_versions)
-                          + len(self.dirty_tables))
+        piggyback = 0
+        for _version, prefixes in (self.read_versions or {}).values():
+            piggyback += 12 + _key_bytes(prefixes)
+        for _base, _version, keys in self.table_versions.values():
+            piggyback += 16 + _key_bytes(keys or ())
         return meta + self.row_bytes + piggyback
+
+
+def _key_bytes(keys) -> int:
+    """Wire width of primary keys (or prefixes): a length byte each,
+    then the values."""
+    return sum(1 + sum(map(value_width_bytes, key)) for key in keys)
 
 
 @dataclass(slots=True)

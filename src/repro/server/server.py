@@ -199,19 +199,19 @@ class DatabaseServer:
         result = self.engine.execute(request.sql, session.engine_session,
                                      request.params)
         schema_version = self.engine.catalog.schema_version
-        table_versions, dirty_tables = self._cache_piggyback(session)
+        # Shared-result-cache piggyback: the writes committed since the
+        # last response (nothing while the cache knob is off).
+        table_versions = self.engine.pop_version_updates()
         if result.kind == "rowcount":
             return ExecuteResponse(kind="rowcount",
                                    rowcount=result.rowcount,
                                    message=result.message,
                                    schema_version=schema_version,
-                                   table_versions=table_versions,
-                                   dirty_tables=dirty_tables)
+                                   table_versions=table_versions)
         if result.kind == "ok":
             return ExecuteResponse(kind="ok", message=result.message,
                                    schema_version=schema_version,
-                                   table_versions=table_versions,
-                                   dirty_tables=dirty_tables)
+                                   table_versions=table_versions)
         statement_id = session.next_statement_id()
         streamable = getattr(result, "streamable", False)
         open_result = ServerResultSet(statement_id, result.columns,
@@ -231,28 +231,17 @@ class DatabaseServer:
         if done:
             del session.results[statement_id]
             statement_id = 0 if not rows else statement_id
+        # A read set certifies one moment: a result this request did not
+        # finish producing reads the rest later, possibly past a write
+        # its stamp predates (or an uncommitted one), and is not shared.
+        read_versions = (getattr(result, "read_versions", None)
+                         if open_result.done else None)
         return ExecuteResponse(kind="rows", statement_id=statement_id,
                                columns=result.columns, rows=rows,
                                row_bytes=open_result.wire_bytes(rows),
                                done=done, schema_version=schema_version,
-                               read_versions=getattr(result,
-                                                     "read_versions", None),
-                               table_versions=table_versions,
-                               dirty_tables=dirty_tables)
-
-    def _cache_piggyback(self, session: _ServerSession):
-        """Shared-result-cache response piggybacks: committed version
-        bumps since the last response, plus the session's own uncommitted
-        write set.  Both empty while the cache knob is off."""
-        if self.meter.costs.result_cache_entries <= 0:
-            return {}, []
-        table_versions = self.engine.pop_version_updates()
-        engine_session = session.engine_session
-        dirty_tables: list = []
-        if engine_session.in_transaction:
-            dirty_tables = sorted(
-                engine_session.current_txn.modified_tables)
-        return table_versions, dirty_tables
+                               read_versions=read_versions,
+                               table_versions=table_versions)
 
     def _handle_fetch(self, request: FetchRequest) -> FetchResponse:
         session = self._session(request.session_token)

@@ -44,6 +44,7 @@ from repro.sim.costs import SERVER_CPU
 from repro.sql.expressions import (EvalContext, is_impure, is_true, slot_of,
                                    sql_compare)
 from repro.storage.btree import NULL_KEY, decode_key_value
+from repro.types import stored_type
 
 
 @dataclass
@@ -312,7 +313,37 @@ class IndexSeek(PlanOperator):
         #: host-side early stop only: the downstream Limit stops pulling
         #: at the same row, so virtual charges are unchanged.
         self.limit_hint: int | None = None
+        #: set by the planner when the equality prefix (and IN-list) is
+        #: made of literals and statement parameters alone: only then can
+        #: the keys sought be named before the plan runs.
+        self.constant_key = False
         self._key_slots: list[int] | None = None
+        self._key_types: tuple | None = None
+
+    def read_prefixes(self) -> list[tuple]:
+        """The primary-key prefixes this execution seeks — the leaf's
+        read set for the shared result cache; ``[()]`` (the whole table)
+        when it cannot be named: a secondary index, a key that is not
+        ``constant_key``, or a value that is not exactly of its column's
+        stored type (NULL included), which the tree matches by coercion
+        or not at all."""
+        info = self.table.info
+        if not self.constant_key \
+                or self.index_name != f"__pk_{info.name}":
+            return [()]
+        types = self._key_types
+        if types is None:
+            types = self._key_types = tuple(
+                stored_type(info.columns[info.column_index(c)].sql_type)
+                for c in info.primary_key)
+        ctx = EvalContext(row=())
+        prefixes = self._seek_prefixes(
+            tuple(fn(ctx) for fn in self.prefix_fns), ctx)
+        if not prefixes or any(type(value) is not wanted
+                               for prefix in prefixes
+                               for value, wanted in zip(prefix, types)):
+            return [()]
+        return prefixes
 
     def rows(self, exec_ctx: ExecContext):
         if self.index_only:
@@ -1531,6 +1562,25 @@ class PointLookup(PlanOperator):
 # ---------------------------------------------------------------------------
 # Running plans
 # ---------------------------------------------------------------------------
+
+
+def read_set(roots: list[PlanOperator]) -> dict[str, set]:
+    """What the leaves of a statement's plans read, as ``table ->
+    primary-key prefixes`` (see :meth:`IndexSeek.read_prefixes`); every
+    leaf that is not an index seek reads its whole table, the empty
+    prefix.  ``roots`` must include the plans of the statement's
+    subqueries: they hang off compiled expressions, not off the main
+    plan's tree."""
+    reads: dict[str, set] = {}
+    pending = list(roots)
+    while pending:
+        op = pending.pop()
+        pending.extend(op.children())
+        table = getattr(op, "table", None)
+        if table is not None:
+            reads.setdefault(table.info.name.lower(), set()).update(
+                op.read_prefixes() if isinstance(op, IndexSeek) else [()])
+    return reads
 
 
 def row_exec_enabled() -> bool:

@@ -808,6 +808,11 @@ class Planner:
                         lo_inclusive=lo[1] if lo else True,
                         hi_inclusive=hi[1] if hi else True,
                         cost_factor=table.cost_factor, in_fns=in_fns)
+        # IN-list items are plan-time constants already; what is left to
+        # rule out in the prefix is an outer correlation or a subquery.
+        seek.constant_key = not any(
+            _expr_bindings(e) or is_impure(fn)
+            for e, fn in zip(prefix, prefix_fns))
         # Conjuncts fully answered by the seek are dropped; everything
         # else (including eq conjuncts beyond the usable prefix) stays.
         answered: set[int] = set()

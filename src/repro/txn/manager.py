@@ -40,6 +40,13 @@ from repro.wal.records import (
 )
 
 
+#: Most primary keys one transaction remembers per table; a table written
+#: more widely than this is reported as written wholesale.  Bounds the
+#: write set a bulk statement accumulates and the commit piggyback that
+#: carries it to the shared result cache.
+WRITE_KEY_CAP = 128
+
+
 class TxnState(enum.Enum):
     ACTIVE = "active"
     COMMITTED = "committed"
@@ -60,10 +67,13 @@ class Transaction:
     #: Actions deferred to commit (e.g. physical deallocation of a dropped
     #: table's pages — deferring makes DROP TABLE undoable).
     on_commit: list = field(default_factory=list)
-    #: Tables this transaction wrote (DML or DDL), lowercased.  Host-only
-    #: bookkeeping — charged nothing — consumed at commit by the shared
-    #: result cache's per-table DML version bump.
-    modified_tables: set = field(default_factory=set)
+    #: The write set, for the shared result cache: lowercased table name
+    #: -> the primary keys written (old *and* new key of an UPDATE), or
+    #: the reason the table counts as written wholesale (``"no_pk"``,
+    #: ``"ddl"``, ``"cap"``).  None while the cache is off: nothing is
+    #: collected.  Keys come from the rows being logged, never from the
+    #: lock manager (escalation forgets row locks).  Consumed at commit.
+    modified_tables: dict | None = None
 
     @property
     def is_active(self) -> bool:
@@ -93,7 +103,10 @@ class TransactionManager:
     # -- lifecycle -----------------------------------------------------------
 
     def begin(self) -> Transaction:
+        meter = self._log.meter
         txn = Transaction(txn_id=self._next_txn_id)
+        if meter is not None and meter.costs.result_cache_entries > 0:
+            txn.modified_tables = {}
         self._next_txn_id += 1
         txn.last_lsn = self._log.append(BeginRecord(txn_id=txn.txn_id))
         txn.first_lsn = txn.last_lsn
@@ -131,14 +144,13 @@ class TransactionManager:
             if hook is not None:
                 hook()
         # Shared-result-cache invalidation hook: bump per-table DML
-        # versions for everything this transaction wrote.  Gated the same
-        # way — with the cache off this is one comparison.
-        if meter is not None and meter.costs.result_cache_entries > 0 \
-                and txn.modified_tables:
+        # versions for everything this transaction wrote and queue its
+        # write set.  With the cache off there is no write set.
+        if txn.modified_tables:
             hook = getattr(self._target, "note_committed_writes", None)
             if hook is not None:
                 hook(txn.modified_tables)
-        txn.modified_tables.clear()
+        txn.modified_tables = None
 
     def abort(self, txn: Transaction) -> None:
         self._require_active(txn)
@@ -150,7 +162,7 @@ class TransactionManager:
         self._log.force(sync=False)
         txn.state = TxnState.ABORTED
         txn.on_commit.clear()
-        txn.modified_tables.clear()
+        txn.modified_tables = None
         self._finish(txn)
 
     def abort_all_active(self) -> list[int]:
@@ -176,21 +188,49 @@ class TransactionManager:
     # -- logged data changes (called by the table runtime pre-mutation) --------
     #
     # ``row_bytes`` is the width of the row image(s) the record carries,
-    # sized once by the table runtime (``RowShape.width``).
+    # sized once by the table runtime (``RowShape.width``); ``key_of``
+    # is the table's ``row -> primary-key tuple`` function (None without
+    # a primary key).
+
+    @staticmethod
+    def _note_write(txn: Transaction, table_name: str, key_of,
+                    *rows: tuple) -> None:
+        """Add the keys of ``rows`` to ``txn``'s write set."""
+        written = txn.modified_tables
+        if written is None:
+            return
+        name = table_name.lower()
+        keys = written.get(name)
+        if type(keys) is str:
+            return
+        if key_of is None:
+            written[name] = "no_pk"
+            return
+        if keys is None:
+            keys = written[name] = set()
+        for row in rows:
+            keys.add(key_of(row))
+        if len(keys) > WRITE_KEY_CAP:
+            written[name] = "cap"
+
+    @staticmethod
+    def _note_ddl(txn: Transaction, name: str) -> None:
+        if txn.modified_tables is not None:
+            txn.modified_tables[name.lower()] = "ddl"
 
     def log_insert(self, txn: Transaction, table_name: str, rid: RowId,
-                   row: tuple, row_bytes: int,
-                   cost_factor: float = 1.0) -> int:
-        txn.modified_tables.add(table_name.lower())
+                   row: tuple, row_bytes: int, cost_factor: float = 1.0,
+                   key_of=None) -> int:
+        self._note_write(txn, table_name, key_of, row)
         return self._chain(txn, InsertRecord(
             txn_id=txn.txn_id, table_name=table_name, file_id=rid.file_id,
             page_no=rid.page_no, slot=rid.slot, row=row,
             row_bytes=row_bytes), cost_factor)
 
     def log_delete(self, txn: Transaction, table_name: str, rid: RowId,
-                   row: tuple, row_bytes: int,
-                   cost_factor: float = 1.0) -> int:
-        txn.modified_tables.add(table_name.lower())
+                   row: tuple, row_bytes: int, cost_factor: float = 1.0,
+                   key_of=None) -> int:
+        self._note_write(txn, table_name, key_of, row)
         return self._chain(txn, DeleteRecord(
             txn_id=txn.txn_id, table_name=table_name, file_id=rid.file_id,
             page_no=rid.page_no, slot=rid.slot, row=row,
@@ -198,8 +238,8 @@ class TransactionManager:
 
     def log_update(self, txn: Transaction, table_name: str, rid: RowId,
                    old_row: tuple, new_row: tuple, row_bytes: int,
-                   cost_factor: float = 1.0) -> int:
-        txn.modified_tables.add(table_name.lower())
+                   cost_factor: float = 1.0, key_of=None) -> int:
+        self._note_write(txn, table_name, key_of, old_row, new_row)
         return self._chain(txn, UpdateRecord(
             txn_id=txn.txn_id, table_name=table_name, file_id=rid.file_id,
             page_no=rid.page_no, slot=rid.slot, old_row=old_row,
@@ -208,12 +248,12 @@ class TransactionManager:
     # -- logged DDL -----------------------------------------------------------
 
     def log_create_table(self, txn: Transaction, table: dict) -> int:
-        txn.modified_tables.add(table["name"].lower())
+        self._note_ddl(txn, table["name"])
         return self._chain(txn, CreateTableRecord(txn_id=txn.txn_id,
                                                   table=table))
 
     def log_drop_table(self, txn: Transaction, table: dict) -> int:
-        txn.modified_tables.add(table["name"].lower())
+        self._note_ddl(txn, table["name"])
         return self._chain(txn, DropTableRecord(txn_id=txn.txn_id,
                                                 table=table))
 
@@ -233,7 +273,7 @@ class TransactionManager:
                         body_sql: str) -> int:
         from repro.wal.records import CreateViewRecord
 
-        txn.modified_tables.add(name.lower())
+        self._note_ddl(txn, name)
         return self._chain(txn, CreateViewRecord(txn_id=txn.txn_id,
                                                  name=name,
                                                  body_sql=body_sql))
@@ -242,18 +282,18 @@ class TransactionManager:
                       body_sql: str) -> int:
         from repro.wal.records import DropViewRecord
 
-        txn.modified_tables.add(name.lower())
+        self._note_ddl(txn, name)
         return self._chain(txn, DropViewRecord(txn_id=txn.txn_id,
                                                name=name,
                                                body_sql=body_sql))
 
     def log_create_index(self, txn: Transaction, index: dict) -> int:
-        txn.modified_tables.add(index["table_name"].lower())
+        self._note_ddl(txn, index["table_name"])
         return self._chain(txn, CreateIndexRecord(txn_id=txn.txn_id,
                                                   index=index))
 
     def log_drop_index(self, txn: Transaction, index: dict) -> int:
-        txn.modified_tables.add(index["table_name"].lower())
+        self._note_ddl(txn, index["table_name"])
         return self._chain(txn, DropIndexRecord(txn_id=txn.txn_id,
                                                 index=index))
 

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
 from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
+
+#: ``--hypothesis-profile=ci``: the same examples on every run, so a red
+#: build is the code's doing and not the draw's.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture

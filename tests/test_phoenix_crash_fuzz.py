@@ -78,9 +78,26 @@ def run_query(app, label: str, sql: str, observed: list) -> None:
     observed.append((label, row))
 
 
-def workload(app) -> list:
-    """A small mixed workload; returns everything the app observes."""
+#: Point reads around the UPDATEs (``point_reads`` legs): key 4 is one
+#: neither UPDATE touches, key 1 one the first UPDATE does.
+UNTOUCHED_SQL = "SELECT v FROM ledger WHERE k = 4"
+TOUCHED_SQL = "SELECT v FROM ledger WHERE k = 1"
+
+
+def workload(app, point_reads: bool = False) -> list:
+    """A small mixed workload; returns everything the app observes.
+    With ``point_reads`` two primary-key SELECTs run before the UPDATEs
+    and again after them, and ``app.shared_hits`` tells which of the
+    four the shared result cache answered."""
     observed = []
+    app.shared_hits = {}
+
+    def point_read(label: str, sql: str) -> None:
+        before = app.manager.stats["shared_cache_hits"]
+        run_query(app, label, sql, observed)
+        app.shared_hits[label] = \
+            app.manager.stats["shared_cache_hits"] > before
+
     stmt = app.manager.alloc_statement(app.conn)
     rc = app.manager.exec_direct(stmt,
                                  "SELECT k, v FROM ledger ORDER BY k")
@@ -91,6 +108,9 @@ def workload(app) -> list:
             observed.append(("end", rc))
             break
         observed.append(("row", row))
+    if point_reads:
+        point_read("untouched", UNTOUCHED_SQL)
+        point_read("touched", TOUCHED_SQL)
     upd = app.manager.alloc_statement(app.conn)
     rc = app.manager.exec_direct(upd,
                                  "UPDATE ledger SET v = v + 1 WHERE k < 3")
@@ -101,6 +121,9 @@ def workload(app) -> list:
     rc = app.manager.exec_direct(upd,
                                  "UPDATE ledger SET v = v + 2 WHERE k >= 6")
     observed.append(("update-2", rc, app.manager.row_count(upd)))
+    if point_reads:
+        point_read("untouched-again", UNTOUCHED_SQL)
+        point_read("touched-again", TOUCHED_SQL)
     run_query(app, "sum", "SELECT sum(v) FROM ledger", observed)
     # Repeat the aggregate: with the shared result cache on this is a
     # hit — when a crash lands between the two executions the cache must
@@ -111,11 +134,11 @@ def workload(app) -> list:
 
 
 def reference_run(cache_rows: int = 0, prefetch: bool = False,
-                  result_cache: bool = False,
-                  cost_mode: bool = False) -> list:
+                  result_cache: bool = False, cost_mode: bool = False,
+                  point_reads: bool = False) -> list:
     _server, app = build_world(cache_rows, prefetch, result_cache,
                                cost_mode)
-    observed = workload(app)
+    observed = workload(app, point_reads)
     if cost_mode:
         # The sweep must actually plan through the cost path.
         assert app.meter.counters.get("optimizer.plans_costed", 0) > 0
@@ -126,16 +149,22 @@ def reference_run(cache_rows: int = 0, prefetch: bool = False,
     if result_cache and cache_rows:
         # Likewise: the cache-on sweep must actually serve a hit.
         assert app.meter.counters.get("result_cache.hits", 0) > 0
+    if result_cache and point_reads:
+        # Invalidation is by key: the UPDATEs in between evict the entry
+        # of the row they write and spare the one they do not.
+        assert app.shared_hits == {"untouched": False, "touched": False,
+                                   "untouched-again": True,
+                                   "touched-again": False}
     return observed
 
 
 def count_requests(cache_rows: int = 0, prefetch: bool = False,
-                   result_cache: bool = False,
-                   cost_mode: bool = False) -> int:
+                   result_cache: bool = False, cost_mode: bool = False,
+                   point_reads: bool = False) -> int:
     server, app = build_world(cache_rows, prefetch, result_cache,
                               cost_mode)
     start = app.network.requests_sent
-    workload(app)
+    workload(app, point_reads)
     return app.network.requests_sent - start
 
 
@@ -169,12 +198,18 @@ def test_crash_at_every_request_boundary(cache_rows, prefetch,
     observed values must still match the heuristic seed exactly, and the
     statistics themselves must survive every crash/recovery point.
     """
+    # The shared-cache legs add point reads on both sides of the
+    # UPDATEs: a hit on the key they spare, a miss on the key they write
+    # (asserted on the crash-free run; under a crash a lost piggyback
+    # may cost the hit, never the value).
+    point_reads = result_cache
     expected = reference_run(cache_rows, prefetch, result_cache,
-                             cost_mode)
-    assert expected == reference_run(cache_rows), (
+                             cost_mode, point_reads)
+    assert expected == reference_run(cache_rows, point_reads=point_reads), (
         "pipelined/cached/cost-planned delivery changed the crash-free "
         "output")
-    total = count_requests(cache_rows, prefetch, result_cache, cost_mode)
+    total = count_requests(cache_rows, prefetch, result_cache, cost_mode,
+                           point_reads)
     # Adaptive buffering legitimately collapses round trips, so the
     # pipelined sweep covers fewer boundaries — but never this few.
     assert total > (5 if prefetch else 10)
@@ -194,11 +229,15 @@ def test_crash_at_every_request_boundary(cache_rows, prefetch,
                 server.restart()
 
         app.network.fault_injector = injector
-        observed = workload(app)
+        observed = workload(app, point_reads)
         assert observed == expected, (
             f"output diverged when crashing at request {crash_at} "
             f"(cache_rows={cache_rows}, prefetch={prefetch}, "
             f"result_cache={result_cache}, cost_mode={cost_mode})")
+        if point_reads:
+            assert not app.shared_hits["touched-again"], (
+                f"a hit on a rewritten row when crashing at request "
+                f"{crash_at}")
         if cost_mode:
             stats = server.engine.catalog.get_table_stats("ledger")
             assert stats and stats["row_count"] == 8, (

@@ -1,17 +1,19 @@
 """The transaction-consistent shared result cache (driver-manager level).
 
 One cache per simulated world, shared across every virtual session:
-entries are stamped with per-table DML versions, invalidated by the
-version bumps every response piggybacks, and revalidated after a crash
-with a single version probe.  The contracts under test:
+entries carry the read set of their statement, are invalidated by the
+committed writes every response piggybacks, and are revalidated after a
+crash with a single version probe.  The contracts under test (the
+key-precise side of invalidation has its own file,
+``test_result_cache_read_sets.py``):
 
 * a hit costs **zero** protocol requests — rows are served from client
   memory and delivery never consults any server-side result position;
-* a committed write invalidates every stamped entry for *all* sessions
-  of the world (the multi-session torture case);
+* a committed write invalidates the entries that read what it wrote for
+  *all* sessions of the world (the multi-session torture case);
 * statements inside an application transaction bypass the shared cache
-  (read-your-writes) and their results stay session-private until
-  COMMIT promotes them; ROLLBACK discards them;
+  and their results stay invisible to lookups until COMMIT promotes
+  them; ROLLBACK discards them;
 * under synchronous commit, entries survive a server crash (revalidated
   against the WAL-recomputed version vector); under asynchronous commit
   a crash discards everything (acked commits may be lost, so equal
@@ -56,6 +58,10 @@ def phoenix_app(server, cache_rows: int = 100) -> BenchmarkApp:
     return BenchmarkApp(server, use_phoenix=True,
                         phoenix_config=PhoenixConfig(
                             client_cache_rows=cache_rows))
+
+
+#: The read set of a statement that read its table wholesale.
+WHOLE = ((),)
 
 
 def requests(meter) -> int:
@@ -332,31 +338,37 @@ def test_lru_eviction_at_capacity():
     meter = Meter(CostModel(result_cache_entries=2))
     cache = SharedResultCache.shared(meter)
     assert SharedResultCache.shared(meter) is cache  # world singleton
-    cache.insert("SELECT 1", [], [(1,)], {"t": 0})
-    cache.insert("SELECT 2", [], [(2,)], {"t": 0})
-    cache.insert("SELECT 3", [], [(3,)], {"t": 0})
+    cache.insert("SELECT 1", [], [(1,)], {"t": (0, ((1,),))})
+    cache.insert("SELECT 2", [], [(2,)], {"t": (0, ((2,),))})
+    cache.insert("SELECT 3", [], [(3,)], {"t": (0, WHOLE)})
     assert len(cache) == 2
     assert cache.lookup("SELECT 1") is None
     assert cache.lookup("SELECT 3") is not None
     assert int(meter.counters["result_cache.evictions"]) == 1
+    # LRU eviction unlinks: the evicted entry's prefix is gone from the
+    # index, and a write to it finds nothing to evict.
+    assert set(cache._index["t"]) == {(2,), ()}
+    cache.observe_committed({"t": (0, 1, {(1,)})}, epoch=0)
+    assert len(cache) == 1 and cache.lookup("SELECT 2") is not None
 
 
 def test_insert_refuses_oversized_and_unshareable_results():
     meter = Meter(CostModel(result_cache_entries=4,
                             result_cache_max_rows=2))
     cache = SharedResultCache.shared(meter)
-    assert not cache.insert("SELECT a", [], [(1,), (2,), (3,)], {"t": 0})
+    assert not cache.insert("SELECT a", [], [(1,), (2,), (3,)],
+                            {"t": (0, WHOLE)})
     assert not cache.insert("SELECT b", [], [(1,)], None)
-    assert cache.insert("SELECT c", [], [(1,)], {"t": 0})
+    assert cache.insert("SELECT c", [], [(1,)], {"t": (0, WHOLE)})
     assert len(cache) == 1
 
 
 def test_insert_refuses_stamps_behind_the_mirror():
     meter = Meter(CostModel(result_cache_entries=4))
     cache = SharedResultCache.shared(meter)
-    cache.observe_committed({"t": 3}, epoch=0)
-    assert not cache.insert("SELECT a", [], [(1,)], {"t": 2})
-    assert cache.insert("SELECT a", [], [(1,)], {"t": 3})
+    cache.observe_committed({"t": (2, 3, None)}, epoch=0)
+    assert not cache.insert("SELECT a", [], [(1,)], {"t": (2, WHOLE)})
+    assert cache.insert("SELECT a", [], [(1,)], {"t": (3, WHOLE)})
 
 
 def test_normalize_key_collapses_whitespace():

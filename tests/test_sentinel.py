@@ -95,6 +95,30 @@ def test_decreases_never_fail(tmp_path):
     assert check_history_file(history).ok
 
 
+def test_result_cache_hits_must_not_drop(tmp_path):
+    """More shared-cache hits is the good direction: a line that hits
+    less fails, a line that hits more passes."""
+    history = tmp_path / "wallclock_history.jsonl"
+    cached = dict(leg="cached-shared", result_cache_hits=3022)
+    write_history(history, [base_entry(**cached), base_entry(**cached),
+                            base_entry(leg="cached-shared",
+                                       result_cache_hits=3021)])
+    report = check_history_file(history)
+    (finding,) = report.findings
+    assert finding.metric == "result_cache_hits"
+    assert finding.latest == 3021 and finding.limit == 3022
+    assert "falls below" in report.format()
+
+
+def test_result_cache_hits_may_grow(tmp_path):
+    history = tmp_path / "wallclock_history.jsonl"
+    cached = dict(leg="cached-shared", result_cache_hits=3022)
+    write_history(history, [base_entry(**cached), base_entry(**cached),
+                            base_entry(leg="cached-shared",
+                                       result_cache_hits=3028)])
+    assert check_history_file(history).ok
+
+
 def test_groups_compared_independently(tmp_path):
     """Legs are separate groups: a prefetch regression must not hide
     behind the base leg's median (and vice versa)."""
