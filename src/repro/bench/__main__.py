@@ -430,10 +430,19 @@ def _run_tpccbench(args) -> int:
 
     Writes ``tpccbench.txt`` and appends one ``{date, commit, leg,
     sessions, virtual_seconds, locks.*}`` line per run to
-    ``tpccbench_history.jsonl``.  Fails (exit 1) if the row leg's
-    makespan is not strictly below the table leg's at every session
-    count, or if any leg's final database digest differs from the
-    serial reference (concurrency must never change committed state).
+    ``tpccbench_history.jsonl``; row-leg lines carry the identity field
+    ``"waits": "queued"`` (lock waits are FIFO queues in the lock
+    manager with the blocked statement held by the server), so the
+    sentinel judges them against lines recorded under that regime only.
+    Fails (exit 1) if the row leg's makespan is not strictly below the
+    table leg's at every session count, if any leg's final database
+    digest differs from the serial reference (concurrency must never
+    change committed state), or if a leg loses a wake-up (every live
+    session waiting for a lock nobody will release).  Wait episodes
+    (statements the server held) and requeues per episode (a statement
+    that was unblocked, ran again and blocked again) are printed next to
+    the deadlocks, not gated: the world is deadlock-dominated at its
+    default escalation threshold.
     """
     import datetime
     import json
@@ -452,15 +461,17 @@ def _run_tpccbench(args) -> int:
 
     lock_counters = ("locks.row_locks_acquired", "locks.escalations",
                      "locks.deadlocks_detected", "locks.lock_wait_seconds",
-                     "locks.txn_retries")
+                     "locks.txn_retries", "locks.wait_episodes",
+                     "locks.requeues")
     lines = ["Concurrent TPC-C mix: virtual-time makespan by lock "
              "granularity",
              "(identical transaction descriptors per leg; digests must "
-             "match)",
+             "match; waits = episodes: statements the server held at a "
+             "lock; requeues = held again after running again)",
              "",
              f"{'sessions':>8}  {'txns':>4}  {'serial':>10}  "
              f"{'table':>10}  {'row':>10}  {'row/table':>9}  "
-             f"{'deadlocks':>9}  {'waits':>7}"]
+             f"{'deadlocks':>9}  {'waits':>7}  {'requeues/wait':>13}"]
     failed = False
     entries = []
     for sessions, txns in TPCCBENCH_LEGS:
@@ -472,13 +483,21 @@ def _run_tpccbench(args) -> int:
                 sessions, granularity, txns_per_session=txns,
                 **TPCCBENCH_SCALE)
             mix = ConcurrentMix(server, apps, plans, scale)
-            result = (mix.run_serial() if leg == "serial"
-                      else mix.run_interleaved())
+            try:
+                result = (mix.run_serial() if leg == "serial"
+                          else mix.run_interleaved())
+            except RuntimeError as error:
+                # The mix raises the moment nobody can move.
+                print(f"FAIL: at {sessions} sessions the {leg} leg "
+                      f"stopped: {error}")
+                return 1
             runs[leg] = result
             digests[leg] = digest_database(server.engine)
             entry = {"date": datetime.date.today().isoformat(),
                      "commit": commit, "leg": leg, "sessions": sessions,
                      "virtual_seconds": result.makespan_seconds}
+            if leg == "row":
+                entry["waits"] = "queued"
             counters = server.meter.counters
             for name in lock_counters:
                 value = counters.get(name, 0)
@@ -487,11 +506,13 @@ def _run_tpccbench(args) -> int:
             entries.append(entry)
         serial, table, row = runs["serial"], runs["table"], runs["row"]
         ratio = row.makespan_seconds / table.makespan_seconds
+        requeues = entries[-1]["locks.requeues"]
         lines.append(
             f"{sessions:>8}  {txns:>4}  {serial.makespan_seconds:>10.4f}  "
             f"{table.makespan_seconds:>10.4f}  "
             f"{row.makespan_seconds:>10.4f}  {ratio:>9.3f}  "
-            f"{row.deadlocks:>9}  {row.lock_waits:>7}")
+            f"{row.deadlocks:>9}  {row.lock_waits:>7}  "
+            f"{requeues / max(1, row.lock_waits):>13.3f}")
         if row.makespan_seconds >= table.makespan_seconds:
             print(f"FAIL: at {sessions} sessions the row-locking "
                   f"makespan ({row.makespan_seconds:.4f}s) is not below "
@@ -517,7 +538,8 @@ def _run_tpccbench(args) -> int:
               f"{table.makespan_seconds:.4f}s -> row "
               f"{row.makespan_seconds:.4f}s ({(1 - ratio) * 100:.1f}% "
               f"faster), {committed} committed, row deadlocks "
-              f"{row.deadlocks}, waits {row.lock_waits}, table retries "
+              f"{row.deadlocks}, wait episodes {row.lock_waits} "
+              f"({requeues} requeues), lost wake-ups 0, table retries "
               f"{table.txn_retries}]")
 
     text = "\n".join(lines)

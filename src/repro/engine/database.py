@@ -26,6 +26,7 @@ from repro.engine.table import Table
 from repro.errors import (
     DeadlockError,
     EngineError,
+    LockWaitError,
     PlanningError,
     SqlSyntaxError,
     TableNotFoundError,
@@ -667,14 +668,30 @@ class DatabaseEngine:
     # Statement execution
     # ------------------------------------------------------------------
 
-    def execute(self, sql, session: EngineSession,
-                params: dict | None = None) -> StatementResult:
-        """Execute one statement (SQL text or pre-parsed AST)."""
+    def prepare(self, sql) -> tuple:
+        """The prepared form of one statement (SQL text or pre-parsed
+        AST): what :meth:`execute` runs, and what the server keeps of a
+        statement that has to wait for a lock."""
         if isinstance(sql, str):
-            prepared, norm = self._prepare(sql)
-        else:
-            prepared, norm = CachedStatement(statement=sql), None
-        return self._execute_one(prepared, norm, session, params or {})
+            return self._prepare(sql)
+        return CachedStatement(statement=sql), None
+
+    def execute(self, sql, session: EngineSession,
+                params: dict | None = None,
+                rerun: bool = False) -> StatementResult:
+        """Execute one statement (SQL text, pre-parsed AST, or the
+        :meth:`prepare` form of either).
+
+        ``rerun``: the statement was charged its parse/plan, met a lock
+        (``LockWaitError``) and runs again from the prepared form its
+        holder kept — execution is charged, parsing is not, and what the
+        session's transaction had queued stays queued.  Without it the
+        call is a *new* statement: a wait the session abandoned is
+        withdrawn first.
+        """
+        prepared, norm = sql if isinstance(sql, tuple) else self.prepare(sql)
+        return self._execute_one(prepared, norm, session, params or {},
+                                 rerun)
 
     def execute_script(self, sql: str, session: EngineSession,
                        params: dict | None = None) -> list[StatementResult]:
@@ -687,8 +704,8 @@ class DatabaseEngine:
                 for prepared in self._prepare_script(sql)]
 
     def _execute_one(self, prepared: CachedStatement, norm,
-                     session: EngineSession,
-                     params: dict) -> StatementResult:
+                     session: EngineSession, params: dict,
+                     rerun: bool = False) -> StatementResult:
         """The single entry point every statement funnels through: levy
         the per-statement parse/plan charge, then dispatch.  ``norm`` is
         the current text's normalization (its literal values), never the
@@ -699,15 +716,20 @@ class DatabaseEngine:
                     "engine.execute", layer="engine",
                     statement=type(prepared.statement).__name__):
                 return self._execute_one_inner(prepared, norm, session,
-                                               params)
-        return self._execute_one_inner(prepared, norm, session, params)
+                                               params, rerun)
+        return self._execute_one_inner(prepared, norm, session, params,
+                                       rerun)
 
     def _execute_one_inner(self, prepared: CachedStatement, norm,
-                           session: EngineSession,
-                           params: dict) -> StatementResult:
-        self.meter.charge(SERVER_CPU,
-                          self.meter.costs.cpu_per_statement_seconds,
-                          "statement parse/plan")
+                           session: EngineSession, params: dict,
+                           rerun: bool) -> StatementResult:
+        if not rerun:
+            self.meter.charge(SERVER_CPU,
+                              self.meter.costs.cpu_per_statement_seconds,
+                              "statement parse/plan")
+            if session is not None and (self.locks.waiting
+                                        or session.queued_txn is not None):
+                self.abandon_wait(session)
         statement = prepared.statement
         txn = session.current_txn if session is not None else None
         if txn is not None and not txn.is_active:
@@ -746,6 +768,19 @@ class DatabaseEngine:
                 return self._execute_dml_cached(prepared, norm, session,
                                                 exec_params, params)
         return self._execute_parsed(statement, session, exec_params)
+
+    def abandon_wait(self, session: EngineSession) -> None:
+        """The statement ``session`` had queued for a lock will not run
+        again (cancelled, or another statement arrived instead): take
+        its request out of the queue.  An autocommit statement's own
+        transaction *is* its place in the queue and goes with it."""
+        txn = session.queued_txn
+        if txn is not None:
+            session.queued_txn = None
+            if txn.is_active:
+                self.txns.abort(txn)
+        elif session.current_txn is not None:
+            self.locks.withdraw(session.current_txn.txn_id)
 
     def _stamp_read_versions(self, result: StatementResult, plan,
                              subqueries: list, statement: ast.Statement,
@@ -992,10 +1027,8 @@ class DatabaseEngine:
         if session is not None and session.in_transaction:
             lock_tables = entry.lock_tables
             if lock_tables is None:
-                lock_tables = [name
-                               for name in self._referenced_tables(statement)
-                               if not name.startswith("#")]
-                entry.lock_tables = lock_tables
+                entry.lock_tables = lock_tables = \
+                    self._read_lock_tables(statement)
             txn = session.current_txn
             self._acquire_read_locks(txn.txn_id, lock_tables)
             probe = self._reader_probe(txn)
@@ -1096,14 +1129,25 @@ class DatabaseEngine:
 
         Runs *inside* another session's lock request: the victim's undo
         executes (and is charged) before the requester unwinds with
-        ``LockWaitError``.  The victim's session notices on its next
-        statement (see the check in :meth:`_execute_parsed`).
+        ``LockWaitError``.  The victim is out of every queue from here
+        on, so a statement of its the server holds completes at once —
+        with the ``DeadlockError`` of the check in
+        :meth:`_execute_one_inner`, which also fails every later
+        statement of the session until ROLLBACK.
         """
         txn = self.txns.active_transactions.get(txn_id)
         if txn is None or not txn.is_active:
             self.locks.release_all(txn_id)
             return
         self.txns.abort(txn)
+
+    def _read_lock_tables(self, statement: ast.Statement) -> list[str]:
+        """The tables a transactional SELECT locks at its start, in name
+        order: which queue a statement joins first must not depend on
+        the iteration order of a set of strings (the process's hash
+        seed)."""
+        return sorted(name for name in self._referenced_tables(statement)
+                      if not name.startswith("#"))
 
     def _acquire_read_locks(self, txn_id: int, names) -> None:
         """Statement-start read locks for an in-transaction SELECT.
@@ -1198,7 +1242,14 @@ class DatabaseEngine:
 
         def __enter__(self) -> Transaction:
             if self._own:
-                self.txn = self._engine.txns.begin()
+                session = self._session
+                self.txn, session.queued_txn = session.queued_txn, None
+                if self.txn is None:
+                    self.txn = self._engine.txns.begin()
+                elif not self.txn.is_active:
+                    raise DeadlockError(
+                        f"txn {self.txn.txn_id} was aborted as a "
+                        f"deadlock victim while it waited for a lock")
             else:
                 self.txn = self._session.current_txn
                 self._savepoint = self.txn.last_lsn
@@ -1207,16 +1258,20 @@ class DatabaseEngine:
         def __exit__(self, exc_type, exc, tb) -> None:
             """A failed statement leaves no effects: its own transaction
             aborts; inside an explicit one only the statement's records
-            are undone (a lock-wait unwind has logged none)."""
+            are undone (a lock-wait unwind has logged none).  A lock
+            wait keeps the statement's own transaction — it holds the
+            place in the queue — for the re-run to pick up."""
             txns = self._engine.txns
             if exc_type is None:
                 if self._own:
                     txns.commit(self.txn)
             elif self.txn.is_active:
-                if self._own:
-                    txns.abort(self.txn)
-                else:
+                if not self._own:
                     txns.rollback_to(self.txn, self._savepoint)
+                elif issubclass(exc_type, LockWaitError):
+                    self._session.queued_txn = self.txn
+                else:
+                    txns.abort(self.txn)
 
     # -- SELECT -------------------------------------------------------------
 
@@ -1227,10 +1282,8 @@ class DatabaseEngine:
         plan = planner.plan_select(statement)
         probe = None
         if session.in_transaction:
-            self._acquire_read_locks(
-                session.current_txn.txn_id,
-                [name for name in self._referenced_tables(statement)
-                 if not name.startswith("#")])
+            self._acquire_read_locks(session.current_txn.txn_id,
+                                     self._read_lock_tables(statement))
             probe = self._reader_probe(session.current_txn)
         if probe is None:
             rows = iterate_plan(plan.root, self.meter)
@@ -1353,16 +1406,18 @@ class DatabaseEngine:
                            for fns in compiled.row_fns]
         positions = compiled.column_positions
         with DatabaseEngine._TxnScope(self, session) as txn:
-            mode = self._lock_for_write(session, txn, table)
+            mode = self._lock_for_write(session, txn, table,
+                                        inserting=True)
             # Every row is built before the first one is placed, so a
             # malformed row fails the statement before it mutates.
             build = table.shape.build
             rows = [build(source, positions) for source in source_rows]
-            if mode is LockMode.INTENT_EXCLUSIVE:
+            if mode is LockMode.INTENT_EXCLUSIVE \
+                    and table.row_lock_key is not None:
                 # Row granularity: all row X locks before the first
                 # insert too, so a LockWaitError can only unwind a
-                # statement that has not mutated anything — the retry
-                # re-runs it from scratch safely.
+                # statement that has not mutated anything — the re-run
+                # starts from scratch safely.
                 name = table.info.name
                 for row in rows:
                     self.locks.acquire_row(txn.txn_id, name,
@@ -1461,20 +1516,25 @@ class DatabaseEngine:
         return StatementResult.of_rowcount(count, f"{count} rows deleted")
 
     def _lock_for_write(self, session: EngineSession, txn: Transaction,
-                        table: Table) -> LockMode | None:
+                        table: Table, inserting: bool = False
+                        ) -> LockMode | None:
         """Take the table-granularity write lock; returns the mode taken.
 
         Seed policy: table X.  Row granularity: table IX (the caller
-        then takes row X locks) — except for tables without a primary
-        key (no row identity to lock) and tables carrying a *secondary*
-        unique index, where concurrent writers could race uniqueness
-        checks against uncommitted rows; both keep table X.
+        then takes row X locks) — except where IX would not isolate.  A
+        table carrying a *secondary* unique index keeps X: concurrent
+        writers could race uniqueness checks against uncommitted rows.
+        A table without a primary key has no row identity to lock, so
+        UPDATE and DELETE keep X; an INSERT into it takes IX and no row
+        lock (inserters do not conflict with each other, and everything
+        that reads or rewrites such a table takes table S or X, which
+        IX excludes).
         """
         info = table.info
         if info.volatile:
             return None
         mode = LockMode.EXCLUSIVE
-        if self._row_locking() and info.primary_key:
+        if self._row_locking() and (info.primary_key or inserting):
             mode = LockMode.INTENT_EXCLUSIVE
             for index in table.indexes():
                 if index.unique and not index.name.startswith("__pk_"):

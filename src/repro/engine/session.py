@@ -23,6 +23,10 @@ class EngineSession:
     session_id: int
     temp_tables: dict[str, Table] = field(default_factory=dict)
     current_txn: Transaction | None = None
+    #: The own transaction of an autocommit statement that is queued for
+    #: a lock: it holds the statement's place in the queue until the
+    #: statement runs again (and commits it) or the wait is abandoned.
+    queued_txn: Transaction | None = None
     settings: dict[str, object] = field(default_factory=dict)
     #: Plans that reference this session's temp tables; they die with the
     #: session (disconnect or crash), like the temp tables themselves.

@@ -84,16 +84,23 @@ class DeadlockError(TransactionError):
 
 
 class LockWaitError(TransactionError):
-    """A lock request must wait for other transactions (row mode only).
+    """A lock request was queued behind other transactions (row mode only).
 
     Raised instead of blocking — the engine host is single-threaded, so a
-    conflicting request under ``lock_granularity="row"`` registers the
-    waiter in the wait-for graph and unwinds with this error; the
-    scheduler parks the session and retries the statement once a blocker
-    commits or aborts.  The transaction stays active and keeps every lock
-    it already holds (strict 2PL).  Never raised under the default table
-    granularity, which keeps the seed's no-wait ``DeadlockError``.
+    conflicting request under ``lock_granularity="row"`` takes its place
+    in the resource's wait queue and unwinds with this error.  Whoever
+    issued the statement keeps it (the server holds a blocked
+    ``ExecuteRequest`` with its prepared form) and runs it again once
+    ``LockManager.is_waiting(txn_id)`` is false.  The transaction stays
+    active and keeps every lock it already holds (strict 2PL).  Never
+    raised under the default table granularity, which keeps the seed's
+    no-wait ``DeadlockError``.
     """
+
+    def __init__(self, message: str, txn_id: int = 0):
+        super().__init__(message)
+        #: The queued transaction.
+        self.txn_id = txn_id
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +144,14 @@ class OdbcError(ReproError):
         super().__init__(f"[{sqlstate}] {message}")
         self.sqlstate = sqlstate
         self.message = message
+
+
+class StillExecuting(ReproError):
+    """Not a failure: the statement is held by the server behind a lock
+    and has no response yet.  Unwinds the driver stack up to the driver
+    manager, which returns ``SQL_STILL_EXECUTING``; calling the same
+    function again with the same handle and text resumes the exchange.
+    """
 
 
 class InvalidHandleError(OdbcError):

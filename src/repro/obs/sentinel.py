@@ -63,6 +63,8 @@ METRIC_TOLERANCES: dict[str, float] = {
     "locks.deadlocks_detected": 0.0,
     "locks.lock_wait_seconds": 1e-9,
     "locks.txn_retries": 0.0,
+    "locks.wait_episodes": 0.0,
+    "locks.requeues": 0.0,
     "virtual_seconds": 1e-9,
     "recovery_seconds": 1e-6,
     "p95_execute_seconds": 1e-9,

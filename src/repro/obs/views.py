@@ -12,7 +12,8 @@ views:
 
 * ``sys_traces`` — finished spans of the world's tracer;
 * ``sys_metrics`` — every counter/gauge/histogram bucket;
-* ``sys_locks`` — held table/row locks with modes and waiters;
+* ``sys_locks`` — held table/row locks with modes and waiters, and the
+  lock queues: who waits for what, behind whom, for how long;
 * ``sys_recovery_phases`` — per-phase virtual-time breakdown of each
   Phoenix session recovery;
 * ``sys_plan_cache`` — statement/plan cache statistics, including
@@ -91,23 +92,39 @@ def _sys_metrics(engine):
 
 @system_view("sys_locks")
 def _sys_locks(engine):
-    """Held locks by table and granularity, with registered waiters.
+    """Who holds what, and who waits for what and for how long.
 
-    One row per (resource, holder).  ``lock_key`` is empty for
-    table-granularity locks and the repr of the primary-key tuple for
-    row locks; ``waiters`` lists transactions currently registered as
-    waiting on that holder (row granularity only — the seed's no-wait
-    policy never queues anyone).
+    One row per (resource, holder) with ``status`` ``granted``, then one
+    row per queued request with ``status`` ``waiting``.  ``lock_key`` is
+    empty for table-granularity locks and the repr of the primary-key
+    tuple for row locks.  On a granted row ``waiters`` lists the
+    transactions that have this holder among their blockers; on a
+    waiting row ``mode`` is the requested mode, ``queue_position``
+    counts from 1 in service order, ``blockers`` lists the transactions
+    the request has to outlast (incompatible holders and incompatible
+    requests ahead of it) and ``waited_seconds`` is the virtual time
+    since it was queued.  (Row granularity only — the seed's no-wait
+    policy never queues anyone.)
     """
     columns = [Column("table_name", SqlType.VARCHAR, 64),
                Column("granularity", SqlType.VARCHAR, 8),
                Column("lock_key", SqlType.VARCHAR, 80),
                Column("mode", SqlType.VARCHAR, 4),
                Column("txn_id", SqlType.INTEGER),
-               Column("waiters", SqlType.VARCHAR, 80)]
-    rows = [(table, granularity, key[:80], mode, txn_id, waiters[:80])
+               Column("waiters", SqlType.VARCHAR, 80),
+               Column("status", SqlType.VARCHAR, 8),
+               Column("queue_position", SqlType.INTEGER),
+               Column("blockers", SqlType.VARCHAR, 80),
+               Column("waited_seconds", SqlType.FLOAT)]
+    locks = engine.locks
+    rows = [(table, granularity, key[:80], mode, txn_id, waiters[:80],
+             "granted", None, "", None)
             for table, granularity, key, mode, txn_id, waiters
-            in engine.locks.snapshot()]
+            in locks.snapshot()]
+    rows.extend((table, granularity, key[:80], mode, txn_id, "",
+                 "waiting", position, blockers[:80], waited)
+                for table, granularity, key, mode, txn_id, position,
+                blockers, waited in locks.queue_snapshot())
     return columns, rows
 
 

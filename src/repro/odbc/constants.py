@@ -2,6 +2,9 @@
 
 SQL_SUCCESS = 0
 SQL_SUCCESS_WITH_INFO = 1
+#: The statement is held by the server behind a lock; call the same
+#: function again with the same handle and text to collect its outcome.
+SQL_STILL_EXECUTING = 2
 SQL_NO_DATA = 100
 SQL_ERROR = -1
 SQL_INVALID_HANDLE = -2
@@ -34,4 +37,7 @@ SQLSTATE_GENERAL_ERROR = "HY000"
 SQLSTATE_SYNTAX_ERROR = "42000"
 SQLSTATE_CONSTRAINT = "23000"
 SQLSTATE_SERIALIZATION_FAILURE = "40001"  # deadlock victim
-SQLSTATE_LOCK_TIMEOUT = "HYT00"  # lock wait (row granularity): retry later
+#: A *fetch* met a lock: the cursor cannot be held mid-scan, so the
+#: result is closed and the statement must be executed again (that
+#: execute waits in the lock queue like any other — SQL_STILL_EXECUTING).
+SQLSTATE_LOCK_TIMEOUT = "HYT00"

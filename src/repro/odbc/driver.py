@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.errors import OdbcError
+from repro.errors import OdbcError, StillExecuting
 from repro.server.network import SimulatedNetwork
 from repro.server.protocol import (
     AdvanceRequest,
@@ -40,7 +40,7 @@ from repro.server.protocol import (
     SetOptionRequest,
     VersionProbeRequest,
 )
-from repro.server.server import DatabaseServer
+from repro.server.server import DatabaseServer, HeldStatement
 from repro.sim.costs import CLIENT_CPU, NETWORK
 from repro.sim.meter import Meter
 from repro.odbc.constants import SQL_ATTR_CURSOR_TYPE, SQL_CURSOR_STATIC
@@ -62,6 +62,17 @@ class _InFlightFetch:
     #: Open latency-ledger entry of the overlapped exchange (None when
     #: the ledger is off); closed when the batch is realized/discarded.
     ledger_entry: object = None
+
+
+@dataclass(slots=True)
+class _PendingExecute:
+    """The one execute a connection has outstanding: the server holds
+    its statement at a lock and will answer ``held`` later."""
+
+    statement: StatementHandle
+    sql: str
+    params: dict
+    held: HeldStatement
 
 
 class NativeDriver:
@@ -102,8 +113,10 @@ class NativeDriver:
         connection.session_token = response.session_token
         connection.login = login
         connection.options = options
+        connection.pending = None  # a new session holds nothing
 
     def disconnect(self, connection: ConnectionHandle) -> None:
+        self._drop_pending(connection)
         if connection.connected:
             self._call(DisconnectRequest(
                 session_token=connection.session_token))
@@ -141,9 +154,27 @@ class NativeDriver:
             # Re-execute (or a recovery reopen) abandons whatever was
             # still in flight for the old result.
             self.discard_prefetch(statement.result)
-        response = self._call(ExecuteRequest(
-            session_token=connection.session_token, sql=sql,
-            params=dict(params or {})))
+        params = dict(params or {})
+        pending = connection.pending
+        if pending is not None and pending.statement is statement \
+                and pending.sql == sql and pending.params == params:
+            # The same call again (ODBC's asynchronous-execution idiom):
+            # nothing is sent.  While the statement still waits nothing
+            # is charged either; afterwards the outstanding response is
+            # collected.
+            if pending.held.waiting:
+                raise StillExecuting(f"still waiting for a lock: {sql[:80]}")
+            connection.pending = None
+            self._sync_pipeline()
+            response = self.network.collect(self.server, pending.held)
+        else:
+            if pending is not None:
+                self._drop_pending(connection)
+            response = self._call(ExecuteRequest(
+                session_token=connection.session_token, sql=sql,
+                params=params))
+        if type(response) is HeldStatement:
+            self._park(statement, sql, params, response)
         result = self._install_result(statement, response, sql)
         if response.kind == "rows":
             # Prime fetch-ahead on the fresh result (no-op at depth 0).
@@ -169,12 +200,15 @@ class NativeDriver:
         connection = statement.connection
         if not connection.connected:
             raise OdbcError("08003", "connection is not open")
-        if not self.meter.advance_clock:
+        if not self.meter.advance_clock or connection.pending is not None:
             return self.execute(statement, sql, params)
+        params = dict(params or {})
         response, service = self.network.call_overlapped(
             self.server, ExecuteRequest(
                 session_token=connection.session_token, sql=sql,
-                params=dict(params or {})))
+                params=params))
+        if type(response) is HeldStatement:
+            self._park(statement, sql, params, response)
         if self.network.last_overlapped_entry is not None:
             self._pipeline_entries.append(
                 self.network.last_overlapped_entry)
@@ -183,6 +217,40 @@ class NativeDriver:
         self.meter.count("pipeline_requests")
         self.meter.count("pipeline_overlap_seconds", service)
         return self._install_result(statement, response, sql)
+
+    def _park(self, statement: StatementHandle, sql: str, params: dict,
+              held: HeldStatement) -> None:
+        """No response yet: the statement the server holds at a lock
+        becomes the connection's pending execute, and the call unwinds
+        with :class:`StillExecuting`."""
+        statement.connection.pending = _PendingExecute(
+            statement, sql, params, held)
+        raise StillExecuting(f"statement is waiting for a lock: {sql[:80]}")
+
+    def _drop_pending(self, connection: ConnectionHandle) -> None:
+        """Give up on the connection's pending execute.  The request
+        that follows cancels the statement server-side."""
+        pending = connection.pending
+        if pending is not None:
+            connection.pending = None
+            self.network.abandon(pending.held)
+
+    def outstanding(self, statement: StatementHandle
+                    ) -> HeldStatement | None:
+        """The held statement ``statement``'s execute is waiting on, if
+        its execute is the connection's pending one."""
+        pending = statement.connection.pending
+        if pending is not None and pending.statement is statement:
+            return pending.held
+        return None
+
+    def still_executing(self, statement: StatementHandle) -> bool:
+        """Is ``statement``'s execute outstanding with nothing to
+        collect yet?  A pure read: no message, no charge.  (Stands in
+        for ODBC's completion event; polling ``exec_direct`` itself is
+        just as free.)"""
+        held = self.outstanding(statement)
+        return held is not None and held.waiting
 
     def _install_result(self, statement: StatementHandle, response,
                         sql: str) -> ResultState:
@@ -383,6 +451,16 @@ class NativeDriver:
         return dropped
 
     def close_statement(self, statement: StatementHandle) -> None:
+        connection = statement.connection
+        held = self.outstanding(statement)
+        if held is not None:
+            # Freeing the handle cancels the statement it has waiting
+            # (statement id 0: no result was ever opened).
+            self._drop_pending(connection)
+            if not held.lost:
+                self._call(CloseStatementRequest(
+                    session_token=connection.session_token,
+                    statement_id=0))
         result = statement.result
         if result is not None:
             # Abandoned in-flight batches: produced and shipped for

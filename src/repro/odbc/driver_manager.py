@@ -6,6 +6,14 @@ fetch, read diagnostics.  Methods return ODBC return codes
 driver are converted into diagnostics on the handle, exactly the contract
 ODBC applications code against.
 
+A statement the server holds behind a lock follows ODBC's asynchronous
+execution idiom: ``exec_direct`` returns ``SQL_STILL_EXECUTING`` and the
+application calls it again with the same handle and text — a call that
+sends nothing and costs nothing while the statement still waits
+(:meth:`DriverManager.still_executing` asks without calling), and
+otherwise returns what the first call would have.  Executing something
+else on the connection, or freeing the handle, cancels the statement.
+
 ``PhoenixDriverManager`` (in :mod:`repro.phoenix.driver_manager`) exposes
 this same surface — "the Phoenix-enhanced driver manager wraps the call
 points of database vendor provided ODBC drivers in the same way as the
@@ -25,10 +33,12 @@ from repro.errors import (
     ServerCrashedError,
     ServerDownError,
     SqlSyntaxError,
+    StillExecuting,
 )
 from repro.odbc.constants import (
     SQL_ERROR,
     SQL_NO_DATA,
+    SQL_STILL_EXECUTING,
     SQL_SUCCESS,
     SQLSTATE_COMM_LINK_FAILURE,
     SQLSTATE_CONNECTION_DEAD,
@@ -55,8 +65,9 @@ def sqlstate_for(error: Exception) -> str:
     if isinstance(error, ConnectionLostError):
         return SQLSTATE_CONNECTION_DEAD
     if isinstance(error, LockWaitError):
-        # Checked before DeadlockError only for clarity — the two are
-        # sibling TransactionError subclasses, never related.
+        # Reaches a client from a fetch only: an execute that meets a
+        # lock is held by the server (SQL_STILL_EXECUTING), a lazy pull
+        # cannot be — its result is closed and must be executed again.
         return SQLSTATE_LOCK_TIMEOUT
     if isinstance(error, DeadlockError):
         return SQLSTATE_SERIALIZATION_FAILURE
@@ -125,6 +136,12 @@ class DriverManager:
                             lambda: self.driver.execute(statement, sql,
                                                         params))
         return rc
+
+    def still_executing(self, statement: StatementHandle) -> bool:
+        """True while calling ``exec_direct`` again would return
+        ``SQL_STILL_EXECUTING``.  A pure read, for schedulers that step
+        a session only when it can move."""
+        return self.driver.still_executing(statement)
 
     # -- prepared execution (SQLPrepare / SQLBindParameter / SQLExecute) --------
 
@@ -217,6 +234,8 @@ class DriverManager:
         handle.clear_diag()
         try:
             return SQL_SUCCESS, operation()
+        except StillExecuting:
+            return SQL_STILL_EXECUTING, None
         except ReproError as error:
             handle.add_diag(sqlstate_for(error), str(error))
             return SQL_ERROR, None

@@ -62,6 +62,10 @@ class ConnectionHandle(_Handle):
         self.login = ""
         self.options: dict[str, object] = {}
         self.statements: list[StatementHandle] = []
+        #: The execute this connection has outstanding while the server
+        #: holds its statement at a lock (the driver's; at most one — a
+        #: connection runs one statement at a time).
+        self.pending = None
         environment.connections.append(self)
 
 

@@ -29,7 +29,11 @@ from repro.errors import (
     RecoveryFailedError,
     ReproError,
 )
-from repro.odbc.constants import SQL_NO_DATA, SQL_SUCCESS
+from repro.odbc.constants import (
+    SQL_NO_DATA,
+    SQL_STILL_EXECUTING,
+    SQL_SUCCESS,
+)
 from repro.odbc.driver import NativeDriver
 from repro.odbc.driver_manager import DriverManager
 from repro.odbc.handles import (
@@ -170,11 +174,23 @@ class PhoenixDriverManager(DriverManager):
 
             sql = inline_parameters(sql, params)
             params = None
-        request_class = classify_request(sql, self.meter)
         state = vconn.statement_state(statement)
-        old_table = state.table_name
-        state.reset()
-        statement.last_sql = sql
+        held = self.driver.outstanding(statement)
+        if held is not None and statement.last_sql == sql:
+            # The same call again while the server holds the statement
+            # at a lock.  Still waiting: nothing is sent, nothing is
+            # charged.  Otherwise the dispatch below runs again as it
+            # ran the first time — the driver resumes the outstanding
+            # exchange where it would have sent the request.
+            if held.waiting:
+                return SQL_STILL_EXECUTING
+            request_class, old_table = state.request_class, ""
+        else:
+            request_class = classify_request(sql, self.meter)
+            old_table = state.table_name
+            state.reset()
+            state.request_class = request_class
+            statement.last_sql = sql
         rc, _ = self._guard(statement, lambda: self._dispatch(
             vconn, state, request_class, sql, params, old_table))
         return rc
@@ -596,10 +612,11 @@ class PhoenixDriverManager(DriverManager):
     def close_cursor(self, statement: StatementHandle) -> int:
         state = self._state_of(statement)
         if state is not None:
-            self._drop_quietly(
-                state.table_name,
-                self._vconns.get(statement.connection.handle_id))
+            vconn = self._vconns.get(statement.connection.handle_id)
+            self._drop_quietly(state.table_name, vconn)
             state.reset()
+            if vconn is not None:
+                self._cancel_wrapped(vconn, statement)
         return super().close_cursor(statement)
 
     def free_statement(self, statement: StatementHandle) -> int:
@@ -609,7 +626,22 @@ class PhoenixDriverManager(DriverManager):
             self._drop_quietly(state.table_name, vconn)
             if vconn is not None:
                 vconn.statements.pop(statement.handle_id, None)
+                self._cancel_wrapped(vconn, statement)
         return super().free_statement(statement)
+
+    def _cancel_wrapped(self, vconn: VirtualConnection,
+                        statement: StatementHandle) -> None:
+        """Freeing (or closing) a wrapped statement the server holds at
+        a lock: the wrapper transaction around it must not stay open (it
+        may hold locks).  Its ROLLBACK is another statement on the
+        connection, which cancels the held one on its way."""
+        if vconn.wrapper_txn_open \
+                and self.driver.outstanding(statement) is not None:
+            try:
+                self._status.reset_open_transaction(vconn.app_handle)
+                vconn.wrapper_txn_open = False
+            except ReproError:
+                pass  # the next wrapped statement rolls back first
 
     # ------------------------------------------------------------------
     # The recovery loop (§2.3)

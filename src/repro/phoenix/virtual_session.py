@@ -48,6 +48,10 @@ class StatementState:
     """Phoenix bookkeeping for one application statement handle."""
 
     handle: StatementHandle
+    #: How the current execution was classified: a call that resumes a
+    #: statement the server holds at a lock dispatches on it again
+    #: without paying for a second parse.
+    request_class: object = None
     mode: StatementMode = StatementMode.NONE
     original_sql: str = ""
     #: Result metadata as the application should see it (original column

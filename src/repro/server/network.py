@@ -21,6 +21,16 @@ unoverlapped remainder (``max(0, completion - now)``) when it
 synchronizes, which is how overlapping delivery with client compute is
 modeled deterministically.
 
+A held exchange: when the server answers an ``ExecuteRequest`` with a
+:class:`~repro.server.server.HeldStatement` (the statement is queued
+for a lock), ``call`` *returns* it — no downlink is charged, nothing
+failed, and the exchange's ledger entry stays open.  The driver keeps it
+and calls :meth:`SimulatedNetwork.collect` when the statement can run
+again: the wait is booked under ``lock_wait`` (off the shared clock —
+nobody's resource was busy), the server runs the statement from its
+retained form, and the ordinary response and its downlink are charged
+then.  No second request is ever sent for it.
+
 Every exchange is mirrored into the world's metrics registry
 (``net.requests_sent``, up/down wire bytes, per-request-kind counts) so
 the ``sys_network`` view can report round-trip traffic; the plain
@@ -34,6 +44,7 @@ exact request boundaries or mid-request.
 from __future__ import annotations
 
 from repro.errors import ServerCrashedError, ServerDownError
+from repro.server.server import HeldStatement
 from repro.sim.costs import CLIENT_CPU, NETWORK
 from repro.sim.meter import Meter
 
@@ -58,14 +69,58 @@ class SimulatedNetwork:
         self.last_overlapped_entry = None
 
     def call(self, server, request):
-        """One request/response exchange; returns the response object."""
+        """One request/response exchange; returns the response object —
+        or the :class:`HeldStatement` of a statement that has none yet
+        (see :meth:`collect`)."""
         meter = self._meter
         entry = meter.latency_open(type(request).__name__)
         try:
             self._send(server, request)
-            return self._serve(server, request)
-        finally:
+            response = self._serve(server, request)
+        except BaseException:
             meter.latency_close(entry)
+            raise
+        if type(response) is HeldStatement:
+            return self._hold(response, entry)
+        meter.latency_close(entry)
+        return response
+
+    def collect(self, server, held: HeldStatement):
+        """The response of a held exchange, now that its statement can
+        run again — or ``held`` once more if it met another lock.  A
+        statement lost in a crash fails like any request in flight."""
+        meter = self._meter
+        entry = held.ledger_entry
+        meter.latency_resume(entry)
+        waited = meter.peek_now() - held.since
+        if waited > 0:
+            meter.latency_attribute(entry, "lock_wait", waited)
+            meter.count("locks.lock_wait_seconds", waited)
+        try:
+            if held.lost:
+                meter.charge(CLIENT_CPU, self.request_timeout_seconds,
+                             "request timeout")
+                raise ServerCrashedError("server crashed during request")
+            response = self._respond(server.resume, held, "ExecuteRequest")
+        except BaseException:
+            meter.latency_close(entry)
+            raise
+        if type(response) is HeldStatement:
+            return self._hold(response, entry)
+        meter.latency_close(entry)
+        return response
+
+    def abandon(self, held: HeldStatement) -> None:
+        """The client gave up on a held exchange (it cancelled the
+        statement): close its books."""
+        self._meter.latency_close(held.ledger_entry, wasted=True)
+
+    def _hold(self, held: HeldStatement, entry) -> HeldStatement:
+        """No response yet: the exchange's books stay open, on ``held``,
+        until it is collected."""
+        self._meter.latency_detach(entry)
+        held.ledger_entry = entry
+        return held
 
     def call_overlapped(self, server, request) -> tuple:
         """Pipelined exchange: ``(response, deferred service seconds)``.
@@ -106,6 +161,14 @@ class SimulatedNetwork:
             meter.latency_close(entry)
             raise
         service = meter.end_overlap()
+        if type(response) is HeldStatement:
+            # The statement waits for a lock: there is no service to
+            # overlap with anything.  What ran so far is realized on the
+            # clock, as for a failed exchange.
+            if service > 0:
+                meter.clock.advance(service)
+                meter.latency_attribute(entry, "server_queue", service)
+            return self._hold(response, entry), 0.0
         # Success: the entry stays open — its latency is not known until
         # the driver realizes the batch's stall (or discards it).
         meter.latency_detach(entry)
@@ -146,16 +209,25 @@ class SimulatedNetwork:
             meter.charge(CLIENT_CPU, self.request_timeout_seconds,
                          "request timeout")
             raise ServerCrashedError("server crashed during request")
+        return self._respond(server.handle, request,
+                             type(request).__name__)
+
+    def _respond(self, serve, subject, kind: str):
+        """Let the server work and charge the response's downlink (a
+        held statement has no response to charge yet)."""
+        meter = self._meter
         try:
-            response = server.handle(request)
+            response = serve(subject)
         except ServerCrashedError:
             meter.charge(CLIENT_CPU, self.request_timeout_seconds,
                          "request timeout")
             raise
+        if type(response) is HeldStatement:
+            return response
         down_bytes = response.wire_bytes()
         self.wire_bytes_down += down_bytes
         meter.count("net.wire_bytes_down", down_bytes)
-        meter.count(f"net.bytes_down.{type(request).__name__}", down_bytes)
+        meter.count(f"net.bytes_down.{kind}", down_bytes)
         meter.charge(NETWORK, self._transfer(down_bytes), "response")
         return response
 

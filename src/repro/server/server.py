@@ -13,6 +13,19 @@ and a *volatile* engine incarnation, sessions and open result sets.
 
 Requests arrive through :meth:`handle` (normally via
 :class:`~repro.server.network.SimulatedNetwork`).
+
+A statement that meets a lock waits *here*, the way it waited inside the
+paper's SQL Server: the ``ExecuteRequest`` gets no response yet — a
+:class:`HeldStatement` stands in for it — and the session keeps the
+statement's prepared form.  When the lock manager has let its
+transaction through, :meth:`DatabaseServer.resume` runs the statement
+again from that form (execution is charged, parsing is not) and only
+then produces the ordinary response.  A held statement ends in one of
+three ways: it is resumed to completion (which, for a transaction the
+deadlock detector aborted meanwhile, is at once and with SQLSTATE
+40001); it is cancelled — its handle is freed or another statement
+arrives on the connection — and its request leaves the queue; or the
+server crashes and it is lost like any request in flight.
 """
 
 from __future__ import annotations
@@ -21,7 +34,12 @@ import logging
 
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
-from repro.errors import ConnectionLostError, ServerDownError
+from repro.errors import (
+    ConnectionLostError,
+    LockWaitError,
+    OdbcError,
+    ServerDownError,
+)
 from repro.server.protocol import (
     AdvanceRequest,
     AdvanceResponse,
@@ -49,6 +67,47 @@ from repro.sim.meter import Meter
 logger = logging.getLogger(__name__)
 
 
+class HeldStatement:
+    """What an ``ExecuteRequest`` gets instead of a response while its
+    statement is queued for a lock: the server-side state of the wait
+    (prepared form, parameters, the queued transaction) and the client's
+    claim on the response to come."""
+
+    __slots__ = ("server", "epoch", "session", "prepared", "params",
+                 "txn_id", "since", "ledger_entry")
+
+    def __init__(self, server: "DatabaseServer", session: "_ServerSession",
+                 prepared: tuple, params: dict):
+        self.server = server
+        #: ``server.crashes`` when the statement was held; a mismatch
+        #: means it died with that incarnation.
+        self.epoch = server.crashes
+        self.session = session
+        self.prepared = prepared
+        self.params = params
+        #: The transaction whose queued request the statement waits on.
+        self.txn_id = 0
+        #: Virtual time since which nothing has run for this statement.
+        self.since = 0.0
+        #: The exchange's open latency-ledger entry (the network's).
+        self.ledger_entry = None
+
+    @property
+    def lost(self) -> bool:
+        """Did the server incarnation holding the statement crash?"""
+        server = self.server
+        return server.crashes != self.epoch or not server.is_running
+
+    @property
+    def waiting(self) -> bool:
+        """True while resuming could do nothing: the transaction is
+        still queued.  False when the statement can run again — and
+        when it never will (cancelled, or lost in a crash), which the
+        client learns by resuming."""
+        return (self.session.held is self and not self.lost
+                and self.server.engine.locks.is_waiting(self.txn_id))
+
+
 class _ServerSession:
     """One connected client's volatile server state."""
 
@@ -56,6 +115,9 @@ class _ServerSession:
         self.token = token
         self.engine_session = EngineSession(session_id=token)
         self.results: dict[int, ServerResultSet] = {}
+        #: The statement this connection has waiting for a lock (a
+        #: connection runs one statement at a time).
+        self.held: HeldStatement | None = None
         self._statement_seq = 0
 
     def next_statement_id(self) -> int:
@@ -143,6 +205,8 @@ class DatabaseServer:
     # -- request dispatch ------------------------------------------------------
 
     def handle(self, request: Request):
+        """Serve one request; returns its response — or, for a statement
+        that met a lock, the :class:`HeldStatement` to :meth:`resume`."""
         obs = self.meter.obs
         if obs.enabled:
             with obs.tracer.span("server.handle", layer="server",
@@ -150,28 +214,46 @@ class DatabaseServer:
                 return self._handle(request)
         return self._handle(request)
 
+    def resume(self, held: HeldStatement):
+        """Run a held statement again now that its transaction is out of
+        the lock queue; returns the response, or ``held`` once more when
+        the statement met another lock."""
+        obs = self.meter.obs
+        if obs.enabled:
+            with obs.tracer.span("server.resume", layer="server"):
+                return self._resume(held)
+        return self._resume(held)
+
     def _handle(self, request: Request):
         self._require_up()
-        if isinstance(request, PingRequest):
-            self.meter.charge(SERVER_CPU, self.meter.costs.ping_seconds,
-                              "ping")
-            return PingResponse(alive=True)
-        if isinstance(request, ConnectRequest):
-            return self._handle_connect(request)
-        if isinstance(request, DisconnectRequest):
-            return self._handle_disconnect(request)
-        if isinstance(request, ExecuteRequest):
-            return self._handle_execute(request)
-        if isinstance(request, FetchRequest):
-            return self._handle_fetch(request)
-        if isinstance(request, AdvanceRequest):
-            return self._handle_advance(request)
-        if isinstance(request, CloseStatementRequest):
-            return self._handle_close(request)
-        if isinstance(request, SetOptionRequest):
-            return self._handle_set_option(request)
-        if isinstance(request, VersionProbeRequest):
-            return self._handle_version_probe(request)
+        try:
+            if isinstance(request, PingRequest):
+                self.meter.charge(SERVER_CPU, self.meter.costs.ping_seconds,
+                                  "ping")
+                return PingResponse(alive=True)
+            if isinstance(request, ConnectRequest):
+                return self._handle_connect(request)
+            if isinstance(request, DisconnectRequest):
+                return self._handle_disconnect(request)
+            if isinstance(request, ExecuteRequest):
+                return self._handle_execute(request)
+            if isinstance(request, FetchRequest):
+                return self._handle_fetch(request)
+            if isinstance(request, AdvanceRequest):
+                return self._handle_advance(request)
+            if isinstance(request, CloseStatementRequest):
+                return self._handle_close(request)
+            if isinstance(request, SetOptionRequest):
+                return self._handle_set_option(request)
+            if isinstance(request, VersionProbeRequest):
+                return self._handle_version_probe(request)
+        except LockWaitError as wait:
+            # Only a lazy pull (fetch, advance) gets here — an execute
+            # is held instead.  The cursor cannot be resumed mid-scan,
+            # so nothing will run again for this request: it leaves the
+            # queue and the client re-executes.
+            self.engine.locks.withdraw(wait.txn_id)
+            raise
         raise ValueError(f"unknown request {type(request).__name__}")
 
     # -- handlers -----------------------------------------------------------
@@ -189,29 +271,81 @@ class DatabaseServer:
         session = self._sessions.pop(request.session_token, None)
         self.engine.sessions.pop(request.session_token, None)
         if session is not None:
+            self._cancel_held(session)
             engine_session = session.engine_session
             if engine_session.in_transaction:
                 self.engine.txns.abort(engine_session.current_txn)
         return OkResponse(message="bye")
 
-    def _handle_execute(self, request: ExecuteRequest) -> ExecuteResponse:
+    def _handle_execute(self, request: ExecuteRequest):
         session = self._session(request.session_token)
-        result = self.engine.execute(request.sql, session.engine_session,
-                                     request.params)
+        if session.held is not None:
+            # Another statement on the connection cancels the one it
+            # holds.
+            self._cancel_held(session)
+        return self._execute(session, self.engine.prepare(request.sql),
+                             request.params, None)
+
+    def _resume(self, held: HeldStatement):
+        self._require_up()
+        session = held.session
+        if session.held is not held:
+            raise OdbcError("HY008", "the held statement was cancelled")
+        session.held = None
+        return self._execute(session, held.prepared, held.params, held)
+
+    def _execute(self, session: _ServerSession, prepared: tuple,
+                 params: dict, held: HeldStatement | None):
+        """Run a statement to its response, or hold it at a lock.
+        ``held``: it was held before and this is its re-run."""
+        engine = self.engine
+        rerun = held is not None
+        while True:
+            try:
+                result = engine.execute(prepared, session.engine_session,
+                                        params, rerun=rerun)
+                return self._execute_response(session, result)
+            except LockWaitError as wait:
+                if not engine.locks.is_waiting(wait.txn_id):
+                    # The deadlock detector broke the wait in this
+                    # statement's favour while registering it.
+                    rerun = True
+                    continue
+                if held is None:
+                    held = HeldStatement(self, session, prepared, params)
+                else:
+                    self.meter.count("locks.requeues")
+                held.txn_id = wait.txn_id
+                held.since = self.meter.peek_now()
+                session.held = held
+                return held
+
+    def _cancel_held(self, session: _ServerSession) -> None:
+        held = session.held
+        if held is None:
+            return
+        session.held = None
+        self.engine.abandon_wait(session.engine_session)
+        self.meter.count("locks.held_statements_cancelled")
+
+    def _execute_response(self, session: _ServerSession,
+                          result) -> ExecuteResponse:
         schema_version = self.engine.catalog.schema_version
         # Shared-result-cache piggyback: the writes committed since the
-        # last response (nothing while the cache knob is off).
-        table_versions = self.engine.pop_version_updates()
+        # last response (nothing while the cache knob is off).  Popped
+        # only once a response is certain — a first pull that meets a
+        # lock below must leave them for the response that does go out.
+        pop_updates = self.engine.pop_version_updates
         if result.kind == "rowcount":
             return ExecuteResponse(kind="rowcount",
                                    rowcount=result.rowcount,
                                    message=result.message,
                                    schema_version=schema_version,
-                                   table_versions=table_versions)
+                                   table_versions=pop_updates())
         if result.kind == "ok":
             return ExecuteResponse(kind="ok", message=result.message,
                                    schema_version=schema_version,
-                                   table_versions=table_versions)
+                                   table_versions=pop_updates())
         statement_id = session.next_statement_id()
         streamable = getattr(result, "streamable", False)
         open_result = ServerResultSet(statement_id, result.columns,
@@ -222,8 +356,8 @@ class DatabaseServer:
             open_result.fill_buffer()
         except Exception:
             # The first pull failed (e.g. a row-granularity lock wait
-            # raised mid-scan): drop the half-open result set so a
-            # statement retry does not leak it.
+            # raised mid-scan): drop the half-open result set so the
+            # statement's re-run does not leak it.
             session.results.pop(statement_id, None)
             raise
         rows = open_result.take_batch(open_result.wire_batch_rows())
@@ -241,7 +375,7 @@ class DatabaseServer:
                                row_bytes=open_result.wire_bytes(rows),
                                done=done, schema_version=schema_version,
                                read_versions=read_versions,
-                               table_versions=table_versions)
+                               table_versions=pop_updates())
 
     def _handle_fetch(self, request: FetchRequest) -> FetchResponse:
         session = self._session(request.session_token)
@@ -254,7 +388,8 @@ class DatabaseServer:
         except Exception:
             # A lazy pull failed mid-result (row-granularity lock wait or
             # deadlock): the cursor position is unrecoverable, so close
-            # the result — the client retries the whole statement.
+            # the result — the client executes the whole statement again
+            # (SQLSTATE HYT00 / 40001).
             session.results.pop(request.statement_id, None)
             raise
         max_rows = request.max_rows
@@ -276,8 +411,14 @@ class DatabaseServer:
         return AdvanceResponse(skipped=skipped, done=open_result.exhausted)
 
     def _handle_close(self, request: CloseStatementRequest) -> OkResponse:
+        """Close an open result — or, with statement id 0 (no result was
+        ever opened), cancel the statement the connection has waiting
+        for a lock."""
         session = self._session(request.session_token)
-        session.results.pop(request.statement_id, None)
+        if request.statement_id:
+            session.results.pop(request.statement_id, None)
+        else:
+            self._cancel_held(session)
         return OkResponse(message="closed")
 
     def _handle_set_option(self, request: SetOptionRequest) -> OkResponse:

@@ -148,11 +148,11 @@ class CostModel:
     #: policy (conflicts raise ``DeadlockError`` immediately).  ``"row"``
     #: enables the hierarchical lock manager: intention modes (IS/IX) at
     #: table granularity plus S/X row locks keyed by primary key, strict
-    #: 2PL held to commit/abort, bounded waiting in virtual time
-    #: (conflicts raise ``LockWaitError`` so the scheduler can park the
-    #: session) and wait-for-graph deadlock detection that aborts the
-    #: youngest transaction in the cycle.  The default keeps every
-    #: historical trace bit-identical (same convention as
+    #: 2PL held to commit/abort, FIFO wait queues (a statement that
+    #: meets a lock is held by the server until the lock manager lets
+    #: its transaction through) and wait-for-graph deadlock detection
+    #: that aborts the youngest transaction of every cycle.  The default
+    #: keeps every historical trace bit-identical (same convention as
     #: ``async_commit_window_seconds``).
     lock_granularity: str = "table"
     #: Row locks one transaction may hold on one table before the lock

@@ -1,4 +1,4 @@
-"""Hierarchical lock manager: table locks, row locks, deadlock detection.
+"""Hierarchical lock manager: table locks, row locks, FIFO wait queues.
 
 Two regimes, selected by ``CostModel.lock_granularity``:
 
@@ -12,22 +12,54 @@ Two regimes, selected by ``CostModel.lock_granularity``:
 * ``"row"`` enables the hierarchy: intention modes (IS/IX) at table
   granularity plus S/X locks at row granularity (keyed by table +
   primary key), still strict two-phase (everything is released only by
-  :meth:`release_all` at commit/abort).  Conflicts *wait* instead of
-  aborting: the requester is registered in the wait-for graph and the
-  request unwinds with :class:`~repro.errors.LockWaitError` so the
-  single-threaded host can park the session and retry the statement once
-  a blocker finishes.  A wait that closes a cycle triggers deadlock
-  detection; the youngest transaction in the cycle (largest txn id —
-  ids are assigned monotonically) is the victim.  When the victim is the
-  requester the request raises :class:`DeadlockError`; otherwise the
-  victim is aborted through the :attr:`on_victim` callback and the
-  request is re-evaluated.
+  :meth:`release_all` at commit/abort).  Conflicts *wait*, and waiting
+  lives here: every lockable resource has a FIFO queue of
+  :class:`QueuedRequest`.
+
+Queue discipline (row granularity):
+
+* A request is granted when it is compatible with every other holder of
+  the resource *and* with every request queued ahead of it; otherwise it
+  is queued and the call unwinds with
+  :class:`~repro.errors.LockWaitError` (the host is single-threaded:
+  whoever issued the statement holds it and runs it again once
+  :meth:`is_waiting` turns false).  A fresh request therefore never
+  passes an incompatible waiter; a compatible one may (IS beside a
+  queued S).
+* An upgrade (the transaction already holds a weaker mode on the
+  resource) queues behind earlier upgrades and ahead of every fresh
+  request.
+* A waiter's *blockers* are derived, never stored: the incompatible
+  holders plus the incompatible requests ahead of it (:meth:`waiting_for`).
+  They are the edges of the wait-for graph, so the graph is current by
+  construction.
+* A transaction has at most one queued request.  Asking for something
+  else withdraws it; whoever abandons a wait without asking for
+  anything (a cancelled statement) calls :meth:`withdraw`.
+* Grant on release: :meth:`release_all` (and :meth:`withdraw`) hand each
+  freed resource to the queued requests that no longer have a blocker,
+  in queue order, and report the transactions so unblocked.  The lock is
+  *held* from that moment — nobody can barge in between the release and
+  the waiter's statement running again.
+
+Deadlocks: registering a wait is the only event that adds an edge
+towards a waiting transaction, so every new cycle runs through the
+transaction that just queued.  Detection therefore runs from it, and to
+a fixed point — one victim per cycle until none is left — so that after
+every call the wait-for graph over live transactions is acyclic.  The
+victim is the youngest member of the cycle (largest txn id — ids are
+assigned monotonically).  When the victim is the requester the request
+raises :class:`DeadlockError`; otherwise the victim is aborted through
+the :attr:`on_victim` callback and the search repeats.  The requester
+unwinds with ``LockWaitError`` even when an abort left it holding the
+lock it asked for: its statement may have read rows the victim's undo
+has just changed, and a clean re-run re-reads them.
 
 Lock escalation: once a transaction holds more than
 ``CostModel.lock_escalation_threshold`` row locks on one table, the
 manager trades them for a single table-granularity S/X lock (when no
-other transaction conflicts at table level; otherwise escalation is
-retried on the next acquisition).
+holder and no queued request of another transaction conflicts at table
+level; otherwise escalation is retried on the next acquisition).
 
 Compatibility matrix (request column vs. held row)::
 
@@ -99,16 +131,49 @@ for _a in LockMode:
             _SUPREMUM[(_a, _b)] = _X  # {S, IX} (and anything with X) -> X
 
 
-def _describe_holders(conflicts: dict) -> str:
-    """``"S lock ... held by txn 7"`` / ``"S,X locks ... held by txns 7, 9"``
-    — reports the modes actually held (the seed always claimed an X
-    blocker, which was wrong for shared->exclusive upgrades)."""
-    modes = ",".join(sorted({held.value for held in conflicts.values()}))
-    ids = sorted(conflicts)
-    noun = "lock" if len(conflicts) == 1 else "locks"
-    txns = (f"txn {ids[0]}" if len(ids) == 1
+def _txns(ids) -> str:
+    ids = sorted(ids)
+    return (f"txn {ids[0]}" if len(ids) == 1
             else "txns " + ", ".join(str(i) for i in ids))
-    return f"{modes} {noun}", txns
+
+
+def _describe_holders(conflicts: dict) -> tuple[str, str]:
+    """``("S lock", "txn 7")`` / ``("S,X locks", "txns 7, 9")`` — reports
+    the modes actually held (the seed always claimed an X blocker, which
+    was wrong for shared->exclusive upgrades)."""
+    modes = ",".join(sorted({held.value for held in conflicts.values()}))
+    noun = "lock" if len(conflicts) == 1 else "locks"
+    return f"{modes} {noun}", _txns(conflicts)
+
+
+def _describe_resource(resource) -> str:
+    if type(resource) is str:
+        return f"table {resource!r}"
+    table, key = resource
+    return f"row {key!r} of {table!r}"
+
+
+class QueuedRequest:
+    """One transaction's place in one resource's wait queue."""
+
+    __slots__ = ("txn_id", "resource", "mode", "upgrade", "since")
+
+    def __init__(self, txn_id: int, resource, mode: LockMode,
+                 upgrade: bool, since: float):
+        self.txn_id = txn_id
+        #: Table name, or ``(table, primary key)`` for a row.
+        self.resource = resource
+        #: The mode the transaction will hold once granted (the supremum
+        #: of what it holds and what it asked for).
+        self.mode = mode
+        self.upgrade = upgrade
+        #: Virtual time the request was queued.
+        self.since = since
+
+    def __repr__(self) -> str:
+        kind = "upgrade" if self.upgrade else "request"
+        return (f"<txn {self.txn_id} {kind} {self.mode.value} on "
+                f"{_describe_resource(self.resource)}>")
 
 
 class LockManager:
@@ -125,11 +190,10 @@ class LockManager:
         self._txn_tables: dict[int, list[str]] = {}
         # (txn_id, table) pairs whose row locks were escalated away
         self._escalated: set[tuple] = set()
-        # txn_id -> (frozenset of blocker txn ids, resource description)
-        self._waits: dict[int, tuple] = {}
-        #: most recent conflict, for schedulers: (txn_id, blocker ids,
-        #: resource description) — host-side bookkeeping only.
-        self.last_conflict: tuple | None = None
+        # resource -> its waiters in service order (no empty queues)
+        self._queues: dict[object, list[QueuedRequest]] = {}
+        #: txn_id -> its one queued request (read-only outside).
+        self.waiting: dict[int, QueuedRequest] = {}
         #: callback(txn_id) aborting a deadlock victim that is *not* the
         #: requester (wired to the engine's transaction manager).
         self.on_victim = None
@@ -154,7 +218,7 @@ class LockManager:
 
         Under ``"table"`` granularity a conflict raises
         :class:`DeadlockError` immediately (seed no-wait policy); under
-        ``"row"`` it waits — see the module docstring.
+        ``"row"`` it queues — see the module docstring.
         """
         table = table_name.lower()
         holders = self._locks[table]
@@ -163,14 +227,8 @@ class LockManager:
             return
         needed = (mode if current is None
                   else _SUPREMUM[(current, mode)])
-        conflicts = {other: held for other, held in holders.items()
-                     if other != txn_id
-                     and not held.compatible & needed.bit}
-        if not conflicts:
-            self._grant_table(txn_id, table, holders, needed)
-            self._waits.pop(txn_id, None)
-            return
-        self._on_conflict(txn_id, conflicts, f"table {table!r}", needed)
+        self._request(txn_id, table, holders, current, needed)
+        self._grant_table(txn_id, table, holders, needed)
 
     def _grant_table(self, txn_id: int, table: str, holders: dict,
                      mode: LockMode) -> None:
@@ -203,20 +261,190 @@ class LockManager:
             return
         needed = (mode if current is None
                   else _SUPREMUM[(current, mode)])
-        conflicts = {other: held for other, held in holders.items()
-                     if other != txn_id
-                     and not held.compatible & needed.bit}
-        if not conflicts:
-            holders[txn_id] = needed
-            self._waits.pop(txn_id, None)
-            if current is None:
-                self._txn_rows.setdefault(txn_id, {}) \
-                    .setdefault(table, set()).add(key)
-                self._count("locks.row_locks_acquired")
-            self._maybe_escalate(txn_id, table)
+        try:
+            self._request(txn_id, resource, holders, current, needed)
+        except (LockWaitError, DeadlockError):
+            if not self._row_locks.get(resource, True):
+                del self._row_locks[resource]  # a row nobody holds
+            raise
+        self._grant_row(txn_id, resource, holders, needed)
+        self._maybe_escalate(txn_id, table)
+
+    def _grant_row(self, txn_id: int, resource: tuple, holders: dict,
+                   mode: LockMode) -> None:
+        if txn_id not in holders:
+            table, key = resource
+            self._txn_rows.setdefault(txn_id, {}) \
+                .setdefault(table, set()).add(key)
+            self._count("locks.row_locks_acquired")
+        holders[txn_id] = mode
+
+    # -- the one request path -------------------------------------------------
+
+    def _request(self, txn_id: int, resource, holders: dict,
+                 current: LockMode | None, needed: LockMode) -> None:
+        """Return when ``txn_id`` may hold ``needed`` on ``resource``
+        (the caller records the grant); otherwise queue it, break every
+        deadlock that closes, and raise."""
+        request = queue = None
+        if self._queues:
+            request = self.waiting.get(txn_id)
+            if request is not None and (request.resource != resource
+                                        or request.mode is not needed):
+                self.withdraw(txn_id)
+                request = None
+            queue = self._queues.get(resource)
+        if queue is None:
+            # Nobody waits for this resource: only a holder can refuse.
+            bit = needed.bit
+            for other, held in holders.items():
+                if other != txn_id and not held.compatible & bit:
+                    break
+            else:
+                return
+            if self.granularity != "row":
+                modes, txns = _describe_holders(
+                    {other: held for other, held in holders.items()
+                     if other != txn_id and not held.compatible & bit})
+                raise DeadlockError(
+                    f"txn {txn_id} blocked on {modes} of "
+                    f"{_describe_resource(resource)} held by {txns}")
+        fresh = request is None
+        if fresh:
+            request = QueuedRequest(
+                txn_id, resource, needed, upgrade=current is not None,
+                since=(self._meter.peek_now()
+                       if self._meter is not None else 0.0))
+            self._enqueue(request)
+        blockers = self._blockers(request)
+        if not blockers:
+            # Those queued behind it were already behind it: leaving the
+            # queue as a holder changes nothing for them.
+            self._dequeue(request)
             return
-        self._on_conflict(txn_id, conflicts,
-                          f"row {key!r} of {table!r}", needed)
+        aborted = self._break_deadlocks(request, blockers)
+        if fresh and self.waiting.get(txn_id) is request:
+            self._count("locks.wait_episodes")
+        what = (f"txn {txn_id} waiting for {needed.value} lock on "
+                f"{_describe_resource(resource)}")
+        raise LockWaitError(
+            f"{what}: deadlock broken by aborting {_txns(aborted)}"
+            if aborted
+            else f"{what}: {self._describe_blockers(request, blockers)}",
+            txn_id)
+
+    def _enqueue(self, request: QueuedRequest) -> None:
+        queue = self._queues.setdefault(request.resource, [])
+        index = len(queue)
+        if request.upgrade:
+            index = 0
+            while index < len(queue) and queue[index].upgrade:
+                index += 1
+        queue.insert(index, request)
+        self.waiting[request.txn_id] = request
+
+    def _dequeue(self, request: QueuedRequest) -> None:
+        queue = self._queues[request.resource]
+        queue.remove(request)
+        if not queue:
+            del self._queues[request.resource]
+        del self.waiting[request.txn_id]
+
+    def _holders_of(self, resource) -> dict:
+        if type(resource) is str:
+            return self._locks.get(resource) or {}
+        return self._row_locks.get(resource) or {}
+
+    def _blockers(self, request: QueuedRequest) -> dict[int, LockMode]:
+        """txn id -> the mode it holds or has queued ahead: everything
+        ``request`` has to outlast.  Empty means it can be granted."""
+        txn_id = request.txn_id
+        bit = request.mode.bit
+        blockers = {other: held for other, held
+                    in self._holders_of(request.resource).items()
+                    if other != txn_id and not held.compatible & bit}
+        for ahead in self._queues[request.resource]:
+            if ahead is request:
+                break
+            if not ahead.mode.compatible & bit:
+                blockers.setdefault(ahead.txn_id, ahead.mode)
+        return blockers
+
+    def _describe_blockers(self, request: QueuedRequest,
+                           blockers: dict) -> str:
+        holders = self._holders_of(request.resource)
+        held = {txn: mode for txn, mode in blockers.items()
+                if txn in holders}
+        parts = []
+        if held:
+            parts.append("{} held by {}".format(*_describe_holders(held)))
+        if len(held) < len(blockers):
+            parts.append("queued behind "
+                         + _txns(txn for txn in blockers if txn not in held))
+        return ", ".join(parts)
+
+    # -- deadlocks ------------------------------------------------------------
+
+    def _break_deadlocks(self, request: QueuedRequest,
+                         blockers: dict) -> list[int]:
+        """Abort one victim per wait-for cycle through ``request`` until
+        none is left; returns the victims.  Raises ``DeadlockError``
+        when the requester is the youngest of a cycle."""
+        txn_id = request.txn_id
+        aborted: list[int] = []
+        while self.waiting.get(txn_id) is request:
+            cycle = self._find_cycle(txn_id)
+            if cycle is None:
+                break
+            self._count("locks.deadlocks_detected")
+            victim = max(cycle)  # youngest: txn ids are monotonic
+            if victim == txn_id or self.on_victim is None:
+                # Requester is the victim (or no aborter is wired, in
+                # which case aborting the requester still breaks the
+                # cycle).
+                self.withdraw(txn_id)
+                raise DeadlockError(
+                    f"txn {txn_id} chosen as deadlock victim (cycle: "
+                    f"{sorted(cycle)}; wanted {request.mode.value} lock "
+                    f"on {_describe_resource(request.resource)}, "
+                    f"blocked by {_txns(blockers)})")
+            if victim in aborted:
+                raise RuntimeError(
+                    f"on_victim({victim}) left txn {victim} waiting: it "
+                    f"must end with release_all")
+            aborted.append(victim)
+            self.on_victim(victim)  # must end with release_all(victim)
+        return aborted
+
+    def _find_cycle(self, start: int) -> list | None:
+        """Cycle through ``start`` in the wait-for graph, or None.
+
+        Edges run waiter -> blocker and are derived from the queues at
+        the moment of asking; only queued transactions have outgoing
+        edges, so a path ends at the first transaction that is running.
+        """
+        path: list[int] = []
+        on_path: set[int] = set()
+
+        def visit(node: int) -> list | None:
+            request = self.waiting.get(node)
+            if request is None:
+                return None
+            path.append(node)
+            on_path.add(node)
+            for blocker in sorted(self._blockers(request)):
+                if blocker == start:
+                    return list(path)
+                if blocker in on_path:
+                    continue  # a cycle not through `start`
+                found = visit(blocker)
+                if found is not None:
+                    return found
+            path.pop()
+            on_path.discard(node)
+            return None
+
+        return visit(start)
 
     # -- escalation -----------------------------------------------------------
 
@@ -239,110 +467,95 @@ class LockManager:
         for other, held in holders.items():
             if other != txn_id and not held.compatible & needed.bit:
                 return  # somebody conflicts at table level; retry later
+        for waiter in self._queues.get(table, ()):
+            if not waiter.mode.compatible & needed.bit:
+                return  # never pass an incompatible waiter either
         # Other transactions' *row* locks on this table would also
-        # conflict with the escalated lock — but any such holder holds an
+        # conflict with the escalated lock — but any such holder (and
+        # anyone queued for one of this transaction's rows) holds an
         # intention lock on the table, which the loop above just checked.
         self._grant_table(txn_id, table, holders, needed)
         self._drop_txn_rows(txn_id, table)
         self._escalated.add((txn_id, table))
         self._count("locks.escalations")
 
-    def _drop_txn_rows(self, txn_id: int, table: str) -> None:
+    def _drop_txn_rows(self, txn_id: int, table: str) -> list:
+        """Release ``txn_id``'s row locks on ``table``; returns the rows
+        somebody is queued for."""
+        contended = []
         keys = self._txn_rows.get(txn_id, {}).pop(table, set())
         for key in keys:
-            holders = self._row_locks.get((table, key))
+            resource = (table, key)
+            holders = self._row_locks.get(resource)
             if holders is not None:
                 holders.pop(txn_id, None)
                 if not holders:
-                    del self._row_locks[(table, key)]
+                    del self._row_locks[resource]
+            if resource in self._queues:
+                contended.append(resource)
+        return contended
 
-    # -- conflict handling ----------------------------------------------------
+    # -- release / withdrawal ---------------------------------------------------
 
-    def _on_conflict(self, txn_id: int, conflicts: dict, resource: str,
-                     mode: LockMode) -> None:
-        """No-wait abort (table granularity) or wait/deadlock-check (row).
-
-        Never returns.  Row mode always unwinds with ``LockWaitError``
-        (the statement retries from scratch) or ``DeadlockError`` (the
-        requester is the victim) — even when a *different* victim was
-        just aborted, because the requester's statement may hold row
-        matches the abort's undo invalidated; a clean retry re-reads.
-        """
-        blockers = frozenset(conflicts)
-        self.last_conflict = (txn_id, sorted(blockers), resource)
-        modes, txns = _describe_holders(conflicts)
-        if self.granularity != "row":
-            raise DeadlockError(
-                f"txn {txn_id} blocked on {modes} of {resource} "
-                f"held by {txns}")
-        self._waits[txn_id] = (blockers, resource)
-        cycle = self._find_cycle(txn_id)
-        if cycle is None:
-            raise LockWaitError(
-                f"txn {txn_id} waiting for {mode.value} lock on "
-                f"{resource}: {modes} held by {txns}")
-        self._count("locks.deadlocks_detected")
-        victim = max(cycle)  # youngest: txn ids are monotonic
-        if victim == txn_id or self.on_victim is None:
-            # Requester is the victim (or no aborter is wired, in which
-            # case aborting the requester still breaks the cycle).
-            self._waits.pop(txn_id, None)
-            raise DeadlockError(
-                f"txn {txn_id} chosen as deadlock victim (cycle: "
-                f"{sorted(cycle)}; wanted {mode.value} lock on "
-                f"{resource} held by {txns})")
-        self.on_victim(victim)  # must end with release_all(victim)
-        raise LockWaitError(
-            f"txn {txn_id} waiting for {mode.value} lock on {resource}: "
-            f"deadlock broken by aborting txn {victim}")
-
-    def _find_cycle(self, start: int) -> list | None:
-        """Cycle through ``start`` in the wait-for graph, or None.
-
-        Edges run waiter -> blocker; only transactions with a registered
-        wait have outgoing edges, and finished transactions have none
-        (release_all deregisters them), so stale blocker references are
-        dead ends, never false positives.
-        """
-        path: list[int] = []
-        on_path: set[int] = set()
-
-        def visit(node: int) -> list | None:
-            wait = self._waits.get(node)
-            if wait is None:
-                return None
-            path.append(node)
-            on_path.add(node)
-            for blocker in sorted(wait[0]):
-                if blocker == start:
-                    return list(path)
-                if blocker in on_path:
-                    continue  # a cycle not through `start`
-                found = visit(blocker)
-                if found is not None:
-                    return found
-            path.pop()
-            on_path.discard(node)
-            return None
-
-        return visit(start)
-
-    # -- release / introspection ----------------------------------------------
-
-    def release_all(self, txn_id: int) -> None:
-        """Drop every lock and wait of ``txn_id`` (commit/abort time)."""
+    def release_all(self, txn_id: int) -> list[int]:
+        """Drop every lock and the queued request of ``txn_id``
+        (commit/abort time) and hand what that frees to the queues;
+        returns the transactions it unblocked, in grant order."""
+        freed = []
+        request = self.waiting.get(txn_id)
+        if request is not None:
+            self._dequeue(request)
+            freed.append(request.resource)
+        queues = self._queues
         for table in self._txn_tables.pop(txn_id, ()):
             holders = self._locks[table]
             holders.pop(txn_id, None)
             if not holders:
                 del self._locks[table]
+            if table in queues:
+                freed.append(table)
         for table in list(self._txn_rows.get(txn_id, {})):
-            self._drop_txn_rows(txn_id, table)
+            freed.extend(self._drop_txn_rows(txn_id, table))
         self._txn_rows.pop(txn_id, None)
         if self._escalated:
             self._escalated = {pair for pair in self._escalated
                                if pair[0] != txn_id}
-        self._waits.pop(txn_id, None)
+        return self._serve_queues(freed) if freed else []
+
+    def withdraw(self, txn_id: int) -> list[int]:
+        """Take ``txn_id``'s queued request (if any) out of its queue —
+        the statement that wanted it will not run again — and serve who
+        was queued behind it; returns the transactions unblocked."""
+        request = self.waiting.get(txn_id)
+        if request is None:
+            return []
+        self._dequeue(request)
+        return self._serve_queues([request.resource])
+
+    def _serve_queues(self, resources: list) -> list[int]:
+        """Grant, in queue order, every request on ``resources`` that no
+        longer has a blocker."""
+        unblocked = []
+        for resource in dict.fromkeys(resources):
+            for request in list(self._queues.get(resource, ())):
+                if self._blockers(request):
+                    continue
+                self._dequeue(request)
+                txn_id = request.txn_id
+                if type(resource) is str:
+                    self._grant_table(txn_id, resource,
+                                      self._locks[resource], request.mode)
+                else:
+                    holders = self._row_locks.get(resource)
+                    if holders is None:
+                        holders = self._row_locks[resource] = {}
+                    self._grant_row(txn_id, resource, holders,
+                                    request.mode)
+                self._count("locks.grants_on_release")
+                unblocked.append(txn_id)
+        return unblocked
+
+    # -- introspection ----------------------------------------------------------
 
     def held(self, txn_id: int, table_name: str) -> LockMode | None:
         return self._locks.get(table_name.lower(), {}).get(txn_id)
@@ -360,22 +573,30 @@ class LockManager:
             return len(tables.get(table_name.lower(), ()))
         return sum(len(keys) for keys in tables.values())
 
-    def waiting_for(self, txn_id: int) -> frozenset | None:
-        """Blocker txn ids of a registered waiter (None if not waiting)."""
-        wait = self._waits.get(txn_id)
-        return wait[0] if wait is not None else None
+    def is_waiting(self, txn_id: int) -> bool:
+        """Does ``txn_id`` have a request in some queue?  False again as
+        soon as a release has granted it (or an abort has removed it):
+        the moment its statement can run again."""
+        return txn_id in self.waiting
 
-    def waiters(self) -> dict[int, tuple]:
-        """txn_id -> (blockers, resource) for every registered waiter."""
-        return dict(self._waits)
+    def waiting_for(self, txn_id: int) -> frozenset | None:
+        """Blocker txn ids of a queued transaction (None if not queued)."""
+        request = self.waiting.get(txn_id)
+        return (frozenset(self._blockers(request))
+                if request is not None else None)
+
+    def queued(self) -> list[QueuedRequest]:
+        """Every queued request, resource by resource in service order."""
+        return [request for resource in sorted(self._queues, key=repr)
+                for request in self._queues[resource]]
 
     def snapshot(self) -> list[tuple]:
-        """Rows for the ``sys_locks`` view: (table, granularity, lock_key,
-        mode, txn_id, waiters) — waiters lists transactions currently
-        registered as waiting on one of the row's holders."""
+        """Held-lock rows for the ``sys_locks`` view: (table, granularity,
+        lock_key, mode, txn_id, waiters) — waiters lists the transactions
+        queued with that holder among their blockers."""
         waiting_on: dict[int, list[int]] = defaultdict(list)
-        for waiter, (blockers, _resource) in sorted(self._waits.items()):
-            for blocker in blockers:
+        for waiter, request in sorted(self.waiting.items()):
+            for blocker in self._blockers(request):
                 waiting_on[blocker].append(waiter)
         rows = []
         for table in sorted(self._locks):
@@ -392,11 +613,22 @@ class LockManager:
                                       for w in waiting_on.get(txn_id, ()))))
         return rows
 
-    def clear(self) -> None:
-        self._locks.clear()
-        self._row_locks.clear()
-        self._txn_rows.clear()
-        self._txn_tables.clear()
-        self._escalated.clear()
-        self._waits.clear()
-        self.last_conflict = None
+    def queue_snapshot(self) -> list[tuple]:
+        """Queued-request rows for the ``sys_locks`` view: (table,
+        granularity, lock_key, requested mode, txn_id, queue position
+        from 1, blocker txn ids, virtual seconds waited so far)."""
+        now = self._meter.peek_now() if self._meter is not None else 0.0
+        rows = []
+        for resource in sorted(self._queues, key=repr):
+            if type(resource) is str:
+                table, granularity, key = resource, "table", ""
+            else:
+                table, granularity, key = (resource[0], "row",
+                                           repr(resource[1]))
+            for position, request in enumerate(self._queues[resource], 1):
+                blockers = ",".join(
+                    str(b) for b in sorted(self._blockers(request)))
+                rows.append((table, granularity, key, request.mode.value,
+                             request.txn_id, position, blockers,
+                             now - request.since))
+        return rows

@@ -13,7 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.odbc.constants import SQL_NO_DATA, SQL_SUCCESS
+from repro.odbc.constants import (
+    SQL_NO_DATA,
+    SQL_STILL_EXECUTING,
+    SQL_SUCCESS,
+)
 from repro.odbc.driver import NativeDriver
 from repro.odbc.driver_manager import DriverManager
 from repro.phoenix.config import PhoenixConfig
@@ -120,6 +124,17 @@ class BenchmarkApp:
     # -- helpers ---------------------------------------------------------------
 
     def _check(self, rc: int, statement, sql: str) -> None:
+        if rc == SQL_STILL_EXECUTING:
+            # One call, no scheduler behind it: nobody would ever run
+            # the session whose lock the statement waits for.  Freeing
+            # the handle cancels the statement.
+            self.manager.free_statement(statement)
+            raise ReproError(
+                f"statement returned SQL_STILL_EXECUTING: the server "
+                f"holds it behind another session's lock (cancelled; "
+                f"to wait instead, call manager.exec_direct again with "
+                f"the same handle once that session has moved) :: "
+                f"{sql[:120]}")
         self._require(rc == SQL_SUCCESS, statement, sql)
 
     def _require(self, ok: bool, statement, sql: str) -> None:

@@ -27,14 +27,19 @@ row-lock legs, so the final state must be schedule-independent):
 
 Conflict handling mirrors what a real client does:
 
-* ``HYT00`` (row granularity ``LockWaitError``): the transaction keeps
-  its locks; the session parks and retries the *same statement* once
-  another transaction ends.  The park duration is charged as
-  ``lock wait`` seconds through the meter's overlap machinery (waiting
-  burns no server CPU, so the global clock stays put).
+* ``SQL_STILL_EXECUTING`` (row granularity): the statement met a lock
+  and the *server* holds it — the transaction keeps its locks and its
+  place in the lock manager's queue.  The session parks on the handle
+  and is stepped again when the driver manager says the statement is no
+  longer executing; the mix has no wake-up policy of its own.  The wait
+  is booked by the network when the response is collected
+  (``locks.lock_wait_seconds``, off the shared clock).
 * ``40001`` (deadlock victim, or any conflict under the seed's no-wait
-  table locks): roll back, park, and rerun the whole transaction
-  descriptor (counted in ``locks.txn_retries``).
+  table locks): roll back, back off until some transaction ends, and
+  rerun the whole transaction descriptor (counted in
+  ``locks.txn_retries``).  The back-off is charged as ``lock wait``
+  seconds through the meter's overlap machinery (waiting burns no
+  server CPU, so the global clock stays put).
 """
 
 from __future__ import annotations
@@ -43,7 +48,11 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from repro.odbc.constants import SQL_NO_DATA, SQL_SUCCESS
+from repro.odbc.constants import (
+    SQL_NO_DATA,
+    SQL_STILL_EXECUTING,
+    SQL_SUCCESS,
+)
 from repro.server.server import DatabaseServer
 from repro.sim.costs import SERVER_CPU, CostModel
 from repro.sim.meter import Meter
@@ -56,8 +65,6 @@ from repro.workloads.tpcc.transactions import DELIVERY_DATE
 #: official mix; exact shares matter less than genuine write overlap).
 _MIX = [("new_order", 0.40), ("payment", 0.40), ("order_status", 0.08),
         ("delivery", 0.06), ("stock_level", 0.06)]
-
-_STALL_LIMIT = 3  # consecutive no-progress rounds tolerated before failing
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +142,8 @@ def _build_descriptor(kind: str, rng: random.Random,
 #
 # Each generator yields ("stmt" | "query", sql) and receives the fetched
 # rows back for queries.  The scheduler interleaves sessions between
-# yields, retries a yielded statement after a lock wait, and rebuilds the
-# whole generator after a deadlock abort.
+# yields, calls a yielded statement again while the server holds it at a
+# lock, and rebuilds the whole generator after a deadlock abort.
 
 
 def transaction_statements(desc: dict, w_id: int, d_id: int,
@@ -327,17 +334,17 @@ class MixResult:
     committed: int = 0
     rolled_back: int = 0
     txn_retries: int = 0
+    #: Wait episodes: statements the server held at a lock (each counted
+    #: once, however long it waited or how often it was requeued).
     lock_waits: int = 0
-    lock_wait_seconds: float = 0.0
     deadlocks: int = 0
-    forced_wakes: int = 0
     statements: int = 0
 
 
 class _Session:
     __slots__ = ("index", "app", "plan", "w_id", "d_id", "scale",
-                 "txn_index", "gen", "pending", "next_input", "parked",
-                 "parked_at", "done")
+                 "txn_index", "gen", "pending", "next_input", "statement",
+                 "backing_off", "parked_at", "done")
 
     def __init__(self, index: int, app: BenchmarkApp, plan: list[dict],
                  w_id: int, d_id: int, scale: TpccScale):
@@ -351,7 +358,8 @@ class _Session:
         self.gen = None
         self.pending = None          # (kind, sql) awaiting execution
         self.next_input = None       # rows to send into the generator
-        self.parked = False
+        self.statement = None        # handle of a still-executing pending
+        self.backing_off = False     # after a 40001, until a txn ends
         self.parked_at = 0.0
         self.done = not plan
 
@@ -361,6 +369,13 @@ class _Session:
                                           self.scale)
         self.pending = None
         self.next_input = None
+
+    @property
+    def blocked(self) -> bool:
+        """Would stepping the session move nothing?"""
+        return self.backing_off or (
+            self.statement is not None
+            and self.app.manager.still_executing(self.statement))
 
 
 class ConcurrentMix:
@@ -386,7 +401,7 @@ class ConcurrentMix:
         for session in self.sessions:
             while not session.done:
                 self._step(session)
-                if session.parked:
+                if session.blocked:
                     raise RuntimeError(
                         f"serial session {session.index} blocked — "
                         f"impossible without concurrency")
@@ -396,34 +411,39 @@ class ConcurrentMix:
     def run_interleaved(self) -> MixResult:
         """Round-robin, one statement per session per round."""
         start = self.meter.now
-        stalled_rounds = 0
         while any(not s.done for s in self.sessions):
             progressed = False
             for session in self.sessions:
-                if session.done or session.parked:
+                if session.done or session.blocked:
                     continue
                 if self._step(session):
                     progressed = True
             if progressed:
-                stalled_rounds = 0
                 continue
-            # Nothing ran: every live session is parked.  Real deadlock
-            # is impossible (the detector aborts a victim), so this is a
-            # missed wakeup from stale conflict info — wake everyone.
-            stalled_rounds += 1
-            if stalled_rounds > _STALL_LIMIT:
-                raise RuntimeError(
-                    "concurrent mix stalled: no session can progress")
-            self.result.forced_wakes += 1
-            self._wake_parked()
+            # Nothing completed this round.  Sessions backing off wait
+            # for a transaction to end; when nothing else moves, they go
+            # on.
+            if any(s.backing_off for s in self.sessions):
+                self._transaction_ended()
+                continue
+            # Everyone left waits for a lock, and a chain of waiters ends
+            # at a transaction that runs unless it is a cycle — which the
+            # detector breaks the moment it closes.  So the lock manager
+            # lost a wake-up.
+            raise RuntimeError(
+                "lost wake-up: every live session waits for a lock: "
+                + "; ".join(f"session {s.index}: {s.pending[1][:60]!r}"
+                            for s in self.sessions if not s.done)
+                + f" -- lock queues: {self.server.engine.locks.queued()}")
         self.result.makespan_seconds = self.meter.now - start
         return self.result
 
     # -- per-session stepping -------------------------------------------------
 
     def _step(self, session: _Session) -> bool:
-        """Run one statement for ``session``; True if it succeeded."""
-        self._charge_wait(session)
+        """Run (or call again) one statement for ``session``; True if
+        it completed."""
+        self._charge_backoff(session)
         if session.gen is None:
             session.start_transaction()
         if session.pending is None:
@@ -437,20 +457,16 @@ class ConcurrentMix:
                 self._finish_transaction(session, stop.value)
                 return True
         kind, sql = session.pending
-        status, sqlstate, rows = self._execute(session.app, kind, sql)
+        status, sqlstate, rows = self._execute(session, kind, sql)
+        if status == "executing":
+            return False
         self.result.statements += 1
         if status == "ok":
             session.pending = None
             session.next_input = rows if kind == "query" else ()
             if sql in ("COMMIT", "ROLLBACK"):
-                self._wake_parked()
+                self._transaction_ended()
             return True
-        if sqlstate == "HYT00":
-            # Lock wait: keep the transaction (and its locks), retry the
-            # same statement once another transaction ends.
-            self.result.lock_waits += 1
-            self._park(session)
-            return False
         if sqlstate == "40001":
             # Deadlock victim (row mode) or no-wait conflict (table
             # mode): roll back, then rerun the whole descriptor.
@@ -461,8 +477,9 @@ class ConcurrentMix:
             session.gen = None
             session.pending = None
             session.next_input = None
-            self._wake_parked()     # the abort released this txn's locks
-            self._park(session)
+            self._transaction_ended()  # the abort released its locks
+            session.backing_off = True
+            session.parked_at = self.meter.now
             return False
         raise RuntimeError(
             f"session {session.index}: statement failed "
@@ -473,28 +490,24 @@ class ConcurrentMix:
             self.result.rolled_back += 1
         else:
             self.result.committed += 1
-        self._wake_parked()
+        self._transaction_ended()
         session.gen = None
         session.txn_index += 1
         if session.txn_index >= len(session.plan):
             session.done = True
 
-    # -- parking / waking -----------------------------------------------------
+    # -- backing off after an abort -------------------------------------------
 
-    def _park(self, session: _Session) -> None:
-        session.parked = True
-        session.parked_at = self.meter.now
-
-    def _wake_parked(self) -> None:
+    def _transaction_ended(self) -> None:
         for session in self.sessions:
-            session.parked = False
+            session.backing_off = False
 
-    def _charge_wait(self, session: _Session) -> None:
-        """Book the virtual time a woken session spent parked.
+    def _charge_backoff(self, session: _Session) -> None:
+        """Book the virtual time a session spent backing off.
 
         Waiting burns no server resource, so the charge goes through an
-        overlap window: recorded (metrics + the latency ledger's
-        ``lock_wait`` component) without advancing the global clock.
+        overlap window: recorded (metrics + ``locks.lock_wait_seconds``)
+        without advancing the global clock.
         """
         if session.parked_at <= 0.0:
             return
@@ -507,14 +520,21 @@ class ConcurrentMix:
         meter.charge(SERVER_CPU, waited, "lock wait")
         meter.end_overlap()
         meter.count("locks.lock_wait_seconds", waited)
-        self.result.lock_wait_seconds += waited
 
     # -- raw ODBC execution ---------------------------------------------------
 
-    def _execute(self, app: BenchmarkApp, kind: str, sql: str):
-        manager = app.manager
-        statement = manager.alloc_statement(app.conn)
+    def _execute(self, session: _Session, kind: str, sql: str):
+        manager = session.app.manager
+        statement = session.statement
+        if statement is None:
+            statement = manager.alloc_statement(session.app.conn)
         rc = manager.exec_direct(statement, sql)
+        if rc == SQL_STILL_EXECUTING:
+            if session.statement is None:
+                self.result.lock_waits += 1
+                session.statement = statement
+            return "executing", None, None
+        session.statement = None
         if rc != SQL_SUCCESS:
             state = self._diag_state(manager, statement)
             manager.free_statement(statement)

@@ -17,7 +17,11 @@ import pytest
 
 from repro.obs.validate import validate_spans
 
-from repro.odbc.constants import SQL_NO_DATA, SQL_SUCCESS
+from repro.odbc.constants import (
+    SQL_NO_DATA,
+    SQL_STILL_EXECUTING,
+    SQL_SUCCESS,
+)
 from repro.phoenix.config import PhoenixConfig
 from repro.server.server import DatabaseServer
 from repro.sim.costs import CostModel
@@ -598,24 +602,21 @@ def _step_txn(app, prefix, sql):
     SQLSTATE 40001 means the transaction was aborted under the app —
     deadlock victim or server crash — so the app acknowledges with
     ROLLBACK and replays the transaction from its BEGIN (``prefix``),
-    then retries ``sql``.  HYT00 (lock wait) retries the same statement.
-    This is exactly the retry loop a real Phoenix client would run.
+    then retries ``sql``.  This is exactly the retry loop a real Phoenix
+    client would run.  (The sessions of this schedule touch disjoint
+    rows: nothing ever waits for a lock.  The same-row leg below has its
+    own driver.)
     """
     for _attempt in range(30):
         ok, state, row = _exec_stmt(app, sql)
         if ok:
             prefix.append(sql)
             return row
-        if state == "HYT00":
-            continue
         assert state == "40001", f"unexpected SQLSTATE {state} for {sql!r}"
         _exec_stmt(app, "ROLLBACK")  # tolerant: txn may already be gone
         replayed = True
         for prev in prefix:
-            for _retry in range(10):
-                ok, state, _ = _exec_stmt(app, prev)
-                if ok or state != "HYT00":
-                    break
+            ok, state, _ = _exec_stmt(app, prev)
             if not ok:
                 assert state == "40001", (
                     f"unexpected SQLSTATE {state} replaying {prev!r}")
@@ -722,3 +723,148 @@ def test_concurrent_row_sessions_survive_crash_at_every_boundary():
         assert errors == [], (
             f"span tree invalid when crashing at request {crash_at}: "
             f"{errors[:3]}")
+
+
+# ---------------------------------------------------------------------------
+# ... and on the same row: a crash while the server holds a statement
+# ---------------------------------------------------------------------------
+
+#: Both sessions update row 1 — inside a transaction and as a wrapped
+#: autocommit statement — so whoever comes second is held by the server
+#: until the first commits.  The additions commute: the final contents do
+#: not depend on who won, which a crash may change.
+_SAME_ROW_SCRIPTS = (
+    ["BEGIN TRANSACTION",
+     "UPDATE acct SET v = v + 1 WHERE k = 1",
+     "SELECT v FROM acct WHERE k = 0",
+     "UPDATE acct SET v = v + 2 WHERE k = 2",
+     "COMMIT",
+     "UPDATE acct SET v = v + 100 WHERE k = 1"],
+    ["BEGIN TRANSACTION",
+     "UPDATE acct SET v = v + 10 WHERE k = 1",
+     "COMMIT",
+     "UPDATE acct SET v = v + 1000 WHERE k = 1",
+     "BEGIN TRANSACTION",
+     "UPDATE acct SET v = v + 20 WHERE k = 2",
+     "UPDATE acct SET v = v + 10000 WHERE k = 1",
+     "COMMIT"],
+)
+
+
+class _Script:
+    """One session working through its statements, one per turn.  A
+    statement the server holds keeps its handle and is called again when
+    it is no longer executing; 40001 rolls back and replays the open
+    transaction from its BEGIN."""
+
+    def __init__(self, app, statements):
+        self.app = app
+        self.queue = list(statements)
+        self.prefix = []        # the open transaction so far
+        self.statement = None   # handle of a held statement
+        self.aborts = 0
+
+    @property
+    def done(self) -> bool:
+        return not self.queue
+
+    def step(self) -> bool:
+        """True if a statement completed (or its transaction restarted)."""
+        manager = self.app.manager
+        if self.statement is not None \
+                and manager.still_executing(self.statement):
+            return False
+        sql = self.queue[0]
+        statement = self.statement or manager.alloc_statement(self.app.conn)
+        rc = manager.exec_direct(statement, sql)
+        if rc == SQL_STILL_EXECUTING:
+            self.statement = statement
+            return False
+        self.statement = None
+        diags = manager.get_diag(statement)
+        manager.free_statement(statement)
+        if rc == SQL_SUCCESS:
+            self.queue.pop(0)
+            if self.prefix or sql == "BEGIN TRANSACTION":
+                self.prefix.append(sql)
+            if sql == "COMMIT":
+                self.prefix.clear()
+            return True
+        state = diags[-1].sqlstate if diags else "HY000"
+        assert state == "40001", f"unexpected SQLSTATE {state} for {sql!r}"
+        assert self.prefix, f"40001 outside a transaction for {sql!r}"
+        self.aborts += 1
+        _exec_stmt(self.app, "ROLLBACK")  # tolerant: txn may be gone
+        self.queue[:0] = self.prefix
+        self.prefix.clear()
+        return True
+
+
+def run_same_row_scripts(apps) -> list:
+    scripts = [_Script(app, statements)
+               for app, statements in zip(apps, _SAME_ROW_SCRIPTS)]
+    while not all(script.done for script in scripts):
+        progressed = [script.step() for script in scripts
+                      if not script.done]
+        assert any(progressed), "both sessions wait: a wake-up was lost"
+    return scripts
+
+
+def test_held_statement_survives_crash_at_every_boundary():
+    """The concurrent sweep's same-row leg.  One session's statement is
+    held by the server behind the other's lock — inside an application
+    transaction and inside a Phoenix wrapper transaction — and a crash
+    at every request boundary must stay nothing but a pause: a held
+    statement is lost like any request in flight, Phoenix recovers, an
+    application transaction surfaces the documented 40001, and after the
+    replay the table and the status table equal the crash-free run's."""
+    server, apps = build_concurrent_row_world()
+    start = sum(app.network.requests_sent for app in apps)
+    run_same_row_scripts(apps)
+    total = sum(app.network.requests_sent for app in apps) - start
+    counters = server.meter.counters
+    # The leg is what it says: statements were held, of both kinds.
+    # (one inside an application transaction, one inside a wrapper —
+    # which came back through the wrapper's ROLLBACK path).
+    assert counters["locks.wait_episodes"] == 2
+    assert counters["locks.held_statements_cancelled"] == 1
+    expected_rows = final_contents(apps[0])
+    assert expected_rows == [(0, 100), (1, 11311), (2, 322), (3, 400)]
+    # The two wrapped updates, and the status-guarded load of the
+    # read-back above.
+    expected_status = sorted(count for _key, count in status_rows(server))
+    assert expected_status == [0, 1, 1]
+
+    lost_while_held = aborted = 0
+    for crash_at in range(1, total + 1):
+        server, apps = build_concurrent_row_world()
+        fired = {"count": 0, "held": False}
+
+        def injector(request, server=server, fired=fired,
+                     crash_at=crash_at):
+            fired["count"] += 1
+            if fired["count"] == crash_at:
+                fired["held"] = any(session.held is not None for session
+                                    in server._sessions.values())
+                server.crash()
+                server.restart()
+
+        for app in apps:
+            app.network.fault_injector = injector
+        scripts = run_same_row_scripts(apps)
+        where = f"crashing at request {crash_at}"
+        lost_while_held += fired["held"]
+        aborted += sum(script.aborts for script in scripts)
+        assert final_contents(apps[0]) == expected_rows, where
+        assert sorted(count for _key, count in status_rows(server)) == \
+            expected_status, where
+        assert server.engine.locks.queued() == [], where
+        assert server.engine.locks.snapshot() == [], where
+        meter = apps[0].meter
+        assert meter.obs.latency.identity_violations == [], where
+        tracer = meter.obs.tracer
+        assert tracer.open_span_count == 0, where
+        assert validate_spans(tracer.finished) == [], where
+    # Crashes did land on held statements, and transactions did abort.
+    assert lost_while_held >= 3
+    assert aborted >= lost_while_held

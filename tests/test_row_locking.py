@@ -340,6 +340,82 @@ class TestRowModeEngine:
         assert engine.meter.counters["locks.row_locks_acquired"] >= 1
 
 
+class TestKeylessInsert:
+    """A table without a primary key has no row identity to lock.  Its
+    writers used to take table X for everything, which serialised every
+    TPC-C payment on ``INSERT INTO history``; an INSERT now takes IX."""
+
+    @staticmethod
+    def world():
+        engine, alice, bob = row_world()
+        carol = EngineSession(session_id=3)
+        engine.execute("CREATE TABLE history (who INT, amount INT)", alice)
+        for session in (alice, bob):
+            run(engine, session, "BEGIN TRANSACTION")
+        assert run(engine, alice, "INSERT INTO history VALUES (1, 10)") == 1
+        # Under table X this waited for alice's COMMIT.
+        assert run(engine, bob, "INSERT INTO history VALUES (2, 20)") == 1
+        return engine, alice, bob, carol
+
+    def test_two_open_transactions_insert_without_waiting(self):
+        engine, alice, bob, _carol = self.world()
+        for session in (alice, bob):
+            txn_id = session.current_txn.txn_id
+            assert engine.locks.held(txn_id, "history") is IX
+            assert engine.locks.row_lock_count(txn_id, "history") == 0
+        run(engine, alice, "COMMIT")
+        run(engine, bob, "ROLLBACK")
+        assert run(engine, alice, "SELECT who FROM history") == [(1,)]
+
+    def test_transactional_select_waits_for_both(self):
+        engine, alice, bob, carol = self.world()
+        run(engine, carol, "BEGIN TRANSACTION")
+        with pytest.raises(LockWaitError):      # table S vs IX, IX
+            run(engine, carol, "SELECT count(*) FROM history")
+        txn_id = carol.current_txn.txn_id
+        assert engine.locks.waiting_for(txn_id) == {
+            alice.current_txn.txn_id, bob.current_txn.txn_id}
+        run(engine, alice, "COMMIT")
+        assert engine.locks.is_waiting(txn_id)  # still behind bob
+        run(engine, bob, "COMMIT")
+        assert not engine.locks.is_waiting(txn_id)
+        assert run(engine, carol,
+                   "SELECT count(*) FROM history", ) == [(2,)]
+        run(engine, carol, "COMMIT")
+
+    def test_update_and_delete_still_exclude_inserters(self):
+        engine, alice, bob, carol = self.world()
+        run(engine, carol, "BEGIN TRANSACTION")
+        for sql in ("UPDATE history SET amount = 0 WHERE who = 1",
+                    "DELETE FROM history WHERE who = 2"):
+            with pytest.raises(LockWaitError):  # table X vs IX
+                run(engine, carol, sql)
+        run(engine, alice, "COMMIT")
+        run(engine, bob, "COMMIT")
+        assert run(engine, carol,
+                   "DELETE FROM history WHERE who = 2") == 1
+        # ... and the other way round: X held, the inserter waits.
+        run(engine, alice, "BEGIN TRANSACTION")
+        with pytest.raises(LockWaitError):
+            run(engine, alice, "INSERT INTO history VALUES (3, 30)")
+        run(engine, carol, "COMMIT")
+        assert run(engine, alice,
+                   "INSERT INTO history VALUES (3, 30)") == 1
+        run(engine, alice, "COMMIT")
+
+    def test_table_granularity_untouched(self):
+        engine = DatabaseEngine(meter=Meter())
+        alice, bob = EngineSession(session_id=1), EngineSession(session_id=2)
+        engine.execute("CREATE TABLE history (who INT, amount INT)", alice)
+        run(engine, alice, "BEGIN TRANSACTION")
+        run(engine, alice, "INSERT INTO history VALUES (1, 10)")
+        assert engine.locks.held(alice.current_txn.txn_id,
+                                 "history") is X
+        run(engine, bob, "BEGIN TRANSACTION")
+        with pytest.raises(DeadlockError):
+            run(engine, bob, "INSERT INTO history VALUES (2, 20)")
+
+
 class TestTableModeUnchanged:
     def test_default_granularity_still_no_waits(self):
         engine = DatabaseEngine(meter=Meter())
@@ -531,8 +607,10 @@ class TestInListReadSet:
 def lock_trace(monkeypatch, scenario) -> list:
     """Every state change and every refusal of the lock manager while
     ``scenario()`` runs: grants (with the mode held afterwards),
-    conflicts (with the message, which names holders and victims) and
-    releases — not the requests already covered, which change nothing."""
+    conflicts (with the message, which names holders, queue position
+    and victims) and releases (with the transactions each one handed a
+    lock to) — not the requests already covered, which change
+    nothing."""
     events: list = []
     originals = {name: getattr(LockManager, name)
                  for name in ("acquire", "acquire_row", "release_all")}
@@ -567,8 +645,10 @@ def lock_trace(monkeypatch, scenario) -> list:
                            after[1].value if after[1] else None))
 
     def release_all(self, txn_id):
-        events.append(("release", txn_id, self.row_lock_count(txn_id)))
-        originals["release_all"](self, txn_id)
+        count = self.row_lock_count(txn_id)
+        unblocked = originals["release_all"](self, txn_id)
+        events.append(("release", txn_id, count, tuple(unblocked)))
+        return unblocked
 
     monkeypatch.setattr(LockManager, "acquire", acquire)
     monkeypatch.setattr(LockManager, "acquire_row", acquire_row)
@@ -594,10 +674,29 @@ def trace_digest(events: list) -> tuple[int, str]:
 
 
 class TestLockTraceUnchanged:
-    """Golden digests recorded at the parent commit (2739a94) with this
-    very recorder: the faster probe, the mask-indexed mode tables and the
-    per-transaction release list grant the same locks, refuse the same
-    requests at the same row, in the same order."""
+    """Golden digests of the lock manager's decisions, event for event.
+    Recorded at 2739a94 and held through PRs 15-17; re-recorded once, in
+    the PR that moved waiting into the lock manager, because that PR
+    changed the decisions themselves — both digests moved, for these
+    reasons and no others:
+
+    * *grant on release*: a waiter gets its lock from the release that
+      frees it (the ``release`` event now lists whom it unblocked), so
+      the waiter's next request is already covered and records nothing —
+      four ``row`` events fewer in the directed scenarios;
+    * *FIFO queues*: a request also waits for incompatible requests
+      ahead of it, and refusal messages say so (``queued behind txn
+      N``); victims are named for every cycle the request closed
+      (``deadlock broken by aborting txns 2, 3``), not just the first;
+    * in the interleaved mix a blocked statement is held by the server
+      and runs again once — the hundreds of ``refused`` events of a
+      statement re-polling behind the same holder are gone, and the
+      schedule that follows differs with them (1 359 events -> 1 142);
+    * an ``INSERT`` into the primary-key-less ``history`` takes table IX
+      where it took X.
+
+    The recorder itself is unchanged but for the ``release`` event's
+    new last field."""
 
     def test_directed_scenarios(self, monkeypatch):
         """Every lock-manager and engine scenario of this file."""
@@ -610,8 +709,8 @@ class TestLockTraceUnchanged:
                         getattr(cls(), name)()
 
         assert trace_digest(lock_trace(monkeypatch, scenario)) == (
-            161, "1bc443cc49218ab6293f5508291a33c5"
-                 "59d7dcd5d95c04cc90c4f0c191127858")
+            157, "b2dd73d021e2c98fbf266ee5baab15ea"
+                 "1793ecb47d17779a3e97e95cf8d2a787")
 
     def test_interleaved_tpcc(self, monkeypatch):
         from repro.workloads.tpcc.concurrent import (ConcurrentMix,
@@ -624,5 +723,5 @@ class TestLockTraceUnchanged:
             ConcurrentMix(server, apps, plans, scale).run_interleaved()
 
         assert trace_digest(lock_trace(monkeypatch, scenario)) == (
-            1359, "643e2b1258908318d8261fdcbb5d6310"
-                  "c92eef2f44393916e307216b5e0f0b44")
+            1142, "44ee6c6ed006dbc52d2f5c2da8e3e460"
+                  "21ae0f2b1d19754100ec2e2154241dda")
