@@ -180,21 +180,7 @@ def _run_wallclock(args) -> int:
                  # Deterministic virtual metrics: the sentinel flags any
                  # drift of these against the trailing window.
                  "virtual_seconds": result.cached_virtual_seconds,
-                 "p95_execute_seconds": p95_execute,
-                 # Row-locking counters must stay zero on this serial,
-                 # table-granularity mix — any growth means the
-                 # hierarchical lock machinery leaked into the default
-                 # path (the sentinel's tolerance for these is 0).
-                 "locks.row_locks_acquired":
-                     int(result.counters.get("locks.row_locks_acquired",
-                                             0)),
-                 "locks.escalations":
-                     int(result.counters.get("locks.escalations", 0)),
-                 "locks.deadlocks_detected":
-                     int(result.counters.get("locks.deadlocks_detected",
-                                             0)),
-                 "locks.txn_retries":
-                     int(result.counters.get("locks.txn_retries", 0))}
+                 "p95_execute_seconds": p95_execute}
         if leg == "cached-shared":
             # An identity field, not a metric: the sentinel judges the
             # leg against lines recorded under the same invalidation
@@ -420,29 +406,26 @@ TPCCBENCH_SCALE = dict(items=100, customers_per_district=10,
 
 
 def _run_tpccbench(args) -> int:
-    """Interleaved multi-session TPC-C: row vs table lock granularity.
+    """Interleaved multi-session TPC-C against its serial reference.
 
     For each ``(sessions, txns)`` leg runs the identical descriptor set
-    three ways — serial (one session at a time, table locks),
-    interleaved under the seed's no-wait table locks, and interleaved
-    under hierarchical row locking — and compares virtual-time
-    makespans and final database digests.
+    twice — serial (one session at a time) and interleaved (one
+    statement per session per round, the lock manager arbitrating) — and
+    compares virtual-time makespans and final database digests.
 
     Writes ``tpccbench.txt`` and appends one ``{date, commit, leg,
     sessions, virtual_seconds, locks.*}`` line per run to
-    ``tpccbench_history.jsonl``; row-leg lines carry the identity field
-    ``"waits": "queued"`` (lock waits are FIFO queues in the lock
-    manager with the blocked statement held by the server), so the
-    sentinel judges them against lines recorded under that regime only.
-    Fails (exit 1) if the row leg's makespan is not strictly below the
-    table leg's at every session count, if any leg's final database
-    digest differs from the serial reference (concurrency must never
-    change committed state), or if a leg loses a wake-up (every live
-    session waiting for a lock nobody will release).  Wait episodes
-    (statements the server held) and requeues per episode (a statement
-    that was unblocked, ran again and blocked again) are printed next to
-    the deadlocks, not gated: the world is deadlock-dominated at its
-    default escalation threshold.
+    ``tpccbench_history.jsonl``; every line carries the identity field
+    ``"escalation": "none"``, so the sentinel judges it only against
+    lines recorded since lock escalation was deleted.
+    Fails (exit 1) if the interleaved leg's final database digest
+    differs from the serial reference (concurrency must never change
+    committed state), if the two legs commit different numbers of
+    transactions, or if the interleaved leg loses a wake-up (every live
+    session waiting for a lock nobody will release).  Deadlocks, wait
+    episodes (statements the server held) and requeues per episode (a
+    statement that was unblocked, ran again and blocked again) are
+    printed, not gated.
     """
     import datetime
     import json
@@ -459,29 +442,27 @@ def _run_tpccbench(args) -> int:
     except Exception:
         commit = "unknown"
 
-    lock_counters = ("locks.row_locks_acquired", "locks.escalations",
+    lock_counters = ("locks.row_locks_acquired",
                      "locks.deadlocks_detected", "locks.lock_wait_seconds",
                      "locks.txn_retries", "locks.wait_episodes",
                      "locks.requeues")
-    lines = ["Concurrent TPC-C mix: virtual-time makespan by lock "
-             "granularity",
+    lines = ["Concurrent TPC-C mix: virtual-time makespan, serial vs "
+             "interleaved",
              "(identical transaction descriptors per leg; digests must "
              "match; waits = episodes: statements the server held at a "
              "lock; requeues = held again after running again)",
              "",
              f"{'sessions':>8}  {'txns':>4}  {'serial':>10}  "
-             f"{'table':>10}  {'row':>10}  {'row/table':>9}  "
-             f"{'deadlocks':>9}  {'waits':>7}  {'requeues/wait':>13}"]
+             f"{'interleaved':>11}  {'deadlocks':>9}  {'waits':>7}  "
+             f"{'requeues/wait':>13}"]
     failed = False
     entries = []
     for sessions, txns in TPCCBENCH_LEGS:
         runs = {}
         digests = {}
-        for leg in ("serial", "table", "row"):
-            granularity = "row" if leg == "row" else "table"
+        for leg in ("serial", "interleaved"):
             server, apps, plans, scale = build_concurrent_world(
-                sessions, granularity, txns_per_session=txns,
-                **TPCCBENCH_SCALE)
+                sessions, txns_per_session=txns, **TPCCBENCH_SCALE)
             mix = ConcurrentMix(server, apps, plans, scale)
             try:
                 result = (mix.run_serial() if leg == "serial"
@@ -495,52 +476,41 @@ def _run_tpccbench(args) -> int:
             digests[leg] = digest_database(server.engine)
             entry = {"date": datetime.date.today().isoformat(),
                      "commit": commit, "leg": leg, "sessions": sessions,
+                     "escalation": "none",
                      "virtual_seconds": result.makespan_seconds}
-            if leg == "row":
-                entry["waits"] = "queued"
             counters = server.meter.counters
             for name in lock_counters:
                 value = counters.get(name, 0)
                 entry[name] = (round(value, 9) if name.endswith("seconds")
                                else int(value))
             entries.append(entry)
-        serial, table, row = runs["serial"], runs["table"], runs["row"]
-        ratio = row.makespan_seconds / table.makespan_seconds
+        serial, mixed = runs["serial"], runs["interleaved"]
         requeues = entries[-1]["locks.requeues"]
         lines.append(
             f"{sessions:>8}  {txns:>4}  {serial.makespan_seconds:>10.4f}  "
-            f"{table.makespan_seconds:>10.4f}  "
-            f"{row.makespan_seconds:>10.4f}  {ratio:>9.3f}  "
-            f"{row.deadlocks:>9}  {row.lock_waits:>7}  "
-            f"{requeues / max(1, row.lock_waits):>13.3f}")
-        if row.makespan_seconds >= table.makespan_seconds:
-            print(f"FAIL: at {sessions} sessions the row-locking "
-                  f"makespan ({row.makespan_seconds:.4f}s) is not below "
-                  f"the table-locking makespan "
-                  f"({table.makespan_seconds:.4f}s)")
+            f"{mixed.makespan_seconds:>11.4f}  {mixed.deadlocks:>9}  "
+            f"{mixed.lock_waits:>7}  "
+            f"{requeues / max(1, mixed.lock_waits):>13.3f}")
+        if digests["interleaved"] != digests["serial"]:
+            mismatched = sorted(
+                name for name in digests["serial"]
+                if digests["interleaved"].get(name)
+                != digests["serial"][name])
+            print(f"FAIL: at {sessions} sessions the interleaved leg's "
+                  f"final database state differs from the serial "
+                  f"reference (tables: {', '.join(mismatched)})")
             failed = True
-        for leg in ("table", "row"):
-            if digests[leg] != digests["serial"]:
-                mismatched = sorted(
-                    name for name in digests["serial"]
-                    if digests[leg].get(name) != digests["serial"][name])
-                print(f"FAIL: at {sessions} sessions the {leg} leg's "
-                      f"final database state differs from the serial "
-                      f"reference (tables: {', '.join(mismatched)})")
-                failed = True
-        committed = sessions * txns - row.rolled_back
-        if not (serial.committed == table.committed == row.committed):
+        if serial.committed != mixed.committed:
             print(f"FAIL: committed-transaction counts diverged at "
                   f"{sessions} sessions: serial {serial.committed}, "
-                  f"table {table.committed}, row {row.committed}")
+                  f"interleaved {mixed.committed}")
             failed = True
-        print(f"[tpccbench n={sessions}: table "
-              f"{table.makespan_seconds:.4f}s -> row "
-              f"{row.makespan_seconds:.4f}s ({(1 - ratio) * 100:.1f}% "
-              f"faster), {committed} committed, row deadlocks "
-              f"{row.deadlocks}, wait episodes {row.lock_waits} "
-              f"({requeues} requeues), lost wake-ups 0, table retries "
-              f"{table.txn_retries}]")
+        print(f"[tpccbench n={sessions}: serial "
+              f"{serial.makespan_seconds:.4f}s, interleaved "
+              f"{mixed.makespan_seconds:.4f}s, {mixed.committed} "
+              f"committed, deadlocks {mixed.deadlocks}, wait episodes "
+              f"{mixed.lock_waits} ({requeues} requeues), lost wake-ups "
+              f"0]")
 
     text = "\n".join(lines)
     print(text)
@@ -604,16 +574,20 @@ def _run_recovery_scaling(args) -> int:
 
     Writes ``recovery_scaling.txt`` and appends one ``{date, commit,
     records, leg, recovery_seconds, redo_applied}`` line per leg to
-    ``recovery_scaling_history.jsonl``.  Fails (exit 1) if at the
-    longest log the fuzzy+4-worker leg is not at least 3x faster in
-    virtual time than the never-checkpoint leg, if its redone-record
-    count is not bounded well below the log (dirty-page recLSNs, not
-    log length), if more workers make recovery slower, or if any leg
-    recovers different table contents (worker count and checkpoint
-    regime must never change recovered state), or if restart scans more
-    log records for the DML versions behind a 10x longer archived
-    history (restart cost must be bounded by the live log, not by
-    history).
+    ``recovery_scaling_history.jsonl``; every line carries the identity
+    field ``"redo_from": "checkpoint"`` (redo scans everything behind
+    the checkpoint even when the oldest dirty page is younger; lines
+    without the field started a fuzzy leg's redo at that page), so the
+    sentinel judges it against lines recorded under that rule only.
+    Fails (exit 1) if at the longest log the fuzzy+4-worker leg is not
+    at least 3x faster in virtual time than the never-checkpoint leg,
+    if its redone-record count is not bounded well below the log
+    (dirty-page recLSNs, not log length), if more workers make recovery
+    slower, or if any leg recovers different table contents (worker
+    count and checkpoint regime must never change recovered state), or
+    if restart scans more log records for the DML versions behind a 10x
+    longer archived history (restart cost must be bounded by the live
+    log, not by history).
     """
     import datetime
     import json
@@ -640,6 +614,7 @@ def _run_recovery_scaling(args) -> int:
             handle.write(json.dumps(
                 {"date": datetime.date.today().isoformat(),
                  "commit": commit, "records": records, "leg": leg,
+                 "redo_from": "checkpoint",
                  "recovery_seconds": round(seconds, 6),
                  "redo_applied": applied}) + "\n")
 

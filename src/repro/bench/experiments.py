@@ -579,7 +579,6 @@ PREFETCH_COST_OVERRIDES = {
 #: ``net.requests_sent`` with bit-identical query results.
 RESULT_CACHE_COST_OVERRIDES = {
     "result_cache_entries": 2048,
-    "result_cache_max_rows": 200,
 }
 
 #: The fetch-heavy companion of the wallclock mix: the point-read mix

@@ -286,9 +286,8 @@ class DatabaseEngine:
         self._snapshot_generation: int | None = None
         if recover:
             self.last_recovery = RecoveryManager(self.wal, self).recover()
-            checkpoint = self.wal.last_complete_checkpoint()
-            if isinstance(checkpoint, EndCheckpointRecord):
-                self._last_fuzzy_begin_lsn = checkpoint.begin_lsn
+            if self.last_recovery.fuzzy:
+                self._last_fuzzy_begin_lsn = self.last_recovery.checkpoint_lsn
             self._restore_dml_versions()
 
     @classmethod
@@ -1023,7 +1022,7 @@ class DatabaseEngine:
     def _run_select_entry(self, entry: PlanCacheEntry,
                           statement: ast.Statement,
                           session: EngineSession) -> StatementResult:
-        probe = None
+        plan = entry.plan
         if session is not None and session.in_transaction:
             lock_tables = entry.lock_tables
             if lock_tables is None:
@@ -1031,22 +1030,16 @@ class DatabaseEngine:
                     self._read_lock_tables(statement)
             txn = session.current_txn
             self._acquire_read_locks(txn.txn_id, lock_tables)
-            probe = self._reader_probe(txn)
-        plan = entry.plan
+            rows = self._probed_rows(plan.root, self._reader_probe(txn))
+        else:
+            rows = iterate_plan(plan.root, self.meter)
         entry.active += 1
 
-        if probe is None:
-            def guarded_rows():
-                try:
-                    yield from iterate_plan(plan.root, self.meter)
-                finally:
-                    entry.active -= 1
-        else:
-            def guarded_rows():
-                try:
-                    yield from self._probed_rows(plan.root, probe)
-                finally:
-                    entry.active -= 1
+        def guarded_rows():
+            try:
+                yield from rows
+            finally:
+                entry.active -= 1
 
         result = StatementResult.of_rows(plan.output_columns,
                                          guarded_rows())
@@ -1119,10 +1112,7 @@ class DatabaseEngine:
         session.current_txn = None
         return StatementResult.ok("rolled back")
 
-    # -- row-granularity locking (lock_granularity="row") --------------------
-
-    def _row_locking(self) -> bool:
-        return self.meter.costs.lock_granularity == "row"
+    # -- locking ---------------------------------------------------------------
 
     def _abort_deadlock_victim(self, txn_id: int) -> None:
         """Deadlock-victim callback wired into the lock manager.
@@ -1152,16 +1142,11 @@ class DatabaseEngine:
     def _acquire_read_locks(self, txn_id: int, names) -> None:
         """Statement-start read locks for an in-transaction SELECT.
 
-        Table S under the seed policy.  Under row granularity, tables
-        with a primary key take IS instead — the executor's lock probe
+        Tables with a primary key take IS — the executor's lock probe
         then takes row S locks per produced row — while tables without a
         primary key (and non-table names: views, sys_* snapshots, which
-        keep the seed's phantom S entry) stay at table S.
+        keep a phantom S entry) take table S.
         """
-        if not self._row_locking():
-            for name in names:
-                self.locks.acquire(txn_id, name, LockMode.SHARED)
-            return
         for name in names:
             info = self.catalog.tables.get(name.lower())
             mode = (LockMode.INTENT_SHARED
@@ -1170,13 +1155,11 @@ class DatabaseEngine:
             self.locks.acquire(txn_id, name, mode)
 
     def _reader_probe(self, txn: Transaction):
-        """Per-row S-lock probe (see ``Meter.lock_probe``), or None under
-        the default table granularity.  One probe serves one statement:
-        what it needs to know about a table (name, key function, whether
-        its rows are locked at all) and the table IS lock are resolved
-        at the statement's first row of that table."""
-        if not self._row_locking():
-            return None
+        """Per-row S-lock probe (see ``Meter.lock_probe``).  One probe
+        serves one statement: what it needs to know about a table (name,
+        key function, whether its rows are locked at all) and the table
+        IS lock are resolved at the statement's first row of that
+        table."""
         acquire = self.locks.acquire
         acquire_row = self.locks.acquire_row
         txn_id = txn.txn_id
@@ -1280,15 +1263,13 @@ class DatabaseEngine:
                         params: dict) -> StatementResult:
         planner = self._planner(session, params)
         plan = planner.plan_select(statement)
-        probe = None
         if session.in_transaction:
             self._acquire_read_locks(session.current_txn.txn_id,
                                      self._read_lock_tables(statement))
-            probe = self._reader_probe(session.current_txn)
-        if probe is None:
-            rows = iterate_plan(plan.root, self.meter)
+            rows = self._probed_rows(
+                plan.root, self._reader_probe(session.current_txn))
         else:
-            rows = self._probed_rows(plan.root, probe)
+            rows = iterate_plan(plan.root, self.meter)
         result = StatementResult.of_rows(plan.output_columns, rows)
         result.streamable = is_streamable_plan(plan.root)
         self._stamp_read_versions(result, plan, planner.subquery_log,
@@ -1414,10 +1395,10 @@ class DatabaseEngine:
             rows = [build(source, positions) for source in source_rows]
             if mode is LockMode.INTENT_EXCLUSIVE \
                     and table.row_lock_key is not None:
-                # Row granularity: all row X locks before the first
-                # insert too, so a LockWaitError can only unwind a
-                # statement that has not mutated anything — the re-run
-                # starts from scratch safely.
+                # All row X locks before the first insert too, so a
+                # LockWaitError can only unwind a statement that has not
+                # mutated anything — the re-run starts from scratch
+                # safely.
                 name = table.info.name
                 for row in rows:
                     self.locks.acquire_row(txn.txn_id, name,
@@ -1440,28 +1421,26 @@ class DatabaseEngine:
                     session: EngineSession) -> StatementResult:
         table = compiled.table
         columns = table.info.columns
-        count = 0
         with DatabaseEngine._TxnScope(self, session) as txn:
             mode = self._lock_for_write(session, txn, table)
             matches = list(compiled.iterate())
+            # Two-phase: compute every new row and take all row X locks
+            # before the first update, so a LockWaitError unwinds only
+            # statements that have not mutated anything (the matches may
+            # also be stale — a retry re-reads them).
+            updates = []
+            for rid, row in matches:
+                new_values = list(row)
+                ctx = EvalContext(row=row)
+                for position, fn in compiled.assignments:
+                    column = columns[position]
+                    value = coerce_column(fn(ctx), column)
+                    if value is None and not column.nullable:
+                        raise EngineError(
+                            f"column {column.name!r} is NOT NULL")
+                    new_values[position] = value
+                updates.append((rid, row, tuple(new_values)))
             if mode is LockMode.INTENT_EXCLUSIVE:
-                # Two-phase (row granularity): compute every new row and
-                # take all row X locks before the first update, so a
-                # LockWaitError unwinds only statements that have not
-                # mutated anything (the matches may also be stale — a
-                # retry re-reads them).
-                updates = []
-                for rid, row in matches:
-                    new_values = list(row)
-                    ctx = EvalContext(row=row)
-                    for position, fn in compiled.assignments:
-                        column = columns[position]
-                        value = coerce_column(fn(ctx), column)
-                        if value is None and not column.nullable:
-                            raise EngineError(
-                                f"column {column.name!r} is NOT NULL")
-                        new_values[position] = value
-                    updates.append((rid, row, tuple(new_values)))
                 name = table.info.name
                 for _rid, old_row, new_row in updates:
                     old_key = table.row_lock_key(old_row)
@@ -1471,22 +1450,9 @@ class DatabaseEngine:
                     if new_key != old_key:
                         self.locks.acquire_row(txn.txn_id, name, new_key,
                                                LockMode.EXCLUSIVE)
-                for rid, _old_row, new_row in updates:
-                    table.update(rid, new_row, txn, self.txns)
-                    count += 1
-            else:
-                for rid, row in matches:
-                    new_values = list(row)
-                    ctx = EvalContext(row=row)
-                    for position, fn in compiled.assignments:
-                        column = columns[position]
-                        value = coerce_column(fn(ctx), column)
-                        if value is None and not column.nullable:
-                            raise EngineError(
-                                f"column {column.name!r} is NOT NULL")
-                        new_values[position] = value
-                    table.update(rid, tuple(new_values), txn, self.txns)
-                    count += 1
+            for rid, _old_row, new_row in updates:
+                table.update(rid, new_row, txn, self.txns)
+            count = len(updates)
         return StatementResult.of_rowcount(count, f"{count} rows updated")
 
     def _execute_delete(self, statement: ast.DeleteStatement,
@@ -1520,21 +1486,20 @@ class DatabaseEngine:
                         ) -> LockMode | None:
         """Take the table-granularity write lock; returns the mode taken.
 
-        Seed policy: table X.  Row granularity: table IX (the caller
-        then takes row X locks) — except where IX would not isolate.  A
-        table carrying a *secondary* unique index keeps X: concurrent
-        writers could race uniqueness checks against uncommitted rows.
-        A table without a primary key has no row identity to lock, so
-        UPDATE and DELETE keep X; an INSERT into it takes IX and no row
-        lock (inserters do not conflict with each other, and everything
-        that reads or rewrites such a table takes table S or X, which
-        IX excludes).
+        Table IX (the caller then takes row X locks) — except where IX
+        would not isolate.  A table carrying a *secondary* unique index
+        takes X: concurrent writers could race uniqueness checks against
+        uncommitted rows.  A table without a primary key has no row
+        identity to lock, so UPDATE and DELETE take X; an INSERT into it
+        takes IX and no row lock (inserters do not conflict with each
+        other, and everything that reads or rewrites such a table takes
+        table S or X, which IX excludes).
         """
         info = table.info
         if info.volatile:
             return None
         mode = LockMode.EXCLUSIVE
-        if self._row_locking() and (info.primary_key or inserting):
+        if info.primary_key or inserting:
             mode = LockMode.INTENT_EXCLUSIVE
             for index in table.indexes():
                 if index.unique and not index.name.startswith("__pk_"):

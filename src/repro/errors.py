@@ -80,21 +80,19 @@ class LogTruncatedError(EngineError):
 
 
 class DeadlockError(TransactionError):
-    """Lock acquisition timed out; the transaction was chosen as victim."""
+    """The transaction was chosen as the victim of a deadlock."""
 
 
 class LockWaitError(TransactionError):
-    """A lock request was queued behind other transactions (row mode only).
+    """A lock request was queued behind other transactions.
 
     Raised instead of blocking — the engine host is single-threaded, so a
-    conflicting request under ``lock_granularity="row"`` takes its place
-    in the resource's wait queue and unwinds with this error.  Whoever
-    issued the statement keeps it (the server holds a blocked
-    ``ExecuteRequest`` with its prepared form) and runs it again once
-    ``LockManager.is_waiting(txn_id)`` is false.  The transaction stays
-    active and keeps every lock it already holds (strict 2PL).  Never
-    raised under the default table granularity, which keeps the seed's
-    no-wait ``DeadlockError``.
+    conflicting request takes its place in the resource's wait queue and
+    unwinds with this error.  Whoever issued the statement keeps it (the
+    server holds a blocked ``ExecuteRequest`` with its prepared form)
+    and runs it again once ``LockManager.is_waiting(txn_id)`` is false.
+    The transaction stays active and keeps every lock it already holds
+    (strict 2PL).
     """
 
     def __init__(self, message: str, txn_id: int = 0):

@@ -103,8 +103,7 @@ def _sys_locks(engine):
     counts from 1 in service order, ``blockers`` lists the transactions
     the request has to outlast (incompatible holders and incompatible
     requests ahead of it) and ``waited_seconds`` is the virtual time
-    since it was queued.  (Row granularity only — the seed's no-wait
-    policy never queues anyone.)
+    since it was queued.
     """
     columns = [Column("table_name", SqlType.VARCHAR, 64),
                Column("granularity", SqlType.VARCHAR, 8),

@@ -58,6 +58,11 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 
 
+#: Largest result (in rows) the shared cache retains.  Bigger results
+#: fall through to the normal execute/fetch path.
+MAX_CACHED_ROWS = 200
+
+
 def normalize_key(sql: str) -> str:
     """Whitespace-collapsed statement text (the cache key)."""
     return " ".join(sql.split())
@@ -84,7 +89,7 @@ class SharedResultCache:
     def __init__(self, meter):
         self.meter = meter
         self.capacity = meter.costs.result_cache_entries
-        self.max_rows = meter.costs.result_cache_max_rows
+        self.max_rows = MAX_CACHED_ROWS
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         #: owner -> key -> entry staged by its open transaction.
         self._staged: dict[object, dict[str, CacheEntry]] = {}

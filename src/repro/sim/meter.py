@@ -111,12 +111,12 @@ class Meter:
         #: Kept out of ``counters`` so virtual-output equivalence checks
         #: comparing counters are not perturbed by host-side bookkeeping.
         self.executor_stats: dict[str, int] = {}
-        #: Row-lock read probe (``lock_granularity="row"`` only): when the
-        #: engine runs a predicate read inside a transaction it installs a
-        #: callable ``probe(table, rid, row_or_None)`` here; executor scan
-        #: nodes invoke it per produced row so reads take row S locks
-        #: under the table IS lock.  None (always, under the default
-        #: table granularity) costs one attribute read per row path.
+        #: Row-lock read probe: when the engine runs a predicate read
+        #: inside a transaction it installs a callable ``probe(table,
+        #: rid, row_or_None)`` here; executor scan nodes invoke it per
+        #: produced row so reads take row S locks under the table IS
+        #: lock.  None (outside a transaction) costs one attribute read
+        #: per row path.
         self.lock_probe = None
         # Memoized "charge.<resource>" metric names (host-only: avoids an
         # f-string per charge).

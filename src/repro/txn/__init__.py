@@ -1,11 +1,14 @@
-"""Transactions: strict two-phase table locking plus log-driven rollback.
+"""Transactions: strict two-phase row locking plus log-driven rollback.
 
-* :class:`~repro.txn.locks.LockManager` — shared/exclusive table locks,
-  no-wait conflict policy (a conflicting request raises
-  :class:`~repro.errors.DeadlockError` immediately, which is how the
-  single-threaded simulation avoids blocking forever; the paper likewise
-  treats transaction aborts as "a normal event that most applications
-  already handle").
+* :class:`~repro.txn.locks.LockManager` — intention locks on tables,
+  shared/exclusive locks on rows, a FIFO wait queue per resource.  A
+  conflicting request is queued and unwinds with
+  :class:`~repro.errors.LockWaitError` (the simulation is
+  single-threaded: whoever issued the statement runs it again once the
+  lock is granted); a deadlock aborts its youngest transaction with
+  :class:`~repro.errors.DeadlockError` — the paper likewise treats
+  transaction aborts as "a normal event that most applications already
+  handle".
 * :class:`~repro.txn.manager.TransactionManager` — begin/commit/abort,
   write-ahead logging of every data and DDL change, rollback by walking
   the per-transaction log chain.

@@ -1,22 +1,12 @@
 """Hierarchical lock manager: table locks, row locks, FIFO wait queues.
 
-Two regimes, selected by ``CostModel.lock_granularity``:
+Intention modes (IS/IX) at table granularity plus S/X locks at row
+granularity (keyed by table + primary key), strict two-phase (everything
+is released only by :meth:`release_all` at commit/abort).  Conflicts
+*wait*, and waiting lives here: every lockable resource has a FIFO queue
+of :class:`QueuedRequest`.
 
-* ``"table"`` (the default) preserves the seed behaviour exactly: shared
-  (S) and exclusive (X) locks at table granularity, strict two-phase,
-  with a *no-wait* policy — a conflicting request raises
-  :class:`~repro.errors.DeadlockError` immediately and the requester is
-  expected to abort and retry, matching the paper's stance that
-  applications already handle transaction aborts.
-
-* ``"row"`` enables the hierarchy: intention modes (IS/IX) at table
-  granularity plus S/X locks at row granularity (keyed by table +
-  primary key), still strict two-phase (everything is released only by
-  :meth:`release_all` at commit/abort).  Conflicts *wait*, and waiting
-  lives here: every lockable resource has a FIFO queue of
-  :class:`QueuedRequest`.
-
-Queue discipline (row granularity):
+Queue discipline:
 
 * A request is granted when it is compatible with every other holder of
   the resource *and* with every request queued ahead of it; otherwise it
@@ -55,11 +45,10 @@ unwinds with ``LockWaitError`` even when an abort left it holding the
 lock it asked for: its statement may have read rows the victim's undo
 has just changed, and a clean re-run re-reads them.
 
-Lock escalation: once a transaction holds more than
-``CostModel.lock_escalation_threshold`` row locks on one table, the
-manager trades them for a single table-granularity S/X lock (when no
-holder and no queued request of another transaction conflicts at table
-level; otherwise escalation is retried on the next acquisition).
+There is no lock escalation: a transaction keeps the row locks it
+takes.  Trading them for a table S/X lock makes a wide reader conflict
+with every writer of the table instead of the writers of its rows
+(DESIGN.md §16).
 
 Compatibility matrix (request column vs. held row)::
 
@@ -110,9 +99,9 @@ _COVERS: dict[LockMode, tuple] = {
     _IS: (_IS,),
 }
 
-# Every request tests both tables, per row under row granularity, and an
-# Enum member hashes through Python-level ``Enum.__hash__`` — so each
-# mode carries its rows as bit masks: ``held.covers & requested.bit``.
+# Every request tests both tables, per row, and an Enum member hashes
+# through Python-level ``Enum.__hash__`` — so each mode carries its rows
+# as bit masks: ``held.covers & requested.bit``.
 for _i, _mode in enumerate(LockMode):
     _mode.bit = 1 << _i
 for _mode in LockMode:
@@ -184,12 +173,10 @@ class LockManager:
         self._locks: dict[str, dict[int, LockMode]] = defaultdict(dict)
         # (table, row key) -> {txn_id -> LockMode (S/X only)}
         self._row_locks: dict[tuple, dict[int, LockMode]] = {}
-        # txn_id -> table -> set of row keys (release + escalation count)
+        # txn_id -> table -> set of row keys (release)
         self._txn_rows: dict[int, dict[str, set]] = {}
         # txn_id -> tables it holds a table-granularity lock on (release)
         self._txn_tables: dict[int, list[str]] = {}
-        # (txn_id, table) pairs whose row locks were escalated away
-        self._escalated: set[tuple] = set()
         # resource -> its waiters in service order (no empty queues)
         self._queues: dict[object, list[QueuedRequest]] = {}
         #: txn_id -> its one queued request (read-only outside).
@@ -199,14 +186,6 @@ class LockManager:
         self.on_victim = None
         self._meter = meter
 
-    # -- configuration helpers ------------------------------------------------
-
-    @property
-    def granularity(self) -> str:
-        if self._meter is None:
-            return "table"
-        return self._meter.costs.lock_granularity
-
     def _count(self, counter: str, amount: float = 1.0) -> None:
         if self._meter is not None:
             self._meter.count(counter, amount)
@@ -214,12 +193,8 @@ class LockManager:
     # -- table-granularity requests -------------------------------------------
 
     def acquire(self, txn_id: int, table_name: str, mode: LockMode) -> None:
-        """Grant a table-granularity lock or raise on conflict.
-
-        Under ``"table"`` granularity a conflict raises
-        :class:`DeadlockError` immediately (seed no-wait policy); under
-        ``"row"`` it queues — see the module docstring.
-        """
+        """Grant a table-granularity lock, or queue the request and
+        raise (see the module docstring)."""
         table = table_name.lower()
         holders = self._locks[table]
         current = holders.get(txn_id)
@@ -244,7 +219,7 @@ class LockManager:
 
         The caller must already hold at least an intention lock on the
         table.  A table-granularity S/X held by the same transaction
-        (e.g. after escalation) subsumes the row lock.
+        subsumes the row lock.
         """
         table = table_name.lower()
         table_holders = self._locks.get(table)
@@ -268,7 +243,6 @@ class LockManager:
                 del self._row_locks[resource]  # a row nobody holds
             raise
         self._grant_row(txn_id, resource, holders, needed)
-        self._maybe_escalate(txn_id, table)
 
     def _grant_row(self, txn_id: int, resource: tuple, holders: dict,
                    mode: LockMode) -> None:
@@ -302,13 +276,6 @@ class LockManager:
                     break
             else:
                 return
-            if self.granularity != "row":
-                modes, txns = _describe_holders(
-                    {other: held for other, held in holders.items()
-                     if other != txn_id and not held.compatible & bit})
-                raise DeadlockError(
-                    f"txn {txn_id} blocked on {modes} of "
-                    f"{_describe_resource(resource)} held by {txns}")
         fresh = request is None
         if fresh:
             request = QueuedRequest(
@@ -446,55 +413,6 @@ class LockManager:
 
         return visit(start)
 
-    # -- escalation -----------------------------------------------------------
-
-    def _maybe_escalate(self, txn_id: int, table: str) -> None:
-        threshold = (self._meter.costs.lock_escalation_threshold
-                     if self._meter is not None else 0)
-        if threshold <= 0 or (txn_id, table) in self._escalated:
-            return
-        keys = self._txn_rows.get(txn_id, {}).get(table)
-        if keys is None or len(keys) <= threshold:
-            return
-        target = _S
-        for key in keys:
-            if self._row_locks.get((table, key), {}).get(txn_id) is _X:
-                target = _X
-                break
-        holders = self._locks[table]
-        current = holders.get(txn_id)
-        needed = target if current is None else _SUPREMUM[(current, target)]
-        for other, held in holders.items():
-            if other != txn_id and not held.compatible & needed.bit:
-                return  # somebody conflicts at table level; retry later
-        for waiter in self._queues.get(table, ()):
-            if not waiter.mode.compatible & needed.bit:
-                return  # never pass an incompatible waiter either
-        # Other transactions' *row* locks on this table would also
-        # conflict with the escalated lock — but any such holder (and
-        # anyone queued for one of this transaction's rows) holds an
-        # intention lock on the table, which the loop above just checked.
-        self._grant_table(txn_id, table, holders, needed)
-        self._drop_txn_rows(txn_id, table)
-        self._escalated.add((txn_id, table))
-        self._count("locks.escalations")
-
-    def _drop_txn_rows(self, txn_id: int, table: str) -> list:
-        """Release ``txn_id``'s row locks on ``table``; returns the rows
-        somebody is queued for."""
-        contended = []
-        keys = self._txn_rows.get(txn_id, {}).pop(table, set())
-        for key in keys:
-            resource = (table, key)
-            holders = self._row_locks.get(resource)
-            if holders is not None:
-                holders.pop(txn_id, None)
-                if not holders:
-                    del self._row_locks[resource]
-            if resource in self._queues:
-                contended.append(resource)
-        return contended
-
     # -- release / withdrawal ---------------------------------------------------
 
     def release_all(self, txn_id: int) -> list[int]:
@@ -514,12 +432,15 @@ class LockManager:
                 del self._locks[table]
             if table in queues:
                 freed.append(table)
-        for table in list(self._txn_rows.get(txn_id, {})):
-            freed.extend(self._drop_txn_rows(txn_id, table))
-        self._txn_rows.pop(txn_id, None)
-        if self._escalated:
-            self._escalated = {pair for pair in self._escalated
-                               if pair[0] != txn_id}
+        for table, keys in self._txn_rows.pop(txn_id, {}).items():
+            for key in keys:
+                resource = (table, key)
+                holders = self._row_locks[resource]
+                del holders[txn_id]
+                if not holders:
+                    del self._row_locks[resource]
+                if resource in queues:
+                    freed.append(resource)
         return self._serve_queues(freed) if freed else []
 
     def withdraw(self, txn_id: int) -> list[int]:

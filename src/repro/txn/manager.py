@@ -71,8 +71,9 @@ class Transaction:
     #: -> the primary keys written (old *and* new key of an UPDATE), or
     #: the reason the table counts as written wholesale (``"no_pk"``,
     #: ``"ddl"``, ``"cap"``).  None while the cache is off: nothing is
-    #: collected.  Keys come from the rows being logged, never from the
-    #: lock manager (escalation forgets row locks).  Consumed at commit.
+    #: collected.  Keys come from the rows being logged, not from the
+    #: lock manager (a table X lock covers rows without naming them).
+    #: Consumed at commit.
     modified_tables: dict | None = None
 
     @property

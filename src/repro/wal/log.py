@@ -166,13 +166,6 @@ class WriteAheadLog:
         """Yield every *live* record (the truncated prefix is archived)."""
         yield from self._records
 
-    def last_checkpoint_lsn(self) -> int:
-        """LSN of the most recent (durable) sharp checkpoint record, or 0."""
-        checkpoint = self.last_complete_checkpoint()
-        if isinstance(checkpoint, CheckpointRecord):
-            return checkpoint.lsn
-        return 0
-
     def last_complete_checkpoint(self) -> LogRecord | None:
         """The newest durable complete checkpoint record, if any.
 

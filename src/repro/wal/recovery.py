@@ -23,18 +23,21 @@ equivalent of redoing/undoing index pages).  No wholesale post-recovery
 index rebuild is needed — restart cost scales with the log tail, not
 with total data volume.
 
-Two recovery paths coexist.  The legacy path (sharp checkpoint or no
-checkpoint, ``redo_workers == 0``) is byte-identical to the seed.  The
-fuzzy path engages when the last complete checkpoint is a Begin/End pair
-or ``CostModel.redo_workers >= 1``: analysis merges the checkpoint's
-dirty-page table with post-Begin page touches, redo starts at the
-minimum recLSN and skips records whose effects provably reached disk,
-and (with workers) apply time is charged as a per-file-partition
-makespan while records are still applied serially in LSN order.
+One pass serves every checkpoint regime: analysis merges the dirty-page
+table the last complete checkpoint logged with the pages touched after
+it, redo starts at the oldest recLSN that checkpoint logged (never above
+the checkpoint itself) and skips records whose effects provably reached
+disk, and with ``CostModel.redo_workers >= 1`` apply time is charged as
+a per-file-partition makespan while records are still applied serially
+in LSN order.  A sharp checkpoint, or none, is a checkpoint with an
+empty dirty-page table: redo starts right behind it and the filter skips
+nothing.  Per-pass virtual times of every restart go to the
+observability recovery log (``sys_recovery_phases``).
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 from repro.storage.heap import RowId
@@ -206,8 +209,8 @@ class RecoveryReport:
     fuzzy: bool = False
     #: Simulated redo workers used (0 = the seed's serial charging).
     redo_workers: int = 0
-    #: First LSN the redo pass scanned (min dirty-page recLSN under a
-    #: fuzzy checkpoint; checkpoint+1 otherwise).
+    #: First LSN the redo pass scanned: the oldest recLSN the checkpoint
+    #: logged, at most checkpoint+1 (= checkpoint+1 unless it was fuzzy).
     redo_start: int = 0
     #: Virtual seconds of per-partition redo apply work, by file id
     #: (parallel redo only; the charged makespan is <= the sum of these).
@@ -243,118 +246,50 @@ class RecoveryManager:
         meter.charge(SERVER_DISK, seconds, "restart recovery")
 
     def recover(self) -> RecoveryReport:
-        tracer = self._tracer()
-        if tracer is not None:
-            with tracer.span("wal.recover", layer="wal") as root:
-                report = self._recover(tracer)
-                root.set_attr("redo_applied", report.redo_applied)
-                root.set_attr("undo_applied", report.undo_applied)
-                root.set_attr("losers", len(report.losers))
-                return report
-        return self._recover(None)
-
-    def _tracer(self):
         meter = self._log.meter
         if meter is None or not meter.obs.tracer.enabled:
-            return None
-        return meter.obs.tracer
+            return self._recover(lambda name: contextlib.nullcontext())
+        tracer = meter.obs.tracer
 
-    def _recover(self, tracer) -> RecoveryReport:
-        checkpoint = self._log.last_complete_checkpoint()
-        meter = self._log.meter
-        workers = meter.costs.redo_workers if meter is not None else 0
-        if isinstance(checkpoint, EndCheckpointRecord) or workers >= 1:
-            return self._recover_fuzzy(tracer, checkpoint, workers)
-        report = RecoveryReport()
-        report.checkpoint_lsn = self._log.last_checkpoint_lsn()
-        if tracer is not None:
-            with tracer.span("wal.analysis", layer="wal"):
-                last_lsn, committed, ended = self._analysis(
-                    report.checkpoint_lsn)
-        else:
-            last_lsn, committed, ended = self._analysis(
-                report.checkpoint_lsn)
-        report.winners = set(committed)
-        report.losers = set(last_lsn) - committed - ended
-        if tracer is not None:
-            with tracer.span("wal.redo", layer="wal"):
-                self._redo(report)
-            with tracer.span("wal.undo", layer="wal"):
-                self._undo(report,
-                           {t: last_lsn[t] for t in report.losers})
-        else:
-            self._redo(report)
-            self._undo(report, {t: last_lsn[t] for t in report.losers})
-        # Indexes were maintained incrementally through redo/undo (see
-        # module docstring); no wholesale rebuild pass is needed.  But
-        # repeating history tolerates transient unique-key duplicates
-        # (apply-mode inserts do not enforce uniqueness), so check the
-        # invariant is restored now that both passes are done.
-        for runtime in self._touched_runtimes.values():
-            runtime.validate_unique_indexes()
-        self._log.force()
-        return report
+        def span(name):
+            return tracer.span(name, layer="wal")
 
-    # -- fuzzy checkpoints / parallel redo ----------------------------------
+        with span("wal.recover") as root:
+            report = self._recover(span)
+            root.set_attr("redo_applied", report.redo_applied)
+            root.set_attr("undo_applied", report.undo_applied)
+            root.set_attr("losers", len(report.losers))
+            return report
 
-    def _recover_fuzzy(self, tracer, checkpoint,
-                       workers: int) -> RecoveryReport:
-        """Recovery under a fuzzy checkpoint and/or simulated parallel
-        redo.  The legacy path above stays byte-identical for seed
-        configurations; this one differs in three ways:
-
-        * analysis starts from the checkpoint's *Begin* record and merges
-          its logged dirty-page table with pages touched after it;
-        * redo starts at the minimum recLSN of that table and skips
-          records whose page provably holds their effects on disk (plus
-          DDL below the Begin record — the catalog snapshot covers it);
-        * with ``redo_workers >= 1`` the apply work is charged as the
-          makespan of per-file partitions over N workers (records are
-          still applied serially in LSN order, so the worker count can
-          never change recovered contents).
-
-        Per-pass virtual times are recorded to the observability
-        recovery log (``sys_recovery_phases``) — gated to this path so
-        seed traces stay bit-identical.
-        """
-        import contextlib
-
-        if tracer is not None:
-            def span(name):
-                return tracer.span(name, layer="wal")
-        else:
-            def span(name):
-                return contextlib.nullcontext()
-
+    def _recover(self, span) -> RecoveryReport:
+        """The three passes, each under ``span(name)``."""
         meter = self._log.meter
         peek = meter.peek_now if meter is not None else (lambda: 0.0)
-        report = RecoveryReport(
-            fuzzy=isinstance(checkpoint, EndCheckpointRecord),
-            redo_workers=workers)
+        workers = meter.costs.redo_workers if meter is not None else 0
+        report = RecoveryReport(redo_workers=workers)
         phase_seconds: dict[str, float] = {}
         mark = peek()
         with span("wal.analysis"):
-            last_lsn, committed, ended, dpt, begin_lsn = \
-                self._analysis_fuzzy(checkpoint, report)
+            last_lsn, committed, ended, dpt = self._analysis(report)
         phase_seconds["wal_analysis"] = peek() - mark
         report.winners = set(committed)
         report.losers = set(last_lsn) - committed - ended
-        if report.fuzzy:
-            report.redo_start = max(
-                1, min(dpt.values(), default=begin_lsn + 1))
-        else:
-            report.redo_start = begin_lsn + 1
         mark = peek()
         with span("wal.redo"):
             if workers >= 1:
-                self._redo_parallel(report, dpt, begin_lsn, workers)
+                self._redo_parallel(report, dpt, workers)
             else:
-                self._redo_fuzzy_serial(report, dpt, begin_lsn)
+                self._redo_serial(report, dpt)
         phase_seconds["wal_redo"] = peek() - mark
         mark = peek()
         with span("wal.undo"):
             self._undo(report, {t: last_lsn[t] for t in report.losers})
         phase_seconds["wal_undo"] = peek() - mark
+        # Indexes were maintained incrementally through redo/undo (see
+        # module docstring); no wholesale rebuild pass is needed.  But
+        # repeating history tolerates transient unique-key duplicates
+        # (apply-mode inserts do not enforce uniqueness), so check the
+        # invariant is restored now that both passes are done.
         for runtime in self._touched_runtimes.values():
             runtime.validate_unique_indexes()
         self._log.force()
@@ -365,21 +300,28 @@ class RecoveryManager:
             meter.obs.record_recovery(phase_seconds, finished_at=peek())
         return report
 
-    def _analysis_fuzzy(self, checkpoint, report: RecoveryReport):
-        """Analysis seeded from a Begin/End pair (or a sharp checkpoint
-        when only ``redo_workers`` is on).
+    def _analysis(self, report: RecoveryReport):
+        """Analysis seeded from the last complete checkpoint: a fuzzy
+        Begin/End pair, a sharp checkpoint record, or nothing.
 
-        Returns ``(txn -> last lsn, committed, ended, dirty-page table,
-        begin_lsn)``.  The DPT starts from the one the End record logged
-        and grows by first-touch recLSN for every page dirtied after the
-        Begin record — exactly the set redo must consider.
+        Returns ``(txn -> last undoable lsn, committed, ended,
+        dirty-page table)`` and sets the report's checkpoint fields and
+        ``redo_start``.  Losers are the transactions of the
+        first map that neither committed nor ended; CLR LSNs also update
+        it, so undo of a crash-during-rollback resumes from the right
+        place.  The DPT starts from the one the checkpoint logged (empty
+        unless it was fuzzy) and grows by first-touch recLSN for every
+        page dirtied after the checkpoint — exactly the set redo must
+        consider.
         """
         last_lsn: dict[int, int] = {}
         committed: set[int] = set()
         ended: set[int] = set()
         dpt: dict[tuple[int, int], int] = {}
         begin_lsn = 0
+        checkpoint = self._log.last_complete_checkpoint()
         if isinstance(checkpoint, EndCheckpointRecord):
+            report.fuzzy = True
             begin_lsn = checkpoint.begin_lsn
             last_lsn.update(checkpoint.active_txns)
             dpt.update(checkpoint.dirty_pages)
@@ -387,6 +329,9 @@ class RecoveryManager:
             begin_lsn = checkpoint.lsn
             last_lsn.update(checkpoint.active_txns)
         report.checkpoint_lsn = begin_lsn
+        # Everything above the checkpoint is scanned whatever the DPT
+        # says: DDL records name no page.
+        report.redo_start = max(1, min([begin_lsn + 1, *dpt.values()]))
         for rec in self._log.records_from(begin_lsn + 1):
             if isinstance(rec, (CheckpointRecord, BeginCheckpointRecord,
                                 EndCheckpointRecord)):
@@ -402,11 +347,11 @@ class RecoveryManager:
             target = rec.action if isinstance(rec, CLRRecord) else rec
             if isinstance(target, _DATA_RECORDS):
                 dpt.setdefault((target.file_id, target.page_no), rec.lsn)
-        return last_lsn, committed, ended, dpt, begin_lsn
+        return last_lsn, committed, ended, dpt
 
-    def _skip_fuzzy(self, rec: LogRecord, dpt: dict, begin_lsn: int,
-                    report: RecoveryReport) -> bool:
-        """DPT / catalog-snapshot redo filter (fuzzy checkpoints only).
+    def _skip_redo(self, rec: LogRecord, dpt: dict,
+                   report: RecoveryReport) -> bool:
+        """DPT / catalog-snapshot redo filter.
 
         True when ``rec`` provably needs no redo: a data change to a page
         outside the dirty-page table (its image reached disk before the
@@ -422,16 +367,15 @@ class RecoveryManager:
                 report.redo_skipped += 1
                 return True
             return False
-        if isinstance(target, _DDL_RECORDS) and rec.lsn <= begin_lsn:
+        if isinstance(target, _DDL_RECORDS) \
+                and rec.lsn <= report.checkpoint_lsn:
             report.redo_skipped += 1
             return True
         return False
 
-    def _redo_fuzzy_serial(self, report: RecoveryReport, dpt: dict,
-                           begin_lsn: int) -> None:
+    def _redo_serial(self, report: RecoveryReport, dpt: dict) -> None:
         for rec in self._log.records_from(report.redo_start):
-            if report.fuzzy and self._skip_fuzzy(rec, dpt, begin_lsn,
-                                                 report):
+            if self._skip_redo(rec, dpt, report):
                 self._charge_record(rec, applied=False)
                 continue
             before = report.redo_applied
@@ -439,7 +383,7 @@ class RecoveryManager:
             self._charge_record(rec, applied=report.redo_applied > before)
 
     def _redo_parallel(self, report: RecoveryReport, dpt: dict,
-                       begin_lsn: int, workers: int) -> None:
+                       workers: int) -> None:
         """Redo with the apply work charged as an N-worker makespan.
 
         Records are applied serially in LSN order — parallelism is purely
@@ -469,8 +413,7 @@ class RecoveryManager:
             for rec in self._log.records_from(report.redo_start):
                 read_seconds += meter.costs.log_write_seconds(
                     rec.payload_bytes())
-                if report.fuzzy and self._skip_fuzzy(rec, dpt, begin_lsn,
-                                                     report):
+                if self._skip_redo(rec, dpt, report):
                     continue
                 target = (rec.action if isinstance(rec, CLRRecord)
                           else rec)
@@ -500,47 +443,6 @@ class RecoveryManager:
         meter.charge(SERVER_DISK,
                      read_seconds + serial_seconds + makespan,
                      "parallel redo")
-
-    # -- analysis ----------------------------------------------------------
-
-    def _analysis(
-        self, checkpoint_lsn: int,
-    ) -> tuple[dict[int, int], set[int], set[int]]:
-        """Return (txn -> last undoable lsn, committed txns, ended txns).
-
-        Losers are the txns that appear in the first map but neither
-        committed nor ended.  CLR LSNs also update the last-lsn map so that
-        undo of a crash-during-rollback resumes from the right place.
-        """
-        last_lsn: dict[int, int] = {}
-        committed: set[int] = set()
-        ended: set[int] = set()
-        if checkpoint_lsn:
-            checkpoint = self._log.record(checkpoint_lsn)
-            assert isinstance(checkpoint, CheckpointRecord)
-            last_lsn.update(checkpoint.active_txns)
-        start = checkpoint_lsn + 1 if checkpoint_lsn else 1
-        for rec in self._log.records_from(start):
-            if isinstance(rec, CheckpointRecord):
-                continue
-            if isinstance(rec, EndRecord):
-                ended.add(rec.txn_id)
-                continue
-            if isinstance(rec, CommitRecord):
-                committed.add(rec.txn_id)
-                continue
-            if rec.txn_id:
-                last_lsn[rec.txn_id] = rec.lsn
-        return last_lsn, committed, ended
-
-    # -- redo ---------------------------------------------------------------
-
-    def _redo(self, report: RecoveryReport) -> None:
-        start = report.checkpoint_lsn + 1 if report.checkpoint_lsn else 1
-        for rec in self._log.records_from(start):
-            before = report.redo_applied
-            self._redo_one(rec, report)
-            self._charge_record(rec, applied=report.redo_applied > before)
 
     def _redo_one(self, rec: LogRecord, report: RecoveryReport) -> None:
         if isinstance(rec, CLRRecord):

@@ -8,8 +8,8 @@ TPC-C transactions round-robin at statement boundaries, so dozens of
 transactions are in flight at once and the lock manager arbitrates.
 
 Design constraints that make the mix *deterministic* (the acceptance
-gate compares final database digests across serial / table-lock /
-row-lock legs, so the final state must be schedule-independent):
+gate compares the final database digests of the serial and the
+interleaved leg, so the final state must be schedule-independent):
 
 * each session owns one ``(warehouse, district)`` pair — all district,
   customer, orders, new_order and order_line effects are per-session
@@ -27,19 +27,19 @@ row-lock legs, so the final state must be schedule-independent):
 
 Conflict handling mirrors what a real client does:
 
-* ``SQL_STILL_EXECUTING`` (row granularity): the statement met a lock
-  and the *server* holds it — the transaction keeps its locks and its
-  place in the lock manager's queue.  The session parks on the handle
+* ``SQL_STILL_EXECUTING``: the statement met a lock and the *server*
+  holds it — the transaction keeps its locks and its place in the lock
+  manager's queue.  The session parks on the handle
   and is stepped again when the driver manager says the statement is no
   longer executing; the mix has no wake-up policy of its own.  The wait
   is booked by the network when the response is collected
   (``locks.lock_wait_seconds``, off the shared clock).
-* ``40001`` (deadlock victim, or any conflict under the seed's no-wait
-  table locks): roll back, back off until some transaction ends, and
-  rerun the whole transaction descriptor (counted in
-  ``locks.txn_retries``).  The back-off is charged as ``lock wait``
-  seconds through the meter's overlap machinery (waiting burns no
-  server CPU, so the global clock stays put).
+* ``40001``: the transaction was aborted as a deadlock victim.  Roll
+  back, back off until some transaction ends, and rerun the whole
+  transaction descriptor (counted in ``locks.txn_retries``).  The
+  back-off is charged as ``lock wait`` seconds through the meter's
+  overlap machinery (waiting burns no server CPU, so the global clock
+  stays put).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.odbc.constants import (
     SQL_SUCCESS,
 )
 from repro.server.server import DatabaseServer
-from repro.sim.costs import SERVER_CPU, CostModel
+from repro.sim.costs import SERVER_CPU
 from repro.sim.meter import Meter
 from repro.workloads.app import BenchmarkApp
 from repro.workloads.tpcc.datagen import TpccScale, generate_tpcc, last_name
@@ -468,8 +468,8 @@ class ConcurrentMix:
                 self._transaction_ended()
             return True
         if sqlstate == "40001":
-            # Deadlock victim (row mode) or no-wait conflict (table
-            # mode): roll back, then rerun the whole descriptor.
+            # Deadlock victim: roll back, then rerun the whole
+            # descriptor.
             self.result.deadlocks += 1
             self.result.txn_retries += 1
             self.meter.count("locks.txn_retries")
@@ -573,26 +573,23 @@ class ConcurrentMix:
 # ---------------------------------------------------------------------------
 
 
-def build_concurrent_world(num_sessions: int, lock_granularity: str,
+def build_concurrent_world(num_sessions: int,
                            txns_per_session: int = 4,
                            items: int = 200,
                            customers_per_district: int = 20,
                            initial_orders_per_district: int = 10,
-                           escalation_threshold: int = 64,
                            seed: int = 42):
     """One server + N connected apps + deterministic plans.
 
     Every leg of a comparison must call this with identical arguments
-    except ``lock_granularity`` so worlds and descriptors agree exactly.
+    so worlds and descriptors agree exactly.
     """
     scale = TpccScale(
         warehouses=warehouses_for(num_sessions),
         customers_per_district=customers_per_district,
         items=items,
         initial_orders_per_district=initial_orders_per_district)
-    costs = CostModel(lock_granularity=lock_granularity,
-                      lock_escalation_threshold=escalation_threshold)
-    server = DatabaseServer(meter=Meter(costs))
+    server = DatabaseServer(meter=Meter())
     setup_tpcc_server(server, generate_tpcc(scale, seed=seed))
     apps = [BenchmarkApp(server, login=f"session-{i}")
             for i in range(num_sessions)]

@@ -4,8 +4,8 @@ The tentpole contract: a fuzzy checkpoint is a Begin/End record pair
 carrying the dirty-page table (page -> recLSN) and active-transaction
 table, taken without flushing the pool or blocking anything; recovery
 seeded from it starts redo at the minimum recLSN and skips records whose
-effects provably reached disk.  All knobs default off, in which case
-nothing here may perturb seed behaviour.
+effects provably reached disk.  All knobs default off, in which case no
+checkpoint is ever taken.
 """
 
 import copy
@@ -138,7 +138,7 @@ def test_cadence_knob_triggers_checkpoints():
 
 def test_defaults_leave_log_untouched():
     """All knobs at their defaults: no checkpoint records, no
-    truncation, no counters — the seed path."""
+    truncation, no counters."""
     server = DatabaseServer(meter=Meter(CostModel()))
     app = BenchmarkApp(server)
     app.run_statement("CREATE TABLE t (k INT NOT NULL, v INT, "
@@ -187,6 +187,27 @@ def test_fuzzy_recovery_equals_no_crash_state():
     session = EngineSession(session_id=9)
     rows = restarted.execute("SELECT k, v FROM t", session).fetch_all()
     assert sorted(rows) == expected
+
+
+def test_ddl_behind_a_checkpoint_with_no_dirty_page_is_redone():
+    """Redo starts right behind the checkpoint even when the oldest
+    dirty page is younger than that: DDL records name no page."""
+    engine, run = make_engine()
+    run("CREATE TABLE t (k INT NOT NULL, v INT, PRIMARY KEY (k))")
+    engine.checkpoint()            # clean pool ...
+    engine.fuzzy_checkpoint()      # ... so this one logs an empty table
+    run("CREATE TABLE u (k INT NOT NULL, PRIMARY KEY (k))")
+    run("INSERT INTO u VALUES (7)")
+    disk, wal, meter = engine.disk, engine.wal, engine.meter
+    wal.crash()
+    engine.buffer_pool.crash()
+    restarted = DatabaseEngine.restart(disk, wal, meter=meter)
+    report = restarted.last_recovery
+    assert report.fuzzy
+    assert report.redo_start == report.checkpoint_lsn + 1
+    session = EngineSession(session_id=9)
+    assert restarted.execute("SELECT k FROM u",
+                             session).fetch_all() == [(7,)]
 
 
 def test_worker_count_never_changes_recovered_contents():

@@ -13,10 +13,15 @@ harness) with the tentpole's failure modes:
   complete checkpoint;
 * crashes at *every* sampled prefix of all of the above, where the
   recovered heap, B-trees and (separately) Phoenix session state must
-  equal a no-crash run of the committed prefix.
+  equal a no-crash run of the committed prefix;
+* the checkpoint regime itself as an input: the same prefix recovered
+  behind no checkpoint, sharp checkpoints and truncating fuzzy ones,
+  serially and with four redo workers, goes through the one restart
+  pass and must come out the same.
 """
 
 import copy
+import itertools
 
 import pytest
 
@@ -85,31 +90,55 @@ def run_oracle(script, upto: int):
     return sorted(harness.run(CONTENTS))
 
 
+#: What a ``("checkpoint", None)`` step of the script does, by regime.
+CHECKPOINTS = {
+    "none": lambda engine: None,
+    "sharp": lambda engine: engine.checkpoint(),
+    "fuzzy": lambda engine: engine.fuzzy_checkpoint(truncate=True),
+}
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_fuzzy_checkpoints_and_truncation_survive_crash_sweep(seed):
     script = build_script(seed, ops=24)
     for crash_at in range(1, len(script) + 1, 3):
-        harness = CrashHarness()
-        for sql in DDL:
-            harness.run(sql)
-        checkpoints = 0
-        for kind, sql in script[:crash_at]:
-            if kind == "checkpoint":
-                harness.engine.fuzzy_checkpoint(truncate=True)
-                checkpoints += 1
-            else:
+        expected = run_oracle(script, crash_at)
+        for regime, workers in itertools.product(CHECKPOINTS, (0, 4)):
+            where = f"seed {seed} crash point {crash_at} {regime}/{workers}"
+            harness = CrashHarness()
+            harness.meter.costs.redo_workers = workers
+            for sql in DDL:
                 harness.run(sql)
-        truncated = harness.wal.truncated_lsn
-        harness.crash()
-        report = harness.restart()
-        if checkpoints:
-            assert report.fuzzy, f"crash point {crash_at} ignored the " \
-                "fuzzy checkpoint"
-            assert report.redo_start > truncated
-        assert sorted(harness.run(CONTENTS)) == \
-            run_oracle(script, crash_at), \
-            f"seed {seed} crash point {crash_at} diverged from no-crash"
-        assert assert_indexes_match_heap(harness.engine) >= 3
+            checkpoints = 0
+            for kind, sql in script[:crash_at]:
+                if kind == "checkpoint":
+                    CHECKPOINTS[regime](harness.engine)
+                    checkpoints += 1
+                else:
+                    harness.run(sql)
+            truncated = harness.wal.truncated_lsn
+            recoveries = len(harness.meter.obs.recovery_log)
+            harness.crash()
+            report = harness.restart()
+            assert len(harness.meter.obs.recovery_log) == recoveries + 1, \
+                f"{where}: restart left no entry in the recovery log"
+            assert report.redo_workers == workers
+            if regime == "fuzzy":
+                if checkpoints:
+                    assert report.fuzzy, f"{where} ignored the checkpoint"
+                    assert report.redo_start > truncated
+            else:
+                assert not report.fuzzy
+                assert bool(report.checkpoint_lsn) == \
+                    (regime == "sharp" and checkpoints > 0)
+                assert report.redo_start == report.checkpoint_lsn + 1
+                # Nothing reaches the disk between a sharp checkpoint
+                # and the crash, so a skipped record could only be the
+                # dirty-page filter's doing.
+                assert report.redo_skipped == 0, where
+            assert sorted(harness.run(CONTENTS)) == expected, \
+                f"{where} diverged from no-crash"
+            assert assert_indexes_match_heap(harness.engine) >= 3
 
 
 @pytest.mark.parametrize("seed", [3])

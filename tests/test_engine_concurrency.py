@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, LockWaitError
 from repro.sim.meter import Meter
 
 
@@ -33,21 +33,31 @@ class TestWriteConflicts:
         engine, alice, bob = world
         run(engine, alice, "BEGIN TRANSACTION")
         run(engine, alice, "UPDATE acct SET bal = 0 WHERE id = 1")
-        with pytest.raises(DeadlockError):
-            run(engine, bob, "UPDATE acct SET bal = 1 WHERE id = 2")
-        run(engine, alice, "ROLLBACK")
-        # After the lock is released the blocked writer can proceed.
+        # Another row of the table is free; the same row queues.
         assert run(engine, bob, "UPDATE acct SET bal = 1 WHERE id = 2") == 1
+        with pytest.raises(LockWaitError) as wait:
+            run(engine, bob, "UPDATE acct SET bal = 1 WHERE id = 1")
+        assert engine.locks.is_waiting(wait.value.txn_id)
+        run(engine, alice, "ROLLBACK")
+        # The release granted the lock: the same statement now runs, in
+        # the transaction that waited.
+        assert not engine.locks.is_waiting(wait.value.txn_id)
+        assert run(engine, bob, "UPDATE acct SET bal = 1 WHERE id = 1") == 1
+        assert run(engine, bob, "SELECT bal FROM acct WHERE id = 1") == [(1,)]
 
     def test_writer_blocks_reader_in_txn(self, world):
         engine, alice, bob = world
         run(engine, alice, "BEGIN TRANSACTION")
         run(engine, alice, "UPDATE acct SET bal = 0 WHERE id = 1")
         run(engine, bob, "BEGIN TRANSACTION")
-        with pytest.raises(DeadlockError):
+        with pytest.raises(LockWaitError):
             run(engine, bob, "SELECT * FROM acct")
-        run(engine, bob, "ROLLBACK")
+        txn_id = bob.current_txn.txn_id
+        assert engine.locks.waiting_for(txn_id) == {alice.current_txn.txn_id}
         run(engine, alice, "COMMIT")
+        assert not engine.locks.is_waiting(txn_id)
+        assert run(engine, bob, "SELECT * FROM acct") == [(1, 0), (2, 200)]
+        run(engine, bob, "COMMIT")
 
     def test_readers_share(self, world):
         engine, alice, bob = world
@@ -73,17 +83,28 @@ class TestWriteConflicts:
         run(engine, alice, "BEGIN TRANSACTION")
         run(engine, alice, "UPDATE acct SET bal = 0 WHERE id = 1")
         run(engine, bob, "BEGIN TRANSACTION")
+        run(engine, bob, "UPDATE acct SET bal = 5 WHERE id = 2")
+        with pytest.raises(LockWaitError):
+            run(engine, bob, "UPDATE acct SET bal = 5 WHERE id = 1")
+        # A wait leaves the transaction open, holding what it holds.
+        assert bob.current_txn.is_active
+        # Alice closes the cycle: the lock manager aborts the younger
+        # transaction (bob's) and alice's statement runs again.
+        with pytest.raises(LockWaitError, match="deadlock broken"):
+            run(engine, alice, "UPDATE acct SET bal = 0 WHERE id = 2")
+        assert not bob.current_txn.is_active
+        assert run(engine, alice, "UPDATE acct SET bal = 0 WHERE id = 2") == 1
+        # The session learns of it at its next statement and acknowledges.
         with pytest.raises(DeadlockError):
-            run(engine, bob, "UPDATE acct SET bal = 5 WHERE id = 2")
-        # Bob's transaction is still open (no-wait raises, app decides).
-        assert bob.in_transaction
+            run(engine, bob, "UPDATE acct SET bal = 5 WHERE id = 1")
         run(engine, bob, "ROLLBACK")
         run(engine, alice, "COMMIT")
+        assert run(engine, bob, "SELECT bal FROM acct") == [(0,), (0,)]
 
 
 class TestInterleavedCommits:
-    """Locks are table-granularity, so interleaved writers use disjoint
-    tables — strict 2PL still interleaves their begin/commit windows."""
+    """Interleaved writers on disjoint tables: strict 2PL interleaves
+    their begin/commit windows."""
 
     @pytest.fixture
     def ledgers(self, world):

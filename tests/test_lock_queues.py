@@ -142,9 +142,7 @@ SLOTS = st.integers(min_value=0, max_value=5)
 class QueuesFollowTheModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        costs = CostModel(lock_granularity="row",
-                          lock_escalation_threshold=0)
-        self.locks = LockManager(meter=Meter(costs))
+        self.locks = LockManager(meter=Meter())
         self.locks.on_victim = self.abort_victim
         self.model = Model()
         self.ids = itertools.count(1)
@@ -335,9 +333,8 @@ IS, IX, S, X = (LockMode.INTENT_SHARED, LockMode.INTENT_EXCLUSIVE,
                 LockMode.SHARED, LockMode.EXCLUSIVE)
 
 
-def row_locks(threshold: int = 0) -> LockManager:
-    return LockManager(meter=Meter(CostModel(
-        lock_granularity="row", lock_escalation_threshold=threshold)))
+def row_locks() -> LockManager:
+    return LockManager(meter=Meter())
 
 
 def refused(locks, txn, key, mode):
@@ -425,19 +422,6 @@ class TestQueueDiscipline:
         assert locks.row_holders("t", ("k",)) == {1: S, 3: S}
         assert locks.withdraw(2) == []
 
-    def test_escalation_does_not_pass_a_queued_table_request(self):
-        locks = row_locks(threshold=2)
-        locks.acquire(1, "t", IS)
-        locks.acquire(2, "t", IS)
-        with pytest.raises(LockWaitError):
-            locks.acquire(3, "t", X)      # queued behind both readers
-        for key in range(3):
-            locks.acquire_row(1, "t", (key,), S)
-        # IS -> S is compatible with the other *holder* but would pass
-        # the X waiting at the table: escalation is put off.
-        assert locks.held(1, "t") is IS
-        assert locks.row_lock_count(1, "t") == 3
-
     def test_counters(self):
         locks = row_locks()
         counters = locks._meter.counters
@@ -458,7 +442,7 @@ class TestQueueDiscipline:
 
 def phoenix_world(sessions: int = 2, ledger: bool = False,
                   phoenix: bool = True):
-    meter = Meter(CostModel(lock_granularity="row"))
+    meter = Meter()
     if ledger:
         meter.enable_latency_ledger()
     server = DatabaseServer(meter=meter)
@@ -706,8 +690,7 @@ class TestHeldStatement:
         """No Phoenix, no BEGIN: the statement's own transaction is its
         place in the queue, kept across the wait and committed by the
         re-run."""
-        meter = Meter(CostModel(lock_granularity="row"))
-        server = DatabaseServer(meter=meter)
+        server = DatabaseServer(meter=Meter())
         alice, bob, carol = (BenchmarkApp(server) for _ in range(3))
         alice.run_statement("CREATE TABLE acct (k INT NOT NULL, v INT, "
                             "PRIMARY KEY (k))")
@@ -750,7 +733,7 @@ class TestHeldStatement:
         """A lazy pull cannot be held mid-scan: the result is closed, the
         request leaves the queue, the client executes again."""
         server = DatabaseServer(meter=Meter(CostModel(
-            lock_granularity="row", output_buffer_bytes=2048)))
+            output_buffer_bytes=2048)))
         alice, bob = BenchmarkApp(server), BenchmarkApp(server)
         alice.run_statement("CREATE TABLE wide (k INT NOT NULL, "
                             "pad VARCHAR(400), PRIMARY KEY (k))")

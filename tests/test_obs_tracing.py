@@ -176,10 +176,22 @@ def crashed_phoenix_world(pipelined: bool = False):
     return server, app
 
 
-def test_sys_recovery_phases_row_per_phase_nonzero():
-    _server, app = crashed_phoenix_world()
+def session_recovery_rows(app):
+    """``sys_recovery_phases`` after one crash: the server's restart
+    (recovery 1, the three WAL passes) comes first, then the session's
+    recovery (2); returns the latter's rows."""
     rows = app.query_rows("SELECT recovery_id, phase, seconds "
                           "FROM sys_recovery_phases")
+    assert [(rid, phase) for rid, phase, _s in rows[:3]] == \
+        [(1, "wal_analysis"), (1, "wal_redo"), (1, "wal_undo")]
+    assert rows[1][2] > 0, "redo read no log"
+    assert {rid for rid, _phase, _s in rows[3:]} == {2}
+    return rows[3:]
+
+
+def test_sys_recovery_phases_row_per_phase_nonzero():
+    _server, app = crashed_phoenix_world()
+    rows = session_recovery_rows(app)
     assert [phase for _rid, phase, _s in rows] == list(RECOVERY_PHASES)
     for _rid, phase, seconds in rows:
         assert seconds > 0, f"phase {phase} has zero duration"
@@ -188,8 +200,7 @@ def test_sys_recovery_phases_row_per_phase_nonzero():
     # Under the login-carried chain the options ride the reconnect: the
     # phase keeps its row, in order, and is legitimately zero.
     _server, app = crashed_phoenix_world(pipelined=True)
-    rows = app.query_rows("SELECT recovery_id, phase, seconds "
-                          "FROM sys_recovery_phases")
+    rows = session_recovery_rows(app)
     assert [phase for _rid, phase, _s in rows] == list(RECOVERY_PHASES)
     for _rid, phase, seconds in rows:
         if phase == "option_replay":

@@ -534,8 +534,7 @@ def test_blip_then_crash_inside_one_wrapped_update():
 # ---------------------------------------------------------------------------
 
 # A fixed interleaving of two explicit transactions per round, touching
-# disjoint rows (so row granularity lets them overlap — the seed's
-# no-wait table locks would abort one immediately).  Both sessions hold
+# disjoint rows (so row locks let them overlap).  Both sessions hold
 # open transactions across several request boundaries, so the crash
 # sweep below lands crashes while >=2 transactions are in flight.
 _CONCURRENT_SCHEDULE = [
@@ -562,7 +561,7 @@ _CONCURRENT_SCHEDULE = [
 
 
 def build_concurrent_row_world():
-    costs = CostModel(output_buffer_bytes=16, lock_granularity="row")
+    costs = CostModel(output_buffer_bytes=16)
     meter = Meter(costs)
     meter.obs.tracer.enable()
     meter.enable_latency_ledger()
@@ -660,8 +659,7 @@ def test_concurrent_row_sessions_survive_crash_at_every_boundary():
     """Phoenix transparency with two concurrent row-locking sessions.
 
     Two Phoenix sessions interleave explicit multi-statement
-    transactions on disjoint rows under ``lock_granularity="row"`` —
-    overlap the seed's table locks could never sustain.  A crash is
+    transactions on disjoint rows.  A crash is
     injected at every shared request boundary, including points where
     both transactions are in flight; recovery must rebuild *both*
     sessions' state, each aborted transaction must surface SQLSTATE

@@ -353,9 +353,9 @@ def test_lru_eviction_at_capacity():
 
 
 def test_insert_refuses_oversized_and_unshareable_results():
-    meter = Meter(CostModel(result_cache_entries=4,
-                            result_cache_max_rows=2))
+    meter = Meter(CostModel(result_cache_entries=4))
     cache = SharedResultCache.shared(meter)
+    cache.max_rows = 2
     assert not cache.insert("SELECT a", [], [(1,), (2,), (3,)],
                             {"t": (0, WHOLE)})
     assert not cache.insert("SELECT b", [], [(1,)], None)

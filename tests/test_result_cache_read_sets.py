@@ -49,9 +49,9 @@ SCHEMA = (
 
 
 def cost_model(capacity: int, **knobs) -> CostModel:
-    """The benchmark's planner and locking (IN-list seeks are a
-    cost-mode access path), cache of ``capacity`` entries (0 = off)."""
-    costs = CostModel(optimizer_mode="cost", lock_granularity="row",
+    """The benchmark's planner (IN-list seeks are a cost-mode access
+    path), cache of ``capacity`` entries (0 = off)."""
+    costs = CostModel(optimizer_mode="cost",
                       result_cache_entries=capacity)
     for name, value in knobs.items():
         setattr(costs, name, value)
@@ -663,25 +663,6 @@ def test_commit_whose_response_dies_with_the_server_evicts_its_table_only():
     assert world.read(t_entry) == ([(111,)], False)
     assert world.read(POINT.format(2, 1)) == ([(21,)], False), (
         "without the keys, all of t had to go")
-
-
-def test_write_keys_survive_lock_escalation():
-    """The writer's row locks collapse into a table lock on the way; the
-    write set still names the rows (it comes from the log records)."""
-    world = CacheWorld(lock_escalation_threshold=3)
-    untouched, touched = POINT.format(2, 1), POINT.format(1, 2)
-    world.read(untouched)
-    world.read(touched)
-    writer = world.writer
-    writer.run_statement("BEGIN TRANSACTION")
-    for b in (0, 1, 2, 4):
-        writer.run_statement(f"UPDATE t SET v = v + 100 WHERE a = 1 "
-                             f"AND b = {b}")
-    assert counter(world.meter, "locks.escalations") >= 1
-    writer.run_statement("COMMIT")
-    assert world.read(untouched) == ([(21,)], True)
-    assert world.read(touched) == ([(112,)], False)
-    assert world.count("wholesale_writes.cap") == 0
 
 
 def test_staged_results_promote_unless_the_transaction_wrote_their_keys():

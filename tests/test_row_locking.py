@@ -1,11 +1,11 @@
-"""Hierarchical row-level locking: modes, deadlocks, escalation, TPC-C.
+"""Hierarchical row-level locking: modes, deadlocks, TPC-C.
 
 Covers the lock manager in isolation (compatibility matrix, conflict
-reporting, wait-for-graph cycle detection, escalation), the engine
-integration under ``lock_granularity="row"`` (two-phase row locking,
-deadlock-victim sessions, the ``sys_locks`` view), and the interleaved
-multi-session TPC-C mix (row locking must beat no-wait table locking in
-virtual-time makespan while committing the exact same final state).
+reporting, wait-for-graph cycle detection), the engine integration
+(two-phase row locking, deadlock-victim sessions, the ``sys_locks``
+view), and the interleaved multi-session TPC-C mix (conflicts wait, and
+the interleaved run commits the exact same final state as the serial
+one).
 """
 
 import pytest
@@ -14,7 +14,7 @@ from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
 from repro.errors import DeadlockError, LockWaitError
 from repro.obs.latency import COMPONENTS, classify
-from repro.sim.costs import SERVER_CPU, CostModel
+from repro.sim.costs import SERVER_CPU
 from repro.sim.meter import Meter
 from repro.txn.locks import LockManager, LockMode
 
@@ -24,10 +24,8 @@ S = LockMode.SHARED
 X = LockMode.EXCLUSIVE
 
 
-def row_lock_manager(threshold: int = 0) -> LockManager:
-    costs = CostModel(lock_granularity="row",
-                      lock_escalation_threshold=threshold)
-    return LockManager(meter=Meter(costs))
+def row_lock_manager() -> LockManager:
+    return LockManager(meter=Meter())
 
 
 class TestModeAlgebra:
@@ -76,14 +74,13 @@ class TestConflictReporting:
     whenever the holder blocks with a *shared* lock (S vs X upgrade)."""
 
     def test_shared_holder_is_reported_as_shared(self):
-        locks = LockManager()  # table granularity, seed no-wait
+        locks = LockManager()  # no meter: bare manager, same contract
         locks.acquire(1, "t", S)
-        with pytest.raises(DeadlockError) as info:
+        with pytest.raises(LockWaitError) as info:
             locks.acquire(2, "t", X)
         message = str(info.value)
-        assert "S lock" in message
-        assert "txn 1" in message
-        assert "X lock" not in message
+        assert "S lock held by txn 1" in message
+        assert "X lock held" not in message
 
     def test_multiple_holders_list_all_modes_and_txns(self):
         locks = row_lock_manager()
@@ -176,39 +173,8 @@ class TestDeadlockDetection:
                                          0) == 0
 
 
-class TestEscalation:
-    def test_row_locks_escalate_past_threshold(self):
-        locks = row_lock_manager(threshold=4)
-        locks.acquire(1, "t", IX)
-        for key in range(4):
-            locks.acquire_row(1, "t", (key,), X)
-        assert locks.held(1, "t") is IX  # at the threshold: not yet
-        locks.acquire_row(1, "t", (4,), X)  # past it: trade up
-        assert locks.held(1, "t") is X
-        assert locks.row_lock_count(1, "t") == 0
-        assert locks._meter.counters["locks.escalations"] == 1.0
-
-    def test_shared_only_rows_escalate_to_shared(self):
-        locks = row_lock_manager(threshold=2)
-        locks.acquire(1, "t", IS)
-        for key in range(3):
-            locks.acquire_row(1, "t", (key,), S)
-        assert locks.held(1, "t") is S
-
-    def test_escalation_skipped_while_other_txn_holds_intent(self):
-        locks = row_lock_manager(threshold=2)
-        locks.acquire(1, "t", IX)
-        locks.acquire(2, "t", IX)  # would conflict with an escalated X
-        locks.acquire_row(2, "t", (99,), X)
-        for key in range(3):
-            locks.acquire_row(1, "t", (key,), X)
-        assert locks.held(1, "t") is IX  # escalation deferred
-        assert locks.row_lock_count(1, "t") == 3
-
-
 def row_world():
-    costs = CostModel(lock_granularity="row")
-    engine = DatabaseEngine(meter=Meter(costs))
+    engine = DatabaseEngine(meter=Meter())
     alice = EngineSession(session_id=1)
     bob = EngineSession(session_id=2)
     engine.execute("CREATE TABLE acct (id INT NOT NULL, bal INT, "
@@ -233,7 +199,7 @@ class TestRowModeEngine:
         run(engine, alice, "BEGIN TRANSACTION")
         run(engine, alice, "UPDATE acct SET bal = 0 WHERE id = 1")
         run(engine, bob, "BEGIN TRANSACTION")
-        # Under the seed's table locks this raised DeadlockError.
+        # A different row of the same table: no conflict.
         assert run(engine, bob,
                    "UPDATE acct SET bal = 5 WHERE id = 2") == 1
         run(engine, alice, "COMMIT")
@@ -403,40 +369,6 @@ class TestKeylessInsert:
                    "INSERT INTO history VALUES (3, 30)") == 1
         run(engine, alice, "COMMIT")
 
-    def test_table_granularity_untouched(self):
-        engine = DatabaseEngine(meter=Meter())
-        alice, bob = EngineSession(session_id=1), EngineSession(session_id=2)
-        engine.execute("CREATE TABLE history (who INT, amount INT)", alice)
-        run(engine, alice, "BEGIN TRANSACTION")
-        run(engine, alice, "INSERT INTO history VALUES (1, 10)")
-        assert engine.locks.held(alice.current_txn.txn_id,
-                                 "history") is X
-        run(engine, bob, "BEGIN TRANSACTION")
-        with pytest.raises(DeadlockError):
-            run(engine, bob, "INSERT INTO history VALUES (2, 20)")
-
-
-class TestTableModeUnchanged:
-    def test_default_granularity_still_no_waits(self):
-        engine = DatabaseEngine(meter=Meter())
-        alice = EngineSession(session_id=1)
-        bob = EngineSession(session_id=2)
-        engine.execute("CREATE TABLE t (k INT NOT NULL, PRIMARY KEY "
-                       "(k))", alice)
-        engine.execute("INSERT INTO t VALUES (1), (2)", alice)
-        run(engine, alice, "BEGIN TRANSACTION")
-        run(engine, alice, "UPDATE t SET k = 3 WHERE k = 1")
-        run(engine, bob, "BEGIN TRANSACTION")
-        with pytest.raises(DeadlockError):
-            run(engine, bob, "UPDATE t SET k = 4 WHERE k = 2")
-        run(engine, bob, "ROLLBACK")
-        run(engine, alice, "ROLLBACK")
-        # No row-lock machinery ticked on the default path.
-        for counter in ("locks.row_locks_acquired", "locks.escalations",
-                        "locks.deadlocks_detected",
-                        "locks.lock_wait_seconds"):
-            assert engine.meter.counters.get(counter, 0) == 0
-
 
 class TestLatencyComponent:
     def test_lock_wait_is_a_ledger_component(self):
@@ -455,57 +387,53 @@ class TestConcurrentTpcc:
             ConcurrentMix, build_concurrent_world, digest_database)
 
         out = {}
-        for leg, granularity, interleave in (
-                ("serial", "table", False),
-                ("table", "table", True),
-                ("row", "row", True)):
+        for leg in ("serial", "interleaved"):
             server, apps, plans, scale = build_concurrent_world(
-                8, granularity, txns_per_session=2, items=60,
+                8, txns_per_session=2, items=60,
                 customers_per_district=8, initial_orders_per_district=4)
             mix = ConcurrentMix(server, apps, plans, scale)
-            result = (mix.run_interleaved() if interleave
-                      else mix.run_serial())
+            result = (mix.run_serial() if leg == "serial"
+                      else mix.run_interleaved())
             out[leg] = (result, digest_database(server.engine),
                         dict(server.meter.counters))
         return out
 
-    def test_row_locking_beats_table_locking(self, mixes):
-        table = mixes["table"][0]
-        row = mixes["row"][0]
-        assert row.makespan_seconds < table.makespan_seconds
-        # The win comes from waiting instead of abort-and-retry.
-        assert table.txn_retries > row.txn_retries
-        assert row.lock_waits > 0
+    def test_conflicts_wait_instead_of_retrying(self, mixes):
+        result, _digest, counters = mixes["interleaved"]
+        assert result.lock_waits > 0
+        # A transaction is only ever rerun as a deadlock victim.
+        assert result.txn_retries == result.deadlocks \
+            == counters.get("locks.deadlocks_detected", 0)
+        assert result.lock_waits > result.txn_retries
 
     def test_all_legs_commit_identical_final_state(self, mixes):
-        serial_digest = mixes["serial"][1]
-        assert mixes["table"][1] == serial_digest
-        assert mixes["row"][1] == serial_digest
+        assert mixes["interleaved"][1] == mixes["serial"][1]
         # And everything actually committed.
         serial = mixes["serial"][0]
         assert serial.committed + serial.rolled_back == 16
-        for leg in ("table", "row"):
-            assert mixes[leg][0].committed == serial.committed
+        assert mixes["interleaved"][0].committed == serial.committed
 
     def test_row_leg_counters_recorded(self, mixes):
-        counters = mixes["row"][2]
+        counters = mixes["interleaved"][2]
         assert counters.get("locks.row_locks_acquired", 0) > 0
         assert counters.get("locks.lock_wait_seconds", 0) > 0
+        # The serial run takes the same kind of locks and never waits.
         serial_counters = mixes["serial"][2]
-        assert serial_counters.get("locks.row_locks_acquired", 0) == 0
+        assert serial_counters.get("locks.row_locks_acquired", 0) > 0
+        assert serial_counters.get("locks.wait_episodes", 0) == 0
 
     def test_interleaved_runs_are_reproducible(self, mixes):
         from repro.workloads.tpcc.concurrent import (
             ConcurrentMix, build_concurrent_world, digest_database)
 
         server, apps, plans, scale = build_concurrent_world(
-            8, "row", txns_per_session=2, items=60,
+            8, txns_per_session=2, items=60,
             customers_per_district=8, initial_orders_per_district=4)
         mix = ConcurrentMix(server, apps, plans, scale)
         result = mix.run_interleaved()
-        reference = mixes["row"][0]
+        reference = mixes["interleaved"][0]
         assert result.makespan_seconds == reference.makespan_seconds
-        assert digest_database(server.engine) == mixes["row"][1]
+        assert digest_database(server.engine) == mixes["interleaved"][1]
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +449,7 @@ def cost_mode_tpcc(num_sessions: int = 8, **sizes):
              "customers_per_district": 8,
              "initial_orders_per_district": 4, **sizes}
     server, apps, plans, scale = build_concurrent_world(
-        num_sessions, "row", **sizes)
+        num_sessions, **sizes)
     apps[0].run_statement("ANALYZE")
     server.meter.costs.optimizer_mode = "cost"
     return server, apps, plans, scale
@@ -566,7 +494,7 @@ class TestInListReadSet:
         from repro.workloads.tpcc.concurrent import build_concurrent_world
 
         server, _apps, _plans, _scale = build_concurrent_world(
-            8, "row", txns_per_session=2, items=60,
+            8, txns_per_session=2, items=60,
             customers_per_district=8, initial_orders_per_district=4)
         engine = server.engine
         alice = EngineSession(session_id=901)
@@ -696,21 +624,27 @@ class TestLockTraceUnchanged:
       where it took X.
 
     The recorder itself is unchanged but for the ``release`` event's
-    new last field."""
+    new last field.
+
+    The directed digest was re-recorded a second time when the no-wait
+    table regime and lock escalation were deleted: the three escalation
+    scenarios left the list (16 events) and the bare manager's refusal
+    in ``TestConflictReporting`` became a queued ``LockWaitError`` —
+    the other 139 events hash as before.  The interleaved mix did not
+    move."""
 
     def test_directed_scenarios(self, monkeypatch):
         """Every lock-manager and engine scenario of this file."""
         def scenario():
             for cls in (TestModeAlgebra, TestConflictReporting,
-                        TestDeadlockDetection, TestEscalation,
-                        TestRowModeEngine):
+                        TestDeadlockDetection, TestRowModeEngine):
                 for name in sorted(vars(cls)):
                     if name.startswith("test_"):
                         getattr(cls(), name)()
 
         assert trace_digest(lock_trace(monkeypatch, scenario)) == (
-            157, "b2dd73d021e2c98fbf266ee5baab15ea"
-                 "1793ecb47d17779a3e97e95cf8d2a787")
+            141, "38a732cac935b990db8bab678fe260b1"
+                 "4f9c9ba3e1b49a4bc7ee6feb5de91a8a")
 
     def test_interleaved_tpcc(self, monkeypatch):
         from repro.workloads.tpcc.concurrent import (ConcurrentMix,
@@ -718,7 +652,7 @@ class TestLockTraceUnchanged:
 
         def scenario():
             server, apps, plans, scale = build_concurrent_world(
-                8, "row", txns_per_session=2, items=60,
+                8, txns_per_session=2, items=60,
                 customers_per_district=8, initial_orders_per_district=4)
             ConcurrentMix(server, apps, plans, scale).run_interleaved()
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DeadlockError
+from repro.errors import LockWaitError
 from repro.sim.meter import Meter
 from repro.txn.locks import LockManager, LockMode
 from repro.wal.log import WriteAheadLog
@@ -71,9 +71,9 @@ class TestWriteAheadLog:
         log = WriteAheadLog()
         log.append(BeginRecord(txn_id=1))
         cp = log.append(CheckpointRecord(txn_id=0))
-        assert log.last_checkpoint_lsn() == 0  # not forced yet
+        assert log.last_complete_checkpoint() is None  # not forced yet
         log.force()
-        assert log.last_checkpoint_lsn() == cp
+        assert log.last_complete_checkpoint().lsn == cp
 
     def test_payload_sizes_scale_with_rows(self):
         small = InsertRecord(txn_id=1, row=(1,))
@@ -93,14 +93,22 @@ class TestLockManager:
     def test_exclusive_conflicts_with_shared(self):
         locks = LockManager()
         locks.acquire(1, "t", LockMode.SHARED)
-        with pytest.raises(DeadlockError):
+        with pytest.raises(LockWaitError):
             locks.acquire(2, "t", LockMode.EXCLUSIVE)
+        # The reader's commit hands the lock to the queued writer.
+        assert locks.release_all(1) == [2]
+        assert locks.held(2, "t") is LockMode.EXCLUSIVE
 
     def test_shared_conflicts_with_exclusive(self):
         locks = LockManager()
         locks.acquire(1, "t", LockMode.EXCLUSIVE)
-        with pytest.raises(DeadlockError):
+        with pytest.raises(LockWaitError):
             locks.acquire(2, "t", LockMode.SHARED)
+        assert locks.waiting_for(2) == {1}
+        # The reader gives up: nothing of it stays behind.
+        assert locks.withdraw(2) == []
+        assert not locks.is_waiting(2)
+        assert locks.release_all(1) == []
 
     def test_upgrade_own_lock(self):
         locks = LockManager()
@@ -112,8 +120,11 @@ class TestLockManager:
         locks = LockManager()
         locks.acquire(1, "t", LockMode.SHARED)
         locks.acquire(2, "t", LockMode.SHARED)
-        with pytest.raises(DeadlockError):
+        with pytest.raises(LockWaitError):
             locks.acquire(1, "t", LockMode.EXCLUSIVE)
+        assert locks.held(1, "t") is LockMode.SHARED  # kept while queued
+        assert locks.release_all(2) == [1]
+        assert locks.held(1, "t") is LockMode.EXCLUSIVE
 
     def test_x_subsumes_s(self):
         locks = LockManager()
@@ -132,5 +143,7 @@ class TestLockManager:
     def test_case_insensitive_names(self):
         locks = LockManager()
         locks.acquire(1, "Orders", LockMode.EXCLUSIVE)
-        with pytest.raises(DeadlockError):
+        with pytest.raises(LockWaitError):
             locks.acquire(2, "ORDERS", LockMode.SHARED)
+        assert locks.release_all(1) == [2]
+        assert locks.held(2, "orders") is LockMode.SHARED
