@@ -1,48 +1,46 @@
-"""Physical operators: a batch-at-a-time executor with a row-mode twin.
+"""Physical operators: one batch-at-a-time protocol.
 
-Every operator implements two protocols:
-
-* ``rows(exec_ctx)`` — the original pull-based row-at-a-time iterators,
-  retained as a debug/reference mode (``REPRO_ROW_EXEC=1``);
-* ``batches(exec_ctx)`` — the default engine: each step yields
-  ``(rows, costs)`` where ``rows`` is a list of tuples and ``costs``
-  describes the per-row virtual-time charges still *owed* for them.
+Every operator is a ``batches(exec_ctx)`` generator: each step yields
+``(rows, costs)`` where ``rows`` is a list of tuples and ``costs``
+describes the per-row virtual-time charges still *owed* for them.
 
 Laziness matters for fidelity: the server pulls rows into its network
 output buffer and *suspends* the scan when the buffer fills (the Table 3
 artifact), and abandoned result sets must never charge for rows the
-consumer did not pull.  The batch engine therefore defers per-tuple CPU
+consumer did not pull.  Operators therefore defer per-tuple CPU
 charges: a batch carries "cost runs" — ``(per_row_seconds, count)``
 pairs, in row-examination order — and the root adapter charges a row's
 runs only at the moment that row is handed to the consumer
 (:func:`_batch_row_stream`).  Charges for rows examined but not emitted
 (filtered out, duplicate, unmatched probes) ride along as a *carry*
 attached to the next emitted row, or are realized when the consumer
-pulls past the end — exactly when the row engine would have examined
-them.  :meth:`Meter.charge_run_list` expands runs as individual
-additions into the batched-charge accumulator, so the floating-point
-fold — and with it the virtual clock, every segment boundary, and every
-trace — is bit-identical to row-at-a-time execution.
+pulls past the end — exactly when reading the plan one row per pull
+would examine them.  :meth:`Meter.charge_run_list` expands runs as
+individual additions into the batched-charge accumulator, so the
+floating-point fold — and with it the virtual clock, every segment
+boundary, and every trace — is that reading's, to the bit.  The
+run-lists stay although a per-row float sum would be shorter: it is a
+different IEEE fold, and every committed virtual number hangs on this
+one.
 
-Two situations pin execution to the row engine: expressions containing
-subqueries (evaluation charges the meter mid-expression, so deferral
-would reorder segments — see :func:`_row_fallback_batches`) and the
-explicit ``REPRO_ROW_EXEC=1`` debug mode.  Scan batches are
-page-granular and index lookups single-row so that buffer-pool faults
-(disk charges) stay at the same consumption points as before.
+An operator whose expressions are impure (a subquery charges the meter
+mid-evaluation; only Filter, Project and HashAggregate can hold one)
+takes its input through :func:`_input_batches`, one row at a time with
+nothing owed; everything below it still runs in batches.  Scan batches
+are page-granular and index lookups single-row so that buffer-pool
+faults (disk charges) land on the pull that consumes the row.
 """
 
 from __future__ import annotations
 
-import os
+import heapq
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
 from repro.errors import PlanningError
 from repro.sim.costs import SERVER_CPU
-from repro.sql.expressions import (EvalContext, is_impure, is_true, slot_of,
-                                   sql_compare)
+from repro.sql.expressions import EvalContext, is_impure, slot_of
 from repro.storage.btree import NULL_KEY, decode_key_value
 from repro.types import stored_type
 
@@ -66,15 +64,12 @@ class ExecContext:
 
 
 class PlanOperator:
-    """Base class: operators implement ``rows`` and usually ``batches``."""
+    """Base class: an operator is its ``batches`` generator."""
 
     cost_factor: float = 1.0
 
-    def rows(self, exec_ctx: ExecContext):
-        raise NotImplementedError
-
     def batches(self, exec_ctx: ExecContext):
-        return _row_fallback_batches(self, exec_ctx)
+        raise NotImplementedError
 
     def children(self) -> list["PlanOperator"]:
         return []
@@ -90,7 +85,7 @@ class PlanOperator:
 #   a list        — per row: ``costs[i]`` is None or a runs tuple.
 # A "runs tuple" is ``((per_row_seconds, count), ...)`` in examination
 # order; expanding it run by run, addition by addition, reproduces the
-# row engine's exact charge sequence.
+# charge sequence of examining those rows one at a time.
 
 
 def _merge_runs(a: tuple, b: tuple) -> tuple:
@@ -116,25 +111,27 @@ def _pairs(rows: list, costs):
     return zip(rows, repeat(costs))
 
 
-def _row_fallback_batches(op: PlanOperator, exec_ctx: ExecContext):
-    """Run ``op``'s whole subtree row-at-a-time, wrapped as size-1
-    batches with nothing owed.  Used when expressions are impure
-    (subqueries charge the meter mid-evaluation): the row engine's
-    charge ordering is reproduced by simply being the row engine."""
-    for row in op.rows(exec_ctx):
-        yield [row], None
-
-
 def _realize_carry(meter, carry: tuple) -> None:
     """Charge runs owed for rows examined after the last emitted row.
 
-    Called exactly when the consumer pulls *past* those rows — the same
-    pull during which the row engine would have examined and charged
-    them — and always *before* the next child batch is requested, so a
-    page fault in that request still flushes the accumulator in seed
-    order."""
+    Called exactly when the consumer pulls *past* those rows — the
+    pull that examines them, read one row at a time — and always
+    *before* the next child batch is requested, so a page fault in that
+    request flushes the accumulator after them, not before."""
     if carry and meter is not None:
         meter.charge_run_list(SERVER_CPU, carry, "query cpu")
+
+
+def _input_batches(child: PlanOperator, exec_ctx: ExecContext,
+                   impure: bool):
+    """``child``'s batches, for an operator about to evaluate its
+    expressions over them.  Impure expressions get single-row batches
+    with nothing owed — realize what is owed below, then evaluate, then
+    hand one row up — so a subquery's charges fall between the same two
+    rows' as when the plan is read one row at a time."""
+    if not impure:
+        return child.batches(exec_ctx)
+    return (([row], None) for row in _batch_row_stream(child, exec_ctx))
 
 
 def _repeat_runs(runs: tuple, n: int):
@@ -156,7 +153,7 @@ def _charge_deferred(meter, n_rows: int, costs, extra: float) -> None:
     Blocking operators (sort, aggregate, join build) drain their input
     during the consumer's first pull, so input charges are due the
     moment each row is consumed: each row's own runs first, then the
-    ``extra`` per-tuple cost of consuming it — the row engine's order.
+    ``extra`` per-tuple cost of consuming it.
     """
     if meter is None or n_rows == 0:
         return
@@ -209,9 +206,6 @@ def _count_batch(stats, key: str) -> None:
 class SingleRowScan(PlanOperator):
     """Produces exactly one empty row (SELECT without FROM)."""
 
-    def rows(self, exec_ctx: ExecContext):
-        yield ()
-
     def batches(self, exec_ctx: ExecContext):
         yield [()], None
 
@@ -224,34 +218,23 @@ class EmptyScan(PlanOperator):
     no result data is returned; only query compilation is performed".
     """
 
-    def rows(self, exec_ctx: ExecContext):
-        return iter(())
-
     def batches(self, exec_ctx: ExecContext):
         return iter(())
 
 
 class SeqScan(PlanOperator):
-    """Full scan of a table's heap."""
+    """Full scan of a table's heap.
+
+    ``with_rid=True`` appends each row's address as a hidden trailing
+    column: how UPDATE and DELETE read the rows they are about to
+    change (:meth:`Planner.plan_dml_source`) through the same operators
+    as any SELECT.
+    """
 
     def __init__(self, table, cost_factor: float = 1.0):
         self.table = table
         self.cost_factor = cost_factor
-
-    def rows(self, exec_ctx: ExecContext):
-        for _rid, row in self.rows_with_rids(exec_ctx):
-            yield row
-
-    def rows_with_rids(self, exec_ctx: ExecContext):
-        costs = exec_ctx.costs
-        per_tuple = (costs.cpu_per_tuple_scan * self.cost_factor
-                     if costs else 0.0)
-        probe = getattr(exec_ctx.meter, "lock_probe", None)
-        for rid, row in self.table.heap.scan():
-            if probe is not None:
-                probe(self.table, rid, row)
-            exec_ctx.charge_cpu(per_tuple)
-            yield rid, row
+        self.with_rid = False
 
     def batches(self, exec_ctx: ExecContext):
         costs = exec_ctx.costs
@@ -269,7 +252,10 @@ class SeqScan(PlanOperator):
             if probe is not None:
                 for rid, row in block:
                     probe(self.table, rid, row)
-            yield [row for _rid, row in block], run
+            if self.with_rid:
+                yield [row + (rid,) for rid, row in block], run
+            else:
+                yield [row for _rid, row in block], run
 
 
 class IndexSeek(PlanOperator):
@@ -317,6 +303,8 @@ class IndexSeek(PlanOperator):
         #: made of literals and statement parameters alone: only then can
         #: the keys sought be named before the plan runs.
         self.constant_key = False
+        #: see :class:`SeqScan`; never together with ``index_only``
+        self.with_rid = False
         self._key_slots: list[int] | None = None
         self._key_types: tuple | None = None
 
@@ -344,29 +332,6 @@ class IndexSeek(PlanOperator):
                                for value, wanted in zip(prefix, types)):
             return [()]
         return prefixes
-
-    def rows(self, exec_ctx: ExecContext):
-        if self.index_only:
-            costs = exec_ctx.costs
-            per_tuple = (costs.cpu_per_tuple_index_lookup * self.cost_factor
-                         if costs else 0.0)
-            self._count_scan(exec_ctx)
-            probe = getattr(exec_ctx.meter, "lock_probe", None)
-            hint = self.limit_hint
-            emitted = 0
-            for key, rid in self._matching_entries(exec_ctx):
-                if probe is not None:
-                    # Covering scans never read the heap; the probe gets
-                    # the rid only and fetches the row itself.
-                    probe(self.table, rid, None)
-                exec_ctx.charge_cpu(per_tuple)
-                yield self._synth_row(key)
-                emitted += 1
-                if hint is not None and emitted >= hint:
-                    return
-            return
-        for _rid, row in self.rows_with_rids(exec_ctx):
-            yield row
 
     def _null_bounded(self, prefix: tuple, ctx) -> bool:
         """SQL three-valued logic: an equality or range comparison
@@ -438,27 +403,6 @@ class IndexSeek(PlanOperator):
             stats["sort_eliminations"] = \
                 stats.get("sort_eliminations", 0) + 1
 
-    def rows_with_rids(self, exec_ctx: ExecContext):
-        costs = exec_ctx.costs
-        per_tuple = (costs.cpu_per_tuple_index_lookup * self.cost_factor
-                     if costs else 0.0)
-        self._count_scan(exec_ctx)
-        probe = getattr(exec_ctx.meter, "lock_probe", None)
-        rids = self._matching_rids(exec_ctx)
-        hint = self.limit_hint
-        emitted = 0
-        for rid in rids:
-            row = self.table.heap.read(rid)
-            if row is None:
-                continue
-            if probe is not None:
-                probe(self.table, rid, row)
-            exec_ctx.charge_cpu(per_tuple)
-            yield rid, row
-            emitted += 1
-            if hint is not None and emitted >= hint:
-                return
-
     def batches(self, exec_ctx: ExecContext):
         costs = exec_ctx.costs
         per_tuple = (costs.cpu_per_tuple_index_lookup * self.cost_factor
@@ -482,6 +426,7 @@ class IndexSeek(PlanOperator):
             return
         rids = self._matching_rids(exec_ctx)
         read = self.table.heap.read
+        with_rid = self.with_rid
         # Single-row batches: each heap read can fault a page, and that
         # fault must land on the pull that consumes the row.
         for rid in rids:
@@ -491,7 +436,7 @@ class IndexSeek(PlanOperator):
             if probe is not None:
                 probe(self.table, rid, row)
             _count_batch(stats, batch_key)
-            yield [row], run
+            yield [row + (rid,) if with_rid else row], run
             emitted += 1
             if hint is not None and emitted >= hint:
                 return
@@ -575,22 +520,13 @@ class Filter(PlanOperator):
     def children(self):
         return [self.child]
 
-    def rows(self, exec_ctx: ExecContext):
-        predicate = self.predicate
-        outer = exec_ctx.outer
-        for row in self.child.rows(exec_ctx):
-            if is_true(predicate(EvalContext(row=row, outer=outer))):
-                yield row
-
     def batches(self, exec_ctx: ExecContext):
         predicate = self.predicate
-        if is_impure(predicate):
-            yield from _row_fallback_batches(self, exec_ctx)
-            return
         meter = exec_ctx.meter
         stats = _stats(exec_ctx)
         ctx = EvalContext(row=(), outer=exec_ctx.outer)
-        child_it = self.child.batches(exec_ctx)
+        child_it = _input_batches(self.child, exec_ctx,
+                                  is_impure(predicate))
         carry: tuple = ()
         while True:
             _realize_carry(meter, carry)
@@ -622,18 +558,8 @@ class Project(PlanOperator):
     def children(self):
         return [self.child]
 
-    def rows(self, exec_ctx: ExecContext):
-        exprs = self.exprs
-        outer = exec_ctx.outer
-        for row in self.child.rows(exec_ctx):
-            ctx = EvalContext(row=row, outer=outer)
-            yield tuple(expr(ctx) for expr in exprs)
-
     def batches(self, exec_ctx: ExecContext):
         exprs = self.exprs
-        if any(is_impure(expr) for expr in exprs):
-            yield from _row_fallback_batches(self, exec_ctx)
-            return
         stats = _stats(exec_ctx)
         slots = _all_slots(exprs)
         if slots is not None and slots:
@@ -650,7 +576,8 @@ class Project(PlanOperator):
                     yield [getter(row) for row in rows], costs
             return
         ctx = EvalContext(row=(), outer=exec_ctx.outer)
-        for rows, costs in self.child.batches(exec_ctx):
+        impure = any(is_impure(expr) for expr in exprs)
+        for rows, costs in _input_batches(self.child, exec_ctx, impure):
             out = []
             for row in rows:
                 ctx.row = row
@@ -667,16 +594,6 @@ class Limit(PlanOperator):
     def children(self):
         return [self.child]
 
-    def rows(self, exec_ctx: ExecContext):
-        if self.count <= 0:
-            return
-        produced = 0
-        for row in self.child.rows(exec_ctx):
-            yield row
-            produced += 1
-            if produced >= self.count:
-                return
-
     def batches(self, exec_ctx: ExecContext):
         if self.count <= 0:
             return
@@ -684,8 +601,8 @@ class Limit(PlanOperator):
         remaining = self.count
         for rows, costs in self.child.batches(exec_ctx):
             if len(rows) >= remaining:
-                # Rows past the limit were never examined by the row
-                # engine: drop them *and* their owed charges.
+                # Rows past the limit are never handed over: drop them
+                # *and* their owed charges.
                 rows = rows[:remaining]
                 if type(costs) is list:
                     costs = costs[:remaining]
@@ -704,17 +621,6 @@ class Distinct(PlanOperator):
 
     def children(self):
         return [self.child]
-
-    def rows(self, exec_ctx: ExecContext):
-        costs = exec_ctx.costs
-        per_tuple = (costs.cpu_per_tuple_agg * self.cost_factor
-                     if costs else 0.0)
-        seen: set = set()
-        for row in self.child.rows(exec_ctx):
-            exec_ctx.charge_cpu(per_tuple)
-            if row not in seen:
-                seen.add(row)
-                yield row
 
     def batches(self, exec_ctx: ExecContext):
         costs = exec_ctx.costs
@@ -759,10 +665,6 @@ class Concat(PlanOperator):
     def children(self):
         return list(self.inputs)
 
-    def rows(self, exec_ctx: ExecContext):
-        for child in self.inputs:
-            yield from child.rows(exec_ctx)
-
     def batches(self, exec_ctx: ExecContext):
         for child in self.inputs:
             yield from child.batches(exec_ctx)
@@ -799,54 +701,7 @@ class HashJoin(PlanOperator):
     def children(self):
         return [self.left, self.right]
 
-    def _impure(self) -> bool:
-        return (is_impure(self.residual)
-                or any(is_impure(fn) for fn in self.left_key_fns)
-                or any(is_impure(fn) for fn in self.right_key_fns))
-
-    def rows(self, exec_ctx: ExecContext):
-        costs = exec_ctx.costs
-        per_tuple = (costs.cpu_per_tuple_join * self.cost_factor
-                     if costs else 0.0)
-        outer = exec_ctx.outer
-        right_slots = _all_slots(self.right_key_fns)
-        left_slots = _all_slots(self.left_key_fns)
-        table: dict = {}
-        for row in self.right.rows(exec_ctx):
-            exec_ctx.charge_cpu(per_tuple)
-            if right_slots is not None:
-                key = tuple(row[i] for i in right_slots)
-            else:
-                ctx = EvalContext(row=row, outer=outer)
-                key = tuple(fn(ctx) for fn in self.right_key_fns)
-            if any(v is None for v in key):
-                continue  # NULL never equi-joins
-            table.setdefault(key, []).append(row)
-        null_right = (None,) * self.right_width
-        for left_row in self.left.rows(exec_ctx):
-            exec_ctx.charge_cpu(per_tuple)
-            if left_slots is not None:
-                key = tuple(left_row[i] for i in left_slots)
-            else:
-                ctx = EvalContext(row=left_row, outer=outer)
-                key = tuple(fn(ctx) for fn in self.left_key_fns)
-            matched = False
-            if not any(v is None for v in key):
-                for right_row in table.get(key, ()):
-                    combined = left_row + right_row
-                    if self.residual is not None and not is_true(
-                            self.residual(EvalContext(row=combined,
-                                                      outer=outer))):
-                        continue
-                    matched = True
-                    yield combined
-            if not matched and self.kind == "left":
-                yield left_row + null_right
-
     def batches(self, exec_ctx: ExecContext):
-        if self._impure():
-            yield from _row_fallback_batches(self, exec_ctx)
-            return
         costs_model = exec_ctx.costs
         per_tuple = (costs_model.cpu_per_tuple_join * self.cost_factor
                      if costs_model else 0.0)
@@ -854,7 +709,7 @@ class HashJoin(PlanOperator):
         meter = exec_ctx.meter
         stats = _stats(exec_ctx)
         outer = exec_ctx.outer
-        # Build: the row engine drains the right side during the first
+        # Build: the right side is drained during the consumer's first
         # pull, so input charges are due as each batch is consumed —
         # realized before the next batch is requested (fault ordering).
         table: dict = {}
@@ -956,11 +811,6 @@ class SortMergeJoin(PlanOperator):
     def children(self):
         return [self.left, self.right]
 
-    def _impure(self) -> bool:
-        return (is_impure(self.residual)
-                or any(is_impure(fn) for fn in self.left_key_fns)
-                or any(is_impure(fn) for fn in self.right_key_fns))
-
     def _keyed(self, rows: list, key_fns: list, outer) -> list:
         slots = _all_slots(key_fns)
         keyed = []
@@ -1018,34 +868,7 @@ class SortMergeJoin(PlanOperator):
                     yield combined
             i, j = i2, j2
 
-    def rows(self, exec_ctx: ExecContext):
-        costs = exec_ctx.costs
-        per_tuple = (costs.cpu_per_tuple_scan * self.cost_factor
-                     if costs else 0.0)
-        left_rows = []
-        for row in self.left.rows(exec_ctx):
-            exec_ctx.charge_cpu(per_tuple)
-            left_rows.append(row)
-        right_rows = []
-        for row in self.right.rows(exec_ctx):
-            exec_ctx.charge_cpu(per_tuple)
-            right_rows.append(row)
-        if costs is not None:
-            if not self.left_sorted:
-                exec_ctx.charge_cpu(costs.sort_seconds(len(left_rows))
-                                    * self.cost_factor)
-            if not self.right_sorted:
-                exec_ctx.charge_cpu(costs.sort_seconds(len(right_rows))
-                                    * self.cost_factor)
-        outer = exec_ctx.outer
-        left_keyed = self._keyed(left_rows, self.left_key_fns, outer)
-        right_keyed = self._keyed(right_rows, self.right_key_fns, outer)
-        yield from self._merge(left_keyed, right_keyed, outer)
-
     def batches(self, exec_ctx: ExecContext):
-        if self._impure():
-            yield from _row_fallback_batches(self, exec_ctx)
-            return
         costs_model = exec_ctx.costs
         per_tuple = (costs_model.cpu_per_tuple_scan * self.cost_factor
                      if costs_model else 0.0)
@@ -1089,34 +912,7 @@ class NestedLoopJoin(PlanOperator):
     def children(self):
         return [self.left, self.right]
 
-    def rows(self, exec_ctx: ExecContext):
-        costs = exec_ctx.costs
-        per_tuple = (costs.cpu_per_tuple_join * self.cost_factor
-                     if costs else 0.0)
-        outer = exec_ctx.outer
-        right_rows = list(self.right.rows(exec_ctx))
-        null_right = (None,) * self.right_width
-        for left_row in self.left.rows(exec_ctx):
-            # Charge the probe row itself, matching HashJoin — an empty
-            # right side still examines every left row.
-            exec_ctx.charge_cpu(per_tuple)
-            matched = False
-            for right_row in right_rows:
-                exec_ctx.charge_cpu(per_tuple)
-                combined = left_row + right_row
-                if self.condition is not None and not is_true(
-                        self.condition(EvalContext(row=combined,
-                                                   outer=outer))):
-                    continue
-                matched = True
-                yield combined
-            if not matched and self.kind == "left":
-                yield left_row + null_right
-
     def batches(self, exec_ctx: ExecContext):
-        if is_impure(self.condition):
-            yield from _row_fallback_batches(self, exec_ctx)
-            return
         costs_model = exec_ctx.costs
         per_tuple = (costs_model.cpu_per_tuple_join * self.cost_factor
                      if costs_model else 0.0)
@@ -1248,44 +1044,12 @@ class HashAggregate(PlanOperator):
     def children(self):
         return [self.child]
 
-    def rows(self, exec_ctx: ExecContext):
-        costs = exec_ctx.costs
-        per_tuple = (costs.cpu_per_tuple_agg * self.cost_factor
-                     if costs else 0.0)
-        outer = exec_ctx.outer
-        groups: dict[tuple, list[_Accumulator]] = {}
-        order: list[tuple] = []
-        for row in self.child.rows(exec_ctx):
-            exec_ctx.charge_cpu(per_tuple)
-            ctx = EvalContext(row=row, outer=outer)
-            key = tuple(fn(ctx) for fn in self.group_fns)
-            accs = groups.get(key)
-            if accs is None:
-                accs = [_Accumulator(s.func, s.distinct)
-                        for s in self.agg_specs]
-                groups[key] = accs
-                order.append(key)
-            for spec, acc in zip(self.agg_specs, accs):
-                if spec.arg_fn is None:
-                    acc.add(_COUNT_STAR)
-                else:
-                    acc.add(spec.arg_fn(ctx))
-        if not groups and not self.group_fns:
-            accs = [_Accumulator(s.func, s.distinct) for s in self.agg_specs]
-            yield tuple(acc.result() for acc in accs)
-            return
-        for key in order:
-            yield key + tuple(acc.result() for acc in groups[key])
-
     def _impure(self) -> bool:
         return (any(is_impure(fn) for fn in self.group_fns)
                 or any(spec.arg_fn is not None and is_impure(spec.arg_fn)
                        for spec in self.agg_specs))
 
     def batches(self, exec_ctx: ExecContext):
-        if self._impure():
-            yield from _row_fallback_batches(self, exec_ctx)
-            return
         costs_model = exec_ctx.costs
         per_tuple = (costs_model.cpu_per_tuple_agg * self.cost_factor
                      if costs_model else 0.0)
@@ -1305,7 +1069,8 @@ class HashAggregate(PlanOperator):
                      or any(spec.arg_fn is not None and slot is None
                             for spec, slot in arg_plan))
         ctx = EvalContext(row=(), outer=exec_ctx.outer)
-        for rows, costs in self.child.batches(exec_ctx):
+        for rows, costs in _input_batches(self.child, exec_ctx,
+                                          self._impure()):
             _charge_deferred(meter, len(rows), costs, per_tuple)
             for row in rows:
                 if needs_ctx:
@@ -1359,19 +1124,6 @@ class Sort(PlanOperator):
     def children(self):
         return [self.child]
 
-    def rows(self, exec_ctx: ExecContext):
-        outer = exec_ctx.outer
-        rows = list(self.child.rows(exec_ctx))
-        costs = exec_ctx.costs
-        if costs is not None:
-            exec_ctx.charge_cpu(costs.sort_seconds(len(rows))
-                                * self.cost_factor)
-        for key in reversed(self.keys):
-            rows.sort(key=lambda row, k=key: _null_safe_key(
-                k.key_fn(EvalContext(row=row, outer=outer))),
-                reverse=key.descending)
-        yield from rows
-
     def batches(self, exec_ctx: ExecContext):
         meter = exec_ctx.meter
         stats = _stats(exec_ctx)
@@ -1385,8 +1137,8 @@ class Sort(PlanOperator):
                                 * self.cost_factor)
         # Decorate-sort-undecorate, one stable pass per key (innermost
         # last, like the multi-pass list.sort).  ``list.sort(key=...)``
-        # evaluates keys once per row in list order, so even this
-        # precomputation order matches the row engine's.
+        # evaluates keys once per row in list order, and so does this
+        # (an impure key charges the meter as it is evaluated).
         ctx = EvalContext(row=(), outer=exec_ctx.outer)
         for key in reversed(self.keys):
             key_fn = key.key_fn
@@ -1466,17 +1218,7 @@ class TopNHeapSort(PlanOperator):
     def _select_top(self, rows: list, exec_ctx: ExecContext) -> list:
         if self.count <= 0:
             return []
-        import heapq
-
         return heapq.nsmallest(self.count, rows, key=self._key_of(exec_ctx))
-
-    def rows(self, exec_ctx: ExecContext):
-        rows = list(self.child.rows(exec_ctx))
-        costs = exec_ctx.costs
-        if costs is not None:
-            exec_ctx.charge_cpu(costs.topn_seconds(len(rows), self.count)
-                                * self.cost_factor)
-        yield from self._select_top(rows, exec_ctx)
 
     def batches(self, exec_ctx: ExecContext):
         meter = exec_ctx.meter
@@ -1504,10 +1246,10 @@ class PointLookup(PlanOperator):
 
     The planner rewrites ``Project(IndexSeek)`` into this when the seek
     is a pure equality over the index's full width — the point-select
-    shape that dominates the cached wall-clock mix.  Row mode delegates
-    to the wrapped project, so virtual outputs are identical by
-    construction; batch mode goes straight from tree search to heap read
-    to projected tuple with no intermediate operator machinery.
+    shape that dominates the cached wall-clock mix.  It goes straight
+    from tree search to heap read to projected tuple with no
+    intermediate operator machinery, owing what ``Project(IndexSeek)``
+    would.
     """
 
     def __init__(self, project: "Project"):
@@ -1520,9 +1262,6 @@ class PointLookup(PlanOperator):
 
     def children(self):
         return [self.project]
-
-    def rows(self, exec_ctx: ExecContext):
-        return self.project.rows(exec_ctx)
 
     def batches(self, exec_ctx: ExecContext):
         seek = self.seek
@@ -1583,11 +1322,6 @@ def read_set(roots: list[PlanOperator]) -> dict[str, set]:
     return reads
 
 
-def row_exec_enabled() -> bool:
-    """True when ``REPRO_ROW_EXEC=1`` pins plans to row-at-a-time mode."""
-    return os.environ.get("REPRO_ROW_EXEC", "") not in ("", "0")
-
-
 def is_streamable_plan(root: PlanOperator) -> bool:
     """True when a plan just forwards a stored table's pages.
 
@@ -1604,7 +1338,7 @@ def is_streamable_plan(root: PlanOperator) -> bool:
 
 def _batch_row_stream(root: PlanOperator, exec_ctx: ExecContext):
     """Flatten a batch stream into rows, charging each row's owed runs
-    at the moment it is handed over — the row engine's charge point."""
+    at the moment it is handed over."""
     meter = exec_ctx.meter
     if meter is None:
         for rows, _costs in root.batches(exec_ctx):
@@ -1634,11 +1368,7 @@ def iterate_plan(root: PlanOperator, meter,
     spans, so strict nesting does not apply) that records the operator
     and how many rows it ultimately produced.
     """
-    exec_ctx = ExecContext(meter=meter, outer=outer)
-    if row_exec_enabled():
-        rows = root.rows(exec_ctx)
-    else:
-        rows = _batch_row_stream(root, exec_ctx)
+    rows = _batch_row_stream(root, ExecContext(meter=meter, outer=outer))
     obs = getattr(meter, "obs", None)
     if obs is None or not obs.tracer.enabled:
         return rows

@@ -57,8 +57,9 @@ def slot_of(fn) -> int | None:
 def is_impure(fn) -> bool:
     """True when evaluating ``fn`` can have side effects on the meter
     (the expression contains a subquery, whose execution charges virtual
-    time).  Impure expressions pin the operator to row-at-a-time
-    evaluation so charge ordering stays bit-identical."""
+    time).  An operator evaluating one takes its input one realized row
+    at a time (``executor._input_batches``), so those charges fall where
+    they would if the plan were read row by row."""
     return getattr(fn, "_impure", False)
 
 
@@ -597,7 +598,7 @@ class ExprCompiler:
         ``_slot`` (a bare level-0 column read of that tuple index —
         eligible for the batch executor's direct-indexing fast paths) and
         ``_impure`` (the tree contains a subquery, so evaluation charges
-        the meter and the operator must stay row-at-a-time).  Constant
+        the meter and the operator takes its input row by row).  Constant
         subtrees are folded to their value at compile time; a fold that
         raises stays in the generated code so the error still surfaces
         during execution.

@@ -60,6 +60,7 @@ from repro.sql.expressions import (
     EvalContext,
     ExprCompiler,
     Scope,
+    expr_has_subquery,
     find_aggregates,
     is_impure,
 )
@@ -153,8 +154,7 @@ class Planner:
 
     def _count_opt(self, name: str, amount: float = 1.0) -> None:
         """Tick an ``optimizer.*`` counter.  Called only from cost-mode
-        paths, so heuristic traces stay counter-free; plan-time counting
-        is also identical across executor modes."""
+        paths, so heuristic traces stay counter-free."""
         if self._meter is not None:
             self._meter.count(name, amount)
 
@@ -182,29 +182,26 @@ class Planner:
 
         Returns ``(iterator_factory, table_runtime)`` where the factory
         takes no arguments and yields (rid, row) for qualifying rows.
+        The source is an ordinary plan — a leaf that carries each row's
+        address as a hidden last column, under a Filter when the access
+        path leaves a residual — run by the executor like any other.
         """
         table = self._tables(table_name)
         schema = _table_schema(table)
         scope = self._new_scope(_scope_bindings(schema), None)
-        compiler = self._compiler(scope)
         conjuncts = _split_conjuncts(where)
         access = self._choose_access_path(table, conjuncts, scope, None)
-        residual = access.residual_conjuncts
-        predicate = None
-        if residual:
-            predicate = compiler.compile(_combine_conjuncts(residual))
+        root = access.index_seek
+        if root is None:
+            root = SeqScan(table, cost_factor=table.cost_factor)
+        root.with_rid = True
+        if access.residual_conjuncts:
+            root = Filter(root, self._compiler(scope).compile(
+                _combine_conjuncts(access.residual_conjuncts)))
 
         def iterate():
-            exec_ctx = _exec_context(self._meter)
-            if access.index_seek is not None:
-                pairs = access.index_seek.rows_with_rids(exec_ctx)
-            else:
-                pairs = _seq_scan_with_rids(table, exec_ctx)
-            from repro.sql.expressions import is_true
-            for rid, row in pairs:
-                if predicate is None or is_true(
-                        predicate(EvalContext(row=row))):
-                    yield rid, row
+            for row in iterate_plan(root, self._meter):
+                yield row[-1], row[:-1]
 
         return iterate, table
 
@@ -389,7 +386,7 @@ class Planner:
         from repro.sql.expressions import is_true
 
         for conjunct in conjuncts:
-            if _expr_bindings(conjunct) or _has_subquery(conjunct):
+            if _expr_bindings(conjunct) or expr_has_subquery(conjunct):
                 continue
             if isinstance(conjunct, ast.Param) or \
                     _contains_param(conjunct):
@@ -503,10 +500,20 @@ class Planner:
             joined = self._join_relations(left, right, on_conjuncts,
                                           outer_scope, kind=item.kind,
                                           require_all=True)
-            leftover = [c.expr for c in on_conjuncts if not c.consumed]
-            if leftover:
+            leftover = [c for c in on_conjuncts if not c.consumed]
+            if not all(c.has_subquery for c in leftover):
                 raise PlanningError(
                     "ON condition references columns outside the join")
+            if leftover:
+                # No join evaluates a subquery.  Above an inner join a
+                # Filter means the same — where the comma spelling of
+                # the join puts the conjunct too; above an outer join it
+                # would drop the rows the join is there to keep.
+                if item.kind == "left":
+                    raise PlanningError(
+                        "a subquery in the ON condition of a LEFT JOIN "
+                        "is not supported")
+                self._filter_relation(joined, leftover, outer_scope)
             return joined
         raise PlanningError(f"unsupported FROM item {type(item).__name__}")
 
@@ -614,13 +621,16 @@ class Planner:
         local = [c for c in conjuncts
                  if not c.consumed and not c.has_subquery
                  and c.bindings and c.bindings <= rel.bindings]
-        if not local:
-            return
+        if local:
+            self._filter_relation(rel, local, outer_scope)
+
+    def _filter_relation(self, rel: _Relation, conjuncts: list["_Conjunct"],
+                         outer_scope: Scope | None) -> None:
+        """Put a Filter of ``conjuncts`` on top of ``rel``; consumes them."""
         scope = self._new_scope(_scope_bindings(rel.schema), outer_scope)
-        compiler = self._compiler(scope)
-        rel.op = Filter(rel.op, compiler.compile(
-            _combine_conjuncts([c.expr for c in local])))
-        for c in local:
+        rel.op = Filter(rel.op, self._compiler(scope).compile(
+            _combine_conjuncts([c.expr for c in conjuncts])))
+        for c in conjuncts:
             c.consumed = True
 
     def _join_relations(self, left: _Relation, right: _Relation,
@@ -868,7 +878,7 @@ class Planner:
             column = columns.get(conj.operand.name.lower())
             if column is None or column.name.lower() in found:
                 continue
-            if any(_expr_bindings(item) or _has_subquery(item)
+            if any(_expr_bindings(item) or expr_has_subquery(item)
                    for item in conj.items):
                 continue
             try:
@@ -937,8 +947,8 @@ class Planner:
         """Evaluate ``expr`` at plan time when it is a plan-time constant
         (literal, arithmetic over literals, bound parameter); None when
         it is not, or evaluation fails (e.g. outer correlations)."""
-        if _has_subquery(expr) or not self._is_constantish(expr,
-                                                          const_scope):
+        if expr_has_subquery(expr) \
+                or not self._is_constantish(expr, const_scope):
             return None
         try:
             fn = self._compiler(const_scope).compile(expr)
@@ -1628,7 +1638,7 @@ class _Conjunct:
                  column_owner: dict[str, str] | None = None,
                  ambiguous: set[str] | None = None):
         self.expr = expr
-        self.has_subquery = _has_subquery(expr)
+        self.has_subquery = expr_has_subquery(expr)
         self.consumed = False
         raw = _expr_bindings(expr)
         resolved: set[str] = set()
@@ -1861,9 +1871,9 @@ def _push_limit_hint(op: PlanOperator, top: int) -> None:
 def _maybe_point_lookup(op: PlanOperator) -> PlanOperator:
     """Fuse ``Project(IndexSeek)`` into a :class:`PointLookup` when the
     seek is a pure equality over the index's full width — the
-    point-select shape that dominates the cached wall-clock mix.  Row
-    mode delegates to the wrapped project, so plan semantics and virtual
-    outputs are unchanged; only the batch engine takes the fused path."""
+    point-select shape that dominates the cached wall-clock mix.  The
+    fused operator owes what the pair would, so virtual outputs are
+    unchanged."""
     if not isinstance(op, Project) or not isinstance(op.child, IndexSeek):
         return op
     seek = op.child
@@ -1879,15 +1889,6 @@ def _maybe_point_lookup(op: PlanOperator) -> PlanOperator:
     if any(is_impure(expr) for expr in op.exprs):
         return op
     return PointLookup(op)
-
-
-def _has_subquery(expr: ast.Expr) -> bool:
-    if isinstance(expr, (ast.ScalarSubquery, ast.Exists, ast.InSubquery)):
-        return True
-    from repro.sql.expressions import _children
-    if isinstance(expr, ast.Expr):
-        return any(_has_subquery(c) for c in _children(expr))
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -1995,18 +1996,3 @@ def _max_factor_of(schema: list[BoundColumn], table_provider) -> float:
             continue
         factor = max(factor, table.cost_factor)
     return factor
-
-
-def _exec_context(meter):
-    from repro.sql.executor import ExecContext
-
-    return ExecContext(meter=meter)
-
-
-def _seq_scan_with_rids(table, exec_ctx):
-    costs = exec_ctx.costs
-    per_tuple = (costs.cpu_per_tuple_scan * table.cost_factor
-                 if costs else 0.0)
-    for rid, row in table.heap.scan():
-        exec_ctx.charge_cpu(per_tuple)
-        yield rid, row

@@ -9,10 +9,22 @@ from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
 from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
+from tests import row_engine_oracle
 
 #: ``--hypothesis-profile=ci``: the same examples on every run, so a red
 #: build is the code's doing and not the draw's.
 settings.register_profile("ci", derandomize=True)
+
+
+@pytest.fixture(params=["batch", "rows"])
+def exec_mode(request):
+    """Run the test twice: on the executor, and with every plan run by
+    the row-at-a-time oracle (``tests/row_engine_oracle.py``)."""
+    if request.param == "batch":
+        yield "batch"
+    else:
+        with row_engine_oracle.installed():
+            yield "rows"
 
 
 @pytest.fixture

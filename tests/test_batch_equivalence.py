@@ -1,11 +1,11 @@
-"""Batch engine vs. row engine: bit-identical virtual outputs.
+"""The executor vs. the row-at-a-time oracle: bit-identical outputs.
 
-The batch-at-a-time executor is a host-time optimization; the original
-row-at-a-time operators are retained behind ``REPRO_ROW_EXEC=1``.  These
-tests run identical workloads in both modes and require *exact* equality
-of every virtual output: row streams, the virtual clock, and the meter's
-counters.  Any drift means a batch operator charges differently from the
-row loop it replaced.
+``batches()`` is the only way a plan runs; the row loops it replaced
+live on as ``tests/row_engine_oracle.py``.  These tests run identical
+workloads through both and require *exact* equality of every virtual
+output: row streams, the virtual clock, and the meter's counters.  Any
+drift means a batch operator charges differently from the row loop it
+replaced.
 """
 
 import pytest
@@ -13,23 +13,7 @@ import pytest
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
 from repro.sim.meter import Meter
-
-
-@pytest.fixture(params=["batch", "rows"])
-def exec_mode(request, monkeypatch):
-    """Run the decorated test once per executor mode."""
-    if request.param == "rows":
-        monkeypatch.setenv("REPRO_ROW_EXEC", "1")
-    else:
-        monkeypatch.delenv("REPRO_ROW_EXEC", raising=False)
-    return request.param
-
-
-def _set_mode(monkeypatch, mode: str) -> None:
-    if mode == "rows":
-        monkeypatch.setenv("REPRO_ROW_EXEC", "1")
-    else:
-        monkeypatch.delenv("REPRO_ROW_EXEC", raising=False)
+from tests import row_engine_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -60,15 +44,14 @@ def _tpch_power_outputs(cost_mode: bool = False):
 
 @pytest.mark.parametrize("cost_mode", [False, True],
                          ids=["heuristic", "cost"])
-def test_tpch_power_batch_vs_row_bit_identical(monkeypatch, cost_mode):
+def test_tpch_power_batch_vs_row_bit_identical(cost_mode):
     """Bit-identity holds under the cost-based optimizer too: the new
     operators (TopNHeapSort, SortMergeJoin) and reordered joins must
     charge the batch path exactly what the row path charges."""
-    _set_mode(monkeypatch, "batch")
     batch_rows, batch_clock, batch_counters = _tpch_power_outputs(
         cost_mode)
-    _set_mode(monkeypatch, "rows")
-    row_rows, row_clock, row_counters = _tpch_power_outputs(cost_mode)
+    with row_engine_oracle.installed():
+        row_rows, row_clock, row_counters = _tpch_power_outputs(cost_mode)
 
     for (num_b, rows_b), (num_r, rows_r) in zip(batch_rows, row_rows):
         assert num_b == num_r
@@ -117,19 +100,17 @@ def _crash_run(crash_at: int | None, prefetch: bool = False,
                          ids=["seed", "prefetch", "shared-cache",
                               "cost"])
 @pytest.mark.parametrize("crash_at", [None, 3, 7, 11])
-def test_phoenix_crash_workload_batch_vs_row(monkeypatch, crash_at,
-                                             prefetch, result_cache,
-                                             cost_mode):
+def test_phoenix_crash_workload_batch_vs_row(crash_at, prefetch,
+                                             result_cache, cost_mode):
     """Bit-identity holds with pipelined result delivery on, too: the
     overlap windows charge the same seconds in both executor modes.
     Likewise with the shared result cache — a hit skips the server in
     both modes, so clock and counters must still match exactly — and
     with the cost-based optimizer, whose plans must charge identically
     in both executor modes."""
-    _set_mode(monkeypatch, "batch")
     batch = _crash_run(crash_at, prefetch, result_cache, cost_mode)
-    _set_mode(monkeypatch, "rows")
-    rows = _crash_run(crash_at, prefetch, result_cache, cost_mode)
+    with row_engine_oracle.installed():
+        rows = _crash_run(crash_at, prefetch, result_cache, cost_mode)
     assert batch[0] == rows[0], f"observed outputs diverged (crash_at="\
                                 f"{crash_at})"
     assert batch[1] == rows[1], f"virtual clock diverged (crash_at="\
@@ -181,26 +162,216 @@ def _mixed_dml_outputs(cost_mode: bool = False):
     return outputs, engine.meter.now, dict(engine.meter.counters)
 
 
-def test_mixed_dml_batch_vs_row_bit_identical(monkeypatch):
-    _set_mode(monkeypatch, "batch")
+#: Clock and counters of ``_mixed_dml_outputs()``, heuristic and cost,
+#: recorded at the last commit where UPDATE and DELETE read their source
+#: through a scan loop of the planner's own: the oracle replaces the
+#: executor under the source plans they run now, not that loop.
+_MIXED_DML_AT_PARENT = {
+    False: (0.7780861494786181, {
+        "locks.row_locks_acquired": 32.0, "log_forces": 14.0,
+        "plan_cache_hits": 14.0, "plan_cache_misses": 9.0}),
+    True: (0.7775661494786176, {
+        "locks.row_locks_acquired": 32.0, "log_forces": 14.0,
+        "optimizer.in_list_seeks": 4.0, "optimizer.in_list_transfers": 1.0,
+        "optimizer.join_orders_considered": 4.0,
+        "optimizer.plans_costed": 4.0,
+        "plan_cache_hits": 14.0, "plan_cache_misses": 9.0}),
+}
+
+
+def test_mixed_dml_batch_vs_row_bit_identical():
     batch = _mixed_dml_outputs()
-    _set_mode(monkeypatch, "rows")
-    rows = _mixed_dml_outputs()
+    with row_engine_oracle.installed():
+        rows = _mixed_dml_outputs()
     assert batch[0] == rows[0]
     assert batch[1] == rows[1]
     assert batch[2] == rows[2]
+    assert batch[1:] == _MIXED_DML_AT_PARENT[False]
 
 
-def test_in_list_seeks_batch_vs_row_bit_identical(monkeypatch):
-    _set_mode(monkeypatch, "batch")
+def test_in_list_seeks_batch_vs_row_bit_identical():
     batch = _mixed_dml_outputs(cost_mode=True)
-    _set_mode(monkeypatch, "rows")
-    rows = _mixed_dml_outputs(cost_mode=True)
+    with row_engine_oracle.installed():
+        rows = _mixed_dml_outputs(cost_mode=True)
     assert batch == rows
+    assert batch[1:] == _MIXED_DML_AT_PARENT[True]
     # 3 rounds x (UPDATE + join's two sides + covering SELECT), planned
     # once each: the later rounds reuse the cached plans.
     assert batch[2]["optimizer.in_list_seeks"] == 4
     assert batch[2]["optimizer.in_list_transfers"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Impure expressions: a subquery charges the meter mid-evaluation
+# ---------------------------------------------------------------------------
+#
+# Filter, Project and HashAggregate take their input one realized row at
+# a time when an expression of theirs holds a subquery; everything below
+# still runs in batches.  One statement per place a subquery can stand.
+
+IMPURE_SETUP = (
+    "CREATE TABLE t (a INT, b INT, c VARCHAR(2))",
+    "CREATE TABLE u (x INT, y INT)",
+    "CREATE TABLE p (k INT NOT NULL, v INT, PRIMARY KEY (k))",
+    "INSERT INTO t VALUES " + ", ".join(
+        f"({i % 7}, {'NULL' if i % 5 == 0 else i % 4}, '{'xyz'[i % 3]}')"
+        for i in range(23)),
+    "INSERT INTO u VALUES " + ", ".join(
+        f"({(i * 3) % 8}, {i % 5})" for i in range(11)),
+    "INSERT INTO p VALUES " + ", ".join(
+        f"({i}, {i * 10})" for i in range(1, 10)),
+)
+
+IMPURE_STATEMENTS = (
+    # select list, correlated and not; under TOP
+    "SELECT a, (SELECT max(y) FROM u WHERE u.x = t.a) FROM t",
+    "SELECT a, (SELECT count(*) FROM u) FROM t WHERE b > 0",
+    "SELECT TOP 3 a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.x = t.a)",
+    "SELECT TOP 2 a, (SELECT min(y) FROM u WHERE u.x = t.a) FROM t "
+    "ORDER BY a",
+    # aggregate argument, HAVING, ORDER BY, DISTINCT, UNION ALL
+    "SELECT sum((SELECT max(y) FROM u WHERE u.x = t.a)) FROM t",
+    "SELECT c, count(*), sum((SELECT count(*) FROM u WHERE u.x = t.a)) "
+    "FROM t GROUP BY c ORDER BY c",
+    "SELECT c, sum(a) FROM t GROUP BY c "
+    "HAVING sum(a) > (SELECT min(x) FROM u) ORDER BY c",
+    "SELECT a FROM t ORDER BY (SELECT max(y) FROM u WHERE u.x = t.a), a",
+    "SELECT DISTINCT (SELECT max(y) FROM u WHERE u.x = t.a) FROM t",
+    "SELECT DISTINCT a FROM t WHERE a IN (SELECT x FROM u)",
+    "SELECT a FROM t WHERE a > (SELECT min(x) FROM u) UNION ALL "
+    "SELECT x FROM u WHERE EXISTS (SELECT 1 FROM t WHERE t.a = u.x)",
+    # a seek inside the subquery, a subquery as range bound, above a
+    # join (both spellings), IN / NOT EXISTS, under an aggregate, in a
+    # derived table
+    "SELECT a, (SELECT v FROM p WHERE p.k = t.a) FROM t WHERE b = 1",
+    "SELECT k FROM p WHERE k >= (SELECT min(y) FROM u) AND k < 6",
+    "SELECT t.a, u.y FROM t, u WHERE t.a = u.x "
+    "AND u.y > (SELECT min(b) FROM t)",
+    "SELECT t.a, u.y FROM t JOIN u ON t.a = u.x "
+    "AND u.y > (SELECT min(b) FROM t)",
+    "SELECT a FROM t WHERE b IN (SELECT y FROM u WHERE u.x > t.a)",
+    "SELECT a FROM t WHERE NOT EXISTS "
+    "(SELECT 1 FROM u WHERE u.x = t.a) ORDER BY a",
+    "SELECT count(*) FROM t WHERE a > (SELECT avg(x) FROM u)",
+    "SELECT s.a FROM (SELECT a FROM t WHERE a IN (SELECT x FROM u)) s "
+    "WHERE s.a > 0",
+    # UPDATE / DELETE ... WHERE, by scan and by seek key
+    "UPDATE t SET b = b + 1 WHERE a > (SELECT min(x) FROM u)",
+    "UPDATE p SET v = v + 1 WHERE k = (SELECT max(y) FROM u)",
+    "DELETE FROM t WHERE EXISTS "
+    "(SELECT 1 FROM u WHERE u.x = t.a AND u.y > 2)",
+)
+
+
+def _impure_world(cost_mode: bool):
+    engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=128)
+    session = EngineSession(session_id=1)
+    for sql in IMPURE_SETUP:
+        engine.execute(sql, session)
+    if cost_mode:
+        engine.execute("ANALYZE", session)
+        engine.meter.costs.optimizer_mode = "cost"
+    return engine, session
+
+
+def _impure_outputs(cost_mode: bool):
+    """(rows or rowcount, clock) after each statement, then counters."""
+    engine, session = _impure_world(cost_mode)
+    outputs = []
+    for _ in range(2):  # the second round runs the cached plans
+        for sql in IMPURE_STATEMENTS:
+            result = engine.execute(sql, session)
+            outputs.append((result.fetch_all() if result.kind == "rows"
+                            else result.rowcount, engine.meter.now))
+    outputs.append(engine.execute("SELECT a, b, c FROM t",
+                                  session).fetch_all())
+    return outputs, dict(engine.meter.counters)
+
+
+@pytest.mark.parametrize("cost_mode", [False, True],
+                         ids=["heuristic", "cost"])
+def test_impure_statements_batch_vs_row_bit_identical(cost_mode):
+    batch = _impure_outputs(cost_mode)
+    with row_engine_oracle.installed():
+        rows = _impure_outputs(cost_mode)
+    for sql, got, want in zip(IMPURE_STATEMENTS * 2, batch[0], rows[0]):
+        assert got == want, sql
+    assert batch == rows
+
+
+def test_rows_past_a_limit_evaluate_no_subquery(monkeypatch):
+    """Laziness survives below a subquery predicate: the scan hands the
+    Filter whole pages, the Filter evaluates one row per pull."""
+    from repro.sql.planner import Planner
+
+    evaluated = []
+    run_subquery = Planner._run_subquery
+    monkeypatch.setattr(
+        Planner, "_run_subquery", lambda self, plan, ctx:
+        evaluated.append(ctx.row) or run_subquery(self, plan, ctx))
+
+    def outputs():
+        engine = DatabaseEngine(meter=Meter())
+        session = EngineSession(session_id=1)
+        engine.execute("CREATE TABLE t (a INT)", session)
+        engine.execute("CREATE TABLE u (x INT)", session)
+        engine.execute("INSERT INTO t VALUES " + ", ".join(
+            f"({i % 7})" for i in range(23)), session)
+        engine.execute("INSERT INTO u VALUES (5)", session)
+        del evaluated[:]
+        rows = engine.execute(
+            "SELECT TOP 1 a FROM t WHERE EXISTS "
+            "(SELECT 1 FROM u WHERE u.x = t.a)", session).fetch_all()
+        return rows, list(evaluated), engine.meter.now
+
+    batch = outputs()
+    with row_engine_oracle.installed():
+        rows = outputs()
+    assert batch == rows
+    assert batch[0] == [(5,)]
+    assert batch[1] == [(a,) for a in range(6)]  # 17 rows never looked at
+
+
+@pytest.mark.parametrize("cost_mode", [False, True],
+                         ids=["heuristic", "cost"])
+def test_no_join_evaluates_a_subquery(cost_mode):
+    """What lets the joins have no impure path: the planner never hands
+    a join a conjunct with a subquery (it goes to a Filter above)."""
+    from repro.sql.executor import (HashJoin, NestedLoopJoin,
+                                    SortMergeJoin)
+    from repro.sql.expressions import is_impure
+    from repro.sql.parser import parse_statement
+    from repro.workloads.tpch.queries import QUERIES
+    from repro.workloads.tpch.schema import create_schema
+
+    tpch = DatabaseEngine(meter=Meter())
+    tpch_session = EngineSession(session_id=1)
+    create_schema(tpch, tpch_session)
+    if cost_mode:
+        tpch.meter.costs.optimizer_mode = "cost"
+    directed = _impure_world(cost_mode)
+    joins = 0
+    for (engine, session), statements in (
+            ((tpch, tpch_session), QUERIES.values()),
+            (directed, [sql for sql in IMPURE_STATEMENTS
+                        if sql.startswith("SELECT")])):
+        for sql in statements:
+            planner = engine._planner(session, None)
+            pending = [planner.plan_select(parse_statement(sql)).root]
+            pending += [sub.plan.root for sub in planner.subquery_log]
+            while pending:
+                op = pending.pop()
+                pending.extend(op.children())
+                if isinstance(op, NestedLoopJoin):
+                    fns = [op.condition]
+                elif isinstance(op, (HashJoin, SortMergeJoin)):
+                    fns = [op.residual, *op.left_key_fns,
+                           *op.right_key_fns]
+                else:
+                    continue
+                joins += 1
+                assert not any(is_impure(fn) for fn in fns), sql
+    assert joins > 40
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,6 @@ from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
 
 
-@pytest.fixture(params=["batch", "rows"])
-def exec_mode(request, monkeypatch):
-    if request.param == "rows":
-        monkeypatch.setenv("REPRO_ROW_EXEC", "1")
-    else:
-        monkeypatch.delenv("REPRO_ROW_EXEC", raising=False)
-    return request.param
-
-
 @pytest.fixture
 def world():
     engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=0)
@@ -250,27 +241,26 @@ class TestNullIndexKeys:
                    "ORDER BY grp") == [(1,), (3,)]
         # Same property asserted on the operator directly, independent
         # of whether the planner picks the index for a bare upper bound.
-        from repro.sql.executor import ExecContext, IndexSeek
+        from repro.sql.executor import IndexSeek, run_plan
 
         table = engine._tables["nx"]
         hi_only = IndexSeek(table, "ix_nx", prefix_fns=[],
                             hi_fn=lambda ctx: 10)
-        assert sorted(row[0] for row in
-                      hi_only.rows(ExecContext(meter=None))) == [1, 3]
+        assert sorted(row[0] for row in run_plan(hi_only, None)) == [1, 3]
 
     def test_seek_binding_null_matches_nothing(self, nworld):
         # SQL three-valued logic: a seek whose prefix or bound value
         # evaluates to NULL short-circuits to zero matches.
-        from repro.sql.executor import ExecContext, IndexSeek
+        from repro.sql.executor import IndexSeek, run_plan
 
         engine, run = nworld
         run("CREATE INDEX ix_nx ON nx (grp)")
         table = engine._tables["nx"]
         eq_null = IndexSeek(table, "ix_nx", prefix_fns=[lambda ctx: None])
-        assert list(eq_null.rows(ExecContext(meter=None))) == []
+        assert run_plan(eq_null, None) == []
         lt_null = IndexSeek(table, "ix_nx", prefix_fns=[],
                             hi_fn=lambda ctx: None)
-        assert list(lt_null.rows(ExecContext(meter=None))) == []
+        assert run_plan(lt_null, None) == []
 
     def test_unique_index_still_rejects_null(self, nworld):
         from repro.errors import ConstraintError

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
+from repro.errors import PlanningError
 from repro.sim.meter import Meter
 from repro.sql.executor import (
     EmptyScan,
@@ -119,6 +120,19 @@ class TestJoins:
         seek = [op for op in operators(plan.root)
                 if isinstance(op, IndexSeek)]
         assert seek, "single-table predicate should reach the index"
+
+    def test_subquery_in_on_runs_above_an_inner_join(self, world):
+        _e, _s, planner = world
+        sql = ("SELECT * FROM t {kind} u ON a = x "
+               "AND y > (SELECT min(b) FROM t)")
+        plan = plan_of(planner, sql.format(kind="JOIN"))
+        above = next(op for op in operators(plan.root)
+                     if isinstance(op, Filter))
+        assert isinstance(above.child, HashJoin)
+        assert above.child.residual is None
+        with pytest.raises(PlanningError, match="subquery in the ON "
+                           "condition of a LEFT JOIN is not supported"):
+            plan_of(planner, sql.format(kind="LEFT JOIN"))
 
 
 class TestShapes:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
 from repro.sim.meter import Meter
+from tests import row_engine_oracle
 
 COLUMNS = ("a", "b", "c")
 
@@ -154,10 +155,8 @@ def test_delete_matches_reference(rows):
           suppress_health_check=[HealthCheck.too_slow])
 @given(rows=table_rows(), threshold=st.integers(-5, 5))
 def test_batch_and_row_engines_bit_identical(rows, threshold):
-    """The batch executor must match row-at-a-time mode exactly —
+    """The executor must match the row-at-a-time oracle exactly —
     same rows AND same virtual clock — on randomized inputs."""
-    import os
-
     queries = [
         f"SELECT a, c FROM t WHERE a > {threshold} ORDER BY a, c",
         "SELECT c, count(*), sum(a) FROM t GROUP BY c ORDER BY c",
@@ -170,16 +169,9 @@ def test_batch_and_row_engines_bit_identical(rows, threshold):
         got = [run(engine, session, sql) for sql in queries]
         return got, engine.meter.now, dict(engine.meter.counters)
 
-    saved = os.environ.pop("REPRO_ROW_EXEC", None)
-    try:
-        batch = outputs()
-        os.environ["REPRO_ROW_EXEC"] = "1"
+    batch = outputs()
+    with row_engine_oracle.installed():
         row = outputs()
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_ROW_EXEC", None)
-        else:
-            os.environ["REPRO_ROW_EXEC"] = saved
     assert batch[0] == row[0]
     assert batch[1] == row[1]
     assert batch[2] == row[2]
@@ -191,12 +183,11 @@ def test_batch_and_row_engines_bit_identical(rows, threshold):
 #
 # The cost-mode planner seeks an index by key list and carries a list
 # across a join equality; the oracle is another engine altogether.  Every
-# generated query runs under both optimizer modes and both executors:
-# each must return sqlite's rows, and the two executors of one mode must
-# agree to the bit on rows *in order*, the virtual clock and the
-# counters.
+# generated query runs under both optimizer modes, on the executor and
+# on the row-at-a-time oracle: each must return sqlite's rows, and the
+# two runs of one mode must agree to the bit on rows *in order*, the
+# virtual clock and the counters.
 
-import os  # noqa: E402
 import sqlite3  # noqa: E402
 
 IN_DDL = (
@@ -230,6 +221,11 @@ IN_QUERIES = (
     "SELECT x, k1, k2 FROM u LEFT JOIN t ON k2 = x AND x IN ({L})",
     "SELECT x, k1, k2 FROM u LEFT JOIN t ON k2 = x AND k2 IN ({L})",
     "SELECT k1, k2, y FROM t LEFT JOIN u ON k2 = x WHERE k2 IN ({L})",
+    # a subquery in the ON of an inner join: it runs in a Filter above
+    "SELECT k1, k2, y FROM t JOIN u ON k2 = x "
+    "AND y > (SELECT min(v) FROM t WHERE k1 <> {c})",
+    "SELECT k1, k2, y FROM t JOIN u ON k2 = x "
+    "AND y IN (SELECT v FROM t WHERE k2 IN ({L}))",
 )
 
 
@@ -290,21 +286,12 @@ def test_in_lists_match_sqlite_in_both_modes_and_engines(case):
         got = run(engine, session, query)
         return got, engine.meter.now, dict(engine.meter.counters)
 
-    saved = os.environ.pop("REPRO_ROW_EXEC", None)
-    try:
-        for mode in ("heuristic", "cost"):
-            os.environ.pop("REPRO_ROW_EXEC", None)
-            batch = outputs(mode)
-            os.environ["REPRO_ROW_EXEC"] = "1"
+    for mode in ("heuristic", "cost"):
+        batch = outputs(mode)
+        with row_engine_oracle.installed():
             row = outputs(mode)
-            assert batch == row, (mode, query)
-            assert sorted(batch[0], key=_null_low) == expected, \
-                (mode, query)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_ROW_EXEC", None)
-        else:
-            os.environ["REPRO_ROW_EXEC"] = saved
+        assert batch == row, (mode, query)
+        assert sorted(batch[0], key=_null_low) == expected, (mode, query)
 
 
 # ---------------------------------------------------------------------------
