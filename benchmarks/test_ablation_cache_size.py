@@ -22,7 +22,7 @@ CAPACITIES = (0, 4, 16, 64, 256)
 def _run_sweep():
     rows = []
     for capacity in CAPACITIES:
-        server = DatabaseServer(meter=Meter(CostModel()))
+        server = DatabaseServer(meter=Meter(CostModel.paper()))
         setup_tpch_server(server, generate(scale=0.001, seed=3))
         config = PhoenixConfig(client_cache_rows=capacity)
         app = BenchmarkApp(server, use_phoenix=True,

@@ -30,7 +30,7 @@ FUZZY_CHECKPOINTS = 10
 
 def _recovery_time(checkpoint_every: int, costs: CostModel | None = None,
                    ) -> tuple[float, int, float]:
-    server = DatabaseServer(meter=Meter(costs or CostModel()))
+    server = DatabaseServer(meter=Meter(costs or CostModel.paper()))
     app = BenchmarkApp(server)
     app.run_statement("CREATE TABLE t (k INT NOT NULL, v INT, "
                       "PRIMARY KEY (k))")
@@ -56,9 +56,8 @@ def test_ablation_checkpoint_interval(benchmark, report):
         results = {c: _recovery_time(c) for c in CADENCES}
         interval = results[0][2] / FUZZY_CHECKPOINTS
         for label, workers in FUZZY_LEGS:
-            costs = CostModel(checkpoint_interval_seconds=interval,
-                              checkpoint_truncate_log=True,
-                              redo_workers=workers)
+            costs = CostModel.paper(checkpoint_interval_seconds=interval,
+                                    redo_workers=workers)
             results[label] = _recovery_time(0, costs)
         return results
 

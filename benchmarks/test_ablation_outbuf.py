@@ -26,8 +26,8 @@ SIZES = (64, 256, 1024, 4096, 16384)
 
 
 def _response_times(buffer_bytes: int):
-    costs = CostModel(output_buffer_bytes=buffer_bytes,
-                      work_amplification=100.0)
+    costs = CostModel.paper(output_buffer_bytes=buffer_bytes,
+                            work_amplification=100.0)
     server = DatabaseServer(meter=Meter(costs))
     setup_tpch_server(server, generate(scale=0.01, seed=3))
     app = BenchmarkApp(server, use_phoenix=False)
@@ -76,7 +76,8 @@ DEPTHS = (0, 1, 2, 4)
 def _drain_stats(depth: int, adaptive: bool = False) -> dict:
     """Virtual cost of draining one multi-batch result at a given
     fetch-ahead depth (optionally with adaptive batching on top)."""
-    costs = CostModel(work_amplification=100.0, fetch_ahead_depth=depth)
+    costs = CostModel.paper(work_amplification=100.0,
+                            fetch_ahead_depth=depth)
     if adaptive:
         costs.fetch_batch_max_bytes = 8192
         costs.output_buffer_max_bytes = 256 * 1024

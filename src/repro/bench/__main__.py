@@ -46,90 +46,14 @@ def _trace_report(args):
     return build_trace_report(args.input)
 
 
-#: ``log_forces`` of the tracked mix before asynchronous commit existed
-#: — the regression ceiling: no future change may force the log more
-#: often than the synchronous-commit seed did.
-SEED_LOG_FORCES = 183
-
-
-def _wallclock_payload(result, leg: str) -> dict:
-    mixes = {
-        "base": "TPC-C transactions + point selects + phoenix persists",
-        "indexed": ("TPC-C transactions + secondary-index point selects "
-                    "+ phoenix persists"),
-        "prefetch": ("TPC-C transactions + point selects + phoenix "
-                     "persists, pipelined result delivery on"),
-        "cached-shared": ("TPC-C transactions + point selects + phoenix "
-                          "persists, transaction-consistent shared "
-                          "result cache on"),
-    }
-    return {
-        "mix": mixes[leg],
-        "leg": leg,
-        "async_commit_window":
-            experiments.WALLCLOCK_ASYNC_COMMIT_WINDOW,
-        "baseline_host_seconds": round(result.baseline_host_seconds, 3),
-        "cached_host_seconds": round(result.cached_host_seconds, 3),
-        "speedup_percent": round(result.speedup_percent, 1),
-        "baseline_segments": {k: round(v, 3)
-                              for k, v in result.baseline_segments.items()},
-        "cached_segments": {k: round(v, 3)
-                            for k, v in result.cached_segments.items()},
-        "virtual_seconds": result.cached_virtual_seconds,
-        "counters": result.counters,
-        "cache_stats": result.cache_stats,
-        "executor_stats": {k: result.executor_stats[k]
-                           for k in sorted(result.executor_stats)},
-    }
-
-
-def _run_wallclock(args) -> int:
-    """Run the host wall-clock mix (plus its secondary-index variant)
-    and track both over time.
-
-    Writes ``wallclock.json``/``wallclock.txt``,
-    ``wallclock_indexed.json``, ``wallclock_prefetch.json`` and
-    ``wallclock_cached_shared.json`` (the current snapshots) and appends
-    one ``{date, commit, leg, host_seconds, log_forces}`` line per leg
-    to ``wallclock_history.jsonl`` so CI can spot host-time regressions.
-    Fails if any leg forces the log more often than the
-    synchronous-commit seed mix did (``log_forces`` > 183: async commit
-    stopped deferring), if the prefetch leg sends *more* requests than
-    the base leg, if it cuts fetch round trips on the tracked mix by
-    less than 20%, or if the cached-shared leg cuts total round trips by
-    less than 40%, records no shared-cache hits, or returns different
-    point-select rows than the base leg.
-    """
+def _append_history(out_dir: pathlib.Path, name: str,
+                    entries: list[dict]) -> None:
+    """Append ``entries`` to ``<name>_history.jsonl``, each stamped with
+    today's date and the checked-out commit (the sentinel's input)."""
     import datetime
     import json
     import subprocess
 
-    window = experiments.WALLCLOCK_ASYNC_COMMIT_WINDOW
-    # point_reads matches benchmarks/test_wallclock_speedup.py so the
-    # CLI and the benchmark harness track the same mix.
-    legs = {
-        "base": experiments.run_wallclock(
-            point_reads=2000, async_commit_window=window),
-        "indexed": experiments.run_wallclock(
-            point_reads=2000, async_commit_window=window, indexed=True),
-        "prefetch": experiments.run_wallclock(
-            point_reads=2000, async_commit_window=window, prefetch=True),
-        "cached-shared": experiments.run_wallclock(
-            point_reads=2000, async_commit_window=window,
-            result_cache=True),
-    }
-    out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(exist_ok=True)
-
-    history = out_dir / "wallclock_history.jsonl"
-    previous = None
-    if history.exists():
-        lines = [line for line in history.read_text().splitlines()
-                 if line.strip()]
-        entries = [json.loads(line) for line in lines]
-        base_entries = [e for e in entries if e.get("leg", "base") == "base"]
-        if base_entries:
-            previous = base_entries[-1]
     try:
         commit = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -137,150 +61,10 @@ def _run_wallclock(args) -> int:
         ).stdout.strip() or "unknown"
     except Exception:
         commit = "unknown"
-
-    failed = False
-    for leg, result in legs.items():
-        text = result.format()
-        print(f"[leg: {leg}]")
-        print(text)
-        if result.baseline_virtual_seconds != result.cached_virtual_seconds:
-            if leg == "cached-shared":
-                # Expected: the shared result cache removes entire
-                # execute round trips, so it is a virtual-time
-                # optimization (the digest gate below proves the
-                # answers stayed identical).
-                print(f"[cached-shared: virtual clock "
-                      f"{result.baseline_virtual_seconds:.8f} -> "
-                      f"{result.cached_virtual_seconds:.8f}]")
-            else:
-                print("WARNING: virtual clocks diverged between the "
-                      "caches-off and caches-on legs — caching changed "
-                      "simulated behavior")
-
-        suffix = "" if leg == "base" else "_" + leg.replace("-", "_")
-        (out_dir / f"wallclock{suffix}.json").write_text(
-            json.dumps(_wallclock_payload(result, leg), indent=2) + "\n")
-        if leg == "base":
-            (out_dir / "wallclock.txt").write_text(text + "\n")
-
-        log_forces = int(result.counters.get("log_forces", 0))
-        _p50, p95_execute, _p99 = \
-            result.latency.kind_percentiles("ExecuteRequest")
-        entry = {"date": datetime.date.today().isoformat(),
-                 "commit": commit, "leg": leg,
-                 "host_seconds": round(result.cached_host_seconds, 3),
-                 "log_forces": log_forces,
-                 "requests_sent":
-                     int(result.counters.get("net.requests_sent", 0)),
-                 "fetch_requests":
-                     int(result.counters.get("net.requests.FetchRequest",
-                                             0)),
-                 "result_cache_hits":
-                     int(result.counters.get("result_cache.hits", 0)),
-                 # Deterministic virtual metrics: the sentinel flags any
-                 # drift of these against the trailing window.
-                 "virtual_seconds": result.cached_virtual_seconds,
-                 "p95_execute_seconds": p95_execute}
-        if leg == "cached-shared":
-            # An identity field, not a metric: the sentinel judges the
-            # leg against lines recorded under the same invalidation
-            # rule only (its wire bytes, and so its virtual clock, moved
-            # when table-granular invalidation became key-precise).
-            entry["invalidation"] = "read-set"
-        with history.open("a") as handle:
-            handle.write(json.dumps(entry) + "\n")
-        print(f"[wallclock history: {entry}]")
-
-        if log_forces > SEED_LOG_FORCES:
-            print(f"FAIL: {leg} leg forced the log {log_forces} times — "
-                  f"above the synchronous-commit seed's {SEED_LOG_FORCES}")
-            failed = True
-
-    # Pipelined-delivery regression gates.  The prefetch leg runs the
-    # identical statement stream as the base leg, so it must never send
-    # more requests and must finish at a lower virtual clock (less RTT
-    # stall).  The ≥20% fetch-round-trip cut is tracked on the drain
-    # companion mix — the point-read mix itself never leaves the first
-    # wire batch.
-    base_reqs = int(legs["base"].counters.get("net.requests_sent", 0))
-    pf_reqs = int(legs["prefetch"].counters.get("net.requests_sent", 0))
-    base_clock = legs["base"].cached_virtual_seconds
-    pf_clock = legs["prefetch"].cached_virtual_seconds
-    drain_seed = experiments.run_result_drain(prefetch=False)
-    drain_pf = experiments.run_result_drain(prefetch=True)
-    print(f"[prefetch leg: requests {base_reqs} -> {pf_reqs}, "
-          f"virtual clock {base_clock:.8f} -> {pf_clock:.8f}]")
-    print(f"[result drain: fetch round trips "
-          f"{drain_seed['fetch_requests']} -> {drain_pf['fetch_requests']}, "
-          f"virtual {drain_seed['virtual_seconds']:.6f}s -> "
-          f"{drain_pf['virtual_seconds']:.6f}s, "
-          f"prefetch hits {drain_pf['prefetch_hits']}]")
-    drain_payload = {"query": experiments.RESULT_DRAIN_QUERY,
-                     "seed": drain_seed, "prefetch": drain_pf}
-    prefetch_json = out_dir / "wallclock_prefetch.json"
-    payload = json.loads(prefetch_json.read_text())
-    payload["result_drain"] = drain_payload
-    prefetch_json.write_text(json.dumps(payload, indent=2) + "\n")
-    if pf_reqs > base_reqs:
-        print(f"FAIL: prefetch leg sent {pf_reqs} requests — above the "
-              f"seed mix's {base_reqs}")
-        failed = True
-    if drain_pf["rows"] != drain_seed["rows"]:
-        print("FAIL: drain mix returned different rows with prefetch on")
-        failed = True
-    if drain_pf["fetch_requests"] > 0.8 * drain_seed["fetch_requests"]:
-        print(f"FAIL: drain mix still issued {drain_pf['fetch_requests']} "
-              f"fetch round trips — less than a 20% cut from "
-              f"{drain_seed['fetch_requests']}")
-        failed = True
-    if pf_clock >= base_clock:
-        print("FAIL: prefetch leg's virtual clock did not drop below the "
-              "base leg's — pipelining eliminated no RTT stall")
-        failed = True
-    if drain_pf["virtual_seconds"] >= drain_seed["virtual_seconds"]:
-        print("FAIL: drain mix's virtual time did not drop with "
-              "fetch-ahead on")
-        failed = True
-
-    # Shared-result-cache regression gates.  The cached-shared leg runs
-    # the identical statement stream as the base leg with the
-    # transaction-consistent shared cache on: it must cut total round
-    # trips by ≥40%, actually hit, and return bit-identical rows — both
-    # against the base leg and against its own caches-off sub-leg.
-    cs = legs["cached-shared"]
-    cs_reqs = int(cs.counters.get("net.requests_sent", 0))
-    cs_hits = int(cs.counters.get("result_cache.hits", 0))
-    print(f"[cached-shared leg: requests {base_reqs} -> {cs_reqs} "
-          f"({100.0 * (1 - cs_reqs / base_reqs):.1f}% cut), "
-          f"hits {cs_hits}, misses "
-          f"{int(cs.counters.get('result_cache.misses', 0))}, "
-          f"insertions "
-          f"{int(cs.counters.get('result_cache.insertions', 0))}]")
-    if cs_reqs > 0.6 * base_reqs:
-        print(f"FAIL: cached-shared leg still sent {cs_reqs} requests — "
-              f"less than a 40% cut from the base leg's {base_reqs}")
-        failed = True
-    if cs_hits <= 0:
-        print("FAIL: cached-shared leg recorded no shared-cache hits")
-        failed = True
-    if cs.cached_rows_digest != cs.baseline_rows_digest:
-        print("FAIL: cached-shared leg returned different point-select "
-              "rows with the shared result cache on (off-vs-on digest "
-              "mismatch)")
-        failed = True
-    if cs.cached_rows_digest != legs["base"].cached_rows_digest:
-        print("FAIL: cached-shared leg's point-select rows differ from "
-              "the base leg's (cross-leg digest mismatch)")
-        failed = True
-
-    if previous and previous.get("host_seconds"):
-        last = previous["host_seconds"]
-        now = round(legs["base"].cached_host_seconds, 3)
-        if now > 1.3 * last:
-            print(f"WARNING: wallclock mix took {now:.3f}s"
-                  f" — more than 30% slower than the last recorded"
-                  f" {last:.3f}s ({previous.get('commit', '?')})")
-    return 1 if failed else 0
+    stamp = {"date": datetime.date.today().isoformat(), "commit": commit}
+    with (out_dir / f"{name}_history.jsonl").open("a") as handle:
+        for entry in entries:
+            handle.write(json.dumps({**stamp, **entry}) + "\n")
 
 
 def _optbench_cells_close(a, b) -> bool:
@@ -319,10 +103,6 @@ def _run_optbench(args) -> int:
     path at all, or if any cost-leg result differs from the heuristic
     leg's beyond float-summation-order tolerance.
     """
-    import datetime
-    import json
-    import subprocess
-
     result = experiments.run_optbench(scale=args.scale
                                       or experiments.OPTBENCH_SCALE)
     text = result.format()
@@ -331,27 +111,18 @@ def _run_optbench(args) -> int:
     out_dir.mkdir(exist_ok=True)
     (out_dir / "optbench.txt").write_text(text + "\n")
 
-    try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-        ).stdout.strip() or "unknown"
-    except Exception:
-        commit = "unknown"
-    history = out_dir / "optbench_history.jsonl"
-    with history.open("a") as handle:
-        for leg in (result.heuristic, result.cost):
-            entry = {"date": datetime.date.today().isoformat(),
-                     "commit": commit, "leg": leg.mode,
-                     "virtual_seconds": leg.total_seconds}
-            for name in ("optimizer.plans_costed",
-                         "optimizer.join_orders_considered",
-                         "optimizer.topn_heap_used",
-                         "optimizer.sortmerge_chosen",
-                         "optimizer.stats_missing_fallbacks"):
-                entry[name] = int(leg.optimizer_counters.get(name, 0))
-            handle.write(json.dumps(entry) + "\n")
-            print(f"[optbench history: {entry}]")
+    entries = []
+    for leg in (result.heuristic, result.cost):
+        entry = {"leg": leg.mode, "virtual_seconds": leg.total_seconds}
+        for name in ("optimizer.plans_costed",
+                     "optimizer.join_orders_considered",
+                     "optimizer.topn_heap_used",
+                     "optimizer.sortmerge_chosen",
+                     "optimizer.stats_missing_fallbacks"):
+            entry[name] = int(leg.optimizer_counters.get(name, 0))
+        entries.append(entry)
+        print(f"[optbench history: {entry}]")
+    _append_history(out_dir, "optbench", entries)
 
     failed = False
     faster = result.faster_queries()
@@ -370,7 +141,7 @@ def _run_optbench(args) -> int:
     if any("TopNHeapSort" in line
            for line in result.heuristic.topn_plan):
         print("FAIL: heuristic leg's Top-N plan uses TopNHeapSort — "
-              "cost-mode machinery leaked into the default path")
+              "cost-mode machinery leaked into the heuristic planner")
         failed = True
     if result.cost.topn_seconds >= result.heuristic.topn_seconds:
         print(f"FAIL: Top-N heap did not beat Sort+Limit "
@@ -427,20 +198,9 @@ def _run_tpccbench(args) -> int:
     statement that was unblocked, ran again and blocked again) are
     printed, not gated.
     """
-    import datetime
-    import json
-    import subprocess
-
+    from repro.sim.costs import CostModel
     from repro.workloads.tpcc.concurrent import (
         ConcurrentMix, build_concurrent_world, digest_database)
-
-    try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-        ).stdout.strip() or "unknown"
-    except Exception:
-        commit = "unknown"
 
     lock_counters = ("locks.row_locks_acquired",
                      "locks.deadlocks_detected", "locks.lock_wait_seconds",
@@ -462,7 +222,8 @@ def _run_tpccbench(args) -> int:
         digests = {}
         for leg in ("serial", "interleaved"):
             server, apps, plans, scale = build_concurrent_world(
-                sessions, txns_per_session=txns, **TPCCBENCH_SCALE)
+                sessions, CostModel.paper(), txns_per_session=txns,
+                **TPCCBENCH_SCALE)
             mix = ConcurrentMix(server, apps, plans, scale)
             try:
                 result = (mix.run_serial() if leg == "serial"
@@ -474,8 +235,7 @@ def _run_tpccbench(args) -> int:
                 return 1
             runs[leg] = result
             digests[leg] = digest_database(server.engine)
-            entry = {"date": datetime.date.today().isoformat(),
-                     "commit": commit, "leg": leg, "sessions": sessions,
+            entry = {"leg": leg, "sessions": sessions,
                      "escalation": "none",
                      "virtual_seconds": result.makespan_seconds}
             counters = server.meter.counters
@@ -517,17 +277,14 @@ def _run_tpccbench(args) -> int:
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(exist_ok=True)
     (out_dir / "tpccbench.txt").write_text(text + "\n")
-    history = out_dir / "tpccbench_history.jsonl"
-    with history.open("a") as handle:
-        for entry in entries:
-            handle.write(json.dumps(entry) + "\n")
+    _append_history(out_dir, "tpccbench", entries)
     return 1 if failed else 0
 
 
 def _run_latency_report(args) -> int:
-    """Run the tracked wall-clock mix with the latency ledger on and
-    render the per-request-kind SLO table plus the per-component
-    attribution table.
+    """Run the tracked mix (default configuration) with the latency
+    ledger on and render the per-request-kind SLO table plus the
+    per-component attribution table.
 
     Writes ``latency_report.txt``.  Fails (exit 1) if the ledger saw no
     requests or if any request's component attribution did not sum
@@ -535,12 +292,10 @@ def _run_latency_report(args) -> int:
     """
     from repro.obs.latency import format_latency_report
 
-    result = experiments.run_wallclock(
-        point_reads=2000,
-        async_commit_window=experiments.WALLCLOCK_ASYNC_COMMIT_WINDOW)
-    ledger = result.latency
+    ledger = experiments.run_tracked_mix().latency
     text = format_latency_report(
-        ledger, source="wallclock mix (caches on, point_reads=2000)")
+        ledger, source="tracked mix (default configuration, "
+                       "point_reads=2000)")
     print(text)
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(exist_ok=True)
@@ -589,10 +344,6 @@ def _run_recovery_scaling(args) -> int:
     longer archived history (restart cost must be bounded by the live
     log, not by history).
     """
-    import datetime
-    import json
-    import subprocess
-
     result = experiments.run_recovery_scaling()
     text = result.format()
     print(text)
@@ -600,23 +351,10 @@ def _run_recovery_scaling(args) -> int:
     out_dir.mkdir(exist_ok=True)
     (out_dir / "recovery_scaling.txt").write_text(text + "\n")
 
-    try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-        ).stdout.strip() or "unknown"
-    except Exception:
-        commit = "unknown"
-    history = out_dir / "recovery_scaling_history.jsonl"
-    with history.open("a") as handle:
-        for (records, leg, seconds, applied, skipped, checkpoints,
-             truncated, _workload) in result.rows:
-            handle.write(json.dumps(
-                {"date": datetime.date.today().isoformat(),
-                 "commit": commit, "records": records, "leg": leg,
-                 "redo_from": "checkpoint",
-                 "recovery_seconds": round(seconds, 6),
-                 "redo_applied": applied}) + "\n")
+    _append_history(out_dir, "recovery_scaling", [
+        {"records": records, "leg": leg, "redo_from": "checkpoint",
+         "recovery_seconds": round(seconds, 6), "redo_applied": applied}
+        for records, leg, seconds, applied, *_rest in result.rows])
 
     failed = False
     longest = max(records for records, *_ in result.rows)
@@ -681,7 +419,6 @@ def main(argv: list[str] | None = None) -> int:
         description="Regenerate the paper's tables and figures.")
     parser.add_argument("experiment",
                         choices=sorted(EXPERIMENTS) + ["all", "trace-report",
-                                                       "wallclock",
                                                        "recoveryscaling",
                                                        "latency-report",
                                                        "optbench",
@@ -701,8 +438,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "trace-report":
         print(_trace_report(args).format())
         return 0
-    if args.experiment == "wallclock":
-        return _run_wallclock(args)
     if args.experiment == "recoveryscaling":
         return _run_recovery_scaling(args)
     if args.experiment == "latency-report":

@@ -9,12 +9,16 @@ paper-vs-measured shape for each.
 
 ``work_amplification`` defaults to ``target_scale / scale`` so that a
 laptop-scale run reports SF-1-magnitude times (DESIGN.md §6).
+
+Every world here is built on ``CostModel.paper()`` — the frozen
+configuration ``bench_results/`` was produced under — except the tracked
+mix (:func:`run_tracked_mix`), which runs the default configuration.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
-import time
 from dataclasses import dataclass, field
 
 from repro.bench.reporting import format_table
@@ -28,12 +32,7 @@ from repro.workloads.tpch.power import run_power_test
 from repro.workloads.tpch.queries import q11, top_n_lineitem
 from repro.workloads.tpch.schema import setup_tpch_server
 from repro.workloads.tpch.throughput import run_throughput_test
-from repro.workloads.tpcc.datagen import (
-    LAST_NAME_SYLLABLES,
-    TpccScale,
-    generate_tpcc,
-    last_name,
-)
+from repro.workloads.tpcc.datagen import TpccScale, generate_tpcc
 from repro.workloads.tpcc.driver import (
     choose_transaction,
     collect_transaction_traces,
@@ -47,14 +46,12 @@ TARGET_SCALE = 1.0
 
 
 def make_tpch_world(scale: float = DEFAULT_TPCH_SCALE, seed: int = 7,
-                    amplification: float | None = None,
-                    cost_overrides: dict | None = None
+                    amplification: float | None = None
                     ) -> tuple[DatabaseServer, TpchData]:
     """A fresh TPC-H server with scale-compensated costs."""
     if amplification is None:
         amplification = TARGET_SCALE / scale
-    costs = CostModel(work_amplification=amplification,
-                      **(cost_overrides or {}))
+    costs = CostModel.paper(work_amplification=amplification)
     server = DatabaseServer(meter=Meter(costs))
     data = generate(scale=scale, seed=seed)
     setup_tpch_server(server, data)
@@ -387,6 +384,17 @@ class Table4Result:
             body)
 
 
+#: The OLTP calibration of Table 4 (see :func:`tpcc_cost_model`).
+TPCC_CALIBRATION = {
+    "log_force_seconds": 0.035,
+    "create_table_cpu_seconds": 0.0008,
+    "create_table_disk_seconds": 0.0015,
+    "cpu_create_procedure_seconds": 0.0008,
+    "cpu_per_statement_seconds": 0.0003,
+    "page_send_seconds": 0.001,
+}
+
+
 def tpcc_cost_model(amplification: float = 6.0) -> CostModel:
     """The OLTP-calibrated cost model for Table 4.
 
@@ -398,13 +406,8 @@ def tpcc_cost_model(amplification: float = 6.0) -> CostModel:
     paper's operating point: ~350 TPM-C, disk-limited at 100 %, with
     CPU to spare.
     """
-    return CostModel(work_amplification=amplification,
-                     log_force_seconds=0.035,
-                     create_table_cpu_seconds=0.0008,
-                     create_table_disk_seconds=0.0015,
-                     cpu_create_procedure_seconds=0.0008,
-                     cpu_per_statement_seconds=0.0003,
-                     page_send_seconds=0.001)
+    return CostModel.paper(work_amplification=amplification,
+                           **TPCC_CALIBRATION)
 
 
 def _tpcc_run(use_phoenix: bool, cache_rows: int,
@@ -523,271 +526,86 @@ def _fetch_per_tuple(app: BenchmarkApp, sql: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Wall-clock speedup of the statement/plan caches (host time, not virtual)
+# The tracked mix: one TPC-C flavoured statement stream, default configuration
 # ---------------------------------------------------------------------------
 
-#: The repeated point reads of the wall-clock mix (OLTP steady state,
-#: where parse+plan rivals execution and the plan cache pays off).
-_WALLCLOCK_POINT_QUERIES = (
+#: The repeated point reads of the tracked mix (OLTP steady state).
+_MIX_POINT_QUERIES = (
     "SELECT c_balance, c_first, c_middle, c_last FROM customer "
     "WHERE c_w_id = {w} AND c_d_id = {d} AND c_id = {c}",
     "SELECT s_quantity FROM stock WHERE s_w_id = {w} AND s_i_id = {i}",
 )
 
-#: The indexed variant of the point-read mix: the same volume of reads,
-#: but through the ``ix_customer_name`` secondary index — a full-width
-#: equality seek (payment-by-last-name) and a covering range scan that
-#: the planner runs index-only.
-_WALLCLOCK_INDEXED_QUERIES = (
-    "SELECT c_balance, c_first, c_middle, c_last FROM customer "
-    "WHERE c_w_id = {w} AND c_d_id = {d} AND c_last = '{last}'",
-    "SELECT c_last FROM customer WHERE c_w_id = {w} AND c_d_id = {d} "
-    "AND c_last >= '{lo}' AND c_last < '{hi}'",
-)
-
-#: Asynchronous-commit window (virtual seconds) the tracked wallclock
-#: mix runs with.  Applied to *both* legs so the caches-off/caches-on
-#: virtual clocks still agree bit-for-bit; EXPERIMENTS.md records the
-#: resulting artifact shift against the synchronous-commit baseline.
-WALLCLOCK_ASYNC_COMMIT_WINDOW = 0.25
-
 #: A result wider than the client cache, so Phoenix persists it —
 #: repeating it exercises the metadata-probe cache.
-_WALLCLOCK_PERSIST_QUERY = (
+_MIX_PERSIST_QUERY = (
     "SELECT c_id, c_balance FROM customer "
     "WHERE c_w_id = 1 AND c_d_id = 1 ORDER BY c_id")
 
-#: Pipelined-delivery knobs of the wallclock ``prefetch`` leg.  Applied
-#: to *both* cache legs (the caches-off/caches-on virtual clocks must
-#: still agree bit-for-bit); the tracked claims are fewer fetch round
-#: trips (≥20% on the drain mix), a lower virtual clock than the same
-#: mix without the knobs, and never a higher request count.
-PREFETCH_COST_OVERRIDES = {
-    "fetch_ahead_depth": 2,
-    "fetch_batch_max_bytes": 8192,
-    "output_buffer_max_bytes": 256 * 1024,
-    "persist_pipeline": True,
-}
-
-#: Shared-result-cache knobs of the wallclock ``cached-shared`` leg.
-#: Applied to the caches-on sub-leg only: the cache removes entire
-#: execute round trips, so — unlike the plan/metadata caches — it is a
-#: *virtual-time* optimization and the sub-leg clocks legitimately
-#: diverge.  The capacity comfortably holds every distinct point
-#: statement of the tracked mix (~1000), so steady state is one miss
-#: per distinct statement; the tracked claims are a ≥40% cut in
-#: ``net.requests_sent`` with bit-identical query results.
-RESULT_CACHE_COST_OVERRIDES = {
-    "result_cache_entries": 2048,
-}
-
-#: The fetch-heavy companion of the wallclock mix: the point-read mix
-#: itself never leaves the first wire batch, so the fetch-round-trip
-#: claim is tracked on a full customer-table drain through the native
-#: row-at-a-time fetch path instead.
-RESULT_DRAIN_QUERY = ("SELECT c_id, c_d_id, c_w_id, c_balance, c_last "
-                      "FROM customer")
-
-
-def run_result_drain(prefetch: bool = False, seed: int = 11) -> dict:
-    """Drain one multi-batch result; returns the round-trip ledger.
-
-    Runs :data:`RESULT_DRAIN_QUERY` (every TPC-C customer row) through
-    the native driver's stop-and-wait fetch path — or, with
-    ``prefetch``, through fetch-ahead + adaptive batching
-    (:data:`PREFETCH_COST_OVERRIDES`).  The wallclock CLI runs both
-    variants and gates on the reduction.
-    """
-    costs = tpcc_cost_model(6.0)
-    if prefetch:
-        for knob, value in PREFETCH_COST_OVERRIDES.items():
-            setattr(costs, knob, value)
-    server = DatabaseServer(meter=Meter(costs))
-    data = generate_tpcc(DEFAULT_TPCC_SCALE, seed=seed)
-    setup_tpcc_server(server, data)
-    app = BenchmarkApp(server, use_phoenix=False)
-    app.meter.reset_traces()
-    start = app.meter.now
-    rows = app.query_rows(RESULT_DRAIN_QUERY)
-    counters = app.meter.counters
-    return {
-        "prefetch": prefetch,
-        "rows": len(rows),
-        "virtual_seconds": app.meter.now - start,
-        "requests_sent": int(counters.get("net.requests_sent", 0)),
-        "fetch_requests": int(counters.get("net.requests.FetchRequest", 0)),
-        "prefetch_hits": int(counters.get("prefetch_hits", 0)),
-        "prefetch_wasted": int(counters.get("prefetch_wasted", 0)),
-        "overlap_seconds": counters.get("prefetch_overlap_seconds", 0.0),
-    }
-
 
 @dataclass
-class WallclockResult:
-    """Host-time cost of the same statement mix with caches off vs on.
-
-    The plan/metadata/client caches are a host-time optimization only,
-    so the two legs must report *identical* virtual clocks — any drift
-    is a fidelity bug.  The one sanctioned exception is
-    ``run_wallclock(result_cache=True)``: the shared result cache
-    removes entire execute round trips, so the caches-on sub-leg's
-    virtual clock legitimately drops (the row digests prove the answers
-    stayed identical).
-    """
-
-    baseline_host_seconds: float
-    cached_host_seconds: float
-    baseline_virtual_seconds: float
-    cached_virtual_seconds: float
-    baseline_segments: dict = field(default_factory=dict)
-    cached_segments: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
-    cache_stats: dict = field(default_factory=dict)
-    executor_stats: dict = field(default_factory=dict)
-    #: Request latency ledger of the caches-on leg (per-kind SLOs and
-    #: component attribution for ``latency-report``/``sys_latency``).
-    latency: object = None
-    #: SHA-256 over every point-select result, per sub-leg: the
-    #: value-identity witness for the ``cached-shared`` gate (host-side
-    #: only — hashlib, not ``hash()``, so it is seed-independent; never
-    #: written to history).
-    baseline_rows_digest: str = ""
-    cached_rows_digest: str = ""
-
-    @property
-    def speedup_percent(self) -> float:
-        if self.baseline_host_seconds <= 0:
-            return 0.0
-        return 100.0 * (1.0 - self.cached_host_seconds
-                        / self.baseline_host_seconds)
-
-    def format(self) -> str:
-        body = [
-            [segment,
-             f"{self.baseline_segments.get(segment, 0.0):.3f}",
-             f"{self.cached_segments.get(segment, 0.0):.3f}"]
-            for segment in self.baseline_segments
-        ]
-        body.append(["total", f"{self.baseline_host_seconds:.3f}",
-                     f"{self.cached_host_seconds:.3f}"])
-        body.append(["speedup", "", f"{self.speedup_percent:.1f}%"])
-        return format_table(
-            "Wall-clock effect of statement/plan caching "
-            "(host seconds, TPC-C mix)",
-            ["Segment", "Caches off", "Caches on"], body)
+class TrackedMixResult:
+    virtual_seconds: float
+    counters: dict
+    cache_stats: dict
+    #: Request latency ledger of the run (per-kind SLOs and component
+    #: attribution for ``latency-report`` / ``sys_latency``).
+    latency: object
+    #: SHA-256 over every point-select result: the value-identity
+    #: witness when two configurations run the same stream.
+    rows_digest: str
 
 
-def _wallclock_leg(enable_caches: bool, scale: TpccScale, txns: int,
-                   point_reads: int, persists: int, seed: int,
-                   async_commit_window: float = 0.0,
-                   indexed: bool = False, prefetch: bool = False,
-                   result_cache: bool = False):
-    """One timed mix leg; world setup is excluded from the timers."""
-    import hashlib
-
-    costs = tpcc_cost_model(6.0)
-    costs.async_commit_window_seconds = async_commit_window
-    if prefetch:
-        for knob, value in PREFETCH_COST_OVERRIDES.items():
-            setattr(costs, knob, value)
-    if result_cache:
-        for knob, value in RESULT_CACHE_COST_OVERRIDES.items():
-            setattr(costs, knob, value)
+def run_tracked_mix(txns: int = 120, point_reads: int = 2000,
+                    persists: int = 8, seed: int = 11,
+                    **cost_overrides) -> TrackedMixResult:
+    """TPC-C transactions (Phoenix with the §4 client cache), a
+    point-read loop and repeated persists of one over-cache result, on
+    Table 4's calibration under the default configuration;
+    ``cost_overrides`` let a test switch one feature off to compare."""
+    costs = CostModel(work_amplification=6.0,
+                      **{**TPCC_CALIBRATION, **cost_overrides})
     meter = Meter(costs)
-    # The tracked mix runs with the request latency ledger on: the
-    # ledger never charges, so the virtual clock is unaffected
+    # The ledger never charges, so the virtual clock is unaffected
     # (tests/test_obs_equivalence.py holds this to the bit), and every
-    # wallclock run doubles as an accounting-identity check + the p95
-    # source for the history line the sentinel watches.
+    # run doubles as an accounting-identity check.
     meter.enable_latency_ledger()
-    server = DatabaseServer(
-        meter=meter,
-        plan_cache_capacity=128 if enable_caches else 0)
+    server = DatabaseServer(meter=meter)
     server.engine.buffer_pool.capacity_pages = 48
-    data = generate_tpcc(scale, seed=seed)
-    setup_tpcc_server(server, data)
-    meta_entries = 256 if enable_caches else 0
+    scale = DEFAULT_TPCC_SCALE
+    setup_tpcc_server(server, generate_tpcc(scale, seed=seed))
     app = BenchmarkApp(server, use_phoenix=True,
-                       phoenix_config=PhoenixConfig(
-                           client_cache_rows=200,
-                           metadata_cache_entries=meta_entries))
+                       phoenix_config=PhoenixConfig(client_cache_rows=200))
     # A second driver manager with the client cache off, so its queries
     # go down the full §2.1 persistence pipeline (probe-cache traffic).
     persist_app = BenchmarkApp(server, use_phoenix=True,
                                phoenix_config=PhoenixConfig(
-                                   client_cache_rows=0,
-                                   metadata_cache_entries=meta_entries))
+                                   client_cache_rows=0))
     rng = random.Random(seed + 1)
-    segments: dict[str, float] = {}
 
     plan = [(choose_transaction(rng), rng.randint(1, scale.warehouses))
             for _ in range(txns)]
-    start = time.perf_counter()
     for name, w_id in plan:
         TRANSACTIONS[name](app, rng, scale, w_id)
-    segments["tpcc transactions"] = time.perf_counter() - start
 
     digest = hashlib.sha256()
-    start = time.perf_counter()
     for _ in range(point_reads):
         w = rng.randint(1, scale.warehouses)
         d = rng.randint(1, scale.districts_per_warehouse)
         c = rng.randint(1, scale.customers_per_district)
         i = rng.randint(1, scale.items)
-        if indexed:
-            number = rng.randint(0, 999)
-            name = last_name(number)
-            syllable = LAST_NAME_SYLLABLES[(number // 100) % 10]
+        for template in _MIX_POINT_QUERIES:
             digest.update(repr(app.query_rows(
-                _WALLCLOCK_INDEXED_QUERIES[0].format(
-                    w=w, d=d, last=name))).encode())
-            digest.update(repr(app.query_rows(
-                _WALLCLOCK_INDEXED_QUERIES[1].format(
-                    w=w, d=d, lo=syllable, hi=syllable + "ZZ"))).encode())
-        else:
-            for template in _WALLCLOCK_POINT_QUERIES:
-                digest.update(repr(app.query_rows(
-                    template.format(w=w, d=d, c=c, i=i))).encode())
-    segments["point selects"] = time.perf_counter() - start
+                template.format(w=w, d=d, c=c, i=i))).encode())
 
-    start = time.perf_counter()
     for _ in range(persists):
-        persist_app.run_query(_WALLCLOCK_PERSIST_QUERY,
-                              label="persist", fetch=False)
-    segments["phoenix persists"] = time.perf_counter() - start
+        persist_app.run_query(_MIX_PERSIST_QUERY, label="persist",
+                              fetch=False)
 
-    return (sum(segments.values()), app.meter.now, segments,
-            dict(app.meter.counters), dict(server.engine.cache_stats),
-            dict(app.meter.executor_stats), app.meter.obs.latency,
-            digest.hexdigest())
-
-
-def run_wallclock(scale: TpccScale = DEFAULT_TPCC_SCALE, txns: int = 120,
-                  point_reads: int = 1200, persists: int = 8,
-                  seed: int = 11, async_commit_window: float = 0.0,
-                  indexed: bool = False, prefetch: bool = False,
-                  result_cache: bool = False) -> WallclockResult:
-    """Time an identical statement stream with caches off, then on.
-
-    ``async_commit_window``, ``indexed`` and ``prefetch`` apply to
-    *both* legs, so the caches-off/caches-on virtual clocks still agree
-    bit-for-bit.  ``result_cache`` turns the transaction-consistent
-    shared result cache on for the caches-on sub-leg only: the baseline
-    stays cache-free, which makes the leg's row digests an off-vs-on
-    value-identity check while the counters show the request cut.
-    """
-    base = _wallclock_leg(False, scale, txns, point_reads, persists, seed,
-                          async_commit_window, indexed, prefetch)
-    hot = _wallclock_leg(True, scale, txns, point_reads, persists, seed,
-                         async_commit_window, indexed, prefetch,
-                         result_cache)
-    return WallclockResult(
-        baseline_host_seconds=base[0], cached_host_seconds=hot[0],
-        baseline_virtual_seconds=base[1], cached_virtual_seconds=hot[1],
-        baseline_segments=base[2], cached_segments=hot[2],
-        counters=hot[3], cache_stats=hot[4], executor_stats=hot[5],
-        latency=hot[6], baseline_rows_digest=base[7],
-        cached_rows_digest=hot[7])
+    return TrackedMixResult(
+        virtual_seconds=meter.now, counters=dict(meter.counters),
+        cache_stats=dict(server.engine.cache_stats),
+        latency=meter.obs.latency, rows_digest=digest.hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +725,7 @@ def run_indexbench(rows: int = 4000, group_size: int = 100,
     and an unindexed copy of one table."""
     from repro.engine.session import EngineSession
 
-    server = DatabaseServer(meter=Meter(CostModel()))
+    server = DatabaseServer(meter=Meter(CostModel.paper()))
     engine = server.engine
     # Shrunk before loading: eviction pressure only applies on page
     # admission, and the measured queries must fault their pages in.
@@ -1049,10 +867,9 @@ def _recovery_scaling_round(app: BenchmarkApp) -> None:
 def _recovery_scaling_leg(rounds: int, mode: str, workers: int = 0,
                           interval: float = 0.0) -> dict:
     """One crash/restart measurement.  ``mode``: none | sharp | fuzzy."""
-    costs = CostModel()
+    costs = CostModel.paper()
     if mode == "fuzzy":
         costs.checkpoint_interval_seconds = interval
-        costs.checkpoint_truncate_log = True
         costs.redo_workers = workers
     server, app = _recovery_scaling_world(costs)
     start = server.meter.now
@@ -1127,7 +944,7 @@ def restart_scan_after_history(rounds: int) -> dict:
     only pay for the tail: ``version_records_scanned`` (the records the
     engine read to rebuild the per-table DML versions) must not depend
     on ``rounds``.  Deterministic — counts, not time."""
-    server, app = _recovery_scaling_world(CostModel())
+    server, app = _recovery_scaling_world(CostModel.paper())
     for _ in range(rounds):
         _recovery_scaling_round(app)
     # Flushed pool: nothing pins the log below the checkpoint's Begin.

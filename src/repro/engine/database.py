@@ -519,7 +519,7 @@ class DatabaseEngine:
         self._next_checkpoint_at = now + interval
         self.fuzzy_checkpoint()
 
-    def fuzzy_checkpoint(self, truncate: bool | None = None) -> int:
+    def fuzzy_checkpoint(self, truncate: bool = True) -> int:
         """ARIES-style fuzzy checkpoint: Begin/End records around the
         dirty-page and active-transaction tables — **no pool flush, no
         blocking of in-flight transactions**.  Returns the Begin LSN.
@@ -529,11 +529,7 @@ class DatabaseEngine:
         in the End record is exactly the one the truncation decision is
         made from (a stale pre-flush DPT could let recovery's redo start
         point below the truncation boundary).
-
-        ``truncate=None`` follows the ``checkpoint_truncate_log`` knob.
         """
-        if truncate is None:
-            truncate = self.meter.costs.checkpoint_truncate_log
         with self.meter.attribute_to("checkpoint"):
             return self._fuzzy_checkpoint_inner(truncate)
 

@@ -26,14 +26,13 @@ from __future__ import annotations
 import os
 from collections import deque
 
-from repro.obs.latency import LatencyLedger, latency_enabled_from_env
+from repro.obs.latency import LatencyLedger
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 from repro.obs.trace import NOOP_SPAN, Span, Tracer
 
 __all__ = ["Observability", "Tracer", "Span", "MetricsRegistry",
            "Histogram", "DEFAULT_BUCKETS", "NOOP_SPAN", "LatencyLedger",
-           "RECOVERY_PHASES", "trace_enabled_from_env",
-           "latency_enabled_from_env"]
+           "RECOVERY_PHASES", "trace_enabled_from_env"]
 
 #: Canonical order of the Phoenix recovery phases (§2.3, Figures 3/4).
 RECOVERY_PHASES: tuple[str, ...] = (
@@ -57,11 +56,10 @@ class Observability:
         self.tracer = Tracer(now_fn, enabled=enabled, max_spans=max_spans)
         self.metrics = MetricsRegistry()
         #: Per-request latency attribution (see :mod:`repro.obs.latency`).
-        #: On whenever tracing is on, or standalone via ``REPRO_LATENCY=1``
-        #: / :meth:`~repro.sim.meter.Meter.enable_latency_ledger`; it never
+        #: On whenever tracing is on, or standalone via
+        #: :meth:`~repro.sim.meter.Meter.enable_latency_ledger`; it never
         #: charges or flushes, so enabling it cannot move the clock.
-        self.latency = LatencyLedger(
-            enabled=enabled or latency_enabled_from_env())
+        self.latency = LatencyLedger(enabled=enabled)
         #: Most recent session recoveries, oldest first: dicts with
         #: ``recovery_id``, ``finished_at`` and ordered ``phases``.
         self.recovery_log: deque[dict] = deque(maxlen=64)

@@ -20,25 +20,23 @@ rather than a tolerance check.  A second, clock-side check guards
 against bypass: for synchronous clocked entries the virtual clock must
 move by the attributed total (within float-fold rounding).  Violations
 of either are recorded in :attr:`LatencyLedger.identity_violations` —
-tests assert the list stays empty across the tracked wallclock mix and
-the crash fuzzers.
+tests assert the list stays empty across the tracked mix and the crash
+fuzzers.
 
-The ledger is disabled by default (``REPRO_LATENCY=1``, ``REPRO_TRACE=1``
-or :meth:`~repro.sim.meter.Meter.enable_latency_ledger` turn it on) and
+The ledger is disabled by default (``REPRO_TRACE=1`` or :meth:`~repro.sim.meter.Meter.enable_latency_ledger` turn it on) and
 never charges or flushes on its own, so enabling it cannot move the
 virtual clock: traced and untraced runs stay bit-identical.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from fractions import Fraction
 
 from repro.resources import CLIENT_CPU, NETWORK, SERVER_CPU, SERVER_DISK
 
 __all__ = ["COMPONENTS", "LatencyLedger", "LedgerEntry", "classify",
-           "latency_enabled_from_env", "format_latency_report"]
+           "format_latency_report"]
 
 #: Canonical component order (reports and views render in this order).
 COMPONENTS: tuple[str, ...] = (
@@ -67,12 +65,6 @@ _PARSE_PLAN_NOTES = frozenset(
 _CACHE_NOTES = frozenset(
     {"cache fetch", "cache scroll", "cache block fetch",
      "result cache probe"})
-
-
-def latency_enabled_from_env() -> bool:
-    """``REPRO_LATENCY=1`` (or any non-empty, non-zero value) turns the
-    ledger on for every world built in the process."""
-    return os.environ.get("REPRO_LATENCY", "").strip() not in ("", "0")
 
 
 def classify(resource: str, note: str, hint: str | None = None) -> str:

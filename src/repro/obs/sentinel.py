@@ -1,26 +1,25 @@
 """The bench regression sentinel: read the history, gate the build.
 
 Every bench leg appends one JSON line per run to a
-``bench_results/*_history.jsonl`` file (``wallclock_history.jsonl``,
-``recovery_scaling_history.jsonl``, ...).  The sentinel is the consumer
+``bench_results/*_history.jsonl`` file (``optbench_history.jsonl``,
+``recovery_scaling_history.jsonl``, ``tpccbench_history.jsonl``).  The sentinel is the consumer
 those files never had: for each history file it groups entries by their
 identity fields (``leg``, ``records``, ... — everything that is not a
 date, commit or tracked metric), compares the latest entry of each
 group against the *median of its trailing window*, and fails when a
 tracked metric moved the wrong way beyond its per-metric tolerance:
 
-* deterministic integer counters (``log_forces``, ``requests_sent``,
-  ``fetch_requests``, ``redo_applied``) must not grow at all — any
-  increase means simulated behaviour changed;
+* deterministic integer counters (``redo_applied``, ``optimizer.*``,
+  ``locks.*``) must not grow at all — any increase means simulated
+  behaviour changed;
 * ``result_cache_hits`` is the one tracked metric where more is better
   (:data:`HIGHER_IS_BETTER`): it must not *drop* at all, and may grow;
 * virtual-clock metrics (``virtual_seconds``, ``recovery_seconds``,
   ``p95_execute_seconds``) get a hair of float slack — they are
-  deterministic, so anything visible is a real drift;
-* ``host_seconds`` is wall-clock on whatever machine happens to run the
-  bench, so it is *advisory*: a >50% regression over the window median
-  prints a WARNING but never fails the build (matching the wallclock
-  runner's own policy for host-time noise).
+  deterministic, so anything visible is a real drift.
+
+Host wall time is not tracked here: ``benchmarks/e2e`` measures it on a
+calibrated clock.
 
 Metrics absent from older lines are skipped (history formats grow),
 moves in the good direction never fail, and a group needs at least one
@@ -34,7 +33,7 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 
-__all__ = ["ADVISORY_METRICS", "HIGHER_IS_BETTER", "METRIC_TOLERANCES",
+__all__ = ["HIGHER_IS_BETTER", "METRIC_TOLERANCES",
            "SentinelReport", "run_sentinel", "check_history_file"]
 
 #: metric name -> allowed relative move of latest against the trailing
@@ -42,14 +41,11 @@ __all__ = ["ADVISORY_METRICS", "HIGHER_IS_BETTER", "METRIC_TOLERANCES",
 #: is in :data:`HIGHER_IS_BETTER`).  0.0 means "must not move that way
 #: at all".
 METRIC_TOLERANCES: dict[str, float] = {
-    "log_forces": 0.0,
-    "requests_sent": 0.0,
-    "fetch_requests": 0.0,
     "redo_applied": 0.0,
     "result_cache_hits": 0.0,
     # Cost-based-optimizer counters: heuristic legs must stay at zero
-    # (any growth means cost-mode machinery leaked into the default
-    # path); cost legs are judged against their own group's history.
+    # (any growth means cost-mode machinery leaked into the heuristic
+    # planner); cost legs are judged against their own group's history.
     "optimizer.plans_costed": 0.0,
     "optimizer.join_orders_considered": 0.0,
     "optimizer.topn_heap_used": 0.0,
@@ -57,7 +53,7 @@ METRIC_TOLERANCES: dict[str, float] = {
     "optimizer.stats_missing_fallbacks": 0.0,
     # Lock-manager counters of the tpccbench lines.  Nothing writes
     # ``locks.escalations`` any more; it stays listed because a field
-    # not named here counts as group identity, and the wallclock lines
+    # not named here counts as group identity, and the tpccbench lines
     # recorded before it was retired carry it.
     "locks.row_locks_acquired": 0.0,
     "locks.escalations": 0.0,
@@ -69,15 +65,10 @@ METRIC_TOLERANCES: dict[str, float] = {
     "virtual_seconds": 1e-9,
     "recovery_seconds": 1e-6,
     "p95_execute_seconds": 1e-9,
-    "host_seconds": 0.5,
 }
 
 #: Metrics that regress by dropping.
 HIGHER_IS_BETTER = frozenset({"result_cache_hits"})
-
-#: Metrics whose regressions warn instead of failing: anything measured
-#: in host wall time depends on the machine running the bench.
-ADVISORY_METRICS = frozenset({"host_seconds"})
 
 #: Entry fields that never identify a group (provenance, not identity).
 _PROVENANCE_FIELDS = ("date", "commit")
@@ -113,8 +104,6 @@ class Finding:
 @dataclass
 class SentinelReport:
     findings: list[Finding] = field(default_factory=list)
-    #: Regressions on :data:`ADVISORY_METRICS` — reported, never fatal.
-    advisories: list[Finding] = field(default_factory=list)
     #: (file, group, metric, latest, median) tuples that were checked.
     checked: list[tuple] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
@@ -128,9 +117,6 @@ class SentinelReport:
                  f"across {len({c[0] for c in self.checked})} history "
                  f"files"]
         lines.extend(f"  skipped: {reason}" for reason in self.skipped)
-        for finding in self.advisories:
-            lines.append(f"WARNING: {finding.format()} (advisory — host "
-                         f"time is machine-dependent)")
         for finding in self.findings:
             lines.append(f"REGRESSION: {finding.format()}")
         if self.ok:
@@ -201,14 +187,10 @@ def check_history_file(path, window: int = DEFAULT_WINDOW,
                 limit = median * (1.0 + tolerance)
                 regressed = float(latest_value) > limit + _ABS_EPS
             if regressed:
-                finding = Finding(
+                report.findings.append(Finding(
                     file=path.name, group=group, metric=metric,
                     latest=float(latest_value), median=median,
-                    limit=limit)
-                if metric in ADVISORY_METRICS:
-                    report.advisories.append(finding)
-                else:
-                    report.findings.append(finding)
+                    limit=limit))
     return report
 
 

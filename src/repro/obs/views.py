@@ -164,14 +164,6 @@ def _sys_executor(engine):
     rows = [(name, int(stats[name])) for name in sorted(stats)]
     rows += [(name, int(EXPR_STATS[name])) for name in sorted(EXPR_STATS)]
     rows += [(name, int(ROW_STATS[name])) for name in sorted(ROW_STATS)]
-    # Async-commit traffic lives in the deterministic world counters
-    # (the windows/deferrals split is part of the simulated WAL
-    # behaviour, not host bookkeeping), but it belongs in the executor
-    # diagnostics next to the per-operator scan counts.
-    counters = engine.meter.counters
-    rows += [(name, int(counters[name]))
-             for name in ("async_commit_deferrals", "async_commit_windows")
-             if name in counters]
     return columns, rows
 
 
@@ -211,7 +203,7 @@ def _sys_result_cache(engine):
     the client per bump that did not start at its mirror).
     ``result_cache.entries.key_stamped`` / ``.table_stamped`` are the
     live entries by the precision of their read set.  Empty while
-    ``result_cache_entries`` is 0 (seed runs).
+    ``result_cache_entries`` is 0.
     """
     columns = [Column("metric", SqlType.VARCHAR, 80),
                Column("value", SqlType.BIGINT)]
@@ -254,7 +246,7 @@ def _sys_latency(engine):
     reports the ledger-wide accounting identity: 1 iff every closed
     entry's per-component attribution summed bit-exactly to its
     measured latency.  Empty while the ledger is disabled
-    (``REPRO_LATENCY=1`` / ``REPRO_TRACE=1`` turn it on).
+    (``REPRO_TRACE=1`` turns it on).
     """
     columns = [Column("kind", SqlType.VARCHAR, 32),
                Column("count", SqlType.BIGINT),

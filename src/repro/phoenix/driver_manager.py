@@ -97,7 +97,7 @@ class PhoenixDriverManager(DriverManager):
         # The transaction-consistent shared result cache is world-scoped
         # (one per meter): every driver manager — hence every virtual
         # session — in the same simulated world shares it.  None while
-        # the knob is off, so the seed path never even probes.
+        # ``result_cache_entries`` is 0: nothing ever probes.
         self._shared_cache = (SharedResultCache.shared(self.meter)
                               if self.meter.costs.result_cache_entries > 0
                               else None)
@@ -274,15 +274,11 @@ class PhoenixDriverManager(DriverManager):
             # One probe round trip revalidates the whole cache after a
             # reconnect: entries the recomputed server vector confirms
             # survive the crash (the paper's crash-proof client cache at
-            # driver-manager scale); under asynchronous commit equal
-            # counts may hide lost commits, so everything is discarded.
+            # driver-manager scale).
             versions = self._with_recovery(
                 vconn,
                 lambda: self.driver.fetch_table_versions(vconn.app_handle))
-            cache.revalidate(
-                versions, self.driver.server.crashes,
-                discard_all=(
-                    self.meter.costs.async_commit_window_seconds > 0))
+            cache.revalidate(versions, self.driver.server.crashes)
         self.meter.charge(CLIENT_CPU,
                           self.meter.costs.result_cache_probe_seconds,
                           "result cache probe")

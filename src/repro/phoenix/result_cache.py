@@ -40,16 +40,13 @@ stale and the next probe revalidates the whole cache with a single
 mirror's was written by a commit this client never heard of (its
 response died with the server) and is treated as written wholesale;
 entries of every other table survive (the paper's crash-proof client
-cache, demonstrated at driver-manager scale).  Under asynchronous commit
-a crash can lose acked commits, making equal counts name different
-data, so revalidation then treats every table as written
-(``discard_all``).
+cache, demonstrated at driver-manager scale).
 
 All observability counters (``result_cache.*``, including the per-table
 ``result_cache.hits.<t>`` family surfaced by ``sys_metrics`` /
 ``sys_result_cache``) are world counters via ``meter.count`` — the cache
-only exists while ``CostModel.result_cache_entries`` > 0, so seed runs
-carry none of them.
+only exists while ``CostModel.result_cache_entries`` > 0, so runs
+with the cache off carry none of them.
 """
 
 from __future__ import annotations
@@ -145,14 +142,12 @@ class SharedResultCache:
     def needs_revalidation(self, current_epoch: int) -> bool:
         return self.stale or current_epoch != self.epoch
 
-    def revalidate(self, server_versions: dict, current_epoch: int,
-                   discard_all: bool = False) -> None:
+    def revalidate(self, server_versions: dict,
+                   current_epoch: int) -> None:
         """Adopt the server's version vector wholesale; a table whose
-        version it does not confirm counts as written.  ``discard_all``
-        (async commit: lost acked commits make counts ambiguous across
-        a crash) distrusts every table."""
+        version it does not confirm counts as written."""
         for table in list(self._index):
-            if discard_all or server_versions.get(table, 0) \
+            if server_versions.get(table, 0) \
                     != self.versions.get(table, 0):
                 self._write(table, None)
         self.versions = dict(server_versions)

@@ -141,7 +141,7 @@ class ExecuteResponse:
     #: wire bytes.  Clients use it to invalidate metadata caches.
     schema_version: int = 0
     #: Shared-result-cache piggybacks (both empty/None while the cache
-    #: knob is off, keeping the seed wire sizes bit-identical):
+    #: is off, adding no wire bytes):
     #: ``read_versions`` stamps a SELECT's result with its read set,
     #: ``table -> (DML version, primary-key prefixes sought)``, the
     #: empty prefix meaning the whole table (None = result not

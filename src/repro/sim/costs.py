@@ -23,7 +23,7 @@ reported overhead ratios are, if anything, pessimistic for Phoenix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 # Resource names used in meter traces (re-exported: callers import them
 # from here).
@@ -37,9 +37,32 @@ from repro.resources import (  # noqa: F401
 )
 
 
+def _option(default, *, paper):
+    """A feature option: ``default`` is the system as it runs (and as
+    ``benchmarks/e2e`` measures it); ``paper`` is the value the paper's
+    2001 system had, read by :meth:`CostModel.paper` and by nothing
+    else."""
+    return field(default=default, metadata={"paper": paper})
+
+
 @dataclass
 class CostModel:
-    """Calibrated virtual-time constants for the whole system."""
+    """Virtual-time constants and feature options for the whole system.
+
+    Two kinds of fields.  *Calibrated paper constants* price one unit of
+    work (a fetch, a page read, a log force); experiments override them
+    to calibrate a testbed and both configurations share them.
+    *Feature options* select a mechanism this repo added on top of the
+    paper's system; each declares its paper value next to its default.
+
+    ``CostModel()`` is the system: every feature on.
+    :meth:`paper` is the frozen reproduction behind ``bench_results/``:
+    the same constants with every feature option at its paper value.
+    """
+
+    # ======================================================================
+    # Calibrated paper constants
+    # ======================================================================
 
     # -- client side -------------------------------------------------------
     #: Phoenix's one-pass request classification (paper: 0.00023 s).
@@ -84,71 +107,11 @@ class CostModel:
     #: client-side buffering.
     client_fetch_batch_bytes: int = 512
 
-    # -- pipelined result delivery (all default-off = seed-identical) --------
-    #: Speculative ``FetchRequest``s the driver keeps in flight after
-    #: delivering a batch.  While a prefetched batch is in flight, the
-    #: server's production and the response downlink overlap the client's
-    #: per-row fetch CPU: the in-flight request's virtual completion time
-    #: is recorded at issue (``Meter.peek_now`` — a pure read), and
-    #: consumption charges only ``max(0, completion - now)``.  0 disables
-    #: fetch-ahead entirely, which keeps every historical trace
-    #: bit-identical (same convention as ``async_commit_window_seconds``).
-    fetch_ahead_depth: int = 0
-    #: Cap on the adaptive wire batch.  When larger than
-    #: ``client_fetch_batch_bytes``, each successive fetch of one open
-    #: result doubles the rowset a ``FetchResponse`` carries (the consumer
-    #: has demonstrably drained everything shipped so far) up to this many
-    #: row-bytes.  0 keeps the fixed seed batching.
-    fetch_batch_max_bytes: int = 0
-    #: Cap on the adaptive server output buffer.  When larger than
-    #: ``output_buffer_bytes``, a ``ServerResultSet`` whose buffer the
-    #: consumer keeps draining doubles its refill target up to this cap —
-    #: streamable Phoenix re-opens especially benefit, since their pages
-    #: are forwarded without re-running a query.  0 keeps the fixed
-    #: suspended-scan buffer of the paper's §3.4.
-    output_buffer_max_bytes: int = 0
-    #: Overlap the Phoenix load step's server-local ``INSERT INTO T
-    #: <query>`` move with the round trips the load chain issues around
-    #: it (status record, commit, procedure drop): requests are pipelined
-    #: — uplinks charged as sent, server work and downlinks realized at
-    #: the next synchronization point.  False serializes every round trip
-    #: (seed behaviour).  The same switch selects session recovery's
-    #: reconnect chain: on, the option log rides the login exchange and
-    #: the private connection re-dials next to the application's; off,
-    #: connect, then one round trip per option, private re-dial on first
-    #: use (the paper's 0.37 s).  One switch for both because it is the
-    #: existing "serialize Phoenix's round trips as the paper did" bit —
-    #: every paper reproduction leaves it off, the benchmark profile has
-    #: it on — and the two cannot be ablated apart until ROADMAP's frozen
-    #: ``paper()`` profile takes the reconnect-chain choice over.
-    persist_pipeline: bool = False
-
-    # -- shared result cache (all default-off = seed-identical) --------------
-    #: Capacity (entries) of the driver-manager-level result cache shared
-    #: across all virtual sessions.  Entries are keyed by the normalized
-    #: statement text (parameters arrive pre-inlined) and stamped with the
-    #: per-table DML version of every table the plan reads; a commit that
-    #: touches a stamped table invalidates the entry transactionally.  A
-    #: hit serves rows from client memory with *zero* protocol requests.
-    #: 0 disables the cache entirely — no version counters are bumped, no
-    #: response fields are populated, and every historical trace stays
-    #: bit-identical (same convention as ``async_commit_window_seconds``).
-    result_cache_entries: int = 0
+    # -- shared result cache / optimizer statistics -------------------------
     #: Client CPU to probe the shared cache and serve one hit (key
     #: normalization + version-stamp validation against the client's
     #: committed-version mirror).
     result_cache_probe_seconds: float = 0.0004
-
-    # -- query optimizer (default = seed-identical heuristic planning) -------
-    #: Plan selection strategy.  ``"heuristic"`` keeps the seed planner:
-    #: FROM-order left-deep joins, the fixed HashJoin-vs-NLJ rule, and
-    #: Sort+Limit for TOP N.  ``"cost"`` enables the statistics-driven
-    #: optimizer: cardinality estimation from ANALYZE statistics, join
-    #: reordering, cost-based join algorithm and build-side selection,
-    #: and TopNHeapSort pushdown.  The default keeps every historical
-    #: trace bit-identical (same convention as
-    #: ``async_commit_window_seconds``).
-    optimizer_mode: str = "heuristic"
     #: Equi-depth histogram buckets ANALYZE collects per column.
     analyze_histogram_buckets: int = 16
     #: Per-tuple server CPU charged by ANALYZE while scanning a table to
@@ -191,39 +154,6 @@ class CostModel:
     log_bytes_per_second: float = 4.0e6
     log_force_seconds: float = 0.005
     log_record_overhead_bytes: int = 32
-    #: Asynchronous-commit window: a commit arriving within this many
-    #: virtual seconds of the last synchronous log force is acknowledged
-    #: *without* forcing — its records stay in the volatile tail until
-    #: the next real force.  This trades bounded durability (a crash
-    #: inside the window loses acked commits) for fewer log forces; see
-    #: ``TransactionManager.commit``.  0.0 disables deferral, which
-    #: keeps every historical trace bit-identical and is required by
-    #: crash-transparency suites.
-    async_commit_window_seconds: float = 0.0
-
-    # -- fuzzy checkpoints / parallel redo (default-off = seed-identical) ----
-    #: Virtual-time cadence of *fuzzy* checkpoints: after each commit the
-    #: engine takes a non-blocking Begin/End checkpoint if this many
-    #: virtual seconds have passed since the last one.  No pages are
-    #: flushed at checkpoint time (a background flusher writes out pages
-    #: dirtied before the *previous* checkpoint, advancing the dirty-page
-    #: table's minimum recLSN).  0.0 disables the cadence entirely, which
-    #: keeps every historical trace bit-identical (same convention as
-    #: ``async_commit_window_seconds``).
-    checkpoint_interval_seconds: float = 0.0
-    #: Restart-recovery redo parallelism: when >= 1, redo is replayed in
-    #: per-table partitions over this many simulated workers — records
-    #: are still *applied* serially in LSN order (worker count can never
-    #: change recovered contents), but the charged virtual time becomes
-    #: serial-log-read + the makespan of the per-partition apply work
-    #: (DDL acts as a serial barrier).  0 keeps the seed's serial redo
-    #: charging, bit-identical.
-    redo_workers: int = 0
-    #: Let fuzzy checkpoints truncate (archive) the log prefix below
-    #: min(dirty-page recLSNs, active transactions' first LSNs, the
-    #: checkpoint's own Begin LSN).  Reads below the boundary raise
-    #: ``LogTruncatedError``.  False keeps the log append-only (seed).
-    checkpoint_truncate_log: bool = False
 
     # -- connections / sessions --------------------------------------------
     connect_seconds: float = 0.25
@@ -236,6 +166,83 @@ class CostModel:
     #: paper-scale virtual times.  1.0 means "no compensation".
     work_amplification: float = 1.0
 
+    # ======================================================================
+    # Feature options (default = the system; ``paper=`` = the paper's)
+    # ======================================================================
+
+    # -- pipelined result delivery -------------------------------------------
+    #: Speculative ``FetchRequest``s the driver keeps in flight after
+    #: delivering a batch.  While a prefetched batch is in flight, the
+    #: server's production and the response downlink overlap the client's
+    #: per-row fetch CPU: the in-flight request's virtual completion time
+    #: is recorded at issue (``Meter.peek_now`` — a pure read), and
+    #: consumption charges only ``max(0, completion - now)``.  0 is the
+    #: paper's stop-and-wait fetch.
+    fetch_ahead_depth: int = _option(2, paper=0)
+    #: Cap on the adaptive wire batch.  When larger than
+    #: ``client_fetch_batch_bytes``, each successive fetch of one open
+    #: result doubles the rowset a ``FetchResponse`` carries (the consumer
+    #: has demonstrably drained everything shipped so far) up to this many
+    #: row-bytes.  0 is the paper's fixed batch.
+    fetch_batch_max_bytes: int = _option(8192, paper=0)
+    #: Cap on the adaptive server output buffer.  When larger than
+    #: ``output_buffer_bytes``, a ``ServerResultSet`` whose buffer the
+    #: consumer keeps draining doubles its refill target up to this cap —
+    #: streamable Phoenix re-opens especially benefit, since their pages
+    #: are forwarded without re-running a query.  0 is the fixed
+    #: suspended-scan buffer of the paper's §3.4.
+    output_buffer_max_bytes: int = _option(256 * 1024, paper=0)
+    #: Pipeline Phoenix's own round trips.  On, the load step's
+    #: server-local ``INSERT INTO T <query>`` move overlaps the round
+    #: trips the load chain issues around it (status record, commit,
+    #: procedure drop: uplinks charged as sent, server work and downlinks
+    #: realized at the next synchronization point), and session recovery
+    #: runs the login-carried chain: the option log rides the login
+    #: exchange and the private connection re-dials next to the
+    #: application's.  Off, every round trip is serialized as the paper
+    #: did: connect, then one round trip per option, private re-dial on
+    #: first use (its 0.37 s).
+    persist_pipeline: bool = _option(True, paper=False)
+
+    # -- shared result cache ---------------------------------------------------
+    #: Capacity (entries) of the driver-manager-level result cache shared
+    #: across all virtual sessions.  Entries are keyed by the normalized
+    #: statement text (parameters arrive pre-inlined) and stamped with
+    #: what the plan read; a commit that wrote any of it invalidates the
+    #: entry transactionally.  A hit serves rows from client memory with
+    #: *zero* protocol requests.  0 (the paper had only the per-statement
+    #: §4 client cache) removes the cache entirely: no version counters
+    #: are bumped and no response fields are populated.
+    result_cache_entries: int = _option(2048, paper=0)
+
+    # -- query optimizer -------------------------------------------------------
+    #: Plan selection strategy.  ``"cost"`` is the statistics-driven
+    #: optimizer: cardinality estimation from ANALYZE statistics, join
+    #: reordering, cost-based join algorithm and build-side selection,
+    #: IN-list seeks and TopNHeapSort pushdown.  ``"heuristic"`` is the
+    #: planner every paper artifact was produced with: FROM-order
+    #: left-deep joins, the fixed HashJoin-vs-NLJ rule, and Sort+Limit
+    #: for TOP N.
+    optimizer_mode: str = _option("cost", paper="heuristic")
+
+    # -- fuzzy checkpoints / parallel redo ---------------------------------------
+    #: Virtual-time cadence of *fuzzy* checkpoints: after each commit the
+    #: engine takes a non-blocking Begin/End checkpoint if this many
+    #: virtual seconds have passed since the last one, and truncates the
+    #: log below what restart can still need.  No pages are flushed at
+    #: checkpoint time (a background flusher writes out pages dirtied
+    #: before the *previous* checkpoint, advancing the dirty-page table's
+    #: minimum recLSN).  0.0 is the paper's server, whose checkpoint
+    #: interval was pinned so high that none fell inside a measurement.
+    checkpoint_interval_seconds: float = _option(2.0, paper=0.0)
+    #: Restart-recovery redo parallelism: when >= 1, redo is replayed in
+    #: per-table partitions over this many simulated workers — records
+    #: are still *applied* serially in LSN order (worker count can never
+    #: change recovered contents), but the charged virtual time becomes
+    #: serial-log-read + the makespan of the per-partition apply work
+    #: (DDL acts as a serial barrier).  0 charges redo serially.
+    redo_workers: int = _option(4, paper=0)
+
     # Retired options, kept as inert class attributes (not fields: the
     # constructor rejects them) only because the closed benchmark profile
     # under benchmarks/e2e still sets them by name and asserts nothing
@@ -243,6 +250,18 @@ class CostModel:
     # together with the profile entries.
     lock_granularity = "row"
     lock_escalation_threshold = 0
+    checkpoint_truncate_log = True
+    async_commit_window_seconds = 0.0
+
+    @classmethod
+    def paper(cls, **overrides) -> "CostModel":
+        """The frozen reproduction: every feature option at its declared
+        paper value, constants at their defaults.  ``overrides`` are
+        ordinary constructor arguments — an experiment's calibration, or
+        the one option an ablation turns back on."""
+        options = {f.name: f.metadata["paper"] for f in fields(cls)
+                   if "paper" in f.metadata}
+        return cls(**{**options, **overrides})
 
     def transfer_seconds(self, num_bytes: int) -> float:
         """Wire time for ``num_bytes`` plus one message overhead."""

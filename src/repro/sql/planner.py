@@ -125,8 +125,8 @@ class Planner:
         self._params = params or {}
         #: Catalog giving access to ANALYZE statistics.  Cost-based
         #: planning activates only when a catalog is wired *and* the
-        #: cost model asks for it (``optimizer_mode == "cost"``); the
-        #: default heuristic mode takes exactly the seed code paths.
+        #: cost model asks for it (``optimizer_mode == "cost"``);
+        #: heuristic mode takes exactly the seed code paths.
         self._catalog = catalog
         #: Optional callable(name) -> view body SQL or None; view names
         #: in FROM expand to derived tables.

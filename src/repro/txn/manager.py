@@ -115,29 +115,19 @@ class TransactionManager:
         return txn
 
     def commit(self, txn: Transaction) -> None:
-        """Commit ``txn``: log a commit record, force the log, ack.
-
-        Durability caveat: when the cost model enables *asynchronous
-        commit* (``async_commit_window_seconds > 0``), the force below
-        may be deferred — this method then marks the transaction
-        COMMITTED (and the client is acknowledged) while the commit
-        record is still in the volatile log tail, so a crash inside the
-        window loses the acked commit.  That bounded durability loss is
-        the deliberate trade (PostgreSQL ``synchronous_commit=off``
-        semantics); with the default window of 0.0 every commit is
-        durable before this method returns.
-        """
+        """Commit ``txn``: log a commit record, force the log, ack —
+        every commit is durable before this method returns."""
         self._require_active(txn)
         self._chain(txn, CommitRecord(txn_id=txn.txn_id))
-        self._log.force(commit=True)
+        self._log.force()
         self._log.append(EndRecord(txn_id=txn.txn_id))
         txn.state = TxnState.COMMITTED
         for action in txn.on_commit:
             action()
         txn.on_commit.clear()
         self._finish(txn)
-        # Fuzzy-checkpoint cadence hook: with the knob at its 0.0 default
-        # this is a single comparison — no charge, no behaviour change.
+        # Fuzzy-checkpoint cadence hook (an interval of 0.0 means no
+        # cadence: a single comparison, no charge).
         meter = self._log.meter
         if meter is not None \
                 and meter.costs.checkpoint_interval_seconds > 0.0:

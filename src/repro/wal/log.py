@@ -33,11 +33,6 @@ class WriteAheadLog:
         self.flushed_lsn = 0
         self._pending_write_seconds = 0.0
         self.forces = 0
-        # Asynchronous commit: virtual deadline of the currently open
-        # deferral window.  Commit forces arriving before the deadline
-        # are acknowledged without flushing (records stay in the
-        # volatile tail) instead of paying their own force.
-        self._async_deadline = 0.0
         # Truncation state: records with lsn <= _base_lsn have been
         # archived away; _records[i] holds lsn _base_lsn + i + 1.
         self._base_lsn = 0
@@ -69,7 +64,7 @@ class WriteAheadLog:
         return record.lsn
 
     def force(self, up_to_lsn: int | None = None,
-              sync: bool = True, commit: bool = False) -> None:
+              sync: bool = True) -> None:
         """Make the log durable up to ``up_to_lsn`` (default: everything).
 
         For simplicity the whole buffered tail is flushed whenever any
@@ -78,34 +73,11 @@ class WriteAheadLog:
         force latency on top of the write time; ``sync=False`` (WAL-rule
         flushes ahead of lazy page writes) pays only the sequential
         write time, like a write-behind log would.
-
-        ``commit=True`` marks a commit-acknowledging force and enables
-        *asynchronous commit* when the cost model's
-        ``async_commit_window_seconds`` is positive: a commit arriving
-        within the window opened by the last synchronous force is
-        **deferred** — force() returns with its records still in the
-        volatile tail, and they become durable only at the next real
-        force (the first commit past the deadline, or any write-behind
-        flush).  The caller acknowledges the commit *before* it is
-        durable, so a crash inside the window loses acked commits —
-        bounded durability loss, the semantics of PostgreSQL's
-        ``synchronous_commit=off`` / SQL Server delayed durability (not
-        group commit, which would delay the ack until the group force).
-        Worlds that exercise crash recovery leave the window at 0.0.
         """
         target = self.last_lsn if up_to_lsn is None else min(up_to_lsn,
                                                              self.last_lsn)
         if target <= self.flushed_lsn:
             return
-        if commit and sync and self._meter is not None:
-            window = self._meter.costs.async_commit_window_seconds
-            if window > 0.0:
-                now = self._meter.peek_now()
-                if now < self._async_deadline:
-                    self._meter.count("async_commit_deferrals")
-                    return
-                self._async_deadline = now + window
-                self._meter.count("async_commit_windows")
         if self._meter is not None:
             seconds = self._pending_write_seconds
             if sync:
@@ -123,9 +95,6 @@ class WriteAheadLog:
         lost = self.last_lsn - self.flushed_lsn
         del self._records[self.flushed_lsn - self._base_lsn:]
         self._pending_write_seconds = 0.0
-        # The open deferral window died with the tail — and with it any
-        # acked-but-deferred commits (the documented durability bound).
-        self._async_deadline = 0.0
         return lost
 
     def attach_meter(self, meter: Meter | None) -> None:

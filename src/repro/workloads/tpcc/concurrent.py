@@ -54,7 +54,7 @@ from repro.odbc.constants import (
     SQL_SUCCESS,
 )
 from repro.server.server import DatabaseServer
-from repro.sim.costs import SERVER_CPU
+from repro.sim.costs import SERVER_CPU, CostModel
 from repro.sim.meter import Meter
 from repro.workloads.app import BenchmarkApp
 from repro.workloads.tpcc.datagen import TpccScale, generate_tpcc, last_name
@@ -574,12 +574,14 @@ class ConcurrentMix:
 
 
 def build_concurrent_world(num_sessions: int,
+                           costs: CostModel,
                            txns_per_session: int = 4,
                            items: int = 200,
                            customers_per_district: int = 20,
                            initial_orders_per_district: int = 10,
                            seed: int = 42):
-    """One server + N connected apps + deterministic plans.
+    """One server + N connected apps + deterministic plans, priced by
+    ``costs``.
 
     Every leg of a comparison must call this with identical arguments
     so worlds and descriptors agree exactly.
@@ -589,7 +591,7 @@ def build_concurrent_world(num_sessions: int,
         customers_per_district=customers_per_district,
         items=items,
         initial_orders_per_district=initial_orders_per_district)
-    server = DatabaseServer(meter=Meter())
+    server = DatabaseServer(meter=Meter(costs))
     setup_tpcc_server(server, generate_tpcc(scale, seed=seed))
     apps = [BenchmarkApp(server, login=f"session-{i}")
             for i in range(num_sessions)]

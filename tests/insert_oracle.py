@@ -73,7 +73,7 @@ def insert(table, row, txn, txns) -> RowId:
     if not table.info.volatile and txn is not None and txns is not None:
         lsn = txns.log_insert(txn, table.info.name, rid, row,
                               sum(map(value_width_bytes, row)),
-                              table.cost_factor)
+                              table.cost_factor, table.row_lock_key)
     table.heap.apply_insert(rid, row, lsn)
     for info, tree in table._indexes.values():
         tree.insert(table._index_key(row, info), rid)

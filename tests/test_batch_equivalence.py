@@ -12,8 +12,15 @@ import pytest
 
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
+from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
 from tests import row_engine_oracle
+
+
+def heuristic_meter() -> Meter:
+    """The default configuration, planning heuristically until a cost
+    leg has run ANALYZE and switches the mode itself."""
+    return Meter(CostModel(optimizer_mode="heuristic"))
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +34,8 @@ def _tpch_power_outputs(cost_mode: bool = False):
     from repro.workloads.tpch.queries import QUERIES
     from repro.workloads.tpch.schema import create_schema, load
 
-    engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=128)
+    engine = DatabaseEngine(meter=heuristic_meter(),
+                            plan_cache_capacity=128)
     session = EngineSession(session_id=1)
     create_schema(engine, session)
     load(engine, session, generate(scale=0.0005, seed=11))
@@ -124,7 +132,9 @@ def test_phoenix_crash_workload_batch_vs_row(crash_at, prefetch,
 
 
 def _mixed_dml_outputs(cost_mode: bool = False):
-    engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=128)
+    # paper(): the clocks below are pinned literals of that configuration.
+    engine = DatabaseEngine(meter=Meter(CostModel.paper()),
+                            plan_cache_capacity=128)
     session = EngineSession(session_id=1)
     run = lambda sql: engine.execute(sql, session)
     run("CREATE TABLE acct (id INT NOT NULL, owner VARCHAR(10), "
@@ -264,7 +274,8 @@ IMPURE_STATEMENTS = (
 
 
 def _impure_world(cost_mode: bool):
-    engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=128)
+    engine = DatabaseEngine(meter=heuristic_meter(),
+                            plan_cache_capacity=128)
     session = EngineSession(session_id=1)
     for sql in IMPURE_SETUP:
         engine.execute(sql, session)
@@ -344,7 +355,7 @@ def test_no_join_evaluates_a_subquery(cost_mode):
     from repro.workloads.tpch.queries import QUERIES
     from repro.workloads.tpch.schema import create_schema
 
-    tpch = DatabaseEngine(meter=Meter())
+    tpch = DatabaseEngine(meter=heuristic_meter())
     tpch_session = EngineSession(session_id=1)
     create_schema(tpch, tpch_session)
     if cost_mode:

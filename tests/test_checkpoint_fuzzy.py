@@ -4,8 +4,8 @@ The tentpole contract: a fuzzy checkpoint is a Begin/End record pair
 carrying the dirty-page table (page -> recLSN) and active-transaction
 table, taken without flushing the pool or blocking anything; recovery
 seeded from it starts redo at the minimum recLSN and skips records whose
-effects provably reached disk.  All knobs default off, in which case no
-checkpoint is ever taken.
+effects provably reached disk.  Under ``CostModel.paper()`` there is
+no cadence and no checkpoint is ever taken.
 """
 
 import copy
@@ -20,7 +20,10 @@ from repro.workloads.app import BenchmarkApp
 
 
 def make_engine(costs: CostModel | None = None):
-    engine = DatabaseEngine(meter=Meter(costs or CostModel()))
+    # No cadence unless a test asks for one: the directed tests take
+    # their checkpoints by hand and count them.
+    engine = DatabaseEngine(meter=Meter(
+        costs or CostModel(checkpoint_interval_seconds=0.0)))
     session = EngineSession(session_id=1)
 
     def run(sql):
@@ -137,9 +140,9 @@ def test_cadence_knob_triggers_checkpoints():
 
 
 def test_defaults_leave_log_untouched():
-    """All knobs at their defaults: no checkpoint records, no
-    truncation, no counters."""
-    server = DatabaseServer(meter=Meter(CostModel()))
+    """The paper's configuration: no checkpoint records, no truncation,
+    no counters."""
+    server = DatabaseServer(meter=Meter(CostModel.paper()))
     app = BenchmarkApp(server)
     app.run_statement("CREATE TABLE t (k INT NOT NULL, v INT, "
                       "PRIMARY KEY (k))")
@@ -213,8 +216,7 @@ def test_ddl_behind_a_checkpoint_with_no_dirty_page_is_redone():
 def test_worker_count_never_changes_recovered_contents():
     """1-worker and 4-worker redo recover bit-identical state (records
     are applied serially in LSN order either way)."""
-    engine, run = make_engine(CostModel(checkpoint_interval_seconds=0.02,
-                                        checkpoint_truncate_log=True))
+    engine, run = make_engine(CostModel(checkpoint_interval_seconds=0.02))
     _workload(run)
     engine.fuzzy_checkpoint()
     run("UPDATE t SET v = v + 100 WHERE k >= 4")
@@ -268,8 +270,7 @@ def test_parallel_redo_charges_at_most_serial_time():
 # -- observability ------------------------------------------------------------
 
 def test_sys_checkpoint_view_is_queryable():
-    costs = CostModel(checkpoint_interval_seconds=0.05,
-                      checkpoint_truncate_log=True)
+    costs = CostModel(checkpoint_interval_seconds=0.05)
     server = DatabaseServer(meter=Meter(costs))
     app = BenchmarkApp(server)
     app.run_statement("CREATE TABLE t (k INT NOT NULL, v INT, "
@@ -321,8 +322,7 @@ def test_sys_checkpoint_traced_vs_untraced_bit_identical(monkeypatch):
     from repro.obs import trace_enabled_from_env
 
     def run_world():
-        costs = CostModel(checkpoint_interval_seconds=0.05,
-                          checkpoint_truncate_log=True, redo_workers=4)
+        costs = CostModel(checkpoint_interval_seconds=0.05, redo_workers=4)
         server = DatabaseServer(meter=Meter(costs))
         app = BenchmarkApp(server)
         app.run_statement("CREATE TABLE t (k INT NOT NULL, v INT, "

@@ -107,6 +107,8 @@ def test_fuzzy_checkpoints_and_truncation_survive_crash_sweep(seed):
             where = f"seed {seed} crash point {crash_at} {regime}/{workers}"
             harness = CrashHarness()
             harness.meter.costs.redo_workers = workers
+            # The script places the checkpoints; no cadence adds any.
+            harness.meter.costs.checkpoint_interval_seconds = 0.0
             for sql in DDL:
                 harness.run(sql)
             checkpoints = 0
@@ -215,8 +217,7 @@ def test_phoenix_session_survives_crash_with_fuzzy_knobs_on():
 
     def run_leg(crash_mid_fetch: bool):
         costs = CostModel(checkpoint_interval_seconds=0.05,
-                          checkpoint_truncate_log=True, redo_workers=2,
-                          output_buffer_bytes=16)
+                          redo_workers=2, output_buffer_bytes=16)
         server = DatabaseServer(meter=Meter(costs))
         setup = BenchmarkApp(server)
         setup.run_statement("CREATE TABLE t (k INT NOT NULL, v INT, "

@@ -1,7 +1,8 @@
 """Cost-based optimizer: ANALYZE, estimation, plan shape, invalidation.
 
-Everything here runs against ``optimizer_mode = "cost"`` (the CostModel
-knob) except the tests that assert the heuristic default is untouched.
+Everything here runs against ``optimizer_mode = "cost"`` (the default),
+switched on mid-test: each test starts on the heuristic planner of
+``CostModel.paper()``, the reference for values and untouched plans.
 Plan-shape tests doctor statistics directly through
 ``Catalog.set_table_stats`` so a flip in join order, join algorithm or
 hash build side is forced by numbers we control, then read the choice
@@ -14,11 +15,20 @@ import pytest
 
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
+from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
 
 
 def _cost_mode(engine) -> None:
     engine.meter.costs.optimizer_mode = "cost"
+
+
+@pytest.fixture(autouse=True)
+def heuristic_until_flipped(engine):
+    """Every test starts on the heuristic planner and switches to cost
+    mode itself, so rows and plans taken before the switch are the
+    heuristic planner's — the reference the cost plans are judged by."""
+    engine.meter.costs.optimizer_mode = "heuristic"
 
 
 def _explain(run, sql: str) -> list[str]:
@@ -189,7 +199,7 @@ class TestPlanShape:
     def test_heuristic_plan_shape_is_unchanged(self, run, engine, joined):
         engine.catalog.set_table_stats("fact", _stats(5, 1, k=5))
         engine.catalog.set_table_stats("dim_a", _stats(100000, 100, k=5))
-        # Doctored stats must be invisible while the knob is default.
+        # Doctored stats must be invisible to the heuristic planner.
         assert _scan_order(_explain(run, self.SQL2),
                            "fact", "dim_a") == ["fact", "dim_a"]
 
@@ -592,7 +602,9 @@ def test_tpch_cost_mode_matches_heuristic_values():
     from repro.workloads.tpch.schema import create_schema, load
 
     def leg(cost_mode: bool):
-        engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=128)
+        engine = DatabaseEngine(
+            meter=Meter(CostModel(optimizer_mode="heuristic")),
+            plan_cache_capacity=128)
         session = EngineSession(session_id=1)
         create_schema(engine, session)
         load(engine, session, generate(scale=0.0005, seed=11))

@@ -34,7 +34,9 @@ class World:
     live versions too) and as many sessions as a test asks for."""
 
     def __init__(self):
-        self.meter = Meter(CostModel(result_cache_entries=64))
+        # No cadence: the tests place (and count) their checkpoints.
+        self.meter = Meter(CostModel(result_cache_entries=64,
+                                     checkpoint_interval_seconds=0.0))
         self.engine = DatabaseEngine(meter=self.meter)
         self.disk = self.engine.disk
         self.wal = self.engine.wal

@@ -515,65 +515,28 @@ def test_in_list_plans_are_reused_per_list_length():
 
 
 # ---------------------------------------------------------------------------
-# Asynchronous commit
+# Synchronous commit (asynchronous commit is retired)
 # ---------------------------------------------------------------------------
 
 
-def _commit_burst(window: float, commits: int = 10):
-    engine = DatabaseEngine(
-        meter=Meter(CostModel(async_commit_window_seconds=window)))
-    session = EngineSession(session_id=1)
-    engine.execute("CREATE TABLE gc (a INT)", session)
-    base = dict(engine.meter.counters)
-    for i in range(commits):
-        engine.execute(f"INSERT INTO gc VALUES ({i})", session)
-    delta = {k: v - base.get(k, 0)
-             for k, v in engine.meter.counters.items()
-             if v != base.get(k, 0)}
-    return engine, session, delta
-
-
 class TestAsyncCommit:
+    """What is left of the asynchronous-commit suite now that the
+    feature is gone: an acknowledged commit is always durable."""
+
     def test_window_zero_forces_every_commit(self):
-        _engine, _session, delta = _commit_burst(0.0)
-        assert delta.get("log_forces", 0) >= 10
-        assert "async_commit_deferrals" not in delta
-        assert "async_commit_windows" not in delta
-
-    def test_window_defers_commit_forces(self):
-        # The CREATE TABLE commit (before the snapshot) opens the first
-        # window, so with a huge window every insert commit is deferred.
-        _engine, _session, delta = _commit_burst(10.0)
-        deferrals = delta.get("async_commit_deferrals", 0)
-        windows = delta.get("async_commit_windows", 0)
-        assert deferrals + windows == 10
-        assert deferrals >= 9
-        assert delta.get("log_forces", 0) <= 1
-
-    def test_deferred_commits_still_readable_and_durable_later(self):
-        engine, session, _delta = _commit_burst(10.0)
-        # Deferred commits ride the volatile tail until any real force
-        # (here: a checkpoint's page flushes) lands them.
-        engine.checkpoint()
-        assert engine.wal.flushed_lsn == engine.wal.last_lsn
-        rows = engine.execute("SELECT count(*) FROM gc",
-                              session).fetch_all()
-        assert rows == [(10,)]
-
-    def test_crash_inside_window_loses_acked_commits(self):
-        # The documented durability bound: a crash inside the window
-        # discards commits that were already acknowledged, and closes
-        # the open deferral window.
-        engine, _session, _delta = _commit_burst(10.0)
-        lost = engine.wal.crash()
-        assert lost > 0
-        assert engine.wal._async_deadline == 0.0
-
-    def test_sys_executor_exposes_async_commit(self):
-        engine, session, _delta = _commit_burst(10.0)
-        stats = dict(engine.execute(
-            "SELECT metric, value FROM sys_executor", session).fetch_all())
-        assert stats.get("async_commit_deferrals", 0) >= 9
+        with pytest.raises(TypeError):
+            CostModel(async_commit_window_seconds=10.0)
+        engine = DatabaseEngine(meter=Meter())
+        session = EngineSession(session_id=1)
+        engine.execute("CREATE TABLE gc (a INT)", session)
+        forces = engine.meter.counters["log_forces"]
+        for i in range(10):
+            engine.execute(f"INSERT INTO gc VALUES ({i})", session)
+            # Acknowledged means durable: nothing a crash could lose.
+            assert engine.wal.flushed_lsn >= engine.wal.last_lsn - 1
+        assert engine.meter.counters["log_forces"] - forces >= 10
+        assert not any(name.startswith("async_commit")
+                       for name in engine.meter.counters)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.bench.experiments import DEFAULT_TPCC_SCALE, _wallclock_leg
+from repro.bench.experiments import run_tracked_mix
 from repro.obs.export import (SCHEMA_VERSION, export_trace, load_records,
                               trace_records)
 from repro.obs.latency import (COMPONENTS, LatencyLedger, classify,
@@ -27,20 +27,18 @@ from repro.sim.meter import Meter
 from repro.workloads.app import BenchmarkApp
 
 
-def small_mix():
-    # [:7] drops the trailing point-select row digest — every consumer
-    # here wants the ledger as the last element.
-    return _wallclock_leg(True, DEFAULT_TPCC_SCALE, txns=15,
-                          point_reads=40, persists=2, seed=7)[:7]
+def small_mix_ledger():
+    return run_tracked_mix(txns=15, point_reads=40, persists=2,
+                           seed=7).latency
 
 
 def fetch_heavy_world(prefetch: bool):
     """A tiny-buffer world where one SELECT spans many wire batches."""
-    costs = CostModel(output_buffer_bytes=16)
-    if prefetch:
-        costs.fetch_ahead_depth = 2
-        costs.fetch_batch_max_bytes = 64
-        costs.output_buffer_max_bytes = 64
+    cap = 64 if prefetch else 0
+    costs = CostModel(output_buffer_bytes=16,
+                      fetch_ahead_depth=2 if prefetch else 0,
+                      fetch_batch_max_bytes=cap,
+                      output_buffer_max_bytes=cap)
     meter = Meter(costs)
     meter.enable_latency_ledger()
     server = DatabaseServer(meter=meter)
@@ -74,8 +72,8 @@ def drain(app) -> list:
 
 
 def test_identity_holds_across_the_tracked_mix():
-    """Every request of the wallclock mix balances bit-exactly."""
-    *_, ledger = small_mix()
+    """Every request of the tracked mix balances bit-exactly."""
+    ledger = small_mix_ledger()
     assert ledger.enabled
     assert ledger.opened == ledger.closed > 0
     assert ledger.identity_violations == []
@@ -137,7 +135,6 @@ def test_wasted_entries_counted_when_crash_discards_prefetch():
 
 
 def test_ledger_off_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_LATENCY", raising=False)
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     meter = Meter()
     assert not meter.obs.latency.enabled
@@ -146,7 +143,8 @@ def test_ledger_off_by_default(monkeypatch):
 
 
 def test_env_knob_enables_the_ledger(monkeypatch):
-    monkeypatch.setenv("REPRO_LATENCY", "1")
+    """``REPRO_TRACE`` is the one env switch: tracing brings the ledger."""
+    monkeypatch.setenv("REPRO_TRACE", "1")
     meter = Meter()
     assert meter.obs.latency.enabled
 
@@ -175,8 +173,8 @@ def test_virtual_clock_bit_identical_ledger_on_vs_off():
 
 
 def test_ledger_rows_deterministic_across_identical_runs():
-    *_, first = small_mix()
-    *_, second = small_mix()
+    first = small_mix_ledger()
+    second = small_mix_ledger()
     assert first.rows() == second.rows()
 
 
@@ -323,7 +321,7 @@ def test_latency_records_absent_when_ledger_idle():
 
 
 def test_format_latency_report_renders_attribution_table():
-    *_, ledger = small_mix()
+    ledger = small_mix_ledger()
     text = format_latency_report(ledger, source="small mix")
     assert "Request latency by kind" in text
     assert "ExecuteRequest" in text

@@ -21,7 +21,9 @@ from repro.wal.records import EndCheckpointRecord
 
 
 def make_engine(costs: CostModel | None = None):
-    engine = DatabaseEngine(meter=Meter(costs or CostModel()))
+    # No cadence: the tests place their checkpoints by hand.
+    engine = DatabaseEngine(meter=Meter(
+        costs or CostModel(checkpoint_interval_seconds=0.0)))
     session = EngineSession(session_id=1)
 
     def run(sql):

@@ -3,36 +3,34 @@
 The instrumentation contract is that enabling tracing changes *nothing*
 a simulated world computes — every span timestamp is a pure clock read
 (:meth:`Meter.peek_now`), never a flush or a charge.  This runs the
-wallclock TPC-C mix (the workload that exercises batching, plan caches,
+tracked TPC-C mix (the workload that exercises batching, plan caches,
 persistence, the whole stack) twice — traced via ``REPRO_TRACE=1`` and
 untraced — and requires the virtual clock and every counter to match to
 the last bit.
 """
 
-from repro.bench.experiments import DEFAULT_TPCC_SCALE, _wallclock_leg
+from repro.bench.experiments import run_tracked_mix
 from repro.obs import trace_enabled_from_env
 
 
 def run_leg():
-    return _wallclock_leg(True, DEFAULT_TPCC_SCALE, txns=15,
-                          point_reads=40, persists=2, seed=7)
+    return run_tracked_mix(txns=15, point_reads=40, persists=2, seed=7)
 
 
 def test_virtual_time_bit_identical_traced_vs_untraced(monkeypatch):
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     assert not trace_enabled_from_env()
-    (_host0, virtual0, _seg0, counters0, stats0, _exec0, _lat0,
-     digest0) = run_leg()
+    untraced = run_leg()
 
     monkeypatch.setenv("REPRO_TRACE", "1")
     assert trace_enabled_from_env()
-    (_host1, virtual1, _seg1, counters1, stats1, _exec1, _lat1,
-     digest1) = run_leg()
+    traced = run_leg()
 
     # Bit-identical, not approximately equal: observation is free.
-    assert virtual0 == virtual1
-    assert counters0 == counters1
-    assert stats0 == stats1
+    assert untraced.virtual_seconds == traced.virtual_seconds
+    assert untraced.counters == traced.counters
+    assert untraced.cache_stats == traced.cache_stats
+    assert untraced.rows_digest == traced.rows_digest
 
 
 def test_phoenix_crash_recovery_bit_identical(monkeypatch):

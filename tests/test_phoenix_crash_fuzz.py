@@ -31,10 +31,20 @@ from repro.workloads.app import BenchmarkApp
 
 def build_world(cache_rows: int = 0, prefetch: bool = False,
                 result_cache: bool = False, cost_mode: bool = False,
-                redo_workers: int = 0):
-    # ``redo_workers >= 1`` makes every restart open an overlap window of
-    # its own (parallel redo), whatever window the client holds open.
-    costs = CostModel(output_buffer_bytes=16, redo_workers=redo_workers)
+                redo_workers: int = 0, default: bool = False):
+    """Each flag adds one feature to the paper's configuration, so a
+    leg's name says what it fuzzes; ``default`` runs the configuration
+    as shipped instead — every feature at once, checkpoint cadence and
+    parallel redo included (``cost_mode`` then only asks for ANALYZE)."""
+    if default:
+        costs = CostModel(output_buffer_bytes=16)
+        prefetch = result_cache = False     # on already, at shipped sizes
+    else:
+        # ``redo_workers >= 1`` makes every restart open an overlap window
+        # of its own (parallel redo), whatever window the client holds
+        # open.
+        costs = CostModel.paper(output_buffer_bytes=16,
+                                redo_workers=redo_workers)
     if cost_mode:
         # The cost-based optimizer plans every statement from ANALYZE
         # statistics (collected below, once the ledger is loaded):
@@ -139,9 +149,9 @@ def workload(app, point_reads: bool = False) -> list:
 
 def reference_run(cache_rows: int = 0, prefetch: bool = False,
                   result_cache: bool = False, cost_mode: bool = False,
-                  point_reads: bool = False) -> list:
+                  point_reads: bool = False, default: bool = False) -> list:
     _server, app = build_world(cache_rows, prefetch, result_cache,
-                               cost_mode)
+                               cost_mode, default=default)
     observed = workload(app, point_reads)
     if cost_mode:
         # The sweep must actually plan through the cost path.
@@ -164,28 +174,30 @@ def reference_run(cache_rows: int = 0, prefetch: bool = False,
 
 def count_requests(cache_rows: int = 0, prefetch: bool = False,
                    result_cache: bool = False, cost_mode: bool = False,
-                   point_reads: bool = False) -> int:
+                   point_reads: bool = False, default: bool = False) -> int:
     server, app = build_world(cache_rows, prefetch, result_cache,
-                              cost_mode)
+                              cost_mode, default=default)
     start = app.network.requests_sent
     workload(app, point_reads)
     return app.network.requests_sent - start
 
 
-@pytest.mark.parametrize("cache_rows,prefetch,result_cache,cost_mode", [
-    (0, False, False, False),
-    (100, False, False, False),
-    (0, True, False, False),
-    (100, True, False, False),
-    (100, False, True, False),
-    (100, True, True, False),
-    (0, False, False, True),
-    (100, True, False, True),
-], ids=["seed", "cache", "prefetch", "cache-prefetch",
-        "shared-cache", "shared-cache-prefetch",
-        "cost", "cost-cache-prefetch"])
+@pytest.mark.parametrize(
+    "cache_rows,prefetch,result_cache,cost_mode,default", [
+        (0, False, False, False, False),
+        (100, False, False, False, False),
+        (0, True, False, False, False),
+        (100, True, False, False, False),
+        (100, False, True, False, False),
+        (100, True, True, False, False),
+        (0, False, False, True, False),
+        (100, True, False, True, False),
+        (100, True, True, True, True),
+    ], ids=["seed", "cache", "prefetch", "cache-prefetch",
+            "shared-cache", "shared-cache-prefetch",
+            "cost", "cost-cache-prefetch", "default"])
 def test_crash_at_every_request_boundary(cache_rows, prefetch,
-                                         result_cache, cost_mode):
+                                         result_cache, cost_mode, default):
     """Crash transparency at every 2nd request boundary.
 
     With ``prefetch`` the same sweep runs with fetch-ahead, adaptive
@@ -201,6 +213,8 @@ def test_crash_at_every_request_boundary(cache_rows, prefetch,
     cost-based optimizer plans everything from ANALYZE statistics — the
     observed values must still match the heuristic seed exactly, and the
     statistics themselves must survive every crash/recovery point.
+    The ``default`` leg is ``CostModel()`` as shipped: all of the above
+    at once, under the checkpoint cadence and parallel redo.
     """
     # The shared-cache legs add point reads on both sides of the
     # UPDATEs: a hit on the key they spare, a miss on the key they write
@@ -208,12 +222,12 @@ def test_crash_at_every_request_boundary(cache_rows, prefetch,
     # may cost the hit, never the value).
     point_reads = result_cache
     expected = reference_run(cache_rows, prefetch, result_cache,
-                             cost_mode, point_reads)
+                             cost_mode, point_reads, default)
     assert expected == reference_run(cache_rows, point_reads=point_reads), (
         "pipelined/cached/cost-planned delivery changed the crash-free "
         "output")
     total = count_requests(cache_rows, prefetch, result_cache, cost_mode,
-                           point_reads)
+                           point_reads, default)
     # Adaptive buffering legitimately collapses round trips, so the
     # pipelined sweep covers fewer boundaries — but never this few.
     assert total > (5 if prefetch else 10)
@@ -221,7 +235,7 @@ def test_crash_at_every_request_boundary(cache_rows, prefetch,
     # every pipeline stage (requests alternate through all steps).
     for crash_at in range(1, total + 1, 2):
         server, app = build_world(cache_rows, prefetch, result_cache,
-                                  cost_mode)
+                                  cost_mode, default=default)
         fired = {"count": 0, "done": False}
 
         def injector(request, server=server, fired=fired,

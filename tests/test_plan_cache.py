@@ -383,6 +383,7 @@ class TestCachedDependencies:
                      "AND a.k = 1"] == [1, 0]
 
     def test_knob_off_stamps_nothing(self, engine, session):
+        engine.meter.costs.result_cache_entries = 0
         engine.execute("CREATE TABLE a (k INT)", session)
         for _ in range(2):  # compile, then reuse
             result = engine.execute("SELECT k FROM a WHERE k = 1", session)
@@ -429,6 +430,36 @@ class TestVirtualFidelity:
             assert rows[0] == rows[1] == rows[2]
         assert totals[0] == totals[128]
 
+    def test_phoenix_stream_caches_off_vs_on_same_clock(self):
+        """The plan cache and Phoenix's metadata-probe cache are host-time
+        optimizations: the same stream of persisted results and wrapped
+        updates costs the same virtual seconds with both off."""
+        from repro.phoenix.config import PhoenixConfig
+        from repro.server.server import DatabaseServer
+        from repro.workloads.app import BenchmarkApp
+
+        runs = {}
+        for plans, probes in ((0, 0), (128, 256)):
+            server = DatabaseServer(meter=Meter(),
+                                    plan_cache_capacity=plans)
+            app = BenchmarkApp(
+                server, use_phoenix=True, phoenix_config=PhoenixConfig(
+                    metadata_cache_entries=probes))
+            app.run_statement("CREATE TABLE t (k INT NOT NULL, v INT, "
+                              "PRIMARY KEY (k))")
+            app.run_statement("INSERT INTO t VALUES " + ", ".join(
+                f"({i}, 0)" for i in range(30)))
+            rows = []
+            for turn in range(4):
+                rows.append(app.query_rows("SELECT k, v FROM t ORDER BY k"))
+                app.run_statement(
+                    f"UPDATE t SET v = v + 1 WHERE k = {turn}")
+            runs[plans] = (rows, server.meter.now)
+            if plans:
+                assert server.meter.counters["plan_cache_hits"] > 0
+                assert server.meter.counters["meta_probe_hits"] > 0
+        assert runs[0] == runs[128]
+
     def test_execute_script_charges_like_execute(self):
         """execute_script levies the same per-statement parse/plan CPU."""
         script = ("INSERT INTO t VALUES (1); "
@@ -457,8 +488,8 @@ class TestVirtualFidelity:
 
 
 def test_caches_stay_off_across_server_restart():
-    """A server built with ``plan_cache_capacity=0`` (the wall-clock
-    baseline) must not get its caches back from the first crash."""
+    """A server built with ``plan_cache_capacity=0`` must not get its
+    caches back from the first crash."""
     from repro.server.server import DatabaseServer
     from repro.workloads.app import BenchmarkApp
 

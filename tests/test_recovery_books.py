@@ -9,7 +9,7 @@
   those intervals' lengths folded by name.  Under the one-window reconnect
   (``persist_pipeline`` on) nothing outside a recovery ever pays a
   ``connect handshake`` again.
-* **The paper path is frozen.**  With ``persist_pipeline`` off, one
+* **The paper path is frozen.**  Under ``CostModel.paper()``, one
   crash recovery sends exactly the exchanges, and costs exactly the
   virtual seconds, recorded at the commit before Phoenix learnt to
   carry options on the login; one failure-free wrapped UPDATE sends
@@ -36,8 +36,10 @@ from repro.workloads.app import BenchmarkApp
 
 
 def two_session_world(pipelined: bool):
-    meter = Meter(CostModel(output_buffer_bytes=16,
-                            persist_pipeline=pipelined))
+    """``pipelined``: the default configuration (login-carried chain);
+    otherwise the paper's (serialized chain)."""
+    costs = CostModel if pipelined else CostModel.paper
+    meter = Meter(costs(output_buffer_bytes=16))
     server = DatabaseServer(meter=meter)
     setup = BenchmarkApp(server)
     setup.run_statement("CREATE TABLE ledger (k INT NOT NULL, v INT, "
@@ -167,8 +169,8 @@ def test_recovery_phases_account_for_the_whole_pause(pipelined, period):
 
 
 def paper_world():
-    """The paper's serialized chain: every ``CostModel`` default."""
-    meter = Meter(CostModel(output_buffer_bytes=16))
+    """The paper's serialized chain: ``CostModel.paper()``."""
+    meter = Meter(CostModel.paper(output_buffer_bytes=16))
     meter.enable_latency_ledger()
     server = DatabaseServer(meter=meter)
     setup = BenchmarkApp(server)

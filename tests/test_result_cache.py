@@ -14,12 +14,11 @@ key-precise side of invalidation has its own file,
 * statements inside an application transaction bypass the shared cache
   and their results stay invisible to lookups until COMMIT promotes
   them; ROLLBACK discards them;
-* under synchronous commit, entries survive a server crash (revalidated
-  against the WAL-recomputed version vector); under asynchronous commit
-  a crash discards everything (acked commits may be lost, so equal
-  version counts could name different data);
-* with the knob off the cache does not exist: no probes, no counters,
-  bit-identical seed behaviour.
+* entries survive a server crash (revalidated against the
+  WAL-recomputed version vector: every acknowledged commit is durable,
+  so equal version counts name the same data);
+* with ``result_cache_entries`` 0 the cache does not exist: no probes,
+  no counters.
 """
 
 import pytest
@@ -38,13 +37,8 @@ from repro.sim.meter import Meter
 from repro.workloads.app import BenchmarkApp
 
 
-def build_world(result_cache: bool = True, async_window: float = 0.0,
-                capacity: int = 64):
-    costs = CostModel()
-    if result_cache:
-        costs.result_cache_entries = capacity
-    costs.async_commit_window_seconds = async_window
-    meter = Meter(costs)
+def build_world(capacity: int = 64):
+    meter = Meter(CostModel(result_cache_entries=capacity))
     server = DatabaseServer(meter=meter)
     setup = BenchmarkApp(server)
     setup.run_statement("CREATE TABLE t (id INT NOT NULL, v INT, "
@@ -262,7 +256,7 @@ def test_rollback_discards_staged_results():
 
 
 # ---------------------------------------------------------------------------
-# Crash epochs: survive under sync commit, discard under async
+# Crash epochs: entries survive, staged results do not
 # ---------------------------------------------------------------------------
 
 
@@ -276,23 +270,9 @@ def test_entries_survive_crash_under_synchronous_commit():
     before = hits(meter)
     assert app.query_rows(sql) == expected
     assert hits(meter) == before + 1, (
-        "a sync-commit entry must survive the crash via revalidation")
+        "an entry must survive the crash via revalidation")
     assert int(meter.counters.get("net.requests.VersionProbeRequest",
                                   0)) >= 1
-
-
-def test_stale_entry_discarded_when_crash_loses_async_commits():
-    meter, server = build_world(async_window=0.5)
-    app = phoenix_app(server)
-    sql = "SELECT v FROM t WHERE id = 4"
-    app.query_rows(sql)
-    server.crash()
-    server.restart()
-    before = hits(meter)
-    app.query_rows(sql)
-    assert hits(meter) == before, (
-        "async-commit entries must all be discarded at crash "
-        "revalidation — equal version counts may name different data")
 
 
 def test_crash_during_open_transaction_discards_staged():
@@ -315,12 +295,29 @@ def test_crash_during_open_transaction_discards_staged():
 
 
 # ---------------------------------------------------------------------------
-# Knob off: the seed path never probes, never counts
+# The tracked mix: two fifths of the round trips gone, not one row changed
+# ---------------------------------------------------------------------------
+
+
+def test_tracked_mix_cache_cuts_requests_with_identical_rows():
+    from repro.bench.experiments import run_tracked_mix
+
+    off = run_tracked_mix(result_cache_entries=0)
+    on = run_tracked_mix()
+    assert on.rows_digest == off.rows_digest
+    assert on.counters["result_cache.hits"] > 0
+    assert on.counters["net.requests_sent"] \
+        <= 0.6 * off.counters["net.requests_sent"]
+    assert on.virtual_seconds < off.virtual_seconds
+
+
+# ---------------------------------------------------------------------------
+# Capacity 0: nothing probes, nothing counts
 # ---------------------------------------------------------------------------
 
 
 def test_knob_off_means_no_cache_no_probe_no_counters():
-    meter, server = build_world(result_cache=False)
+    meter, server = build_world(capacity=0)
     app = phoenix_app(server)
     assert app.manager._shared_cache is None
     app.query_rows("SELECT id, v FROM t ORDER BY id")

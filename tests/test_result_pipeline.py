@@ -2,11 +2,12 @@
 
 The contract under test (DESIGN.md "Result delivery pipeline"):
 
-* with every knob at its default the wire behaviour is bit-identical to
-  the stop-and-wait seed;
-* with knobs on, the application observes *exactly* the same rows in the
-  same order, at a lower (never higher) virtual clock and with fewer
-  fetch round trips;
+* with every option at 0 the wire behaviour is bit-identical to the
+  stop-and-wait delivery of ``CostModel.paper()``;
+* with options on — one at a time over the paper's delivery, or all of
+  them as ``CostModel()`` ships them — the application observes
+  *exactly* the same rows in the same order, at a lower (never higher)
+  virtual clock and with fewer fetch round trips;
 * prefetched-but-undelivered rows never advance ``position``, survive
   interleaved scrolling/advancing exactly once, and are discarded (not
   delivered) when the server incarnation that produced them dies.
@@ -36,10 +37,11 @@ from repro.workloads.app import BenchmarkApp
 ROWS = 400
 
 
-def build_world(**cost_overrides):
-    """A populated single-table world reached through the raw driver."""
-    costs = CostModel(**cost_overrides)
-    meter = Meter(costs)
+def build_world(costs: CostModel | None = None, **paper_overrides):
+    """A populated single-table world reached through the raw driver:
+    under ``costs``, or the paper's stop-and-wait delivery plus the
+    options a test turns on."""
+    meter = Meter(costs or CostModel.paper(**paper_overrides))
     server = DatabaseServer(meter=meter)
     network = SimulatedNetwork(meter)
     driver = NativeDriver(server, network, meter)
@@ -92,27 +94,38 @@ def test_fetch_ahead_rows_identical_and_clock_lower():
 
 
 def test_adaptive_batching_cuts_fetch_round_trips():
+    """The drain gate: at least a fifth fewer fetch round trips than
+    stop-and-wait, the same rows, a lower clock — with the three
+    options added to the paper's delivery, and as ``CostModel()`` ships
+    them."""
     m0, n0, d0, c0 = build_world()
+    t0 = m0.now
     rows0 = drain(d0, c0)
+    seed_clock = m0.now - t0
     fetches0 = m0.counters["net.requests.FetchRequest"]
-
-    m1, n1, d1, c1 = build_world(fetch_ahead_depth=2,
-                                 fetch_batch_max_bytes=8192,
-                                 output_buffer_max_bytes=256 * 1024)
-    t1 = m1.now
-    rows1 = drain(d1, c1)
-    fetches1 = m1.counters["net.requests.FetchRequest"]
-
-    assert rows1 == rows0
     assert fetches0 > 0
-    assert fetches1 <= 0.8 * fetches0, (
-        f"adaptive batching cut fetch round trips only "
-        f"{fetches0} -> {fetches1}")
-    assert n1.requests_sent < n0.requests_sent
+
+    for pipelined in (
+            CostModel.paper(fetch_ahead_depth=2, fetch_batch_max_bytes=8192,
+                            output_buffer_max_bytes=256 * 1024),
+            CostModel()):
+        m1, n1, d1, c1 = build_world(pipelined)
+        t1 = m1.now
+        rows1 = drain(d1, c1)
+        fetches1 = m1.counters["net.requests.FetchRequest"]
+
+        assert rows1 == rows0
+        assert fetches1 <= 0.8 * fetches0, (
+            f"adaptive batching cut fetch round trips only "
+            f"{fetches0} -> {fetches1}")
+        assert n1.requests_sent < n0.requests_sent
+        assert m1.now - t1 < seed_clock
+        assert m1.counters["prefetch_hits"] > 0
 
 
 def test_depth_zero_is_wire_identical_to_seed():
-    """Every knob at default: same requests, same virtual clock."""
+    """The delivery options at 0 are the paper's delivery: same
+    requests, same virtual clock."""
     m0, n0, d0, c0 = build_world()
     t0 = m0.now
     rows0 = drain(d0, c0)
@@ -293,8 +306,8 @@ def test_adaptive_output_buffer_grows_refill():
 # -- phoenix persist pipelining ----------------------------------------------
 
 
-def _phoenix_persist_world(**cost_overrides):
-    costs = CostModel(**cost_overrides)
+def _phoenix_persist_world(**paper_overrides):
+    costs = CostModel.paper(**paper_overrides)
     server = DatabaseServer(meter=Meter(costs))
     setup = BenchmarkApp(server)
     setup.run_statement("CREATE TABLE big (k INT NOT NULL, pad "
@@ -320,10 +333,28 @@ def test_persist_pipeline_same_rows_lower_clock():
 
     assert rows1 == rows0 and len(rows0) == 60
     assert app1.meter.counters["pipeline_requests"] > 0
+    assert app1.network.requests_sent <= app0.network.requests_sent
     assert pipe_clock < seed_clock
     saved = (app1.meter.counters["pipeline_overlap_seconds"]
              - app1.meter.counters.get("pipeline_stall_seconds", 0.0))
     assert saved == pytest.approx(seed_clock - pipe_clock)
+
+
+def test_tracked_mix_pipelined_never_sends_more_requests():
+    """The mix gate: the tracked TPC-C mix under the default delivery
+    sends no more requests than under the paper's stop-and-wait chain,
+    finishes at a lower clock and reads the same rows."""
+    from repro.bench.experiments import run_tracked_mix
+
+    serial = run_tracked_mix(fetch_ahead_depth=0, fetch_batch_max_bytes=0,
+                             output_buffer_max_bytes=0,
+                             persist_pipeline=False)
+    pipelined = run_tracked_mix()
+    assert pipelined.rows_digest == serial.rows_digest
+    assert pipelined.counters["net.requests_sent"] \
+        <= serial.counters["net.requests_sent"]
+    assert pipelined.virtual_seconds < serial.virtual_seconds
+    assert pipelined.counters["pipeline_requests"] > 0
 
 
 # -- observability ------------------------------------------------------------

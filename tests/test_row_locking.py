@@ -14,7 +14,7 @@ from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
 from repro.errors import DeadlockError, LockWaitError
 from repro.obs.latency import COMPONENTS, classify
-from repro.sim.costs import SERVER_CPU
+from repro.sim.costs import SERVER_CPU, CostModel
 from repro.sim.meter import Meter
 from repro.txn.locks import LockManager, LockMode
 
@@ -389,7 +389,7 @@ class TestConcurrentTpcc:
         out = {}
         for leg in ("serial", "interleaved"):
             server, apps, plans, scale = build_concurrent_world(
-                8, txns_per_session=2, items=60,
+                8, CostModel(), txns_per_session=2, items=60,
                 customers_per_district=8, initial_orders_per_district=4)
             mix = ConcurrentMix(server, apps, plans, scale)
             result = (mix.run_serial() if leg == "serial"
@@ -427,7 +427,7 @@ class TestConcurrentTpcc:
             ConcurrentMix, build_concurrent_world, digest_database)
 
         server, apps, plans, scale = build_concurrent_world(
-            8, txns_per_session=2, items=60,
+            8, CostModel(), txns_per_session=2, items=60,
             customers_per_district=8, initial_orders_per_district=4)
         mix = ConcurrentMix(server, apps, plans, scale)
         result = mix.run_interleaved()
@@ -442,16 +442,16 @@ class TestConcurrentTpcc:
 
 
 def cost_mode_tpcc(num_sessions: int = 8, **sizes):
-    """The concurrent TPC-C world with the cost-based planner on."""
+    """The concurrent TPC-C world, default configuration (the cost-based
+    planner), with the statistics it plans from."""
     from repro.workloads.tpcc.concurrent import build_concurrent_world
 
     sizes = {"txns_per_session": 2, "items": 60,
              "customers_per_district": 8,
              "initial_orders_per_district": 4, **sizes}
     server, apps, plans, scale = build_concurrent_world(
-        num_sessions, **sizes)
+        num_sessions, CostModel(), **sizes)
     apps[0].run_statement("ANALYZE")
-    server.meter.costs.optimizer_mode = "cost"
     return server, apps, plans, scale
 
 
@@ -494,7 +494,7 @@ class TestInListReadSet:
         from repro.workloads.tpcc.concurrent import build_concurrent_world
 
         server, _apps, _plans, _scale = build_concurrent_world(
-            8, txns_per_session=2, items=60,
+            8, CostModel.paper(), txns_per_session=2, items=60,
             customers_per_district=8, initial_orders_per_district=4)
         engine = server.engine
         alice = EngineSession(session_id=901)
@@ -651,8 +651,9 @@ class TestLockTraceUnchanged:
                                                      build_concurrent_world)
 
         def scenario():
+            # paper(): the digest below is that configuration's.
             server, apps, plans, scale = build_concurrent_world(
-                8, txns_per_session=2, items=60,
+                8, CostModel.paper(), txns_per_session=2, items=60,
                 customers_per_district=8, initial_orders_per_district=4)
             ConcurrentMix(server, apps, plans, scale).run_interleaved()
 

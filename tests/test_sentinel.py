@@ -18,40 +18,40 @@ def write_history(path, entries):
 
 def base_entry(**overrides):
     entry = {"date": "2026-08-01", "commit": "abc1234", "leg": "base",
-             "host_seconds": 1.0, "log_forces": 42,
-             "requests_sent": 6222, "fetch_requests": 0,
+             "redo_applied": 25, "locks.wait_episodes": 205,
              "virtual_seconds": 28.38217573999367,
+             "recovery_seconds": 0.00354,
              "p95_execute_seconds": 0.0020168}
     entry.update(overrides)
     return entry
 
 
 def test_clean_history_passes(tmp_path):
-    history = tmp_path / "wallclock_history.jsonl"
+    history = tmp_path / "bench_history.jsonl"
     write_history(history, [base_entry() for _ in range(4)])
     report = check_history_file(history)
     assert report.ok
     assert report.findings == []
     tracked_here = [m for m in METRIC_TOLERANCES if m in base_entry()]
-    assert len(report.checked) == len(tracked_here) == 6
+    assert len(report.checked) == len(tracked_here) == 5
     assert "no regressions" in report.format()
 
 
 def test_counter_growth_fails_exactly(tmp_path):
-    """Deterministic counters have zero tolerance: +1 request fails."""
-    history = tmp_path / "wallclock_history.jsonl"
+    """Deterministic counters have zero tolerance: +1 record fails."""
+    history = tmp_path / "bench_history.jsonl"
     write_history(history, [base_entry(), base_entry(),
-                            base_entry(requests_sent=6223)])
+                            base_entry(redo_applied=26)])
     report = check_history_file(history)
     assert not report.ok
     (finding,) = report.findings
-    assert finding.metric == "requests_sent"
-    assert finding.latest == 6223
+    assert finding.metric == "redo_applied"
+    assert finding.latest == 26
     assert "REGRESSION" in report.format()
 
 
 def test_virtual_clock_drift_fails(tmp_path):
-    history = tmp_path / "wallclock_history.jsonl"
+    history = tmp_path / "bench_history.jsonl"
     write_history(history, [base_entry(), base_entry(),
                             base_entry(virtual_seconds=28.3821758)])
     report = check_history_file(history)
@@ -59,46 +59,26 @@ def test_virtual_clock_drift_fails(tmp_path):
 
 
 def test_p95_regression_fails(tmp_path):
-    history = tmp_path / "wallclock_history.jsonl"
+    history = tmp_path / "bench_history.jsonl"
     write_history(history, [base_entry(), base_entry(),
                             base_entry(p95_execute_seconds=0.003)])
     report = check_history_file(history)
     assert [f.metric for f in report.findings] == ["p95_execute_seconds"]
 
 
-def test_host_seconds_regression_is_advisory_only(tmp_path):
-    """Host wall time depends on the machine running the bench: a gross
-    regression surfaces as a WARNING but never fails the build."""
-    history = tmp_path / "wallclock_history.jsonl"
-    # 40% slower: noisy runner, within the 50% tolerance — silent.
-    write_history(history, [base_entry(), base_entry(),
-                            base_entry(host_seconds=1.4)])
-    report = check_history_file(history)
-    assert report.ok and report.advisories == []
-    # 60% slower: beyond tolerance — advisory, still ok.
-    write_history(history, [base_entry(), base_entry(),
-                            base_entry(host_seconds=1.6)])
-    report = check_history_file(history)
-    assert report.ok
-    (advisory,) = report.advisories
-    assert advisory.metric == "host_seconds"
-    assert "WARNING" in report.format()
-    assert "no regressions" in report.format()
-
-
 def test_decreases_never_fail(tmp_path):
-    history = tmp_path / "wallclock_history.jsonl"
+    history = tmp_path / "bench_history.jsonl"
     write_history(history, [base_entry(), base_entry(),
-                            base_entry(requests_sent=6000,
+                            base_entry(redo_applied=20,
                                        virtual_seconds=27.0,
-                                       host_seconds=0.5)])
+                                       recovery_seconds=0.001)])
     assert check_history_file(history).ok
 
 
 def test_result_cache_hits_must_not_drop(tmp_path):
     """More shared-cache hits is the good direction: a line that hits
     less fails, a line that hits more passes."""
-    history = tmp_path / "wallclock_history.jsonl"
+    history = tmp_path / "bench_history.jsonl"
     cached = dict(leg="cached-shared", result_cache_hits=3022)
     write_history(history, [base_entry(**cached), base_entry(**cached),
                             base_entry(leg="cached-shared",
@@ -111,7 +91,7 @@ def test_result_cache_hits_must_not_drop(tmp_path):
 
 
 def test_result_cache_hits_may_grow(tmp_path):
-    history = tmp_path / "wallclock_history.jsonl"
+    history = tmp_path / "bench_history.jsonl"
     cached = dict(leg="cached-shared", result_cache_hits=3022)
     write_history(history, [base_entry(**cached), base_entry(**cached),
                             base_entry(leg="cached-shared",
@@ -120,27 +100,26 @@ def test_result_cache_hits_may_grow(tmp_path):
 
 
 def test_groups_compared_independently(tmp_path):
-    """Legs are separate groups: a prefetch regression must not hide
+    """Legs are separate groups: a fuzzy-leg regression must not hide
     behind the base leg's median (and vice versa)."""
-    history = tmp_path / "wallclock_history.jsonl"
+    history = tmp_path / "bench_history.jsonl"
     write_history(history, [
-        base_entry(), base_entry(leg="prefetch", requests_sent=6222),
-        base_entry(), base_entry(leg="prefetch", requests_sent=6222),
-        base_entry(), base_entry(leg="prefetch", requests_sent=6300),
+        base_entry(), base_entry(leg="fuzzy", redo_applied=25),
+        base_entry(), base_entry(leg="fuzzy", redo_applied=25),
+        base_entry(), base_entry(leg="fuzzy", redo_applied=40),
     ])
     report = check_history_file(history)
     (finding,) = report.findings
-    assert "leg=prefetch" in finding.group
+    assert "leg=fuzzy" in finding.group
 
 
 def test_window_median_not_last_entry(tmp_path):
     """One historic outlier must not poison the baseline: the median of
     the trailing window judges, not the previous entry."""
-    history = tmp_path / "wallclock_history.jsonl"
-    write_history(history, [base_entry(host_seconds=1.0),
-                            base_entry(host_seconds=1.0),
-                            base_entry(host_seconds=9.0),  # outlier
-                            base_entry(host_seconds=1.1)])
+    history = tmp_path / "bench_history.jsonl"
+    write_history(history, [base_entry(), base_entry(),
+                            base_entry(redo_applied=3),  # outlier
+                            base_entry()])
     assert check_history_file(history, window=DEFAULT_WINDOW).ok
 
 
@@ -174,7 +153,7 @@ def test_malformed_lines_skipped_not_fatal(tmp_path):
 
 
 def test_run_sentinel_scans_all_history_files(tmp_path):
-    write_history(tmp_path / "wallclock_history.jsonl",
+    write_history(tmp_path / "bench_history.jsonl",
                   [base_entry(), base_entry()])
     write_history(tmp_path / "recovery_scaling_history.jsonl",
                   [{"leg": "none", "records": 500,
@@ -195,12 +174,12 @@ def test_run_sentinel_tolerates_missing_dir(tmp_path):
 def test_cli_exits_1_on_doctored_history_line(tmp_path, capsys):
     """The CI wiring contract: ``python -m repro.bench sentinel`` must
     fail the build when the latest history line regressed."""
-    history = tmp_path / "wallclock_history.jsonl"
+    history = tmp_path / "bench_history.jsonl"
     write_history(history, [base_entry(), base_entry(),
-                            base_entry(log_forces=43)])
+                            base_entry(redo_applied=26)])
     assert bench_main(["sentinel", "--out", str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "REGRESSION" in out and "log_forces" in out
+    assert "REGRESSION" in out and "redo_applied" in out
 
     write_history(history, [base_entry(), base_entry(), base_entry()])
     assert bench_main(["sentinel", "--out", str(tmp_path)]) == 0

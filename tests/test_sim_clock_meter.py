@@ -221,3 +221,110 @@ class TestCostModel:
         costs = CostModel()
         assert costs.rows_per_page(10 ** 9) == 1
         assert costs.rows_per_page(100) == costs.page_size_bytes // 100
+
+
+# ---------------------------------------------------------------------------
+# The two configurations
+# ---------------------------------------------------------------------------
+
+#: ``CostModel()`` field for field at the last commit where the paper's
+#: system was the default (``async_commit_window_seconds`` and
+#: ``checkpoint_truncate_log`` left the constructor since).
+PAPER_CONFIGURATION = {
+    "client_parse_seconds": 0.00023,
+    "metadata_read_seconds": 0.00062,
+    "client_fetch_seconds": 0.0038,
+    "persisted_fetch_extra_seconds": 0.00017,
+    "cache_block_read_per_row_seconds": 0.0002,
+    "cache_fetch_seconds": 0.0009,
+    "network_rtt_seconds": 0.0005,
+    "network_bytes_per_second": 12500000.0,
+    "network_message_overhead_seconds": 0.0002,
+    "packet_bytes": 4096,
+    "cpu_per_result_byte_seconds": 1.6e-05,
+    "page_send_seconds": 0.004,
+    "output_buffer_bytes": 76800,
+    "client_fetch_batch_bytes": 512,
+    "fetch_ahead_depth": 0,
+    "fetch_batch_max_bytes": 0,
+    "output_buffer_max_bytes": 0,
+    "persist_pipeline": False,
+    "result_cache_entries": 0,
+    "result_cache_probe_seconds": 0.0004,
+    "optimizer_mode": "heuristic",
+    "analyze_histogram_buckets": 16,
+    "cpu_per_tuple_analyze": 4e-06,
+    "cpu_per_tuple_scan": 8e-06,
+    "cpu_per_tuple_join": 1.2e-05,
+    "cpu_per_tuple_agg": 6e-06,
+    "cpu_per_tuple_sort": 2e-06,
+    "cpu_per_tuple_insert": 2e-05,
+    "cpu_per_tuple_delete": 2e-05,
+    "cpu_per_tuple_update": 2.5e-05,
+    "cpu_per_tuple_index_lookup": 1.5e-05,
+    "cpu_per_statement_seconds": 0.002,
+    "cpu_create_procedure_seconds": 0.2,
+    "page_size_bytes": 8192,
+    "disk_page_read_seconds": 0.0025,
+    "disk_page_write_seconds": 0.003,
+    "create_table_cpu_seconds": 0.221,
+    "create_table_disk_seconds": 0.1,
+    "log_bytes_per_second": 4000000.0,
+    "log_force_seconds": 0.005,
+    "log_record_overhead_bytes": 32,
+    "checkpoint_interval_seconds": 0.0,
+    "redo_workers": 0,
+    "connect_seconds": 0.25,
+    "option_reset_seconds": 0.012,
+    "ping_seconds": 0.002,
+    "work_amplification": 1.0,
+}
+
+RETIRED_OPTIONS = ("lock_granularity", "lock_escalation_threshold",
+                   "checkpoint_truncate_log", "async_commit_window_seconds")
+
+
+def test_paper_is_the_old_default_field_for_field():
+    import dataclasses
+
+    assert dataclasses.asdict(CostModel.paper()) == PAPER_CONFIGURATION
+    # A calibration rides on top; an ablation may turn one option on.
+    costs = CostModel.paper(work_amplification=6.0, redo_workers=4)
+    assert dataclasses.asdict(costs) == {
+        **PAPER_CONFIGURATION, "work_amplification": 6.0, "redo_workers": 4}
+    # Both configurations price a unit of work the same.
+    assert {name: value
+            for name, value in dataclasses.asdict(CostModel()).items()
+            if value != PAPER_CONFIGURATION[name]} == {
+        "fetch_ahead_depth": 2, "fetch_batch_max_bytes": 8192,
+        "output_buffer_max_bytes": 262144, "persist_pipeline": True,
+        "result_cache_entries": 2048, "optimizer_mode": "cost",
+        "checkpoint_interval_seconds": 2.0, "redo_workers": 4}
+
+
+@pytest.mark.parametrize("name", RETIRED_OPTIONS)
+def test_retired_options_are_not_constructor_arguments(name):
+    with pytest.raises(TypeError):
+        CostModel(**{name: getattr(CostModel, name)})
+    with pytest.raises(TypeError):
+        CostModel.paper(**{name: getattr(CostModel, name)})
+
+
+def test_default_is_the_configuration_the_benchmark_asks_for():
+    """``benchmarks/e2e`` applies ``BENCH_PROFILE`` by name on top of
+    ``CostModel()``: every name that is still a field must already hold
+    that value, and the rest must be the inert retired attributes."""
+    import dataclasses
+    import pathlib
+    import runpy
+
+    profile = runpy.run_path(str(
+        pathlib.Path(__file__).resolve().parents[1]
+        / "benchmarks" / "e2e" / "bench_profile.py"))["BENCH_PROFILE"]
+    default = dataclasses.asdict(CostModel())
+    for name, value in profile.items():
+        if name in default:
+            assert default[name] == value, name
+        else:
+            assert name in RETIRED_OPTIONS, name
+            assert getattr(CostModel, name) == value, name

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
+from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
 from tests import row_engine_oracle
 
@@ -276,7 +277,8 @@ def test_in_lists_match_sqlite_in_both_modes_and_engines(case):
         oracle.close()
 
     def outputs(mode):
-        engine = DatabaseEngine(meter=Meter())
+        engine = DatabaseEngine(
+            meter=Meter(CostModel(optimizer_mode="heuristic")))
         session = EngineSession(session_id=1)
         for statement in setup:
             engine.execute(statement, session)
