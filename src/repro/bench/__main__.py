@@ -90,30 +90,32 @@ def _optbench_rows_close(got: list, want: list) -> bool:
 
 
 def _run_optbench(args) -> int:
-    """Heuristic vs cost-based plans over the table-1 power queries plus
-    the Top-N query.
+    """The one planner before and after ``ANALYZE``, over the table-1
+    power queries plus the Top-N query.
 
-    Writes ``optbench.txt`` and appends one ``{date, commit, leg,
-    virtual_seconds, optimizer.*}`` line per leg to
-    ``optbench_history.jsonl`` (the sentinel holds the heuristic leg's
-    clock bit-stable and its optimizer counters at zero).  Fails (exit
-    1) if the cost leg is not strictly faster on at least 3 table-1
-    queries, if its Top-N plan does not use TopNHeapSort (or the
-    heuristic plan does), if the heuristic leg planned through the cost
-    path at all, or if any cost-leg result differs from the heuristic
-    leg's beyond float-summation-order tolerance.
+    Writes ``optbench.txt`` and appends one ``{date, commit, planner,
+    leg, virtual_seconds, optimizer.*}`` line per leg to
+    ``optbench_history.jsonl``; every line carries the identity field
+    ``"planner": "one"`` (legs ``unanalyzed`` / ``analyzed``), so the
+    sentinel never judges it against the legs recorded while there were
+    two planners.  Fails (exit 1) if either leg's
+    results differ from the frozen reference rows beyond
+    float-summation-order tolerance, if either Top-N plan does not use
+    TopNHeapSort, or if statistics do not lower the total.
     """
-    result = experiments.run_optbench(scale=args.scale
-                                      or experiments.OPTBENCH_SCALE)
+    scale = args.scale or experiments.OPTBENCH_SCALE
+    result = experiments.run_optbench(scale=scale)
     text = result.format()
     print(text)
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(exist_ok=True)
     (out_dir / "optbench.txt").write_text(text + "\n")
 
+    legs = (result.unanalyzed, result.analyzed)
     entries = []
-    for leg in (result.heuristic, result.cost):
-        entry = {"leg": leg.mode, "virtual_seconds": leg.total_seconds}
+    for leg in legs:
+        entry = {"planner": "one", "leg": leg.name,
+                 "virtual_seconds": leg.total_seconds}
         for name in ("optimizer.plans_costed",
                      "optimizer.join_orders_considered",
                      "optimizer.topn_heap_used",
@@ -125,42 +127,28 @@ def _run_optbench(args) -> int:
     _append_history(out_dir, "optbench", entries)
 
     failed = False
-    faster = result.faster_queries()
-    print(f"[optbench: cost leg faster on {len(faster)}/"
-          f"{len(result.heuristic.query_seconds)} table-1 queries, "
-          f"total {result.heuristic.total_seconds:.4f}s -> "
-          f"{result.cost.total_seconds:.4f}s]")
-    if len(faster) < 3:
-        print(f"FAIL: cost-based plans beat the heuristic on only "
-              f"{len(faster)} table-1 queries — need at least 3")
+    print(f"[optbench: total {result.unanalyzed.total_seconds:.4f}s "
+          f"unanalyzed -> {result.analyzed.total_seconds:.4f}s analyzed]")
+    if result.analyzed.total_seconds >= result.unanalyzed.total_seconds:
+        print("FAIL: statistics did not lower the total")
         failed = True
-    if not any("TopNHeapSort" in line for line in result.cost.topn_plan):
-        print("FAIL: cost leg's Top-N plan does not use TopNHeapSort: "
-              + " | ".join(result.cost.topn_plan))
-        failed = True
-    if any("TopNHeapSort" in line
-           for line in result.heuristic.topn_plan):
-        print("FAIL: heuristic leg's Top-N plan uses TopNHeapSort — "
-              "cost-mode machinery leaked into the heuristic planner")
-        failed = True
-    if result.cost.topn_seconds >= result.heuristic.topn_seconds:
-        print(f"FAIL: Top-N heap did not beat Sort+Limit "
-              f"({result.heuristic.topn_seconds:.6f}s -> "
-              f"{result.cost.topn_seconds:.6f}s)")
-        failed = True
-    if result.heuristic.optimizer_counters:
-        print(f"FAIL: heuristic leg ticked optimizer counters: "
-              f"{result.heuristic.optimizer_counters}")
-        failed = True
-    if result.cost.topn_rows != result.heuristic.topn_rows:
-        print("FAIL: Top-N rows differ between modes (the ordering is "
-              "total, so they must match exactly)")
-        failed = True
-    for number in sorted(result.heuristic.query_rows):
-        if not _optbench_rows_close(result.cost.query_rows[number],
-                                    result.heuristic.query_rows[number]):
-            print(f"FAIL: cost-leg values diverged on Q{number:02d}")
+    reference = experiments.tpch_reference_rows(scale, result.seed)
+    for leg in legs:
+        if not any("TopNHeapSort" in line for line in leg.topn_plan):
+            print(f"FAIL: {leg.name} leg's Top-N plan does not use "
+                  "TopNHeapSort: " + " | ".join(leg.topn_plan))
             failed = True
+        if leg.topn_rows != reference["TOP-N"]:
+            print(f"FAIL: {leg.name} leg's Top-N rows differ from the "
+                  "reference (the ordering is total, so they must match "
+                  "exactly)")
+            failed = True
+        for number in sorted(leg.query_rows):
+            if not _optbench_rows_close(leg.query_rows[number],
+                                        reference[f"Q{number:02d}"]):
+                print(f"FAIL: {leg.name} leg's values diverged from the "
+                      f"reference on Q{number:02d}")
+                failed = True
     return 1 if failed else 0
 
 
@@ -186,9 +174,11 @@ def _run_tpccbench(args) -> int:
 
     Writes ``tpccbench.txt`` and appends one ``{date, commit, leg,
     sessions, virtual_seconds, locks.*}`` line per run to
-    ``tpccbench_history.jsonl``; every line carries the identity field
-    ``"escalation": "none"``, so the sentinel judges it only against
-    lines recorded since lock escalation was deleted.
+    ``tpccbench_history.jsonl``; every line carries the identity fields
+    ``"escalation": "none"`` and ``"planner": "one"``, so the sentinel
+    judges it only against lines recorded since lock escalation was
+    deleted and new-order's item list is sought key by key (the plan
+    decides which rows a transaction locks, and so the whole schedule).
     Fails (exit 1) if the interleaved leg's final database digest
     differs from the serial reference (concurrency must never change
     committed state), if the two legs commit different numbers of
@@ -236,7 +226,7 @@ def _run_tpccbench(args) -> int:
             runs[leg] = result
             digests[leg] = digest_database(server.engine)
             entry = {"leg": leg, "sessions": sessions,
-                     "escalation": "none",
+                     "escalation": "none", "planner": "one",
                      "virtual_seconds": result.makespan_seconds}
             counters = server.meter.counters
             for name in lock_counters:

@@ -17,11 +17,15 @@ mix (:func:`run_tracked_mix`), which runs the default configuration.
 
 from __future__ import annotations
 
+import datetime
 import hashlib
+import json
+import pathlib
 import random
 from dataclasses import dataclass, field
 
 from repro.bench.reporting import format_table
+from repro.engine.session import EngineSession
 from repro.phoenix.config import PhoenixConfig
 from repro.server.server import DatabaseServer
 from repro.sim.costs import CostModel
@@ -45,16 +49,34 @@ DEFAULT_TPCH_SCALE = 0.002
 TARGET_SCALE = 1.0
 
 
+def analyze_off_the_clock(server: DatabaseServer) -> None:
+    """Give a loaded paper world what SQL Server 7.0 kept by itself:
+    statistics on every table.  One ``ANALYZE`` with the clock paused,
+    like the load before it — not part of any measurement, and not part
+    of the shared loaders ``benchmarks/e2e`` times as set-up."""
+    meter = server.meter
+    saved = meter.advance_clock
+    meter.advance_clock = False
+    try:
+        server.engine.execute("ANALYZE", EngineSession(session_id=0))
+    finally:
+        meter.advance_clock = saved
+
+
 def make_tpch_world(scale: float = DEFAULT_TPCH_SCALE, seed: int = 7,
-                    amplification: float | None = None
+                    amplification: float | None = None,
+                    analyze: bool = True
                     ) -> tuple[DatabaseServer, TpchData]:
-    """A fresh TPC-H server with scale-compensated costs."""
+    """A fresh TPC-H server with scale-compensated costs, its tables
+    analysed unless ``analyze`` is off (optbench's first leg)."""
     if amplification is None:
         amplification = TARGET_SCALE / scale
     costs = CostModel.paper(work_amplification=amplification)
     server = DatabaseServer(meter=Meter(costs))
     data = generate(scale=scale, seed=seed)
     setup_tpch_server(server, data)
+    if analyze:
+        analyze_off_the_clock(server)
     return server, data
 
 
@@ -420,6 +442,7 @@ def _tpcc_run(use_phoenix: bool, cache_rows: int,
     server.engine.buffer_pool.capacity_pages = 48
     data = generate_tpcc(scale, seed=seed)
     setup_tpcc_server(server, data)
+    analyze_off_the_clock(server)
     config = None
     if use_phoenix:
         config = PhoenixConfig(client_cache_rows=cache_rows)
@@ -615,22 +638,21 @@ def run_tracked_mix(txns: int = 120, point_reads: int = 2000,
 
 @dataclass
 class IndexBenchResult:
-    """Page-read cost of the same range predicate with and without a
-    secondary index.
+    """Page-read cost of the same predicates with and without an index.
 
-    The two tables hold identical rows; only one carries
-    ``ix_indexed_grp (grp, id)``.  The buffer pool is kept far smaller
-    than the table so every heap page touched becomes a ``disk_io``
-    charge — the tracked claim is that the index path reads strictly
-    fewer pages.
+    The two tables hold identical rows; only ``indexed`` carries a
+    primary key on ``id`` and ``ix_indexed_grp (grp, id)``.  The buffer
+    pool is kept far smaller than the table so every heap page touched
+    becomes a ``disk_io`` charge — the tracked claim is that the index
+    path reads strictly fewer pages.
     """
 
     rows_matched: int
     queries: list = field(default_factory=list)  # (label, rows, pages, s)
     plans: dict = field(default_factory=dict)
-    #: The IN-list leg (cost mode against the heuristic plan of the same
-    #: statement): label -> (result rows, heap rows examined, pages,
-    #: virtual seconds, index access lines of the plan).
+    #: The IN-list legs (the same statement on the ``scanned`` and the
+    #: ``indexed`` copy): label -> (result rows, heap rows examined,
+    #: pages, virtual seconds, index access lines of the plan).
     in_list: dict = field(default_factory=dict)
 
     def format(self) -> str:
@@ -657,31 +679,34 @@ class IndexBenchResult:
 
     def failures(self) -> list[str]:
         """The IN-list gate: a seek examines exactly the heap rows its
-        distinct keys name — per table, so twice that for the
-        transferred two-table form — and returns the rows of the scan
+        distinct keys name — per join side, so twice that for the
+        transferred self-join form — and returns the rows of the scan
         it replaces."""
         failed = []
         for seek, scan, tables in (
-                ("IndexSeek IN (cost)", "SeqScan + Filter IN", 1),
-                ("IndexSeek IN, transferred (cost)",
-                 "SeqScan + Filter IN, two tables", 2)):
+                ("IndexSeek IN", "SeqScan + Filter IN", 1),
+                ("IndexSeek IN, transferred", "SeqScan + Filter IN, joined",
+                 2)):
             rows, heap_rows = self.in_list[seek][:2]
             if heap_rows != tables * INDEXBENCH_IN_KEYS:
                 failed.append(
                     f"{seek}: examined {heap_rows} heap rows for "
                     f"{INDEXBENCH_IN_KEYS} distinct keys on {tables} "
-                    f"table(s)")
+                    f"join side(s)")
             if rows != self.in_list[scan][0]:
                 failed.append(f"{seek}: rows differ from {scan}")
             if len(self.in_list[seek][4]) != tables:
                 failed.append(f"{seek}: plan does not seek {tables} "
-                              f"table(s) by key list")
+                              f"join side(s) by key list")
         return failed
 
 
 _INDEXBENCH_DDL = (
-    "CREATE TABLE {name} (id INT NOT NULL, grp INT, val INT, "
-    "pad CHAR(80), PRIMARY KEY (id))")
+    "CREATE TABLE scanned (id INT NOT NULL, grp INT, val INT, "
+    "pad CHAR(80))",
+    "CREATE TABLE indexed (id INT NOT NULL, grp INT, val INT, "
+    "pad CHAR(80), PRIMARY KEY (id))",
+)
 
 #: Two adjacent groups out of ``rows / group_size`` — a narrow range
 #: whose matches are contiguous in the heap (grp increases with id).
@@ -696,9 +721,11 @@ INDEXBENCH_IN_KEYS = 10
 _INDEXBENCH_IN_LIST = ", ".join(
     str(k) for k in (3907, 15, 2048, 977, 15, 3100, 402, 1555, 2600, 88,
                      3333))
-_INDEXBENCH_IN_ONE = ("SELECT id, val FROM indexed "
+_INDEXBENCH_IN_ONE = ("SELECT id, val FROM {name} "
                       f"WHERE id IN ({_INDEXBENCH_IN_LIST})")
-_INDEXBENCH_IN_TWO = ("SELECT a.id, a.val, b.grp FROM scanned a, indexed b "
+#: A self-join, so that both sides have (or lack) the key index: the
+#: list names ``a.id`` only and reaches ``b`` over the equality.
+_INDEXBENCH_IN_TWO = ("SELECT a.id, a.val, b.grp FROM {name} a, {name} b "
                       f"WHERE b.id = a.id AND a.id IN ({_INDEXBENCH_IN_LIST})")
 
 
@@ -721,10 +748,8 @@ def _count_heap_rows(table, tally: list) -> None:
 
 def run_indexbench(rows: int = 4000, group_size: int = 100,
                    pool_pages: int = 8) -> IndexBenchResult:
-    """Measure disk pages read by the same range query on an indexed
+    """Measure disk pages read by the same statements on an indexed
     and an unindexed copy of one table."""
-    from repro.engine.session import EngineSession
-
     server = DatabaseServer(meter=Meter(CostModel.paper()))
     engine = server.engine
     # Shrunk before loading: eviction pressure only applies on page
@@ -735,8 +760,8 @@ def run_indexbench(rows: int = 4000, group_size: int = 100,
     saved = meter.advance_clock
     meter.advance_clock = False
     try:
-        for name in ("scanned", "indexed"):
-            engine.execute(_INDEXBENCH_DDL.format(name=name), session)
+        for ddl in _INDEXBENCH_DDL:
+            engine.execute(ddl, session)
         engine.execute(
             "CREATE INDEX ix_indexed_grp ON indexed (grp, id)", session)
         for name in ("scanned", "indexed"):
@@ -744,6 +769,7 @@ def run_indexbench(rows: int = 4000, group_size: int = 100,
                 name, [(i, i // group_size, i * 7 % 997, f"pad-{i}")
                        for i in range(rows)])
         engine.checkpoint()
+        engine.execute("ANALYZE", session)
     finally:
         meter.advance_clock = saved
 
@@ -767,22 +793,17 @@ def run_indexbench(rows: int = 4000, group_size: int = 100,
         result.plans[label] = scan_lines[0].strip() if scan_lines \
             else plan[0][0].strip()
 
-    # IN-list leg: the same statements planned by the heuristic planner
-    # (scan + filter), then by the cost-based one (a seek per distinct
-    # key).  The ANALYZE in between also retires the cached plans.
+    # IN-list legs: scan + filter on the copy without a key index, a
+    # seek per distinct key on the one with.
     heap_rows = [0]
     for name in ("scanned", "indexed"):
         _count_heap_rows(engine.table(name), heap_rows)
-    for label, sql, mode in (
-            ("SeqScan + Filter IN", _INDEXBENCH_IN_ONE, "heuristic"),
-            ("SeqScan + Filter IN, two tables", _INDEXBENCH_IN_TWO,
-             "heuristic"),
-            ("IndexSeek IN (cost)", _INDEXBENCH_IN_ONE, "cost"),
-            ("IndexSeek IN, transferred (cost)", _INDEXBENCH_IN_TWO,
-             "cost")):
-        if mode != meter.costs.optimizer_mode:
-            engine.execute("ANALYZE", session)
-            meter.costs.optimizer_mode = mode
+    for label, template, name in (
+            ("SeqScan + Filter IN", _INDEXBENCH_IN_ONE, "scanned"),
+            ("SeqScan + Filter IN, joined", _INDEXBENCH_IN_TWO, "scanned"),
+            ("IndexSeek IN", _INDEXBENCH_IN_ONE, "indexed"),
+            ("IndexSeek IN, transferred", _INDEXBENCH_IN_TWO, "indexed")):
+        sql = template.format(name=name)
         plan = [line.strip() for (line,) in app.query_rows("EXPLAIN " + sql)
                 if " in=" in line]
         io_before = meter.counters.get("disk_io", 0)
@@ -793,7 +814,6 @@ def run_indexbench(rows: int = 4000, group_size: int = 100,
             fetched, heap_rows[0],
             int(meter.counters.get("disk_io", 0) - io_before),
             meter.now - start, plan)
-    meter.costs.optimizer_mode = "heuristic"
     return result
 
 
@@ -963,7 +983,7 @@ def restart_scan_after_history(rounds: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Optbench: cost-based optimizer, heuristic vs cost legs
+# Optbench: the one planner, before and after ANALYZE
 # ---------------------------------------------------------------------------
 
 #: The scale the optimizer gates were calibrated at — large enough that
@@ -972,7 +992,7 @@ OPTBENCH_SCALE = 0.005
 
 #: Top-N over lineitem *with* an ORDER BY (``top_n_lineitem`` has none):
 #: the query shape the TopNHeapSort rewrite targets.  The trailing key
-#: columns make the ordering total, so both modes must return exactly
+#: columns make the ordering total, so every plan must return exactly
 #: the same rows.
 OPTBENCH_TOPN_QUERY = (
     "SELECT TOP 10 l_orderkey, l_linenumber, l_extendedprice "
@@ -980,9 +1000,28 @@ OPTBENCH_TOPN_QUERY = (
     "ORDER BY l_extendedprice DESC, l_orderkey, l_linenumber")
 
 
+def tpch_reference_rows(scale: float, seed: int) -> dict[str, list[tuple]]:
+    """Result rows of the 22 TPC-H queries (``"Q01"`` ...) and of
+    :data:`OPTBENCH_TOPN_QUERY` (``"TOP-N"``) on the ``(scale, seed)``
+    dataset, frozen from the FROM-order planner this repo started with
+    (EXPERIMENTS.md, "The frozen reference", has the script and the
+    commit).  Plans are judged by these rows: whatever the planner
+    chooses, the values must not move beyond float-summation order."""
+    path = pathlib.Path(__file__).with_name("tpch_reference_rows.json")
+    frozen = json.loads(path.read_text())[f"scale={scale} seed={seed}"]
+
+    def cell(value):
+        if isinstance(value, dict):
+            return datetime.date.fromisoformat(value["date"])
+        return value
+
+    return {name: [tuple(cell(v) for v in row) for row in rows]
+            for name, rows in frozen.items()}
+
+
 @dataclass
 class OptbenchLeg:
-    mode: str
+    name: str
     query_seconds: dict[int, float] = field(default_factory=dict)
     query_rows: dict[int, list] = field(default_factory=dict)
     topn_seconds: float = 0.0
@@ -998,59 +1037,41 @@ class OptbenchLeg:
 @dataclass
 class OptbenchResult:
     scale: float
-    heuristic: OptbenchLeg = None
-    cost: OptbenchLeg = None
-
-    def faster_queries(self) -> list[int]:
-        """Table-1 queries the cost leg finishes strictly sooner."""
-        return [n for n in sorted(self.heuristic.query_seconds)
-                if self.cost.query_seconds[n]
-                < self.heuristic.query_seconds[n]]
+    seed: int
+    unanalyzed: OptbenchLeg = None
+    analyzed: OptbenchLeg = None
 
     def format(self) -> str:
-        body = []
-        for number in sorted(self.heuristic.query_seconds):
-            h = self.heuristic.query_seconds[number]
-            c = self.cost.query_seconds[number]
-            body.append([f"Q{number:02d}", h, c, c - h,
-                         c / h if h else float("inf")])
-        body.append(["TOP-N", self.heuristic.topn_seconds,
-                     self.cost.topn_seconds,
-                     self.cost.topn_seconds - self.heuristic.topn_seconds,
-                     self.cost.topn_seconds / self.heuristic.topn_seconds
-                     if self.heuristic.topn_seconds else float("inf")])
-        footers = [["Total", self.heuristic.total_seconds,
-                    self.cost.total_seconds,
-                    self.cost.total_seconds
-                    - self.heuristic.total_seconds,
-                    self.cost.total_seconds / self.heuristic.total_seconds
-                    if self.heuristic.total_seconds else float("inf")]]
+        def row(label, before, after):
+            return [label, before, after, after - before,
+                    after / before if before else float("inf")]
+
+        before, after = self.unanalyzed, self.analyzed
+        body = [row(f"Q{number:02d}", before.query_seconds[number],
+                    after.query_seconds[number])
+                for number in sorted(before.query_seconds)]
+        body.append(row("TOP-N", before.topn_seconds, after.topn_seconds))
         table = format_table(
-            f"Optbench: heuristic vs cost-based plans (SF {self.scale}, "
-            f"virtual seconds)",
-            ["Query", "Heuristic", "Cost", "Difference", "Ratio"],
-            body, footers)
-        lines = [table, "",
-                 f"cost leg faster on {len(self.faster_queries())} "
-                 f"table-1 queries: "
-                 + " ".join(f"Q{n:02d}" for n in self.faster_queries()),
-                 "top-N plan (cost leg):"]
-        lines += [f"  {line}" for line in self.cost.topn_plan]
-        lines.append("optimizer counters (cost leg):")
-        lines += [f"  {name} = {value:g}" for name, value
-                  in sorted(self.cost.optimizer_counters.items())]
+            f"Optbench: the same planner before and after ANALYZE "
+            f"(SF {self.scale}, virtual seconds)",
+            ["Query", "Unanalyzed", "Analyzed", "Difference", "Ratio"],
+            body, [row("Total", before.total_seconds, after.total_seconds)])
+        lines = [table, "", "top-N plan (analyzed leg):"]
+        lines += [f"  {line}" for line in after.topn_plan]
+        for leg in (before, after):
+            lines.append(f"optimizer counters ({leg.name} leg):")
+            lines += [f"  {name} = {value:g}" for name, value
+                      in sorted(leg.optimizer_counters.items())]
         return "\n".join(lines)
 
 
-def _optbench_leg(mode: str, scale: float, seed: int) -> OptbenchLeg:
+def _optbench_leg(name: str, scale: float, seed: int) -> OptbenchLeg:
     from repro.workloads.tpch.queries import QUERIES
 
-    server, _data = make_tpch_world(scale, seed)
+    server, _data = make_tpch_world(scale, seed,
+                                    analyze=name == "analyzed")
     app = BenchmarkApp(server)
-    if mode == "cost":
-        app.run_statement("ANALYZE", label="analyze")
-        server.meter.costs.optimizer_mode = "cost"
-    leg = OptbenchLeg(mode=mode)
+    leg = OptbenchLeg(name=name)
     for number in sorted(QUERIES):
         start = server.meter.now
         leg.query_rows[number] = app.query_rows(QUERIES[number])
@@ -1061,18 +1082,18 @@ def _optbench_leg(mode: str, scale: float, seed: int) -> OptbenchLeg:
     leg.topn_rows = app.query_rows(OPTBENCH_TOPN_QUERY)
     leg.topn_seconds = server.meter.now - start
     leg.optimizer_counters = {
-        name: value for name, value in server.meter.counters.items()
-        if name.startswith("optimizer.")}
+        counter: value for counter, value in server.meter.counters.items()
+        if counter.startswith("optimizer.")}
     return leg
 
 
 def run_optbench(scale: float = OPTBENCH_SCALE,
                  seed: int = 7) -> OptbenchResult:
-    """The table-1 power queries plus the Top-N query, once per
-    optimizer mode, on separately built but identically generated
-    worlds.  Virtual timings are deterministic, so the cost-vs-heuristic
-    deltas are exact plan-quality measurements, not noise."""
-    return OptbenchResult(scale=scale,
-                          heuristic=_optbench_leg("heuristic", scale,
-                                                  seed),
-                          cost=_optbench_leg("cost", scale, seed))
+    """The table-1 power queries plus the Top-N query, planned from
+    default estimates and then from statistics, on separately built but
+    identically generated worlds.  Virtual timings are deterministic, so
+    the deltas are exactly what the statistics are worth, not noise."""
+    return OptbenchResult(scale=scale, seed=seed,
+                          unanalyzed=_optbench_leg("unanalyzed", scale,
+                                                   seed),
+                          analyzed=_optbench_leg("analyzed", scale, seed))

@@ -363,9 +363,9 @@ class DatabaseEngine:
     def _planner(self, session: EngineSession | None,
                  params: dict | None) -> Planner:
         """A planner wired to this engine (views + catalog statistics)."""
-        return Planner(self.table_provider(session), self.meter, params,
-                       view_provider=self.view_provider(),
-                       catalog=self.catalog)
+        return Planner(self.table_provider(session), self.meter,
+                       self.catalog, params,
+                       view_provider=self.view_provider())
 
     def _runtime(self, info: TableInfo) -> Table:
         runtime = self._tables.get(info.name)

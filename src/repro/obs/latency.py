@@ -137,11 +137,10 @@ class LedgerEntry:
         self.components[component] = (
             self.components.get(component, _ZERO) + fraction)
 
-    def hide(self, seconds: float, n: int = 1) -> None:
-        """Record ``n`` charges of ``seconds`` made inside an overlap
-        window.  Fractions are exact, so one multiplication equals the
-        ``n`` separate additions."""
-        self.hidden += Fraction(seconds) * n
+    def hide(self, seconds: float) -> None:
+        """Record a charge of ``seconds`` made inside an overlap
+        window."""
+        self.hidden += Fraction(seconds)
 
     def add_attributed(self, component: str, seconds: float) -> None:
         """Record clock time that bypassed ``charge`` (the realized

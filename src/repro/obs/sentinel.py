@@ -43,9 +43,8 @@ __all__ = ["HIGHER_IS_BETTER", "METRIC_TOLERANCES",
 METRIC_TOLERANCES: dict[str, float] = {
     "redo_applied": 0.0,
     "result_cache_hits": 0.0,
-    # Cost-based-optimizer counters: heuristic legs must stay at zero
-    # (any growth means cost-mode machinery leaked into the heuristic
-    # planner); cost legs are judged against their own group's history.
+    # Optimizer counters: planning is deterministic, so each optbench
+    # leg is judged against its own group's history.
     "optimizer.plans_costed": 0.0,
     "optimizer.join_orders_considered": 0.0,
     "optimizer.topn_heap_used": 0.0,

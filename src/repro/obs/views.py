@@ -220,13 +220,12 @@ def _sys_result_cache(engine):
 
 @system_view("sys_optimizer")
 def _sys_optimizer(engine):
-    """Cost-based-optimizer observability (the ``optimizer.*`` family).
+    """Optimizer observability (the ``optimizer.*`` family).
 
-    Counters accumulate at plan time and only in cost mode
-    (``optimizer_mode = 'cost'``): plans costed, join orders enumerated,
-    Top-N heap sorts and sort-merge joins chosen, and how often the
-    planner fell back to defaults because a table was never ANALYZEd.
-    Empty on heuristic legs — the sentinel holds that at zero growth.
+    Counters accumulate at plan time: plans costed, join orders
+    enumerated, Top-N heap sorts, sort-merge joins and IN-list seeks
+    chosen, and how often the planner fell back to defaults because a
+    table was never ANALYZEd.
     """
     columns = [Column("metric", SqlType.VARCHAR, 64),
                Column("value", SqlType.BIGINT)]

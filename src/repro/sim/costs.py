@@ -215,16 +215,6 @@ class CostModel:
     #: are bumped and no response fields are populated.
     result_cache_entries: int = _option(2048, paper=0)
 
-    # -- query optimizer -------------------------------------------------------
-    #: Plan selection strategy.  ``"cost"`` is the statistics-driven
-    #: optimizer: cardinality estimation from ANALYZE statistics, join
-    #: reordering, cost-based join algorithm and build-side selection,
-    #: IN-list seeks and TopNHeapSort pushdown.  ``"heuristic"`` is the
-    #: planner every paper artifact was produced with: FROM-order
-    #: left-deep joins, the fixed HashJoin-vs-NLJ rule, and Sort+Limit
-    #: for TOP N.
-    optimizer_mode: str = _option("cost", paper="heuristic")
-
     # -- fuzzy checkpoints / parallel redo ---------------------------------------
     #: Virtual-time cadence of *fuzzy* checkpoints: after each commit the
     #: engine takes a non-blocking Begin/End checkpoint if this many
@@ -252,6 +242,7 @@ class CostModel:
     lock_escalation_threshold = 0
     checkpoint_truncate_log = True
     async_commit_window_seconds = 0.0
+    optimizer_mode = "cost"
 
     @classmethod
     def paper(cls, **overrides) -> "CostModel":

@@ -166,47 +166,32 @@ class Meter:
                 else:
                     entry.add(resource, seconds, note, self._component_hint)
 
-    def _per_charge(self) -> bool:
-        """True when each individual charge must surface on its own.
-
-        Multi-stream mode: segment boundaries feed the queueing
-        simulator.  Overlap window: only while somebody observes the
-        individual charges (a recorder pushed inside or around the
-        window, or the metrics registry under tracing); otherwise the
-        window is just its running total.
-        """
-        if self._window is None:
-            return not self.advance_clock
-        return bool(self._recorders) or self.obs.enabled
-
-    def _fold_into_window(self, per_row: float, n: int) -> None:
-        """``n`` charges of ``per_row`` into an un-listened window."""
-        total = self._window
-        for _ in range(n):
-            total += per_row
-        self._window = total
-        latency = self._latency
-        if latency is not None and latency.current is not None:
-            # Exact, so equal to n separate additions.
-            latency.current.hide(per_row, n)
-
     def charge_batched(self, resource: str, seconds: float,
                        note: str = "") -> None:
         """Accumulate a hot-path charge, flushed as one ``charge`` later.
 
         Batching changes only the *granularity* of segments, never the
         total, so it is safe only when the serial clock is authoritative.
-        In multi-stream mode segment boundaries determine how streams
-        interleave, and in an overlap window the total is a left fold
-        over the individual charges — in both nothing is deferred.
+        In multi-stream mode segment boundaries feed the queueing
+        simulator, so every charge surfaces on its own; in an overlap
+        window it does only while somebody observes the individual
+        charges (a recorder pushed inside or around the window, or the
+        metrics registry under tracing) — otherwise the window is just
+        its running total, a left fold over the charges.
         """
         if resource not in _RESOURCE_SET or seconds < 0:
             _reject(resource, seconds)
-        if self._window is not None or not self.advance_clock:
-            if seconds > 0 and not self._per_charge():
-                self._fold_into_window(seconds, 1)
+        if self._window is not None:
+            if seconds > 0 and not self._recorders and not self.obs.enabled:
+                self._window += seconds
+                latency = self._latency
+                if latency is not None and latency.current is not None:
+                    latency.current.hide(seconds)
             else:
                 self.charge(resource, seconds, note)
+            return
+        if not self.advance_clock:
+            self.charge(resource, seconds, note)
             return
         pending = self._pending
         if pending is not None:
@@ -219,85 +204,12 @@ class Meter:
 
     def charge_rows(self, resource: str, per_row: float, n: int,
                     note: str = "") -> None:
-        """Charge ``per_row`` seconds ``n`` times, as one batched update.
-
-        Equivalent to ``n`` calls to :meth:`charge_batched` with the same
-        arguments — including the floating-point result.  Repeated addition
-        is not multiplication in IEEE 754, and the bit-identical contract of
-        the batch executor requires reproducing the exact left-fold the
-        row-at-a-time path performs, so this loops rather than multiplies.
-        """
+        """Charge ``per_row`` seconds for each of ``n`` rows: one batched
+        charge of the product (see :meth:`charge_batched`)."""
         if resource not in _RESOURCE_SET or per_row < 0:
             _reject(resource, per_row)
-        if n <= 0 or per_row == 0:
-            return
-        if self._window is not None or not self.advance_clock:
-            if self._per_charge():
-                for _ in range(n):
-                    self.charge(resource, per_row, note)
-            else:
-                self._fold_into_window(per_row, n)
-            return
-        pending = self._pending
-        if pending is not None and pending[0] == resource \
-                and pending[1] == note:
-            total, hint = pending[2], pending[3]
-        else:
-            if pending is not None:
-                self._flush_pending()
-            total, hint = 0.0, self._component_hint
-        for _ in range(n):
-            total += per_row
-        self._pending = (resource, note, total, hint)
-
-    def charge_run_list(self, resource: str, runs, note: str = "") -> None:
-        """Charge a sequence of ``(per_row, count)`` runs, fold-preserving.
-
-        The batch executor defers per-row charges and replays them here in
-        the exact order the row-at-a-time engine would have issued them;
-        each run expands to ``count`` individual additions into the
-        accumulator (see :meth:`charge_rows` for why).  ``runs`` may be a
-        generator, so a negative run raises when the replay reaches it.
-        """
-        if resource not in _RESOURCE_SET:
-            raise ValueError(f"unknown resource {resource!r}")
-        if not runs:
-            return
-        window, entry = self._window, None
-        if window is not None or not self.advance_clock:
-            if self._per_charge():
-                for per_row, n in runs:
-                    for _ in range(n):
-                        self.charge(resource, per_row, note)
-                return
-            total, hint = window, None
-            if self._latency is not None:
-                entry = self._latency.current
-        else:
-            pending = self._pending
-            if pending is not None and pending[0] == resource \
-                    and pending[1] == note:
-                total, hint = pending[2], pending[3]
-            else:
-                if pending is not None:
-                    self._flush_pending()
-                total, hint = 0.0, self._component_hint
-        for per_row, n in runs:
-            if per_row <= 0:
-                if per_row < 0:
-                    _reject(resource, per_row)
-                continue
-            if n == 1:
-                total += per_row
-            else:
-                for _ in range(n):
-                    total += per_row
-            if entry is not None:
-                entry.hide(per_row, n)
-        if window is not None:
-            self._window = total
-        else:
-            self._pending = (resource, note, total, hint)
+        if n > 0:
+            self.charge_batched(resource, per_row * n, note)
 
     def _flush_pending(self) -> None:
         """Emit the accumulated batched charge as one real segment.

@@ -8,20 +8,17 @@ Laziness matters for fidelity: the server pulls rows into its network
 output buffer and *suspends* the scan when the buffer fills (the Table 3
 artifact), and abandoned result sets must never charge for rows the
 consumer did not pull.  Operators therefore defer per-tuple CPU
-charges: a batch carries "cost runs" — ``(per_row_seconds, count)``
-pairs, in row-examination order — and the root adapter charges a row's
-runs only at the moment that row is handed to the consumer
-(:func:`_batch_row_stream`).  Charges for rows examined but not emitted
-(filtered out, duplicate, unmatched probes) ride along as a *carry*
-attached to the next emitted row, or are realized when the consumer
-pulls past the end — exactly when reading the plan one row per pull
-would examine them.  :meth:`Meter.charge_run_list` expands runs as
-individual additions into the batched-charge accumulator, so the
-floating-point fold — and with it the virtual clock, every segment
-boundary, and every trace — is that reading's, to the bit.  The
-run-lists stay although a per-row float sum would be shorter: it is a
-different IEEE fold, and every committed virtual number hangs on this
-one.
+charges: a batch says how many seconds each of its rows still owes —
+one float per row, the sum of what examining it cost on the way up —
+and the root adapter charges a row's seconds only at the moment that
+row is handed to the consumer (:func:`_batch_row_stream`).  Charges for
+rows examined but not emitted (filtered out, duplicate, unmatched
+probes) ride along as a *carry* added to the next emitted row, or are
+realized when the consumer pulls past the end — exactly when reading
+the plan one row per pull would examine them.  The row-at-a-time
+reading (``tests/row_engine_oracle.py``) adds the same seconds in
+another order, so it agrees on rows and counters exactly and on the
+clock to a relative 1e-9.
 
 An operator whose expressions are impure (a subquery charges the meter
 mid-evaluation; only Filter, Project and HashAggregate can hold one)
@@ -49,18 +46,18 @@ from repro.types import stored_type
 class ExecContext:
     """Everything an operator needs at run time."""
 
-    meter: object            # repro.sim.meter.Meter or None
+    meter: object            # repro.sim.meter.Meter
     outer: EvalContext | None = None
 
     def charge_cpu(self, seconds: float) -> None:
         # Batched: per-tuple charges accumulate and flush as one segment
         # with the identical total (see Meter.charge_batched).
-        if self.meter is not None and seconds > 0:
+        if seconds > 0:
             self.meter.charge_batched(SERVER_CPU, seconds, "query cpu")
 
     @property
     def costs(self):
-        return self.meter.costs if self.meter is not None else None
+        return self.meter.costs
 
 
 class PlanOperator:
@@ -80,46 +77,23 @@ class PlanOperator:
 # ---------------------------------------------------------------------------
 #
 # ``costs`` in a ``(rows, costs)`` batch is one of:
-#   None          — nothing owed (a blocking operator already charged);
-#   a runs tuple  — uniform: every row owes these runs (shared object);
-#   a list        — per row: ``costs[i]`` is None or a runs tuple.
-# A "runs tuple" is ``((per_row_seconds, count), ...)`` in examination
-# order; expanding it run by run, addition by addition, reproduces the
-# charge sequence of examining those rows one at a time.
-
-
-def _merge_runs(a: tuple, b: tuple) -> tuple:
-    """Concatenate run tuples, merging the boundary runs when their
-    per-row values match.  Merging ``(x, n)`` with ``(x, m)`` into
-    ``(x, n + m)`` expands to the same addition sequence, so the fold is
-    unchanged while drop streaks stay O(1) runs instead of O(rows)."""
-    if not a:
-        return b
-    if not b:
-        return a
-    av, an = a[-1]
-    bv, bn = b[0]
-    if av == bv:
-        return a[:-1] + ((av, an + bn),) + b[1:]
-    return a + b
+#   None     — nothing owed (a blocking operator already charged);
+#   a float  — uniform: every row owes this many seconds;
+#   a list   — per row: ``costs[i]`` seconds (0.0: nothing).
+#
+# A streaming operator that drops rows keeps what they owed in a *carry*
+# and adds it to the next row it emits.  What is left when a batch ends
+# is charged exactly when the consumer pulls *past* those rows — the
+# pull that examines them, read one row at a time — and always *before*
+# the next child batch is requested, so a page fault in that request
+# flushes the accumulator after them, not before.
 
 
 def _pairs(rows: list, costs):
-    """Iterate ``(row, owed_runs)`` for one batch, any costs shape."""
+    """Iterate ``(row, owed seconds)`` for one batch, any costs shape."""
     if type(costs) is list:
         return zip(rows, costs)
-    return zip(rows, repeat(costs))
-
-
-def _realize_carry(meter, carry: tuple) -> None:
-    """Charge runs owed for rows examined after the last emitted row.
-
-    Called exactly when the consumer pulls *past* those rows — the
-    pull that examines them, read one row at a time — and always
-    *before* the next child batch is requested, so a page fault in that
-    request flushes the accumulator after them, not before."""
-    if carry and meter is not None:
-        meter.charge_run_list(SERVER_CPU, carry, "query cpu")
+    return zip(rows, repeat(costs or 0.0))
 
 
 def _input_batches(child: PlanOperator, exec_ctx: ExecContext,
@@ -134,47 +108,24 @@ def _input_batches(child: PlanOperator, exec_ctx: ExecContext,
     return (([row], None) for row in _batch_row_stream(child, exec_ctx))
 
 
-def _repeat_runs(runs: tuple, n: int):
-    for _ in range(n):
-        yield from runs
-
-
-def _per_row_runs(costs: list, extra: float):
-    for rc in costs:
-        if rc:
-            yield from rc
-        if extra > 0:
-            yield (extra, 1)
-
-
-def _charge_deferred(meter, n_rows: int, costs, extra: float) -> None:
+def _charge_deferred(exec_ctx: ExecContext, n_rows: int, costs,
+                     extra: float) -> None:
     """Realize a consumed batch's owed charges immediately.
 
     Blocking operators (sort, aggregate, join build) drain their input
     during the consumer's first pull, so input charges are due the
-    moment each row is consumed: each row's own runs first, then the
-    ``extra`` per-tuple cost of consuming it.
+    moment a batch is consumed: what its rows owe, plus the ``extra``
+    per-tuple cost of consuming them.
     """
-    if meter is None or n_rows == 0:
-        return
-    if costs is None:
-        if extra > 0:
-            meter.charge_rows(SERVER_CPU, extra, n_rows, "query cpu")
-        return
-    if type(costs) is tuple:
-        if extra > 0:
-            per_row = costs + ((extra, 1),)
-        else:
-            per_row = costs
-        if len(per_row) == 1:
-            value, count = per_row[0]
-            meter.charge_rows(SERVER_CPU, value, count * n_rows, "query cpu")
-        else:
-            meter.charge_run_list(SERVER_CPU, _repeat_runs(per_row, n_rows),
-                                  "query cpu")
-        return
-    meter.charge_run_list(SERVER_CPU, _per_row_runs(costs, extra),
-                          "query cpu")
+    if type(costs) is list:
+        # An explicit loop: the built-in sum() of floats is compensated
+        # from Python 3.12 on, and the clock must not depend on that.
+        owed = extra * n_rows
+        for seconds in costs:
+            owed += seconds
+    else:
+        owed = ((costs or 0.0) + extra) * n_rows
+    exec_ctx.charge_cpu(owed)
 
 
 def _all_slots(fns) -> list[int] | None:
@@ -189,13 +140,8 @@ def _all_slots(fns) -> list[int] | None:
     return slots
 
 
-def _stats(exec_ctx: ExecContext):
-    return getattr(exec_ctx.meter, "executor_stats", None)
-
-
-def _count_batch(stats, key: str) -> None:
-    if stats is not None:
-        stats[key] = stats.get(key, 0) + 1
+def _count_batch(stats: dict, key: str) -> None:
+    stats[key] = stats.get(key, 0) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +183,9 @@ class SeqScan(PlanOperator):
         self.with_rid = False
 
     def batches(self, exec_ctx: ExecContext):
-        costs = exec_ctx.costs
-        per_tuple = (costs.cpu_per_tuple_scan * self.cost_factor
-                     if costs else 0.0)
-        run = ((per_tuple, 1),) if per_tuple > 0 else None
-        stats = _stats(exec_ctx)
-        probe = getattr(exec_ctx.meter, "lock_probe", None)
+        owed = exec_ctx.costs.cpu_per_tuple_scan * self.cost_factor
+        stats = exec_ctx.meter.executor_stats
+        probe = exec_ctx.meter.lock_probe
         # One batch per heap page: the pool's fault (disk charge) happens
         # while producing the batch — the same pull that first needs it.
         for block in self.table.scan_pages():
@@ -253,9 +196,9 @@ class SeqScan(PlanOperator):
                 for rid, row in block:
                     probe(self.table, rid, row)
             if self.with_rid:
-                yield [row + (rid,) for rid, row in block], run
+                yield [row + (rid,) for rid, row in block], owed
             else:
-                yield [row for _rid, row in block], run
+                yield [row for _rid, row in block], owed
 
 
 class IndexSeek(PlanOperator):
@@ -294,7 +237,7 @@ class IndexSeek(PlanOperator):
         #: set by the planner when this scan's key order made a Sort
         #: unnecessary; counted per *execution* (plan-cache hits too).
         self.eliminates_sort = False
-        #: set by the cost-based planner when a Limit above needs at
+        #: set by the planner when a Limit above needs at
         #: most this many rows and nothing in between drops rows.  A
         #: host-side early stop only: the downstream Limit stops pulling
         #: at the same row, so virtual charges are unchanged.
@@ -391,9 +334,7 @@ class IndexSeek(PlanOperator):
         return tuple(row)
 
     def _count_scan(self, exec_ctx: ExecContext) -> None:
-        stats = _stats(exec_ctx)
-        if stats is None:
-            return
+        stats = exec_ctx.meter.executor_stats
         kind = type(self).__name__
         key = ("index_only_scans" if self.index_only
                else "index_range_scans" if kind == "IndexRangeScan"
@@ -404,14 +345,12 @@ class IndexSeek(PlanOperator):
                 stats.get("sort_eliminations", 0) + 1
 
     def batches(self, exec_ctx: ExecContext):
-        costs = exec_ctx.costs
-        per_tuple = (costs.cpu_per_tuple_index_lookup * self.cost_factor
-                     if costs else 0.0)
-        run = ((per_tuple, 1),) if per_tuple > 0 else None
-        stats = _stats(exec_ctx)
+        owed = (exec_ctx.costs.cpu_per_tuple_index_lookup
+                * self.cost_factor)
+        stats = exec_ctx.meter.executor_stats
         batch_key = "batches." + type(self).__name__
         self._count_scan(exec_ctx)
-        probe = getattr(exec_ctx.meter, "lock_probe", None)
+        probe = exec_ctx.meter.lock_probe
         hint = self.limit_hint
         emitted = 0
         if self.index_only:
@@ -419,7 +358,7 @@ class IndexSeek(PlanOperator):
                 if probe is not None:
                     probe(self.table, rid, None)
                 _count_batch(stats, batch_key)
-                yield [self._synth_row(key)], run
+                yield [self._synth_row(key)], owed
                 emitted += 1
                 if hint is not None and emitted >= hint:
                     return
@@ -436,7 +375,7 @@ class IndexSeek(PlanOperator):
             if probe is not None:
                 probe(self.table, rid, row)
             _count_batch(stats, batch_key)
-            yield [row + (rid,) if with_rid else row], run
+            yield [row + (rid,) if with_rid else row], owed
             emitted += 1
             if hint is not None and emitted >= hint:
                 return
@@ -522,29 +461,27 @@ class Filter(PlanOperator):
 
     def batches(self, exec_ctx: ExecContext):
         predicate = self.predicate
-        meter = exec_ctx.meter
-        stats = _stats(exec_ctx)
+        stats = exec_ctx.meter.executor_stats
         ctx = EvalContext(row=(), outer=exec_ctx.outer)
         child_it = _input_batches(self.child, exec_ctx,
                                   is_impure(predicate))
-        carry: tuple = ()
+        carry = 0.0
         while True:
-            _realize_carry(meter, carry)
-            carry = ()
+            exec_ctx.charge_cpu(carry)
+            carry = 0.0
             batch = next(child_it, None)
             if batch is None:
                 return
             rows, costs = batch
             out: list = []
             out_costs: list = []
-            for row, rc in _pairs(rows, costs):
-                if rc:
-                    carry = _merge_runs(carry, rc)
+            for row, owed in _pairs(rows, costs):
+                carry += owed
                 ctx.row = row
                 if predicate(ctx) is True:
                     out.append(row)
-                    out_costs.append(carry if carry else None)
-                    carry = ()
+                    out_costs.append(carry)
+                    carry = 0.0
             if out:
                 _count_batch(stats, "batches.Filter")
                 yield out, out_costs
@@ -560,7 +497,7 @@ class Project(PlanOperator):
 
     def batches(self, exec_ctx: ExecContext):
         exprs = self.exprs
-        stats = _stats(exec_ctx)
+        stats = exec_ctx.meter.executor_stats
         slots = _all_slots(exprs)
         if slots is not None and slots:
             # Pure column projection: index tuples directly, no contexts.
@@ -597,7 +534,7 @@ class Limit(PlanOperator):
     def batches(self, exec_ctx: ExecContext):
         if self.count <= 0:
             return
-        stats = _stats(exec_ctx)
+        stats = exec_ctx.meter.executor_stats
         remaining = self.count
         for rows, costs in self.child.batches(exec_ctx):
             if len(rows) >= remaining:
@@ -623,34 +560,27 @@ class Distinct(PlanOperator):
         return [self.child]
 
     def batches(self, exec_ctx: ExecContext):
-        costs = exec_ctx.costs
-        per_tuple = (costs.cpu_per_tuple_agg * self.cost_factor
-                     if costs else 0.0)
-        my_run = ((per_tuple, 1),) if per_tuple > 0 else ()
-        meter = exec_ctx.meter
-        stats = _stats(exec_ctx)
+        per_tuple = exec_ctx.costs.cpu_per_tuple_agg * self.cost_factor
+        stats = exec_ctx.meter.executor_stats
         seen: set = set()
         child_it = self.child.batches(exec_ctx)
-        carry: tuple = ()
+        carry = 0.0
         while True:
-            _realize_carry(meter, carry)
-            carry = ()
+            exec_ctx.charge_cpu(carry)
+            carry = 0.0
             batch = next(child_it, None)
             if batch is None:
                 return
             rows, costs_in = batch
             out: list = []
             out_costs: list = []
-            for row, rc in _pairs(rows, costs_in):
-                if rc:
-                    carry = _merge_runs(carry, rc)
-                if my_run:
-                    carry = _merge_runs(carry, my_run)
+            for row, owed in _pairs(rows, costs_in):
+                carry += owed + per_tuple
                 if row not in seen:
                     seen.add(row)
                     out.append(row)
-                    out_costs.append(carry if carry else None)
-                    carry = ()
+                    out_costs.append(carry)
+                    carry = 0.0
             if out:
                 _count_batch(stats, "batches.Distinct")
                 yield out, out_costs
@@ -702,12 +632,8 @@ class HashJoin(PlanOperator):
         return [self.left, self.right]
 
     def batches(self, exec_ctx: ExecContext):
-        costs_model = exec_ctx.costs
-        per_tuple = (costs_model.cpu_per_tuple_join * self.cost_factor
-                     if costs_model else 0.0)
-        join_run = ((per_tuple, 1),) if per_tuple > 0 else ()
-        meter = exec_ctx.meter
-        stats = _stats(exec_ctx)
+        per_tuple = exec_ctx.costs.cpu_per_tuple_join * self.cost_factor
+        stats = exec_ctx.meter.executor_stats
         outer = exec_ctx.outer
         # Build: the right side is drained during the consumer's first
         # pull, so input charges are due as each batch is consumed —
@@ -717,7 +643,7 @@ class HashJoin(PlanOperator):
         right_key_fns = self.right_key_fns
         ctx = EvalContext(row=(), outer=outer)
         for rows, costs in self.right.batches(exec_ctx):
-            _charge_deferred(meter, len(rows), costs, per_tuple)
+            _charge_deferred(exec_ctx, len(rows), costs, per_tuple)
             if right_slots is not None:
                 for row in rows:
                     key = tuple(row[i] for i in right_slots)
@@ -739,21 +665,18 @@ class HashJoin(PlanOperator):
         null_right = (None,) * self.right_width
         empty: tuple = ()
         left_it = self.left.batches(exec_ctx)
-        carry: tuple = ()
+        carry = 0.0
         while True:
-            _realize_carry(meter, carry)
-            carry = ()
+            exec_ctx.charge_cpu(carry)
+            carry = 0.0
             batch = next(left_it, None)
             if batch is None:
                 return
             rows, costs = batch
             out: list = []
             out_costs: list = []
-            for left_row, rc in _pairs(rows, costs):
-                if rc:
-                    carry = _merge_runs(carry, rc)
-                if join_run:
-                    carry = _merge_runs(carry, join_run)
+            for left_row, owed in _pairs(rows, costs):
+                carry += owed + per_tuple
                 if left_slots is not None:
                     key = tuple(left_row[i] for i in left_slots)
                 else:
@@ -769,21 +692,21 @@ class HashJoin(PlanOperator):
                                 continue
                         matched = True
                         out.append(combined)
-                        out_costs.append(carry if carry else None)
-                        carry = ()
+                        out_costs.append(carry)
+                        carry = 0.0
                 if not matched and is_left_join:
                     out.append(left_row + null_right)
-                    out_costs.append(carry if carry else None)
-                    carry = ()
+                    out_costs.append(carry)
+                    carry = 0.0
             if out:
                 _count_batch(stats, "batches.HashJoin")
                 yield out, out_costs
 
 
 class SortMergeJoin(PlanOperator):
-    """Sort-merge equi join (inner only), chosen by the cost-based
-    planner when both inputs already arrive in join-key order (or one
-    is cheap enough to sort).
+    """Sort-merge equi join (inner only), chosen by the planner when
+    both inputs already arrive in join-key order (or one is cheap enough
+    to sort).
 
     Each input row is consumed exactly once at scan rate
     (``cpu_per_tuple_scan``) instead of the hash join's build/probe rate
@@ -870,25 +793,22 @@ class SortMergeJoin(PlanOperator):
 
     def batches(self, exec_ctx: ExecContext):
         costs_model = exec_ctx.costs
-        per_tuple = (costs_model.cpu_per_tuple_scan * self.cost_factor
-                     if costs_model else 0.0)
-        meter = exec_ctx.meter
-        stats = _stats(exec_ctx)
+        per_tuple = costs_model.cpu_per_tuple_scan * self.cost_factor
+        stats = exec_ctx.meter.executor_stats
         left_rows: list = []
         for rows, costs in self.left.batches(exec_ctx):
-            _charge_deferred(meter, len(rows), costs, per_tuple)
+            _charge_deferred(exec_ctx, len(rows), costs, per_tuple)
             left_rows.extend(rows)
         right_rows: list = []
         for rows, costs in self.right.batches(exec_ctx):
-            _charge_deferred(meter, len(rows), costs, per_tuple)
+            _charge_deferred(exec_ctx, len(rows), costs, per_tuple)
             right_rows.extend(rows)
-        if costs_model is not None:
-            if not self.left_sorted:
-                exec_ctx.charge_cpu(costs_model.sort_seconds(len(left_rows))
-                                    * self.cost_factor)
-            if not self.right_sorted:
-                exec_ctx.charge_cpu(costs_model.sort_seconds(len(right_rows))
-                                    * self.cost_factor)
+        if not self.left_sorted:
+            exec_ctx.charge_cpu(costs_model.sort_seconds(len(left_rows))
+                                * self.cost_factor)
+        if not self.right_sorted:
+            exec_ctx.charge_cpu(costs_model.sort_seconds(len(right_rows))
+                                * self.cost_factor)
         outer = exec_ctx.outer
         left_keyed = self._keyed(left_rows, self.left_key_fns, outer)
         right_keyed = self._keyed(right_rows, self.right_key_fns, outer)
@@ -913,40 +833,32 @@ class NestedLoopJoin(PlanOperator):
         return [self.left, self.right]
 
     def batches(self, exec_ctx: ExecContext):
-        costs_model = exec_ctx.costs
-        per_tuple = (costs_model.cpu_per_tuple_join * self.cost_factor
-                     if costs_model else 0.0)
-        join_run = ((per_tuple, 1),) if per_tuple > 0 else ()
-        meter = exec_ctx.meter
-        stats = _stats(exec_ctx)
+        per_tuple = exec_ctx.costs.cpu_per_tuple_join * self.cost_factor
+        stats = exec_ctx.meter.executor_stats
         right_rows: list = []
         for rows, costs in self.right.batches(exec_ctx):
-            _charge_deferred(meter, len(rows), costs, 0.0)
+            _charge_deferred(exec_ctx, len(rows), costs, 0.0)
             right_rows.extend(rows)
         condition = self.condition
         is_left_join = self.kind == "left"
         null_right = (None,) * self.right_width
         ctx = EvalContext(row=(), outer=exec_ctx.outer)
         left_it = self.left.batches(exec_ctx)
-        carry: tuple = ()
+        carry = 0.0
         while True:
-            _realize_carry(meter, carry)
-            carry = ()
+            exec_ctx.charge_cpu(carry)
+            carry = 0.0
             batch = next(left_it, None)
             if batch is None:
                 return
             rows, costs = batch
             out: list = []
             out_costs: list = []
-            for left_row, rc in _pairs(rows, costs):
-                if rc:
-                    carry = _merge_runs(carry, rc)
-                if join_run:
-                    carry = _merge_runs(carry, join_run)
+            for left_row, owed in _pairs(rows, costs):
+                carry += owed + per_tuple
                 matched = False
                 for right_row in right_rows:
-                    if join_run:
-                        carry = _merge_runs(carry, join_run)
+                    carry += per_tuple
                     combined = left_row + right_row
                     if condition is not None:
                         ctx.row = combined
@@ -954,12 +866,12 @@ class NestedLoopJoin(PlanOperator):
                             continue
                     matched = True
                     out.append(combined)
-                    out_costs.append(carry if carry else None)
-                    carry = ()
+                    out_costs.append(carry)
+                    carry = 0.0
                 if not matched and is_left_join:
                     out.append(left_row + null_right)
-                    out_costs.append(carry if carry else None)
-                    carry = ()
+                    out_costs.append(carry)
+                    carry = 0.0
             if out:
                 _count_batch(stats, "batches.NestedLoopJoin")
                 yield out, out_costs
@@ -1050,11 +962,8 @@ class HashAggregate(PlanOperator):
                        for spec in self.agg_specs))
 
     def batches(self, exec_ctx: ExecContext):
-        costs_model = exec_ctx.costs
-        per_tuple = (costs_model.cpu_per_tuple_agg * self.cost_factor
-                     if costs_model else 0.0)
-        meter = exec_ctx.meter
-        stats = _stats(exec_ctx)
+        per_tuple = exec_ctx.costs.cpu_per_tuple_agg * self.cost_factor
+        stats = exec_ctx.meter.executor_stats
         groups: dict[tuple, list[_Accumulator]] = {}
         order: list[tuple] = []
         specs = self.agg_specs
@@ -1071,7 +980,7 @@ class HashAggregate(PlanOperator):
         ctx = EvalContext(row=(), outer=exec_ctx.outer)
         for rows, costs in _input_batches(self.child, exec_ctx,
                                           self._impure()):
-            _charge_deferred(meter, len(rows), costs, per_tuple)
+            _charge_deferred(exec_ctx, len(rows), costs, per_tuple)
             for row in rows:
                 if needs_ctx:
                     ctx.row = row
@@ -1125,16 +1034,13 @@ class Sort(PlanOperator):
         return [self.child]
 
     def batches(self, exec_ctx: ExecContext):
-        meter = exec_ctx.meter
-        stats = _stats(exec_ctx)
+        stats = exec_ctx.meter.executor_stats
         rows: list = []
         for batch_rows, costs in self.child.batches(exec_ctx):
-            _charge_deferred(meter, len(batch_rows), costs, 0.0)
+            _charge_deferred(exec_ctx, len(batch_rows), costs, 0.0)
             rows.extend(batch_rows)
-        costs_model = exec_ctx.costs
-        if costs_model is not None:
-            exec_ctx.charge_cpu(costs_model.sort_seconds(len(rows))
-                                * self.cost_factor)
+        exec_ctx.charge_cpu(exec_ctx.costs.sort_seconds(len(rows))
+                            * self.cost_factor)
         # Decorate-sort-undecorate, one stable pass per key (innermost
         # last, like the multi-pass list.sort).  ``list.sort(key=...)``
         # evaluates keys once per row in list order, and so does this
@@ -1181,7 +1087,7 @@ class _Descending:
 
 
 class TopNHeapSort(PlanOperator):
-    """Bounded-heap ORDER BY + TOP N (cost-based plans only).
+    """Bounded-heap ORDER BY + TOP N.
 
     Replaces ``Limit(Sort(child))``: only the top ``count`` rows are
     retained, so the charged CPU is ``n log k`` (:meth:`CostModel.
@@ -1221,17 +1127,14 @@ class TopNHeapSort(PlanOperator):
         return heapq.nsmallest(self.count, rows, key=self._key_of(exec_ctx))
 
     def batches(self, exec_ctx: ExecContext):
-        meter = exec_ctx.meter
-        stats = _stats(exec_ctx)
+        stats = exec_ctx.meter.executor_stats
         rows: list = []
         for batch_rows, costs in self.child.batches(exec_ctx):
-            _charge_deferred(meter, len(batch_rows), costs, 0.0)
+            _charge_deferred(exec_ctx, len(batch_rows), costs, 0.0)
             rows.extend(batch_rows)
-        costs_model = exec_ctx.costs
-        if costs_model is not None:
-            exec_ctx.charge_cpu(
-                costs_model.topn_seconds(len(rows), self.count)
-                * self.cost_factor)
+        exec_ctx.charge_cpu(
+            exec_ctx.costs.topn_seconds(len(rows), self.count)
+            * self.cost_factor)
         _count_batch(stats, "batches.TopNHeapSort")
         yield self._select_top(rows, exec_ctx), None
 
@@ -1265,16 +1168,13 @@ class PointLookup(PlanOperator):
 
     def batches(self, exec_ctx: ExecContext):
         seek = self.seek
-        costs = exec_ctx.costs
-        per_tuple = (costs.cpu_per_tuple_index_lookup * seek.cost_factor
-                     if costs else 0.0)
-        run = ((per_tuple, 1),) if per_tuple > 0 else None
-        stats = _stats(exec_ctx)
-        if stats is not None:
-            stats["point_lookups"] = stats.get("point_lookups", 0) + 1
-            if seek.eliminates_sort:
-                stats["sort_eliminations"] = \
-                    stats.get("sort_eliminations", 0) + 1
+        owed = (exec_ctx.costs.cpu_per_tuple_index_lookup
+                * seek.cost_factor)
+        stats = exec_ctx.meter.executor_stats
+        stats["point_lookups"] = stats.get("point_lookups", 0) + 1
+        if seek.eliminates_sort:
+            stats["sort_eliminations"] = \
+                stats.get("sort_eliminations", 0) + 1
         ctx = EvalContext(row=(), outer=exec_ctx.outer)
         prefix = tuple(fn(ctx) for fn in seek.prefix_fns)
         if any(v is None for v in prefix):
@@ -1283,7 +1183,7 @@ class PointLookup(PlanOperator):
         read = seek.table.heap.read
         exprs = self.project.exprs
         slots = _all_slots(exprs)
-        probe = getattr(exec_ctx.meter, "lock_probe", None)
+        probe = exec_ctx.meter.lock_probe
         for rid in tree.search(prefix):
             row = read(rid)
             if row is None:
@@ -1295,7 +1195,7 @@ class PointLookup(PlanOperator):
             else:
                 ctx.row = row
                 out_row = tuple(expr(ctx) for expr in exprs)
-            yield [out_row], run
+            yield [out_row], owed
 
 
 # ---------------------------------------------------------------------------
@@ -1337,25 +1237,16 @@ def is_streamable_plan(root: PlanOperator) -> bool:
 
 
 def _batch_row_stream(root: PlanOperator, exec_ctx: ExecContext):
-    """Flatten a batch stream into rows, charging each row's owed runs
+    """Flatten a batch stream into rows, charging what each row owes
     at the moment it is handed over."""
-    meter = exec_ctx.meter
-    if meter is None:
-        for rows, _costs in root.batches(exec_ctx):
-            yield from rows
-        return
-    charge_run_list = meter.charge_run_list
+    charge = exec_ctx.meter.charge_batched
     for rows, costs in root.batches(exec_ctx):
-        if costs is None:
+        if not costs:
             yield from rows
-        elif type(costs) is tuple:
-            for row in rows:
-                charge_run_list(SERVER_CPU, costs, "query cpu")
-                yield row
         else:
-            for row, rc in zip(rows, costs):
-                if rc:
-                    charge_run_list(SERVER_CPU, rc, "query cpu")
+            for row, owed in _pairs(rows, costs):
+                if owed:
+                    charge(SERVER_CPU, owed, "query cpu")
                 yield row
 
 
@@ -1369,8 +1260,8 @@ def iterate_plan(root: PlanOperator, meter,
     and how many rows it ultimately produced.
     """
     rows = _batch_row_stream(root, ExecContext(meter=meter, outer=outer))
-    obs = getattr(meter, "obs", None)
-    if obs is None or not obs.tracer.enabled:
+    obs = meter.obs
+    if not obs.tracer.enabled:
         return rows
     return _traced_rows(rows, obs, type(root).__name__)
 

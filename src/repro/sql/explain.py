@@ -37,8 +37,8 @@ def explain_plan(root: PlanOperator) -> list[str]:
 
 def _walk(op: PlanOperator, depth: int, lines: list[str]) -> None:
     line = _describe(op)
-    # Cost-based plans carry the optimizer's estimates; heuristic plans
-    # have no such attributes and render exactly as before.
+    # The planner's estimates (set on every operator of a planned
+    # SELECT; a hand-built tree has none).
     est_rows = getattr(op, "est_rows", None)
     if est_rows is not None:
         est_cost = getattr(op, "est_cost", 0.0)

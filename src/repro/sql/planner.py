@@ -1,17 +1,25 @@
 """Logical-to-physical planning.
 
 The planner turns a parsed ``SELECT`` into a tree of executor operators.
-Heuristics (deliberately simple, in the spirit of a 2001-era engine):
+There is one planner, and statistics decide what it does: every relation
+gets a cardinality estimate — from its ``ANALYZE`` statistics, or from
+fixed defaults (:data:`Planner._DEFAULT_ROWS`, ``_DEFAULT_SEL``) for a
+table never analysed, each such guess ticking
+``optimizer.stats_missing_fallbacks`` — and the choices below follow
+from the estimates (DESIGN.md §15):
 
 * WHERE conjuncts that reference a single relation are pushed below joins;
-* equality conjuncts between two relations become hash-join keys, join
-  order is the FROM order (left-deep);
+* equality conjuncts between two relations become hash-join keys; a
+  comma list is folded left-deep in the order that minimizes the modeled
+  join cost, the hash join builds on the smaller input, and two inputs
+  that both arrive in key order are merged instead;
 * a pushed conjunct set matching an index's key prefix (equality prefix
   plus an optional range on the next column) turns the scan into an
-  :class:`~repro.sql.executor.IndexSeek`; in cost mode an IN-list of
-  constants on the next column seeks once per listed key instead, and a
-  list on one side of a join equality is offered to the other side's
-  index too (DESIGN.md §15);
+  :class:`~repro.sql.executor.IndexSeek`; an IN-list of constants on
+  the next column seeks once per listed key instead, and a list on one
+  side of a join equality is offered to the other side's index too;
+* ``TOP N`` under an ``ORDER BY`` is one bounded-heap
+  :class:`~repro.sql.executor.TopNHeapSort`;
 * aggregates are computed by one hash-aggregate whose output rows are
   ``group keys + aggregate values``; select/having/order expressions are
   rewritten to read those slots;
@@ -101,8 +109,8 @@ class _Relation:
     #: Base-table runtime when this relation is a plain table scan whose
     #: access path has not been chosen yet.
     table: object = None
-    #: Cost-mode cardinality estimate (None in heuristic mode, and for
-    #: relations the cost planner never estimated).
+    #: Cardinality estimate (None for relations the join-order search
+    #: never saw: explicit JOIN operands, a FROM list under a bare ``*``).
     est_rows: float | None = None
     #: binding name -> base table name, for catalog statistics lookups
     #: on join-key columns (empty for derived tables).
@@ -113,21 +121,17 @@ class Planner:
     """Plans SELECT statements against a table provider.
 
     ``table_provider(name)`` returns the engine's table runtime (heap,
-    indexes, cost factor); ``meter`` is used by the subquery runner and
-    for plan-time charging; ``params`` binds ``@name`` references.
+    indexes, cost factor); ``meter`` prices the plans, counts the
+    ``optimizer.*`` decisions and runs subqueries; ``catalog`` holds the
+    ANALYZE statistics; ``params`` binds ``@name`` references.
     """
 
-    def __init__(self, table_provider, meter=None,
-                 params: dict | None = None, view_provider=None,
-                 catalog=None):
+    def __init__(self, table_provider, meter, catalog,
+                 params: dict | None = None, view_provider=None):
         self._tables = table_provider
         self._meter = meter
-        self._params = params or {}
-        #: Catalog giving access to ANALYZE statistics.  Cost-based
-        #: planning activates only when a catalog is wired *and* the
-        #: cost model asks for it (``optimizer_mode == "cost"``);
-        #: heuristic mode takes exactly the seed code paths.
         self._catalog = catalog
+        self._params = params or {}
         #: Optional callable(name) -> view body SQL or None; view names
         #: in FROM expand to derived tables.
         self._views = view_provider
@@ -146,17 +150,20 @@ class Planner:
         self._scope_log.append(scope)
         return scope
 
-    @property
-    def _cost_mode(self) -> bool:
-        """True when cost-based planning is on for this planner."""
-        return (self._catalog is not None and self._meter is not None
-                and self._meter.costs.optimizer_mode == "cost")
-
-    def _count_opt(self, name: str, amount: float = 1.0) -> None:
-        """Tick an ``optimizer.*`` counter.  Called only from cost-mode
-        paths, so heuristic traces stay counter-free."""
-        if self._meter is not None:
-            self._meter.count(name, amount)
+    def _row_count(self, table_name: str | None,
+                   counted: bool = True) -> tuple[dict | None, float]:
+        """``(statistics, rows)`` of a base table: its ANALYZE row count,
+        or the default guess when it was never analysed (or is no base
+        table at all: ``None``).  A guess ticks
+        ``optimizer.stats_missing_fallbacks`` unless the caller says the
+        plan already counted it (``counted=False``)."""
+        stats = (self._catalog.get_table_stats(table_name)
+                 if table_name is not None else None)
+        if stats is not None:
+            return stats, float(stats["row_count"])
+        if counted:
+            self._meter.count("optimizer.stats_missing_fallbacks")
+        return None, self._DEFAULT_ROWS
 
     # -- public API ------------------------------------------------------------
 
@@ -212,8 +219,7 @@ class Planner:
                      limit_one: bool = False) -> Plan:
         if isinstance(select, ast.UnionSelect):
             return self._plan_union(select, outer_scope, limit_one)
-        if self._cost_mode:
-            self._count_opt("optimizer.plans_costed")
+        self._meter.count("optimizer.plans_costed")
         # 1. FROM (join planning consumes the WHERE conjuncts it can and
         # returns the leftovers for the residual filter).
         if select.from_items:
@@ -290,23 +296,22 @@ class Planner:
             self._single_base_scan(op, select).eliminates_sort = True
         post_sort_keys = self._order_keys_on_output(
             select.order_by, select_items, out_schema)
-        # Cost mode fuses TOP N + ORDER BY into a bounded-heap TopN (the
-        # n log k vs n log n win).  A Limit above a projection is safe to
+        # TOP N + ORDER BY fuse into a bounded-heap TopN (the n log k vs
+        # n log n win).  A Limit above a projection is safe to
         # fuse below it (Project is 1:1) but never below Distinct, which
         # drops rows *between* the sort and the limit in the pre-sort
         # placement.
         top = select.top
         if limit_one:
             top = 1 if top is None else min(top, 1)
-        use_topn = (self._cost_mode and need_sort
-                    and top is not None and top > 0)
+        use_topn = need_sort and top is not None and top > 0
         if post_sort_keys is None and need_sort:
             pre_keys = [SortKey(key_fn=compiler.compile(o.expr),
                                 descending=o.descending)
                         for o in select.order_by]
             if use_topn and not select.distinct:
                 op = TopNHeapSort(op, pre_keys, top, cost_factor=factor)
-                self._count_opt("optimizer.topn_heap_used")
+                self._meter.count("optimizer.topn_heap_used")
                 top = None  # consumed by the heap
             else:
                 op = Sort(op, pre_keys, cost_factor=factor)
@@ -318,18 +323,16 @@ class Planner:
             if use_topn:
                 op = TopNHeapSort(op, post_sort_keys, top,
                                   cost_factor=factor)
-                self._count_opt("optimizer.topn_heap_used")
+                self._meter.count("optimizer.topn_heap_used")
                 top = None
             else:
                 op = Sort(op, post_sort_keys, cost_factor=factor)
 
         # 7. TOP / limit-one (EXISTS probes)
         if top is not None:
-            if self._cost_mode:
-                _push_limit_hint(op, top)
+            _push_limit_hint(op, top)
             op = Limit(op, top)
-        if self._cost_mode:
-            self._annotate_plan(op)
+        self._annotate_plan(op)
         return Plan(root=op, schema=out_schema)
 
     def _plan_union(self, union: ast.UnionSelect,
@@ -414,9 +417,10 @@ class Planner:
         relation; then conjuncts are placed — pushed to single relations,
         mined for hash-join keys, or left for the caller's filter.
 
-        In cost mode the comma-list fold order is chosen from ANALYZE
-        statistics instead of the FROM order (``reorder_ok`` is False
-        when a bare ``*`` projection depends on the FROM column order).
+        The comma-list fold order is chosen from the cardinality
+        estimates, not taken from the FROM order (``reorder_ok`` is
+        False when a bare ``*`` projection depends on the FROM column
+        order).
         Single-relation conjuncts are consumed by their own relation
         before the fold, so placement is order-independent.
         """
@@ -426,9 +430,8 @@ class Planner:
             [bc for rel in prepared for bc in rel.schema])
         conjuncts = [_Conjunct(e, column_owner, ambiguous)
                      for e in _split_conjuncts(where)]
-        implied = (self._implied_in_lists(conjuncts, prepared, column_owner)
-                   if self._cost_mode else [])
-        cost_join = (self._cost_mode and reorder_ok and len(prepared) > 1)
+        implied = self._implied_in_lists(conjuncts, prepared, column_owner)
+        cost_join = reorder_ok and len(prepared) > 1
         if cost_join:
             prepared = self._order_join_tree(prepared, conjuncts,
                                              column_owner, outer_scope)
@@ -490,7 +493,7 @@ class Planner:
             # join's ON clause.
             implied = (self._implied_in_lists(on_conjuncts, [left, right],
                                               owner)
-                       if self._cost_mode and item.kind != "left" else [])
+                       if item.kind != "left" else [])
             self._finish_relation(right, on_conjuncts, outer_scope, implied)
             if item.kind != "left":
                 self._finish_relation(left, on_conjuncts, outer_scope,
@@ -547,7 +550,7 @@ class Planner:
             residual = [e for e in residual if id(e) not in offered_ids]
             if (len(access.residual_conjuncts) - len(residual)
                     < len(offered)):  # the seek answered one of them
-                self._count_opt("optimizer.in_list_transfers")
+                self._meter.count("optimizer.in_list_transfers")
         seek = access.index_seek
         if seek is not None:
             rel.op = seek
@@ -643,12 +646,12 @@ class Planner:
 
         ``require_all`` (explicit ON clauses) forces every conjunct into
         the join (residual) rather than a later filter — necessary for
-        LEFT join semantics.  ``swap_ok`` (cost-mode comma folds) allows
+        LEFT join semantics.  ``swap_ok`` (comma folds) allows
         build-side selection: the hash join builds on its *right* input,
         so the side with the smaller cardinality estimate is moved there.
         """
         owner, _ambiguous = _column_owner_map(left.schema + right.schema)
-        if (swap_ok and self._cost_mode and kind == "inner"
+        if (swap_ok and kind == "inner"
                 and left.est_rows is not None
                 and right.est_rows is not None
                 and left.est_rows < right.est_rows
@@ -693,13 +696,12 @@ class Planner:
             residual_fn = self._compiler(scope).compile(
                 _combine_conjuncts(residual))
         est_out = None
-        if (self._cost_mode and left.est_rows is not None
-                and right.est_rows is not None):
+        if left.est_rows is not None and right.est_rows is not None:
             est_out = self._estimate_join_output(left, right, key_pairs)
         if left_keys:
-            if (self._cost_mode and kind == "inner"
+            if (kind == "inner"
                     and self._choose_sort_merge(left, right, key_pairs)):
-                self._count_opt("optimizer.sortmerge_chosen")
+                self._meter.count("optimizer.sortmerge_chosen")
                 op = SortMergeJoin(left.op, right.op, left_keys,
                                    right_keys, residual=residual_fn,
                                    left_width=len(left.schema),
@@ -754,13 +756,11 @@ class Planner:
                             scope: Scope,
                             outer_scope: Scope | None) -> "_AccessPath":
         """Pick the best index for a conjunct set: longest equality
-        prefix, then (cost mode) an IN-list or else a range on the next
-        key column."""
+        prefix, then an IN-list or else a range on the next key column."""
         best = None
         best_score = 0
         const_scope = self._new_scope([], outer_scope)
-        in_lists = (self._seekable_in_lists(table, conjuncts, const_scope)
-                    if self._cost_mode else {})
+        in_lists = self._seekable_in_lists(table, conjuncts, const_scope)
         for index in table.indexes():
             eq_map: dict[str, ast.Expr] = {}
             range_lo: dict[str, tuple[ast.Expr, bool]] = {}
@@ -827,7 +827,7 @@ class Planner:
         # else (including eq conjuncts beyond the usable prefix) stays.
         answered: set[int] = set()
         if in_list:
-            self._count_opt("optimizer.in_list_seeks")
+            self._meter.count("optimizer.in_list_seeks")
             seek.est_rows = self._in_seek_rows(
                 table, index.column_names[:len(prefix) + 1], in_list.keys)
             answered.add(id(in_list.expr))
@@ -898,10 +898,7 @@ class Planner:
         """Estimated rows of an IN-list seek: distinct list items times
         the rows per ``key_columns`` value (uniform over each column's
         distinct values, from ANALYZE statistics)."""
-        stats = self._catalog.get_table_stats(table.info.name)
-        if stats is None:
-            self._count_opt("optimizer.stats_missing_fallbacks")
-        per_key = float(stats["row_count"]) if stats else self._DEFAULT_ROWS
+        stats, per_key = self._row_count(table.info.name)
         for name in key_columns:
             per_key *= table_stats.equality_selectivity(
                 table_stats.column_stats(stats, name))
@@ -932,7 +929,7 @@ class Planner:
         except (ColumnNotFoundError, PlanningError):
             return False
 
-    # -- cost-based planning (optimizer_mode == "cost") ------------------------
+    # -- cardinality estimates and the choices made from them ------------------
 
     #: Cardinality fallback when a relation has no ANALYZE statistics.
     _DEFAULT_ROWS = 1000.0
@@ -940,7 +937,7 @@ class Planner:
     _DEFAULT_SEL = 0.25
     #: Join orders are enumerated exhaustively (left-deep dynamic
     #: programming) up to this many relations; beyond it a greedy
-    #: smallest-intermediate heuristic keeps planning linear-ish.
+    #: smallest-intermediate search keeps planning linear-ish.
     _DP_RELATION_LIMIT = 6
 
     def _const_value(self, expr: ast.Expr, const_scope: Scope):
@@ -1012,26 +1009,21 @@ class Planner:
         local = [c.expr for c in conjuncts
                  if not c.consumed and not c.has_subquery
                  and c.bindings and c.bindings <= rel.bindings]
-        if rel.table is None:
-            # Derived table / view / pre-joined unit: no base statistics.
-            self._count_opt("optimizer.stats_missing_fallbacks")
-            sel = table_stats.combine_conjuncts(
-                [self._DEFAULT_SEL] * len(local)) if local else 1.0
-            return max(1.0, self._DEFAULT_ROWS * sel)
-        stats = self._catalog.get_table_stats(rel.table.info.name)
-        if stats is None:
-            self._count_opt("optimizer.stats_missing_fallbacks")
-        rows = float(stats["row_count"]) if stats else self._DEFAULT_ROWS
+        # A derived table / view / pre-joined unit has no base statistics.
+        _stats, rows = self._row_count(
+            rel.table.info.name if rel.table is not None else None)
         return max(1.0, rows * self._conjunct_selectivity(
             rel.table, local, outer_scope))
 
     def _conjunct_selectivity(self, table, exprs: list[ast.Expr],
                               outer_scope: Scope | None) -> float:
-        """Combined selectivity of ``exprs`` over ``table``: from its
-        statistics when ANALYZEd, the default per conjunct otherwise."""
+        """Combined selectivity of ``exprs`` over ``table`` (None: not a
+        base table): from its statistics when ANALYZEd, the default per
+        conjunct otherwise."""
         if not exprs:
             return 1.0
-        stats = self._catalog.get_table_stats(table.info.name)
+        stats = (self._catalog.get_table_stats(table.info.name)
+                 if table is not None else None)
         if stats is None:
             return table_stats.combine_conjuncts(
                 [self._DEFAULT_SEL] * len(exprs))
@@ -1041,7 +1033,7 @@ class Planner:
     def _ndv_for(self, rel: _Relation, expr: ast.Expr) -> int | None:
         """NDV of a join-key column, resolved through the relation's
         binding -> base-table map; None when unavailable."""
-        if not isinstance(expr, ast.ColumnRef) or self._catalog is None:
+        if not isinstance(expr, ast.ColumnRef):
             return None
         name = expr.name.lower()
         if expr.table is not None:
@@ -1198,7 +1190,7 @@ class Planner:
                         prev = best.get(key - {j})
                         if prev is None:
                             continue
-                        self._count_opt("optimizer.join_orders_considered")
+                        self._meter.count("optimizer.join_orders_considered")
                         cost, out = step(prev[2], prev[1], j)
                         candidate = (prev[0] + cost, out, prev[2] + (j,))
                         if winner is None or candidate[0] < winner[0]:
@@ -1214,7 +1206,7 @@ class Planner:
                 for j in range(n):
                     if j in chosen:
                         continue
-                    self._count_opt("optimizer.join_orders_considered")
+                    self._meter.count("optimizer.join_orders_considered")
                     cost, out = step(tuple(chosen), placed_card, j)
                     if winner is None or cost < winner[0]:
                         winner = (cost, out, j)
@@ -1227,9 +1219,9 @@ class Planner:
         """Attach ``est_rows`` / ``est_cost`` (cumulative estimated
         virtual seconds, in the Meter's units) to every operator, bottom
         up.  Estimates the join planner already computed are kept; the
-        rest get coarse structural rules.  EXPLAIN renders these in cost
-        mode — the join-order and algorithm decisions were made from the
-        structured estimates above, not from this pass."""
+        rest get coarse structural rules.  EXPLAIN renders these — the
+        join-order and algorithm decisions were made from the structured
+        estimates above, not from this pass."""
         costs = self._meter.costs
         children = [self._annotate_plan(c) for c in op.children()]
         in_rows = children[0][0] if children else 1.0
@@ -1237,10 +1229,9 @@ class Planner:
         factor = getattr(op, "cost_factor", 1.0)
         est = getattr(op, "est_rows", None)
         if isinstance(op, SeqScan):
-            stats = self._catalog.get_table_stats(op.table.info.name)
-            if stats is None and est is None:
-                self._count_opt("optimizer.stats_missing_fallbacks")
-            rows = float(stats["row_count"]) if stats else self._DEFAULT_ROWS
+            # An estimate made before this pass already counted a guess.
+            stats, rows = self._row_count(op.table.info.name,
+                                          counted=est is None)
             pages = (float(stats["page_count"]) if stats
                      else max(1.0, rows / 50.0))
             if est is None:
@@ -1248,10 +1239,8 @@ class Planner:
             cost += (rows * costs.cpu_per_tuple_scan * factor
                      + pages * costs.disk_page_read_seconds)
         elif isinstance(op, IndexSeek):
-            stats = self._catalog.get_table_stats(op.table.info.name)
-            if stats is None and est is None:
-                self._count_opt("optimizer.stats_missing_fallbacks")
-            rows = float(stats["row_count"]) if stats else self._DEFAULT_ROWS
+            _stats, rows = self._row_count(op.table.info.name,
+                                           counted=est is None)
             if est is None:
                 info = op.table.index_info(op.index_name)
                 exact = (op.lo_fn is None and op.hi_fn is None
@@ -1614,10 +1603,9 @@ class Planner:
         return plan, outer_refs
 
     def _run_subquery(self, plan: Plan, ctx: EvalContext) -> list[tuple]:
-        if self._meter is not None:
-            self._meter.charge(SERVER_CPU,
-                               self._meter.costs.cpu_per_statement_seconds
-                               * 0.1, "subquery eval")
+        self._meter.charge(SERVER_CPU,
+                           self._meter.costs.cpu_per_statement_seconds * 0.1,
+                           "subquery eval")
         return run_plan(plan.root, self._meter, outer=ctx)
 
 

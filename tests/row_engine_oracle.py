@@ -5,12 +5,16 @@ also carried a ``rows()`` loop: pull one row, charge it at once with
 ``charge_batched``, probe its lock, evaluate, hand it up.  This file
 keeps those loops — one function per operator type, a naive tree walk
 over the operators' fields — as the judge of ``batches()``: same rows in
-the same order, same virtual clock, same counters.  ``src/`` knows
+the same order and same counters, exactly, and the same virtual clock to
+:data:`CLOCK_REL_TOL` (the executor adds up what a row owes before it
+charges it; these loops charge tuple by tuple — the same seconds in
+another IEEE fold).  ``src/`` knows
 nothing of it; :func:`installed` rebinds ``iterate_plan`` / ``run_plan``
 where the engine and the planner imported them, so subqueries and the
 UPDATE/DELETE source plans run through it too.
 """
 
+import math
 from contextlib import contextmanager
 from itertools import islice
 
@@ -23,14 +27,26 @@ from repro.sql.executor import (_COUNT_STAR, ExecContext, _Accumulator,
 from repro.sql.expressions import EvalContext, is_true
 
 
+#: How far the executor's clock may be from this oracle's, relative.
+#: Fixed when the executor's charge-replay run-lists went (they existed
+#: to reproduce these loops' fold to the bit) — a bound on re-associated
+#: float sums, ~1e7 ulps, far below any per-tuple constant's share of a
+#: run: a row charged twice, or not at all, moves the clock by more.
+#: ``tests/test_batch_equivalence.py`` holds that it is that tight.
+CLOCK_REL_TOL = 1e-9
+
+
+def same_clock(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=CLOCK_REL_TOL, abs_tol=0.0)
+
+
 def _per_tuple(ctx, field, op):
-    costs = ctx.costs
-    return getattr(costs, field) * op.cost_factor if costs else 0.0
+    return getattr(ctx.costs, field) * op.cost_factor
 
 
 def _seq_scan(op, ctx):
     per_tuple = _per_tuple(ctx, "cpu_per_tuple_scan", op)
-    probe = getattr(ctx.meter, "lock_probe", None)
+    probe = ctx.meter.lock_probe
     for rid, row in op.table.heap.scan():
         if probe is not None:
             probe(op.table, rid, row)
@@ -41,7 +57,7 @@ def _seq_scan(op, ctx):
 def _index_seek(op, ctx):
     per_tuple = _per_tuple(ctx, "cpu_per_tuple_index_lookup", op)
     op._count_scan(ctx)
-    probe = getattr(ctx.meter, "lock_probe", None)
+    probe = ctx.meter.lock_probe
     emitted = 0
     for key, rid in op._matching_entries(ctx):
         if op.index_only:
@@ -124,11 +140,10 @@ def _sort_merge_join(op, ctx):
             ctx.charge_cpu(per_tuple)
             side.append(row)
         sides.append(side)
-    if ctx.costs is not None:
-        for side, presorted in zip(sides, (op.left_sorted, op.right_sorted)):
-            if not presorted:
-                ctx.charge_cpu(ctx.costs.sort_seconds(len(side))
-                               * op.cost_factor)
+    for side, presorted in zip(sides, (op.left_sorted, op.right_sorted)):
+        if not presorted:
+            ctx.charge_cpu(ctx.costs.sort_seconds(len(side))
+                           * op.cost_factor)
     yield from op._merge(op._keyed(sides[0], op.left_key_fns, ctx.outer),
                          op._keyed(sides[1], op.right_key_fns, ctx.outer),
                          ctx.outer)
@@ -172,8 +187,7 @@ def _hash_aggregate(op, ctx):
 
 def _sort(op, ctx):
     out = list(rows(op.child, ctx))
-    if ctx.costs is not None:
-        ctx.charge_cpu(ctx.costs.sort_seconds(len(out)) * op.cost_factor)
+    ctx.charge_cpu(ctx.costs.sort_seconds(len(out)) * op.cost_factor)
     for key in reversed(op.keys):
         out.sort(key=lambda row, k=key: _null_safe_key(
             k.key_fn(EvalContext(row=row, outer=ctx.outer))),
@@ -183,9 +197,8 @@ def _sort(op, ctx):
 
 def _top_n_heap_sort(op, ctx):
     out = list(rows(op.child, ctx))
-    if ctx.costs is not None:
-        ctx.charge_cpu(ctx.costs.topn_seconds(len(out), op.count)
-                       * op.cost_factor)
+    ctx.charge_cpu(ctx.costs.topn_seconds(len(out), op.count)
+                   * op.cost_factor)
     yield from op._select_top(out, ctx)
 
 

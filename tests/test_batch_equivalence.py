@@ -1,11 +1,15 @@
-"""The executor vs. the row-at-a-time oracle: bit-identical outputs.
+"""The executor vs. the row-at-a-time oracle.
 
 ``batches()`` is the only way a plan runs; the row loops it replaced
 live on as ``tests/row_engine_oracle.py``.  These tests run identical
-workloads through both and require *exact* equality of every virtual
-output: row streams, the virtual clock, and the meter's counters.  Any
-drift means a batch operator charges differently from the row loop it
-replaced.
+workloads through both and require *exact* equality of row streams and
+of the meter's counters, and the same virtual clock to the oracle's
+fixed relative tolerance (``CLOCK_REL_TOL``: the executor charges a row
+the sum of what it owes, the oracle tuple by tuple — one more or one
+fewer charge anywhere is orders of magnitude outside it, see
+``test_oracle_tolerance_is_tight``).  Any drift means a batch operator
+charges differently from the row loop it replaced.  The test names say
+``bit_identical`` from when the executor replayed the oracle's fold.
 """
 
 import pytest
@@ -15,12 +19,7 @@ from repro.engine.session import EngineSession
 from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
 from tests import row_engine_oracle
-
-
-def heuristic_meter() -> Meter:
-    """The default configuration, planning heuristically until a cost
-    leg has run ANALYZE and switches the mode itself."""
-    return Meter(CostModel(optimizer_mode="heuristic"))
+from tests.row_engine_oracle import same_clock
 
 
 # ---------------------------------------------------------------------------
@@ -28,20 +27,20 @@ def heuristic_meter() -> Meter:
 # ---------------------------------------------------------------------------
 
 
-def _tpch_power_outputs(cost_mode: bool = False):
-    """(rows per query, final clock, counters) of a small power run."""
+def _tpch_power_outputs(analyze: bool = False, **cost_overrides):
+    """(rows per query, final clock, counters) of a small power run,
+    planned from default estimates or — ``analyze`` — from statistics."""
     from repro.workloads.tpch.datagen import generate
     from repro.workloads.tpch.queries import QUERIES
     from repro.workloads.tpch.schema import create_schema, load
 
-    engine = DatabaseEngine(meter=heuristic_meter(),
+    engine = DatabaseEngine(meter=Meter(CostModel(**cost_overrides)),
                             plan_cache_capacity=128)
     session = EngineSession(session_id=1)
     create_schema(engine, session)
     load(engine, session, generate(scale=0.0005, seed=11))
-    if cost_mode:
+    if analyze:
         engine.execute("ANALYZE", session)
-        engine.meter.costs.optimizer_mode = "cost"
     outputs = []
     for number in sorted(QUERIES):
         outputs.append((number,
@@ -50,24 +49,35 @@ def _tpch_power_outputs(cost_mode: bool = False):
     return outputs, engine.meter.now, dict(engine.meter.counters)
 
 
-@pytest.mark.parametrize("cost_mode", [False, True],
+@pytest.mark.parametrize("analyze", [False, True],
                          ids=["heuristic", "cost"])
-def test_tpch_power_batch_vs_row_bit_identical(cost_mode):
-    """Bit-identity holds under the cost-based optimizer too: the new
-    operators (TopNHeapSort, SortMergeJoin) and reordered joins must
-    charge the batch path exactly what the row path charges."""
-    batch_rows, batch_clock, batch_counters = _tpch_power_outputs(
-        cost_mode)
+def test_tpch_power_batch_vs_row_bit_identical(analyze):
+    """Whatever the planner chooses — from default estimates (the
+    ``heuristic`` id, kept from when that was a planner of its own) or
+    from statistics — TopNHeapSort, SortMergeJoin and reordered joins
+    must charge the batch path exactly what the row path charges."""
+    batch_rows, batch_clock, batch_counters = _tpch_power_outputs(analyze)
     with row_engine_oracle.installed():
-        row_rows, row_clock, row_counters = _tpch_power_outputs(cost_mode)
+        row_rows, row_clock, row_counters = _tpch_power_outputs(analyze)
 
     for (num_b, rows_b), (num_r, rows_r) in zip(batch_rows, row_rows):
         assert num_b == num_r
         assert rows_b == rows_r, f"rows diverged on TPC-H Q{num_b}"
-    assert batch_clock == row_clock
+    assert same_clock(batch_clock, row_clock)
     assert batch_counters == row_counters
-    if cost_mode:
-        assert batch_counters.get("optimizer.plans_costed", 0) > 0
+    assert batch_counters.get("optimizer.plans_costed", 0) > 0
+
+
+def test_oracle_tolerance_is_tight():
+    """The clock tolerance forgives a re-associated sum and nothing
+    else: one per-tuple constant off by one part in a million on one
+    side only is already far outside it."""
+    _rows, clock, _counters = _tpch_power_outputs()
+    with row_engine_oracle.installed():
+        _rows, row_clock, _counters = _tpch_power_outputs(
+            cpu_per_tuple_scan=CostModel().cpu_per_tuple_scan * (1 + 1e-6))
+    assert not same_clock(clock, row_clock)
+    assert abs(clock - row_clock) / clock < 1e-6  # and that was all of it
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +86,7 @@ def test_tpch_power_batch_vs_row_bit_identical(cost_mode):
 
 
 def _crash_run(crash_at: int | None, prefetch: bool = False,
-               result_cache: bool = False, cost_mode: bool = False):
+               result_cache: bool = False, analyze: bool = False):
     """Observed app outputs + clock for one crash-injected run."""
     from tests.test_phoenix_crash_fuzz import build_world, workload
 
@@ -87,7 +97,7 @@ def _crash_run(crash_at: int | None, prefetch: bool = False,
     server, app = build_world(cache_rows=100 if result_cache else 0,
                               prefetch=prefetch,
                               result_cache=result_cache,
-                              cost_mode=cost_mode)
+                              analyze=analyze)
     if crash_at is not None:
         fired = {"count": 0, "done": False}
 
@@ -102,27 +112,27 @@ def _crash_run(crash_at: int | None, prefetch: bool = False,
     return workload(app), app.meter.now, dict(app.meter.counters)
 
 
-@pytest.mark.parametrize("prefetch,result_cache,cost_mode",
+@pytest.mark.parametrize("prefetch,result_cache,analyze",
                          [(False, False, False), (True, False, False),
                           (False, True, False), (False, False, True)],
                          ids=["seed", "prefetch", "shared-cache",
                               "cost"])
 @pytest.mark.parametrize("crash_at", [None, 3, 7, 11])
 def test_phoenix_crash_workload_batch_vs_row(crash_at, prefetch,
-                                             result_cache, cost_mode):
+                                             result_cache, analyze):
     """Bit-identity holds with pipelined result delivery on, too: the
     overlap windows charge the same seconds in both executor modes.
     Likewise with the shared result cache — a hit skips the server in
     both modes, so clock and counters must still match exactly — and
-    with the cost-based optimizer, whose plans must charge identically
-    in both executor modes."""
-    batch = _crash_run(crash_at, prefetch, result_cache, cost_mode)
+    with plans made from statistics, which must charge identically in
+    both executor modes."""
+    batch = _crash_run(crash_at, prefetch, result_cache, analyze)
     with row_engine_oracle.installed():
-        rows = _crash_run(crash_at, prefetch, result_cache, cost_mode)
+        rows = _crash_run(crash_at, prefetch, result_cache, analyze)
     assert batch[0] == rows[0], f"observed outputs diverged (crash_at="\
                                 f"{crash_at})"
-    assert batch[1] == rows[1], f"virtual clock diverged (crash_at="\
-                                f"{crash_at})"
+    assert same_clock(batch[1], rows[1]), \
+        f"virtual clock diverged (crash_at={crash_at})"
     assert batch[2] == rows[2], f"counters diverged (crash_at={crash_at})"
 
 
@@ -131,7 +141,7 @@ def test_phoenix_crash_workload_batch_vs_row(crash_at, prefetch,
 # ---------------------------------------------------------------------------
 
 
-def _mixed_dml_outputs(cost_mode: bool = False):
+def _mixed_dml_outputs(analyze: bool = False):
     # paper(): the clocks below are pinned literals of that configuration.
     engine = DatabaseEngine(meter=Meter(CostModel.paper()),
                             plan_cache_capacity=128)
@@ -145,9 +155,8 @@ def _mixed_dml_outputs(cost_mode: bool = False):
         f"({i}, 'own{i % 3}', {i * 100})" for i in range(1, 21)))
     run("INSERT INTO movement VALUES " + ", ".join(
         f"({1 + (i * 7) % 20}, {(-1) ** i * i})" for i in range(40)))
-    if cost_mode:
+    if analyze:
         run("ANALYZE")
-        engine.meter.costs.optimizer_mode = "cost"
     outputs = []
     for _ in range(3):  # repeat so the plan cache's hot path is exercised
         run("UPDATE acct SET balance = balance + 1 "
@@ -161,8 +170,8 @@ def _mixed_dml_outputs(cost_mode: bool = False):
         outputs.append(run(
             "SELECT id, balance FROM acct WHERE balance > 500 "
             "ORDER BY balance DESC").fetch_all())
-        # In cost mode: a key-list seek on acct, its list carried over
-        # the equality to ix_move, and a covering (index-only) list seek.
+        # A key-list seek on acct, its list carried over the equality
+        # to ix_move, and a covering (index-only) list seek.
         outputs.append(run(
             "SELECT a.id, m.delta FROM acct a, movement m "
             "WHERE m.acct_id = a.id AND a.id IN (9, 3, 15, 3, NULL)"
@@ -172,13 +181,23 @@ def _mixed_dml_outputs(cost_mode: bool = False):
     return outputs, engine.meter.now, dict(engine.meter.counters)
 
 
-#: Clock and counters of ``_mixed_dml_outputs()``, heuristic and cost,
-#: recorded at the last commit where UPDATE and DELETE read their source
-#: through a scan loop of the planner's own: the oracle replaces the
-#: executor under the source plans they run now, not that loop.
+#: Clock and counters of ``_mixed_dml_outputs()``, un-analysed and
+#: analysed.  The analysed leg is as recorded at the last commit where
+#: UPDATE and DELETE read their source through a scan loop of the
+#: planner's own (the oracle replaces the executor under the source
+#: plans they run now, not that loop).  The un-analysed leg was
+#: re-recorded once, in the planner step of the ``paper()`` re-baseline
+#: (0.7780861494786181 before): it used to be the FROM-order planner's
+#: scan + Filter reading of the three IN-lists and is now the same
+#: seeks as the other leg, short of the ANALYZE it does not run; the
+#: fold step moved neither.
 _MIXED_DML_AT_PARENT = {
-    False: (0.7780861494786181, {
+    False: (0.7753261494786176, {
         "locks.row_locks_acquired": 32.0, "log_forces": 14.0,
+        "optimizer.in_list_seeks": 4.0, "optimizer.in_list_transfers": 1.0,
+        "optimizer.join_orders_considered": 4.0,
+        "optimizer.plans_costed": 4.0,
+        "optimizer.stats_missing_fallbacks": 9.0,
         "plan_cache_hits": 14.0, "plan_cache_misses": 9.0}),
     True: (0.7775661494786176, {
         "locks.row_locks_acquired": 32.0, "log_forces": 14.0,
@@ -194,16 +213,18 @@ def test_mixed_dml_batch_vs_row_bit_identical():
     with row_engine_oracle.installed():
         rows = _mixed_dml_outputs()
     assert batch[0] == rows[0]
-    assert batch[1] == rows[1]
+    assert same_clock(batch[1], rows[1])
     assert batch[2] == rows[2]
     assert batch[1:] == _MIXED_DML_AT_PARENT[False]
 
 
 def test_in_list_seeks_batch_vs_row_bit_identical():
-    batch = _mixed_dml_outputs(cost_mode=True)
+    batch = _mixed_dml_outputs(analyze=True)
     with row_engine_oracle.installed():
-        rows = _mixed_dml_outputs(cost_mode=True)
-    assert batch == rows
+        rows = _mixed_dml_outputs(analyze=True)
+    assert batch[0] == rows[0]
+    assert same_clock(batch[1], rows[1])
+    assert batch[2] == rows[2]
     assert batch[1:] == _MIXED_DML_AT_PARENT[True]
     # 3 rounds x (UPDATE + join's two sides + covering SELECT), planned
     # once each: the later rounds reuse the cached plans.
@@ -273,21 +294,19 @@ IMPURE_STATEMENTS = (
 )
 
 
-def _impure_world(cost_mode: bool):
-    engine = DatabaseEngine(meter=heuristic_meter(),
-                            plan_cache_capacity=128)
+def _impure_world(analyze: bool):
+    engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=128)
     session = EngineSession(session_id=1)
     for sql in IMPURE_SETUP:
         engine.execute(sql, session)
-    if cost_mode:
+    if analyze:
         engine.execute("ANALYZE", session)
-        engine.meter.costs.optimizer_mode = "cost"
     return engine, session
 
 
-def _impure_outputs(cost_mode: bool):
+def _impure_outputs(analyze: bool):
     """(rows or rowcount, clock) after each statement, then counters."""
-    engine, session = _impure_world(cost_mode)
+    engine, session = _impure_world(analyze)
     outputs = []
     for _ in range(2):  # the second round runs the cached plans
         for sql in IMPURE_STATEMENTS:
@@ -299,15 +318,16 @@ def _impure_outputs(cost_mode: bool):
     return outputs, dict(engine.meter.counters)
 
 
-@pytest.mark.parametrize("cost_mode", [False, True],
+@pytest.mark.parametrize("analyze", [False, True],
                          ids=["heuristic", "cost"])
-def test_impure_statements_batch_vs_row_bit_identical(cost_mode):
-    batch = _impure_outputs(cost_mode)
+def test_impure_statements_batch_vs_row_bit_identical(analyze):
+    batch = _impure_outputs(analyze)
     with row_engine_oracle.installed():
-        rows = _impure_outputs(cost_mode)
+        rows = _impure_outputs(analyze)
     for sql, got, want in zip(IMPURE_STATEMENTS * 2, batch[0], rows[0]):
-        assert got == want, sql
-    assert batch == rows
+        assert got[0] == want[0] and same_clock(got[1], want[1]), sql
+    assert batch[0][-1] == rows[0][-1]  # the final table
+    assert batch[1] == rows[1]
 
 
 def test_rows_past_a_limit_evaluate_no_subquery(monkeypatch):
@@ -338,14 +358,14 @@ def test_rows_past_a_limit_evaluate_no_subquery(monkeypatch):
     batch = outputs()
     with row_engine_oracle.installed():
         rows = outputs()
-    assert batch == rows
+    assert batch[:2] == rows[:2] and same_clock(batch[2], rows[2])
     assert batch[0] == [(5,)]
     assert batch[1] == [(a,) for a in range(6)]  # 17 rows never looked at
 
 
-@pytest.mark.parametrize("cost_mode", [False, True],
+@pytest.mark.parametrize("analyze", [False, True],
                          ids=["heuristic", "cost"])
-def test_no_join_evaluates_a_subquery(cost_mode):
+def test_no_join_evaluates_a_subquery(analyze):
     """What lets the joins have no impure path: the planner never hands
     a join a conjunct with a subquery (it goes to a Filter above)."""
     from repro.sql.executor import (HashJoin, NestedLoopJoin,
@@ -355,12 +375,12 @@ def test_no_join_evaluates_a_subquery(cost_mode):
     from repro.workloads.tpch.queries import QUERIES
     from repro.workloads.tpch.schema import create_schema
 
-    tpch = DatabaseEngine(meter=heuristic_meter())
+    tpch = DatabaseEngine(meter=Meter())
     tpch_session = EngineSession(session_id=1)
     create_schema(tpch, tpch_session)
-    if cost_mode:
-        tpch.meter.costs.optimizer_mode = "cost"
-    directed = _impure_world(cost_mode)
+    if analyze:
+        tpch.execute("ANALYZE", tpch_session)
+    directed = _impure_world(analyze)
     joins = 0
     for (engine, session), statements in (
             ((tpch, tpch_session), QUERIES.values()),

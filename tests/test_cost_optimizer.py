@@ -1,12 +1,12 @@
-"""Cost-based optimizer: ANALYZE, estimation, plan shape, invalidation.
+"""The optimizer: ANALYZE, estimation, plan shape, invalidation.
 
-Everything here runs against ``optimizer_mode = "cost"`` (the default),
-switched on mid-test: each test starts on the heuristic planner of
-``CostModel.paper()``, the reference for values and untouched plans.
-Plan-shape tests doctor statistics directly through
-``Catalog.set_table_stats`` so a flip in join order, join algorithm or
-hash build side is forced by numbers we control, then read the choice
-back out of EXPLAIN.
+There is one planner and statistics decide what it does.  Plan-shape
+tests doctor statistics directly through ``Catalog.set_table_stats`` so
+a flip in join order, join algorithm or hash build side is forced by
+numbers we control, then read the choice back out of EXPLAIN.  Values
+are judged by literal rows, or — on TPC-H — by the rows frozen from the
+FROM-order planner this repo started with
+(``repro.bench.experiments.tpch_reference_rows``).
 """
 
 import math
@@ -15,20 +15,7 @@ import pytest
 
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
-from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
-
-
-def _cost_mode(engine) -> None:
-    engine.meter.costs.optimizer_mode = "cost"
-
-
-@pytest.fixture(autouse=True)
-def heuristic_until_flipped(engine):
-    """Every test starts on the heuristic planner and switches to cost
-    mode itself, so rows and plans taken before the switch are the
-    heuristic planner's — the reference the cost plans are judged by."""
-    engine.meter.costs.optimizer_mode = "heuristic"
 
 
 def _explain(run, sql: str) -> list[str]:
@@ -108,7 +95,7 @@ class TestAnalyze:
 
 
 # ---------------------------------------------------------------------------
-# EXPLAIN annotations (cost mode only)
+# EXPLAIN annotations
 # ---------------------------------------------------------------------------
 
 
@@ -121,20 +108,14 @@ class TestExplainAnnotations:
         run("INSERT INTO t VALUES " + ", ".join(
             f"({i % 10})" for i in range(40)))
 
-    def test_heuristic_plans_have_no_estimates(self, run):
-        assert not any("est_rows=" in line
-                       for line in _explain(run, self.SQL))
-
     def test_cost_plans_annotate_every_operator(self, run, engine):
         run("ANALYZE t")
-        _cost_mode(engine)
         lines = _explain(run, self.SQL)
         assert lines and all("est_rows=" in line and "est_cost=" in line
                              for line in lines)
 
     def test_estimates_track_statistics(self, run, engine):
         run("ANALYZE t")
-        _cost_mode(engine)
         # a > 2 keeps 7 of 10 distinct values: the scan estimate must be
         # statistics-driven (~28 of 40 rows), not the fixed default.
         line = next(line for line in
@@ -165,7 +146,6 @@ class TestPlanShape:
             "WHERE fact.k = dim_a.k AND fact.g = dim_b.g")
 
     def test_build_side_follows_estimates(self, run, engine, joined):
-        _cost_mode(engine)
         # dim_a tiny, fact huge: the hash join must build on dim_a, so
         # the probe (left child, printed first) is fact.
         engine.catalog.set_table_stats("fact", _stats(100000, 100, k=5))
@@ -179,7 +159,6 @@ class TestPlanShape:
                            "fact", "dim_a") == ["dim_a", "fact"]
 
     def test_doctored_stats_flip_join_order(self, run, engine, joined):
-        _cost_mode(engine)
         engine.catalog.set_table_stats("fact", _stats(100000, 100,
                                                       k=5, g=3))
         engine.catalog.set_table_stats("dim_a", _stats(5, 1, k=5))
@@ -196,16 +175,10 @@ class TestPlanShape:
         assert small_a.index("dim_a") < small_a.index("dim_b")
         assert small_b.index("dim_b") < small_b.index("dim_a")
 
-    def test_heuristic_plan_shape_is_unchanged(self, run, engine, joined):
-        engine.catalog.set_table_stats("fact", _stats(5, 1, k=5))
-        engine.catalog.set_table_stats("dim_a", _stats(100000, 100, k=5))
-        # Doctored stats must be invisible to the heuristic planner.
-        assert _scan_order(_explain(run, self.SQL2),
-                           "fact", "dim_a") == ["fact", "dim_a"]
-
     def test_results_identical_across_flips(self, run, engine, joined):
-        expected = run(self.SQL3)
-        _cost_mode(engine)
+        # Every fact row finds its one dim_a and its one dim_b row.
+        expected = [(30,)]
+        assert run(self.SQL3) == expected
         engine.catalog.set_table_stats("fact", _stats(100000, 100,
                                                       k=5, g=3))
         engine.catalog.set_table_stats("dim_a", _stats(5, 1, k=5))
@@ -233,35 +206,31 @@ class TestSortMergeJoin:
 
     def test_sort_merge_chosen_when_both_sides_ordered(self, run,
                                                        engine):
-        assert not any("SortMergeJoin" in line
-                       for line in _explain(run, self.SQL))
-        _cost_mode(engine)
         lines = _explain(run, self.SQL)
         assert any("SortMergeJoin" in line for line in lines), lines
         assert engine.meter.counters.get(
             "optimizer.sortmerge_chosen", 0) >= 1
 
     def test_sort_merge_results_match_heuristic(self, run, engine):
-        expected = run(self.SQL)
-        _cost_mode(engine)
-        assert sorted(run(self.SQL)) == sorted(expected)
+        """The rows the FROM-order hash join returned: the odd keys both
+        tables hold."""
+        assert sorted(run(self.SQL)) == [(k, k * 10)
+                                         for k in range(1, 12, 2)]
 
 
 class TestTopNHeapSort:
     SQL = "SELECT TOP 3 v, k FROM pile ORDER BY v DESC, k"
+    #: (v, k) of every row of ``pile``
+    PILE = [((i * 37) % 50, i) for i in range(60)]
 
     @pytest.fixture(autouse=True)
     def table(self, run):
         run("CREATE TABLE pile (k INT, v INT)")
         run("INSERT INTO pile VALUES " + ", ".join(
-            f"({i}, {(i * 37) % 50})" for i in range(60)))
+            f"({k}, {v})" for v, k in self.PILE))
         run("ANALYZE pile")
 
     def test_cost_mode_uses_heap(self, run, engine):
-        heuristic = _explain(run, self.SQL)
-        assert any("Sort(" in line for line in heuristic)
-        assert not any("TopNHeapSort" in line for line in heuristic)
-        _cost_mode(engine)
         lines = _explain(run, self.SQL)
         assert any("TopNHeapSort(n=3" in line for line in lines), lines
         assert not any("Limit" in line for line in lines)
@@ -269,16 +238,16 @@ class TestTopNHeapSort:
                                          0) >= 1
 
     def test_heap_rows_identical_to_sort_limit(self, run, engine):
-        expected = run(self.SQL)
-        _cost_mode(engine)
-        assert run(self.SQL) == expected
+        assert run(self.SQL) == sorted(
+            self.PILE, key=lambda r: (-r[0], r[1]))[:3]
 
     def test_heap_handles_nulls_and_ties(self, run, engine):
         run("INSERT INTO pile VALUES (100, NULL), (101, NULL), (102, 49)")
-        sql = "SELECT TOP 5 v, k FROM pile ORDER BY v, k DESC"
-        expected = run(sql)
-        _cost_mode(engine)
-        assert run(sql) == expected
+        # NULLs sort first ascending; ties on v come out by k descending.
+        pile = self.PILE + [(49, 102)]
+        assert run("SELECT TOP 5 v, k FROM pile ORDER BY v, k DESC") \
+            == [(None, 101), (None, 100)] + sorted(
+                pile, key=lambda r: (r[0], -r[1]))[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +272,6 @@ class TestStatsInvalidation:
         run("CREATE TABLE t (a INT)")
         run("INSERT INTO t VALUES " + ", ".join(
             f"({i})" for i in range(20)))
-        _cost_mode(engine)
         fallback_before = engine.meter.counters.get(
             "optimizer.stats_missing_fallbacks", 0)
         run("SELECT a FROM t WHERE a = 5")
@@ -359,20 +327,6 @@ class TestInListTransfer:
         run(f"INSERT INTO bare VALUES {stock}")
         run("INSERT INTO tag VALUES ('1', 1), ('4', 4), ('x', 0)")
         run("ANALYZE")
-        _cost_mode(engine)
-
-    def _both(self, run, engine, sql):
-        """(cost-mode rows, heuristic rows) — each in its own order.
-        The plan cache is not keyed by optimizer mode; an ANALYZE
-        retires the plan the other mode left behind."""
-        cost = run(sql)
-        engine.meter.costs.optimizer_mode = "heuristic"
-        try:
-            run("ANALYZE")
-            return cost, run(sql)
-        finally:
-            run("ANALYZE")
-            _cost_mode(engine)
 
     def _transfers(self, engine) -> int:
         return int(engine.meter.counters.get(
@@ -390,9 +344,8 @@ class TestInListTransfer:
         assert not any("Filter" in line or "SeqScan" in line
                        for line in plan)
         assert self._transfers(engine) == 1
-        cost, heuristic = self._both(run, engine, sql)
         # Ascending key order on both sides: the order the scans had.
-        assert cost == heuristic == [(1, 10, 201), (4, 40, 204)]
+        assert run(sql) == [(1, 10, 201), (4, 40, 204)]
 
     def test_list_on_either_side_of_the_equality(self, run, engine):
         sql = (f"SELECT price, qty FROM stock, item "
@@ -401,8 +354,7 @@ class TestInListTransfer:
         plan = _explain(run, sql)
         assert any("IndexSeek(item index=__pk_item prefix=0 in=4" in line
                    for line in plan)
-        cost, heuristic = self._both(run, engine, sql)
-        assert cost == heuristic == [(10, 101), (40, 104)]
+        assert run(sql) == [(10, 101), (40, 104)]
 
     def test_inner_join_on_clause(self, run, engine):
         sql = (f"SELECT item.i, qty FROM item JOIN stock "
@@ -412,8 +364,7 @@ class TestInListTransfer:
         assert any("IndexSeek(stock index=__pk_stock prefix=1 in=4" in line
                    for line in plan)
         assert self._transfers(engine) == 1
-        cost, heuristic = self._both(run, engine, sql)
-        assert cost == heuristic == [(1, 201), (4, 204)]
+        assert run(sql) == [(1, 201), (4, 204)]
 
     @pytest.mark.parametrize("sql", [
         # The list names the preserved side: pushing it to item would
@@ -429,25 +380,21 @@ class TestInListTransfer:
         assert not any("item index=" in line and "in=" in line
                        for line in plan)
         assert self._transfers(engine) == 0
-        cost, heuristic = self._both(run, engine, sql)
-        assert sorted(cost, key=repr) == sorted(heuristic, key=repr)
-        assert len(cost) == 8  # every item survives
+        # Every item survives; only 1 and 4 have stock in warehouse 2.
+        assert sorted(run(sql)) == [
+            (i, {1: 201, 4: 204}.get(i)) for i in range(1, 9)]
 
     def test_dropped_when_no_access_path_consumes_it(self, run, engine):
         sql = (f"SELECT item.i, qty FROM item, bare "
                f"WHERE w = 2 AND bare.i = item.i "
                f"AND item.i IN ({self.LIST})")
         plan = _explain(run, sql)
-        engine.meter.costs.optimizer_mode = "heuristic"
-        heuristic_plan = _explain(run, sql)
-        _cost_mode(engine)
         # bare has no index: its scan keeps exactly the one filter
-        # (w = 2) it had — no redundant IN predicate is evaluated.
-        assert sum("Filter" in line for line in plan) \
-            == sum("Filter" in line for line in heuristic_plan) - 1
+        # (w = 2) it had — no redundant IN predicate is evaluated — and
+        # item's list is answered by its seek.
+        assert sum("Filter" in line for line in plan) == 1
         assert self._transfers(engine) == 0
-        cost, heuristic = self._both(run, engine, sql)
-        assert sorted(cost) == sorted(heuristic) == [(1, 201), (4, 204)]
+        assert sorted(run(sql)) == [(1, 201), (4, 204)]
 
     def test_not_across_comparison_families(self, run, engine):
         # '=' between INT and VARCHAR coerces; coercion is not
@@ -457,29 +404,18 @@ class TestInListTransfer:
         plan = _explain(run, sql)
         assert not any("tag index=" in line for line in plan)
         assert self._transfers(engine) == 0
-        cost, heuristic = self._both(run, engine, sql)
-        assert sorted(cost) == sorted(heuristic)
+        assert run(sql) == []  # a text '1' is not the number 1
 
     def test_not_from_not_in_ranges_or_constants(self, run, engine):
-        for predicate in ("item.i NOT IN (4, 1)", "item.i > 6",
-                          "item.i = 4"):
+        for predicate, items in (("item.i NOT IN (4, 1)", (2, 3, 5, 6, 8)),
+                                 ("item.i > 6", (8,)),
+                                 ("item.i = 4", (4,))):
             sql = (f"SELECT item.i, qty FROM item, stock WHERE w = 2 "
                    f"AND stock.i = item.i AND {predicate}")
             assert not any("stock index=" in line and "in=" in line
                            for line in _explain(run, sql))
-            cost, heuristic = self._both(run, engine, sql)
-            assert sorted(cost) == sorted(heuristic)
+            assert sorted(run(sql)) == [(i, 200 + i) for i in items]
         assert self._transfers(engine) == 0
-
-    def test_heuristic_mode_derives_nothing(self, run, engine):
-        engine.meter.costs.optimizer_mode = "heuristic"
-        sql = (f"SELECT item.i, qty FROM item, stock WHERE w = 2 "
-               f"AND stock.i = item.i AND item.i IN ({self.LIST})")
-        plan = _explain(run, sql)
-        assert not any("in=" in line for line in plan)
-        run(sql)
-        assert not any(name.startswith("optimizer.")
-                       for name in engine.meter.counters)
 
     def test_three_relations(self, run, engine):
         sql = (f"SELECT item.i, a.qty, b.qty FROM item, stock a, stock b "
@@ -489,9 +425,7 @@ class TestInListTransfer:
         assert sum("index=__pk_stock prefix=1 in=4" in line
                    for line in plan) == 2
         assert self._transfers(engine) == 2
-        cost, heuristic = self._both(run, engine, sql)
-        assert sorted(cost) == sorted(heuristic) \
-            == [(1, 101, 201), (4, 104, 204)]
+        assert sorted(run(sql)) == [(1, 101, 201), (4, 104, 204)]
 
 
 # ---------------------------------------------------------------------------
@@ -500,18 +434,8 @@ class TestInListTransfer:
 
 
 class TestOptimizerCounters:
-    def test_heuristic_mode_keeps_counters_at_zero(self, run, engine,
-                                                   joined):
-        run("ANALYZE")
-        run(TestPlanShape.SQL3)
-        run("SELECT TOP 2 v FROM fact ORDER BY v DESC")
-        assert not any(name.startswith("optimizer.")
-                       for name in engine.meter.counters)
-        assert run("SELECT metric FROM sys_optimizer") == []
-
     def test_cost_mode_populates_counters(self, run, engine, joined):
         run("ANALYZE")
-        _cost_mode(engine)
         run(TestPlanShape.SQL3)
         run("SELECT TOP 2 v FROM fact ORDER BY v DESC")
         counters = dict(run("SELECT metric, value FROM sys_optimizer"))
@@ -572,7 +496,7 @@ class TestStatsPersistence:
 
 
 # ---------------------------------------------------------------------------
-# Cost vs heuristic: value equivalence on TPC-H
+# Plans vs the frozen reference: value equivalence on TPC-H
 # ---------------------------------------------------------------------------
 
 
@@ -593,29 +517,28 @@ def _rows_close(got, want) -> bool:
 
 
 def test_tpch_cost_mode_matches_heuristic_values():
-    """Every TPC-H query returns the same values in cost mode as in the
-    heuristic default (modulo float-summation order: a reordered join
-    feeds SUM in a different row order, so aggregates may differ in the
-    last ulp — compared with 1e-9 relative tolerance)."""
+    """Every TPC-H query returns the values the FROM-order planner
+    returned, with statistics and without (modulo float-summation order:
+    a reordered join feeds SUM in a different row order, so aggregates
+    may differ in the last ulp — compared with 1e-9 relative tolerance).
+    The reference rows were frozen before that planner was deleted."""
+    from repro.bench.experiments import (OPTBENCH_TOPN_QUERY,
+                                         tpch_reference_rows)
     from repro.workloads.tpch.datagen import generate
     from repro.workloads.tpch.queries import QUERIES
     from repro.workloads.tpch.schema import create_schema, load
 
-    def leg(cost_mode: bool):
-        engine = DatabaseEngine(
-            meter=Meter(CostModel(optimizer_mode="heuristic")),
-            plan_cache_capacity=128)
+    reference = tpch_reference_rows(scale=0.0005, seed=11)
+    for analyze in (False, True):
+        engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=128)
         session = EngineSession(session_id=1)
         create_schema(engine, session)
         load(engine, session, generate(scale=0.0005, seed=11))
-        if cost_mode:
+        if analyze:
             engine.execute("ANALYZE", session)
-            _cost_mode(engine)
-        return {n: engine.execute(QUERIES[n], session).fetch_all()
-                for n in sorted(QUERIES)}
-
-    heuristic = leg(False)
-    cost = leg(True)
-    for number in sorted(heuristic):
-        assert _rows_close(cost[number], heuristic[number]), (
-            f"cost-mode values diverged on TPC-H Q{number}")
+        for number in sorted(QUERIES):
+            rows = engine.execute(QUERIES[number], session).fetch_all()
+            assert _rows_close(rows, reference[f"Q{number:02d}"]), (
+                f"values diverged on TPC-H Q{number} (analyze={analyze})")
+        assert engine.execute(OPTBENCH_TOPN_QUERY, session).fetch_all() \
+            == reference["TOP-N"]

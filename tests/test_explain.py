@@ -38,18 +38,18 @@ class TestExplain:
                         "WHERE goods.cat = cats.cat")
         assert any("HashJoin(inner keys=1" in line for line in lines)
 
-    def test_aggregate_sort_limit(self, run, engine, shop):
-        sql = ("SELECT TOP 2 cat, sum(price) AS total "
-               "FROM goods GROUP BY cat ORDER BY total DESC")
-        text = "\n".join(explain(run, sql))
+    def test_aggregate_sort_limit(self, run, shop):
+        text = "\n".join(explain(
+            run, "SELECT TOP 2 cat, sum(price) AS total "
+                 "FROM goods GROUP BY cat ORDER BY total DESC"))
         assert "HashAggregate(groups=1 aggs=1)" in text
         assert "TopNHeapSort(n=2 keys=1)" in text
-        # The paper configuration's planner sorts, then cuts.
-        engine.meter.costs.optimizer_mode = "heuristic"
-        text = "\n".join(explain(run, sql))
-        assert "HashAggregate(groups=1 aggs=1)" in text
-        assert "Sort(1 keys)" in text
-        assert "Limit(2)" in text
+        # Without an ORDER BY a TOP is a Limit, without a TOP an ORDER
+        # BY a Sort.
+        assert "Limit(2)" in "\n".join(explain(
+            run, "SELECT TOP 2 cat FROM goods"))
+        assert "Sort(1 keys)" in "\n".join(explain(
+            run, "SELECT cat FROM goods ORDER BY price DESC"))
 
     def test_contradiction_shows_empty_scan(self, run, shop):
         lines = explain(run, "SELECT * FROM goods WHERE 0 = 1")

@@ -246,7 +246,8 @@ class TestNullIndexKeys:
         table = engine._tables["nx"]
         hi_only = IndexSeek(table, "ix_nx", prefix_fns=[],
                             hi_fn=lambda ctx: 10)
-        assert sorted(row[0] for row in run_plan(hi_only, None)) == [1, 3]
+        assert sorted(row[0] for row in run_plan(hi_only, engine.meter)) \
+            == [1, 3]
 
     def test_seek_binding_null_matches_nothing(self, nworld):
         # SQL three-valued logic: a seek whose prefix or bound value
@@ -257,10 +258,10 @@ class TestNullIndexKeys:
         run("CREATE INDEX ix_nx ON nx (grp)")
         table = engine._tables["nx"]
         eq_null = IndexSeek(table, "ix_nx", prefix_fns=[lambda ctx: None])
-        assert run_plan(eq_null, None) == []
+        assert run_plan(eq_null, engine.meter) == []
         lt_null = IndexSeek(table, "ix_nx", prefix_fns=[],
                             hi_fn=lambda ctx: None)
-        assert run_plan(lt_null, None) == []
+        assert run_plan(lt_null, engine.meter) == []
 
     def test_unique_index_still_rejects_null(self, nworld):
         from repro.errors import ConstraintError
@@ -274,31 +275,19 @@ class TestNullIndexKeys:
 
 
 # ---------------------------------------------------------------------------
-# IN-list multi-point seeks (cost mode)
+# IN-list multi-point seeks
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def cost_world(world):
-    """``world`` plus two secondary indexes, ANALYZEd, in cost mode.
-    ``run.heuristic(sql)`` runs one statement under the heuristic
-    planner: the SeqScan/IndexRangeScan + Filter reading of the same
-    predicate, the semantics every IN-seek must reproduce."""
+    """``world`` plus two secondary indexes, ANALYZEd.  Every IN-seek
+    must return what a scan + Filter reading of the same predicate
+    returns; the expected rows are spelled out."""
     engine, run = world
     run("CREATE INDEX ev_note ON ev (note)")
     run("CREATE INDEX ev_dv ON ev (d, v)")
     run("ANALYZE")
-    costs = engine.meter.costs
-    costs.optimizer_mode = "cost"
-
-    def heuristic(sql):
-        costs.optimizer_mode = "heuristic"
-        try:
-            return run(sql)
-        finally:
-            costs.optimizer_mode = "cost"
-
-    run.heuristic = heuristic
     return engine, run
 
 
@@ -341,31 +330,29 @@ class TestInListSeek:
         by_note = "SELECT w, d, id FROM ev WHERE note IN ('n3', 'n1')"
         assert "index=ev_note prefix=0 in=2" in seek_line(
             plan_of(run, by_note))
-        assert sorted(run(by_note)) == sorted(run.heuristic(by_note))
-        assert len(run(by_note)) == 8
+        assert sorted(run(by_note)) == [
+            (w, d, i) for w in (1, 2) for d in (1, 2) for i in (1, 3)]
         by_dv = "SELECT id FROM ev WHERE d = 2 AND v IN (223, 121, 5)"
         assert "index=ev_dv prefix=1 in=3" in seek_line(plan_of(run, by_dv))
         assert run(by_dv) == [(1,), (3,)]  # v order: 121, 223
 
-    @pytest.mark.parametrize("predicate", [
-        "id NOT IN (1, 3)",                      # negated
-        "id IN (v - 120, 3)",                    # column-valued item
-        "id IN (SELECT id FROM ev WHERE v = 113)",   # subquery
-        "id + 0 IN (1, 3)",                      # operand not a column
-    ])
+    #: predicate -> the ids (of w = 1, d = 2) it keeps
+    LEFT_ALONE = {
+        "id NOT IN (1, 3)": (2,),                # negated
+        "id IN (v - 120, 3)": (1, 2, 3),         # column-valued item
+        "id IN (SELECT id FROM ev WHERE v = 113)": (3,),     # subquery
+        "id + 0 IN (1, 3)": (1, 3),              # operand not a column
+    }
+
+    @pytest.mark.parametrize("predicate", LEFT_ALONE)
     def test_left_alone(self, cost_world, predicate):
         _engine, run = cost_world
+        ids = self.LEFT_ALONE[predicate]
         sql = f"SELECT id, v FROM ev WHERE w = 1 AND d = 2 AND {predicate}"
-        assert "in=" not in seek_line(plan_of(run, sql))
-        assert run(sql) == run.heuristic(sql)
-
-    def test_heuristic_mode_never_seeks_by_list(self, cost_world):
-        engine, run = cost_world
-        sql = "SELECT v FROM ev WHERE w = 1 AND d = 2 AND id IN (3, 1)"
-        engine.meter.costs.optimizer_mode = "heuristic"
         plan = plan_of(run, sql)
         assert "in=" not in seek_line(plan)
         assert any("Filter" in line for line in plan)
+        assert run(sql) == [(i, 120 + i) for i in ids]
 
     @pytest.mark.parametrize("items,expected", [
         ("3, 1, 3, 1", [(1,), (3,)]),            # duplicates: no extra rows
@@ -379,7 +366,7 @@ class TestInListSeek:
         _engine, run = cost_world
         sql = f"SELECT id FROM ev WHERE w = 1 AND d = 1 AND id IN ({items})"
         assert "in=" in seek_line(plan_of(run, sql))
-        assert run(sql) == expected == run.heuristic(sql)
+        assert run(sql) == expected
 
     def test_null_prefix_value_matches_nothing(self, cost_world, exec_mode):
         _engine, run = cost_world
@@ -387,12 +374,15 @@ class TestInListSeek:
         assert "prefix=1 in=2" in seek_line(plan_of(run, sql))
         assert run(sql) == []
 
-    @pytest.mark.parametrize("items", [
-        "1, 2.0",            # float item against an INT key
-        "'3', 1",            # numeric string: '=' coerces it
-        "2.5, 3",
-        "1.0",
-    ])
+    #: list -> the ids (of w = 1, d = 1) the Filter keeps
+    MIXED_LISTS = {
+        "1, 2.0": (1, 2),    # float item against an INT key
+        "'3', 1": (1, 3),    # numeric string: '=' coerces it
+        "2.5, 3": (3,),
+        "1.0": (1,),
+    }
+
+    @pytest.mark.parametrize("items", MIXED_LISTS)
     def test_mixed_type_lists_keep_filter_semantics(self, cost_world,
                                                     exec_mode, items):
         """Items that are not of the key column's stored type compare by
@@ -403,15 +393,13 @@ class TestInListSeek:
         plan = plan_of(run, sql)
         assert "in=" not in seek_line(plan)
         assert any("Filter" in line for line in plan)
-        assert run(sql) == run.heuristic(sql)
+        assert run(sql) == [(i,) for i in self.MIXED_LISTS[items]]
 
     def test_uncomparable_item_raises_like_the_filter(self, cost_world):
         from repro.errors import TypeMismatchError
 
         _engine, run = cost_world
         sql = "SELECT id FROM ev WHERE w = 1 AND d = 1 AND id IN (1, 'x')"
-        with pytest.raises(TypeMismatchError):
-            run.heuristic(sql)
         with pytest.raises(TypeMismatchError):
             run(sql)
 
@@ -475,8 +463,7 @@ class TestInListSeek:
             "SELECT metric, value FROM sys_optimizer")
 
     def test_unanalyzed_table_still_seeks(self, world):
-        engine, run = world
-        engine.meter.costs.optimizer_mode = "cost"
+        _engine, run = world
         sql = "SELECT id FROM ev WHERE w = 1 AND d = 2 AND id IN (3, 1)"
         assert "prefix=2 in=2" in seek_line(plan_of(run, sql))
         assert run(sql) == [(1,), (3,)]
@@ -486,7 +473,7 @@ def test_in_list_plans_are_reused_per_list_length():
     """Auto-parameterization keys the template on the list's length and
     duplicate pattern; the seek reads its values at run time, so one
     cached plan serves every list of that shape."""
-    engine = DatabaseEngine(meter=Meter(CostModel(optimizer_mode="cost")))
+    engine = DatabaseEngine(meter=Meter())
     session = EngineSession(session_id=1)
 
     def run(sql):

@@ -2,10 +2,10 @@
 
 Inside ``begin_overlap`` / ``end_overlap`` the meter keeps one running
 float.  Whatever mix of entry points charged it, the total must equal
-the plain left fold of the *individual* charges — that is what the
-window's former segment list summed to, and every virtual number
-downstream (pipeline stalls, parallel-redo makespans) depends on it
-bit for bit.
+the plain left fold of the charges (a ``charge_rows`` is one charge of
+the product) — that is what a listening recorder's segments sum to, and
+every virtual number downstream (pipeline stalls, parallel-redo
+makespans) depends on it bit for bit.
 """
 
 from fractions import Fraction
@@ -25,33 +25,24 @@ from repro.workloads.tpch.schema import setup_tpch_server
 # depending on association, so a re-associated fold would be caught.
 seconds = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1e-7, 3.3e-5, 0.007, 1.7])
 resources = st.sampled_from([SERVER_CPU, SERVER_DISK, NETWORK])
-runs = st.lists(st.tuples(seconds, st.integers(0, 6)), max_size=5)
 operations = st.lists(st.one_of(
     st.tuples(st.just("charge"), resources, seconds),
     st.tuples(st.just("charge_batched"), resources, seconds),
     st.tuples(st.just("charge_rows"), resources, seconds,
               st.integers(0, 9)),
-    st.tuples(st.just("charge_run_list"), resources, runs),
 ), max_size=30)
 
 
 def individual_charges(operation) -> list[float]:
-    """The non-zero charges one call stands for, in charge order."""
+    """The non-zero charge one call stands for, if any."""
     kind, _resource, *rest = operation
-    if kind == "charge_rows":
-        expanded = [rest[0]] * rest[1]
-    elif kind == "charge_run_list":
-        expanded = [per_row for per_row, n in rest[0] for _ in range(n)]
-    else:
-        expanded = [rest[0]]
-    return [s for s in expanded if s > 0]
+    charged = rest[0] * rest[1] if kind == "charge_rows" else rest[0]
+    return [charged] if charged > 0 else []
 
 
 @settings(max_examples=200, deadline=None)
-@given(ops=operations, nested_recorder=st.booleans(), ledger=st.booleans(),
-       run_lists_as_generators=st.booleans())
-def test_window_total_is_the_left_fold(ops, nested_recorder, ledger,
-                                       run_lists_as_generators):
+@given(ops=operations, nested_recorder=st.booleans(), ledger=st.booleans())
+def test_window_total_is_the_left_fold(ops, nested_recorder, ledger):
     meter = Meter(CostModel())
     if ledger:
         meter.enable_latency_ledger()
@@ -64,8 +55,6 @@ def test_window_total_is_the_left_fold(ops, nested_recorder, ledger,
         meter.begin_overlap()
         sink = meter.push_recorder() if nested_recorder else None
         for kind, resource, *rest in ops:
-            if kind == "charge_run_list" and run_lists_as_generators:
-                rest = [iter(rest[0])]
             getattr(meter, kind)(resource, *rest, "note")
         if sink is not None:
             meter.pop_recorder(sink)
@@ -97,9 +86,10 @@ def test_outer_recorder_still_hears_window_charges():
     sink = meter.push_recorder()
     meter.begin_overlap()
     meter.charge_rows(SERVER_CPU, 0.1, 3, "query cpu")
-    assert meter.end_overlap() == 0.1 + 0.1 + 0.1
+    meter.charge_batched(SERVER_CPU, 0.2, "query cpu")
+    assert meter.end_overlap() == 0.1 * 3 + 0.2
     meter.pop_recorder(sink)
-    assert [seg.seconds for seg in sink] == [0.1, 0.1, 0.1]
+    assert [seg.seconds for seg in sink] == [0.1 * 3, 0.2]
 
 
 def test_window_inside_multi_stream_mode_stays_a_window():
@@ -108,12 +98,12 @@ def test_window_inside_multi_stream_mode_stays_a_window():
     meter = Meter(CostModel())
     meter.advance_clock = False
     with meter.request("txn") as trace:
-        meter.charge_rows(SERVER_CPU, 0.25, 2)         # per-row segments
+        meter.charge_rows(SERVER_CPU, 0.25, 2)         # its own segment
         meter.begin_overlap()
         meter.charge_rows(SERVER_CPU, 0.25, 4)         # summed, untraced
         assert meter.end_overlap() == 1.0
-        meter.charge_batched(SERVER_CPU, 0.5)
-    assert [s.seconds for s in trace.segments] == [0.25, 0.25, 0.5]
+        meter.charge_batched(SERVER_CPU, 0.25)
+    assert [s.seconds for s in trace.segments] == [0.5, 0.25]
     assert meter.clock.now == 0.0
 
 
@@ -146,8 +136,9 @@ def test_suspended_window_clocks_and_may_host_another_window():
 
 def test_persisted_select_charges_per_batch_not_per_row(monkeypatch):
     """Pipelined persistence runs ``INSERT INTO T <query>`` inside an
-    overlap window; the scan's per-row CPU must arrive as run lists,
-    not as one ``Meter.charge`` call (and one Segment) per row."""
+    overlap window; the scan's per-row CPU must be folded into the
+    window's running total, not arrive as one ``Meter.charge`` call (and
+    one Segment) per row."""
     server = DatabaseServer(meter=Meter(CostModel(persist_pipeline=True)))
     setup_tpch_server(server, generate(scale=0.001, seed=7))
     app = BenchmarkApp(server, use_phoenix=True,

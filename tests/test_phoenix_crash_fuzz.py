@@ -30,12 +30,13 @@ from repro.workloads.app import BenchmarkApp
 
 
 def build_world(cache_rows: int = 0, prefetch: bool = False,
-                result_cache: bool = False, cost_mode: bool = False,
+                result_cache: bool = False, analyze: bool = False,
                 redo_workers: int = 0, default: bool = False):
     """Each flag adds one feature to the paper's configuration, so a
     leg's name says what it fuzzes; ``default`` runs the configuration
     as shipped instead — every feature at once, checkpoint cadence and
-    parallel redo included (``cost_mode`` then only asks for ANALYZE)."""
+    parallel redo included.  ``analyze`` collects statistics once the
+    ledger is loaded: plans then come from them, not from defaults."""
     if default:
         costs = CostModel(output_buffer_bytes=16)
         prefetch = result_cache = False     # on already, at shipped sizes
@@ -45,12 +46,6 @@ def build_world(cache_rows: int = 0, prefetch: bool = False,
         # open.
         costs = CostModel.paper(output_buffer_bytes=16,
                                 redo_workers=redo_workers)
-    if cost_mode:
-        # The cost-based optimizer plans every statement from ANALYZE
-        # statistics (collected below, once the ledger is loaded):
-        # crashes must neither change a single observed value nor lose
-        # the statistics across recovery.
-        costs.optimizer_mode = "cost"
     if prefetch:
         # Pipelined result delivery on, with the output buffer kept tiny
         # so every result spans many wire batches: crashes land between
@@ -77,7 +72,9 @@ def build_world(cache_rows: int = 0, prefetch: bool = False,
     setup.run_statement(
         "INSERT INTO ledger VALUES " + ", ".join(
             f"({i}, {i * 10})" for i in range(8)))
-    if cost_mode:
+    if analyze:
+        # Crashes must neither change a single observed value nor lose
+        # the statistics across recovery.
         setup.run_statement("ANALYZE")
     config = PhoenixConfig(client_cache_rows=cache_rows)
     app = BenchmarkApp(server, use_phoenix=True, phoenix_config=config)
@@ -148,14 +145,14 @@ def workload(app, point_reads: bool = False) -> list:
 
 
 def reference_run(cache_rows: int = 0, prefetch: bool = False,
-                  result_cache: bool = False, cost_mode: bool = False,
+                  result_cache: bool = False, analyze: bool = False,
                   point_reads: bool = False, default: bool = False) -> list:
-    _server, app = build_world(cache_rows, prefetch, result_cache,
-                               cost_mode, default=default)
+    server, app = build_world(cache_rows, prefetch, result_cache,
+                              analyze, default=default)
     observed = workload(app, point_reads)
-    if cost_mode:
-        # The sweep must actually plan through the cost path.
-        assert app.meter.counters.get("optimizer.plans_costed", 0) > 0
+    if analyze:
+        # The sweep must actually plan from the statistics.
+        assert server.engine.catalog.get_table_stats("ledger")
     if prefetch:
         # The reference must actually exercise the pipeline, or the
         # sweep below would be fuzzing the seed path under a new name.
@@ -173,17 +170,17 @@ def reference_run(cache_rows: int = 0, prefetch: bool = False,
 
 
 def count_requests(cache_rows: int = 0, prefetch: bool = False,
-                   result_cache: bool = False, cost_mode: bool = False,
+                   result_cache: bool = False, analyze: bool = False,
                    point_reads: bool = False, default: bool = False) -> int:
     server, app = build_world(cache_rows, prefetch, result_cache,
-                              cost_mode, default=default)
+                              analyze, default=default)
     start = app.network.requests_sent
     workload(app, point_reads)
     return app.network.requests_sent - start
 
 
 @pytest.mark.parametrize(
-    "cache_rows,prefetch,result_cache,cost_mode,default", [
+    "cache_rows,prefetch,result_cache,analyze,default", [
         (0, False, False, False, False),
         (100, False, False, False, False),
         (0, True, False, False, False),
@@ -197,7 +194,7 @@ def count_requests(cache_rows: int = 0, prefetch: bool = False,
             "shared-cache", "shared-cache-prefetch",
             "cost", "cost-cache-prefetch", "default"])
 def test_crash_at_every_request_boundary(cache_rows, prefetch,
-                                         result_cache, cost_mode, default):
+                                         result_cache, analyze, default):
     """Crash transparency at every 2nd request boundary.
 
     With ``prefetch`` the same sweep runs with fetch-ahead, adaptive
@@ -209,10 +206,10 @@ def test_crash_at_every_request_boundary(cache_rows, prefetch,
     invariant is unchanged *and* cross-checked against the seed
     configuration: Phoenix repositions to the last row actually
     delivered, nothing is delivered twice, and neither pipelining nor
-    caching may alter a single observed value.  With ``cost_mode`` the
-    cost-based optimizer plans everything from ANALYZE statistics — the
-    observed values must still match the heuristic seed exactly, and the
-    statistics themselves must survive every crash/recovery point.
+    caching may alter a single observed value.  With ``analyze`` every
+    statement is planned from ANALYZE statistics — the observed values
+    must still match the seed leg's exactly, and the statistics
+    themselves must survive every crash/recovery point.
     The ``default`` leg is ``CostModel()`` as shipped: all of the above
     at once, under the checkpoint cadence and parallel redo.
     """
@@ -222,11 +219,11 @@ def test_crash_at_every_request_boundary(cache_rows, prefetch,
     # may cost the hit, never the value).
     point_reads = result_cache
     expected = reference_run(cache_rows, prefetch, result_cache,
-                             cost_mode, point_reads, default)
+                             analyze, point_reads, default)
     assert expected == reference_run(cache_rows, point_reads=point_reads), (
         "pipelined/cached/cost-planned delivery changed the crash-free "
         "output")
-    total = count_requests(cache_rows, prefetch, result_cache, cost_mode,
+    total = count_requests(cache_rows, prefetch, result_cache, analyze,
                            point_reads, default)
     # Adaptive buffering legitimately collapses round trips, so the
     # pipelined sweep covers fewer boundaries — but never this few.
@@ -235,7 +232,7 @@ def test_crash_at_every_request_boundary(cache_rows, prefetch,
     # every pipeline stage (requests alternate through all steps).
     for crash_at in range(1, total + 1, 2):
         server, app = build_world(cache_rows, prefetch, result_cache,
-                                  cost_mode, default=default)
+                                  analyze, default=default)
         fired = {"count": 0, "done": False}
 
         def injector(request, server=server, fired=fired,
@@ -251,12 +248,12 @@ def test_crash_at_every_request_boundary(cache_rows, prefetch,
         assert observed == expected, (
             f"output diverged when crashing at request {crash_at} "
             f"(cache_rows={cache_rows}, prefetch={prefetch}, "
-            f"result_cache={result_cache}, cost_mode={cost_mode})")
+            f"result_cache={result_cache}, analyze={analyze})")
         if point_reads:
             assert not app.shared_hits["touched-again"], (
                 f"a hit on a rewritten row when crashing at request "
                 f"{crash_at}")
-        if cost_mode:
+        if analyze:
             stats = server.engine.catalog.get_table_stats("ledger")
             assert stats and stats["row_count"] == 8, (
                 f"ANALYZE statistics lost when crashing at request "

@@ -49,10 +49,9 @@ SCHEMA = (
 
 
 def cost_model(capacity: int, **knobs) -> CostModel:
-    """The benchmark's planner (IN-list seeks are a cost-mode access
-    path), cache of ``capacity`` entries (0 = off)."""
-    costs = CostModel(optimizer_mode="cost",
-                      result_cache_entries=capacity)
+    """The default configuration with a cache of ``capacity`` entries
+    (0 = off)."""
+    costs = CostModel(result_cache_entries=capacity)
     for name, value in knobs.items():
         setattr(costs, name, value)
     return costs

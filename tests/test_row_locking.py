@@ -437,13 +437,13 @@ class TestConcurrentTpcc:
 
 
 # ---------------------------------------------------------------------------
-# Lock what you seek: the read set of an IN-list statement (cost mode)
+# Lock what you seek: the read set of an IN-list statement
 # ---------------------------------------------------------------------------
 
 
 def cost_mode_tpcc(num_sessions: int = 8, **sizes):
-    """The concurrent TPC-C world, default configuration (the cost-based
-    planner), with the statistics it plans from."""
+    """The concurrent TPC-C world, default configuration, with the
+    statistics it plans from."""
     from repro.workloads.tpcc.concurrent import build_concurrent_world
 
     sizes = {"txns_per_session": 2, "items": 60,
@@ -491,18 +491,21 @@ class TestInListReadSet:
         run(engine, alice, "COMMIT")
 
     def test_heuristic_plan_still_locks_what_it_scans(self):
-        from repro.workloads.tpcc.concurrent import build_concurrent_world
-
-        server, _apps, _plans, _scale = build_concurrent_world(
-            8, CostModel.paper(), txns_per_session=2, items=60,
-            customers_per_district=8, initial_orders_per_district=4)
+        """A list the planner must leave to the Filter (its operand is
+        no bare column) is read by a scan — the plan the FROM-order
+        planner this test is named after made of every list — and a
+        scan locks every row it reads: the probe fires before any
+        Filter."""
+        server, _apps, _plans, _scale = cost_mode_tpcc()
         engine = server.engine
         alice = EngineSession(session_id=901)
         run(engine, alice, "BEGIN TRANSACTION")
-        run(engine, alice, self.NEW_ORDER.format("3, 17"))
+        rows = run(engine, alice,
+                   self.NEW_ORDER.replace("i_id IN", "i_id + 0 IN")
+                   .format("3, 17"))
+        assert [r[0] for r in rows] == [3, 17]
         txn_id = alice.current_txn.txn_id
-        # The probe fires per row the access path reads, before any
-        # Filter: a SeqScan of item, the s_w_id prefix of stock.
+        # A SeqScan of item, the s_w_id prefix of stock.
         assert engine.locks.row_lock_count(txn_id, "item") == 60
         assert engine.locks.row_lock_count(txn_id, "stock") == 60
         run(engine, alice, "ROLLBACK")
@@ -631,7 +634,14 @@ class TestLockTraceUnchanged:
     scenarios left the list (16 events) and the bare manager's refusal
     in ``TestConflictReporting`` became a queued ``LockWaitError`` —
     the other 139 events hash as before.  The interleaved mix did not
-    move."""
+    move.
+
+    The interleaved digest was re-recorded when ``paper()`` got the one
+    planner (the planner step of the re-baseline, not the fold step):
+    new-order's item list is sought key by key on ``item`` and ``stock``
+    where the FROM-order plan scanned and locked all 60 rows of each, so
+    the same 16 transactions record 619 events instead of 1 142.  The
+    directed digest did not move."""
 
     def test_directed_scenarios(self, monkeypatch):
         """Every lock-manager and engine scenario of this file."""
@@ -658,5 +668,5 @@ class TestLockTraceUnchanged:
             ConcurrentMix(server, apps, plans, scale).run_interleaved()
 
         assert trace_digest(lock_trace(monkeypatch, scenario)) == (
-            1142, "44ee6c6ed006dbc52d2f5c2da8e3e460"
-                  "21ae0f2b1d19754100ec2e2154241dda")
+            619, "d754766726675cbb220656150f48ad21"
+                 "8aa13b6c0020a970d1009b0fb587966b")

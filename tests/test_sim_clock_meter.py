@@ -128,8 +128,6 @@ ENTRY_POINTS = {
     "charge": lambda m, r, s: m.charge(r, s, "n"),
     "charge_batched": lambda m, r, s: m.charge_batched(r, s, "n"),
     "charge_rows": lambda m, r, s: m.charge_rows(r, s, 3, "n"),
-    "charge_run_list": lambda m, r, s: m.charge_run_list(
-        r, [(0.5, 2), (s, 3)], "n"),
 }
 
 
@@ -139,8 +137,8 @@ by_entry = pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("state", [_clocked, _multi_stream, _in_window,
                                    _in_recorded_window])
 class TestChargeValidationParity:
-    """All four charging entry points reject what ``charge`` rejects, at
-    the call, in every meter state."""
+    """All three charging entry points reject what ``charge`` rejects,
+    at the call, in every meter state."""
 
     @by_entry
     def test_unknown_resource_raises_at_the_call(self, entry, state):
@@ -163,7 +161,6 @@ class TestChargeValidationParity:
         state(meter)
         before = meter.peek_now()
         meter.charge_rows(SERVER_CPU, 0.0, 5)
-        meter.charge_run_list(SERVER_CPU, [(0.0, 4)])
         meter.charge_batched(SERVER_CPU, 0.0)
         meter.charge(SERVER_CPU, 0.0)
         assert meter.peek_now() == before
@@ -172,20 +169,24 @@ class TestChargeValidationParity:
 
 
 def test_run_list_skips_zero_runs_in_every_state():
-    """Clocked, multi-stream and windowed replays agree on a run list
-    with zero runs in it (the clocked path used to add them)."""
-    runs = [(0.25, 2), (0.0, 7), (0.5, 1)]
+    """Clocked, multi-stream and windowed meters agree on what became of
+    the run list — a batch's per-row cost list, zeros in it, realized
+    by a blocking operator as one charge of the sum."""
+    from repro.sql.executor import ExecContext, _charge_deferred
+
+    costs = [0.25, 0.0, 0.25, 0.0, 0.5]
     clocked = Meter()
-    clocked.charge_run_list(SERVER_CPU, runs)
+    _charge_deferred(ExecContext(clocked), len(costs), costs, 0.0)
     streamed = Meter()
     streamed.advance_clock = False
     with streamed.request("q") as trace:
-        streamed.charge_run_list(SERVER_CPU, runs)
+        _charge_deferred(ExecContext(streamed), len(costs), costs, 0.0)
+        _charge_deferred(ExecContext(streamed), 2, [0.0, 0.0], 0.0)
     windowed = Meter()
     windowed.begin_overlap()
-    windowed.charge_run_list(SERVER_CPU, iter(runs))
+    _charge_deferred(ExecContext(windowed), len(costs), costs, 0.0)
     assert clocked.now == 1.0
-    assert [s.seconds for s in trace.segments] == [0.25, 0.25, 0.5]
+    assert [s.seconds for s in trace.segments] == [1.0]
     assert windowed.end_overlap() == 1.0
 
 
@@ -251,7 +252,6 @@ PAPER_CONFIGURATION = {
     "persist_pipeline": False,
     "result_cache_entries": 0,
     "result_cache_probe_seconds": 0.0004,
-    "optimizer_mode": "heuristic",
     "analyze_histogram_buckets": 16,
     "cpu_per_tuple_analyze": 4e-06,
     "cpu_per_tuple_scan": 8e-06,
@@ -281,7 +281,8 @@ PAPER_CONFIGURATION = {
 }
 
 RETIRED_OPTIONS = ("lock_granularity", "lock_escalation_threshold",
-                   "checkpoint_truncate_log", "async_commit_window_seconds")
+                   "checkpoint_truncate_log", "async_commit_window_seconds",
+                   "optimizer_mode")
 
 
 def test_paper_is_the_old_default_field_for_field():
@@ -298,7 +299,7 @@ def test_paper_is_the_old_default_field_for_field():
             if value != PAPER_CONFIGURATION[name]} == {
         "fetch_ahead_depth": 2, "fetch_batch_max_bytes": 8192,
         "output_buffer_max_bytes": 262144, "persist_pipeline": True,
-        "result_cache_entries": 2048, "optimizer_mode": "cost",
+        "result_cache_entries": 2048,
         "checkpoint_interval_seconds": 2.0, "redo_workers": 4}
 
 

@@ -32,7 +32,8 @@ def world():
     engine.execute("CREATE TABLE u (x INT, y INT, PRIMARY KEY (x))",
                    session)
     engine.execute("CREATE INDEX ix_t_b ON t (b)", session)
-    planner = Planner(engine.table_provider(session), engine.meter)
+    planner = Planner(engine.table_provider(session), engine.meter,
+                      engine.catalog)
     return engine, session, planner
 
 

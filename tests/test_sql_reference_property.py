@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
-from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
 from tests import row_engine_oracle
 
@@ -156,8 +155,9 @@ def test_delete_matches_reference(rows):
           suppress_health_check=[HealthCheck.too_slow])
 @given(rows=table_rows(), threshold=st.integers(-5, 5))
 def test_batch_and_row_engines_bit_identical(rows, threshold):
-    """The executor must match the row-at-a-time oracle exactly —
-    same rows AND same virtual clock — on randomized inputs."""
+    """The executor must match the row-at-a-time oracle — same rows and
+    counters exactly, the virtual clock to its fixed tolerance — on
+    randomized inputs."""
     queries = [
         f"SELECT a, c FROM t WHERE a > {threshold} ORDER BY a, c",
         "SELECT c, count(*), sum(a) FROM t GROUP BY c ORDER BY c",
@@ -174,7 +174,7 @@ def test_batch_and_row_engines_bit_identical(rows, threshold):
     with row_engine_oracle.installed():
         row = outputs()
     assert batch[0] == row[0]
-    assert batch[1] == row[1]
+    assert row_engine_oracle.same_clock(batch[1], row[1])
     assert batch[2] == row[2]
 
 
@@ -182,12 +182,14 @@ def test_batch_and_row_engines_bit_identical(rows, threshold):
 # IN-lists on key and non-key columns, judged by sqlite3
 # ---------------------------------------------------------------------------
 #
-# The cost-mode planner seeks an index by key list and carries a list
-# across a join equality; the oracle is another engine altogether.  Every
-# generated query runs under both optimizer modes, on the executor and
+# The planner seeks an index by key list and carries a list across a
+# join equality; the oracle is another engine altogether.  Every
+# generated query is planned twice — from default estimates (the leg
+# still called ``heuristic``, from when that was a planner of its own)
+# and from ANALYZE statistics (``cost``) — and run on the executor and
 # on the row-at-a-time oracle: each must return sqlite's rows, and the
-# two runs of one mode must agree to the bit on rows *in order*, the
-# virtual clock and the counters.
+# two runs of one leg must agree on rows *in order* and the counters
+# exactly, and on the virtual clock to the oracle's tolerance.
 
 import sqlite3  # noqa: E402
 
@@ -277,14 +279,12 @@ def test_in_lists_match_sqlite_in_both_modes_and_engines(case):
         oracle.close()
 
     def outputs(mode):
-        engine = DatabaseEngine(
-            meter=Meter(CostModel(optimizer_mode="heuristic")))
+        engine = DatabaseEngine(meter=Meter())
         session = EngineSession(session_id=1)
         for statement in setup:
             engine.execute(statement, session)
         if mode == "cost":
             engine.execute("ANALYZE", session)
-            engine.meter.costs.optimizer_mode = "cost"
         got = run(engine, session, query)
         return got, engine.meter.now, dict(engine.meter.counters)
 
@@ -292,7 +292,8 @@ def test_in_lists_match_sqlite_in_both_modes_and_engines(case):
         batch = outputs(mode)
         with row_engine_oracle.installed():
             row = outputs(mode)
-        assert batch == row, (mode, query)
+        assert batch[0] == row[0] and batch[2] == row[2], (mode, query)
+        assert row_engine_oracle.same_clock(batch[1], row[1]), (mode, query)
         assert sorted(batch[0], key=_null_low) == expected, (mode, query)
 
 
