@@ -1,9 +1,10 @@
 """Shared helpers for the benchmark harness.
 
 Each benchmark runs one experiment from :mod:`repro.bench.experiments`
-(one table or figure of the paper), prints the paper-style table, and
-writes it under ``bench_results/`` so EXPERIMENTS.md can reference the
-regenerated artifacts.
+(one table or figure of the paper, or one feature bench), prints the
+paper-style table, writes it under ``bench_results/`` and asserts the
+experiment's gates.  Nothing else writes that directory: CI empties it,
+runs these files and fails unless the tree comes out as committed.
 """
 
 from __future__ import annotations

@@ -7,11 +7,11 @@ absorbs more result sets (fewer server tables, faster response), at no
 benefit once it exceeds the workload's largest result.
 """
 
-from repro.bench.reporting import format_table
 from repro.phoenix.config import PhoenixConfig
 from repro.server.server import DatabaseServer
 from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
+from repro.text_table import format_table
 from repro.workloads.app import BenchmarkApp
 from repro.workloads.tpch.datagen import generate
 from repro.workloads.tpch.schema import setup_tpch_server

@@ -13,10 +13,10 @@ Two families of legs: *sharp* checkpoints (the seed's flush-everything
 and optional parallel partitioned redo — the tentpole path).
 """
 
-from repro.bench.reporting import format_table
 from repro.server.server import DatabaseServer
 from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
+from repro.text_table import format_table
 from repro.workloads.app import BenchmarkApp
 
 CADENCES = (0, 50, 10)  # checkpoints every N update batches (0 = never)

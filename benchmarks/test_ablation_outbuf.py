@@ -12,10 +12,10 @@ and pairing it with adaptive batching removes most of the round trips
 outright.
 """
 
-from repro.bench.reporting import format_table
 from repro.server.server import DatabaseServer
 from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
+from repro.text_table import format_table
 from repro.workloads.app import BenchmarkApp
 from repro.workloads.tpch.datagen import generate
 from repro.workloads.tpch.queries import top_n_lineitem

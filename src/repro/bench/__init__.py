@@ -1,8 +1,9 @@
-"""Experiment implementations and paper-style reporting.
+"""Experiment implementations.
 
-One function per table/figure of the paper's evaluation section; see
-DESIGN.md §4 for the experiment index and ``benchmarks/`` for the
-pytest-benchmark entry points that run them and print the tables.
+One function per table/figure of the paper's evaluation section and per
+feature bench; see DESIGN.md §4 for the experiment index and
+``benchmarks/`` for the pytest-benchmark entry points that run them,
+write ``bench_results/`` and assert their gates.
 """
 
 from repro.bench.experiments import (

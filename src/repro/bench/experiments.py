@@ -10,9 +10,16 @@ paper-vs-measured shape for each.
 ``work_amplification`` defaults to ``target_scale / scale`` so that a
 laptop-scale run reports SF-1-magnitude times (DESIGN.md §6).
 
-Every world here is built on ``CostModel.paper()`` — the frozen
-configuration ``bench_results/`` was produced under — except the tracked
-mix (:func:`run_tracked_mix`), which runs the default configuration.
+Two kinds of world.  The paper reproductions (Tables 1-4, Figures 3/4/6,
+the micro overheads) run the frozen ``paper()`` configuration, through
+:func:`make_tpch_world` and :func:`tpcc_cost_model` and nowhere else.
+Everything that measures a feature of this system — the tracked mix,
+indexbench, optbench, recovery scaling, tpccbench — runs ``CostModel()``,
+the system as shipped, and names the options a leg varies.
+
+``benchmarks/test_*.py`` runs each experiment, writes its ``format()`` to
+``bench_results/`` and asserts its gates; CI regenerates the directory
+and fails on any difference from the committed files.
 """
 
 from __future__ import annotations
@@ -24,18 +31,24 @@ import pathlib
 import random
 from dataclasses import dataclass, field
 
-from repro.bench.reporting import format_table
 from repro.engine.session import EngineSession
+from repro.obs.latency import format_latency_report
 from repro.phoenix.config import PhoenixConfig
 from repro.server.server import DatabaseServer
 from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
+from repro.text_table import format_table
 from repro.workloads.app import BenchmarkApp
 from repro.workloads.tpch.datagen import TpchData, generate
 from repro.workloads.tpch.power import run_power_test
 from repro.workloads.tpch.queries import q11, top_n_lineitem
 from repro.workloads.tpch.schema import setup_tpch_server
 from repro.workloads.tpch.throughput import run_throughput_test
+from repro.workloads.tpcc.concurrent import (
+    ConcurrentMix,
+    build_concurrent_world,
+    digest_database,
+)
 from repro.workloads.tpcc.datagen import TpccScale, generate_tpcc
 from repro.workloads.tpcc.driver import (
     choose_transaction,
@@ -63,21 +76,27 @@ def analyze_off_the_clock(server: DatabaseServer) -> None:
         meter.advance_clock = saved
 
 
-def make_tpch_world(scale: float = DEFAULT_TPCH_SCALE, seed: int = 7,
-                    amplification: float | None = None,
-                    analyze: bool = True
-                    ) -> tuple[DatabaseServer, TpchData]:
-    """A fresh TPC-H server with scale-compensated costs, its tables
-    analysed unless ``analyze`` is off (optbench's first leg)."""
-    if amplification is None:
-        amplification = TARGET_SCALE / scale
-    costs = CostModel.paper(work_amplification=amplification)
+def _tpch_world(costs: CostModel, scale: float, seed: int,
+                analyze: bool = True) -> tuple[DatabaseServer, TpchData]:
+    """A fresh TPC-H server priced by ``costs``, its tables analysed
+    unless ``analyze`` is off (optbench's first leg)."""
     server = DatabaseServer(meter=Meter(costs))
     data = generate(scale=scale, seed=seed)
     setup_tpch_server(server, data)
     if analyze:
         analyze_off_the_clock(server)
     return server, data
+
+
+def make_tpch_world(scale: float = DEFAULT_TPCH_SCALE, seed: int = 7,
+                    amplification: float | None = None
+                    ) -> tuple[DatabaseServer, TpchData]:
+    """The paper's TPC-H world: the frozen configuration with
+    scale-compensated costs."""
+    if amplification is None:
+        amplification = TARGET_SCALE / scale
+    return _tpch_world(CostModel.paper(work_amplification=amplification),
+                       scale, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +597,12 @@ class TrackedMixResult:
     #: witness when two configurations run the same stream.
     rows_digest: str
 
+    def format(self) -> str:
+        """The latency report: per-kind SLO table + attribution table."""
+        return format_latency_report(
+            self.latency, source="tracked mix (default configuration, "
+                                 "point_reads=2000)")
+
 
 def run_tracked_mix(txns: int = 120, point_reads: int = 2000,
                     persists: int = 8, seed: int = 11,
@@ -677,29 +702,6 @@ class IndexBenchResult:
             lines += [f"plan[{label}]: {line}" for line in plan]
         return "\n".join(lines)
 
-    def failures(self) -> list[str]:
-        """The IN-list gate: a seek examines exactly the heap rows its
-        distinct keys name — per join side, so twice that for the
-        transferred self-join form — and returns the rows of the scan
-        it replaces."""
-        failed = []
-        for seek, scan, tables in (
-                ("IndexSeek IN", "SeqScan + Filter IN", 1),
-                ("IndexSeek IN, transferred", "SeqScan + Filter IN, joined",
-                 2)):
-            rows, heap_rows = self.in_list[seek][:2]
-            if heap_rows != tables * INDEXBENCH_IN_KEYS:
-                failed.append(
-                    f"{seek}: examined {heap_rows} heap rows for "
-                    f"{INDEXBENCH_IN_KEYS} distinct keys on {tables} "
-                    f"join side(s)")
-            if rows != self.in_list[scan][0]:
-                failed.append(f"{seek}: rows differ from {scan}")
-            if len(self.in_list[seek][4]) != tables:
-                failed.append(f"{seek}: plan does not seek {tables} "
-                              f"join side(s) by key list")
-        return failed
-
 
 _INDEXBENCH_DDL = (
     "CREATE TABLE scanned (id INT NOT NULL, grp INT, val INT, "
@@ -750,7 +752,7 @@ def run_indexbench(rows: int = 4000, group_size: int = 100,
                    pool_pages: int = 8) -> IndexBenchResult:
     """Measure disk pages read by the same statements on an indexed
     and an unindexed copy of one table."""
-    server = DatabaseServer(meter=Meter(CostModel.paper()))
+    server = DatabaseServer(meter=Meter(CostModel()))
     engine = server.engine
     # Shrunk before loading: eviction pressure only applies on page
     # admission, and the measured queries must fault their pages in.
@@ -839,7 +841,7 @@ class RecoveryScalingResult:
     fingerprints: dict = field(default_factory=dict)
 
     def format(self) -> str:
-        body = [[records, leg, f"{seconds:.4f}", applied, skipped,
+        body = [[records, leg, f"{seconds:.6f}", applied, skipped,
                  int(checkpoints), int(truncated)]
                 for (records, leg, seconds, applied, skipped,
                      checkpoints, truncated, _workload) in self.rows]
@@ -886,12 +888,10 @@ def _recovery_scaling_round(app: BenchmarkApp) -> None:
 
 def _recovery_scaling_leg(rounds: int, mode: str, workers: int = 0,
                           interval: float = 0.0) -> dict:
-    """One crash/restart measurement.  ``mode``: none | sharp | fuzzy."""
-    costs = CostModel.paper()
-    if mode == "fuzzy":
-        costs.checkpoint_interval_seconds = interval
-        costs.redo_workers = workers
-    server, app = _recovery_scaling_world(costs)
+    """One crash/restart measurement.  ``mode``: none | sharp | fuzzy;
+    only a fuzzy leg has a checkpoint cadence or redo workers."""
+    server, app = _recovery_scaling_world(CostModel(
+        checkpoint_interval_seconds=interval, redo_workers=workers))
     start = server.meter.now
     sharp_every = max(1, rounds // 10)
     for rnd in range(rounds):
@@ -964,7 +964,8 @@ def restart_scan_after_history(rounds: int) -> dict:
     only pay for the tail: ``version_records_scanned`` (the records the
     engine read to rebuild the per-table DML versions) must not depend
     on ``rounds``.  Deterministic — counts, not time."""
-    server, app = _recovery_scaling_world(CostModel.paper())
+    server, app = _recovery_scaling_world(
+        CostModel(checkpoint_interval_seconds=0.0))
     for _ in range(rounds):
         _recovery_scaling_round(app)
     # Flushed pool: nothing pins the log below the checkpoint's Begin.
@@ -1059,6 +1060,7 @@ class OptbenchResult:
         lines = [table, "", "top-N plan (analyzed leg):"]
         lines += [f"  {line}" for line in after.topn_plan]
         for leg in (before, after):
+            lines.append(f"total ({leg.name} leg) = {leg.total_seconds:.9f}")
             lines.append(f"optimizer counters ({leg.name} leg):")
             lines += [f"  {name} = {value:g}" for name, value
                       in sorted(leg.optimizer_counters.items())]
@@ -1068,8 +1070,9 @@ class OptbenchResult:
 def _optbench_leg(name: str, scale: float, seed: int) -> OptbenchLeg:
     from repro.workloads.tpch.queries import QUERIES
 
-    server, _data = make_tpch_world(scale, seed,
-                                    analyze=name == "analyzed")
+    server, _data = _tpch_world(
+        CostModel(work_amplification=TARGET_SCALE / scale), scale, seed,
+        analyze=name == "analyzed")
     app = BenchmarkApp(server)
     leg = OptbenchLeg(name=name)
     for number in sorted(QUERIES):
@@ -1097,3 +1100,74 @@ def run_optbench(scale: float = OPTBENCH_SCALE,
                           unanalyzed=_optbench_leg("unanalyzed", scale,
                                                    seed),
                           analyzed=_optbench_leg("analyzed", scale, seed))
+
+
+# ---------------------------------------------------------------------------
+# Tpccbench: the concurrent TPC-C mix, interleaved against its serial reference
+# ---------------------------------------------------------------------------
+
+#: (sessions, transactions per session) legs — work per leg stays
+#: roughly constant as concurrency rises, so 128 sessions fit CI time.
+TPCCBENCH_LEGS = ((8, 4), (32, 2), (128, 1))
+
+#: Shared world scale for every leg (small enough for CI, large enough
+#: that sessions genuinely collide on warehouse rows and stock rows).
+TPCCBENCH_SCALE = dict(items=100, customers_per_district=10,
+                       initial_orders_per_district=5)
+
+_TPCCBENCH_COUNTERS = ("row_locks_acquired", "deadlocks_detected",
+                       "lock_wait_seconds", "txn_retries", "wait_episodes",
+                       "requeues")
+
+
+@dataclass
+class TpccBenchResult:
+    """Virtual-time makespan of identical transaction descriptors run
+    serially (one session at a time) and interleaved (one statement per
+    session per round, the lock manager arbitrating)."""
+
+    #: (sessions, txns per session, "serial" | "interleaved", MixResult,
+    #:  ``locks.*`` counters, per-table digests of the final database)
+    rows: list = field(default_factory=list)
+
+    def format(self) -> str:
+        body = [[sessions, txns, leg, f"{run.makespan_seconds:.9f}",
+                 run.committed,
+                 *(f"{locks[name]:.9f}" if name.endswith("seconds")
+                   else int(locks[name]) for name in _TPCCBENCH_COUNTERS)]
+                for sessions, txns, leg, run, locks, _digests in self.rows]
+        table = format_table(
+            "Concurrent TPC-C mix: serial vs interleaved, identical "
+            "transaction descriptors per leg (virtual seconds)",
+            ["Sessions", "Txns", "Leg", "Makespan", "Committed",
+             "Row locks", "Deadlocks", "Lock wait", "Retries", "Waits",
+             "Requeues"], body)
+        return (f"{table}\n\nwaits = episodes: statements the server held "
+                "at a lock; requeues = held again after running again")
+
+    def leg(self, sessions: int, leg: str) -> tuple:
+        for row in self.rows:
+            if row[0] == sessions and row[2] == leg:
+                return row
+        raise KeyError((sessions, leg))
+
+
+def run_tpccbench(legs: tuple = TPCCBENCH_LEGS) -> TpccBenchResult:
+    """Both legs of every ``(sessions, txns)`` pair, each on its own
+    identically built world.  The mix raises ``RuntimeError`` the moment
+    nobody can move (a lost wake-up: every live session waiting for a
+    lock nobody will release)."""
+    result = TpccBenchResult()
+    for sessions, txns in legs:
+        for leg in ("serial", "interleaved"):
+            server, apps, plans, scale = build_concurrent_world(
+                sessions, CostModel(), txns_per_session=txns,
+                **TPCCBENCH_SCALE)
+            mix = ConcurrentMix(server, apps, plans, scale)
+            run = mix.run_serial() if leg == "serial" \
+                else mix.run_interleaved()
+            locks = {name: server.meter.counters.get(f"locks.{name}", 0)
+                     for name in _TPCCBENCH_COUNTERS}
+            result.rows.append((sessions, txns, leg, run, locks,
+                                digest_database(server.engine)))
+    return result

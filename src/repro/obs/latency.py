@@ -34,6 +34,7 @@ from collections import deque
 from fractions import Fraction
 
 from repro.resources import CLIENT_CPU, NETWORK, SERVER_CPU, SERVER_DISK
+from repro.text_table import format_table
 
 __all__ = ["COMPONENTS", "LatencyLedger", "LedgerEntry", "classify",
            "format_latency_report"]
@@ -364,8 +365,6 @@ class LatencyLedger:
 def format_latency_report(ledger: LatencyLedger,
                           source: str = "live") -> str:
     """Render the per-kind SLO table + the component attribution table."""
-    from repro.bench.reporting import format_table
-
     total_requests = sum(stats.count for stats in ledger.kinds.values())
     kind_rows = [[kind, count, f"{p50:.6f}", f"{p95:.6f}", f"{p99:.6f}",
                   f"{peak:.6f}", f"{total:.6f}"]

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.reporting import format_table
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, percentile
+from repro.text_table import format_table
 
 _BAR_WIDTH = 36
 

@@ -1,4 +1,5 @@
-"""Paper-style plain-text tables for the benchmark harness."""
+"""Paper-style plain-text tables: pure string formatting, imports nothing
+(``obs`` and ``bench`` both render with it)."""
 
 from __future__ import annotations
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.reporting import format_table
+from repro.text_table import format_table
 from repro.workloads.tpch.throughput import STREAM_ORDERINGS
 
 
@@ -50,20 +50,41 @@ class TestStreamOrderings:
 
 
 class TestCli:
-    def test_micro_via_cli(self, tmp_path, capsys):
+    def test_micro_via_cli(self, tmp_path, monkeypatch, capsys):
+        """The CLI prints the table and writes nothing: ``pytest
+        benchmarks`` is the one writer of ``bench_results/``."""
         from repro.bench.__main__ import main
 
-        rc = main(["micro", "--scale", "0.001", "--out", str(tmp_path)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "Micro overheads" in out
-        assert (tmp_path / "micro.txt").exists()
+        monkeypatch.chdir(tmp_path)
+        assert main(["micro", "--scale", "0.001"]) == 0
+        assert "Micro overheads" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_experiment_rejected(self):
         from repro.bench.__main__ import main
 
-        with pytest.raises(SystemExit):
-            main(["nonsense"])
+        for argv in (["nonsense"], ["sentinel"],
+                     ["micro", "--out", "somewhere"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+
+    def test_tpccbench_text_does_not_depend_on_the_hash_seed(self):
+        """What the byte diff of ``bench_results/`` relies on: the
+        smallest leg formats identically under two ``PYTHONHASHSEED``s."""
+        import os
+        import subprocess
+        import sys
+
+        script = ("from repro.bench.experiments import run_tpccbench\n"
+                  "print(run_tpccbench(legs=((8, 4),)).format())")
+        texts = [subprocess.run(
+            [sys.executable, "-c", script], check=True, text=True,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                 "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "12345")]
+        assert "interleaved" in texts[0]
+        assert texts[0] == texts[1]
 
 
 class TestRefreshSplitting:

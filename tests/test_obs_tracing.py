@@ -377,3 +377,11 @@ def test_obs_imports_first():
     for module in ("repro.obs", "repro.obs.report", "repro.sim.meter"):
         subprocess.run([sys.executable, "-c", f"import {module}"],
                        check=True, env=env)
+    # ... and ``obs`` never reaches back up: ``sim`` imports it, and it
+    # renders its reports with the leaf ``repro.text_table``.
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.obs.report, repro.obs.latency\n"
+         "print([m for m in sys.modules if m.startswith('repro.bench')])"],
+        check=True, env=env, text=True, capture_output=True).stdout
+    assert loaded.strip() == "[]"

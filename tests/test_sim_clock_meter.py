@@ -329,3 +329,23 @@ def test_default_is_the_configuration_the_benchmark_asks_for():
         else:
             assert name in RETIRED_OPTIONS, name
             assert getattr(CostModel, name) == value, name
+
+
+def test_only_the_paper_reproductions_build_on_paper():
+    """Under ``repro.bench`` the frozen configuration is spelled in
+    ``make_tpch_world`` and ``tpcc_cost_model`` and nowhere else: every
+    other world measures the default system."""
+    import ast
+    import pathlib
+
+    import repro.bench
+
+    paper_worlds = {"make_tpch_world", "tpcc_cost_model"}
+    for path in pathlib.Path(repro.bench.__file__).parent.glob("*.py"):
+        source = path.read_text()
+        inside = sum(
+            ast.get_source_segment(source, node).count("CostModel.paper(")
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef)
+            and node.name in paper_worlds)
+        assert source.count("CostModel.paper(") == inside, path.name
