@@ -4,16 +4,13 @@ workers; every leg names its cadence and worker count on the default
 configuration.
 
 Fuzzy recovery is bounded by the checkpoint interval, not the log; its
-redo volume tracks dirty-page recLSNs; workers only ever help; no regime
-changes what is recovered; and restart pays for the live log only,
-however much history a truncating checkpoint archived.
+redo volume tracks dirty-page recLSNs; workers only ever help; and no
+regime changes what is recovered.  (That restart pays for the live log
+only, however much history a truncating checkpoint archived, is tier-1:
+tests/test_dml_version_fold.py.)
 """
 
-from repro.bench.experiments import (
-    RECOVERY_HISTORY_ROUNDS,
-    restart_scan_after_history,
-    run_recovery_scaling,
-)
+from repro.bench.experiments import run_recovery_scaling
 
 
 def test_recovery_scaling(benchmark, report):
@@ -38,13 +35,3 @@ def test_recovery_scaling(benchmark, report):
         assert fingerprint == result.fingerprints[(records, "none")], \
             f"{leg} at {records} records recovered different contents"
 
-
-def test_restart_scan_is_bounded_by_the_live_log():
-    short, long = map(restart_scan_after_history, RECOVERY_HISTORY_ROUNDS)
-    assert long["archived_records"] >= 5 * short["archived_records"], \
-        "the long-history leg archived too little to compare anything"
-    for leg in (short, long):
-        assert leg["version_records_scanned"] == leg["live_records"]
-    assert long["version_records_scanned"] \
-        <= short["version_records_scanned"], \
-        "restart's version scan grew with archived history"

@@ -596,12 +596,19 @@ class TrackedMixResult:
     #: SHA-256 over every point-select result: the value-identity
     #: witness when two configurations run the same stream.
     rows_digest: str
+    #: What the run was asked for, so the report names its own
+    #: configuration.
+    point_reads: int
+    cost_overrides: dict
 
     def format(self) -> str:
         """The latency report: per-kind SLO table + attribution table."""
+        configuration = ", ".join(
+            f"{name}={value!r}" for name, value
+            in sorted(self.cost_overrides.items())) or "default configuration"
         return format_latency_report(
-            self.latency, source="tracked mix (default configuration, "
-                                 "point_reads=2000)")
+            self.latency, source=f"tracked mix ({configuration}, "
+                                 f"point_reads={self.point_reads})")
 
 
 def run_tracked_mix(txns: int = 120, point_reads: int = 2000,
@@ -653,7 +660,8 @@ def run_tracked_mix(txns: int = 120, point_reads: int = 2000,
     return TrackedMixResult(
         virtual_seconds=meter.now, counters=dict(meter.counters),
         cache_stats=dict(server.engine.cache_stats),
-        latency=meter.obs.latency, rows_digest=digest.hexdigest())
+        latency=meter.obs.latency, rows_digest=digest.hexdigest(),
+        point_reads=point_reads, cost_overrides=cost_overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -952,37 +960,6 @@ def run_recovery_scaling(
     return result
 
 
-#: History-independence gate: rounds of *archived* history (1x, 10x)
-#: ahead of the same live tail.
-RECOVERY_HISTORY_ROUNDS = (20, 200)
-RECOVERY_HISTORY_TAIL_ROUNDS = 3
-
-
-def restart_scan_after_history(rounds: int) -> dict:
-    """Crash and restart behind ``rounds`` of history that a truncating
-    checkpoint archived, plus a fixed tail of live work.  Restart may
-    only pay for the tail: ``version_records_scanned`` (the records the
-    engine read to rebuild the per-table DML versions) must not depend
-    on ``rounds``.  Deterministic — counts, not time."""
-    server, app = _recovery_scaling_world(
-        CostModel(checkpoint_interval_seconds=0.0))
-    for _ in range(rounds):
-        _recovery_scaling_round(app)
-    # Flushed pool: nothing pins the log below the checkpoint's Begin.
-    server.engine.buffer_pool.flush_all()
-    server.engine.fuzzy_checkpoint(truncate=True)
-    for _ in range(RECOVERY_HISTORY_TAIL_ROUNDS):
-        _recovery_scaling_round(app)
-    server.crash()
-    server.restart()
-    return {
-        "archived_records": server.wal.truncated_records,
-        "live_records": server.wal.last_lsn - server.wal.truncated_lsn,
-        "version_records_scanned":
-            server.engine.last_recovery.version_records_scanned,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Optbench: the one planner, before and after ANALYZE
 # ---------------------------------------------------------------------------
@@ -1032,7 +1009,12 @@ class OptbenchLeg:
 
     @property
     def total_seconds(self) -> float:
-        return sum(self.query_seconds.values()) + self.topn_seconds
+        # An explicit loop: optbench.txt prints this to 9 decimals on
+        # Python 3.11 and 3.12, and sum() of floats differs between them.
+        total = 0.0
+        for seconds in self.query_seconds.values():
+            total += seconds
+        return total + self.topn_seconds
 
 
 @dataclass
