@@ -383,19 +383,55 @@ class NativeDriver:
         Phoenix client cache uses ("a single ODBC block cursor read").
         """
         result = self._open_result(statement)
-        rows: list[tuple] = []
-        while len(rows) < max_rows:
-            row = self._next_row(statement, result)
-            if row is None:
-                break
-            rows.append(row)
-            result.position += 1
+        if result.static_rows is not None:
+            rows = self._take_static(result, max_rows)
+        else:
+            rows = []
+            while len(rows) < max_rows:
+                row = self._next_row(statement, result)
+                if row is None:
+                    break
+                rows.append(row)
+        result.position += len(rows)
+        self._charge_block_read(len(rows))
+        return rows
+
+    def fetch_batch(self, statement: StatementHandle) -> deque[tuple]:
+        """Block-cursor read of one wire batch: every row the client
+        buffer holds — refilled first when empty — at bulk pricing.
+
+        Empty once the result is consumed.  The wire batch is the unit:
+        nothing is pulled off the server, or waited for, beyond the
+        batch already in (or next into) the buffer, so fetch-ahead keeps
+        overlapping the consumption of one batch with the next.
+        """
+        result = self._open_result(statement)
+        if result.static_rows is not None:
+            rows = deque(self._take_static(result, len(result.static_rows)))
+        else:
+            if not result.buffered and not result.done:
+                self._refill(statement, result)
+            rows = result.buffered
+            result.buffered = deque()
+        result.position += len(rows)
+        self._charge_block_read(len(rows))
+        return rows
+
+    @staticmethod
+    def _take_static(result: ResultState, limit: int) -> list[tuple]:
+        """Up to ``limit`` rows of a static cursor from where it stands
+        (it stands on the last row taken)."""
+        start = result.cursor_index
+        rows = result.static_rows[start:start + limit]
+        result.cursor_index = start + len(rows)
+        result.cursor_after_last = not rows
+        return rows
+
+    def _charge_block_read(self, rows: int) -> None:
         self.meter.charge(
             CLIENT_CPU,
-            max(1, len(rows))
-            * self.meter.costs.cache_block_read_per_row_seconds,
+            max(1, rows) * self.meter.costs.cache_block_read_per_row_seconds,
             "block cursor read")
-        return rows
 
     def advance(self, statement: StatementHandle, count: int) -> int:
         """Server-side skip of ``count`` rows (repositioning procedure).
@@ -481,20 +517,26 @@ class NativeDriver:
 
     def _next_row(self, statement: StatementHandle, result: ResultState):
         if not result.buffered and not result.done:
-            if result.prefetch:
-                self._consume_prefetch(result)
-            if not result.buffered and not result.done:
-                response = self._call(FetchRequest(
-                    session_token=statement.connection.session_token,
-                    statement_id=result.statement_id))
-                result.buffered = deque(response.rows)
-                result.done = response.done
-            if not result.done:
-                # Top the pipeline back up after a refill.
-                self._issue_prefetch(statement, result)
+            self._refill(statement, result)
         if result.buffered:
             return result.buffered.popleft()
         return None
+
+    def _refill(self, statement: StatementHandle,
+                result: ResultState) -> None:
+        """Land the next wire batch in the (drained) client buffer: the
+        oldest prefetched batch, else one synchronous fetch."""
+        if result.prefetch:
+            self._consume_prefetch(result)
+        if not result.buffered and not result.done:
+            response = self._call(FetchRequest(
+                session_token=statement.connection.session_token,
+                statement_id=result.statement_id))
+            result.buffered = deque(response.rows)
+            result.done = response.done
+        if not result.done:
+            # Top the pipeline back up after a refill.
+            self._issue_prefetch(statement, result)
 
     # -- pipelined delivery ---------------------------------------------------
 

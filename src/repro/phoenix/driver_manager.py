@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from collections import deque
 
 from repro.errors import (
     DeadlockError,
@@ -408,26 +409,51 @@ class PhoenixDriverManager(DriverManager):
             return (SQL_NO_DATA, None) if row is None else (SQL_SUCCESS,
                                                             row)
         if state.mode is StatementMode.PERSISTED:
-            vconn = self._require_vconn(statement.connection)
-
-            def op():
-                row = self.driver.fetch_one(statement)
-                self.meter.charge(
-                    CLIENT_CPU,
-                    self.meter.costs.persisted_fetch_extra_seconds,
-                    "persisted fetch extra")
-                return row
-
-            rc, row = self._guard(
-                statement, lambda: self._with_recovery(vconn, op))
-            if rc != SQL_SUCCESS:
-                return rc, None
-            if row is None:
-                state.finished = True
-                return SQL_NO_DATA, None
+            batch = state.batch
+            if not batch:
+                if self.meter.costs.fetch_batch_max_bytes <= 0:
+                    return self._fetch_persisted_row(statement, state)
+                vconn = self._require_vconn(statement.connection)
+                rc, rows = self._guard(statement, lambda: self._with_recovery(
+                    vconn, lambda: self.driver.fetch_batch(statement)))
+                if rc != SQL_SUCCESS:
+                    return rc, None
+                if not rows:
+                    state.finished = True
+                    return SQL_NO_DATA, None
+                state.batch = batch = rows
+            else:
+                statement.clear_diag()
+            self.meter.charge_batched(CLIENT_CPU,
+                                      self.meter.costs.cache_fetch_seconds,
+                                      "batch fetch")
             state.position += 1
-            return SQL_SUCCESS, row
+            return SQL_SUCCESS, batch.popleft()
         return super().fetch(statement)
+
+    def _fetch_persisted_row(self, statement: StatementHandle,
+                             state: StatementState):
+        """The paper's delivery: one driver SQLFetch per row, plus
+        Phoenix's own per-row work."""
+        vconn = self._require_vconn(statement.connection)
+
+        def op():
+            row = self.driver.fetch_one(statement)
+            self.meter.charge(
+                CLIENT_CPU,
+                self.meter.costs.persisted_fetch_extra_seconds,
+                "persisted fetch extra")
+            return row
+
+        rc, row = self._guard(
+            statement, lambda: self._with_recovery(vconn, op))
+        if rc != SQL_SUCCESS:
+            return rc, None
+        if row is None:
+            state.finished = True
+            return SQL_NO_DATA, None
+        state.position += 1
+        return SQL_SUCCESS, row
 
     def fetch_block(self, statement: StatementHandle, max_rows: int):
         state = self._state_of(statement)
@@ -446,13 +472,28 @@ class PhoenixDriverManager(DriverManager):
             return (SQL_NO_DATA, []) if not rows else (SQL_SUCCESS, rows)
         if state is not None and state.mode is StatementMode.PERSISTED:
             vconn = self._require_vconn(statement.connection)
-            rc, rows = self._guard(
-                statement,
-                lambda: self._with_recovery(
-                    vconn,
-                    lambda: self.driver.fetch_block(statement, max_rows)))
-            if rc != SQL_SUCCESS:
-                return rc, []
+            batch = state.batch
+            more: list[tuple] = []
+            if len(batch) < max_rows:
+                rc, more = self._guard(
+                    statement,
+                    lambda: self._with_recovery(
+                        vconn, lambda: self.driver.fetch_block(
+                            statement, max_rows - len(batch))))
+                if rc != SQL_SUCCESS:
+                    return rc, []
+            else:
+                statement.clear_diag()
+            # Rows of the block-read batch come first, out of memory.
+            rows = [batch.popleft()
+                    for _ in range(min(max_rows, len(batch)))]
+            if rows:
+                self.meter.charge(
+                    CLIENT_CPU,
+                    len(rows)
+                    * self.meter.costs.cache_block_read_per_row_seconds,
+                    "batch block fetch")
+            rows.extend(more)
             if not rows:
                 state.finished = True
                 return SQL_NO_DATA, []
@@ -529,6 +570,20 @@ class PhoenixDriverManager(DriverManager):
         size = self._persisted_size(vconn, state)
         current = size if state.finished else state.position - 1
         target = target_index(current, size)
+        batch = state.batch
+        if batch:
+            if state.position <= target < state.read_position:
+                # Inside the block-read batch: client memory.
+                for _ in range(target - state.position):
+                    batch.popleft()
+                self.meter.charge(CLIENT_CPU,
+                                  self.meter.costs.cache_fetch_seconds,
+                                  "batch scroll")
+                state.position = target + 1
+                return batch.popleft()
+            # Elsewhere: the server-side cursor stands past the batch.
+            state.position = state.read_position
+            state.batch = deque()
         if target < 0 or target >= size:
             # Park the cursor before-first / after-last by reopening and
             # advancing to the logical position.

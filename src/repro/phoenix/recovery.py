@@ -206,5 +206,7 @@ class SessionRecovery:
     def _reopen_result(self, state) -> None:
         self._driver.execute(state.handle,
                              f"SELECT * FROM {state.table_name}")
-        reposition(self._driver, state.handle, state.position,
+        # Past the rows already delivered *and* the block-read batch:
+        # that batch is client memory and survived the crash.
+        reposition(self._driver, state.handle, state.read_position,
                    self._config.reposition_mode)

@@ -73,11 +73,12 @@ class CostModel:
     #: (paper: 0.00380 s per tuple, native).
     client_fetch_seconds: float = 0.00380
     #: Extra per-fetch cost when the row comes from a persisted table
-    #: (paper: 0.00397 - 0.00380 s).
+    #: one driver SQLFetch at a time (paper: 0.00397 - 0.00380 s).
     persisted_fetch_extra_seconds: float = 0.00017
-    #: Per-row cost of one block-cursor bulk read into the client cache.
+    #: Per-row cost of one block-cursor bulk read into client memory.
     cache_block_read_per_row_seconds: float = 0.0002
-    #: Client-side CPU to serve one fetch straight from the client cache.
+    #: Client-side CPU to serve one fetch straight from client memory
+    #: (the client cache, or a block-read batch of a persisted result).
     cache_fetch_seconds: float = 0.0009
 
     # -- network / result delivery -------------------------------------------
@@ -183,7 +184,12 @@ class CostModel:
     #: ``client_fetch_batch_bytes``, each successive fetch of one open
     #: result doubles the rowset a ``FetchResponse`` carries (the consumer
     #: has demonstrably drained everything shipped so far) up to this many
-    #: row-bytes.  0 is the paper's fixed batch.
+    #: row-bytes.  The batch is then the unit of delivery end to end:
+    #: Phoenix takes each batch of a persisted result in one block-cursor
+    #: read (``cache_block_read_per_row_seconds`` a row) and serves the
+    #: application's SQLFetch from client memory (``cache_fetch_seconds``)
+    #: instead of one driver SQLFetch per row.  0 is the paper's fixed
+    #: batch and per-row delivery.
     fetch_batch_max_bytes: int = _option(8192, paper=0)
     #: Cap on the adaptive server output buffer.  When larger than
     #: ``output_buffer_bytes``, a ``ServerResultSet`` whose buffer the
