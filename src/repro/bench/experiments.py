@@ -578,8 +578,8 @@ _MIX_POINT_QUERIES = (
     "SELECT s_quantity FROM stock WHERE s_w_id = {w} AND s_i_id = {i}",
 )
 
-#: A result wider than the client cache, so Phoenix persists it —
-#: repeating it exercises the metadata-probe cache.
+#: A result wider than the client cache, so Phoenix persists it on
+#: every repetition.
 _MIX_PERSIST_QUERY = (
     "SELECT c_id, c_balance FROM customer "
     "WHERE c_w_id = 1 AND c_d_id = 1 ORDER BY c_id")

@@ -1,5 +1,7 @@
 """ODBC return codes, attributes and SQLSTATEs (the subset we model)."""
 
+from repro.errors import OdbcError
+
 SQL_SUCCESS = 0
 SQL_SUCCESS_WITH_INFO = 1
 #: The statement is held by the server behind a lock; call the same
@@ -25,6 +27,30 @@ SQL_FETCH_FIRST = "first"
 SQL_FETCH_LAST = "last"
 SQL_FETCH_ABSOLUTE = "absolute"   # 1-based position
 SQL_FETCH_RELATIVE = "relative"
+
+#: Orientation -> the 0-based row a SQLFetchScroll targets, from the row
+#: the cursor stands on (-1 before the first, ``size`` after the last),
+#: the result's size and the call's offset.
+_SCROLL_TARGETS = {
+    SQL_FETCH_NEXT: lambda current, size, offset: current + 1,
+    SQL_FETCH_PRIOR: lambda current, size, offset: current - 1,
+    SQL_FETCH_FIRST: lambda current, size, offset: 0,
+    SQL_FETCH_LAST: lambda current, size, offset: size - 1,
+    SQL_FETCH_ABSOLUTE: lambda current, size, offset: offset - 1,
+    SQL_FETCH_RELATIVE: lambda current, size, offset: current + offset,
+}
+
+
+def scroll_target(orientation: str, offset: int, current: int,
+                  size: int) -> int:
+    """The row ``orientation`` moves a scrollable cursor to; outside
+    ``range(size)`` it parks before the first / after the last row.
+    An unknown orientation is SQLSTATE HY106 (fetch type out of range).
+    """
+    move = _SCROLL_TARGETS.get(orientation)
+    if move is None:
+        raise OdbcError("HY106", f"unknown orientation {orientation!r}")
+    return move(current, size, offset)
 
 # Connection options
 SQL_ATTR_AUTOCOMMIT = "autocommit"

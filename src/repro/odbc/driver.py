@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.errors import OdbcError, StillExecuting
 from repro.server.network import SimulatedNetwork
@@ -43,7 +44,12 @@ from repro.server.protocol import (
 from repro.server.server import DatabaseServer, HeldStatement
 from repro.sim.costs import CLIENT_CPU, NETWORK
 from repro.sim.meter import Meter
-from repro.odbc.constants import SQL_ATTR_CURSOR_TYPE, SQL_CURSOR_STATIC
+from repro.odbc.constants import (
+    SQL_ATTR_CURSOR_TYPE,
+    SQL_CURSOR_STATIC,
+    SQL_FETCH_NEXT,
+    scroll_target,
+)
 from repro.odbc.handles import ConnectionHandle, ResultState, StatementHandle
 
 
@@ -302,8 +308,35 @@ class NativeDriver:
         result.cursor_index = 0
 
     def fetch_one(self, statement: StatementHandle):
-        """Next row or ``None`` when the result is consumed."""
+        """Next row or ``None`` when the result is consumed.
+
+        With batch delivery on (``CostModel.batch_delivery``) the first
+        fetch of each wire batch takes the whole batch into client memory
+        with one block-cursor read, and every row is then served from
+        there; a fetch that finds the result consumed is one more block
+        read.  Off, every fetch is one driver SQLFetch.
+        """
         result = self._open_result(statement)
+        if not result.block_read:
+            if result.static_rows is not None \
+                    or not self.meter.costs.batch_delivery:
+                return self._sql_fetch(statement, result)
+            if not result.buffered and not result.done:
+                self._refill(statement, result)
+            result.block_read = len(result.buffered)
+            self._charge_block_read(result.block_read)
+            if not result.block_read:
+                return None
+        result.block_read -= 1
+        result.position += 1
+        self.meter.charge_batched(CLIENT_CPU,
+                                  self.meter.costs.cache_fetch_seconds,
+                                  "batch fetch")
+        return result.buffered.popleft()
+
+    def _sql_fetch(self, statement: StatementHandle, result: ResultState):
+        """One driver SQLFetch: the paper's per-row delivery, and every
+        fetch of a static cursor."""
         self.meter.charge(CLIENT_CPU, self.meter.costs.client_fetch_seconds,
                           "SQLFetch")
         if result.static_rows is not None:
@@ -320,6 +353,32 @@ class NativeDriver:
             result.position += 1
         return row
 
+    def rows_held(self, statement: StatementHandle) -> int:
+        """Rows of ``statement``'s result block-read into client memory
+        and not yet delivered.  They survive a server crash."""
+        result = statement.result
+        return result.block_read if result is not None else 0
+
+    def hand_back(self, statement: StatementHandle,
+                  reopened: StatementHandle) -> None:
+        """Install the result open on ``reopened`` as ``statement``'s,
+        with the rows ``statement`` holds in client memory in front.
+
+        Crash recovery reopens a persisted result past those rows on a
+        scratch handle; until this call they stay where they were, so a
+        crash during the reopen loses none of them.
+        """
+        result = reopened.result
+        reopened.result = None
+        old = statement.result
+        held = self.rows_held(statement)
+        if held:
+            result.buffered.extendleft(
+                reversed(list(islice(old.buffered, held))))
+            result.block_read += held
+            result.position -= held
+        statement.result = result
+
     def fetch_scroll(self, statement: StatementHandle, orientation: str,
                      offset: int = 0):
         """Scrollable fetch over a static cursor.
@@ -328,15 +387,6 @@ class NativeDriver:
         raises SQLSTATE HY106 (fetch type out of range), like a real
         driver.
         """
-        from repro.odbc.constants import (
-            SQL_FETCH_ABSOLUTE,
-            SQL_FETCH_FIRST,
-            SQL_FETCH_LAST,
-            SQL_FETCH_NEXT,
-            SQL_FETCH_PRIOR,
-            SQL_FETCH_RELATIVE,
-        )
-
         result = self._open_result(statement)
         if result.static_rows is None:
             if orientation == SQL_FETCH_NEXT:
@@ -350,20 +400,7 @@ class NativeDriver:
         # The row the cursor sits on (len(rows) = after-last sentinel).
         current = (len(rows) if result.cursor_after_last
                    else result.cursor_index - 1)
-        if orientation == SQL_FETCH_NEXT:
-            target = current + 1
-        elif orientation == SQL_FETCH_PRIOR:
-            target = current - 1
-        elif orientation == SQL_FETCH_FIRST:
-            target = 0
-        elif orientation == SQL_FETCH_LAST:
-            target = len(rows) - 1
-        elif orientation == SQL_FETCH_ABSOLUTE:
-            target = offset - 1  # ODBC positions are 1-based
-        elif orientation == SQL_FETCH_RELATIVE:
-            target = current + offset
-        else:
-            raise OdbcError("HY106", f"unknown orientation {orientation!r}")
+        target = scroll_target(orientation, offset, current, len(rows))
         if target < 0 or target >= len(rows):
             # Cursor lands before-first / after-last.
             result.cursor_index = 0 if target < 0 else len(rows)
@@ -392,27 +429,6 @@ class NativeDriver:
                 if row is None:
                     break
                 rows.append(row)
-        result.position += len(rows)
-        self._charge_block_read(len(rows))
-        return rows
-
-    def fetch_batch(self, statement: StatementHandle) -> deque[tuple]:
-        """Block-cursor read of one wire batch: every row the client
-        buffer holds — refilled first when empty — at bulk pricing.
-
-        Empty once the result is consumed.  The wire batch is the unit:
-        nothing is pulled off the server, or waited for, beyond the
-        batch already in (or next into) the buffer, so fetch-ahead keeps
-        overlapping the consumption of one batch with the next.
-        """
-        result = self._open_result(statement)
-        if result.static_rows is not None:
-            rows = deque(self._take_static(result, len(result.static_rows)))
-        else:
-            if not result.buffered and not result.done:
-                self._refill(statement, result)
-            rows = result.buffered
-            result.buffered = deque()
         result.position += len(rows)
         self._charge_block_read(len(rows))
         return rows
@@ -453,6 +469,7 @@ class NativeDriver:
                 take = min(count - skipped, len(result.buffered))
                 for _ in range(take):
                     result.buffered.popleft()
+                result.block_read = max(0, result.block_read - take)
                 skipped += take
                 continue
             if result.prefetch:
@@ -519,6 +536,8 @@ class NativeDriver:
         if not result.buffered and not result.done:
             self._refill(statement, result)
         if result.buffered:
+            if result.block_read:
+                result.block_read -= 1
             return result.buffered.popleft()
         return None
 

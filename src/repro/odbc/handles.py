@@ -75,7 +75,12 @@ class ResultState:
 
     columns: list[Column] = field(default_factory=list)
     statement_id: int = 0          # server-side handle (0 = none open)
+    #: The client row buffer: the wire batch the last response carried.
     buffered: deque[tuple] = field(default_factory=deque)
+    #: Rows at the head of ``buffered`` already block-read into client
+    #: memory (batch delivery): served without a request, and kept by
+    #: crash recovery.
+    block_read: int = 0
     done: bool = False
     position: int = 0              # rows already delivered to the app
     rowcount: int = -1

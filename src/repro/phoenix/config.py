@@ -42,15 +42,7 @@ class PhoenixConfig:
     #: Name of the status table used for update testability.
     status_table: str = "phoenix_status"
 
-    #: Entries in the metadata-probe cache: repeated persists of the same
-    #: query text skip the WHERE 0=1 round trip, replaying its recorded
-    #: virtual charges instead (a host-time optimization; virtual time is
-    #: unchanged).  0 disables the cache.
-    metadata_cache_entries: int = 256
-
     def validate(self) -> None:
-        if self.metadata_cache_entries < 0:
-            raise ValueError("metadata_cache_entries cannot be negative")
         if self.reposition_mode not in ("client", "server"):
             raise ValueError(
                 f"reposition_mode must be 'client' or 'server', "

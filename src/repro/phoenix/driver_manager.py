@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from collections import deque
 
 from repro.errors import (
     DeadlockError,
@@ -34,6 +33,7 @@ from repro.odbc.constants import (
     SQL_NO_DATA,
     SQL_STILL_EXECUTING,
     SQL_SUCCESS,
+    scroll_target,
 )
 from repro.odbc.driver import NativeDriver
 from repro.odbc.driver_manager import DriverManager
@@ -409,51 +409,32 @@ class PhoenixDriverManager(DriverManager):
             return (SQL_NO_DATA, None) if row is None else (SQL_SUCCESS,
                                                             row)
         if state.mode is StatementMode.PERSISTED:
-            batch = state.batch
-            if not batch:
-                if self.meter.costs.fetch_batch_max_bytes <= 0:
-                    return self._fetch_persisted_row(statement, state)
+            if self.driver.rows_held(statement):
+                # Client memory: no request, nothing to mask.
+                statement.clear_diag()
+                row = self.driver.fetch_one(statement)
+            else:
                 vconn = self._require_vconn(statement.connection)
-                rc, rows = self._guard(statement, lambda: self._with_recovery(
-                    vconn, lambda: self.driver.fetch_batch(statement)))
+                rc, row = self._guard(statement, lambda: self._with_recovery(
+                    vconn, lambda: self._fetch_persisted_row(statement)))
                 if rc != SQL_SUCCESS:
                     return rc, None
-                if not rows:
-                    state.finished = True
-                    return SQL_NO_DATA, None
-                state.batch = batch = rows
-            else:
-                statement.clear_diag()
-            self.meter.charge_batched(CLIENT_CPU,
-                                      self.meter.costs.cache_fetch_seconds,
-                                      "batch fetch")
+            if row is None:
+                state.finished = True
+                return SQL_NO_DATA, None
             state.position += 1
-            return SQL_SUCCESS, batch.popleft()
+            return SQL_SUCCESS, row
         return super().fetch(statement)
 
-    def _fetch_persisted_row(self, statement: StatementHandle,
-                             state: StatementState):
-        """The paper's delivery: one driver SQLFetch per row, plus
-        Phoenix's own per-row work."""
-        vconn = self._require_vconn(statement.connection)
-
-        def op():
-            row = self.driver.fetch_one(statement)
+    def _fetch_persisted_row(self, statement: StatementHandle):
+        """One driver fetch of a persisted row.  The paper's per-row
+        delivery adds Phoenix's own per-row work to each."""
+        row = self.driver.fetch_one(statement)
+        if not self.meter.costs.batch_delivery:
             self.meter.charge(
-                CLIENT_CPU,
-                self.meter.costs.persisted_fetch_extra_seconds,
+                CLIENT_CPU, self.meter.costs.persisted_fetch_extra_seconds,
                 "persisted fetch extra")
-            return row
-
-        rc, row = self._guard(
-            statement, lambda: self._with_recovery(vconn, op))
-        if rc != SQL_SUCCESS:
-            return rc, None
-        if row is None:
-            state.finished = True
-            return SQL_NO_DATA, None
-        state.position += 1
-        return SQL_SUCCESS, row
+        return row
 
     def fetch_block(self, statement: StatementHandle, max_rows: int):
         state = self._state_of(statement)
@@ -472,28 +453,10 @@ class PhoenixDriverManager(DriverManager):
             return (SQL_NO_DATA, []) if not rows else (SQL_SUCCESS, rows)
         if state is not None and state.mode is StatementMode.PERSISTED:
             vconn = self._require_vconn(statement.connection)
-            batch = state.batch
-            more: list[tuple] = []
-            if len(batch) < max_rows:
-                rc, more = self._guard(
-                    statement,
-                    lambda: self._with_recovery(
-                        vconn, lambda: self.driver.fetch_block(
-                            statement, max_rows - len(batch))))
-                if rc != SQL_SUCCESS:
-                    return rc, []
-            else:
-                statement.clear_diag()
-            # Rows of the block-read batch come first, out of memory.
-            rows = [batch.popleft()
-                    for _ in range(min(max_rows, len(batch)))]
-            if rows:
-                self.meter.charge(
-                    CLIENT_CPU,
-                    len(rows)
-                    * self.meter.costs.cache_block_read_per_row_seconds,
-                    "batch block fetch")
-            rows.extend(more)
+            rc, rows = self._guard(statement, lambda: self._with_recovery(
+                vconn, lambda: self.driver.fetch_block(statement, max_rows)))
+            if rc != SQL_SUCCESS:
+                return rc, []
             if not rows:
                 state.finished = True
                 return SQL_NO_DATA, []
@@ -512,37 +475,10 @@ class PhoenixDriverManager(DriverManager):
         doubles as the crash-recovery reposition target, so cursors
         survive server failures like everything else.
         """
-        from repro.odbc.constants import (
-            SQL_FETCH_ABSOLUTE,
-            SQL_FETCH_FIRST,
-            SQL_FETCH_LAST,
-            SQL_FETCH_NEXT,
-            SQL_FETCH_PRIOR,
-            SQL_FETCH_RELATIVE,
-        )
-
         state = self._state_of(statement)
         if state is None or state.mode not in (StatementMode.CACHED,
                                                StatementMode.PERSISTED):
             return super().fetch_scroll(statement, orientation, offset)
-
-        def target_index(current: int, size: int) -> int:
-            if orientation == SQL_FETCH_NEXT:
-                return current + 1
-            if orientation == SQL_FETCH_PRIOR:
-                return current - 1
-            if orientation == SQL_FETCH_FIRST:
-                return 0
-            if orientation == SQL_FETCH_LAST:
-                return size - 1
-            if orientation == SQL_FETCH_ABSOLUTE:
-                return offset - 1
-            if orientation == SQL_FETCH_RELATIVE:
-                return current + offset
-            from repro.errors import OdbcError
-
-            raise OdbcError("HY106",
-                            f"unknown orientation {orientation!r}")
 
         if state.mode is StatementMode.CACHED:
             self.meter.charge(CLIENT_CPU,
@@ -550,7 +486,7 @@ class PhoenixDriverManager(DriverManager):
                               "cache scroll")
             size = len(state.cache_rows)
             current = size if state.finished else state.cache_position - 1
-            target = target_index(current, size)
+            target = scroll_target(orientation, offset, current, size)
             if target < 0 or target >= size:
                 state.cache_position = 0 if target < 0 else size
                 state.finished = target >= size
@@ -561,29 +497,16 @@ class PhoenixDriverManager(DriverManager):
 
         vconn = self._require_vconn(statement.connection)
         rc, row = self._guard(statement, lambda: self._scroll_persisted(
-            vconn, state, statement, target_index))
+            vconn, state, statement, orientation, offset))
         if rc == SQL_SUCCESS and row is None:
             return SQL_NO_DATA, None
         return rc, row
 
-    def _scroll_persisted(self, vconn, state, statement, target_index):
+    def _scroll_persisted(self, vconn, state, statement, orientation,
+                          offset):
         size = self._persisted_size(vconn, state)
         current = size if state.finished else state.position - 1
-        target = target_index(current, size)
-        batch = state.batch
-        if batch:
-            if state.position <= target < state.read_position:
-                # Inside the block-read batch: client memory.
-                for _ in range(target - state.position):
-                    batch.popleft()
-                self.meter.charge(CLIENT_CPU,
-                                  self.meter.costs.cache_fetch_seconds,
-                                  "batch scroll")
-                state.position = target + 1
-                return batch.popleft()
-            # Elsewhere: the server-side cursor stands past the batch.
-            state.position = state.read_position
-            state.batch = deque()
+        target = scroll_target(orientation, offset, current, size)
         if target < 0 or target >= size:
             # Park the cursor before-first / after-last by reopening and
             # advancing to the logical position.
@@ -605,10 +528,7 @@ class PhoenixDriverManager(DriverManager):
                 self._with_recovery(
                     vconn, lambda: self._reopen_at(state, target))
         row = self._with_recovery(
-            vconn, lambda: self.driver.fetch_one(statement))
-        self.meter.charge(CLIENT_CPU,
-                          self.meter.costs.persisted_fetch_extra_seconds,
-                          "persisted fetch extra")
+            vconn, lambda: self._fetch_persisted_row(statement))
         if row is not None:
             state.position += 1
             state.finished = False

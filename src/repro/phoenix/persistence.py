@@ -31,7 +31,6 @@ from repro.phoenix.virtual_session import (
 )
 from repro.sim.costs import CLIENT_CPU
 from repro.sim.meter import Meter
-from repro.sql.plan_cache import LRUCache
 from repro.types import Column, SqlType
 
 
@@ -47,14 +46,6 @@ class ResultPersistor:
         #: Step timings of the most recent persist() (the §3.5 breakdown
         #: and Figure 6): keys metadata/create_table/load/reopen.
         self.last_step_seconds: dict[str, float] = {}
-        #: Metadata-probe cache: (session token, query text, schema
-        #: version) -> (columns, recorded charge segments).  A hit replays
-        #: the exact virtual charges of the probe it skips, so metered
-        #: time never changes.  Keying on the session token scopes entries
-        #: to one connection epoch — a crash reconnects under a fresh
-        #: token, orphaning every pre-crash entry.
-        self._meta_cache = (LRUCache(config.metadata_cache_entries)
-                            if config.metadata_cache_entries > 0 else None)
 
     # -- the pipeline ----------------------------------------------------------
 
@@ -106,45 +97,15 @@ class ResultPersistor:
 
     def _fetch_metadata(self, connection: ConnectionHandle,
                         sql: str) -> list[Column]:
-        """Step 1: the WHERE 0=1 trick — compile-only, metadata back.
-
-        Probes for the same query text repeat identically until the
-        server's schema changes, so their (columns, charges) outcome is
-        memoized.  Temp-table queries are never cached — their metadata
-        is session state that can change without any DDL the schema
-        version would record.
-        """
-        cacheable = self._meta_cache is not None and "#" not in sql
-        if cacheable:
-            key = (connection.session_token, sql,
-                   self._driver.last_schema_version)
-            hit = self._meta_cache.get(key)
-            if hit is not None:
-                columns, segments = hit
-                self._meter.replay_segments(segments)
-                self._meter.count("meta_probe_hits")
-                return list(columns)
-            self._meter.count("meta_probe_misses")
-        sink = self._meter.push_recorder() if cacheable else None
-        try:
-            scratch = StatementHandle(connection)
-            self._driver.execute(
-                scratch, f"SELECT * FROM ({sql}) phx_md WHERE 0 = 1")
-            columns = list(scratch.result.columns)
-            self._driver.close_statement(scratch)
-            self._meter.charge(CLIENT_CPU,
-                               self._meter.costs.metadata_read_seconds,
-                               "phoenix metadata")
-        finally:
-            if sink is not None:
-                segments = self._meter.pop_recorder(sink)
-        if cacheable:
-            # Key on the version the server reported while answering —
-            # the probe response itself may have advanced our view.
-            self._meta_cache.put(
-                (connection.session_token, sql,
-                 self._driver.last_schema_version),
-                (tuple(columns), tuple(segments)))
+        """Step 1: the WHERE 0=1 trick — compile-only, metadata back."""
+        scratch = StatementHandle(connection)
+        self._driver.execute(
+            scratch, f"SELECT * FROM ({sql}) phx_md WHERE 0 = 1")
+        columns = list(scratch.result.columns)
+        self._driver.close_statement(scratch)
+        self._meter.charge(CLIENT_CPU,
+                           self._meter.costs.metadata_read_seconds,
+                           "phoenix metadata")
         return columns
 
     def _create_result_table(self, connection: ConnectionHandle,

@@ -34,6 +34,7 @@ from __future__ import annotations
 from repro.errors import PhoenixError, ReproError
 from repro.obs import RECOVERY_PHASES
 from repro.odbc.driver import NativeDriver
+from repro.odbc.handles import StatementHandle
 from repro.phoenix.config import PhoenixConfig
 from repro.phoenix.failure import FailureDetector
 from repro.phoenix.persistence import ResultPersistor
@@ -204,9 +205,18 @@ class SessionRecovery:
                 f"survive database recovery")
 
     def _reopen_result(self, state) -> None:
-        self._driver.execute(state.handle,
-                             f"SELECT * FROM {state.table_name}")
-        # Past the rows already delivered *and* the block-read batch:
-        # that batch is client memory and survived the crash.
-        reposition(self._driver, state.handle, state.read_position,
+        # Rows the driver holds block-read in client memory survived the
+        # crash: the table reopens past them, on a scratch handle that
+        # hands the positioned result back only once it is whole, so a
+        # crash in between leaves the held rows where they were.
+        handle = state.handle
+        driver = self._driver
+        if handle.result is not None:
+            driver.discard_prefetch(handle.result)
+        scratch = StatementHandle(handle.connection)
+        scratch.attrs = handle.attrs
+        driver.execute(scratch, f"SELECT * FROM {state.table_name}")
+        reposition(driver, scratch,
+                   state.position + driver.rows_held(handle),
                    self._config.reposition_mode)
+        driver.hand_back(handle, scratch)

@@ -11,7 +11,6 @@ delivery got).
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.odbc.handles import ConnectionHandle, StatementHandle
@@ -62,10 +61,6 @@ class StatementState:
     table_name: str = ""
     #: Rows already delivered to the application.
     position: int = 0
-    #: PERSISTED rows block-read from the materialized table and not yet
-    #: delivered: one wire batch, served to SQLFetch from client memory.
-    #: They survive a crash like the client cache does.
-    batch: deque = field(default_factory=deque)
     #: The full result (CACHED mode) and the delivery cursor into it.
     cache_rows: list[tuple] = field(default_factory=list)
     cache_position: int = 0
@@ -76,12 +71,6 @@ class StatementState:
     #: Total rows in the persisted result (filled lazily by scrolling).
     result_size: int = -1
 
-    @property
-    def read_position(self) -> int:
-        """Where the server-side cursor on the materialized table
-        stands: past the delivered rows and the block-read batch."""
-        return self.position + len(self.batch)
-
     def reset(self) -> None:
         """Forget the previous execution (new exec on the same handle)."""
         self.mode = StatementMode.NONE
@@ -89,7 +78,6 @@ class StatementState:
         self.columns = []
         self.table_name = ""
         self.position = 0
-        self.batch = deque()
         self.cache_rows = []
         self.cache_position = 0
         self.op_key = ""

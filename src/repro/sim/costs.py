@@ -78,7 +78,7 @@ class CostModel:
     #: Per-row cost of one block-cursor bulk read into client memory.
     cache_block_read_per_row_seconds: float = 0.0002
     #: Client-side CPU to serve one fetch straight from client memory
-    #: (the client cache, or a block-read batch of a persisted result).
+    #: (the client cache, or a block-read wire batch).
     cache_fetch_seconds: float = 0.0009
 
     # -- network / result delivery -------------------------------------------
@@ -184,12 +184,8 @@ class CostModel:
     #: ``client_fetch_batch_bytes``, each successive fetch of one open
     #: result doubles the rowset a ``FetchResponse`` carries (the consumer
     #: has demonstrably drained everything shipped so far) up to this many
-    #: row-bytes.  The batch is then the unit of delivery end to end:
-    #: Phoenix takes each batch of a persisted result in one block-cursor
-    #: read (``cache_block_read_per_row_seconds`` a row) and serves the
-    #: application's SQLFetch from client memory (``cache_fetch_seconds``)
-    #: instead of one driver SQLFetch per row.  0 is the paper's fixed
-    #: batch and per-row delivery.
+    #: row-bytes.  0 is the paper's fixed batch.  An adaptive batch is
+    #: also delivered a batch at a time: see :attr:`batch_delivery`.
     fetch_batch_max_bytes: int = _option(8192, paper=0)
     #: Cap on the adaptive server output buffer.  When larger than
     #: ``output_buffer_bytes``, a ``ServerResultSet`` whose buffer the
@@ -249,6 +245,17 @@ class CostModel:
     checkpoint_truncate_log = True
     async_commit_window_seconds = 0.0
     optimizer_mode = "cost"
+
+    @property
+    def batch_delivery(self) -> bool:
+        """Is the wire batch the unit of client delivery?  On whenever
+        the batch adapts (``fetch_batch_max_bytes`` > 0): the driver
+        takes each wire batch with one block-cursor read
+        (``cache_block_read_per_row_seconds`` a row) and serves every
+        SQLFetch from client memory (``cache_fetch_seconds``) — native
+        results, Phoenix's persisted ones and its own reads alike.  Off,
+        each SQLFetch is one driver fetch (``client_fetch_seconds``)."""
+        return self.fetch_batch_max_bytes > 0
 
     @classmethod
     def paper(cls, **overrides) -> "CostModel":

@@ -232,7 +232,7 @@ class Meter:
         finally:
             self._component_hint = saved
 
-    # -- segment recording (metadata-probe replay support) ------------------
+    # -- segment recording ---------------------------------------------------
 
     def push_recorder(self) -> list[Segment]:
         """Start teeing every charged segment into a fresh list."""
@@ -248,11 +248,6 @@ class Meter:
             raise ValueError("recorders must be popped innermost-first")
         self._recorders.pop()
         return sink
-
-    def replay_segments(self, segments: list[Segment]) -> None:
-        """Re-charge a recorded segment sequence verbatim."""
-        for seg in segments:
-            self.charge(seg.resource, seg.seconds, seg.note)
 
     # -- overlap windows (pipelined result delivery) -------------------------
 

@@ -80,8 +80,8 @@ def test_window_total_is_the_left_fold(ops, nested_recorder, ledger):
 
 
 def test_outer_recorder_still_hears_window_charges():
-    """A recorder pushed *before* the window (the metadata-probe
-    recorder) keeps receiving per-charge segments, as it always did."""
+    """A recorder pushed *before* the window (a test recording a whole
+    drain) keeps receiving per-charge segments, as it always did."""
     meter = Meter(CostModel())
     sink = meter.push_recorder()
     meter.begin_overlap()

@@ -431,20 +431,17 @@ class TestVirtualFidelity:
         assert totals[0] == totals[128]
 
     def test_phoenix_stream_caches_off_vs_on_same_clock(self):
-        """The plan cache and Phoenix's metadata-probe cache are host-time
-        optimizations: the same stream of persisted results and wrapped
-        updates costs the same virtual seconds with both off."""
-        from repro.phoenix.config import PhoenixConfig
+        """The plan cache is a host-time optimization: the same stream of
+        persisted results and wrapped updates costs the same virtual
+        seconds with it off."""
         from repro.server.server import DatabaseServer
         from repro.workloads.app import BenchmarkApp
 
         runs = {}
-        for plans, probes in ((0, 0), (128, 256)):
+        for plans in (0, 128):
             server = DatabaseServer(meter=Meter(),
                                     plan_cache_capacity=plans)
-            app = BenchmarkApp(
-                server, use_phoenix=True, phoenix_config=PhoenixConfig(
-                    metadata_cache_entries=probes))
+            app = BenchmarkApp(server, use_phoenix=True)
             app.run_statement("CREATE TABLE t (k INT NOT NULL, v INT, "
                               "PRIMARY KEY (k))")
             app.run_statement("INSERT INTO t VALUES " + ", ".join(
@@ -457,7 +454,6 @@ class TestVirtualFidelity:
             runs[plans] = (rows, server.meter.now)
             if plans:
                 assert server.meter.counters["plan_cache_hits"] > 0
-                assert server.meter.counters["meta_probe_hits"] > 0
         assert runs[0] == runs[128]
 
     def test_execute_script_charges_like_execute(self):

@@ -126,20 +126,24 @@ class TestPlanCacheThroughManagers:
         assert fetch_all(manager, stmt) == [("two",)]
         assert server.engine.cache_stats["plan_invalidations"] >= 1
 
-    def test_phoenix_probe_cache_counts_hits(self, manager_conn):
+    def test_phoenix_probe_plan_hits(self, manager_conn):
         server, manager, conn = manager_conn
         if not isinstance(manager, PhoenixDriverManager):
             pytest.skip("metadata probes are Phoenix-only")
         # client_cache_rows defaults to 0, so each SELECT is persisted
-        # and starts with a WHERE 0=1 metadata probe; the second run of
-        # the same text must be answered from the probe cache.
+        # and starts with a WHERE 0=1 metadata probe.  The second run
+        # sends the same probe again, and the server plans it from its
+        # plan cache.
+        hits = []
         for _ in range(2):
+            before = server.engine.cache_stats["plan_hits"]
             stmt = manager.alloc_statement(conn)
             assert manager.exec_direct(
                 stmt, "SELECT s FROM t ORDER BY a") == SQL_SUCCESS
             fetch_all(manager, stmt)
             manager.free_statement(stmt)
-        assert server.meter.counters.get("meta_probe_hits", 0) >= 1
+            hits.append(server.engine.cache_stats["plan_hits"] - before)
+        assert hits[1] > hits[0]
 
 
 class TestInlineParameters:
