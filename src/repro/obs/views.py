@@ -22,7 +22,7 @@ views:
   class, point-lookup fast-path hits, compiled-expression cache traffic;
 * ``sys_network`` — wire traffic and pipelining: round trips (total and
   per request kind), wire bytes up/down, fetch-ahead hit/waste counts
-  and overlap seconds, persist-pipeline bookings and stalls;
+  and overlap seconds, pipeline stalls;
 * ``sys_result_cache`` — shared-result-cache traffic: hits, misses,
   insertions, evictions and invalidations, with per-table breakdowns,
   why entries died or lived (by key, spared, wholesale writes by
@@ -172,11 +172,15 @@ def _sys_network(engine):
     """Network/pipelining observability (the round-trip ledger).
 
     Everything here comes from world counters maintained by
-    :class:`~repro.server.network.SimulatedNetwork` (``net.*``) and the
-    driver's pipelined-delivery layer (``prefetch_*`` / ``pipeline_*``).
-    Notable derivations: ``prefetch_overlap_seconds`` is already net of
-    each batch's realized stall, while the persist pipeline's saved time
-    is ``pipeline_overlap_seconds - pipeline_stall_seconds``.
+    :class:`~repro.server.network.SimulatedNetwork` (``net.*``, with
+    ``net.requests.<kind>`` / ``net.bytes_up.<kind>`` /
+    ``net.bytes_down.<kind>`` per request kind) and the driver's
+    fetch-ahead layer (``prefetch_*``, and ``pipeline_stall_seconds``
+    for synchronous requests that queued behind in-flight batches).
+    ``prefetch_overlap_seconds`` is already net of each batch's realized
+    stall.  A script — a persisted result or a wrapped update on the
+    default chain — is one ``ExecuteRequest``, however many statements
+    it runs.
     """
     columns = [Column("metric", SqlType.VARCHAR, 64),
                Column("value", SqlType.FLOAT)]

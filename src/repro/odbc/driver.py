@@ -98,13 +98,10 @@ class NativeDriver:
         #: knob is off, and for results that must not be shared).
         self.last_read_versions: dict | None = None
         # Modeled FIFO pipeline: virtual time until which in-flight
-        # (overlapped) requests keep the server/wire busy, and the crash
-        # epoch that booking belongs to.
+        # (overlapped) fetch-ahead requests keep the server/wire busy,
+        # and the crash epoch that booking belongs to.
         self._busy_until = 0.0
         self._busy_epoch = 0
-        # Open ledger entries of pipelined (execute_pipelined) requests,
-        # oldest first; closed when the pipeline synchronizes.
-        self._pipeline_entries: list = []
 
     # -- connections ----------------------------------------------------------
 
@@ -152,14 +149,26 @@ class NativeDriver:
     # -- statements ------------------------------------------------------------
 
     def execute(self, statement: StatementHandle, sql: str,
-                params: dict | None = None) -> ResultState:
+                params: dict | None = None,
+                script: bool = False) -> ResultState:
+        """Execute ``sql`` on ``statement`` — with ``script``, a
+        ``;``-separated batch in one exchange, whose result is the last
+        statement's and whose ``outcomes`` are the others'.
+
+        A result the handle still has open on the server is replaced:
+        the request names it and the server closes it."""
         connection = statement.connection
         if not connection.connected:
             raise OdbcError("08003", "connection is not open")
-        if statement.result is not None:
+        replaces = 0
+        old = statement.result
+        if old is not None:
             # Re-execute (or a recovery reopen) abandons whatever was
             # still in flight for the old result.
-            self.discard_prefetch(statement.result)
+            self.discard_prefetch(old)
+            if not old.done \
+                    and old.session_token == connection.session_token:
+                replaces = old.statement_id
         params = dict(params or {})
         pending = connection.pending
         if pending is not None and pending.statement is statement \
@@ -178,7 +187,7 @@ class NativeDriver:
                 self._drop_pending(connection)
             response = self._call(ExecuteRequest(
                 session_token=connection.session_token, sql=sql,
-                params=params))
+                params=params, script=script, replaces=replaces))
         if type(response) is HeldStatement:
             self._park(statement, sql, params, response)
         result = self._install_result(statement, response, sql)
@@ -190,39 +199,6 @@ class NativeDriver:
                     SQL_ATTR_CURSOR_TYPE) == SQL_CURSOR_STATIC:
                 self._materialize_static(statement, result)
         return result
-
-    def execute_pipelined(self, statement: StatementHandle, sql: str,
-                          params: dict | None = None) -> ResultState:
-        """Issue a statement without waiting for its response.
-
-        The uplink is charged now; the server's processing and the
-        response downlink are booked onto the modeled pipeline and
-        realized at the next synchronous request (or
-        :meth:`drain_pipeline`).  Used by the Phoenix persist pipeline
-        for the bookkeeping round trips surrounding a server-local load.
-        Degrades to :meth:`execute` in multi-stream worlds.  Callers
-        issue DML/DDL only, so static-cursor materialization is skipped.
-        """
-        connection = statement.connection
-        if not connection.connected:
-            raise OdbcError("08003", "connection is not open")
-        if not self.meter.advance_clock or connection.pending is not None:
-            return self.execute(statement, sql, params)
-        params = dict(params or {})
-        response, service = self.network.call_overlapped(
-            self.server, ExecuteRequest(
-                session_token=connection.session_token, sql=sql,
-                params=params))
-        if type(response) is HeldStatement:
-            self._park(statement, sql, params, response)
-        if self.network.last_overlapped_entry is not None:
-            self._pipeline_entries.append(
-                self.network.last_overlapped_entry)
-            self.network.last_overlapped_entry = None
-        self._pipeline_register(service)
-        self.meter.count("pipeline_requests")
-        self.meter.count("pipeline_overlap_seconds", service)
-        return self._install_result(statement, response, sql)
 
     def _park(self, statement: StatementHandle, sql: str, params: dict,
               held: HeldStatement) -> None:
@@ -271,10 +247,11 @@ class NativeDriver:
             cache = getattr(self.meter, "_shared_result_cache", None)
             if cache is not None:
                 cache.observe_committed(committed, self.server.crashes)
-        result = ResultState()
+        result = ResultState(outcomes=response.outcomes)
         if response.kind == "rows":
             result.columns = response.columns
             result.statement_id = response.statement_id
+            result.session_token = statement.connection.session_token
             result.buffered = deque(response.rows)
             result.done = response.done
         elif response.kind == "rowcount":
@@ -574,31 +551,15 @@ class NativeDriver:
         failure (if any) surfaces on the caller's own request.
         """
         if self._busy_until <= 0.0:
-            self._close_pipeline_entries(wasted=True)
             return
         busy_until = self._busy_until
         self._busy_until = 0.0
         if self._busy_epoch != self.server.crashes:
-            # The bookings died with the server incarnation.
-            self._close_pipeline_entries(wasted=True)
-            return
+            return  # the bookings died with the server incarnation
         stall = busy_until - self.meter.peek_now()
         if stall > 0:
-            entries = self._pipeline_entries
-            if entries:
-                # The wait is for the *last* booked request to finish;
-                # attribute the stall to it.
-                self.meter.latency_resume(entries[-1])
             self.meter.charge(NETWORK, stall, "pipeline stall")
             self.meter.count("pipeline_stall_seconds", stall)
-        self._close_pipeline_entries(wasted=False)
-
-    def _close_pipeline_entries(self, wasted: bool) -> None:
-        entries = self._pipeline_entries
-        if entries:
-            self._pipeline_entries = []
-            for entry in entries:
-                self.meter.latency_close(entry, wasted=wasted)
 
     def _pipeline_register(self, service_seconds: float) -> float:
         """Book an overlapped request's service onto the pipeline;
@@ -613,12 +574,6 @@ class NativeDriver:
         self._busy_until = completion
         self._busy_epoch = self.server.crashes
         return completion
-
-    def drain_pipeline(self) -> None:
-        """Public synchronization point: realize any outstanding
-        overlapped service time (used by the Phoenix persist pipeline
-        so per-step timings stay honest)."""
-        self._sync_pipeline()
 
     def _issue_prefetch(self, statement: StatementHandle,
                         result: ResultState) -> None:

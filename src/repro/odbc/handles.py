@@ -75,6 +75,11 @@ class ResultState:
 
     columns: list[Column] = field(default_factory=list)
     statement_id: int = 0          # server-side handle (0 = none open)
+    #: The server session the statement id belongs to (ids restart in a
+    #: new session).
+    session_token: int = 0
+    #: A script's statements before the one this result is of.
+    outcomes: list = field(default_factory=list)
     #: The client row buffer: the wire batch the last response carried.
     buffered: deque[tuple] = field(default_factory=deque)
     #: Rows at the head of ``buffered`` already block-read into client

@@ -5,12 +5,13 @@ surface as the native :class:`~repro.odbc.driver_manager.DriverManager`
 but makes the application's database session survive server crashes:
 
 * result sets are made persistent — either materialized into a server
-  table (``CREATE TABLE`` + ``INSERT INTO ... <query>`` via a generated
-  stored procedure, §2.1) or read entirely into a client-side cache
-  (§4, the OLTP optimization);
+  table (by default one script exchange, ``CREATE TABLE T AS <query>``
+  under a status record; under ``CostModel.paper()`` §2.1's probe,
+  ``CREATE TABLE`` and generated stored procedure) or read entirely
+  into a client-side cache (§4, the OLTP optimization);
 * update statements are wrapped in a transaction that records their
   affected-row count in a Phoenix status table, making completion
-  testable after a crash;
+  testable after a crash (by default one script exchange too);
 * connections are *virtual*: Phoenix reconnects, replays connection
   options and re-binds the virtual handle after a failure (§2.2);
 * failures are detected by intercepting driver errors and by request

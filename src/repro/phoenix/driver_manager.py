@@ -45,7 +45,11 @@ from repro.odbc.handles import (
 from repro.phoenix.client_cache import CacheOutcome, ClientCache
 from repro.phoenix.config import PhoenixConfig
 from repro.phoenix.failure import FailureDetector, is_transport_failure
-from repro.phoenix.parse import RequestClass, classify_request
+from repro.phoenix.parse import (
+    RequestClass,
+    classify_request,
+    script_statement,
+)
 from repro.phoenix.persistence import ResultPersistor
 from repro.phoenix.recovery import SessionRecovery
 from repro.phoenix.result_cache import SharedResultCache
@@ -250,8 +254,17 @@ class PhoenixDriverManager(DriverManager):
                 return
             self.stats["cache_overflows"] += 1
         op_key = self._next_op_key()
-        self._with_recovery(vconn, lambda: self._persistor.persist(
-            vconn, self._private_connection(), state, sql, op_key))
+        attempted = False
+
+        def persist():
+            nonlocal attempted
+            # ``_with_recovery`` calls again only after a transport
+            # failure cut the previous attempt short.
+            retry, attempted = attempted, True
+            self._persistor.persist(vconn, state, sql, op_key, retry,
+                                    self._private_connection)
+
+        self._with_recovery(vconn, persist)
         self.stats["persisted_results"] += 1
 
     # -- shared result cache (transaction-consistent, all sessions) ----------
@@ -336,6 +349,13 @@ class PhoenixDriverManager(DriverManager):
             self._shared_cache.discard(vconn.app_handle.handle_id)
 
     # -- modifications / DDL (status-table wrapping, §3.2) -----------------------
+    #
+    # On the default chain the wrapper is one script exchange,
+    # ``BEGIN TRANSACTION; <stmt>; INSERT INTO phoenix_status VALUES
+    # ('<op_key>', @rowcount); COMMIT``; on the paper's it is those four
+    # statements as four round trips.  Either way the status record
+    # commits with the statement, and a retry looks it up only when an
+    # earlier attempt might have committed.
 
     def _execute_update(self, vconn: VirtualConnection,
                         state: StatementState, sql: str,
@@ -347,9 +367,27 @@ class PhoenixDriverManager(DriverManager):
             state.mode = StatementMode.PASSTHROUGH
             state.rowcount = result.rowcount
             return
-        op_key = self._next_op_key()
+        # A call that resumes a statement the server holds keeps the op
+        # key of the call that sent it: the same request, collected.
+        if not state.op_key:
+            state.op_key = self._next_op_key()
+        op_key = state.op_key
         retry = False
         handle = vconn.app_handle
+        statement = script_statement(sql)
+        one_script = (self.meter.costs.persist_pipeline
+                      and statement is not None)
+
+        def one_exchange():
+            nonlocal retry
+            # ``_with_recovery`` calls again only after a transport
+            # failure cut the previous attempt short.
+            again, retry = retry, True
+            recorded, outcome = self._status.run_once(
+                state.handle, op_key, again, statement, "@rowcount",
+                params=params)
+            state.rowcount = (recorded if outcome is None
+                              else max(outcome.rowcount, 0))
 
         def wrapped():
             nonlocal retry
@@ -388,7 +426,7 @@ class PhoenixDriverManager(DriverManager):
             vconn.wrapper_txn_open = False
             state.rowcount = count
 
-        self._with_recovery(vconn, wrapped)
+        self._with_recovery(vconn, one_exchange if one_script else wrapped)
         state.mode = StatementMode.UPDATE
         self.stats["wrapped_updates"] += 1
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import enum
 
+from repro.errors import SqlSyntaxError
 from repro.sim.costs import CLIENT_CPU
 from repro.sim.meter import Meter
+from repro.sql.lexer import split_script
 
 
 class RequestClass(enum.Enum):
@@ -49,11 +51,25 @@ def classify_request(sql: str, meter: Meter | None = None) -> RequestClass:
     return _FIRST_WORD.get(word, RequestClass.OTHER)
 
 
+def script_statement(sql: str) -> str | None:
+    """``sql`` as one statement of a server script, or None when the
+    server would cut it into several (a batch, a multi-statement
+    procedure body) or cannot tell where it ends (an unterminated
+    literal or comment): such a text goes the paper's way.  Embedded in
+    a script, the statement is followed by a newline before its
+    separator, so a trailing ``--`` comment ends there."""
+    try:
+        parts = split_script(sql)
+    except SqlSyntaxError:
+        return None
+    return parts[0] if len(parts) == 1 else None
+
+
 def inline_parameters(sql: str, params: dict) -> str:
     """Replace ``@name`` markers with rendered literal values.
 
     Phoenix re-embeds the application's SQL inside generated statements
-    (the WHERE 0=1 probe, the loader procedure body), where parameter
+    (the WHERE 0=1 probe, the load script), where parameter
     bindings would not travel — so prepared statements are inlined before
     entering the pipeline, the way classic drivers expanded parameters.
     """

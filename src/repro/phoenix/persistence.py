@@ -1,4 +1,21 @@
-"""Result-set persistence: the four steps of §2.1.
+"""Result-set persistence: one script exchange, or the four steps of §2.1.
+
+The default chain (``CostModel.persist_pipeline``) sends the whole
+persist to the server as one script request.  Outside an application
+transaction it is::
+
+    BEGIN TRANSACTION; CREATE TABLE T AS <query>;
+    INSERT INTO phoenix_status VALUES ('<op_key>', 0); COMMIT;
+    SELECT * FROM T
+
+and inside one ``CREATE TABLE T AS <query>; SELECT * FROM T``, joining
+it.  The rows move server-locally, the table and its status record
+commit together, and the response carries the load's outcome (the
+query's column metadata) and the first wire batch of ``T``.  A retry
+looks the status record up only when an earlier attempt of the same
+op key might have committed — the update wrapper's rule.
+
+The paper's chain (``CostModel.paper()``) keeps §2.1's recipe:
 
 1. *Metadata*: re-issue the query wrapped with ``WHERE 0 = 1`` so only
    compilation happens server-side, and read the column metadata from
@@ -15,6 +32,9 @@
 
 Every step is idempotent (exists-errors swallowed, load guarded by the
 status table), which is what makes Phoenix recovery safely re-runnable.
+A query text the server would cut into several statements takes the
+paper's recipe on either chain
+(:func:`repro.phoenix.parse.script_statement`).
 """
 
 from __future__ import annotations
@@ -23,6 +43,7 @@ from repro.errors import CatalogError, TableExistsError, TableNotFoundError
 from repro.odbc.driver import NativeDriver
 from repro.odbc.handles import ConnectionHandle, StatementHandle
 from repro.phoenix.config import PhoenixConfig
+from repro.phoenix.parse import script_statement
 from repro.phoenix.status_table import StatusTable
 from repro.phoenix.virtual_session import (
     StatementMode,
@@ -44,25 +65,27 @@ class ResultPersistor:
         self._config = config
         self._status = status
         #: Step timings of the most recent persist() (the §3.5 breakdown
-        #: and Figure 6): keys metadata/create_table/load/reopen.
+        #: and Figure 6): keys metadata/create_table/load/reopen on the
+        #: paper's chain, the one key script on the default chain.
         self.last_step_seconds: dict[str, float] = {}
 
     # -- the pipeline ----------------------------------------------------------
 
-    def persist(self, vconn: VirtualConnection,
-                private_connection: ConnectionHandle,
-                state: StatementState, sql: str, op_key: str) -> None:
-        """Run steps 1-4 for ``sql`` on the app's statement handle.
+    def persist(self, vconn: VirtualConnection, state: StatementState,
+                sql: str, op_key: str, retry: bool,
+                private_connection) -> None:
+        """Materialize ``sql``'s result and open it on the app's handle.
 
-        When the application holds an open transaction the load joins it
-        (so the query sees the transaction's own writes) instead of
-        wrapping its own status-guarded transaction — a crash aborts the
-        application transaction anyway, which Phoenix surfaces as a
-        normal transaction failure.
+        ``retry``: an earlier attempt of ``op_key`` was cut short by a
+        transport failure.  ``private_connection``: a callable handing
+        out Phoenix's private connection (the paper's chain creates the
+        table there).  When the application holds an open transaction
+        the load joins it (so the query sees the transaction's own
+        writes) instead of committing under a status record — a crash
+        aborts the application transaction anyway, which Phoenix
+        surfaces as a normal transaction failure.
         """
         sql = sql.rstrip().rstrip(";")
-        app_connection = vconn.app_handle
-        in_app_txn = vconn.in_app_txn
         steps: dict[str, float] = {}
         obs = self._meter.obs
         tracer = obs.tracer if obs.enabled else None
@@ -77,15 +100,23 @@ class ResultPersistor:
             steps[name] = self._meter.now - start
             return result
 
+        table_name = f"{self._config.table_prefix}rs_{op_key}"
+        if self._meter.costs.persist_pipeline \
+                and script_statement(sql) is not None:
+            step("script", lambda: self._persist_script(
+                vconn, state, table_name, sql, op_key, retry))
+            self.last_step_seconds = steps
+            return
+        private = private_connection()
+        app_connection = vconn.app_handle
         columns = step("metadata",
                        lambda: self._fetch_metadata(app_connection, sql))
-        table_name = f"{self._config.table_prefix}rs_{op_key}"
         # Inside an application transaction the table is created on the
         # app connection so the DDL joins the transaction (no separate
         # commit force per result set); otherwise Phoenix's private
         # connection masks the activity, as §2.2 describes.
-        create_connection = (app_connection if in_app_txn
-                             else private_connection)
+        create_connection = (app_connection if vconn.in_app_txn
+                             else private)
         step("create_table",
              lambda: self._create_result_table(create_connection,
                                                table_name, columns))
@@ -94,6 +125,32 @@ class ResultPersistor:
         step("reopen", lambda: self.reopen(state, table_name, columns,
                                            sql, position=0))
         self.last_step_seconds = steps
+
+    def _persist_script(self, vconn: VirtualConnection,
+                        state: StatementState, table_name: str, sql: str,
+                        op_key: str, retry: bool) -> None:
+        """The default chain: the whole persist in one exchange."""
+        load = f"CREATE TABLE {table_name} AS {sql}"
+        reopen = f"SELECT * FROM {table_name}"
+        if vconn.in_app_txn:
+            # The newline ends a trailing ``--`` comment of the query.
+            result = self._driver.execute(
+                state.handle, f"{load}\n; {reopen}", script=True)
+            loaded = result.outcomes[0]
+        else:
+            recorded, loaded = self._status.run_once(
+                state.handle, op_key, retry, load, "0", then=reopen)
+            if recorded is not None:
+                # An earlier attempt committed the table; only its
+                # response was lost, and with it the query's metadata.
+                self.reopen(state, table_name,
+                            self._fetch_metadata(vconn.app_handle, sql),
+                            sql, position=0)
+                return
+        self._meter.charge(CLIENT_CPU,
+                           self._meter.costs.metadata_read_seconds,
+                           "phoenix metadata")
+        self._opened(state, table_name, list(loaded.columns), sql, 0)
 
     def _fetch_metadata(self, connection: ConnectionHandle,
                         sql: str) -> list[Column]:
@@ -124,7 +181,8 @@ class ResultPersistor:
 
     def _load_result(self, vconn: VirtualConnection, table_name: str,
                      sql: str, op_key: str) -> None:
-        """Step 3: stored-procedure load, status-guarded for idempotence."""
+        """Step 3 of the paper's chain: stored-procedure load,
+        status-guarded for idempotence."""
         connection = vconn.app_handle
         in_app_txn = vconn.in_app_txn
         if not in_app_txn:
@@ -139,14 +197,6 @@ class ResultPersistor:
         proc_name = f"{self._config.table_prefix}load_{op_key}"
         scratch = StatementHandle(connection)
         execute = self._driver.execute
-        if self._meter.costs.persist_pipeline and not in_app_txn:
-            # Pipeline the whole chain: the expensive server-local steps
-            # (procedure creation, the INSERT..SELECT move) overlap the
-            # uplinks of the round trips queued behind them.  Responses
-            # are still produced in issue order and errors still raise
-            # at their own call site, so the idempotence guards below
-            # work unchanged; only the virtual-time accounting defers.
-            execute = self._driver.execute_pipelined
         try:
             execute(
                 scratch,
@@ -157,7 +207,7 @@ class ResultPersistor:
         if in_app_txn:
             # Join the application's transaction: the load must see its
             # uncommitted writes, and it aborts with the transaction.
-            self._driver.execute(scratch, f"EXEC {proc_name}")
+            execute(scratch, f"EXEC {proc_name}")
         else:
             vconn.wrapper_txn_open = True
             execute(scratch, "BEGIN TRANSACTION")
@@ -169,14 +219,17 @@ class ResultPersistor:
             execute(scratch, f"DROP PROCEDURE {proc_name}")
         except CatalogError:
             pass
-        # Realize any outstanding overlapped service before the step
-        # timer stops, so the §3.5 load-step breakdown stays honest.
-        self._driver.drain_pipeline()
 
     def reopen(self, state: StatementState, table_name: str,
                columns: list[Column], sql: str, position: int) -> None:
         """Step 4: open the persistent table on the app's handle."""
         self._driver.execute(state.handle, f"SELECT * FROM {table_name}")
+        self._opened(state, table_name, columns, sql, position)
+
+    @staticmethod
+    def _opened(state: StatementState, table_name: str,
+                columns: list[Column], sql: str, position: int) -> None:
+        """The handle's result is the persisted table's, at ``position``."""
         state.mode = StatementMode.PERSISTED
         state.original_sql = sql
         state.table_name = table_name

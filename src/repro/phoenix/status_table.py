@@ -62,6 +62,40 @@ class StatusTable:
         return (f"INSERT INTO {self.name} (op_key, rows_affected) "
                 f"VALUES ('{op_key}', {int(rows_affected)})")
 
+    def run_once(self, statement: StatementHandle, op_key: str,
+                 retry: bool, body: str, rows_affected: str,
+                 then: str = "", params: dict | None = None):
+        """Run ``body``, one statement, at most once under ``op_key``:
+        one script exchange on ``statement``, ::
+
+            BEGIN TRANSACTION; <body>;
+            INSERT INTO <status table> VALUES ('<op_key>', <rows_affected>);
+            COMMIT[; <then>]
+
+        so the record commits with ``body``.  ``rows_affected`` is SQL: a
+        literal, or ``@rowcount`` for the rows ``body`` affected.
+        ``retry``: an earlier attempt was cut short by a transport
+        failure and may have committed unacknowledged — only then is the
+        record looked up, and if it is there nothing is sent.
+
+        Returns ``(recorded count, None)`` when the record was found,
+        else ``(None, body's outcome)`` with the script's result open on
+        ``statement``.
+        """
+        if retry:
+            recorded = self.completed(statement.connection, op_key)
+            if recorded is not None:
+                return recorded, None
+        # The newline ends a trailing ``--`` comment of ``body`` before
+        # its separator.
+        script = (f"BEGIN TRANSACTION; {body}\n; INSERT INTO {self.name} "
+                  f"VALUES ('{op_key}', {rows_affected}); COMMIT")
+        if then:
+            script = f"{script}; {then}"
+        result = self._driver.execute(statement, script, params,
+                                      script=True)
+        return None, result.outcomes[1]
+
     def reset_open_transaction(self, connection: ConnectionHandle) -> None:
         """Roll back any transaction left open on a survived session.
 

@@ -11,8 +11,8 @@ the errors a real driver would surface:
   driver-timeout delay (the client was left "waiting for the server to
   respond to its fetch request", §3.4).
 
-``call_overlapped`` is the pipelined variant used by fetch-ahead and the
-Phoenix persist pipeline: the uplink is charged as the client sends (the
+``call_overlapped`` is the pipelined variant used by fetch-ahead: the
+uplink is charged as the client sends (the
 client serializes its own sends), while server processing and the
 response downlink run inside a :meth:`~repro.sim.meter.Meter.begin_overlap`
 window — recorded as real resource usage, but not clocked.  The caller
@@ -37,8 +37,13 @@ the ``sys_network`` view can report round-trip traffic; the plain
 attributes (``requests_sent``, ``wire_bytes_up``, ...) remain for tests
 that count requests without an engine in reach.
 
-A fault injector hook lets tests and experiments crash the server at
-exact request boundaries or mid-request.
+Two fault hooks let tests and experiments crash the server at exact
+request boundaries: ``fault_injector`` runs before a request is
+dispatched (a crash there loses the request), ``after_apply_injector``
+after the server has applied it and before the response leaves (a crash
+there loses only the acknowledgement — the failure the status table
+exists for).  Either way the client waits out its driver timeout and
+sees :class:`ServerCrashedError`.
 """
 
 from __future__ import annotations
@@ -59,6 +64,11 @@ class SimulatedNetwork:
         #: ``server.crash()`` to simulate a crash while the request is in
         #: flight (the driver then times out).
         self.fault_injector = None
+        #: Optional callable(request) invoked once the server has applied
+        #: a request, before its response is sent (for a held statement,
+        #: once it has run: the callable then gets the ``HeldStatement``).
+        #: If it crashes the server the response is lost with it.
+        self.after_apply_injector = None
         self.requests_sent = 0
         self.wire_bytes_up = 0
         self.wire_bytes_down = 0
@@ -101,7 +111,8 @@ class SimulatedNetwork:
                 meter.charge(CLIENT_CPU, self.request_timeout_seconds,
                              "request timeout")
                 raise ServerCrashedError("server crashed during request")
-            response = self._respond(server.resume, held, "ExecuteRequest")
+            response = self._respond(server, server.resume, held,
+                                     "ExecuteRequest")
         except BaseException:
             meter.latency_close(entry)
             raise
@@ -209,21 +220,27 @@ class SimulatedNetwork:
             meter.charge(CLIENT_CPU, self.request_timeout_seconds,
                          "request timeout")
             raise ServerCrashedError("server crashed during request")
-        return self._respond(server.handle, request,
+        return self._respond(server, server.handle, request,
                              type(request).__name__)
 
-    def _respond(self, serve, subject, kind: str):
+    def _respond(self, server, serve, subject, kind: str):
         """Let the server work and charge the response's downlink (a
         held statement has no response to charge yet)."""
         meter = self._meter
         try:
             response = serve(subject)
+            if type(response) is HeldStatement:
+                return response
+            if self.after_apply_injector is not None:
+                crashes = server.crashes
+                self.after_apply_injector(subject)
+                if server.crashes != crashes:
+                    raise ServerCrashedError(
+                        "server crashed before its response was sent")
         except ServerCrashedError:
             meter.charge(CLIENT_CPU, self.request_timeout_seconds,
                          "request timeout")
             raise
-        if type(response) is HeldStatement:
-            return response
         down_bytes = response.wire_bytes()
         self.wire_bytes_down += down_bytes
         meter.count("net.wire_bytes_down", down_bytes)

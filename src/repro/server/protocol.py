@@ -41,9 +41,20 @@ class DisconnectRequest(Request):
 
 @dataclass(slots=True)
 class ExecuteRequest(Request):
+    """Run ``sql`` on the session.
+
+    ``script``: ``sql`` is a ``;``-separated batch the server runs in
+    order, answering with each statement's outcome and the last one's
+    result (see :class:`ExecuteResponse`).  ``replaces``: the statement
+    id of the open result this execution replaces on its client handle;
+    the server closes it first.  Both ride in the fixed header.
+    """
+
     session_token: int = 0
     sql: str = ""
     params: dict = field(default_factory=dict)
+    script: bool = False
+    replaces: int = 0
 
     def wire_bytes(self) -> int:
         return 32 + len(self.sql) + 16 * len(self.params)
@@ -115,6 +126,19 @@ class VersionProbeRequest(Request):
 
 
 @dataclass(slots=True)
+class StatementOutcome:
+    """What one statement of a script did: its row count (-1 for none),
+    and the metadata of the result it read (a ``CREATE TABLE ... AS``
+    reports its query's)."""
+
+    rowcount: int = -1
+    columns: list[Column] = field(default_factory=list)
+
+    def wire_bytes(self) -> int:
+        return 8 + 16 * len(self.columns)
+
+
+@dataclass(slots=True)
 class ConnectResponse:
     session_token: int
 
@@ -151,9 +175,14 @@ class ExecuteResponse:
     #: so every round trip doubles as an invalidation broadcast.
     read_versions: dict | None = None
     table_versions: dict = field(default_factory=dict)
+    #: A script's statements before the last, in order (empty for a
+    #: single statement).  The response itself is the last statement's.
+    outcomes: list[StatementOutcome] = field(default_factory=list)
 
     def wire_bytes(self) -> int:
         meta = 32 + 16 * len(self.columns)
+        for outcome in self.outcomes:
+            meta += outcome.wire_bytes()
         piggyback = 0
         for _version, prefixes in (self.read_versions or {}).values():
             piggyback += 12 + _key_bytes(prefixes)

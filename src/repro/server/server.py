@@ -14,18 +14,28 @@ and a *volatile* engine incarnation, sessions and open result sets.
 Requests arrive through :meth:`handle` (normally via
 :class:`~repro.server.network.SimulatedNetwork`).
 
+A *script* request (``ExecuteRequest.script``) is a ``;``-separated
+batch: the server prepares each statement as if it had arrived alone,
+runs them in order on the session, binds ``@rowcount`` to the previous
+statement's row count, and answers once — with every earlier
+statement's :class:`~repro.server.protocol.StatementOutcome` and the
+last statement's result, its first wire batch included.  A statement
+that fails ends the script; a transaction the script itself began is
+rolled back with it.
+
 A statement that meets a lock waits *here*, the way it waited inside the
 paper's SQL Server: the ``ExecuteRequest`` gets no response yet — a
 :class:`HeldStatement` stands in for it — and the session keeps the
-statement's prepared form.  When the lock manager has let its
-transaction through, :meth:`DatabaseServer.resume` runs the statement
-again from that form (execution is charged, parsing is not) and only
-then produces the ordinary response.  A held statement ends in one of
-three ways: it is resumed to completion (which, for a transaction the
-deadlock detector aborted meanwhile, is at once and with SQLSTATE
-40001); it is cancelled — its handle is freed or another statement
-arrives on the connection — and its request leaves the queue; or the
-server crashes and it is lost like any request in flight.
+statement's prepared form (a script's, with how far it got).  When the
+lock manager has let its transaction through, :meth:`DatabaseServer.resume`
+runs the statement again from that form (execution is charged, parsing
+is not), goes on with the rest of its script, and only then produces the
+ordinary response.  A held statement ends in one of three ways: it is
+resumed to completion (which, for a transaction the deadlock detector
+aborted meanwhile, is at once and with SQLSTATE 40001); it is cancelled
+— its handle is freed or another statement arrives on the connection —
+and its request leaves the queue, together with a transaction its script
+began; or the server crashes and it is lost like any request in flight.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from repro.errors import (
     LockWaitError,
     OdbcError,
     ServerDownError,
+    SqlSyntaxError,
 )
 from repro.server.protocol import (
     AdvanceRequest,
@@ -56,35 +67,68 @@ from repro.server.protocol import (
     PingResponse,
     Request,
     SetOptionRequest,
+    StatementOutcome,
     VersionProbeRequest,
     VersionProbeResponse,
 )
 from repro.server.results import ServerResultSet
 from repro.sim.costs import SERVER_CPU
 from repro.sim.meter import Meter
+from repro.sql.lexer import split_script
 
 
 logger = logging.getLogger(__name__)
 
 
+class _Batch:
+    """What one ``ExecuteRequest`` runs: its statements' prepared forms
+    (one, or a script's) and how far it got."""
+
+    __slots__ = ("statements", "binds_rowcount", "params", "index",
+                 "outcomes", "rowcount", "txn_before")
+
+    def __init__(self, statements: list, binds_rowcount: list[bool],
+                 params: dict, txn_before):
+        self.statements = statements
+        #: Per statement: does its text read ``@rowcount``?  Only those
+        #: get it bound, so every other statement keeps the plan-cache
+        #: key it has when it arrives alone.
+        self.binds_rowcount = binds_rowcount
+        self.params = params
+        #: The statement running (or held) now.
+        self.index = 0
+        #: Outcomes of the statements before it.
+        self.outcomes: list[StatementOutcome] = []
+        #: What ``@rowcount`` reads: rows the previous statement affected.
+        self.rowcount = 0
+        #: The session's transaction when the batch arrived; any other
+        #: one open when the batch fails or is cancelled is the batch's
+        #: own, and is rolled back with it.
+        self.txn_before = txn_before
+
+    def params_at(self, index: int) -> dict:
+        if self.binds_rowcount[index]:
+            return {**self.params, "rowcount": self.rowcount}
+        return self.params
+
+
 class HeldStatement:
     """What an ``ExecuteRequest`` gets instead of a response while its
     statement is queued for a lock: the server-side state of the wait
-    (prepared form, parameters, the queued transaction) and the client's
-    claim on the response to come."""
+    (the batch and how far it got, the queued transaction) and the
+    client's claim on the response to come."""
 
-    __slots__ = ("server", "epoch", "session", "prepared", "params",
-                 "txn_id", "since", "ledger_entry")
+    __slots__ = ("server", "epoch", "session", "batch", "txn_id", "since",
+                 "ledger_entry")
 
     def __init__(self, server: "DatabaseServer", session: "_ServerSession",
-                 prepared: tuple, params: dict):
+                 batch: _Batch):
         self.server = server
         #: ``server.crashes`` when the statement was held; a mismatch
         #: means it died with that incarnation.
         self.epoch = server.crashes
         self.session = session
-        self.prepared = prepared
-        self.params = params
+        self.batch = batch
         #: The transaction whose queued request the statement waits on.
         self.txn_id = 0
         #: Virtual time since which nothing has run for this statement.
@@ -283,8 +327,21 @@ class DatabaseServer:
             # Another statement on the connection cancels the one it
             # holds.
             self._cancel_held(session)
-        return self._execute(session, self.engine.prepare(request.sql),
-                             request.params, None)
+        if request.replaces:
+            # The client handle has moved on from its previous result.
+            session.results.pop(request.replaces, None)
+        prepare = self.engine.prepare
+        if request.script:
+            texts = split_script(request.sql)
+            if not texts:
+                raise SqlSyntaxError("empty script")
+            statements = [prepare(text) for text in texts]
+            binds = ["@rowcount" in text.lower() for text in texts]
+        else:
+            statements, binds = [prepare(request.sql)], [False]
+        batch = _Batch(statements, binds, request.params,
+                       session.engine_session.current_txn)
+        return self._execute(session, batch, None)
 
     def _resume(self, held: HeldStatement):
         self._require_up()
@@ -292,19 +349,27 @@ class DatabaseServer:
         if session.held is not held:
             raise OdbcError("HY008", "the held statement was cancelled")
         session.held = None
-        return self._execute(session, held.prepared, held.params, held)
+        return self._execute(session, held.batch, held)
 
-    def _execute(self, session: _ServerSession, prepared: tuple,
-                 params: dict, held: HeldStatement | None):
-        """Run a statement to its response, or hold it at a lock.
-        ``held``: it was held before and this is its re-run."""
+    def _execute(self, session: _ServerSession, batch: _Batch,
+                 held: HeldStatement | None):
+        """Run a batch's statements, from the one it stands at, to the
+        response — or hold the batch at the statement that meets a lock.
+        ``held``: it was held before and this is the re-run of that
+        statement (the ones before it do not run again)."""
         engine = self.engine
         rerun = held is not None
+        last = len(batch.statements) - 1
         while True:
+            index = batch.index
             try:
-                result = engine.execute(prepared, session.engine_session,
-                                        params, rerun=rerun)
-                return self._execute_response(session, result)
+                result = engine.execute(batch.statements[index],
+                                        session.engine_session,
+                                        batch.params_at(index), rerun=rerun)
+                if index == last:
+                    response = self._execute_response(session, result)
+                    response.outcomes = batch.outcomes
+                    return response
             except LockWaitError as wait:
                 if not engine.locks.is_waiting(wait.txn_id):
                     # The deadlock detector broke the wait in this
@@ -312,13 +377,33 @@ class DatabaseServer:
                     rerun = True
                     continue
                 if held is None:
-                    held = HeldStatement(self, session, prepared, params)
+                    held = HeldStatement(self, session, batch)
                 else:
                     self.meter.count("locks.requeues")
                 held.txn_id = wait.txn_id
                 held.since = self.meter.peek_now()
                 session.held = held
                 return held
+            except Exception:
+                self._end_batch_transaction(session, batch)
+                raise
+            batch.outcomes.append(StatementOutcome(
+                result.rowcount, list(result.columns)))
+            batch.rowcount = max(result.rowcount, 0)
+            batch.index += 1
+            rerun = False
+
+    def _end_batch_transaction(self, session: _ServerSession,
+                               batch: _Batch) -> None:
+        """A batch failed or was cancelled: roll back the transaction it
+        began, if it began one (a script's ``BEGIN TRANSACTION``)."""
+        engine_session = session.engine_session
+        txn = engine_session.current_txn
+        if txn is None or txn is batch.txn_before or self.engine is None:
+            return
+        if txn.is_active:
+            self.engine.txns.abort(txn)
+        engine_session.current_txn = None
 
     def _cancel_held(self, session: _ServerSession) -> None:
         held = session.held
@@ -326,6 +411,7 @@ class DatabaseServer:
             return
         session.held = None
         self.engine.abandon_wait(session.engine_session)
+        self._end_batch_transaction(session, held.batch)
         self.meter.count("locks.held_statements_cancelled")
 
     def _execute_response(self, session: _ServerSession,

@@ -133,7 +133,8 @@ class CostModel:
     #: Creating a stored procedure: a persistent catalog object, priced
     #: like a (smaller) sibling of table creation.  Together with the
     #: create-table step this makes up Phoenix's fixed ~0.9 s per
-    #: persisted result (Table 3's small-N plateau).
+    #: persisted result (Table 3's small-N plateau).  Paper chain only:
+    #: the default chain's persist creates no procedure.
     cpu_create_procedure_seconds: float = 0.2
 
     # -- disk --------------------------------------------------------------
@@ -194,16 +195,19 @@ class CostModel:
     #: are forwarded without re-running a query.  0 is the fixed
     #: suspended-scan buffer of the paper's §3.4.
     output_buffer_max_bytes: int = _option(256 * 1024, paper=0)
-    #: Pipeline Phoenix's own round trips.  On, the load step's
-    #: server-local ``INSERT INTO T <query>`` move overlaps the round
-    #: trips the load chain issues around it (status record, commit,
-    #: procedure drop: uplinks charged as sent, server work and downlinks
-    #: realized at the next synchronization point), and session recovery
-    #: runs the login-carried chain: the option log rides the login
-    #: exchange and the private connection re-dials next to the
-    #: application's.  Off, every round trip is serialized as the paper
-    #: did: connect, then one round trip per option, private re-dial on
-    #: first use (its 0.37 s).
+    #: Collapse Phoenix's own round trips.  On, a persisted result is one
+    #: script exchange — ``BEGIN TRANSACTION; CREATE TABLE T AS <query>;
+    #: <status row>; COMMIT; SELECT * FROM T`` (inside an application
+    #: transaction just the ``CREATE TABLE ... AS`` and the reopen) —
+    #: whose response carries the query's metadata and T's first wire
+    #: batch; a wrapped autocommit statement is one too, ``BEGIN
+    #: TRANSACTION; <stmt>; <status row of @rowcount>; COMMIT``; and
+    #: session recovery runs the login-carried chain: the option log
+    #: rides the login exchange and the private connection re-dials next
+    #: to the application's.  Off, every round trip is serialized as the
+    #: paper did: §2.1's probe, ``CREATE TABLE``, stored procedure and
+    #: reopen; BEGIN, statement, status row and COMMIT; connect, then one
+    #: round trip per option, private re-dial on first use (its 0.37 s).
     persist_pipeline: bool = _option(True, paper=False)
 
     # -- shared result cache ---------------------------------------------------

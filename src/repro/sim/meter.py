@@ -256,7 +256,8 @@ class Meter:
         not clocked*.
 
         Used for requests whose service overlaps client compute
-        (fetch-ahead, pipelined persist loads): every charge inside the
+        (fetch-ahead, the private connection's re-dial during
+        recovery): every charge inside the
         window is real resource usage — it reaches the metrics
         registry, the ledger's hidden column and any recorder — but the
         serial clock stays put and the open request trace stays

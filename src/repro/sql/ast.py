@@ -271,6 +271,9 @@ class CreateTableStatement(Statement):
     name: str
     columns: list[ColumnDef] = field(default_factory=list)
     primary_key: list[str] = field(default_factory=list)
+    #: ``CREATE TABLE name AS <query>``: the query whose result the new
+    #: table is shaped like and filled with (``columns`` stays empty).
+    query: Statement | None = None
 
 
 @dataclass

@@ -36,17 +36,24 @@ _OPERATOR_SINGLES = "=<>+-*/.,();"
 # is immediately followed by another quote — that pair is always the
 # ``''`` escape — so an unterminated literal fails to match outright
 # instead of backtracking to a shorter string plus garbage.
+_STRING = r"'[^']*(?:''[^']*)*'(?!')"
+_LINE_COMMENT = r"--[^\n]*(?:\n|$)"
+_BLOCK_COMMENT = r"/\*(?:[^*]|\*(?!/))*\*/"
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
+    rf"""\s*(?:
       (?P<WORD>[A-Za-z_\#][A-Za-z0-9_]*)
     | (?P<NUMBER>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
-    | (?P<STRING>'[^']*(?:''[^']*)*'(?!'))
+    | (?P<STRING>{_STRING})
     | (?P<PARAM>@\#?[A-Za-z0-9_]*)
-    | (?P<LINEC>--[^\n]*(?:\n|$))
-    | (?P<BLOCKC>/\*(?:[^*]|\*(?!/))*\*/)
+    | (?P<LINEC>{_LINE_COMMENT})
+    | (?P<BLOCKC>{_BLOCK_COMMENT})
     | (?P<OP>(?:<=|>=|<>|!=|\|\|)|[=<>+\-*/.,();])
     )?""",
     re.VERBOSE)
+#: What can hide a ``;`` from :func:`split_script`, or be one; a quote
+#: or ``/*`` left over is an unterminated literal or comment.
+_SEPARATOR_RE = re.compile(
+    f"{_STRING}|{_LINE_COMMENT}|{_BLOCK_COMMENT}|;|'|/\\*")
 
 # Group numbers of the master pattern, for int dispatch on m.lastindex.
 _G_WORD, _G_NUMBER, _G_STRING, _G_PARAM, _G_LINEC, _G_BLOCKC, _G_OP = \
@@ -108,6 +115,35 @@ def tokenize(sql: str) -> list[Token]:
         # LINEC / BLOCKC produce no token.
     append(Token(TokenType.END, "", n))
     return tokens
+
+
+def split_script(sql: str) -> list[str]:
+    """The statement texts of a ``;``-separated batch, in order, each
+    without its separator.
+
+    A ``;`` inside a string literal or a comment separates nothing.  The
+    server's script request is cut here, once per request, so this
+    scans for separators only and leaves tokens to each statement's own
+    preparation.  A ``CREATE PROCEDURE`` body is the rest of its batch
+    and cannot share one.  An unterminated string literal or block
+    comment raises :class:`SqlSyntaxError`: where it ends is not known,
+    so neither is where the statement does.
+    """
+    texts: list[str] = []
+    start = 0
+    for match in _SEPARATOR_RE.finditer(sql):
+        token = match.group()
+        if token == ";":
+            texts.append(sql[start:match.start()])
+            start = match.end()
+        elif token == "'":
+            raise SqlSyntaxError(
+                f"unterminated string literal at {match.start()}")
+        elif token == "/*":
+            raise SqlSyntaxError(
+                f"unterminated block comment at {match.start()}")
+    texts.append(sql[start:])
+    return [text.strip() for text in texts if text.strip()]
 
 
 def _tokenize_slow(sql: str) -> list[Token]:

@@ -361,7 +361,12 @@ class _Parser:
         raise self.error("expected TABLE, INDEX, VIEW or PROCEDURE")
 
     def _create_table(self) -> ast.CreateTableStatement:
+        """``CREATE TABLE name (column defs)`` or ``CREATE TABLE name AS
+        <query>``."""
         name = self.expect_identifier()
+        if self.accept_keyword("AS"):
+            return ast.CreateTableStatement(name=name,
+                                            query=self.parse_select())
         self.expect_operator("(")
         columns: list[ast.ColumnDef] = []
         primary_key: list[str] = []

@@ -441,8 +441,8 @@ class TestQueueDiscipline:
 
 
 def phoenix_world(sessions: int = 2, ledger: bool = False,
-                  phoenix: bool = True):
-    meter = Meter()
+                  phoenix: bool = True, costs: CostModel | None = None):
+    meter = Meter(costs)
     if ledger:
         meter.enable_latency_ledger()
     server = DatabaseServer(meter=meter)
@@ -637,11 +637,13 @@ class TestHeldStatement:
             [(100,), (211,), (310,)]
 
     def test_wrapped_autocommit_update_goes_through_rollback_once(self):
-        """Outside a transaction Phoenix wraps the UPDATE (BEGIN,
-        statement, status row, COMMIT).  Held mid-wrapper, it comes back
-        through the ``wrapper_txn_open`` path: one ROLLBACK, then the
-        whole wrapper again."""
-        server, (alice, bob) = phoenix_world()
+        """Outside a transaction the paper's chain wraps the UPDATE in
+        four exchanges (BEGIN, statement, status row, COMMIT).  Held
+        mid-wrapper, it comes back through the ``wrapper_txn_open`` path:
+        one ROLLBACK, then the whole wrapper again.  (The default chain's
+        one-exchange wrapper is resumed where it waited instead:
+        ``tests/test_script_exchange.py``.)"""
+        server, (alice, bob) = phoenix_world(costs=CostModel.paper())
         done(alice, "BEGIN TRANSACTION")
         done(alice, "UPDATE acct SET v = v + 1 WHERE k = 1")
         rc, statement = execute(bob, UPDATE)

@@ -135,10 +135,10 @@ def test_suspended_window_clocks_and_may_host_another_window():
 
 
 def test_persisted_select_charges_per_batch_not_per_row(monkeypatch):
-    """Pipelined persistence runs ``INSERT INTO T <query>`` inside an
-    overlap window; the scan's per-row CPU must be folded into the
-    window's running total, not arrive as one ``Meter.charge`` call (and
-    one Segment) per row."""
+    """The default chain persists with one script exchange whose
+    ``CREATE TABLE T AS <query>`` scans the whole table server-side; the
+    scan's per-row CPU must be folded into batched charges, not arrive
+    as one ``Meter.charge`` call (and one Segment) per row."""
     server = DatabaseServer(meter=Meter(CostModel(persist_pipeline=True)))
     setup_tpch_server(server, generate(scale=0.001, seed=7))
     app = BenchmarkApp(server, use_phoenix=True,
@@ -155,10 +155,14 @@ def test_persisted_select_charges_per_batch_not_per_row(monkeypatch):
 
     monkeypatch.setattr(Meter, "charge", counting_charge)
     before = dict(server.meter.executor_stats)
+    scripts = server.meter.counters["net.requests.ExecuteRequest"]
     rows = app.query_rows(
         "SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity > 48")
     assert 0 < len(rows) < lineitems / 10
-    assert server.meter.counters["pipeline_requests"] > 0
+    # The script, and the DROP TABLE of the statement's free.
+    assert server.meter.counters["net.requests.ExecuteRequest"] \
+        == scripts + 2
+    assert app.manager.persist_step_seconds.keys() == {"script"}
     batches = sum(n - before.get(name, 0)
                   for name, n in server.meter.executor_stats.items()
                   if name.startswith("batches."))

@@ -151,9 +151,13 @@ def test_peek_now_never_flushes_pending_batch():
 # ---------------------------------------------------------------------------
 
 
-def crashed_phoenix_world(pipelined: bool = False):
+def crashed_phoenix_world(default_chain: bool = False):
+    """A persisted result, the server crashed three rows into it, and the
+    fetch that recovers.  ``default_chain``: the persist is one script
+    exchange and recovery the login-carried chain (``persist_pipeline``);
+    otherwise the paper's recipe and serialized recovery."""
     meter = Meter(CostModel(output_buffer_bytes=16,
-                            persist_pipeline=pipelined))
+                            persist_pipeline=default_chain))
     meter.obs.tracer.enable()
     server = DatabaseServer(meter=meter)
     setup = BenchmarkApp(server)
@@ -166,6 +170,9 @@ def crashed_phoenix_world(pipelined: bool = False):
     statement = app.manager.alloc_statement(app.conn)
     assert app.manager.exec_direct(
         statement, "SELECT k, v FROM t ORDER BY k") == SQL_SUCCESS
+    assert app.manager.persist_step_seconds.keys() == (
+        {"script"} if default_chain
+        else {"metadata", "create_table", "load", "reopen"})
     for _ in range(3):
         rc, _row = app.manager.fetch(statement)
         assert rc == SQL_SUCCESS
@@ -203,7 +210,7 @@ def test_sys_recovery_phases_row_per_phase_nonzero():
         == set(RECOVERY_PHASES)
     # Under the login-carried chain the options ride the reconnect: the
     # phase keeps its row, in order, and is legitimately zero.
-    _server, app = crashed_phoenix_world(pipelined=True)
+    _server, app = crashed_phoenix_world(default_chain=True)
     rows = session_recovery_rows(app)
     assert [phase for _rid, phase, _s in rows] == list(RECOVERY_PHASES)
     for _rid, phase, seconds in rows:

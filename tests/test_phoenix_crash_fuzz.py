@@ -697,13 +697,16 @@ def test_concurrent_row_sessions_survive_crash_at_every_boundary():
                          (1, "SELECT v FROM acct WHERE k = 2", (302,))]
 
     # Count shared request boundaries across both sessions' networks.
+    # Each in-transaction SELECT persists with one script exchange, so
+    # the schedule is 19 requests (29 under the paper's recipe): crash
+    # at every one of them.
     server, apps = build_concurrent_row_world()
     start = sum(app.network.requests_sent for app in apps)
     run_concurrent_schedule(apps)
     total = (sum(app.network.requests_sent for app in apps) - start)
-    assert total > 20
+    assert total > 15
 
-    for crash_at in range(1, total + 1, 2):
+    for crash_at in range(1, total + 1):
         server, apps = build_concurrent_row_world()
         fired = {"count": 0, "done": False}
 
@@ -833,10 +836,11 @@ def test_held_statement_survives_crash_at_every_boundary():
     total = sum(app.network.requests_sent for app in apps) - start
     counters = server.meter.counters
     # The leg is what it says: statements were held, of both kinds.
-    # (one inside an application transaction, one inside a wrapper —
-    # which came back through the wrapper's ROLLBACK path).
+    # (one inside an application transaction, one inside a wrapper
+    # script — which the server resumed at its held statement, nothing
+    # cancelled).
     assert counters["locks.wait_episodes"] == 2
-    assert counters["locks.held_statements_cancelled"] == 1
+    assert counters.get("locks.held_statements_cancelled", 0) == 0
     expected_rows = final_contents(apps[0])
     assert expected_rows == [(0, 100), (1, 11311), (2, 322), (3, 400)]
     # The two wrapped updates, and the status-guarded load of the

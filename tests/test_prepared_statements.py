@@ -11,16 +11,16 @@ from repro.phoenix.driver_manager import PhoenixDriverManager
 from repro.phoenix.parse import inline_parameters
 from repro.server.network import SimulatedNetwork
 from repro.server.server import DatabaseServer
+from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
 
 
-@pytest.fixture(params=["native", "phoenix"])
-def manager_conn(request):
-    meter = Meter()
+def build_world(kind: str, costs: CostModel | None = None):
+    meter = Meter(costs)
     server = DatabaseServer(meter=meter)
     network = SimulatedNetwork(meter)
     driver = NativeDriver(server, network, meter)
-    if request.param == "phoenix":
+    if kind == "phoenix":
         manager = PhoenixDriverManager(driver)
     else:
         manager = DriverManager(driver)
@@ -34,6 +34,11 @@ def manager_conn(request):
         stmt, "INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three')"
     ) == SQL_SUCCESS
     return server, manager, conn
+
+
+@pytest.fixture(params=["native", "phoenix"])
+def manager_conn(request):
+    return build_world(request.param)
 
 
 def fetch_all(manager, stmt):
@@ -114,26 +119,34 @@ class TestPlanCacheThroughManagers:
 
     def test_ddl_between_executions_stays_correct(self, manager_conn):
         server, manager, conn = manager_conn
-        stmt = manager.alloc_statement(conn)
-        manager.prepare(stmt, "SELECT s FROM t WHERE a = @key")
-        manager.bind_param(stmt, "key", 2)
-        assert manager.execute(stmt) == SQL_SUCCESS
-        assert fetch_all(manager, stmt) == [("two",)]
-        ddl = manager.alloc_statement(conn)
-        assert manager.exec_direct(
-            ddl, "CREATE INDEX ix_a ON t (a)") == SQL_SUCCESS
-        assert manager.execute(stmt) == SQL_SUCCESS
-        assert fetch_all(manager, stmt) == [("two",)]
+        worlds = [(server, manager, conn)]
+        if isinstance(manager, PhoenixDriverManager):
+            # The default chain persists with ``CREATE TABLE ... AS
+            # <query>``, whose query is planned afresh each time; the
+            # paper's chain caches its ``WHERE 0 = 1`` probe's plan, and
+            # the DDL must invalidate that.
+            worlds.append(build_world("phoenix", CostModel.paper()))
+        for server, manager, conn in worlds:
+            stmt = manager.alloc_statement(conn)
+            manager.prepare(stmt, "SELECT s FROM t WHERE a = @key")
+            manager.bind_param(stmt, "key", 2)
+            assert manager.execute(stmt) == SQL_SUCCESS
+            assert fetch_all(manager, stmt) == [("two",)]
+            ddl = manager.alloc_statement(conn)
+            assert manager.exec_direct(
+                ddl, "CREATE INDEX ix_a ON t (a)") == SQL_SUCCESS
+            assert manager.execute(stmt) == SQL_SUCCESS
+            assert fetch_all(manager, stmt) == [("two",)]
         assert server.engine.cache_stats["plan_invalidations"] >= 1
 
     def test_phoenix_probe_plan_hits(self, manager_conn):
         server, manager, conn = manager_conn
         if not isinstance(manager, PhoenixDriverManager):
             pytest.skip("metadata probes are Phoenix-only")
-        # client_cache_rows defaults to 0, so each SELECT is persisted
-        # and starts with a WHERE 0=1 metadata probe.  The second run
-        # sends the same probe again, and the server plans it from its
-        # plan cache.
+        # client_cache_rows defaults to 0, so each SELECT is persisted:
+        # one script whose status record the second run plans from the
+        # server's plan cache (under paper() it is the WHERE 0=1
+        # metadata probe that hits).
         hits = []
         for _ in range(2):
             before = server.engine.cache_stats["plan_hits"]

@@ -21,7 +21,7 @@ from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
-from repro.errors import ReproError, ServerCrashedError
+from repro.errors import ReproError
 from repro.phoenix.config import PhoenixConfig
 from repro.phoenix.result_cache import SharedResultCache
 from repro.server.server import DatabaseServer
@@ -629,29 +629,27 @@ def test_lost_piggyback_cannot_leave_a_stale_entry(monkeypatch):
 
 
 def test_commit_whose_response_dies_with_the_server_evicts_its_table_only():
-    """The COMMIT is applied and durable, the server dies before it
-    answers: no piggyback ever names the keys.  One version probe after
-    the restart finds ``t`` moved and ``u`` not."""
+    """The wrapped update's COMMIT is applied and durable, the server
+    dies before it answers (the network's after-apply fault point): no
+    piggyback ever names the keys.  One version probe after the restart
+    finds ``t`` moved and ``u`` not."""
     world = CacheWorld()
     t_entry, u_entry = POINT.format(1, 1), "SELECT a FROM u WHERE k = 1"
     world.read(t_entry)
     world.read(POINT.format(2, 1))
     world.read(u_entry)
-    handle = world.server.handle
     fired = []
 
     def dies_answering_commit(request):
-        response = handle(request)
-        if getattr(request, "sql", "") == "COMMIT" and not fired:
+        if "COMMIT" in getattr(request, "sql", "") and not fired:
             fired.append(request)
             world.server.crash()
             world.server.restart()
-            raise ServerCrashedError("died with the answer in hand")
-        return response
 
-    world.server.handle = dies_answering_commit
+    network = world.writer.network
+    network.after_apply_injector = dies_answering_commit
     world.writer.run_statement("UPDATE t SET v = 111 WHERE a = 1 AND b = 1")
-    world.server.handle = handle
+    network.after_apply_injector = None
     assert fired and world.writer.manager.stats["recoveries"] == 1
     probes = counter(world.meter, "net.requests.VersionProbeRequest")
     assert world.read(u_entry) == ([(1,)], True), (

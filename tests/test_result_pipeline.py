@@ -20,6 +20,7 @@ from repro.odbc.constants import (
     SQL_ATTR_CURSOR_TYPE,
     SQL_CURSOR_STATIC,
     SQL_FETCH_PRIOR,
+    SQL_SUCCESS,
 )
 from repro.odbc.driver import NativeDriver
 from repro.odbc.handles import (
@@ -320,24 +321,45 @@ def _phoenix_persist_world(**paper_overrides):
     return server, app
 
 
-def test_persist_pipeline_same_rows_lower_clock():
-    server0, app0 = _phoenix_persist_world()
-    t0 = app0.meter.now
-    rows0 = app0.query_rows("SELECT k, pad FROM big ORDER BY k")
-    seed_clock = app0.meter.now - t0
+def _persisted_drain(app):
+    """Persist and drain one result; returns the rows, the requests and
+    ExecuteRequests sent before the first fetch, and the virtual
+    seconds of the whole drain."""
+    manager = app.manager
+    counters = app.meter.counters
+    start, sent = app.meter.now, app.network.requests_sent
+    executes = counters.get("net.requests.ExecuteRequest", 0)
+    statement = manager.alloc_statement(app.conn)
+    assert manager.exec_direct(statement, "SELECT k, pad FROM big "
+                                          "ORDER BY k") == SQL_SUCCESS
+    persist = (app.network.requests_sent - sent,
+               counters["net.requests.ExecuteRequest"] - executes)
+    rows = []
+    while True:
+        rc, row = manager.fetch(statement)
+        if rc != SQL_SUCCESS:
+            break
+        rows.append(row)
+    return rows, persist, app.meter.now - start
 
-    server1, app1 = _phoenix_persist_world(persist_pipeline=True)
-    t1 = app1.meter.now
-    rows1 = app1.query_rows("SELECT k, pad FROM big ORDER BY k")
-    pipe_clock = app1.meter.now - t1
+
+def test_persist_pipeline_same_rows_lower_clock():
+    """The persist as one script exchange: the same rows as the paper's
+    four-step recipe, one request before the first fetch instead of the
+    recipe's ten, and a lower clock — the procedure, the probe and the
+    round trips are what it saves."""
+    _server0, app0 = _phoenix_persist_world()
+    rows0, (sent0, executes0), seed_clock = _persisted_drain(app0)
+
+    _server1, app1 = _phoenix_persist_world(persist_pipeline=True)
+    rows1, (sent1, executes1), script_clock = _persisted_drain(app1)
 
     assert rows1 == rows0 and len(rows0) == 60
-    assert app1.meter.counters["pipeline_requests"] > 0
-    assert app1.network.requests_sent <= app0.network.requests_sent
-    assert pipe_clock < seed_clock
-    saved = (app1.meter.counters["pipeline_overlap_seconds"]
-             - app1.meter.counters.get("pipeline_stall_seconds", 0.0))
-    assert saved == pytest.approx(seed_clock - pipe_clock)
+    assert (sent1, executes1) == (1, 1)
+    assert executes0 == 10 and sent1 < sent0
+    assert app1.manager.persist_step_seconds.keys() == {"script"}
+    saved = seed_clock - script_clock
+    assert saved > app0.meter.costs.cpu_create_procedure_seconds
 
 
 def test_tracked_mix_pipelined_never_sends_more_requests():
@@ -354,7 +376,9 @@ def test_tracked_mix_pipelined_never_sends_more_requests():
     assert pipelined.counters["net.requests_sent"] \
         <= serial.counters["net.requests_sent"]
     assert pipelined.virtual_seconds < serial.virtual_seconds
-    assert pipelined.counters["pipeline_requests"] > 0
+    # The mix's persisted results and wrapped updates went as scripts.
+    assert pipelined.counters["net.requests.ExecuteRequest"] \
+        < serial.counters["net.requests.ExecuteRequest"]
 
 
 # -- observability ------------------------------------------------------------
@@ -364,14 +388,17 @@ def test_sys_network_view_reports_round_trip_ledger():
     server, app = _phoenix_persist_world(persist_pipeline=True,
                                          fetch_ahead_depth=2)
     app.query_rows("SELECT k, pad FROM big ORDER BY k")
+    executes = server.meter.counters["net.requests.ExecuteRequest"]
     rows = app.query_rows("SELECT metric, value FROM sys_network")
     ledger = dict(rows)
     assert ledger["net.requests_sent"] > 0
     assert ledger["net.wire_bytes_up"] > 0
     assert ledger["net.wire_bytes_down"] > 0
-    assert ledger["net.requests.ExecuteRequest"] > 0
+    # The view query is itself persisted, and the view was read inside
+    # its one script exchange: the only ExecuteRequest since.
+    assert ledger["net.requests.ExecuteRequest"] == executes + 1
     assert ledger["net.bytes_down.ExecuteRequest"] > 0
-    assert ledger["pipeline_requests"] > 0
+    assert ledger["prefetch_issued"] > 0
     assert all(name.startswith(("net.", "prefetch_", "pipeline_"))
                for name in ledger)
     # The view reads the same counters the network mirrors into the
