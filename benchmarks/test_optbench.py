@@ -3,7 +3,9 @@ TPC-H queries plus a Top-N query, on the default configuration.
 
 Both legs' rows are judged by ``tpch_reference_rows.json`` (the frozen
 output of the FROM-order planner this repo started with): whatever the
-planner chooses, the values must not move.
+planner chooses, the values must not move.  And statistics must never
+make a query slower: per query, the analysed leg may not exceed the
+unanalysed one.
 """
 
 import math
@@ -38,6 +40,11 @@ def test_optbench(benchmark, report):
     before, after = result.unanalyzed, result.analyzed
     assert after.total_seconds < before.total_seconds, \
         "statistics did not lower the total"
+    for number in sorted(before.query_seconds):
+        assert (after.query_seconds[number]
+                <= before.query_seconds[number] * (1 + 1e-9)), \
+            f"statistics made Q{number:02d} slower"
+    assert after.topn_seconds <= before.topn_seconds * (1 + 1e-9)
     reference = tpch_reference_rows(result.scale, result.seed)
     for leg in (before, after):
         assert any("TopNHeapSort" in line for line in leg.topn_plan), \

@@ -977,6 +977,11 @@ OPTBENCH_TOPN_QUERY = (
     "FROM lineitem "
     "ORDER BY l_extendedprice DESC, l_orderkey, l_linenumber")
 
+#: TPC-H queries whose analysed plans optbench.txt prints, so that a plan
+#: change shows as an operator-tree diff: the two widest join lists (Q08,
+#: Q09) and the two disjunctions across relations (Q07, Q19).
+OPTBENCH_PLANNED_QUERIES = (7, 8, 9, 19)
+
 
 def tpch_reference_rows(scale: float, seed: int) -> dict[str, list[tuple]]:
     """Result rows of the 22 TPC-H queries (``"Q01"`` ...) and of
@@ -1005,6 +1010,7 @@ class OptbenchLeg:
     topn_seconds: float = 0.0
     topn_rows: list = field(default_factory=list)
     topn_plan: list[str] = field(default_factory=list)
+    query_plans: dict[int, list[str]] = field(default_factory=dict)
     optimizer_counters: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -1041,6 +1047,9 @@ class OptbenchResult:
             body, [row("Total", before.total_seconds, after.total_seconds)])
         lines = [table, "", "top-N plan (analyzed leg):"]
         lines += [f"  {line}" for line in after.topn_plan]
+        for number, plan in sorted(after.query_plans.items()):
+            lines.append(f"Q{number:02d} plan (analyzed leg):")
+            lines += [f"  {line}" for line in plan]
         for leg in (before, after):
             lines.append(f"total ({leg.name} leg) = {leg.total_seconds:.9f}")
             lines.append(f"optimizer counters ({leg.name} leg):")
@@ -1069,6 +1078,12 @@ def _optbench_leg(name: str, scale: float, seed: int) -> OptbenchLeg:
     leg.optimizer_counters = {
         counter: value for counter, value in server.meter.counters.items()
         if counter.startswith("optimizer.")}
+    if name == "analyzed":
+        # After the counter snapshot: the counters describe the queries.
+        for number in OPTBENCH_PLANNED_QUERIES:
+            leg.query_plans[number] = [
+                str(row[0])
+                for row in app.query_rows("EXPLAIN " + QUERIES[number])]
     return leg
 
 

@@ -8,7 +8,9 @@ table never analysed, each such guess ticking
 ``optimizer.stats_missing_fallbacks`` — and the choices below follow
 from the estimates (DESIGN.md §15):
 
-* WHERE conjuncts that reference a single relation are pushed below joins;
+* WHERE conjuncts that reference a single relation are pushed below joins,
+  and so is, per relation, the OR of its parts of a disjunction across
+  relations;
 * equality conjuncts between two relations become hash-join keys; a
   comma list is folded left-deep in the order that minimizes the modeled
   join cost, the hash join builds on the smaller input, and two inputs
@@ -430,6 +432,8 @@ class Planner:
             [bc for rel in prepared for bc in rel.schema])
         conjuncts = [_Conjunct(e, column_owner, ambiguous)
                      for e in _split_conjuncts(where)]
+        conjuncts += self._derived_restrictions(conjuncts, prepared,
+                                                column_owner, ambiguous)
         implied = self._implied_in_lists(conjuncts, prepared, column_owner)
         cost_join = reorder_ok and len(prepared) > 1
         if cost_join:
@@ -491,9 +495,12 @@ class Planner:
             # inner joins on both sides, and on the null-supplying (right)
             # side of a left join.  Nothing is derived through an outer
             # join's ON clause.
-            implied = (self._implied_in_lists(on_conjuncts, [left, right],
-                                              owner)
-                       if item.kind != "left" else [])
+            implied = []
+            if item.kind != "left":
+                on_conjuncts += self._derived_restrictions(
+                    on_conjuncts, [left, right], owner, ambiguous)
+                implied = self._implied_in_lists(on_conjuncts,
+                                                 [left, right], owner)
             self._finish_relation(right, on_conjuncts, outer_scope, implied)
             if item.kind != "left":
                 self._finish_relation(left, on_conjuncts, outer_scope,
@@ -616,6 +623,42 @@ class Planner:
                         implied.append((rel, ast.InList(
                             operand=ref, items=in_list.items)))
         return implied
+
+    def _derived_restrictions(self, conjuncts: list["_Conjunct"],
+                              relations: list[_Relation],
+                              owner: dict[str, str],
+                              ambiguous: set[str]) -> list["_Conjunct"]:
+        """Restriction ORs derived from a disjunction (PostgreSQL's
+        ``orclauses.c``): for a conjunct ``D1 OR ... OR Dn`` spanning
+        several relations, and a relation R on which every ``Di`` has
+        conjuncts of its own, ``(R-part of D1) OR ... OR (R-part of
+        Dn)`` holds on every row the disjunction keeps — whichever
+        ``Di`` is true, its R-part is.  It becomes a conjunct local to
+        R, so it filters R before the joins; the disjunction stays
+        where it was, as the residual.  A part with a subquery is never
+        moved (subqueries run in the final filter)."""
+        derived = []
+        for c in conjuncts:
+            if not (isinstance(c.expr, ast.Binary) and c.expr.op == "OR"
+                    and c.bindings and not c.consumed
+                    and _owning_relation(relations, c.bindings) is None):
+                continue
+            disjuncts = [[_Conjunct(e, owner, ambiguous)
+                          for e in _split_conjuncts(d)]
+                         for d in _split_disjuncts(c.expr)]
+            for rel in relations:
+                parts = [[p.expr for p in d
+                          if p.bindings and p.bindings <= rel.bindings
+                          and not p.has_subquery] for d in disjuncts]
+                if not all(parts):
+                    continue
+                restriction = _combine_conjuncts(parts[0])
+                for part in parts[1:]:
+                    restriction = ast.Binary(op="OR", left=restriction,
+                                             right=_combine_conjuncts(part))
+                self._meter.count("optimizer.or_restrictions_derived")
+                derived.append(_Conjunct(restriction, owner, ambiguous))
+        return derived
 
     def _apply_pushable(self, rel: _Relation,
                         conjuncts: list["_Conjunct"],
@@ -936,9 +979,10 @@ class Planner:
     #: Selectivity fallback for predicates statistics cannot estimate.
     _DEFAULT_SEL = 0.25
     #: Join orders are enumerated exhaustively (left-deep dynamic
-    #: programming) up to this many relations; beyond it a greedy
-    #: smallest-intermediate search keeps planning linear-ish.
-    _DP_RELATION_LIMIT = 6
+    #: programming) up to this many relations — every TPC-H query, at
+    #: about 1 000 steps for eight; beyond it a greedy connected,
+    #: smallest-intermediate search keeps planning quadratic.
+    _DP_RELATION_LIMIT = 8
 
     def _const_value(self, expr: ast.Expr, const_scope: Scope):
         """Evaluate ``expr`` at plan time when it is a plan-time constant
@@ -1030,24 +1074,85 @@ class Planner:
         return self._relation_selectivity(
             table, stats, exprs, self._new_scope([], outer_scope))
 
+    @staticmethod
+    def _key_binding(rel: _Relation, expr: ast.Expr) -> str | None:
+        """The FROM binding a join-key column reference reads; None for
+        anything but a bare column."""
+        if not isinstance(expr, ast.ColumnRef):
+            return None
+        if expr.table is not None:
+            return expr.table.lower()
+        name = expr.name.lower()
+        return next((bc.binding for bc in rel.schema
+                     if bc.column.name.lower() == name), None)
+
     def _ndv_for(self, rel: _Relation, expr: ast.Expr) -> int | None:
         """NDV of a join-key column, resolved through the relation's
         binding -> base-table map; None when unavailable."""
-        if not isinstance(expr, ast.ColumnRef):
-            return None
-        name = expr.name.lower()
-        if expr.table is not None:
-            binding = expr.table.lower()
-        else:
-            binding = next(
-                (bc.binding for bc in rel.schema
-                 if bc.column.name.lower() == name), None)
+        binding = self._key_binding(rel, expr)
         table_name = rel.binding_tables.get(binding) if binding else None
         if table_name is None:
             return None
         stats = self._catalog.get_table_stats(table_name)
-        col = table_stats.column_stats(stats, name)
+        col = table_stats.column_stats(stats, expr.name.lower())
         return col["ndv"] if col else None
+
+    def _unique_key_rows(self, rel: _Relation, binding: str | None,
+                         exprs: list[ast.Expr]) -> float | None:
+        """Row count of ``binding``'s base table (its ANALYZE count, or
+        the default guess the relation's estimate already counted) when
+        the join columns ``exprs`` cover its primary key or a unique
+        index — each row of the other side then meets at most one of its
+        rows; None otherwise."""
+        table_name = rel.binding_tables.get(binding) if binding else None
+        if table_name is None:
+            return None
+        columns = {e.name.lower() for e in exprs}
+        if not any(index.unique and set(index.column_names) <= columns
+                   for index in self._tables(table_name).indexes()):
+            return None
+        return self._row_count(table_name, counted=False)[1]
+
+    def _join_selectivity(self, left: _Relation, right: _Relation,
+                          key_pairs: list, fallback_rows: float) -> float:
+        """Selectivity of an equi join on ``key_pairs`` (left side's
+        expression first): 1 / max(NDV) per pair, the larger estimate
+        ``fallback_rows`` standing in for an unknown NDV.
+
+        Independence understates a composite key: ``l_partkey =
+        ps_partkey AND l_suppkey = ps_suppkey`` multiplies two NDVs
+        although ``(ps_partkey, ps_suppkey)`` is partsupp's primary key
+        and each lineitem row meets one partsupp row.  So the pairs are
+        grouped per (left binding, right binding), and a group whose
+        columns on one side cover that side's unique key gets at least
+        1 / rows of that table (the tighter bound when both sides do).
+        Per binding pair, not per side: a ``part × supplier`` side
+        joined on both tables' keys keeps 1 / (|part|·|supplier|)."""
+        groups: dict[tuple, list] = {}
+        for pair in key_pairs:
+            groups.setdefault((self._key_binding(left, pair[0]),
+                               self._key_binding(right, pair[1])),
+                              []).append(pair)
+        sel = 1.0
+        for (left_binding, right_binding), pairs in groups.items():
+            group_sel = 1.0
+            for left_expr, right_expr in pairs:
+                denom = float(max(self._ndv_for(left, left_expr) or 0,
+                                  self._ndv_for(right, right_expr) or 0))
+                if denom <= 0.0:
+                    denom = fallback_rows
+                group_sel /= max(denom, 1.0)
+            key_rows = [rows for rows in (
+                self._unique_key_rows(left, left_binding,
+                                      [p[0] for p in pairs]),
+                self._unique_key_rows(right, right_binding,
+                                      [p[1] for p in pairs]))
+                if rows]
+            if key_rows and group_sel < 1.0 / max(key_rows):
+                self._meter.count("optimizer.unique_key_join_floors")
+                group_sel = 1.0 / max(key_rows)
+            sel *= group_sel
+        return sel
 
     def _mine_equi_pairs(self, left: _Relation, right: _Relation,
                          conjuncts: list["_Conjunct"],
@@ -1068,19 +1173,12 @@ class Planner:
 
     def _estimate_join_output(self, left: _Relation, right: _Relation,
                               key_pairs: list) -> float:
-        """Join output cardinality: |L|·|R| / max(NDV) per key pair
-        (the classic uniform assumption — an FK join estimates to the
-        fact side's cardinality)."""
+        """Join output cardinality: |L|·|R| times the join selectivity
+        (the classic uniform assumption with a unique-key floor — an FK
+        join estimates to the fact side's cardinality)."""
         cl, cr = left.est_rows, right.est_rows
-        sel = 1.0
-        for left_expr, right_expr in key_pairs:
-            ndv_l = self._ndv_for(left, left_expr)
-            ndv_r = self._ndv_for(right, right_expr)
-            denom = float(max(ndv_l or 0, ndv_r or 0))
-            if denom <= 0.0:
-                denom = max(cl, cr, 1.0)
-            sel /= max(denom, 1.0)
-        return max(1.0, cl * cr * sel)
+        return max(1.0, cl * cr * self._join_selectivity(
+            left, right, key_pairs, max(cl, cr, 1.0)))
 
     def _delivers_key_order(self, rel: _Relation,
                             key_expr: ast.Expr) -> bool:
@@ -1128,9 +1226,11 @@ class Planner:
         join graph from the unconsumed equi conjuncts, then minimizes
         the modeled executor cost (hash joins at ``cpu_per_tuple_join``
         per input tuple, cross products at probe-times-build) — DP over
-        subsets up to :data:`_DP_RELATION_LIMIT` relations, greedy
-        smallest-intermediate above it.  Deterministic: ties break on
-        enumeration order.
+        subsets up to :data:`_DP_RELATION_LIMIT` relations.  Above it a
+        greedy search (``optimizer.join_lists_greedy``) appends, while
+        any is left, a relation with an equi edge to the placed set, the
+        one with the smallest estimated output.  Deterministic: ties
+        break on enumeration order.
         """
         n = len(prepared)
         cards = []
@@ -1138,7 +1238,7 @@ class Planner:
             est = self._estimate_relation(rel, conjuncts, outer_scope)
             rel.est_rows = est
             cards.append(est)
-        edges: dict[tuple[int, int], float] = {}
+        edge_pairs: dict[tuple[int, int], list] = {}
         for c in conjuncts:
             if c.consumed or c.has_subquery:
                 continue
@@ -1152,17 +1252,19 @@ class Planner:
             ri = _owning_relation(prepared, rhs)
             if li is None or ri is None or li == ri:
                 continue
-            ndv_l = self._ndv_for(prepared[li], c.expr.left)
-            ndv_r = self._ndv_for(prepared[ri], c.expr.right)
-            denom = float(max(ndv_l or 0, ndv_r or 0))
-            if denom <= 0.0:
-                denom = max(cards[li], cards[ri], 1.0)
-            key = (min(li, ri), max(li, ri))
-            edges[key] = edges.get(key, 1.0) / max(denom, 1.0)
+            pair = ((c.expr.left, c.expr.right) if li < ri
+                    else (c.expr.right, c.expr.left))
+            edge_pairs.setdefault((min(li, ri), max(li, ri)),
+                                  []).append(pair)
+        edges = {(i, j): self._join_selectivity(
+                     prepared[i], prepared[j], pairs,
+                     max(cards[i], cards[j], 1.0))
+                 for (i, j), pairs in edge_pairs.items()}
         per_join = self._meter.costs.cpu_per_tuple_join
 
         def step(placed: tuple, placed_card: float, j: int):
-            """(cost, output cardinality) of joining ``j`` next."""
+            """(cost, output cardinality, has an equi edge) of joining
+            ``j`` next."""
             sel = 1.0
             connected = False
             for i in placed:
@@ -1177,7 +1279,7 @@ class Planner:
                 # No equi edge: a nested-loop cross pairing.
                 cost = per_join * (placed_card + placed_card * cards[j])
                 out = max(1.0, placed_card * cards[j])
-            return cost, out
+            return cost, out, connected
 
         if n <= self._DP_RELATION_LIMIT:
             best: dict[frozenset, tuple[float, float, tuple]] = {
@@ -1191,13 +1293,14 @@ class Planner:
                         if prev is None:
                             continue
                         self._meter.count("optimizer.join_orders_considered")
-                        cost, out = step(prev[2], prev[1], j)
+                        cost, out, _connected = step(prev[2], prev[1], j)
                         candidate = (prev[0] + cost, out, prev[2] + (j,))
                         if winner is None or candidate[0] < winner[0]:
                             winner = candidate
                     best[key] = winner
             order = best[frozenset(range(n))][2]
         else:
+            self._meter.count("optimizer.join_lists_greedy")
             start = min(range(n), key=lambda i: (cards[i], i))
             chosen = [start]
             placed_card = cards[start]
@@ -1207,9 +1310,11 @@ class Planner:
                     if j in chosen:
                         continue
                     self._meter.count("optimizer.join_orders_considered")
-                    cost, out = step(tuple(chosen), placed_card, j)
-                    if winner is None or cost < winner[0]:
-                        winner = (cost, out, j)
+                    _cost, out, connected = step(tuple(chosen),
+                                                 placed_card, j)
+                    rank = (not connected, out)
+                    if winner is None or rank < winner[0]:
+                        winner = (rank, out, j)
                 chosen.append(winner[2])
                 placed_card = winner[1]
             order = tuple(chosen)
@@ -1776,6 +1881,12 @@ def _split_conjuncts(expr: ast.Expr | None) -> list:
         return []
     if isinstance(expr, ast.Binary) and expr.op == "AND":
         return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
+    return [expr]
+
+
+def _split_disjuncts(expr: ast.Expr) -> list:
+    if isinstance(expr, ast.Binary) and expr.op == "OR":
+        return _split_disjuncts(expr.left) + _split_disjuncts(expr.right)
     return [expr]
 
 

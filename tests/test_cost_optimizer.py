@@ -251,6 +251,140 @@ class TestTopNHeapSort:
 
 
 # ---------------------------------------------------------------------------
+# Join estimates and join order: unique-key floor, DP width, greedy rule
+# ---------------------------------------------------------------------------
+
+
+def _est_rows(line: str) -> int:
+    return int(line.split("est_rows=")[1].split()[0])
+
+
+def _join_depth(lines: list[str], needle: str) -> int:
+    """Indentation of the join that takes in the first EXPLAIN line
+    containing ``needle``: its nearest ancestor that is a join."""
+    at = next(i for i, line in enumerate(lines) if needle in line)
+    depth = len(lines[at]) - len(lines[at].lstrip())
+    for line in reversed(lines[:at]):
+        indent = len(line) - len(line.lstrip())
+        if indent < depth:
+            if "Join" in line:
+                return indent
+            depth = indent
+    raise AssertionError(f"no join above {needle}")
+
+
+class TestJoinEstimates:
+    """A TPC-H-shaped key graph with doctored statistics: lineitem-like
+    ``li`` (6 000 rows) references partsupp-like ``ps`` (1 600 rows,
+    primary key ``(pk, sk)``) whose columns reference ``pa`` (400 rows)
+    and ``su`` (20 rows)."""
+
+    @pytest.fixture(autouse=True)
+    def tables(self, run, engine):
+        run("CREATE TABLE li (pk INT, sk INT, qty INT)")
+        run("CREATE TABLE ps (pk INT NOT NULL, sk INT NOT NULL, cost INT, "
+            "PRIMARY KEY (pk, sk))")
+        run("CREATE TABLE pa (pk INT NOT NULL, PRIMARY KEY (pk))")
+        run("CREATE TABLE su (sk INT NOT NULL, PRIMARY KEY (sk))")
+        engine.catalog.set_table_stats("li", _stats(6000, 60, pk=400,
+                                                    sk=20))
+        engine.catalog.set_table_stats("ps", _stats(1600, 16, pk=400,
+                                                    sk=20))
+        engine.catalog.set_table_stats("pa", _stats(400, 4, pk=400))
+        engine.catalog.set_table_stats("su", _stats(20, 1, sk=20))
+
+    def test_composite_primary_key_join_estimates_the_fact_side(
+            self, run, engine):
+        # 1/NDV per column would say 6000·1600/(400·20) = 1200 rows.
+        lines = _explain(run, "SELECT count(*) FROM li, ps "
+                              "WHERE li.pk = ps.pk AND li.sk = ps.sk")
+        join = next(line for line in lines if "HashJoin" in line)
+        assert _est_rows(join) == 6000
+        assert engine.meter.counters["optimizer.unique_key_join_floors"] \
+            >= 1
+
+    def test_floor_is_per_binding_pair(self, engine, session):
+        from repro.sql import ast
+        from repro.sql.planner import _Relation
+
+        def relation(rows, *names):
+            return _Relation(op=None, schema=[], bindings=set(names),
+                             est_rows=rows,
+                             binding_tables={n: n for n in names})
+
+        planner = engine._planner(session, None)
+        both_keys = [(ast.ColumnRef(table="pa", name="pk"),
+                      ast.ColumnRef(table="ps", name="pk")),
+                     (ast.ColumnRef(table="su", name="sk"),
+                      ast.ColumnRef(table="ps", name="sk"))]
+        # part x supplier against partsupp, both keys joined: each
+        # binding pair keeps its own key, 1/(400·20) — not partsupp's
+        # 1/1600 for the side as a whole.
+        assert planner._estimate_join_output(
+            relation(8000.0, "pa", "su"), relation(1600.0, "ps"),
+            both_keys) == 1600.0
+
+    def test_greedy_order_never_pairs_across_while_a_connected_one_remains(
+            self, run, engine):
+        # Nine relations: above the DP limit.  A chain c0 - c1 - ... -
+        # c8 whose two smallest relations sit at its ends: a greedy that
+        # ranks by step cost joins c8 to c0 first, a cross pairing.
+        names = [f"c{i}" for i in range(9)]
+        for i, name in enumerate(names):
+            run(f"CREATE TABLE {name} (k INT, n INT)")
+            rows = {0: 1, 8: 2}.get(i, 1000)
+            engine.catalog.set_table_stats(name, _stats(rows, 1, k=rows,
+                                                        n=rows))
+        sql = ("SELECT count(*) FROM " + ", ".join(names) + " WHERE "
+               + " AND ".join(f"{a}.n = {b}.k"
+                              for a, b in zip(names, names[1:])))
+        lines = _explain(run, sql)
+        assert not any("NestedLoopJoin" in line for line in lines), lines
+        assert sum("HashJoin" in line for line in lines) == 8
+        assert engine.meter.counters["optimizer.join_lists_greedy"] == 1
+
+
+def test_q08_joins_lineitem_below_orders():
+    """Eight relations are ordered exhaustively: Q08 reaches orders
+    through the filtered lineitem join, not through a cross product of
+    the small dimensions with lineitem joined last."""
+    from repro.workloads.tpch.datagen import generate
+    from repro.workloads.tpch.queries import QUERIES
+    from repro.workloads.tpch.schema import create_schema, load
+
+    engine = DatabaseEngine(meter=Meter())
+    session = EngineSession(session_id=1)
+    create_schema(engine, session)
+    load(engine, session, generate(scale=0.0005, seed=11))
+    engine.execute("ANALYZE", session)
+    lines = [str(row[0]) for row in engine.execute(
+        "EXPLAIN " + QUERIES[8], session).fetch_all()]
+    assert _join_depth(lines, "SeqScan(lineitem") \
+        > _join_depth(lines, "SeqScan(orders"), lines
+    assert "optimizer.join_lists_greedy" not in engine.meter.counters
+
+
+def test_disjunction_across_relations_restricts_each_relation(run, engine):
+    """Q19's shape: every disjunct restricts both tables, so each table
+    gets the OR of its own parts as a filter below the join; the
+    disjunction itself stays as the join's residual."""
+    run("CREATE TABLE part_t (pk INT, brand INT)")
+    run("CREATE TABLE line_t (pk INT, qty INT)")
+    run("INSERT INTO part_t VALUES (1, 12), (2, 23), (3, 34)")
+    run("INSERT INTO line_t VALUES (1, 5), (1, 15), (2, 15), (3, 25), "
+        "(3, 5)")
+    sql = ("SELECT line_t.pk, qty FROM line_t, part_t "
+           "WHERE part_t.pk = line_t.pk AND "
+           "((brand = 12 AND qty <= 10) OR (brand = 23 AND qty > 10))")
+    lines = _explain(run, sql)
+    assert sum(line.strip().startswith("Filter")
+               for line in lines) == 2, lines
+    assert any("residual" in line for line in lines), lines
+    assert engine.meter.counters["optimizer.or_restrictions_derived"] == 2
+    assert sorted(run(sql)) == [(1, 5), (2, 15)]
+
+
+# ---------------------------------------------------------------------------
 # ANALYZE invalidates cached plans (stats-version fix)
 # ---------------------------------------------------------------------------
 

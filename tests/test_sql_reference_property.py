@@ -298,6 +298,91 @@ def test_in_lists_match_sqlite_in_both_modes_and_engines(case):
 
 
 # ---------------------------------------------------------------------------
+# Restrictions derived from a disjunction, judged by sqlite3
+# ---------------------------------------------------------------------------
+#
+# For ``D1 OR ... OR Dn`` across t and u, the planner filters t by the OR
+# of the t-only conjuncts of each Di (likewise u) below the join and keeps
+# the disjunction as the residual.  Over NULL-bearing columns the rows
+# must be sqlite's, and the derivation count must follow the rule: one
+# per relation every Di restricts, none from a LEFT JOIN's ON clause.
+
+OR_DDL = ("CREATE TABLE t (a INT, b INT)", "CREATE TABLE u (x INT, y INT)")
+
+#: ``{D}`` is the generated disjunction.
+OR_QUERIES = {
+    "where": "SELECT a, b, x, y FROM t, u WHERE t.a = u.x AND ({D})",
+    "inner": "SELECT a, b, x, y FROM t JOIN u ON t.a = u.x AND ({D})",
+    "left": "SELECT a, b, x, y FROM t LEFT JOIN u ON t.a = u.x AND ({D})",
+}
+
+#: (relations the atom reads, template over a generated constant ``k``)
+OR_ATOMS = (
+    ({"t"}, "t.b = {k}"), ({"t"}, "t.b IS NULL"), ({"t"}, "t.b > {k}"),
+    ({"t"}, "t.a <> {k}"), ({"u"}, "u.y = {k}"), ({"u"}, "u.y IS NULL"),
+    ({"u"}, "u.y > {k}"), ({"u"}, "u.x < {k}"),
+    ({"t", "u"}, "t.b = u.y"), ({"t", "u"}, "t.b < u.y"),
+)
+
+
+@st.composite
+def or_restriction_case(draw):
+    nullable = st.one_of(st.none(), st.integers(0, 3))
+    t_rows = draw(st.lists(st.tuples(nullable, nullable), max_size=8))
+    u_rows = draw(st.lists(st.tuples(nullable, nullable), max_size=8))
+    disjuncts = draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(OR_ATOMS), st.integers(0, 3)),
+                 min_size=1, max_size=3),
+        min_size=2, max_size=3))
+    text = " OR ".join(
+        "(" + " AND ".join(atom.format(k=k) for (_r, atom), k in d) + ")"
+        for d in disjuncts)
+    kind = draw(st.sampled_from(sorted(OR_QUERIES)))
+    spans = set().union(*(r for d in disjuncts for (r, _a), _k in d))
+    derived = 0
+    if kind != "left" and spans == {"t", "u"}:
+        derived = sum(all(any(r == {rel} for (r, _a), _k in d)
+                          for d in disjuncts) for rel in ("t", "u"))
+    return t_rows, u_rows, OR_QUERIES[kind].format(D=text), derived
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=or_restriction_case())
+def test_derived_or_restrictions_match_sqlite_in_both_modes_and_engines(
+        case):
+    t_rows, u_rows, query, derived = case
+    setup = list(OR_DDL) + _in_list_inserts(t_rows, u_rows)
+    oracle = sqlite3.connect(":memory:")
+    try:
+        for statement in setup:
+            oracle.execute(statement)
+        expected = sorted(oracle.execute(query).fetchall(), key=_null_low)
+    finally:
+        oracle.close()
+
+    def outputs(mode):
+        engine = DatabaseEngine(meter=Meter())
+        session = EngineSession(session_id=1)
+        for statement in setup:
+            engine.execute(statement, session)
+        if mode == "cost":
+            engine.execute("ANALYZE", session)
+        got = run(engine, session, query)
+        return got, engine.meter.now, dict(engine.meter.counters)
+
+    for mode in ("heuristic", "cost"):
+        batch = outputs(mode)
+        with row_engine_oracle.installed():
+            row = outputs(mode)
+        assert batch[0] == row[0] and batch[2] == row[2], (mode, query)
+        assert row_engine_oracle.same_clock(batch[1], row[1]), (mode, query)
+        assert sorted(batch[0], key=_null_low) == expected, (mode, query)
+        assert batch[2].get("optimizer.or_restrictions_derived", 0) \
+            == derived, (mode, query)
+
+
+# ---------------------------------------------------------------------------
 # Generated expressions vs an independent three-valued evaluator
 # ---------------------------------------------------------------------------
 #
