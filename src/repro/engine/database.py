@@ -40,6 +40,7 @@ from repro.sql.executor import is_streamable_plan, iterate_plan, read_set
 from repro.sql.expressions import EvalContext
 from repro.sql.parser import parse_script, parse_statement
 from repro.sql.plan_cache import (
+    PLAN_CACHE_ENTRIES,
     CachedStatement,
     LRUCache,
     PlanCacheEntry,
@@ -217,14 +218,19 @@ class _CompiledDml:
     select_plan: object = None          # INSERT ... SELECT source plan
 
 
+#: The statements :meth:`DatabaseEngine._execute_planned` plans and runs.
+_PLANNED_STATEMENTS = (ast.SelectStatement, ast.UnionSelect,
+                       ast.InsertStatement, ast.UpdateStatement,
+                       ast.DeleteStatement)
+
+
 class DatabaseEngine:
     """Executes SQL statements against the storage substrate."""
 
     def __init__(self, meter: Meter | None = None,
                  disk: SimulatedDisk | None = None,
                  wal: WriteAheadLog | None = None,
-                 recover: bool = False,
-                 plan_cache_capacity: int = 128):
+                 recover: bool = False):
         self.meter = meter if meter is not None else Meter()
         self.disk = disk if disk is not None else SimulatedDisk()
         self.wal = wal if wal is not None else WriteAheadLog(self.meter)
@@ -246,19 +252,16 @@ class DatabaseEngine:
         self._volatile_seq = 0
         # Statement/plan caches — a host-time optimization only: every
         # virtual charge (parse/plan CPU included) is still levied per
-        # execution, so cached and cold runs meter identically.  Pass
-        # ``plan_cache_capacity=0`` to disable (the wall-clock baseline).
-        self.plan_cache_enabled = plan_cache_capacity > 0
-        cap = plan_cache_capacity if self.plan_cache_enabled else 1
+        # execution, so cached and cold runs meter identically.
         # Normalization entries are tiny (text -> text + literal values),
         # but the key space is every distinct literal combination, so the
         # level-1 cache is sized far above the plan cache: a point-query
         # mix over a small key domain must mostly hit here or every
         # execution pays a full re-lex of the statement text.
+        cap = PLAN_CACHE_ENTRIES
         self._norm_cache = LRUCache(32 * cap)   # raw text -> normalization
         self._stmt_cache = LRUCache(2 * cap)    # template text -> parsed AST
         self._plan_cache = LRUCache(cap)        # (text, sig) -> plan entry
-        self._script_cache = LRUCache(cap)      # script text -> parsed batch
         self.cache_stats = {
             "plan_hits": 0, "plan_misses": 0, "plan_invalidations": 0,
             "stmt_hits": 0, "stmt_misses": 0,
@@ -292,11 +295,9 @@ class DatabaseEngine:
 
     @classmethod
     def restart(cls, disk: SimulatedDisk, wal: WriteAheadLog,
-                meter: Meter | None = None,
-                plan_cache_capacity: int = 128) -> "DatabaseEngine":
+                meter: Meter | None = None) -> "DatabaseEngine":
         """Build a post-crash engine from the surviving disk and log."""
-        return cls(meter=meter, disk=disk, wal=wal, recover=True,
-                   plan_cache_capacity=plan_cache_capacity)
+        return cls(meter=meter, disk=disk, wal=wal, recover=True)
 
     # ------------------------------------------------------------------
     # Table runtimes
@@ -666,10 +667,40 @@ class DatabaseEngine:
     def prepare(self, sql) -> tuple:
         """The prepared form of one statement (SQL text or pre-parsed
         AST): what :meth:`execute` runs, and what the server keeps of a
-        statement that has to wait for a lock."""
-        if isinstance(sql, str):
-            return self._prepare(sql)
-        return CachedStatement(statement=sql), None
+        statement that has to wait for a lock.
+
+        Text resolves through the normalization and template caches to
+        ``(shared template entry, this text's normalization)``; an AST
+        has no text to key a plan on and is planned afresh each time.
+        """
+        if not isinstance(sql, str):
+            return CachedStatement(statement=sql), None
+        norm = self._norm_cache.get(sql)
+        if norm is None:
+            norm = normalize_statement(sql)
+            self._norm_cache.put(sql, norm if norm is not None else False)
+        if norm is False:
+            norm = None
+        template = norm.text if norm is not None else sql
+        cached = self._stmt_cache.get(template)
+        if cached is not None:
+            self.cache_stats["stmt_hits"] += 1
+            return cached, norm
+        self.cache_stats["stmt_misses"] += 1
+        if norm is not None:
+            try:
+                statement = parse_statement(template)
+            except SqlSyntaxError:
+                # The template hid a literal the grammar needed; remember
+                # that this text must be taken verbatim.
+                self._norm_cache.put(sql, False)
+                norm, template = None, sql
+                statement = parse_statement(sql)
+        else:
+            statement = parse_statement(sql)
+        cached = CachedStatement(statement=statement, text=template)
+        self._stmt_cache.put(template, cached)
+        return cached, norm
 
     def execute(self, sql, session: EngineSession,
                 params: dict | None = None,
@@ -687,16 +718,6 @@ class DatabaseEngine:
         prepared, norm = sql if isinstance(sql, tuple) else self.prepare(sql)
         return self._execute_one(prepared, norm, session, params or {},
                                  rerun)
-
-    def execute_script(self, sql: str, session: EngineSession,
-                       params: dict | None = None) -> list[StatementResult]:
-        """Execute a ``;``-separated batch; returns one result each.
-
-        Each statement is charged the same parse/plan CPU as a statement
-        arriving through :meth:`execute` — batches are not free.
-        """
-        return [self._execute_one(prepared, None, session, params or {})
-                for prepared in self._prepare_script(sql)]
 
     def _execute_one(self, prepared: CachedStatement, norm,
                      session: EngineSession, params: dict,
@@ -725,19 +746,17 @@ class DatabaseEngine:
             if session is not None and (self.locks.waiting
                                         or session.queued_txn is not None):
                 self.abandon_wait(session)
-        statement = prepared.statement
         txn = session.current_txn if session is not None else None
         if txn is not None and not txn.is_active:
             # The session's transaction was aborted out from under it —
             # chosen as a deadlock victim while another session held the
             # engine.  This check must sit on the single statement
-            # funnel (not just the uncached-dispatch path): a cached DML
-            # plan would otherwise see ``in_transaction`` False and run
-            # in a fresh autocommit scope, silently committing the tail
-            # of a transaction whose head was just undone.  Every
-            # statement fails until an explicit ROLLBACK acknowledges
-            # the abort and resets the session.
-            if not isinstance(statement, ast.RollbackStatement):
+            # funnel: a DML plan would otherwise see ``in_transaction``
+            # False and run in a fresh autocommit scope, silently
+            # committing the tail of a transaction whose head was just
+            # undone.  Every statement fails until an explicit ROLLBACK
+            # acknowledges the abort and resets the session.
+            if not isinstance(prepared.statement, ast.RollbackStatement):
                 raise DeadlockError(
                     f"txn {txn.txn_id} was aborted as a deadlock victim; "
                     f"roll back and retry the transaction")
@@ -750,19 +769,8 @@ class DatabaseEngine:
             exec_params = merged
         else:
             exec_params = params
-        if (self.plan_cache_enabled and prepared.text is not None
-                and prepared.cacheable_plan):
-            if isinstance(statement,
-                          (ast.SelectStatement, ast.UnionSelect)):
-                return self._execute_select_cached(prepared, norm,
-                                                   session, exec_params,
-                                                   params)
-            if isinstance(statement, (ast.InsertStatement,
-                                      ast.UpdateStatement,
-                                      ast.DeleteStatement)):
-                return self._execute_dml_cached(prepared, norm, session,
-                                                exec_params, params)
-        return self._execute_parsed(statement, session, exec_params)
+        return self._execute_parsed(prepared, norm, session, exec_params,
+                                    params)
 
     def abandon_wait(self, session: EngineSession) -> None:
         """The statement ``session`` had queued for a lock will not run
@@ -777,28 +785,24 @@ class DatabaseEngine:
         elif session.current_txn is not None:
             self.locks.withdraw(session.current_txn.txn_id)
 
-    def _stamp_read_versions(self, result: StatementResult, plan,
-                             subqueries: list, statement: ast.Statement,
-                             session: EngineSession,
-                             entry: PlanCacheEntry | None = None) -> None:
+    def _stamp_read_versions(self, result: StatementResult,
+                             entry: PlanCacheEntry,
+                             session: EngineSession) -> None:
         """Stamp a SELECT result with its read set: for every table (or
-        view) the statement depends on, its DML version and the
-        primary-key prefixes ``plan`` and the plans of its compiled
-        ``subqueries`` seek in it, the empty prefix standing for all of
-        it (the shared result cache's validity certificate).  ``None``
-        — the knob-off state — also marks results the shared cache must
-        not serve: those depending on temp tables, ``sys_*`` views or
-        Phoenix overhead tables, and those over a table another open
-        transaction has written — they may show its uncommitted work (a
-        statement outside a transaction takes no locks at all, and no
-        lock stands in for a row someone deleted), which a ROLLBACK
-        would take back without a version ever moving.  A cached plan
-        ``entry`` already knows its dependencies; without one the
-        statement is walked."""
+        view) the statement depends on (``entry.dependencies``), its DML
+        version and the primary-key prefixes the plan and the plans of
+        its compiled subqueries seek in it, the empty prefix standing
+        for all of it (the shared result cache's validity certificate).
+        ``None`` — the knob-off state — also marks results the shared
+        cache must not serve: those depending on temp tables, ``sys_*``
+        views or Phoenix overhead tables, and those over a table another
+        open transaction has written — they may show its uncommitted
+        work (a statement outside a transaction takes no locks at all,
+        and no lock stands in for a row someone deleted), which a
+        ROLLBACK would take back without a version ever moving."""
         if self.meter.costs.result_cache_entries <= 0:
             return
-        names = (entry.dependencies if entry is not None
-                 else self._plan_dependencies(statement))
+        names = entry.dependencies
         if not all(map(version_tracked, names)):
             return
         own = session.current_txn if session is not None else None
@@ -807,145 +811,76 @@ class DatabaseEngine:
                if txn is not own and txn.modified_tables
                for name in names):
             return
-        sought = read_set([plan.root] + [subquery.plan.root
-                                         for subquery in subqueries])
+        sought = read_set([entry.plan.root] + [subquery.plan.root
+                                               for subquery
+                                               in entry.subqueries])
         version_of = self.catalog.dml_version_of
         result.read_versions = {
             name: (version_of(name), tuple(sought.get(name, ((),))))
             for name in names}
 
-    # -- statement preparation (levels 1 and 2) -----------------------------
+    # -- plans: SELECT, INSERT, UPDATE, DELETE ------------------------------
 
-    def _prepare(self, sql: str):
-        """Resolve ``sql`` through the normalization and template caches.
+    def _execute_planned(self, prepared: CachedStatement, norm,
+                         session: EngineSession, params: dict,
+                         user_params: dict) -> StatementResult:
+        """Plan (through the plan cache when the statement has text) and
+        run one SELECT or DML statement.
 
-        Returns ``(shared template entry, this text's normalization)``.
+        The cache key is the template text plus the parameter type
+        signature; a hit rebinds the entry's captured params dict in
+        place, and entries are revalidated against catalog versions /
+        temp-table identity.  A statement without text — a pre-parsed
+        AST, a procedure body's — is planned afresh and never stored.
         """
-        if not self.plan_cache_enabled:
-            return CachedStatement(statement=parse_statement(sql)), None
-        norm = self._norm_cache.get(sql)
-        if norm is None:
-            norm = normalize_statement(sql)
-            self._norm_cache.put(sql, norm if norm is not None else False)
-        if norm is False:
-            norm = None
-        template = norm.text if norm is not None else sql
-        cached = self._stmt_cache.get(template)
-        if cached is not None:
-            self.cache_stats["stmt_hits"] += 1
-            return cached, norm
-        self.cache_stats["stmt_misses"] += 1
-        if norm is not None:
-            try:
-                statement = parse_statement(template)
-            except SqlSyntaxError:
-                # The template hid a literal the grammar needed; remember
-                # that this text must be taken verbatim.
-                self._norm_cache.put(sql, False)
-                norm, template = None, sql
-                statement = parse_statement(sql)
+        statement = prepared.statement
+        stats = self.meter.executor_stats
+        key = None
+        if prepared.text is not None:
+            sig = norm.signature if norm is not None else ()
+            if user_params:
+                sig = sig + tuple(sorted(
+                    (name, _type_signature(value))
+                    for name, value in user_params.items()))
+            key = (prepared.text, sig)
+            entry = self._lookup_plan(key, session)
+            if entry is not None:
+                self.cache_stats["plan_hits"] += 1
+                self.meter.count("plan_cache_hits")
+                # Plan reuse is compiled-expression reuse: every closure
+                # in the plan was compiled once, on the miss that
+                # created it.
+                stats["expr_cache_hits"] = stats.get("expr_cache_hits",
+                                                     0) + 1
+                # Rebind in place: the plan's compiled closures captured
+                # this exact dict.  Subquery memos are cleared so every
+                # execution starts from the state a fresh compile would
+                # have.
+                entry.params.clear()
+                entry.params.update(params)
+                for subquery in entry.subqueries:
+                    subquery.memo.clear()
+                return self._run_entry(entry, statement, session)
+            self.cache_stats["plan_misses"] += 1
+            self.meter.count("plan_cache_misses")
+            stats["expr_cache_misses"] = stats.get("expr_cache_misses",
+                                                   0) + 1
+        plan_params = dict(params)
+        planner = self._planner(session, plan_params)
+        if isinstance(statement, (ast.SelectStatement, ast.UnionSelect)):
+            plan = planner.plan_select(statement)
+            streamable = is_streamable_plan(plan.root)
         else:
-            statement = parse_statement(sql)
-        cached = CachedStatement(statement=statement, text=template)
-        self._stmt_cache.put(template, cached)
-        return cached, norm
-
-    def _prepare_script(self, sql: str) -> tuple:
-        """Parse a ``;``-separated batch once; reuse on repeat texts."""
-        if not self.plan_cache_enabled:
-            return tuple(CachedStatement(statement=s)
-                         for s in parse_script(sql))
-        cached = self._script_cache.get(sql)
-        if cached is None:
-            cached = tuple(CachedStatement(statement=s)
-                           for s in parse_script(sql))
-            self._script_cache.put(sql, cached)
-        return cached
-
-    # -- plan cache (level 3) -----------------------------------------------
-
-    def _execute_select_cached(self, prepared: CachedStatement, norm,
-                               session: EngineSession, params: dict,
-                               user_params: dict) -> StatementResult:
-        statement = prepared.statement
-        sig = norm.signature if norm is not None else ()
-        if user_params:
-            sig = sig + tuple(sorted(
-                (name, _type_signature(value))
-                for name, value in user_params.items()))
-        key = (prepared.text, sig)
-        entry = self._lookup_plan(key, session)
-        if entry is not None:
-            self.cache_stats["plan_hits"] += 1
-            self.meter.count("plan_cache_hits")
-            # Plan reuse is compiled-expression reuse: every closure in
-            # the plan was compiled once, on the miss that created it.
-            stats = self.meter.executor_stats
-            stats["expr_cache_hits"] = stats.get("expr_cache_hits", 0) + 1
-            # Rebind in place: the plan's compiled closures captured this
-            # exact dict.  Subquery memos are cleared so every execution
-            # starts from the state a fresh compile would have.
-            entry.params.clear()
-            entry.params.update(params)
-            for subquery in entry.subqueries:
-                subquery.memo.clear()
-            return self._run_select_entry(entry, statement, session)
-        self.cache_stats["plan_misses"] += 1
-        self.meter.count("plan_cache_misses")
-        stats = self.meter.executor_stats
-        stats["expr_cache_misses"] = stats.get("expr_cache_misses", 0) + 1
-        plan_params = dict(params)
-        planner = self._planner(session, plan_params)
-        plan = planner.plan_select(statement)
-        entry = PlanCacheEntry(plan=plan, params=plan_params,
-                               subqueries=list(planner.subquery_log),
-                               table_versions={}, temp_tables={},
-                               streamable=is_streamable_plan(plan.root))
-        self._remember_plan(key, entry, statement, session)
-        return self._run_select_entry(entry, statement, session)
-
-    def _execute_dml_cached(self, prepared: CachedStatement, norm,
-                            session: EngineSession, params: dict,
-                            user_params: dict) -> StatementResult:
-        """INSERT/UPDATE/DELETE through the plan cache.
-
-        Same shape as :meth:`_execute_select_cached`: the cache key is
-        the normalized template plus the parameter type signature, hits
-        rebind the entry's captured params dict in place, and entries
-        are revalidated against catalog versions / temp-table identity.
-        DML entries are never left ``active`` — a DML statement consumes
-        its row source before returning — so rebinding is always safe.
-        """
-        statement = prepared.statement
-        sig = norm.signature if norm is not None else ()
-        if user_params:
-            sig = sig + tuple(sorted(
-                (name, _type_signature(value))
-                for name, value in user_params.items()))
-        key = (prepared.text, sig)
-        entry = self._lookup_plan(key, session)
-        stats = self.meter.executor_stats
-        if entry is not None:
-            self.cache_stats["plan_hits"] += 1
-            self.meter.count("plan_cache_hits")
-            stats["expr_cache_hits"] = stats.get("expr_cache_hits", 0) + 1
-            entry.params.clear()
-            entry.params.update(params)
-            for subquery in entry.subqueries:
-                subquery.memo.clear()
-            return self._run_dml(entry.plan, session)
-        self.cache_stats["plan_misses"] += 1
-        self.meter.count("plan_cache_misses")
-        stats["expr_cache_misses"] = stats.get("expr_cache_misses", 0) + 1
-        plan_params = dict(params)
-        planner = self._planner(session, plan_params)
-        compiled = self._compile_dml(statement, session, planner)
-        entry = PlanCacheEntry(plan=compiled, params=plan_params,
-                               subqueries=list(planner.subquery_log),
-                               table_versions={}, temp_tables={},
-                               streamable=False)
-        self._remember_plan(key, entry, statement, session)
-        return self._run_dml(compiled, session)
+            plan = self._compile_dml(statement, session, planner)
+            streamable = False
+        entry = PlanCacheEntry(
+            plan=plan, params=plan_params,
+            subqueries=list(planner.subquery_log),
+            table_versions={}, temp_tables={}, streamable=streamable,
+            dependencies=tuple(self._plan_dependencies(statement)))
+        if key is not None:
+            self._remember_plan(key, entry, session)
+        return self._run_entry(entry, statement, session)
 
     def _lookup_plan(self, key, session: EngineSession):
         """Find a still-valid cached plan for ``key``, or None."""
@@ -972,11 +907,9 @@ class DatabaseEngine:
         return entry
 
     def _remember_plan(self, key, entry: PlanCacheEntry,
-                       statement: ast.Statement,
                        session: EngineSession) -> None:
         """Record revalidation facts and store the entry (when legal)."""
-        names = self._plan_dependencies(statement)
-        entry.dependencies = tuple(names)
+        names = entry.dependencies
         if any(name in SYSTEM_VIEWS for name in names):
             return  # sys_* snapshots are rebuilt (and charged) per query
         for name in names:
@@ -1015,9 +948,12 @@ class DatabaseEngine:
                 pending.extend(self._referenced_tables(body))
         return names
 
-    def _run_select_entry(self, entry: PlanCacheEntry,
-                          statement: ast.Statement,
-                          session: EngineSession) -> StatementResult:
+    def _run_entry(self, entry: PlanCacheEntry, statement: ast.Statement,
+                   session: EngineSession) -> StatementResult:
+        if isinstance(entry.plan, _CompiledDml):
+            # A DML statement consumes its row source before returning,
+            # so its entry is never left ``active``.
+            return self._run_dml(entry.plan, session)
         plan = entry.plan
         if session is not None and session.in_transaction:
             lock_tables = entry.lock_tables
@@ -1040,25 +976,20 @@ class DatabaseEngine:
         result = StatementResult.of_rows(plan.output_columns,
                                          guarded_rows())
         result.streamable = entry.streamable
-        self._stamp_read_versions(result, plan, entry.subqueries,
-                                  statement, session, entry)
+        self._stamp_read_versions(result, entry, session)
         return result
 
-    def _execute_parsed(self, statement: ast.Statement,
-                        session: EngineSession,
-                        params: dict) -> StatementResult:
-        if isinstance(statement, (ast.SelectStatement, ast.UnionSelect)):
-            return self._execute_select(statement, session, params)
+    def _execute_parsed(self, prepared: CachedStatement, norm,
+                        session: EngineSession, params: dict,
+                        user_params: dict) -> StatementResult:
+        statement = prepared.statement
+        if isinstance(statement, _PLANNED_STATEMENTS):
+            return self._execute_planned(prepared, norm, session, params,
+                                         user_params)
         if isinstance(statement, ast.ExplainStatement):
             return self._execute_explain(statement, session, params)
         if isinstance(statement, ast.AnalyzeStatement):
             return self._execute_analyze(statement, session)
-        if isinstance(statement, ast.InsertStatement):
-            return self._execute_insert(statement, session, params)
-        if isinstance(statement, ast.UpdateStatement):
-            return self._execute_update(statement, session, params)
-        if isinstance(statement, ast.DeleteStatement):
-            return self._execute_delete(statement, session, params)
         if isinstance(statement, ast.CreateTableStatement):
             if statement.query is not None:
                 return self._execute_create_table_as(statement, session,
@@ -1255,25 +1186,7 @@ class DatabaseEngine:
                 else:
                     txns.abort(self.txn)
 
-    # -- SELECT -------------------------------------------------------------
-
-    def _execute_select(self, statement: ast.SelectStatement,
-                        session: EngineSession,
-                        params: dict) -> StatementResult:
-        planner = self._planner(session, params)
-        plan = planner.plan_select(statement)
-        if session.in_transaction:
-            self._acquire_read_locks(session.current_txn.txn_id,
-                                     self._read_lock_tables(statement))
-            rows = self._probed_rows(
-                plan.root, self._reader_probe(session.current_txn))
-        else:
-            rows = iterate_plan(plan.root, self.meter)
-        result = StatementResult.of_rows(plan.output_columns, rows)
-        result.streamable = is_streamable_plan(plan.root)
-        self._stamp_read_versions(result, plan, planner.subquery_log,
-                                  statement, session)
-        return result
+    # -- EXPLAIN / ANALYZE --------------------------------------------------
 
     def _execute_explain(self, statement: ast.ExplainStatement,
                          session: EngineSession,
@@ -1320,14 +1233,7 @@ class DatabaseEngine:
                                  self.catalog.stats_snapshot())
         return StatementResult.ok(f"analyzed {len(names)} table(s)")
 
-    # -- INSERT -------------------------------------------------------------
-
-    def _execute_insert(self, statement: ast.InsertStatement,
-                        session: EngineSession,
-                        params: dict) -> StatementResult:
-        planner = self._planner(session, params)
-        return self._run_dml(self._compile_dml(statement, session, planner),
-                             session)
+    # -- DML ----------------------------------------------------------------
 
     def _compile_dml(self, statement: ast.Statement,
                      session: EngineSession,
@@ -1409,13 +1315,6 @@ class DatabaseEngine:
 
     # -- UPDATE / DELETE -----------------------------------------------------
 
-    def _execute_update(self, statement: ast.UpdateStatement,
-                        session: EngineSession,
-                        params: dict) -> StatementResult:
-        planner = self._planner(session, params)
-        return self._run_dml(self._compile_dml(statement, session, planner),
-                             session)
-
     def _run_update(self, compiled: _CompiledDml,
                     session: EngineSession) -> StatementResult:
         table = compiled.table
@@ -1453,13 +1352,6 @@ class DatabaseEngine:
                 table.update(rid, new_row, txn, self.txns)
             count = len(updates)
         return StatementResult.of_rowcount(count, f"{count} rows updated")
-
-    def _execute_delete(self, statement: ast.DeleteStatement,
-                        session: EngineSession,
-                        params: dict) -> StatementResult:
-        planner = self._planner(session, params)
-        return self._run_dml(self._compile_dml(statement, session, planner),
-                             session)
 
     def _run_delete(self, compiled: _CompiledDml,
                     session: EngineSession) -> StatementResult:
@@ -1705,11 +1597,12 @@ class DatabaseEngine:
                 f"arguments, got {len(arg_values)}")
         bound = dict(zip(proc.param_names, arg_values))
         result = StatementResult.ok(f"procedure {proc.name} executed")
-        for prepared in self._prepare_script(proc.body_sql):
+        for statement in parse_script(proc.body_sql):
             self.meter.charge(SERVER_CPU,
                               self.meter.costs.cpu_per_statement_seconds,
                               "proc statement")
-            result = self._execute_parsed(prepared.statement, session, bound)
+            result = self._execute_parsed(CachedStatement(statement), None,
+                                          session, bound, bound)
         return result
 
     # -- helpers ---------------------------------------------------------------

@@ -340,9 +340,7 @@ def _sys_plan_cache(engine):
              ("stmt_entries", len(engine._stmt_cache)),
              ("stmt_evictions", engine._stmt_cache.evictions),
              ("norm_entries", len(engine._norm_cache)),
-             ("norm_evictions", engine._norm_cache.evictions),
-             ("script_entries", len(engine._script_cache)),
-             ("script_evictions", engine._script_cache.evictions)]
+             ("norm_evictions", engine._norm_cache.evictions)]
     session_entries = 0
     session_evictions = 0
     for token in sorted(engine.sessions):

@@ -154,10 +154,12 @@ class ResultPersistor:
 
     def _fetch_metadata(self, connection: ConnectionHandle,
                         sql: str) -> list[Column]:
-        """Step 1: the WHERE 0=1 trick — compile-only, metadata back."""
+        """Step 1: the WHERE 0=1 trick — compile-only, metadata back.
+        The newline ends a trailing ``--`` comment of ``sql`` before the
+        closing parenthesis."""
         scratch = StatementHandle(connection)
         self._driver.execute(
-            scratch, f"SELECT * FROM ({sql}) phx_md WHERE 0 = 1")
+            scratch, f"SELECT * FROM ({sql}\n) phx_md WHERE 0 = 1")
         columns = list(scratch.result.columns)
         self._driver.close_statement(scratch)
         self._meter.charge(CLIENT_CPU,

@@ -43,17 +43,8 @@ def reposition_server_side(driver: NativeDriver,
 
 def reposition(driver: NativeDriver, statement: StatementHandle,
                position: int, mode: str) -> int:
-    result = statement.result
-    if (result is not None and result.prefetch
-            and result.prefetch[0].crash_epoch != driver.server.crashes):
-        # Defensive: in-flight batches from a server incarnation that
-        # has since crashed died with it — recovery normally replaces
-        # the whole ResultState on reopen, but if a stale handle reaches
-        # us, drop them before repositioning.  (Live-epoch batches are
-        # kept: their rows are already off the server's stream, and
-        # ``driver.advance``/``fetch_one`` skip *through* them, so
-        # discarding those would overshoot the target position.)
-        driver.discard_prefetch(result)
+    """Advance ``statement``, just re-executed on the recovered table,
+    to ``position``."""
     if mode == "server":
         return reposition_server_side(driver, statement, position)
     return reposition_client_side(driver, statement, position)

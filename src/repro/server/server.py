@@ -172,14 +172,9 @@ class _ServerSession:
 class DatabaseServer:
     """Hosts the engine behind the wire protocol."""
 
-    def __init__(self, meter: Meter | None = None,
-                 plan_cache_capacity: int = 128):
+    def __init__(self, meter: Meter | None = None):
         self.meter = meter if meter is not None else Meter()
-        #: Construction-time engine settings; every restarted engine
-        #: incarnation gets the same ones.
-        self._plan_cache_capacity = plan_cache_capacity
-        self.engine = DatabaseEngine(
-            meter=self.meter, plan_cache_capacity=plan_cache_capacity)
+        self.engine = DatabaseEngine(meter=self.meter)
         self.disk = self.engine.disk
         self.wal = self.engine.wal
         self._sessions: dict[int, _ServerSession] = {}
@@ -235,9 +230,7 @@ class DatabaseServer:
                 report.undo_applied, sorted(report.losers))
 
     def _restart_engine(self) -> DatabaseEngine:
-        return DatabaseEngine.restart(
-            self.disk, self.wal, meter=self.meter,
-            plan_cache_capacity=self._plan_cache_capacity)
+        return DatabaseEngine.restart(self.disk, self.wal, meter=self.meter)
 
     def checkpoint(self, fuzzy: bool = False) -> None:
         self._require_up()

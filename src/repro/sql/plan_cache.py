@@ -16,13 +16,13 @@ Three levels, all LRU-bounded:
    its parsed AST.  Parsing is schema independent too; cached ASTs are
    treated as read-only and shared.
 3. **Plan cache** — ``(normalized text, parameter type signature)`` to a
-   compiled SELECT plan.  Plans bake in schema facts (column layouts,
-   chosen indexes, inferred output types), so each entry records the
-   catalog version of every table/view it touched and is revalidated on
-   lookup; any DDL on a referenced object makes the entry stale.  Entries
-   whose statements touch temp tables are held on the session (they die
-   with it); everything else is engine-wide and dies with the engine on a
-   crash.
+   compiled SELECT plan or DML statement.  Plans bake in schema facts
+   (column layouts, chosen indexes, inferred output types), so each
+   entry records the catalog version of every table/view it touched and
+   is revalidated on lookup; any DDL on a referenced object makes the
+   entry stale.  Entries whose statements touch temp tables are held on
+   the session (they die with it); everything else is engine-wide and
+   dies with the engine on a crash.
 
 Why literals become parameters *selectively*: the planner folds provably
 constant predicates (``WHERE 0 = 1`` becomes an empty scan), treats bare
@@ -54,6 +54,11 @@ _LITERAL_TYPES = (TokenType.NUMBER, TokenType.STRING)
 #: (``WHERE 0``): such literals stay verbatim so constant folding in
 #: the planner sees exactly what the raw text said.
 _CONJUNCT_HEADS = frozenset({"WHERE", "AND", "OR", "HAVING", "NOT"})
+
+
+#: Entries of an engine's plan cache (its template cache holds twice as
+#: many, its normalization cache 32 times as many).
+PLAN_CACHE_ENTRIES = 128
 
 
 class LRUCache:
@@ -476,14 +481,15 @@ class CachedStatement:
     #: Template text the statement was parsed from; None when the
     #: statement arrived pre-parsed (no text to key a plan on).
     text: str | None = None
-    cacheable_plan: bool = True               # False after a planning mishap
 
 
 @dataclass
 class PlanCacheEntry:
-    """Level-3 entry: one compiled SELECT plan plus revalidation facts."""
+    """Level-3 entry: one compiled SELECT plan (or DML statement) plus
+    revalidation facts.  A statement without text gets one too, planned
+    afresh and never stored."""
 
-    plan: object                 # repro.sql.planner.Plan
+    plan: object                 # repro.sql.planner.Plan, or compiled DML
     params: dict                 # mutable dict the plan's closures captured
     subqueries: list             # CompiledSubquery objects (memos cleared
                                  # before each reuse)

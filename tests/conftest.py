@@ -1,4 +1,4 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and helpers for the test suite."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
 from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
+from repro.sql.parser import parse_statement
+from repro.sql.plan_cache import CachedStatement
 from tests import row_engine_oracle
 
 #: ``--hypothesis-profile=ci``: the same examples on every run, so a red
@@ -55,3 +57,18 @@ def run(engine, session):
         return None
 
     return _run
+
+
+def verbatim(engine: DatabaseEngine) -> DatabaseEngine:
+    """Send every statement text ``engine`` is given down the verbatim
+    route: parsed as written, never normalized, planned afresh each time
+    and never cached — the reference the plan cache is compared with.
+    Returns ``engine``."""
+
+    def prepare(sql):
+        if isinstance(sql, str):
+            sql = parse_statement(sql)
+        return CachedStatement(statement=sql), None
+
+    engine.prepare = prepare
+    return engine

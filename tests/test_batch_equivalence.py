@@ -34,8 +34,7 @@ def _tpch_power_outputs(analyze: bool = False, **cost_overrides):
     from repro.workloads.tpch.queries import QUERIES
     from repro.workloads.tpch.schema import create_schema, load
 
-    engine = DatabaseEngine(meter=Meter(CostModel(**cost_overrides)),
-                            plan_cache_capacity=128)
+    engine = DatabaseEngine(meter=Meter(CostModel(**cost_overrides)))
     session = EngineSession(session_id=1)
     create_schema(engine, session)
     load(engine, session, generate(scale=0.0005, seed=11))
@@ -143,8 +142,7 @@ def test_phoenix_crash_workload_batch_vs_row(crash_at, prefetch,
 
 def _mixed_dml_outputs(analyze: bool = False):
     # paper(): the clocks below are pinned literals of that configuration.
-    engine = DatabaseEngine(meter=Meter(CostModel.paper()),
-                            plan_cache_capacity=128)
+    engine = DatabaseEngine(meter=Meter(CostModel.paper()))
     session = EngineSession(session_id=1)
     run = lambda sql: engine.execute(sql, session)
     run("CREATE TABLE acct (id INT NOT NULL, owner VARCHAR(10), "
@@ -295,7 +293,7 @@ IMPURE_STATEMENTS = (
 
 
 def _impure_world(analyze: bool):
-    engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=128)
+    engine = DatabaseEngine(meter=Meter())
     session = EngineSession(session_id=1)
     for sql in IMPURE_SETUP:
         engine.execute(sql, session)
@@ -411,7 +409,7 @@ def test_no_join_evaluates_a_subquery(analyze):
 
 
 def test_sys_executor_view_reports_batch_activity():
-    engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=128)
+    engine = DatabaseEngine(meter=Meter())
     session = EngineSession(session_id=1)
     engine.execute("CREATE TABLE t (a INT, b VARCHAR(4))", session)
     engine.execute("INSERT INTO t VALUES " + ", ".join(
@@ -429,7 +427,7 @@ def test_sys_executor_view_reports_batch_activity():
 
 def test_sys_executor_counts_stay_out_of_meter_counters():
     """Executor diagnostics must not leak into the fidelity counters."""
-    engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=128)
+    engine = DatabaseEngine(meter=Meter())
     session = EngineSession(session_id=1)
     engine.execute("CREATE TABLE t (a INT)", session)
     engine.execute("INSERT INTO t VALUES (1), (2), (3)", session)

@@ -664,7 +664,7 @@ def test_tpch_cost_mode_matches_heuristic_values():
 
     reference = tpch_reference_rows(scale=0.0005, seed=11)
     for analyze in (False, True):
-        engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=128)
+        engine = DatabaseEngine(meter=Meter())
         session = EngineSession(session_id=1)
         create_schema(engine, session)
         load(engine, session, generate(scale=0.0005, seed=11))

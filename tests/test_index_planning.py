@@ -22,11 +22,12 @@ from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
 from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
+from tests.conftest import verbatim
 
 
 @pytest.fixture
 def world():
-    engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=0)
+    engine = verbatim(DatabaseEngine(meter=Meter()))
     session = EngineSession(session_id=1)
 
     def run(sql):
@@ -144,7 +145,7 @@ class TestSortElimination:
         # Unlike the shared fixture, this engine caches plans — the
         # counter must tick on cache hits too, in step with the
         # executor's other per-execution scan counters.
-        engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=16)
+        engine = DatabaseEngine(meter=Meter())
         session = EngineSession(session_id=1)
         engine.execute("CREATE TABLE pc (a INT NOT NULL, b INT NOT NULL, "
                        "PRIMARY KEY (a, b))", session)
@@ -200,7 +201,7 @@ class TestSortElimination:
 class TestNullIndexKeys:
     @pytest.fixture
     def nworld(self):
-        engine = DatabaseEngine(meter=Meter(), plan_cache_capacity=0)
+        engine = verbatim(DatabaseEngine(meter=Meter()))
         session = EngineSession(session_id=1)
 
         def run(sql):

@@ -2,15 +2,23 @@
 
 The cache layer is a host-time optimization only — every test here that
 touches the meter asserts the cached path charges *exactly* what the
-cold path charges.
+cold path charges.  The cold path is the verbatim route
+(:func:`tests.conftest.verbatim`): statements parsed as written and
+planned afresh, as a pre-parsed AST always is.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
+from repro.server.protocol import ExecuteRequest
+from repro.server.server import DatabaseServer
 from repro.sim.meter import Meter
 from repro.sql.plan_cache import normalize_statement
+from repro.workloads.app import BenchmarkApp
+from tests.conftest import verbatim
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +161,7 @@ class TestPlanReuse:
         assert rows == [("carol",)]
 
     def test_cached_rows_match_cold_engine(self, people, run):
-        cold = DatabaseEngine(meter=Meter(), plan_cache_capacity=0)
+        cold = verbatim(DatabaseEngine(meter=Meter()))
         cold_session = EngineSession(session_id=9)
         cold.execute("CREATE TABLE people (id INT NOT NULL, "
                      "name VARCHAR(20), age INT, PRIMARY KEY (id))",
@@ -174,6 +182,23 @@ class TestPlanReuse:
             == [(2,)]
         assert engine.execute(sql.format("carol"), session).fetch_all() \
             == [(3,)]
+
+    def test_script_member_reuses_the_plan_it_compiled_alone(self):
+        """A script request prepares each statement as if it had arrived
+        alone, so a member hits the plan its template compiled."""
+        server = DatabaseServer(meter=Meter())
+        token = BenchmarkApp(server).conn.session_token
+        engine = server.engine
+        for sql in ("CREATE TABLE t (a INT NOT NULL, PRIMARY KEY (a))",
+                    "INSERT INTO t VALUES (1), (2)",
+                    "SELECT a FROM t WHERE a = 1"):
+            server.handle(ExecuteRequest(session_token=token, sql=sql))
+        hits = engine.cache_stats["plan_hits"]
+        response = server.handle(ExecuteRequest(
+            session_token=token, script=True,
+            sql="BEGIN TRANSACTION; SELECT a FROM t WHERE a = 2"))
+        assert response.rows == [(2,)]
+        assert engine.cache_stats["plan_hits"] == hits + 1
 
     def test_sys_plan_cache_view(self, run, people):
         run("SELECT * FROM people WHERE id = 1")
@@ -295,8 +320,7 @@ class TestCachedDependencies:
     """With the shared result cache on, every SELECT result is stamped
     with the DML versions of the tables its plan reads (and the key
     prefixes it sought in them).  A cached plan
-    keeps those names; an engine without a plan cache walks the AST every
-    time.  The stamps must be equal, key for key, whatever DDL happens
+    keeps those names; the verbatim route walks the AST every time.  The stamps must be equal, key for key, whatever DDL happens
     in between."""
 
     SCRIPT = (
@@ -332,12 +356,13 @@ class TestCachedDependencies:
     )
 
     @staticmethod
-    def _stamps(plan_cache_capacity):
+    def _stamps(cached):
         from repro.sim.costs import CostModel
 
         engine = DatabaseEngine(
-            meter=Meter(CostModel(result_cache_entries=8)),
-            plan_cache_capacity=plan_cache_capacity)
+            meter=Meter(CostModel(result_cache_entries=8)))
+        if not cached:
+            verbatim(engine)
         session = EngineSession(session_id=1)
         walks = [0]
         walk = engine._plan_dependencies
@@ -358,8 +383,8 @@ class TestCachedDependencies:
         return stamps, engine
 
     def test_cached_stamps_equal_walked_stamps(self):
-        cached, engine = self._stamps(plan_cache_capacity=64)
-        walked, _ = self._stamps(plan_cache_capacity=0)
+        cached, engine = self._stamps(cached=True)
+        walked, _ = self._stamps(cached=False)
         assert [s[:3] for s in cached] == [s[:3] for s in walked]
         by_sql = [(sql, versions) for sql, _rows, versions, _w in cached]
         # The redefined view reads b; the first definition read a.
@@ -372,7 +397,7 @@ class TestCachedDependencies:
         assert engine.cache_stats["plan_hits"] >= 4
 
     def test_plan_cache_hits_do_not_walk_the_statement(self):
-        cached, _engine = self._stamps(plan_cache_capacity=64)
+        cached, _engine = self._stamps(cached=True)
         walks = {}
         for sql, _rows, _versions, count in cached:
             walks.setdefault(sql.replace("= 2", "= 1").replace(
@@ -381,6 +406,27 @@ class TestCachedDependencies:
         assert walks["SELECT v FROM vw WHERE k = 1"] == [1, 0, 0, 1, 0]
         assert walks["SELECT a.v, b.v FROM a, b WHERE a.k = b.k "
                      "AND a.k = 1"] == [1, 0]
+
+    def test_procedure_select_is_stamped_like_the_same_select_alone(self):
+        """A SELECT in a procedure body has no text of its own, so it is
+        planned afresh and never cached — and its result carries the
+        read set the same SELECT carries when it is sent alone."""
+        from repro.sim.costs import CostModel
+
+        engine = DatabaseEngine(
+            meter=Meter(CostModel(result_cache_entries=8)))
+        session = EngineSession(session_id=1)
+        for sql in ("CREATE TABLE a (k INT NOT NULL, v INT, "
+                    "PRIMARY KEY (k))",
+                    "INSERT INTO a VALUES (1, 10), (2, 20)",
+                    "CREATE VIEW vw AS SELECT k, v FROM a",
+                    "CREATE PROCEDURE p AS SELECT v FROM vw WHERE k = 1"):
+            engine.execute(sql, session)
+        alone = engine.execute("SELECT v FROM vw WHERE k = 1", session)
+        in_body = engine.execute("EXEC p", session)
+        assert in_body.fetch_all() == alone.fetch_all() == [(10,)]
+        assert set(alone.read_versions) == {"vw", "a"}
+        assert in_body.read_versions == alone.read_versions
 
     def test_knob_off_stamps_nothing(self, engine, session):
         engine.meter.costs.result_cache_entries = 0
@@ -396,9 +442,10 @@ class TestCachedDependencies:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_world(plan_cache_capacity):
-    engine = DatabaseEngine(meter=Meter(),
-                            plan_cache_capacity=plan_cache_capacity)
+def _fresh_world(cached=True):
+    engine = DatabaseEngine(meter=Meter())
+    if not cached:
+        verbatim(engine)
     session = EngineSession(session_id=1)
     return engine, session
 
@@ -416,8 +463,8 @@ class TestVirtualFidelity:
         from repro.workloads.tpch.queries import QUERIES
 
         totals = {}
-        for capacity in (0, 128):
-            engine, session = _fresh_world(capacity)
+        for cached in (False, True):
+            engine, session = _fresh_world(cached)
             self._load_tpch(engine, session)
             marks = []
             rows = []
@@ -426,21 +473,19 @@ class TestVirtualFidelity:
                 rows.append(engine.execute(QUERIES[6],
                                            session).fetch_all())
                 marks.append(engine.meter.now - start)
-            totals[capacity] = marks
+            totals[cached] = marks
             assert rows[0] == rows[1] == rows[2]
-        assert totals[0] == totals[128]
+        assert totals[False] == totals[True]
 
     def test_phoenix_stream_caches_off_vs_on_same_clock(self):
         """The plan cache is a host-time optimization: the same stream of
         persisted results and wrapped updates costs the same virtual
-        seconds with it off."""
-        from repro.server.server import DatabaseServer
-        from repro.workloads.app import BenchmarkApp
-
+        seconds on the verbatim route."""
         runs = {}
-        for plans in (0, 128):
-            server = DatabaseServer(meter=Meter(),
-                                    plan_cache_capacity=plans)
+        for cached in (False, True):
+            server = DatabaseServer(meter=Meter())
+            if not cached:
+                verbatim(server.engine)
             app = BenchmarkApp(server, use_phoenix=True)
             app.run_statement("CREATE TABLE t (k INT NOT NULL, v INT, "
                               "PRIMARY KEY (k))")
@@ -451,62 +496,33 @@ class TestVirtualFidelity:
                 rows.append(app.query_rows("SELECT k, v FROM t ORDER BY k"))
                 app.run_statement(
                     f"UPDATE t SET v = v + 1 WHERE k = {turn}")
-            runs[plans] = (rows, server.meter.now)
-            if plans:
+            runs[cached] = (rows, server.meter.now)
+            if cached:
                 assert server.meter.counters["plan_cache_hits"] > 0
-        assert runs[0] == runs[128]
+        assert runs[False] == runs[True]
 
     def test_execute_script_charges_like_execute(self):
-        """execute_script levies the same per-statement parse/plan CPU."""
+        """A script request levies one per-statement parse/plan charge
+        for each of its statements: the same virtual seconds, and the
+        same charges, as sending the statements one by one."""
         script = ("INSERT INTO t VALUES (1); "
                   "INSERT INTO t VALUES (2); "
                   "SELECT a FROM t WHERE a = 1")
-        engine, session = _fresh_world(128)
-        engine.execute("CREATE TABLE t (a INT)", session)
-        start = engine.meter.now
-        results = engine.execute_script(script, session)
-        results[-1].fetch_all()
-        script_seconds = engine.meter.now - start
-
-        engine2, session2 = _fresh_world(128)
-        engine2.execute("CREATE TABLE t (a INT)", session2)
-        start = engine2.meter.now
-        for sql in script.split("; "):
-            result = engine2.execute(sql, session2)
-            if result.kind == "rows":
-                result.fetch_all()
-        assert engine2.meter.now - start == script_seconds
-
-
-# ---------------------------------------------------------------------------
-# Server restart keeps the construction-time cache setting
-# ---------------------------------------------------------------------------
-
-
-def test_caches_stay_off_across_server_restart():
-    """A server built with ``plan_cache_capacity=0`` must not get its
-    caches back from the first crash."""
-    from repro.server.server import DatabaseServer
-    from repro.workloads.app import BenchmarkApp
-
-    server = DatabaseServer(meter=Meter(), plan_cache_capacity=0)
-    app = BenchmarkApp(server)
-    app.run_statement("CREATE TABLE t (k INT NOT NULL, v INT, "
-                      "PRIMARY KEY (k))")
-    app.run_statement("INSERT INTO t VALUES (1, 0)")
-    assert not server.engine.plan_cache_enabled
-    server.crash()
-    server.restart()
-    assert not server.engine.plan_cache_enabled
-    survivor = BenchmarkApp(server)
-    for _ in range(3):
-        assert survivor.query_rows("SELECT v FROM t WHERE k = 1") == [(0,)]
-    stats = dict(survivor.query_rows(
-        "SELECT metric, value FROM sys_plan_cache"))
-    assert not any(stats.values()), stats
-
-    # ... and a default server keeps them on.
-    cached = DatabaseServer(meter=Meter())
-    cached.crash()
-    cached.restart()
-    assert cached.engine.plan_cache_enabled
+        runs = []
+        for texts in ([script], script.split("; ")):
+            server = DatabaseServer(meter=Meter())
+            token = BenchmarkApp(server).conn.session_token
+            server.handle(ExecuteRequest(session_token=token,
+                                         sql="CREATE TABLE t (a INT)"))
+            meter = server.meter
+            start = meter.now
+            sink = meter.push_recorder()
+            for sql in texts:
+                response = server.handle(ExecuteRequest(
+                    session_token=token, sql=sql, script=len(texts) == 1))
+            meter.pop_recorder(sink)
+            notes = Counter(segment.note for segment in sink)
+            runs.append((response.rows, meter.now - start,
+                         notes["statement parse/plan"]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == [(1,)] and runs[0][2] == 3

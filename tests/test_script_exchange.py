@@ -172,6 +172,16 @@ def test_a_trailing_line_comment_stays_inside_its_statement(in_app_txn):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("chain", list(CHAINS))
+def test_a_trailing_line_comment_stays_inside_the_persisted_query(chain):
+    """The persisted query ends in ``-- note``: wrapped in the paper
+    chain's metadata probe or the default chain's script, the comment
+    must not swallow what Phoenix writes after the query."""
+    _server, native, phoenix = ledger_world(chain)
+    sql = "SELECT k, v FROM ledger ORDER BY k -- note"
+    assert phoenix.query_rows(sql) == native.query_rows(sql)
+
+
 def test_persisted_result_describes_the_same_columns_on_both_chains():
     sql = ("SELECT k, pad, 'lit' AS tag, k * 2 AS twice, upper(pad) "
            "FROM ledger ORDER BY k")
