@@ -749,9 +749,9 @@ def _count_heap_rows(table, tally: list) -> None:
         return read(rid)
 
     def counted_pages():
-        for block in scan_pages():
-            tally[0] += len(block)
-            yield block
+        for page_no, page in scan_pages():
+            tally[0] += page.live_rows
+            yield page_no, page
 
     heap.read, heap.scan_pages = counted_read, counted_pages
 

@@ -37,7 +37,7 @@ from repro.sim.costs import SERVER_CPU, SERVER_DISK
 from repro.sim.meter import Meter
 from repro.sql import ast
 from repro.sql.executor import is_streamable_plan, iterate_plan, read_set
-from repro.sql.expressions import EvalContext
+from repro.sql.expressions import EvalContext, reset_memos
 from repro.sql.parser import parse_script, parse_statement
 from repro.sql.plan_cache import (
     PLAN_CACHE_ENTRIES,
@@ -853,13 +853,15 @@ class DatabaseEngine:
                 stats["expr_cache_hits"] = stats.get("expr_cache_hits",
                                                      0) + 1
                 # Rebind in place: the plan's compiled closures captured
-                # this exact dict.  Subquery memos are cleared so every
+                # this exact dict.  Subquery memos and the values of
+                # per-execution parameter subtrees are cleared so every
                 # execution starts from the state a fresh compile would
                 # have.
                 entry.params.clear()
                 entry.params.update(params)
                 for subquery in entry.subqueries:
                     subquery.memo.clear()
+                reset_memos(entry.param_memos)
                 return self._run_entry(entry, statement, session)
             self.cache_stats["plan_misses"] += 1
             self.meter.count("plan_cache_misses")
@@ -876,6 +878,7 @@ class DatabaseEngine:
         entry = PlanCacheEntry(
             plan=plan, params=plan_params,
             subqueries=list(planner.subquery_log),
+            param_memos=planner.param_memos,
             table_versions={}, temp_tables={}, streamable=streamable,
             dependencies=tuple(self._plan_dependencies(statement)))
         if key is not None:

@@ -85,7 +85,8 @@ class Table:
         return name.lower() in self._indexes
 
     def scan_pages(self):
-        """Page-block scan for the batch executor (see HeapFile.scan_pages)."""
+        """``(page_no, page)`` per resident heap page, for the batch
+        executor and ANALYZE (see HeapFile.scan_pages)."""
         return self.heap.scan_pages()
 
     # -- index management ----------------------------------------------------

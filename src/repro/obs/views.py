@@ -149,7 +149,8 @@ def _sys_executor(engine):
     not perturbed by host-side bookkeeping); the expression-compiler
     totals (``exprs_compiled``, ``exprs_generated`` and the code memo's
     ``code_memo_hits`` / ``code_memo_misses`` — a plan-time compile
-    storm shows up as misses) come from the process-wide
+    storm shows up as misses — and ``params_hoisted``, the parameter
+    subtrees evaluated once per execution) come from the process-wide
     :data:`repro.sql.expressions.EXPR_STATS`, the write path's
     (``row_shapes_generated``, ``rows_built_fast`` against
     ``rows_built_coerced`` — the page-at-a-time insert only pays off

@@ -39,6 +39,7 @@ from repro.errors import PlanningError
 from repro.sim.costs import SERVER_CPU
 from repro.sql.expressions import EvalContext, is_impure, slot_of
 from repro.storage.btree import NULL_KEY, decode_key_value
+from repro.storage.heap import RowId
 from repro.types import stored_type
 
 
@@ -186,9 +187,20 @@ class SeqScan(PlanOperator):
         owed = exec_ctx.costs.cpu_per_tuple_scan * self.cost_factor
         stats = exec_ctx.meter.executor_stats
         probe = exec_ctx.meter.lock_probe
+        addressed = probe is not None or self.with_rid
+        file_id = self.table.heap.file_id
         # One batch per heap page: the pool's fault (disk charge) happens
         # while producing the batch — the same pull that first needs it.
-        for block in self.table.scan_pages():
+        # Addresses are built only for a lock probe or a DML source.
+        for page_no, page in self.table.scan_pages():
+            if not addressed:
+                rows = page.live()
+                if rows:
+                    _count_batch(stats, "batches.SeqScan")
+                    yield rows, owed
+                continue
+            block = [(RowId(file_id, page_no, slot), row)
+                     for slot, row in page.rows()]
             if not block:
                 continue
             _count_batch(stats, "batches.SeqScan")
@@ -891,52 +903,122 @@ class AggregateSpec:
     distinct: bool = False
 
 
-class _Accumulator:
-    __slots__ = ("func", "distinct", "count", "total", "best", "seen")
+# One accumulator class per aggregate kind, chosen once per spec
+# (:func:`accumulator_factory`): ``add`` does only its kind's work.  NULLs
+# are skipped before a DISTINCT set sees them; SUM/AVG add in arrival
+# order (``total + value``), so a float sum is the same to the bit.
 
-    def __init__(self, func: str, distinct: bool):
-        self.func = func
-        self.distinct = distinct
+
+class _CountRows:
+    """COUNT(*): every row."""
+
+    __slots__ = ("count",)
+
+    def __init__(self):
         self.count = 0
-        self.total = None
-        self.best = None
-        self.seen: set | None = set() if distinct else None
 
     def add(self, value) -> None:
-        if self.func == "count" and value is _COUNT_STAR:
-            self.count += 1
-            return
-        if value is None:
-            return
-        if self.seen is not None:
-            if value in self.seen:
-                return
-            self.seen.add(value)
         self.count += 1
-        if self.func in ("sum", "avg"):
-            self.total = value if self.total is None else self.total + value
-        elif self.func == "min":
-            if self.best is None or value < self.best:
-                self.best = value
-        elif self.func == "max":
-            if self.best is None or value > self.best:
-                self.best = value
 
     def result(self):
-        if self.func == "count":
-            return self.count
-        if self.func == "sum":
-            return self.total
-        if self.func == "avg":
-            return None if self.count == 0 else self.total / self.count
+        return self.count
+
+
+class _Count(_CountRows):
+    """COUNT(x): every non-NULL value."""
+
+    __slots__ = ()
+
+    def add(self, value) -> None:
+        if value is not None:
+            self.count += 1
+
+
+class _Sum:
+    __slots__ = ("total",)
+
+    def __init__(self):
+        self.total = None
+
+    def add(self, value) -> None:
+        if value is not None:
+            total = self.total
+            self.total = value if total is None else total + value
+
+    def result(self):
+        return self.total
+
+
+class _Avg:
+    __slots__ = ("total", "count")
+
+    def __init__(self):
+        self.total = None
+        self.count = 0
+
+    def add(self, value) -> None:
+        if value is not None:
+            total = self.total
+            self.total = value if total is None else total + value
+            self.count += 1
+
+    def result(self):
+        return None if self.count == 0 else self.total / self.count
+
+
+class _Min:
+    __slots__ = ("best",)
+
+    def __init__(self):
+        self.best = None
+
+    def add(self, value) -> None:
+        if value is not None and (self.best is None or value < self.best):
+            self.best = value
+
+    def result(self):
         return self.best
 
 
-class _CountStar:
-    pass
+class _Max(_Min):
+    __slots__ = ()
+
+    def add(self, value) -> None:
+        if value is not None and (self.best is None or value > self.best):
+            self.best = value
 
 
-_COUNT_STAR = _CountStar()
+class _Distinct:
+    """DISTINCT: the first arrival of each non-NULL value goes on to the
+    kind's accumulator."""
+
+    __slots__ = ("inner", "seen")
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen: set = set()
+
+    def add(self, value) -> None:
+        if value is not None and value not in self.seen:
+            self.seen.add(value)
+            self.inner.add(value)
+
+    def result(self):
+        return self.inner.result()
+
+
+_ACCUMULATORS = {"count": _Count, "sum": _Sum, "avg": _Avg, "min": _Min,
+                 "max": _Max}
+
+
+def accumulator_factory(spec: AggregateSpec):
+    """A zero-argument constructor of ``spec``'s accumulator."""
+    if spec.arg_fn is None:
+        return _CountRows
+    kind = _ACCUMULATORS[spec.func]
+    if spec.distinct:
+        return lambda: _Distinct(kind())
+    return kind
 
 
 class HashAggregate(PlanOperator):
@@ -964,19 +1046,20 @@ class HashAggregate(PlanOperator):
     def batches(self, exec_ctx: ExecContext):
         per_tuple = exec_ctx.costs.cpu_per_tuple_agg * self.cost_factor
         stats = exec_ctx.meter.executor_stats
-        groups: dict[tuple, list[_Accumulator]] = {}
+        groups: dict[tuple, list] = {}
         order: list[tuple] = []
-        specs = self.agg_specs
+        fresh = [accumulator_factory(spec) for spec in self.agg_specs]
         group_slots = _all_slots(self.group_fns)
         group_fns = self.group_fns
-        # (spec, direct tuple index or None) pairs; an index avoids the
-        # EvalContext entirely for bare-column aggregate arguments.
-        arg_plan = [(spec, slot_of(spec.arg_fn)
-                     if spec.arg_fn is not None else None)
-                    for spec in specs]
+        # Per aggregate ``(slot, fn)``: a direct tuple index for a
+        # bare-column argument (no EvalContext), else its function; both
+        # None for COUNT(*).
+        args = []
+        for spec in self.agg_specs:
+            slot = slot_of(spec.arg_fn) if spec.arg_fn is not None else None
+            args.append((slot, spec.arg_fn if slot is None else None))
         needs_ctx = (group_slots is None
-                     or any(spec.arg_fn is not None and slot is None
-                            for spec, slot in arg_plan))
+                     or any(fn is not None for _slot, fn in args))
         ctx = EvalContext(row=(), outer=exec_ctx.outer)
         for rows, costs in _input_batches(self.child, exec_ctx,
                                           self._impure()):
@@ -990,20 +1073,19 @@ class HashAggregate(PlanOperator):
                     key = tuple(fn(ctx) for fn in group_fns)
                 accs = groups.get(key)
                 if accs is None:
-                    accs = [_Accumulator(s.func, s.distinct) for s in specs]
+                    accs = [make() for make in fresh]
                     groups[key] = accs
                     order.append(key)
-                for (spec, slot), acc in zip(arg_plan, accs):
-                    if spec.arg_fn is None:
-                        acc.add(_COUNT_STAR)
-                    elif slot is not None:
+                for (slot, fn), acc in zip(args, accs):
+                    if slot is not None:
                         acc.add(row[slot])
+                    elif fn is not None:
+                        acc.add(fn(ctx))
                     else:
-                        acc.add(spec.arg_fn(ctx))
+                        acc.add(None)
         _count_batch(stats, "batches.HashAggregate")
         if not groups and not group_fns:
-            accs = [_Accumulator(s.func, s.distinct) for s in specs]
-            yield [tuple(acc.result() for acc in accs)], None
+            yield [tuple(make().result() for make in fresh)], None
             return
         yield [key + tuple(acc.result() for acc in groups[key])
                for key in order], None

@@ -38,6 +38,7 @@ EXPR_STATS: dict[str, int] = {
     "code_memo_hits": 0,       # ... whose code object was already compiled
     "code_memo_misses": 0,
     "consts_folded": 0,
+    "params_hoisted": 0,       # parameter subtrees, one value an execution
     "slot_refs": 0,
 }
 
@@ -366,26 +367,32 @@ def expr_has_subquery(node) -> bool:
     return any(expr_has_subquery(child) for child in _children(node))
 
 
+#: Leaves of a subtree fixed for a whole plan (folded at plan time) ...
 _CONST_LEAVES = (ast.Literal, ast.Interval)
-_NONCONST_NODES = (ast.ColumnRef, ast.Param, ast.ScalarSubquery,
-                   ast.Exists, ast.InSubquery)
+#: ... and of one fixed for one execution (parameters are rebound only
+#: between executions).
+_EXECUTION_LEAVES = _CONST_LEAVES + (ast.Param,)
+#: What makes a subtree vary from row to row.
+_PER_ROW_NODES = (ast.ColumnRef, ast.ScalarSubquery, ast.Exists,
+                  ast.InSubquery)
 #: Context handed to constant subtrees when folding; they never read it.
 _CONST_CTX = EvalContext(row=())
 
 
-def _is_constant(node: ast.Expr) -> bool:
-    """True when ``node`` evaluates to the same value on every row:
-    literal leaves combined by deterministic operators/functions, with no
-    column refs, parameters, or subqueries anywhere in the subtree."""
-    if isinstance(node, _NONCONST_NODES):
+def _is_fixed(node: ast.Expr, leaves: tuple, replaced=()) -> bool:
+    """True when ``node`` has one value while its ``leaves`` keep theirs:
+    such leaves combined by deterministic operators/functions, with no
+    column ref, subquery, aggregate or node in ``replaced`` (a
+    replacement slot of the aggregated row) anywhere in the subtree."""
+    if isinstance(node, _PER_ROW_NODES) or id(node) in replaced:
         return False
     if isinstance(node, ast.FuncCall) and node.name in AGGREGATE_NAMES:
         return False
     children = _children(node)
     if not children:
-        # Unknown childless node types are conservatively non-constant.
-        return isinstance(node, _CONST_LEAVES)
-    return all(_is_constant(child) for child in children)
+        # Unknown childless node types are conservatively not fixed.
+        return isinstance(node, leaves)
+    return all(_is_fixed(child, leaves, replaced) for child in children)
 
 
 def _children(node: ast.Expr):
@@ -422,6 +429,13 @@ def _children(node: ast.Expr):
 # ---------------------------------------------------------------------------
 
 
+def reset_memos(cells: list) -> None:
+    """Forget the per-execution values of hoisted parameter subtrees
+    (their plan is about to run with other parameters)."""
+    for cell in cells:
+        cell[0] = _UNSET
+
+
 @dataclass
 class CompiledSubquery:
     """A planned subquery plus its correlation bookkeeping."""
@@ -431,14 +445,17 @@ class CompiledSubquery:
     memo: dict = field(default_factory=dict)
 
 
-#: Exact operand types whose comparison is the bare Python operator; bool
-#: and everything else (mixed numerics included) go through sql_compare.
+#: Exact operand types whose comparison is the bare Python operator when
+#: both sides share one (or both are in ``_NUMERIC``); bool and everything
+#: else go through sql_compare.
 _INLINE_COMPARE = frozenset({int, float, str, datetime.date})
 _NUMERIC = frozenset({int, float})
-_TYPE_NAMES = {int: "int", float: "float", str: "str",
-               datetime.date: "date"}
+_TYPE_NAMES = {str: "str", datetime.date: "date"}
 _PY_COMPARES = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">",
                 ">=": ">="}
+
+#: Value of a per-execution memo cell before its first evaluation.
+_UNSET = object()
 
 _NULL_IN = "None if {a} is None or {b} is None else "
 _NOT = "None if {a} is None else not {a}"
@@ -467,6 +484,7 @@ _GEN_GLOBALS = {
     "_add": _add, "_sub": _sub, "_concat": _concat,
     "_extract_error": _extract_error, "date": datetime.date,
     "_INLINE_COMPARE": _INLINE_COMPARE, "_NUMERIC": _NUMERIC,
+    "_UNSET": _UNSET,
 }
 _CODE_MEMO = LRUCache(MEMO_CAPACITY)
 
@@ -479,11 +497,13 @@ class _Source:
     times.  ``known`` maps the atoms of compile-time constants to their
     values (comparison against a typed literal specializes on it).
     ``fold`` is off only in the throwaway function that evaluates a
-    constant subtree at plan time.
+    constant subtree at plan time; ``hoist`` is off there and in the
+    function of a hoisted parameter subtree itself.
     """
 
-    def __init__(self, fold: bool = True):
+    def __init__(self, fold: bool = True, hoist: bool = True):
         self.fold = fold
+        self.hoist = hoist
         self.lines: list[str] = []
         self.bound: list = []           # values of k0, k1, ... in order
         self.known: dict[str, object] = {}
@@ -549,19 +569,25 @@ class _Source:
 def _compare_source(op: str, a: str, b: str, out: _Source) -> str:
     """Source of the three-valued comparison of atoms ``a <op> b``.
 
-    The bare Python operator runs only when both values have the same
-    exact type in ``_INLINE_COMPARE`` (what sql_compare would do with
-    them); against a typed literal that is one exact-type test.
+    The bare Python operator runs only where sql_compare would run it:
+    both values of one exact type in ``_INLINE_COMPARE``, or both exactly
+    int or float (never bool).  Against a typed literal that is one
+    exact-type test (a numeric family test for a number).
     """
     inline = f"{a} {_PY_COMPARES[op]} {b}"
     general = f"sql_compare({op!r}, {a}, {b})"
     for other, literal in ((a, b), (b, a)):
-        kind = _TYPE_NAMES.get(type(out.known.get(literal)))
-        if kind is not None:
+        kind = type(out.known.get(literal))
+        if kind in _NUMERIC:
             return (f"None if {other} is None else ({inline} "
-                    f"if type({other}) is {kind} else {general})")
+                    f"if type({other}) in _NUMERIC else {general})")
+        name = _TYPE_NAMES.get(kind)
+        if name is not None:
+            return (f"None if {other} is None else ({inline} "
+                    f"if type({other}) is {name} else {general})")
     return (f"None if {a} is None or {b} is None else ({inline} "
             f"if type({a}) is type({b}) and type({a}) in _INLINE_COMPARE "
+            f"or type({a}) in _NUMERIC and type({b}) in _NUMERIC "
             f"else {general})")
 
 
@@ -576,18 +602,25 @@ class ExprCompiler:
     ``replacements`` maps ``id(ast_node)`` to an output slot index — the
     planner uses it to make post-aggregation expressions read aggregate
     results (and GROUP BY keys) from the aggregated row.
+
+    ``memo_log`` collects the per-execution memo cells of hoisted
+    parameter subtrees (see :meth:`_emit_hoisted`); whoever rebinds
+    ``params`` must reset them (:func:`reset_memos`).  Without one
+    nothing is hoisted.
     """
 
     def __init__(self, scope: Scope, subquery_planner=None,
                  subquery_runner=None, params: dict | None = None,
                  replacements: dict[int, int] | None = None,
-                 subquery_log: list | None = None):
+                 subquery_log: list | None = None,
+                 memo_log: list | None = None):
         self._scope = scope
         self._plan_subquery = subquery_planner
         self._run_subquery = subquery_runner
         self._params = params or {}
         self._replacements = replacements or {}
         self._subquery_log = subquery_log
+        self._memo_log = memo_log
 
     def compile(self, node: ast.Expr):
         """Return ``fn(ctx: EvalContext) -> value``.
@@ -601,7 +634,8 @@ class ExprCompiler:
         the meter and the operator takes its input row by row).  Constant
         subtrees are folded to their value at compile time; a fold that
         raises stays in the generated code so the error still surfaces
-        during execution.
+        during execution.  A subtree of parameters and constants is
+        evaluated once per execution (:meth:`_emit_hoisted`).
         """
         out = _Source()
         result = self._emit(node, out)
@@ -622,8 +656,8 @@ class ExprCompiler:
             raise PlanningError(
                 f"cannot compile expression node {type(node).__name__}")
         if out.fold and not isinstance(node, _CONST_LEAVES) \
-                and _is_constant(node):
-            probe = _Source(fold=False)
+                and _is_fixed(node, _CONST_LEAVES):
+            probe = _Source(fold=False, hoist=False)
             try:
                 value = probe.build(method(node, probe))(_CONST_CTX)
             except Exception:
@@ -632,7 +666,30 @@ class ExprCompiler:
                 EXPR_STATS["consts_folded"] += 1
                 return out.const(value)
         EXPR_STATS["exprs_compiled"] += 1
+        if out.hoist and self._memo_log is not None \
+                and not isinstance(node, _EXECUTION_LEAVES) \
+                and _is_fixed(node, _EXECUTION_LEAVES, self._replacements):
+            return self._emit_hoisted(node, method, out)
         return method(node, out)
+
+    def _emit_hoisted(self, node: ast.Expr, method, out: _Source) -> str:
+        """Evaluate a parameter subtree (``@d + INTERVAL '1' YEAR``) once
+        per execution: it becomes its own function, called where the
+        subtree would be evaluated, the first time that point is reached
+        in an execution; its value is kept in a memo cell the plan cache
+        resets on every rebind.  A call that raises keeps nothing, so the
+        error surfaces on exactly the rows it always did (never on an
+        empty input)."""
+        inner = _Source(hoist=False)
+        fn = inner.build(method(node, inner))
+        cell = [_UNSET]
+        self._memo_log.append(cell)
+        EXPR_STATS["params_hoisted"] += 1
+        memo, call = out.bind(cell), out.bind(fn)
+        atom = out.let(f"{memo}[0]")
+        out.line(f"if {atom} is _UNSET:")
+        out.line(f"    {atom} = {memo}[0] = {call}(ctx)")
+        return atom
 
     # -- leaves ---------------------------------------------------------------
 

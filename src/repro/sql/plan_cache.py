@@ -516,6 +516,9 @@ class PlanCacheEntry:
     #: ANALYZE bumps the counter, so plans costed under stale statistics
     #: are invalidated and replanned exactly like post-DDL plans.
     stats_versions: dict[str, int] = field(default_factory=dict)
+    #: Memo cells of the plan's per-execution parameter subtrees
+    #: (``Planner.param_memos``), reset before each reuse.
+    param_memos: list = field(default_factory=list)
 
     def is_valid(self, catalog) -> bool:
         return (all(catalog.version_of(name) == version

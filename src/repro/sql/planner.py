@@ -145,6 +145,9 @@ class Planner:
         #: cache clears their memos before re-executing a cached plan, so a
         #: reuse sees exactly the fresh-compile memo state.
         self.subquery_log: list = []
+        #: Memo cells of the parameter subtrees its expressions evaluate
+        #: once per execution; reset by the plan cache on every rebind.
+        self.param_memos: list = []
 
     def _new_scope(self, bindings: list[tuple[str, str]],
                    outer: Scope | None) -> Scope:
@@ -1684,7 +1687,8 @@ class Planner:
             subquery_runner=self._run_subquery,
             params=self._params,
             replacements=replacements,
-            subquery_log=self.subquery_log)
+            subquery_log=self.subquery_log,
+            memo_log=self.param_memos)
 
     def _plan_subquery(self, select: ast.SelectStatement, scope: Scope,
                        limit_one: bool):

@@ -95,17 +95,17 @@ def collect_table_stats(table, buckets: int = 16) -> dict:
     nulls = [0] * len(column_names)
     row_count = 0
     page_count = 0
-    for block in table.scan_pages():
-        if not block:
+    for _page_no, page in table.scan_pages():
+        rows = page.live()
+        if not rows:
             continue
         page_count += 1
-        for _rid, row in block:
-            row_count += 1
-            for i, v in enumerate(row):
-                if v is None:
-                    nulls[i] += 1
-                else:
-                    values[i].append(v)
+        row_count += len(rows)
+        # Column by column: each column's values keep their row order.
+        for i, column in enumerate(zip(*rows)):
+            present = [v for v in column if v is not None]
+            nulls[i] += len(column) - len(present)
+            values[i].extend(present)
     columns: dict[str, dict] = {}
     for i, name in enumerate(column_names):
         col_values = values[i]

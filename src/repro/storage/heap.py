@@ -130,28 +130,33 @@ class HeapFile:
         return page.page_lsn if page is not None else 0
 
     def scan(self):
-        """Yield ``(RowId, row)`` for every live row, page order."""
-        for block in self.scan_pages():
-            yield from block
+        """Yield ``(RowId, row)`` for every live row, page order.  Each
+        page's rows are taken as one snapshot when the page is reached,
+        as a scan batch is, whatever DML runs while the reader pauses."""
+        file_id = self.file_id
+        for page_no, page in self.scan_pages():
+            yield from [(RowId(file_id, page_no, slot), row)
+                        for slot, row in page.rows()]
 
     def scan_pages(self):
-        """Yield each page's live rows as one block of ``(RowId, row)``.
+        """Yield ``(page_no, page)`` for every resident page, page order.
 
-        The batch executor consumes pages as blocks so its batch
-        boundaries coincide with page-fault boundaries — any disk charge
-        the pool makes happens at exactly the same consumption point as
-        under row-at-a-time iteration.  ``scan`` is this, flattened.
+        The one page iterator.  A reader that only needs rows takes
+        ``page.live()``; one that needs addresses builds them from the
+        page number and ``page.rows()``'s slots.  The batch executor
+        consumes a page as one batch, so its batch boundaries coincide
+        with page-fault boundaries — any disk charge the pool makes
+        happens at exactly the same consumption point as under
+        row-at-a-time iteration.
         """
         file_id = self.file_id
         for page_no in range(self.page_count):
             page = self._pool.get_page(file_id, page_no, self.cost_factor)
-            if page is None:
-                continue
-            yield [(RowId(file_id, page_no, slot), row)
-                   for slot, row in page.rows()]
+            if page is not None:
+                yield page_no, page
 
     def count_rows(self) -> int:
-        return sum(1 for _ in self.scan())
+        return sum(page.live_rows for _page_no, page in self.scan_pages())
 
     # -- internals -----------------------------------------------------------
 

@@ -79,6 +79,15 @@ class Page:
         self.slots[slot] = row
         return old
 
+    def live(self) -> list[tuple]:
+        """The live rows in slot order, as a new list (a page-sized scan
+        batch: no slot numbers, no copies of the rows).  Every empty
+        slot is on ``free_slots``, so a page without holes is its slot
+        list."""
+        if self.free_slots:
+            return [row for row in self.slots if row is not None]
+        return self.slots[:]
+
     def rows(self):
         """Yield ``(slot, row)`` for every live row in slot order."""
         for slot, row in enumerate(self.slots):

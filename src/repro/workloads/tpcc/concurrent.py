@@ -615,7 +615,9 @@ def digest_database(engine) -> dict[str, str]:
             if info.volatile:
                 continue
             table = engine.table(name)
-            rows = sorted(repr(row) for _rid, row in table.heap.scan())
+            rows = sorted(repr(row)
+                          for _page_no, page in table.heap.scan_pages()
+                          for row in page.live())
             payload = "\n".join(rows).encode()
             digests[name] = hashlib.sha256(payload).hexdigest()
     finally:

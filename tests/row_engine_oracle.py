@@ -22,8 +22,7 @@ import pytest
 
 from repro.engine import database
 from repro.sql import planner
-from repro.sql.executor import (_COUNT_STAR, ExecContext, _Accumulator,
-                                _null_safe_key)
+from repro.sql.executor import ExecContext, _null_safe_key
 from repro.sql.expressions import EvalContext, is_true
 
 
@@ -38,6 +37,55 @@ CLOCK_REL_TOL = 1e-9
 
 def same_clock(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=CLOCK_REL_TOL, abs_tol=0.0)
+
+
+class _Accumulator:
+    """The one generic accumulator the executor had before its per-kind
+    ones (``executor.accumulator_factory``): it branches on the function
+    and DISTINCT for every value, and is their reference."""
+
+    __slots__ = ("func", "distinct", "count", "total", "best", "seen")
+
+    def __init__(self, func: str, distinct: bool):
+        self.func = func
+        self.distinct = distinct
+        self.count = 0
+        self.total = None
+        self.best = None
+        self.seen = set() if distinct else None
+
+    def add(self, value) -> None:
+        if self.func == "count" and value is _COUNT_STAR:
+            self.count += 1
+            return
+        if value is None:
+            return
+        if self.seen is not None:
+            if value in self.seen:
+                return
+            self.seen.add(value)
+        self.count += 1
+        if self.func in ("sum", "avg"):
+            self.total = value if self.total is None else self.total + value
+        elif self.func == "min":
+            if self.best is None or value < self.best:
+                self.best = value
+        elif self.func == "max":
+            if self.best is None or value > self.best:
+                self.best = value
+
+    def result(self):
+        if self.func == "count":
+            return self.count
+        if self.func == "sum":
+            return self.total
+        if self.func == "avg":
+            return None if self.count == 0 else self.total / self.count
+        return self.best
+
+
+#: What COUNT(*) adds for every row.
+_COUNT_STAR = object()
 
 
 def _per_tuple(ctx, field, op):

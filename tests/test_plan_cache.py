@@ -7,12 +7,14 @@ cold path charges.  The cold path is the verbatim route
 planned afresh, as a pre-parsed AST always is.
 """
 
+import datetime
 from collections import Counter
 
 import pytest
 
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
+from repro.errors import TypeMismatchError
 from repro.server.protocol import ExecuteRequest
 from repro.server.server import DatabaseServer
 from repro.sim.meter import Meter
@@ -309,6 +311,80 @@ class TestTempTablePlans:
         # Same text, same session — but the runtime object changed, so
         # the cached plan must not resurrect the dropped heap.
         assert run("SELECT a FROM #scratch WHERE a = 5") == [(5,)]
+
+
+# ---------------------------------------------------------------------------
+# Per-execution constants: parameter subtrees evaluated once per execution
+# ---------------------------------------------------------------------------
+
+
+def _shipped_on(i: int) -> datetime.date:
+    return datetime.date(1990 + i % 9 // 2, 1 + i % 12, 15)
+
+
+@pytest.fixture
+def shipments(run):
+    run("CREATE TABLE shipments (id INT NOT NULL, shipped DATE, "
+        "PRIMARY KEY (id))")
+    run("INSERT INTO shipments (id, shipped) VALUES " + ", ".join(
+        f"({i}, date '{_shipped_on(i).isoformat()}')" for i in range(40)))
+
+
+def _q06_shaped(year: int) -> str:
+    return (f"SELECT id FROM shipments WHERE shipped >= date '{year}-01-01' "
+            f"AND shipped < date '{year}-01-01' + interval '1' year "
+            f"ORDER BY id")
+
+
+def _shipped_in(year: int) -> list[tuple]:
+    return [(i,) for i in range(40) if _shipped_on(i).year == year]
+
+
+class TestPerExecutionConstants:
+    """``date 'd' + interval '1' year`` becomes ``@__litN + interval`` in
+    the cached template: evaluated once per execution, and again after
+    every rebind."""
+
+    def test_rebound_date_moves_the_window(self, cached_run, shipments):
+        first, _ = cached_run(_q06_shaped(1991))
+        second, hits = cached_run(_q06_shaped(1994))
+        assert hits == 1
+        assert first == _shipped_in(1991) and second == _shipped_in(1994)
+        assert len(first) != len(second)
+
+    def test_suspended_stream_and_a_second_execution_keep_their_rows(
+            self, engine, session, shipments):
+        engine.execute(_q06_shaped(1990), session).fetch_all()
+        # The one entry with a hoisted subtree: the SELECT's.
+        (entry,) = [e for e in engine._plan_cache.values()
+                    if e.param_memos]
+        suspended = engine.execute(_q06_shaped(1991), session).rows
+        head = next(suspended)
+        assert entry.active > 0
+        hits = engine.cache_stats["plan_hits"]
+        other = engine.execute(_q06_shaped(1993), session).fetch_all()
+        assert engine.cache_stats["plan_hits"] == hits  # planned afresh
+        assert other == _shipped_in(1993)
+        assert [head, *suspended] == _shipped_in(1991)
+        assert entry.active == 0
+        again = engine.execute(_q06_shaped(1994), session).fetch_all()
+        assert engine.cache_stats["plan_hits"] == hits + 1
+        assert again == _shipped_in(1994)
+
+    @pytest.mark.parametrize("predicate, params, error", [
+        ("a < @p + 'x'", {"p": 1}, TypeError),
+        ("a = 1 OR @p < 5", {"p": datetime.date(1994, 1, 1)},
+         TypeMismatchError),
+    ])
+    def test_raising_subtree_raises_only_over_rows(self, run, predicate,
+                                                   params, error):
+        run("CREATE TABLE t (a INT)")
+        sql = f"SELECT a FROM t WHERE {predicate}"
+        assert run(sql, params) == []
+        run("INSERT INTO t VALUES (1), (2)")
+        for _ in range(2):   # planned, then from the cache
+            with pytest.raises(error):
+                run(sql, params)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import datetime
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TypeMismatchError
 from repro.sql import ast, expressions
@@ -16,6 +18,7 @@ from repro.sql.expressions import (
     is_impure,
     is_true,
     like_match,
+    reset_memos,
     slot_of,
     sql_and,
     sql_compare,
@@ -212,6 +215,25 @@ class TestCompilationMemos:
         assert (after["code_memo_hits"] + after["code_memo_misses"]
                 == after["exprs_generated"])
 
+    def test_sys_executor_counts_hoisted_parameter_subtrees(self):
+        from repro.engine.database import DatabaseEngine
+        from repro.engine.session import EngineSession
+        from repro.sim.meter import Meter
+
+        engine = DatabaseEngine(meter=Meter())
+        session = EngineSession(session_id=1)
+        engine.execute("CREATE TABLE t (a INT, d DATE)", session)
+
+        def hoisted():
+            return dict(engine.execute(
+                "SELECT metric, value FROM sys_executor",
+                session).fetch_all())["params_hoisted"]
+
+        before = hoisted()
+        engine.execute("SELECT a FROM t WHERE d < date '1994-01-01' "
+                       "+ interval '1' year", session).fetch_all()
+        assert hoisted() == before + 1
+
 
 class TestGeneratedFunctions:
     def compile(self, node, **kwargs):
@@ -266,3 +288,126 @@ class TestGeneratedFunctions:
         assert fn(EvalContext(row=(None, 0, 0))) is None
         with pytest.raises(TypeMismatchError):
             fn(EvalContext(row=(1994, 0, 0)))
+
+
+class TestPerExecutionConstants:
+    """A subtree of parameters and constants is evaluated once per
+    execution, the first time the row loop reaches it."""
+
+    SCOPE = Scope([("t", "d"), ("t", "q")])
+
+    def compile(self, node, params, memos):
+        return ExprCompiler(self.SCOPE, params=params,
+                            memo_log=memos).compile(node)
+
+    @staticmethod
+    def counted_add(monkeypatch) -> list:
+        calls = []
+        add = expressions._GEN_GLOBALS["_add"]
+
+        def counting(a, b):
+            calls.append((a, b))
+            return add(a, b)
+
+        monkeypatch.setitem(expressions._GEN_GLOBALS, "_add", counting)
+        return calls
+
+    def test_evaluated_once_per_execution_and_again_after_reset(
+            self, monkeypatch):
+        calls = self.counted_add(monkeypatch)
+        params, memos = {"d": datetime.date(1994, 1, 1)}, []
+        node = ast.Binary("<", ast.ColumnRef(None, "d"),
+                          ast.Binary("+", ast.Param("d"),
+                                     ast.Interval(1, "year")))
+        fn = self.compile(node, params, memos)
+        assert len(memos) == 1
+        days = [datetime.date(1994, 6, 1), datetime.date(1995, 6, 1)]
+        assert [fn(EvalContext(row=(day, 0))) for day in days * 3] \
+            == [True, False] * 3
+        assert len(calls) == 1
+        params["d"] = datetime.date(1995, 1, 1)     # a rebind ...
+        reset_memos(memos)                          # ... resets the memo
+        assert [fn(EvalContext(row=(day, 0))) for day in days] \
+            == [True, True]
+        assert len(calls) == 2
+
+    def test_without_a_memo_log_nothing_is_hoisted(self, monkeypatch):
+        calls = self.counted_add(monkeypatch)
+        params = {"d": datetime.date(1994, 1, 1)}
+        fn = ExprCompiler(self.SCOPE, params=params).compile(
+            ast.Binary("+", ast.Param("d"), ast.Interval(1, "day")))
+        for _ in range(3):
+            assert fn(EvalContext(row=(None, 0))) \
+                == datetime.date(1994, 1, 2)
+        assert len(calls) == 3
+
+    def test_column_and_lone_parameter_are_not_hoisted(self):
+        memos = []
+        params = {"p": 1}
+        for node in (ast.Param("p"),
+                     ast.Binary("+", ast.ColumnRef(None, "q"),
+                                ast.Param("p")),
+                     ast.Binary("+", ast.Literal(1), ast.Literal(2))):
+            self.compile(node, params, memos)
+        assert memos == []
+
+    def test_a_raising_subtree_memoizes_nothing(self):
+        params, memos = {"p": datetime.date(1994, 1, 1)}, []
+        node = ast.Binary("=", ast.ColumnRef(None, "q"),
+                          ast.Binary("<", ast.Param("p"), ast.Literal(5)))
+        fn = self.compile(node, params, memos)
+        for _ in range(2):   # raises on every row, not just the first
+            with pytest.raises(TypeMismatchError):
+                fn(EvalContext(row=(None, 1)))
+        params["p"] = 3      # rebound without a reset: nothing was kept
+        assert fn(EvalContext(row=(None, True))) is True
+
+    def test_hoisted_subtree_in_a_branch_stays_lazy(self):
+        params, memos = {"p": datetime.date(1994, 1, 1)}, []
+        bad = ast.Binary("<", ast.Param("p"), ast.Literal(5))
+        case = ast.CaseWhen([(ast.Binary("=", ast.ColumnRef(None, "q"),
+                                         ast.Literal(1)),
+                              ast.Literal("one"))], else_result=bad)
+        fn = self.compile(case, params, memos)
+        assert fn(EvalContext(row=(None, 1))) == "one"
+        with pytest.raises(TypeMismatchError):
+            fn(EvalContext(row=(None, 2)))
+
+
+#: Values sql_compare meets: numbers (bool among them), NULL, text (some
+#: of it numeric) and dates.
+COMPARABLE = st.one_of(
+    st.integers(-3, 3), st.floats(allow_nan=False, width=16),
+    st.booleans(), st.none(),
+    st.sampled_from(["", "a", "b", "2", "1.5", "-3"]),
+    st.dates(datetime.date(1994, 1, 1), datetime.date(1994, 1, 4)))
+
+
+def _outcome(thunk):
+    try:
+        value = thunk()
+    except Exception as exc:  # noqa: BLE001 - parity over any error
+        return ("raised", type(exc))
+    return ("value", type(value), value)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(a=COMPARABLE, b=COMPARABLE)
+def test_generated_comparison_agrees_with_sql_compare(a, b):
+    """Every shape the compiler specializes a comparison for — two
+    columns, a column against a literal either way round, a column
+    against a parameter — returns what sql_compare returns, or raises
+    the same exception type."""
+    scope = Scope([("t", "a"), ("t", "b")])
+    col_a, col_b = ast.ColumnRef(None, "a"), ast.ColumnRef(None, "b")
+    params = {"b": b}
+    for op in ("=", "<>", "<", "<=", ">", ">="):
+        want = _outcome(lambda: sql_compare(op, a, b))
+        for left, right in ((col_a, col_b), (col_a, ast.Literal(b)),
+                            (ast.Literal(a), col_b),
+                            (col_a, ast.Param("b"))):
+            fn = ExprCompiler(scope, params=params).compile(
+                ast.Binary(op, left, right))
+            got = _outcome(lambda: fn(EvalContext(row=(a, b))))
+            assert got == want, (op, a, b, left, right)

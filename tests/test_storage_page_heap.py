@@ -59,6 +59,19 @@ class TestPage:
         page.delete(a)
         assert [row for _slot, row in page.rows()] == [(2,)]
 
+    def test_live_is_a_snapshot_of_the_live_rows(self):
+        page = Page(0, capacity=8)
+        for value in range(3):
+            page.insert((value,))
+        whole = page.live()
+        assert whole == [(0,), (1,), (2,)] and whole is not page.slots
+        page.delete(1)
+        page.insert_at(5, (5,))          # slots 3 and 4 become holes
+        assert page.live() == [row for _slot, row in page.rows()] \
+            == [(0,), (2,), (5,)]
+        assert page.live_rows == 3
+        assert whole == [(0,), (1,), (2,)]   # taken before the changes
+
     def test_clone_is_independent(self):
         page = Page(0, capacity=4)
         page.insert((1,))
