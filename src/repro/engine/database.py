@@ -36,7 +36,7 @@ from repro.obs.views import SYSTEM_VIEWS, system_view
 from repro.sim.costs import SERVER_CPU, SERVER_DISK
 from repro.sim.meter import Meter
 from repro.sql import ast
-from repro.sql.executor import is_streamable_plan, iterate_plan, read_set
+from repro.sql.executor import is_streamable_plan, iterate_plan
 from repro.sql.expressions import EvalContext, reset_memos
 from repro.sql.parser import parse_script, parse_statement
 from repro.sql.plan_cache import (
@@ -788,11 +788,11 @@ class DatabaseEngine:
     def _stamp_read_versions(self, result: StatementResult,
                              entry: PlanCacheEntry,
                              session: EngineSession) -> None:
-        """Stamp a SELECT result with its read set: for every table (or
-        view) the statement depends on (``entry.dependencies``), its DML
-        version and the primary-key prefixes the plan and the plans of
-        its compiled subqueries seek in it, the empty prefix standing
-        for all of it (the shared result cache's validity certificate).
+        """Stamp a SELECT result with its read set: for every name of
+        the plan's footprint (``entry.footprint``), its DML version and
+        the primary-key prefixes the footprint's leaves seek in it this
+        execution, the empty prefix standing for all of it (the shared
+        result cache's validity certificate).
         ``None`` — the knob-off state — also marks results the shared
         cache must not serve: those depending on temp tables, ``sys_*``
         views or Phoenix overhead tables, and those over a table another
@@ -802,7 +802,8 @@ class DatabaseEngine:
         ROLLBACK would take back without a version ever moving."""
         if self.meter.costs.result_cache_entries <= 0:
             return
-        names = entry.dependencies
+        footprint = entry.footprint
+        names = footprint.names
         if not all(map(version_tracked, names)):
             return
         own = session.current_txn if session is not None else None
@@ -811,9 +812,7 @@ class DatabaseEngine:
                if txn is not own and txn.modified_tables
                for name in names):
             return
-        sought = read_set([entry.plan.root] + [subquery.plan.root
-                                               for subquery
-                                               in entry.subqueries])
+        sought = footprint.prefixes_sought()
         version_of = self.catalog.dml_version_of
         result.read_versions = {
             name: (version_of(name), tuple(sought.get(name, ((),))))
@@ -862,7 +861,7 @@ class DatabaseEngine:
                 for subquery in entry.subqueries:
                     subquery.memo.clear()
                 reset_memos(entry.param_memos)
-                return self._run_entry(entry, statement, session)
+                return self._run_entry(entry, session)
             self.cache_stats["plan_misses"] += 1
             self.meter.count("plan_cache_misses")
             stats["expr_cache_misses"] = stats.get("expr_cache_misses",
@@ -871,19 +870,21 @@ class DatabaseEngine:
         planner = self._planner(session, plan_params)
         if isinstance(statement, (ast.SelectStatement, ast.UnionSelect)):
             plan = planner.plan_select(statement)
-            streamable = is_streamable_plan(plan.root)
+            root = plan.root
+            streamable = is_streamable_plan(root)
         else:
             plan = self._compile_dml(statement, session, planner)
+            root = None
             streamable = False
         entry = PlanCacheEntry(
             plan=plan, params=plan_params,
             subqueries=list(planner.subquery_log),
             param_memos=planner.param_memos,
             table_versions={}, temp_tables={}, streamable=streamable,
-            dependencies=tuple(self._plan_dependencies(statement)))
+            footprint=planner.footprint(root))
         if key is not None:
             self._remember_plan(key, entry, session)
-        return self._run_entry(entry, statement, session)
+        return self._run_entry(entry, session)
 
     def _lookup_plan(self, key, session: EngineSession):
         """Find a still-valid cached plan for ``key``, or None."""
@@ -912,7 +913,7 @@ class DatabaseEngine:
     def _remember_plan(self, key, entry: PlanCacheEntry,
                        session: EngineSession) -> None:
         """Record revalidation facts and store the entry (when legal)."""
-        names = entry.dependencies
+        names = entry.footprint.names
         if any(name in SYSTEM_VIEWS for name in names):
             return  # sys_* snapshots are rebuilt (and charged) per query
         for name in names:
@@ -932,26 +933,7 @@ class DatabaseEngine:
         else:
             self._plan_cache.put(key, entry)
 
-    def _plan_dependencies(self, statement: ast.Statement) -> set[str]:
-        """Every table/view name a plan for ``statement`` depends on,
-        with views expanded recursively."""
-        names: set[str] = set()
-        pending = list(self._referenced_tables(statement))
-        while pending:
-            name = pending.pop()
-            if name in names:
-                continue
-            names.add(name)
-            view = self.catalog.get_view(name)
-            if view is not None:
-                try:
-                    body = parse_statement(view.body_sql)
-                except SqlSyntaxError:
-                    continue
-                pending.extend(self._referenced_tables(body))
-        return names
-
-    def _run_entry(self, entry: PlanCacheEntry, statement: ast.Statement,
+    def _run_entry(self, entry: PlanCacheEntry,
                    session: EngineSession) -> StatementResult:
         if isinstance(entry.plan, _CompiledDml):
             # A DML statement consumes its row source before returning,
@@ -959,12 +941,9 @@ class DatabaseEngine:
             return self._run_dml(entry.plan, session)
         plan = entry.plan
         if session is not None and session.in_transaction:
-            lock_tables = entry.lock_tables
-            if lock_tables is None:
-                entry.lock_tables = lock_tables = \
-                    self._read_lock_tables(statement)
             txn = session.current_txn
-            self._acquire_read_locks(txn.txn_id, lock_tables)
+            self._acquire_read_locks(txn.txn_id,
+                                     entry.footprint.base_tables)
             rows = self._probed_rows(plan.root, self._reader_probe(txn))
         else:
             rows = iterate_plan(plan.root, self.meter)
@@ -1064,26 +1043,20 @@ class DatabaseEngine:
             return
         self.txns.abort(txn)
 
-    def _read_lock_tables(self, statement: ast.Statement) -> list[str]:
-        """The tables a transactional SELECT locks at its start, in name
-        order: which queue a statement joins first must not depend on
-        the iteration order of a set of strings (the process's hash
-        seed)."""
-        return sorted(name for name in self._referenced_tables(statement)
-                      if not name.startswith("#"))
-
     def _acquire_read_locks(self, txn_id: int, names) -> None:
-        """Statement-start read locks for an in-transaction SELECT.
+        """Statement-start read locks for an in-transaction SELECT on
+        the durable base tables of its footprint, views expanded, in
+        name order (which queue a statement joins first must not depend
+        on the process's hash seed).
 
         Tables with a primary key take IS — the executor's lock probe
         then takes row S locks per produced row — while tables without a
-        primary key (and non-table names: views, sys_* snapshots, which
-        keep a phantom S entry) take table S.
+        primary key take table S.  View names, temp tables and sys_*
+        snapshots take none: nothing writes them.
         """
         for name in names:
-            info = self.catalog.tables.get(name.lower())
             mode = (LockMode.INTENT_SHARED
-                    if info is not None and info.primary_key
+                    if self.catalog.tables[name].primary_key
                     else LockMode.SHARED)
             self.locks.acquire(txn_id, name, mode)
 
@@ -1243,7 +1216,7 @@ class DatabaseEngine:
                      planner: Planner) -> _CompiledDml:
         """Plan one DML statement into reusable compiled artifacts."""
         if isinstance(statement, ast.InsertStatement):
-            table = self.table(statement.table, session)
+            table = planner.resolve_table(statement.table)
             compiled = _CompiledDml(kind="insert", table=table)
             if statement.select is not None:
                 compiled.select_plan = planner.plan_select(statement.select)
@@ -1643,65 +1616,3 @@ class DatabaseEngine:
             "column_names": list(info.column_names),
             "unique": info.unique,
         }
-
-    def _referenced_tables(self, statement: ast.Statement) -> set[str]:
-        names: set[str] = set()
-        self._collect_tables(statement, names)
-        return names
-
-    def _collect_tables(self, node, names: set[str]) -> None:
-        if isinstance(node, ast.UnionSelect):
-            for select in node.selects:
-                self._collect_tables(select, names)
-            return
-        if isinstance(node, ast.SelectStatement):
-            for item in node.from_items:
-                self._collect_from_item(item, names)
-            for expr_holder in ([i.expr for i in node.select_items]
-                                + [node.where, node.having]
-                                + node.group_by
-                                + [o.expr for o in node.order_by]):
-                self._collect_expr_tables(expr_holder, names)
-            return
-        if isinstance(node, ast.InsertStatement):
-            names.add(node.table.lower())
-            if node.select is not None:
-                self._collect_tables(node.select, names)
-            for row_exprs in node.rows:
-                for expr in row_exprs:
-                    self._collect_expr_tables(expr, names)
-            return
-        if isinstance(node, ast.UpdateStatement):
-            names.add(node.table.lower())
-            for _column, expr in node.assignments:
-                self._collect_expr_tables(expr, names)
-            self._collect_expr_tables(node.where, names)
-            return
-        if isinstance(node, ast.DeleteStatement):
-            names.add(node.table.lower())
-            self._collect_expr_tables(node.where, names)
-
-    def _collect_from_item(self, item, names: set[str]) -> None:
-        if isinstance(item, ast.TableName):
-            names.add(item.name.lower())
-        elif isinstance(item, ast.DerivedTable):
-            self._collect_tables(item.select, names)
-        elif isinstance(item, ast.Join):
-            self._collect_from_item(item.left, names)
-            self._collect_from_item(item.right, names)
-            self._collect_expr_tables(item.condition, names)
-
-    def _collect_expr_tables(self, expr, names: set[str]) -> None:
-        if expr is None or not isinstance(expr, ast.Expr):
-            return
-        if isinstance(expr, (ast.ScalarSubquery, ast.Exists)):
-            self._collect_tables(expr.subquery, names)
-            return
-        if isinstance(expr, ast.InSubquery):
-            self._collect_tables(expr.subquery, names)
-            self._collect_expr_tables(expr.operand, names)
-            return
-        from repro.sql.expressions import _children
-
-        for child in _children(expr):
-            self._collect_expr_tables(child, names)

@@ -264,16 +264,13 @@ class IndexSeek(PlanOperator):
         self._key_types: tuple | None = None
 
     def read_prefixes(self) -> list[tuple]:
-        """The primary-key prefixes this execution seeks — the leaf's
-        read set for the shared result cache; ``[()]`` (the whole table)
-        when it cannot be named: a secondary index, a key that is not
-        ``constant_key``, or a value that is not exactly of its column's
-        stored type (NULL included), which the tree matches by coercion
-        or not at all."""
+        """The primary-key prefixes this execution of a primary-key seek
+        with a ``constant_key`` seeks — the leaf's read set for the
+        shared result cache (the planner's ``Footprint`` asks no other
+        seek); ``[()]`` (the whole table) when a value is not exactly
+        of its column's stored type (NULL included), which the tree
+        matches by coercion or not at all."""
         info = self.table.info
-        if not self.constant_key \
-                or self.index_name != f"__pk_{info.name}":
-            return [()]
         types = self._key_types
         if types is None:
             types = self._key_types = tuple(
@@ -1283,25 +1280,6 @@ class PointLookup(PlanOperator):
 # ---------------------------------------------------------------------------
 # Running plans
 # ---------------------------------------------------------------------------
-
-
-def read_set(roots: list[PlanOperator]) -> dict[str, set]:
-    """What the leaves of a statement's plans read, as ``table ->
-    primary-key prefixes`` (see :meth:`IndexSeek.read_prefixes`); every
-    leaf that is not an index seek reads its whole table, the empty
-    prefix.  ``roots`` must include the plans of the statement's
-    subqueries: they hang off compiled expressions, not off the main
-    plan's tree."""
-    reads: dict[str, set] = {}
-    pending = list(roots)
-    while pending:
-        op = pending.pop()
-        pending.extend(op.children())
-        table = getattr(op, "table", None)
-        if table is not None:
-            reads.setdefault(table.info.name.lower(), set()).update(
-                op.read_prefixes() if isinstance(op, IndexSeek) else [()])
-    return reads
 
 
 def is_streamable_plan(root: PlanOperator) -> bool:

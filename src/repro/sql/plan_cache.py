@@ -503,15 +503,13 @@ class PlanCacheEntry:
     #: suspended stream still reads the shared params dict, so a new
     #: execution must not rebind it; lookups bypass active entries.
     active: int = 0
-    #: Memoized non-temp table names the statement references directly
-    #: (the shared-lock set for transactional reads).  Computed lazily on
-    #: first transactional use; a pure function of the template AST.
-    lock_tables: list[str] | None = None
-    #: Every table/view name the plan depends on, views expanded (what
-    #: ``table_versions`` and ``temp_tables`` are keyed by once the entry
-    #: is stored).  As current as the entry: redefining any of them fails
-    #: the revalidation above.
-    dependencies: tuple[str, ...] = ()
+    #: What the statement reads, declared by its planner
+    #: (``repro.sql.planner.Footprint``): its names key
+    #: ``table_versions`` and ``temp_tables`` once the entry is stored,
+    #: stamp each result and give the in-transaction read locks.  As
+    #: current as the entry: redefining any name fails the revalidation
+    #: above.
+    footprint: object = None
     #: Referenced name -> catalog *statistics* version at compile time.
     #: ANALYZE bumps the counter, so plans costed under stale statistics
     #: are invalidated and replanned exactly like post-DDL plans.

@@ -101,6 +101,38 @@ class Plan:
         return [bc.column for bc in self.schema]
 
 
+#: What a leaf that cannot name its keys reads: its whole table.
+_WHOLE_TABLE = ((),)
+
+
+@dataclass(frozen=True)
+class Footprint:
+    """What one planned statement reads, declared by its planner.
+
+    ``names`` is every table, view, temp table and ``sys_*`` snapshot
+    the statement resolved — FROM items, view bodies at any depth,
+    subqueries, UNION branches and the DML target — in name order;
+    ``base_tables`` the durable base tables among them.  ``leaves`` are
+    the access leaves of the main plan and of every subquery plan, in
+    walk order, as ``(table, seek)``: ``seek`` is a primary-key
+    :class:`IndexSeek` with a ``constant_key``, whose keys are named per
+    execution, or None for a leaf that reads the whole table."""
+
+    names: tuple[str, ...]
+    base_tables: tuple[str, ...]
+    leaves: tuple[tuple[str, IndexSeek | None], ...]
+
+    def prefixes_sought(self) -> dict[str, set]:
+        """``table -> primary-key prefixes`` this execution reads (see
+        :meth:`IndexSeek.read_prefixes`), the empty prefix standing for
+        the whole table."""
+        reads: dict[str, set] = {}
+        for name, seek in self.leaves:
+            reads.setdefault(name, set()).update(
+                _WHOLE_TABLE if seek is None else seek.read_prefixes())
+        return reads
+
+
 @dataclass
 class _Relation:
     """One planned FROM item during join assembly."""
@@ -148,6 +180,11 @@ class Planner:
         #: Memo cells of the parameter subtrees its expressions evaluate
         #: once per execution; reset by the plan cache on every rebind.
         self.param_memos: list = []
+        #: Names resolved where a FROM item, a view or a DML target is
+        #: looked up — never the binding aliases ``_max_factor_of``
+        #: probes — and the durable base tables among them.
+        self._names: set[str] = set()
+        self._base_tables: set[str] = set()
 
     def _new_scope(self, bindings: list[tuple[str, str]],
                    outer: Scope | None) -> Scope:
@@ -176,6 +213,36 @@ class Planner:
                     outer_scope: Scope | None = None) -> Plan:
         return self._plan_select(select, outer_scope)
 
+    def resolve_table(self, name: str):
+        """The runtime of a base table, temp table or ``sys_*`` snapshot,
+        recorded in the footprint."""
+        table = self._tables(name)
+        key = name.lower()
+        self._names.add(key)
+        if not table.info.volatile:
+            self._base_tables.add(key)
+        return table
+
+    def footprint(self, root: PlanOperator | None) -> Footprint:
+        """The footprint of everything this planner planned; ``root`` is
+        the statement's main plan (None for DML, which is not
+        stamped)."""
+        leaves = []
+        pending = [] if root is None else [root]
+        pending += [subquery.plan.root for subquery in self.subquery_log]
+        while pending:
+            op = pending.pop()
+            pending.extend(op.children())
+            table = getattr(op, "table", None)
+            if table is not None:
+                info = table.info
+                names_keys = (isinstance(op, IndexSeek) and op.constant_key
+                              and op.index_name == f"__pk_{info.name}")
+                leaves.append((info.name.lower(),
+                               op if names_keys else None))
+        return Footprint(tuple(sorted(self._names)),
+                         tuple(sorted(self._base_tables)), tuple(leaves))
+
     def compile_scalar(self, expr: ast.Expr):
         """Compile an expression with no row context (INSERT VALUES,
         EXEC arguments).  Returns ``fn(EvalContext) -> value``."""
@@ -198,7 +265,7 @@ class Planner:
         address as a hidden last column, under a Filter when the access
         path leaves a residual — run by the executor like any other.
         """
-        table = self._tables(table_name)
+        table = self.resolve_table(table_name)
         schema = _table_schema(table)
         scope = self._new_scope(_scope_bindings(schema), None)
         conjuncts = _split_conjuncts(where)
@@ -465,6 +532,7 @@ class Planner:
             if view_body is not None:
                 from repro.sql.parser import parse_statement
 
+                self._names.add(item.name.lower())
                 view_select = parse_statement(view_body)
                 subplan = self._plan_select(view_select, outer_scope)
                 binding = item.binding_name
@@ -472,7 +540,7 @@ class Planner:
                           for bc in subplan.schema]
                 return _Relation(op=subplan.root, schema=schema,
                                  bindings={binding})
-            table = self._tables(item.name)
+            table = self.resolve_table(item.name)
             binding = item.binding_name
             schema = [BoundColumn(binding=binding, column=c)
                       for c in table.info.columns]

@@ -388,16 +388,16 @@ class TestPerExecutionConstants:
 
 
 # ---------------------------------------------------------------------------
-# Read-version stamps from the cached dependency names
+# Read-version stamps from the cached footprint
 # ---------------------------------------------------------------------------
 
 
 class TestCachedDependencies:
     """With the shared result cache on, every SELECT result is stamped
     with the DML versions of the tables its plan reads (and the key
-    prefixes it sought in them).  A cached plan
-    keeps those names; the verbatim route walks the AST every time.  The stamps must be equal, key for key, whatever DDL happens
-    in between."""
+    prefixes it sought in them).  A cached plan keeps the footprint its
+    planner declared; the verbatim route plans every time.  The stamps
+    must be equal, key for key, whatever DDL happens in between."""
 
     SCRIPT = (
         "CREATE TABLE a (k INT NOT NULL, v INT, PRIMARY KEY (k))",
@@ -429,10 +429,19 @@ class TestCachedDependencies:
         "SELECT a.v FROM a, #s WHERE a.k = #s.k",
         "SELECT metric FROM sys_plan_cache",       # sys_* views neither
         "SELECT v FROM a WHERE k = 2",
+        "CREATE VIEW vv AS SELECT k, v FROM vw WHERE k > 0",
+        "SELECT v FROM vv WHERE k = 1",            # a view over a view
+        "SELECT v FROM vv WHERE k = 3",
     )
 
     @staticmethod
     def _stamps(cached):
+        """``(sql, rows, stamp, (plans, parses))`` per SELECT of the
+        script: the plan-cache misses it caused and the
+        ``parse_statement`` calls it made, the engine's (statement text)
+        and the planner's (view bodies) together."""
+        import repro.engine.database
+        import repro.sql.parser
         from repro.sim.costs import CostModel
 
         engine = DatabaseEngine(
@@ -440,22 +449,25 @@ class TestCachedDependencies:
         if not cached:
             verbatim(engine)
         session = EngineSession(session_id=1)
-        walks = [0]
-        walk = engine._plan_dependencies
+        parses = [0]
+        parse = repro.sql.parser.parse_statement
 
-        def counted(statement):
-            walks[0] += 1
-            return walk(statement)
+        def counted(sql):
+            parses[0] += 1
+            return parse(sql)
 
-        engine._plan_dependencies = counted
         stamps = []
-        for sql in TestCachedDependencies.SCRIPT:
-            before = walks[0]
-            result = engine.execute(sql, session)
-            if result.kind == "rows":
-                rows = result.fetch_all()
-                stamps.append((sql, rows, result.read_versions,
-                               walks[0] - before))
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (repro.sql.parser, repro.engine.database):
+                patch.setattr(module, "parse_statement", counted)
+            for sql in TestCachedDependencies.SCRIPT:
+                before = (engine.cache_stats["plan_misses"], parses[0])
+                result = engine.execute(sql, session)
+                if result.kind == "rows":
+                    rows = result.fetch_all()
+                    stamps.append((sql, rows, result.read_versions, (
+                        engine.cache_stats["plan_misses"] - before[0],
+                        parses[0] - before[1])))
         return stamps, engine
 
     def test_cached_stamps_equal_walked_stamps(self):
@@ -470,18 +482,28 @@ class TestCachedDependencies:
         # the version.
         assert by_sql[2][1]["a"][0] == by_sql[0][1]["a"][0] + 1
         assert [v for sql, v in by_sql if "#s" in sql] == [None, None]
+        # A view over a view: both view names and the base table.
+        assert set(by_sql[-1][1]) == {"vv", "vw", "b"}
         assert engine.cache_stats["plan_hits"] >= 4
 
     def test_plan_cache_hits_do_not_walk_the_statement(self):
         cached, _engine = self._stamps(cached=True)
-        walks = {}
-        for sql, _rows, _versions, count in cached:
-            walks.setdefault(sql.replace("= 2", "= 1").replace(
-                "= 3", "= 1"), []).append(count)
-        # One walk when the plan is compiled (and stored), none on reuse.
-        assert walks["SELECT v FROM vw WHERE k = 1"] == [1, 0, 0, 1, 0]
-        assert walks["SELECT a.v, b.v FROM a, b WHERE a.k = b.k "
+        plans, parses = {}, {}
+        for sql, _rows, _versions, (planned, parsed) in cached:
+            key = sql.replace("= 2", "= 1").replace("= 3", "= 1")
+            plans.setdefault(key, []).append(planned)
+            parses.setdefault(key, []).append(parsed)
+        # A miss plans (and stores the plan), a hit does not.
+        assert plans["SELECT v FROM vw WHERE k = 1"] == [1, 0, 0, 1, 0]
+        assert plans["SELECT a.v, b.v FROM a, b WHERE a.k = b.k "
                      "AND a.k = 1"] == [1, 0]
+        # Each text and each view body is parsed once, by the planner
+        # that expands it: the miss on a view over a view parses its
+        # text, vv's body and vw's body; a hit parses nothing.  The
+        # replan after vw is redefined parses only the new body — the
+        # statement's template is cached.
+        assert parses["SELECT v FROM vv WHERE k = 1"] == [3, 0]
+        assert parses["SELECT v FROM vw WHERE k = 1"] == [2, 0, 0, 1, 0]
 
     def test_procedure_select_is_stamped_like_the_same_select_alone(self):
         """A SELECT in a procedure body has no text of its own, so it is

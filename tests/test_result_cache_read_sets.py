@@ -375,7 +375,10 @@ def stamping_engine():
     engine = DatabaseEngine(meter=Meter(cost_model(capacity=8)))
     session = EngineSession(session_id=1)
     for sql in SCHEMA + ("CREATE VIEW tv AS SELECT b, v FROM t "
-                         "WHERE a = 2",):
+                         "WHERE a = 2",
+                         "CREATE VIEW tvv AS SELECT b, v FROM tv "
+                         "WHERE b = 1",
+                         "CREATE TABLE a (k INT NOT NULL, PRIMARY KEY (k))"):
         engine.execute(sql, session)
     return engine, session
 
@@ -420,6 +423,14 @@ WHOLE = {()}
     # A view: its own name (DDL on it) and what its body seeks.
     ("SELECT v FROM tv WHERE b = 1", {"tv": WHOLE, "t": {(2,)}}),
     ("SELECT 1", {}),
+    # A view over a view: both names, and what the innermost body seeks.
+    ("SELECT v FROM tvv", {"tvv": WHOLE, "tv": WHOLE, "t": {(2,)}}),
+    # An alias naming another table is no read of that table.
+    ("SELECT a.v, u.k FROM t a, u WHERE a.a = 1 AND a.b = 2 AND u.k = 1",
+     {"t": {(1, 2)}, "u": {(1,)}}),
+    # Each UNION branch seeks its own key.
+    ("SELECT v FROM t WHERE a = 1 AND b = 2 UNION "
+     "SELECT v FROM t WHERE a = 3 AND b = 1", {"t": {(1, 2), (3, 1)}}),
 ])
 def test_read_set_stamped_per_access_path(stamping_engine, sql, expected):
     engine, session = stamping_engine

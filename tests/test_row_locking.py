@@ -306,6 +306,32 @@ class TestRowModeEngine:
         assert engine.meter.counters["locks.row_locks_acquired"] >= 1
 
 
+class TestReadsThroughViews:
+    """Kept out of ``TestLockTraceUnchanged``'s directed scenarios, whose
+    golden digest holds the decisions of the engine scenarios above."""
+
+    def test_reads_through_a_view_lock_its_base_table(self):
+        """A transactional read through a view locks the table the view
+        reads, exactly as the same read on the table does; the view's
+        own name takes no lock — nothing writes it."""
+        engine, alice, bob = row_world()
+        run(engine, alice, "CREATE TABLE h (k INT, v INT)")
+        run(engine, alice, "INSERT INTO h VALUES (1, 10), (2, 20)")
+        run(engine, alice, "CREATE VIEW hv AS SELECT k, v FROM h")
+        run(engine, alice, "BEGIN TRANSACTION")
+        assert run(engine, alice, "SELECT k, v FROM hv") == \
+            [(1, 10), (2, 20)]
+        txn_id = alice.current_txn.txn_id
+        assert engine.locks.held(txn_id, "h") is S
+        assert engine.locks.held(txn_id, "hv") is None
+        run(engine, bob, "BEGIN TRANSACTION")
+        with pytest.raises(LockWaitError):
+            run(engine, bob, "UPDATE h SET v = 20 WHERE k = 1")
+        run(engine, alice, "COMMIT")
+        assert run(engine, bob, "UPDATE h SET v = 20 WHERE k = 1") == 1
+        run(engine, bob, "COMMIT")
+
+
 class TestKeylessInsert:
     """A table without a primary key has no row identity to lock.  Its
     writers used to take table X for everything, which serialised every
