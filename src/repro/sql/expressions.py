@@ -444,6 +444,22 @@ class CompiledSubquery:
     outer_refs: list[tuple[int, int]] = field(default_factory=list)
     memo: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        #: ``ctx -> memo key``: the outer values the subquery reads.
+        self.memo_key = _memo_key(self.outer_refs)
+
+
+def _memo_key(outer_refs: list[tuple[int, int]]):
+    """The memo key function of a subquery reading ``outer_refs``
+    (level 1 is the row the subquery is evaluated for): an itemgetter
+    over that row when every reference is to it."""
+    if outer_refs and all(level == 1 for level, _index in outer_refs):
+        get = operator.itemgetter(*[index for _level, index in outer_refs])
+        return lambda ctx: get(ctx.row)
+    refs = [(level - 1, index) for level, index in outer_refs]
+    return lambda ctx: tuple([ctx.at_level(up).row[index] if up >= 0
+                              else None for up, index in refs])
+
 
 #: Exact operand types whose comparison is the bare Python operator when
 #: both sides share one (or both are in ``_NUMERIC``); bool and everything
@@ -643,6 +659,26 @@ class ExprCompiler:
         if result in out.slots:
             fn._slot = out.slots[result]
         elif expr_has_subquery(node):
+            fn._impure = True
+        return fn
+
+    def compile_values(self, nodes: list, alone: list):
+        """Return ``fn(ctx) -> tuple``: the values of ``nodes``, in
+        order, from one generated function (a None node gives None).
+        ``alone[i]`` is ``nodes[i]`` compiled by :meth:`compile`; a node
+        holding a subquery is evaluated by calling it, so that subquery
+        is planned once."""
+        out = _Source()
+        atoms = []
+        for node, fn in zip(nodes, alone):
+            if node is None:
+                atoms.append("None")
+            elif is_impure(fn):
+                atoms.append(out.let(f"{out.bind(fn)}(ctx)"))
+            else:
+                atoms.append(self._emit(node, out))
+        fn = out.build("(" + "".join(f"{atom}, " for atom in atoms) + ")")
+        if any(is_impure(one) for one in alone):
             fn._impure = True
         return fn
 
@@ -911,8 +947,7 @@ class ExprCompiler:
 
     def _execute_subquery(self, compiled: CompiledSubquery,
                           ctx: EvalContext) -> list[tuple]:
-        key = tuple(ctx.at_level(level - 1).row[index] if level > 0 else None
-                    for level, index in compiled.outer_refs)
+        key = compiled.memo_key(ctx)
         cached = compiled.memo.get(key)
         if cached is not None:
             return cached
