@@ -5,6 +5,7 @@ import pytest
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
 from repro.errors import PlanningError
+from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
 from repro.sql.executor import (
     EmptyScan,
@@ -91,6 +92,39 @@ class TestAccessPaths:
                        "SELECT * FROM t WHERE a = 5 AND c = 'x'")
         assert has_op(plan.root, IndexSeek)
         assert has_op(plan.root, Filter)
+
+
+class TestPricing:
+    """Operators over a FROM item are priced by the tables its bindings
+    resolved to, whatever the aliases are called.  ``phoenix_*`` tables
+    are the un-amplified ones."""
+
+    @pytest.fixture
+    def planner(self):
+        engine = DatabaseEngine(meter=Meter(CostModel(
+            work_amplification=50.0)))
+        session = EngineSession(session_id=1)
+        engine.execute("CREATE TABLE t (k INT)", session)
+        engine.execute("CREATE TABLE phoenix_a (k INT)", session)
+        return Planner(engine.table_provider(session), engine.meter,
+                       engine.catalog)
+
+    @pytest.mark.parametrize("sql,factor", [
+        ("SELECT k FROM t ORDER BY k", 50.0),
+        ("SELECT k FROM t phoenix_a ORDER BY k", 50.0),
+        ("SELECT k FROM phoenix_a t ORDER BY k", 1.0),
+        ("SELECT k FROM (SELECT k FROM phoenix_a) t ORDER BY k", 1.0),
+        ("SELECT x.k FROM phoenix_a t, t x WHERE t.k = x.k ORDER BY x.k",
+         50.0),
+    ])
+    def test_sort_is_priced_by_the_resolved_table(self, planner, sql,
+                                                   factor):
+        root = plan_of(planner, sql).root
+        [sort] = [op for op in operators(root) if isinstance(op, Sort)]
+        assert sort.cost_factor == factor
+        for join in (op for op in operators(root)
+                     if isinstance(op, HashJoin)):
+            assert join.cost_factor == factor
 
 
 class TestJoins:
