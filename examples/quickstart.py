@@ -79,7 +79,7 @@ def main() -> None:
         from repro.obs.export import export_trace
 
         out = os.environ.get("REPRO_TRACE_OUT", "quickstart_trace.jsonl")
-        count = export_trace(app.meter.obs, out)
+        count = export_trace(app.meter, out)
         print(f"trace: {len(app.meter.obs.tracer.finished)} span(s) "
               f"recorded, {count} record(s) exported to {out}")
 

@@ -62,7 +62,7 @@ def page_through_report(server: DatabaseServer, mode: str) -> dict:
             "virtual_session_s": phases.get("virtual_session", 0.0),
             "sql_state_s": phases.get("sql_state", 0.0),
             "breakdown": app.manager.recovery_phase_breakdown,
-            "obs": app.meter.obs, "view_rows": view_rows}
+            "meter": app.meter, "view_rows": view_rows}
 
 
 def main() -> None:
@@ -84,12 +84,13 @@ def main() -> None:
         print("  SELECT phase, seconds FROM sys_recovery_phases:")
         for _rid, phase, seconds in outcome["view_rows"]:
             print(f"    {phase:<18} {seconds:.4f}")
-        obs = outcome["obs"]
-        spans = [span.to_dict() for span in obs.tracer.finished]
+        meter = outcome["meter"]
+        tracer = meter.obs.tracer
+        spans = [span.to_dict() for span in tracer.finished]
         summary = summarize_spans(
             spans, source=f"{mode}-side run",
-            dropped=obs.tracer.dropped,
-            counters=obs.metrics.counters)
+            dropped=tracer.dropped,
+            counters=meter.counters)
         print()
         print(summary.format())
     client, server_side = results

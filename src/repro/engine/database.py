@@ -33,6 +33,7 @@ from repro.errors import (
     TransactionError,
 )
 from repro.obs.views import SYSTEM_VIEWS, system_view
+from repro.phoenix_names import PHOENIX_PREFIX
 from repro.sim.costs import SERVER_CPU, SERVER_DISK
 from repro.sim.meter import Meter
 from repro.sql import ast
@@ -555,9 +556,6 @@ class DatabaseEngine:
         self.meter.count("checkpoints_taken")
         if flushed:
             self.meter.count("pages_flushed_background", flushed)
-        self.meter.obs.metrics.gauge_set(
-            "min_reclsn", float(min(dirty_pages.values(),
-                                    default=begin_lsn)))
         if truncate:
             keep_from = begin_lsn
             if dirty_pages:
@@ -1395,7 +1393,7 @@ class DatabaseEngine:
                               primary_key) -> Table:
         """Catalog entry, its log record and its runtime, inside ``txn``."""
         info = self.catalog.create_table(
-            name, columns, amplified=not name.startswith("phoenix_"),
+            name, columns, amplified=not name.startswith(PHOENIX_PREFIX),
             primary_key=tuple(primary_key))
         self.txns.log_create_table(txn, self._table_snapshot(info))
         return self._runtime(info)

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.obs.views import SYSTEM_VIEWS
+from repro.phoenix_names import PHOENIX_PREFIX
 from repro.wal.records import (
     AbortRecord,
     CommitRecord,
@@ -69,7 +70,7 @@ def version_tracked(name: str) -> bool:
     per query, and Phoenix's own overhead tables churn constantly —
     none of them may pollute the shared version vector.
     """
-    return not (name.startswith("#") or name.startswith("phoenix")
+    return not (name.startswith("#") or name.startswith(PHOENIX_PREFIX)
                 or name in SYSTEM_VIEWS)
 
 

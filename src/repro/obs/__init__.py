@@ -1,4 +1,4 @@
-"""Observability: tracing + metrics threaded through every layer.
+"""Observability: tracing and recovery timings threaded through every layer.
 
 The paper's contribution is *measuring* a persistent-session system;
 this package is the measurement substrate the reproduction exposes.
@@ -8,12 +8,13 @@ One :class:`Observability` instance rides on each
 * a :class:`~repro.obs.trace.Tracer` — parent/child spans stamped from
   the virtual clock (disabled unless ``REPRO_TRACE=1`` or explicitly
   enabled; zero virtual cost either way);
-* a :class:`~repro.obs.metrics.MetricsRegistry` — counters (including
-  every legacy ``Meter.count`` counter), gauges and fixed-bucket
-  histograms;
+* the request latency ledger (:mod:`repro.obs.latency`);
 * the recovery log — per-phase virtual-time breakdowns of every Phoenix
   session recovery, feeding the ``sys_recovery_phases`` view and the
   Fig. 3/4 phase-breakdown artifacts.
+
+The world's counters are ``Meter.counters``, a plain dict: counters are
+the only metric kind.
 
 Siblings: :mod:`repro.obs.views` (``sys_*`` queryable views),
 :mod:`repro.obs.export` (JSONL trace exporter),
@@ -27,11 +28,11 @@ import os
 from collections import deque
 
 from repro.obs.latency import LatencyLedger
-from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
+from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
 from repro.obs.trace import NOOP_SPAN, Span, Tracer
 
-__all__ = ["Observability", "Tracer", "Span", "MetricsRegistry",
-           "Histogram", "DEFAULT_BUCKETS", "NOOP_SPAN", "LatencyLedger",
+__all__ = ["Observability", "Tracer", "Span", "Histogram",
+           "DEFAULT_BUCKETS", "NOOP_SPAN", "LatencyLedger",
            "RECOVERY_PHASES", "trace_enabled_from_env"]
 
 #: Canonical order of the Phoenix recovery phases (§2.3, Figures 3/4).
@@ -47,14 +48,13 @@ def trace_enabled_from_env() -> bool:
 
 
 class Observability:
-    """Tracer + metrics + recovery log for one simulated world."""
+    """Tracer + latency ledger + recovery log for one simulated world."""
 
     def __init__(self, now_fn, enabled: bool | None = None,
                  max_spans: int = 20000):
         if enabled is None:
             enabled = trace_enabled_from_env()
         self.tracer = Tracer(now_fn, enabled=enabled, max_spans=max_spans)
-        self.metrics = MetricsRegistry()
         #: Per-request latency attribution (see :mod:`repro.obs.latency`).
         #: On whenever tracing is on, or standalone via
         #: :meth:`~repro.sim.meter.Meter.enable_latency_ledger`; it never

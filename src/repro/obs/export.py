@@ -7,7 +7,9 @@ One record per line:
   parent-must-exist check when spans were dropped);
 * one ``span`` record per finished span (schema in
   :mod:`repro.obs.validate`);
-* one ``metric`` record per counter/gauge/histogram-bucket row;
+* one ``metric`` record per counter (kind ``counter``, empty bucket —
+  older files may also carry ``gauge`` and ``histogram`` records, which
+  the validator still reads);
 * one ``latency`` record per request kind the latency ledger saw
   (schema version 2; absent when the ledger is disabled or idle).
 
@@ -35,8 +37,9 @@ SCHEMA_VERSION = 2
 KNOWN_SCHEMA_VERSIONS = (1, 2)
 
 
-def trace_records(obs) -> list[dict]:
+def trace_records(meter) -> list[dict]:
     """Every exportable record of one world, meta line first."""
+    obs = meter.obs
     tracer = obs.tracer
     records: list[dict] = [{
         "type": "meta", "version": SCHEMA_VERSION,
@@ -45,18 +48,17 @@ def trace_records(obs) -> list[dict]:
         "open_spans": tracer.open_span_count,
     }]
     records.extend(span.to_dict() for span in tracer.finished)
-    records.extend({"type": "metric", "kind": kind, "name": name,
-                    "bucket": bucket, "value": value}
-                   for kind, name, bucket, value in obs.metrics.rows())
-    latency = getattr(obs, "latency", None)
-    if latency is not None:
-        records.extend(latency.export_records())
+    counters = meter.counters
+    records.extend({"type": "metric", "kind": "counter", "name": name,
+                    "bucket": "", "value": float(counters[name])}
+                   for name in sorted(counters))
+    records.extend(obs.latency.export_records())
     return records
 
 
-def export_trace(obs, path) -> int:
-    """Write one world's trace + metrics as JSONL; returns #records."""
-    records = trace_records(obs)
+def export_trace(meter, path) -> int:
+    """Write one world's trace + counters as JSONL; returns #records."""
+    records = trace_records(meter)
     text = "\n".join(json.dumps(r, sort_keys=True) for r in records)
     pathlib.Path(path).write_text(text + "\n")
     return len(records)

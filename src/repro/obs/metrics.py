@@ -1,11 +1,9 @@
-"""Counters, gauges and fixed-bucket histograms.
+"""Percentiles and fixed-bucket histograms for the offline reports.
 
-One :class:`MetricsRegistry` lives on each :class:`~repro.sim.meter.Meter`
-(one per simulated world).  The meter's ad-hoc diagnostic counters are
-the registry's counters — ``Meter.count`` delegates here, so every
-counter that used to live in ``meter.counters`` now shares one namespace
-with the gauges and histograms the observability layer adds, and all of
-them surface through the ``sys_metrics`` view and the JSONL exporter.
+The world's metrics are its counters (``Meter.counters``); nothing here
+is recorded while a world runs.  The request latency ledger and
+``trace-report`` share :func:`percentile`, and ``trace-report`` renders
+per-layer span durations as :class:`Histogram` shapes.
 
 Histograms use fixed bucket boundaries (seconds by default, spanning
 0.1 ms to 30 s in a 1-3-10 ladder) so two runs of the same workload
@@ -89,56 +87,3 @@ class Histogram:
 
 def _bound_label(bound: float) -> str:
     return f"{bound:g}"
-
-
-class MetricsRegistry:
-    """Named counters, gauges and histograms for one world."""
-
-    def __init__(self):
-        self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
-        self.histograms: dict[str, Histogram] = {}
-
-    # -- writing ------------------------------------------------------------
-
-    def count(self, name: str, amount: float = 1.0) -> None:
-        self.counters[name] = self.counters.get(name, 0.0) + amount
-
-    def gauge_set(self, name: str, value: float) -> None:
-        self.gauges[name] = value
-
-    def observe(self, name: str, value: float,
-                bounds: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = Histogram(name, bounds)
-            self.histograms[name] = histogram
-        histogram.observe(value)
-
-    def reset(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
-
-    # -- reading ------------------------------------------------------------
-
-    def rows(self) -> list[tuple[str, str, str, float]]:
-        """Flat (kind, name, bucket, value) rows for views/exports.
-
-        Counters and gauges use an empty bucket label; each histogram
-        contributes one row per bucket plus ``count``/``sum`` rollups.
-        """
-        out: list[tuple[str, str, str, float]] = []
-        for name in sorted(self.counters):
-            out.append(("counter", name, "", float(self.counters[name])))
-        for name in sorted(self.gauges):
-            out.append(("gauge", name, "", float(self.gauges[name])))
-        for name in sorted(self.histograms):
-            histogram = self.histograms[name]
-            out.append(("histogram", name, "count",
-                        float(histogram.count)))
-            out.append(("histogram", name, "sum", histogram.total))
-            for label, bucket_count in histogram.bucket_rows():
-                out.append(("histogram", name, f"le:{label}",
-                            float(bucket_count)))
-        return out

@@ -22,10 +22,21 @@ Two span kinds:
 The tracer is disabled by default and, when disabled, does no work
 beyond one attribute check — hot paths stay hot.  Enable it per-world
 with :meth:`Tracer.enable` or globally with ``REPRO_TRACE=1``.
+
+:meth:`Tracer.phase` is the one timer of low-frequency work (a recovery
+phase, a persist step): it always yields a timed span, so the code reads
+a phase's duration off the same two clock readings whether or not the
+span is kept.  The per-request sites (``server.handle``/``resume``,
+``engine.execute``, ``phoenix.exec_direct``, the executor's stream) time
+nothing and keep an ``if obs.enabled`` fork around :meth:`Tracer.span`
+instead: untraced, a ``with`` over the no-op span cost 0.38 µs a call
+against 0.14 µs for the fork, and a ``phase`` 2.5 µs (CPython 3.11.7,
+Intel Xeon, ``timeit``).
 """
 
 from __future__ import annotations
 
+import contextlib
 from collections import deque
 
 
@@ -133,20 +144,50 @@ class Tracer:
         """Open a nested span; use as ``with tracer.span(...) as s:``."""
         if not self.enabled:
             return NOOP_SPAN
-        span = self._new_span(name, layer, "span", attrs)
+        span = self._new_span(name, layer, "span", attrs, self._now())
         self._stack.append(span)
         return _SpanContext(self, span)
 
     def end_span(self, span: Span, status: str = "ok") -> None:
         """Close a stack-nested span (innermost-first)."""
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
-        else:  # pragma: no cover - misuse guard
-            try:
-                self._stack.remove(span)
-            except ValueError:
-                pass
+        span.end = self._now()
+        self._unstack(span)
         self._finish(span, status)
+
+    @contextlib.contextmanager
+    def phase(self, name: str, layer: str, clock=None, **attrs):
+        """Time one phase of low-frequency work; use as
+        ``with tracer.phase(...) as span:`` and read ``span.start`` /
+        ``span.end`` / ``span.duration`` afterwards.
+
+        Unlike :meth:`span` it always yields a real :class:`Span`, its
+        ``start`` and ``end`` read from ``clock`` (default: the tracer's
+        own pure clock read).  While tracing is on the span is nested and
+        kept like any other; while it is off it is kept by nobody.  A
+        phase that raises ends at the tracer's pure read instead: nobody
+        books a failed phase, so an error path never gains a reading of
+        ``clock`` (a flushing one would move a flush point).
+        """
+        clock = clock if clock is not None else self._now
+        traced = self.enabled
+        if traced:
+            span = self._new_span(name, layer, "span", attrs, clock())
+            self._stack.append(span)
+        else:
+            span = Span(0, 0, name, layer, "span", clock(), attrs or None)
+        try:
+            yield span
+        except BaseException:
+            span.end = self._now()
+            status = "error"
+            raise
+        else:
+            span.end = clock()
+            status = "ok"
+        finally:
+            if traced:
+                self._unstack(span)
+                self._finish(span, status)
 
     def start_stream(self, name: str, layer: str = "", **attrs) -> Span:
         """Open a detached span for lazy/streaming work.
@@ -155,11 +196,12 @@ class Tracer:
         itself never becomes a parent and may outlive its siblings.
         Close it with :meth:`end_stream` (a ``finally`` in the producer).
         """
-        span = self._new_span(name, layer, "stream", attrs)
+        span = self._new_span(name, layer, "stream", attrs, self._now())
         self._open_streams.add(span.span_id)
         return span
 
     def end_stream(self, span: Span, status: str = "ok") -> None:
+        span.end = self._now()
         self._open_streams.discard(span.span_id)
         self._finish(span, status)
 
@@ -183,15 +225,23 @@ class Tracer:
 
     # -- internals ----------------------------------------------------------
 
-    def _new_span(self, name: str, layer: str, kind: str,
-                  attrs: dict) -> Span:
+    def _new_span(self, name: str, layer: str, kind: str, attrs: dict,
+                  start: float) -> Span:
         self._seq += 1
         parent_id = self._stack[-1].span_id if self._stack else 0
-        return Span(self._seq, parent_id, name, layer, kind,
-                    self._now(), attrs or None)
+        return Span(self._seq, parent_id, name, layer, kind, start,
+                    attrs or None)
+
+    def _unstack(self, span: Span) -> None:
+        if self._stack and self._stack[-1] is span:
+            self._stack.pop()
+        else:  # pragma: no cover - misuse guard
+            try:
+                self._stack.remove(span)
+            except ValueError:
+                pass
 
     def _finish(self, span: Span, status: str) -> None:
-        span.end = self._now()
         span.status = status
         if len(self.finished) == self.finished.maxlen:
             self.dropped += 1

@@ -40,6 +40,8 @@ _SPAN_FIELDS = {
     "attrs": dict,
 }
 _SPAN_KINDS = ("span", "stream")
+#: The exporter writes counters only; gauge and histogram records come
+#: from files written before counters became the only metric kind.
 _METRIC_KINDS = ("counter", "gauge", "histogram")
 #: Interval-containment slack: timestamps are exact floats from one
 #: clock, so equality at the edges is legal but drift is not.

@@ -11,7 +11,7 @@ The engine registers its catalog views (``sys_tables``, ...) in
 views:
 
 * ``sys_traces`` — finished spans of the world's tracer;
-* ``sys_metrics`` — every counter/gauge/histogram bucket;
+* ``sys_metrics`` — every world counter;
 * ``sys_locks`` — held table/row locks with modes and waiters, and the
   lock queues: who waits for what, behind whom, for how long;
 * ``sys_recovery_phases`` — per-phase virtual-time breakdown of each
@@ -20,13 +20,8 @@ views:
   per-session temp-table plan counts and LRU evictions;
 * ``sys_executor`` — batch-execution diagnostics: batches per operator
   class, point-lookup fast-path hits, compiled-expression cache traffic;
-* ``sys_network`` — wire traffic and pipelining: round trips (total and
-  per request kind), wire bytes up/down, fetch-ahead hit/waste counts
-  and overlap seconds, pipeline stalls;
-* ``sys_result_cache`` — shared-result-cache traffic: hits, misses,
-  insertions, evictions and invalidations, with per-table breakdowns,
-  why entries died or lived (by key, spared, wholesale writes by
-  reason) and the live entries by read-set precision.
+* ``sys_network``, ``sys_result_cache``, ``sys_optimizer`` — the world
+  counters of one family each, declared in :data:`_COUNTER_VIEWS`.
 
 View functions only read engine/meter state; they import nothing from
 the engine so the registry itself stays dependency-free.
@@ -83,11 +78,15 @@ def _sys_traces(engine):
 
 @system_view("sys_metrics")
 def _sys_metrics(engine):
+    """Every world counter, one ``counter`` row each (``bucket`` is
+    empty: counters are the only metric kind)."""
     columns = [Column("kind", SqlType.VARCHAR, 12),
                Column("name", SqlType.VARCHAR, 64),
                Column("bucket", SqlType.VARCHAR, 16),
                Column("value", SqlType.FLOAT)]
-    return columns, engine.meter.obs.metrics.rows()
+    counters = engine.meter.counters
+    return columns, [("counter", name, "", float(counters[name]))
+                     for name in sorted(counters)]
 
 
 @system_view("sys_locks")
@@ -168,77 +167,73 @@ def _sys_executor(engine):
     return columns, rows
 
 
-@system_view("sys_network")
-def _sys_network(engine):
-    """Network/pipelining observability (the round-trip ledger).
-
-    Everything here comes from world counters maintained by
-    :class:`~repro.server.network.SimulatedNetwork` (``net.*``, with
-    ``net.requests.<kind>`` / ``net.bytes_up.<kind>`` /
-    ``net.bytes_down.<kind>`` per request kind) and the driver's
-    fetch-ahead layer (``prefetch_*``, and ``pipeline_stall_seconds``
-    for synchronous requests that queued behind in-flight batches).
-    ``prefetch_overlap_seconds`` is already net of each batch's realized
-    stall.  A script — a persisted result or a wrapped update on the
-    default chain — is one ``ExecuteRequest``, however many statements
-    it runs.
-    """
-    columns = [Column("metric", SqlType.VARCHAR, 64),
-               Column("value", SqlType.FLOAT)]
-    counters = engine.meter.counters
-    rows = [(name, float(counters[name]))
-            for name in sorted(counters)
-            if name.startswith(("net.", "prefetch_", "pipeline_"))]
-    return columns, rows
-
-
-@system_view("sys_result_cache")
-def _sys_result_cache(engine):
-    """Shared-result-cache observability (hit/miss/invalidation traffic).
-
-    The ``result_cache.*`` world counters maintained by
-    :class:`~repro.phoenix.result_cache.SharedResultCache` — totals plus
-    the per-table ``result_cache.hits.<t>`` / ``result_cache.misses.<t>``
-    / ``result_cache.invalidations.<t>`` families — say why an entry
-    died or lived: ``invalidations_by_key`` (evicted by a write that
-    named its keys; the rest of ``invalidations`` fell to wholesale
-    writes), ``spared`` (entries of a written table the write did not
-    overlap) and ``wholesale_writes.<reason>`` (``no_pk`` / ``ddl`` /
-    ``cap`` counted by the server per committed table write, ``gap`` by
-    the client per bump that did not start at its mirror).
-    ``result_cache.entries.key_stamped`` / ``.table_stamped`` are the
-    live entries by the precision of their read set.  Empty while
-    ``result_cache_entries`` is 0.
-    """
-    columns = [Column("metric", SqlType.VARCHAR, 80),
-               Column("value", SqlType.BIGINT)]
-    counters = engine.meter.counters
-    rows = [(name, int(counters[name]))
-            for name in sorted(counters)
-            if name.startswith("result_cache.")]
+def _result_cache_census(engine) -> list[tuple[str, int]]:
+    """The shared result cache's live entries by read-set precision."""
     cache = getattr(engine.meter, "_shared_result_cache", None)
-    if cache is not None:
-        rows.extend((f"result_cache.entries.{kind}", count)
-                    for kind, count in cache.census().items())
-    return columns, sorted(rows)
+    if cache is None:
+        return []
+    return [(f"result_cache.entries.{kind}", count)
+            for kind, count in cache.census().items()]
 
 
-@system_view("sys_optimizer")
-def _sys_optimizer(engine):
-    """Optimizer observability (the ``optimizer.*`` family).
+#: Views that are the world counters with the given name prefixes:
+#: ``(view, prefixes, value type, metric column width, extra rows)``.
+#:
+#: * ``sys_network`` — the round-trip ledger kept by
+#:   :class:`~repro.server.network.SimulatedNetwork` (``net.*``, with
+#:   ``net.requests.<kind>`` / ``net.bytes_up.<kind>`` /
+#:   ``net.bytes_down.<kind>`` per request kind) and the driver's
+#:   fetch-ahead layer (``prefetch_*``, and ``pipeline_stall_seconds``
+#:   for synchronous requests that queued behind in-flight batches).
+#:   ``prefetch_overlap_seconds`` is already net of each batch's realized
+#:   stall.  A script — a persisted result or a wrapped update on the
+#:   default chain — is one ``ExecuteRequest``, however many statements
+#:   it runs.
+#: * ``sys_result_cache`` — the ``result_cache.*`` counters of
+#:   :class:`~repro.phoenix.result_cache.SharedResultCache`: totals plus
+#:   the per-table ``hits.<t>`` / ``misses.<t>`` / ``invalidations.<t>``
+#:   families, and why an entry died or lived — ``invalidations_by_key``
+#:   (evicted by a write that named its keys; the rest of
+#:   ``invalidations`` fell to wholesale writes), ``spared`` (entries of
+#:   a written table the write did not overlap) and
+#:   ``wholesale_writes.<reason>`` (``no_pk`` / ``ddl`` / ``cap`` counted
+#:   by the server per committed table write, ``gap`` by the client per
+#:   bump that did not start at its mirror).  The live entries by the
+#:   precision of their read set follow as
+#:   ``result_cache.entries.key_stamped`` / ``.table_stamped``.  Empty
+#:   while ``result_cache_entries`` is 0.
+#: * ``sys_optimizer`` — the ``optimizer.*`` counters, accumulated at
+#:   plan time: plans costed, join orders enumerated, Top-N heap sorts,
+#:   sort-merge joins and IN-list seeks chosen, and how often the planner
+#:   fell back to defaults because a table was never ANALYZEd.
+_COUNTER_VIEWS = (
+    ("sys_network", ("net.", "prefetch_", "pipeline_"), SqlType.FLOAT, 64,
+     None),
+    ("sys_result_cache", ("result_cache.",), SqlType.BIGINT, 80,
+     _result_cache_census),
+    ("sys_optimizer", ("optimizer.",), SqlType.BIGINT, 64, None),
+)
 
-    Counters accumulate at plan time: plans costed, join orders
-    enumerated, Top-N heap sorts, sort-merge joins and IN-list seeks
-    chosen, and how often the planner fell back to defaults because a
-    table was never ANALYZEd.
-    """
-    columns = [Column("metric", SqlType.VARCHAR, 64),
-               Column("value", SqlType.BIGINT)]
-    counters = engine.meter.counters
-    rows = [(name, int(counters[name]))
-            for name in sorted(counters)
-            if name.startswith("optimizer.")]
-    return columns, rows
+
+def _counter_view(prefixes: tuple[str, ...], value_type: SqlType,
+                  width: int, extra) -> Callable:
+    convert = float if value_type is SqlType.FLOAT else int
+
+    def build(engine):
+        columns = [Column("metric", SqlType.VARCHAR, width),
+                   Column("value", value_type)]
+        counters = engine.meter.counters
+        rows = [(name, convert(counters[name]))
+                for name in sorted(counters) if name.startswith(prefixes)]
+        if extra is not None:
+            rows = sorted(rows + extra(engine))
+        return columns, rows
+
+    return build
+
+
+for _name, *_spec in _COUNTER_VIEWS:
+    system_view(_name)(_counter_view(*_spec))
 
 
 @system_view("sys_latency")

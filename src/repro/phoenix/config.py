@@ -34,14 +34,6 @@ class PhoenixConfig:
     #: gives up and reveals the failure to the application").
     reconnect_budget_seconds: float = 120.0
 
-    #: Prefix for Phoenix-owned persistent objects.  Tables starting with
-    #: this prefix live in the "special Phoenix database" and are exempt
-    #: from cost-model work amplification.
-    table_prefix: str = "phoenix_"
-
-    #: Name of the status table used for update testability.
-    status_table: str = "phoenix_status"
-
     def validate(self) -> None:
         if self.reposition_mode not in ("client", "server"):
             raise ValueError(

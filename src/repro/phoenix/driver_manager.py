@@ -75,9 +75,8 @@ class PhoenixDriverManager(DriverManager):
         self.config.validate()
         self.meter = driver.meter
         self._vconns: dict[int, VirtualConnection] = {}
-        self._status = StatusTable(driver, self.config)
-        self._persistor = ResultPersistor(driver, self.meter, self.config,
-                                          self._status)
+        self._status = StatusTable(driver)
+        self._persistor = ResultPersistor(driver, self.meter, self._status)
         self._detector = FailureDetector(driver, self.meter, self.config)
         self._recovery = SessionRecovery(driver, self.meter, self.config,
                                          self._persistor, self._detector,
@@ -691,16 +690,12 @@ class PhoenixDriverManager(DriverManager):
             self._private.connected = False
         # Failure detection is the first of the five recovery phases:
         # everything up to knowing whether the *session* (not just the
-        # server) survived.  Timed with pure clock reads so the
+        # server) survived.  Its timer reads the clock purely, so the
         # bookkeeping itself costs no virtual time.
-        obs = self.meter.obs
-        intercepted_at = self.meter.peek_now()
-        if obs.enabled:
-            with obs.tracer.span("recovery.failure_detection",
-                                 layer="phoenix"):
-                verdict = self._detect_failure(vconn)
-        else:
+        with self.meter.obs.tracer.phase("recovery.failure_detection",
+                                         "phoenix") as detection:
             verdict = self._detect_failure(vconn)
+        intercepted_at = detection.start
         if verdict == "down":
             # Give up and reveal the failure to the application,
             # passing along the original error (§2.3).

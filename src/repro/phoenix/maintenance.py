@@ -24,8 +24,11 @@ from repro.odbc.handles import (
     EnvironmentHandle,
     StatementHandle,
 )
-from repro.phoenix.config import PhoenixConfig
 from repro.phoenix.driver_manager import PhoenixDriverManager
+from repro.phoenix_names import PHOENIX_PREFIX, STATUS_TABLE
+
+_RS_PREFIX = f"{PHOENIX_PREFIX}rs_"
+_LOAD_PREFIX = f"{PHOENIX_PREFIX}load_"
 
 
 @dataclass
@@ -46,24 +49,22 @@ def live_op_keys(managers: list[PhoenixDriverManager]) -> set[str]:
     """Result-table op keys still claimed by live managers' statements."""
     keys: set[str] = set()
     for manager in managers:
-        prefix = manager.config.table_prefix
         for vconn in manager._vconns.values():
             for state in vconn.statements.values():
-                if state.table_name.startswith(f"{prefix}rs_"):
-                    keys.add(state.table_name[len(f"{prefix}rs_"):])
+                if state.table_name.startswith(_RS_PREFIX):
+                    keys.add(state.table_name[len(_RS_PREFIX):])
     return keys
 
 
 def cleanup_orphans(driver: NativeDriver,
-                    managers: list[PhoenixDriverManager] | None = None,
-                    config: PhoenixConfig | None = None) -> CleanupReport:
+                    managers: list[PhoenixDriverManager] | None = None
+                    ) -> CleanupReport:
     """Drop Phoenix-owned server objects no live manager claims.
 
     ``managers`` is the set of Phoenix driver managers still running in
     this process (their open results are preserved); an operator cleaning
     up after dead clients passes an empty list.
     """
-    config = config if config is not None else PhoenixConfig()
     claimed = live_op_keys(managers or [])
     report = CleanupReport()
 
@@ -71,37 +72,35 @@ def cleanup_orphans(driver: NativeDriver,
     connection = ConnectionHandle(env)
     driver.connect(connection, "phoenix-maintenance")
     try:
-        rs_prefix = f"{config.table_prefix}rs_"
-        load_prefix = f"{config.table_prefix}load_"
         for name in _query_column(driver, connection,
                                   "SELECT name FROM sys_tables "
-                                  f"WHERE name LIKE '{rs_prefix}%' "
+                                  f"WHERE name LIKE '{_RS_PREFIX}%' "
                                   "ORDER BY name"):
-            if name[len(rs_prefix):] in claimed:
+            if name[len(_RS_PREFIX):] in claimed:
                 continue
             if _execute_quietly(driver, connection, f"DROP TABLE {name}"):
                 report.dropped_tables.append(name)
         for name in _query_column(driver, connection,
                                   "SELECT name FROM sys_procedures "
-                                  f"WHERE name LIKE '{load_prefix}%' "
+                                  f"WHERE name LIKE '{_LOAD_PREFIX}%' "
                                   "ORDER BY name"):
-            if name[len(load_prefix):] in claimed:
+            if name[len(_LOAD_PREFIX):] in claimed:
                 continue
             if _execute_quietly(driver, connection,
                                 f"DROP PROCEDURE {name}"):
                 report.dropped_procedures.append(name)
         report.pruned_status_keys = _prune_status(driver, connection,
-                                                  config, claimed)
+                                                  claimed)
     finally:
         driver.disconnect(connection)
     return report
 
 
 def _prune_status(driver: NativeDriver, connection: ConnectionHandle,
-                  config: PhoenixConfig, claimed: set[str]) -> list[str]:
+                  claimed: set[str]) -> list[str]:
     try:
         keys = _query_column(driver, connection,
-                             f"SELECT op_key FROM {config.status_table}")
+                             f"SELECT op_key FROM {STATUS_TABLE}")
     except ReproError:
         return []  # no status table yet: nothing to prune
     pruned = []
@@ -109,7 +108,7 @@ def _prune_status(driver: NativeDriver, connection: ConnectionHandle,
         if key in claimed:
             continue
         if _execute_quietly(driver, connection,
-                            f"DELETE FROM {config.status_table} "
+                            f"DELETE FROM {STATUS_TABLE} "
                             f"WHERE op_key = '{key}'"):
             pruned.append(key)
     return pruned

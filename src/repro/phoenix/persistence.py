@@ -42,7 +42,6 @@ from __future__ import annotations
 from repro.errors import CatalogError, TableExistsError, TableNotFoundError
 from repro.odbc.driver import NativeDriver
 from repro.odbc.handles import ConnectionHandle, StatementHandle
-from repro.phoenix.config import PhoenixConfig
 from repro.phoenix.parse import script_statement
 from repro.phoenix.status_table import StatusTable
 from repro.phoenix.virtual_session import (
@@ -50,6 +49,7 @@ from repro.phoenix.virtual_session import (
     StatementState,
     VirtualConnection,
 )
+from repro.phoenix_names import PHOENIX_PREFIX
 from repro.sim.costs import CLIENT_CPU
 from repro.sim.meter import Meter
 from repro.types import Column, SqlType
@@ -59,10 +59,9 @@ class ResultPersistor:
     """Materializes result sets into Phoenix-owned server tables."""
 
     def __init__(self, driver: NativeDriver, meter: Meter,
-                 config: PhoenixConfig, status: StatusTable):
+                 status: StatusTable):
         self._driver = driver
         self._meter = meter
-        self._config = config
         self._status = status
         #: Step timings of the most recent persist() (the §3.5 breakdown
         #: and Figure 6): keys metadata/create_table/load/reopen on the
@@ -87,20 +86,18 @@ class ResultPersistor:
         """
         sql = sql.rstrip().rstrip(";")
         steps: dict[str, float] = {}
-        obs = self._meter.obs
-        tracer = obs.tracer if obs.enabled else None
+        meter = self._meter
+        tracer = meter.obs.tracer
 
         def step(name: str, fn):
-            start = self._meter.now
-            if tracer is not None:
-                with tracer.span(f"persist.{name}", layer="phoenix"):
-                    result = fn()
-            else:
+            # Timed by flushing reads: each step ends at a flush point.
+            with tracer.phase(f"persist.{name}", "phoenix",
+                              lambda: meter.now) as span:
                 result = fn()
-            steps[name] = self._meter.now - start
+            steps[name] = span.duration
             return result
 
-        table_name = f"{self._config.table_prefix}rs_{op_key}"
+        table_name = f"{PHOENIX_PREFIX}rs_{op_key}"
         if self._meter.costs.persist_pipeline \
                 and script_statement(sql) is not None:
             step("script", lambda: self._persist_script(
@@ -196,7 +193,7 @@ class ResultPersistor:
                 vconn.wrapper_txn_open = False
             if self._status.completed(connection, op_key) is not None:
                 return  # a pre-crash incarnation already loaded the table
-        proc_name = f"{self._config.table_prefix}load_{op_key}"
+        proc_name = f"{PHOENIX_PREFIX}load_{op_key}"
         scratch = StatementHandle(connection)
         execute = self._driver.execute
         try:

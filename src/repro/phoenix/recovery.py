@@ -84,47 +84,40 @@ class SessionRecovery:
         answered and, when the server died again under an earlier
         attempt at this recovery, that abandoned attempt and the renewed
         wait — and is booked as ``failure_detection``, which completes
-        the five-phase breakdown.  All timestamps are
-        :meth:`~repro.sim.meter.Meter.peek_now` pure reads, so the
-        bookkeeping never perturbs the virtual clock.
+        the five-phase breakdown.  Every boundary is one reading of a
+        :meth:`~repro.obs.trace.Tracer.phase` timer — a
+        :meth:`~repro.sim.meter.Meter.peek_now` pure read — so the
+        bookkeeping never perturbs the virtual clock, and a traced run
+        books exactly what an untraced one does.
         """
         self.recoveries += 1
         obs = self._meter.obs
-        tracer = obs.tracer if obs.enabled else None
-        peek = self._meter.peek_now
-        timeline = [("failure_detection", intercepted_at, peek())]
+        tracer = obs.tracer
+        timeline: list[tuple[str, float, float]] = []
 
         def phase(name: str, step) -> None:
-            t0 = peek()
-            if tracer is not None:
-                with tracer.span(f"recovery.{name}", layer="phoenix"):
-                    step()
-            else:
+            with tracer.phase(f"recovery.{name}", "phoenix") as span:
                 step()
-            timeline.append((name, t0, peek()))
+            timeline.append((name, span.start, span.end))
 
-        def run() -> None:
-            start = peek()
+        with tracer.phase("phoenix.recover", "phoenix",
+                          recovery=self.recoveries) as recover:
+            timeline.append(("failure_detection", intercepted_at,
+                             recover.start))
             self._recover_virtual_session(vconn, phase)
-            mid = peek()
+            # The virtual session is whole where its last phase ended.
+            mid = timeline[-1][2]
             self._recover_sql_state(vconn, phase)
-            self.last_phase_seconds = {
-                "virtual_session": mid - start,
-                "sql_state": peek() - mid,
-            }
-
-        if tracer is not None:
-            with tracer.span("phoenix.recover", layer="phoenix",
-                             recovery=self.recoveries):
-                run()
-        else:
-            run()
+        self.last_phase_seconds = {
+            "virtual_session": mid - recover.start,
+            "sql_state": recover.end - mid,
+        }
         breakdown = dict.fromkeys(RECOVERY_PHASES, 0.0)
         for name, t0, t1 in timeline:
             breakdown[name] += t1 - t0
         self.last_timeline = timeline
         self.last_phase_breakdown = breakdown
-        obs.record_recovery(breakdown, finished_at=peek())
+        obs.record_recovery(breakdown, finished_at=recover.end)
 
     # -- phase 1 ---------------------------------------------------------------
 

@@ -18,19 +18,14 @@ from __future__ import annotations
 from repro.errors import TableExistsError, TransactionError
 from repro.odbc.driver import NativeDriver
 from repro.odbc.handles import ConnectionHandle, StatementHandle
-from repro.phoenix.config import PhoenixConfig
+from repro.phoenix_names import STATUS_TABLE
 
 
 class StatusTable:
     """Client-side access to the server-resident status table."""
 
-    def __init__(self, driver: NativeDriver, config: PhoenixConfig):
+    def __init__(self, driver: NativeDriver):
         self._driver = driver
-        self._config = config
-
-    @property
-    def name(self) -> str:
-        return self._config.status_table
 
     def ensure(self, connection: ConnectionHandle) -> None:
         """Create the status table if this is the first Phoenix client."""
@@ -38,7 +33,7 @@ class StatusTable:
         try:
             self._driver.execute(
                 scratch,
-                f"CREATE TABLE {self.name} "
+                f"CREATE TABLE {STATUS_TABLE} "
                 f"(op_key VARCHAR(64) NOT NULL, rows_affected INT, "
                 f"PRIMARY KEY (op_key))")
         except TableExistsError:
@@ -50,7 +45,7 @@ class StatusTable:
         scratch = StatementHandle(connection)
         self._driver.execute(
             scratch,
-            f"SELECT rows_affected FROM {self.name} "
+            f"SELECT rows_affected FROM {STATUS_TABLE} "
             f"WHERE op_key = '{op_key}'")
         row = self._driver.fetch_one(scratch)
         self._driver.close_statement(scratch)
@@ -59,7 +54,7 @@ class StatusTable:
     def record_sql(self, op_key: str, rows_affected: int) -> str:
         """The INSERT that marks ``op_key`` complete (run inside the
         wrapping transaction)."""
-        return (f"INSERT INTO {self.name} (op_key, rows_affected) "
+        return (f"INSERT INTO {STATUS_TABLE} (op_key, rows_affected) "
                 f"VALUES ('{op_key}', {int(rows_affected)})")
 
     def run_once(self, statement: StatementHandle, op_key: str,
@@ -88,7 +83,7 @@ class StatusTable:
                 return recorded, None
         # The newline ends a trailing ``--`` comment of ``body`` before
         # its separator.
-        script = (f"BEGIN TRANSACTION; {body}\n; INSERT INTO {self.name} "
+        script = (f"BEGIN TRANSACTION; {body}\n; INSERT INTO {STATUS_TABLE} "
                   f"VALUES ('{op_key}', {rows_affected}); COMMIT")
         if then:
             script = f"{script}; {then}"

@@ -207,17 +207,14 @@ class DatabaseServer:
         """Bring the server back up, running restart recovery."""
         if self._running:
             return
-        obs = self.meter.obs
         # A fault injector may restart us in the middle of an exchange a
         # client is overlapping with something else.  Restart recovery
         # is not that client's service: it runs on the clock.
         window = self.meter.suspend_overlap()
         try:
-            if obs.enabled:
-                with obs.tracer.span("server.restart", layer="server",
-                                     crash=self.crashes):
-                    self.engine = self._restart_engine()
-            else:
+            with self.meter.obs.tracer.span("server.restart",
+                                            layer="server",
+                                            crash=self.crashes):
                 self.engine = self._restart_engine()
         finally:
             self.meter.resume_overlap(window)

@@ -75,13 +75,14 @@ class Meter:
         self.costs = cost_model if cost_model is not None else CostModel()
         self.clock = clock if clock is not None else VirtualClock()
         self.traces: list[RequestTrace] = []
-        #: The observability bundle of this world: tracer + metrics +
-        #: recovery log.  Span timestamps come from :meth:`peek_now` — a
-        #: pure read — so tracing can never move the virtual clock.
+        #: The observability bundle of this world: tracer + latency
+        #: ledger + recovery log.  Span timestamps come from
+        #: :meth:`peek_now` — a pure read — so tracing can never move the
+        #: virtual clock.
         self.obs = Observability(self.peek_now)
-        #: Legacy diagnostic counters; the dict *is* the metrics
-        #: registry's counter store, so both views stay in sync.
-        self.counters: dict[str, float] = self.obs.metrics.counters
+        #: The world's named counters — its only metrics (``sys_metrics``
+        #: and the trace exporter read them here).
+        self.counters: dict[str, float] = {}
         self._open_requests: list[RequestTrace] = []
         #: Multi-stream mode when False: ``charge`` records segments but
         #: does not advance the clock, and every individual charge keeps
@@ -118,9 +119,6 @@ class Meter:
         #: lock.  None (outside a transaction) costs one attribute read
         #: per row path.
         self.lock_probe = None
-        # Memoized "charge.<resource>" metric names (host-only: avoids an
-        # f-string per charge).
-        self._charge_metric_names: dict[str, str] = {}
 
     # -- charging -----------------------------------------------------------
 
@@ -139,13 +137,6 @@ class Meter:
             self._window = window + seconds
         elif self.advance_clock:
             self.clock.advance(seconds)
-        obs = self.obs
-        if obs.enabled:
-            metric = self._charge_metric_names.get(resource)
-            if metric is None:
-                metric = f"charge.{resource}"
-                self._charge_metric_names[resource] = metric
-            obs.metrics.observe(metric, seconds)
         # A window keeps the open request trace client-perspective, so
         # inside one a Segment exists only for a listening recorder.
         trace = (self._open_requests[-1]
@@ -174,15 +165,15 @@ class Meter:
         total, so it is safe only when the serial clock is authoritative.
         In multi-stream mode segment boundaries feed the queueing
         simulator, so every charge surfaces on its own; in an overlap
-        window it does only while somebody observes the individual
-        charges (a recorder pushed inside or around the window, or the
-        metrics registry under tracing) — otherwise the window is just
-        its running total, a left fold over the charges.
+        window it does only while a recorder pushed inside or around the
+        window observes the individual charges — otherwise the window is
+        just its running total, a left fold over the charges, traced or
+        not.
         """
         if resource not in _RESOURCE_SET or seconds < 0:
             _reject(resource, seconds)
         if self._window is not None:
-            if seconds > 0 and not self._recorders and not self.obs.enabled:
+            if seconds > 0 and not self._recorders:
                 self._window += seconds
                 latency = self._latency
                 if latency is not None and latency.current is not None:
@@ -258,8 +249,8 @@ class Meter:
         Used for requests whose service overlaps client compute
         (fetch-ahead, the private connection's re-dial during
         recovery): every charge inside the
-        window is real resource usage — it reaches the metrics
-        registry, the ledger's hidden column and any recorder — but the
+        window is real resource usage — it reaches the ledger's hidden
+        column and any recorder — but the
         serial clock stays put and the open request trace stays
         client-perspective (the caller charges the *unoverlapped*
         remainder at its sync point).  The window itself is one running
@@ -302,8 +293,8 @@ class Meter:
             self._window = saved
 
     def count(self, counter: str, amount: float = 1.0) -> None:
-        """Increment a named diagnostic counter (a registry counter)."""
-        self.obs.metrics.count(counter, amount)
+        """Increment a named counter."""
+        self.counters[counter] = self.counters.get(counter, 0.0) + amount
 
     # -- latency ledger -------------------------------------------------------
 

@@ -1331,28 +1331,24 @@ def iterate_plan(root: PlanOperator, meter,
     and how many rows it ultimately produced.
     """
     rows = _batch_row_stream(root, ExecContext(meter=meter, outer=outer))
-    obs = meter.obs
-    if not obs.tracer.enabled:
+    tracer = meter.obs.tracer
+    if not tracer.enabled:
         return rows
-    return _traced_rows(rows, obs, type(root).__name__)
+    return _traced_rows(rows, tracer, type(root).__name__)
 
 
-def _traced_rows(rows, obs, op: str):
-    span = obs.tracer.start_stream("executor.plan", layer="executor",
-                                   op=op)
+def _traced_rows(rows, tracer, op: str):
+    span = tracer.start_stream("executor.plan", layer="executor", op=op)
     produced = 0
+    status = "error"
     try:
         for row in rows:
             produced += 1
             yield row
-    except BaseException:
+        status = "ok"
+    finally:
         span.set_attr("rows", produced)
-        obs.tracer.end_stream(span, status="error")
-        raise
-    else:
-        span.set_attr("rows", produced)
-        obs.tracer.end_stream(span)
-        obs.metrics.observe("executor.rows_per_plan", produced)
+        tracer.end_stream(span, status=status)
 
 
 def run_plan(root: PlanOperator, meter,

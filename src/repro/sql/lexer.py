@@ -1,20 +1,20 @@
-"""SQL lexer: a regex scanner with a character-loop fallback.
+"""SQL lexer: one regex scanner.
 
 Produces a flat token list the recursive-descent parser consumes.  Details
 worth knowing:
 
 * string literals use single quotes with ``''`` as the escape;
 * ``--`` starts a line comment, ``/* */`` a block comment;
-* identifiers may start with ``#`` (temp tables) or contain ``_``;
+* identifiers are Unicode words that do not start with a decimal digit,
+  optionally behind a ``#`` (temp tables);
 * ``@name`` is a procedure parameter token;
+* numbers are decimal digits of any script (``²`` is no decimal digit:
+  it lexes as a word);
 * multi-character operators: ``<=`` ``>=`` ``<>`` ``!=`` ``||``.
 
 The scanner is on the statement-cache hot path (auto-parameterization
-re-lexes every distinct statement text), so ASCII input — all of it, in
-practice — goes through one compiled master regex.  Non-ASCII input falls
-back to the original character loop, whose ``str.isalpha``/``isalnum``
-classes are Unicode-aware in ways ``[A-Za-z0-9]`` is not; both paths
-produce identical tokens for ASCII text.
+re-lexes every distinct statement text), so all text goes through one
+compiled master regex.
 """
 
 from __future__ import annotations
@@ -24,27 +24,26 @@ import re
 from repro.errors import SqlSyntaxError
 from repro.sql.tokens import KEYWORDS, Token, TokenType
 
-_OPERATOR_PAIRS = ("<=", ">=", "<>", "!=", "||")
-_OPERATOR_SINGLES = "=<>+-*/.,();"
-
 # One master pattern, leading whitespace folded in so blank runs never
-# cost a loop iteration.  Alternation order matters: WORD cannot start
-# with a digit so it safely precedes NUMBER; NUMBER must precede OP so
-# ``.5`` lexes as a number while a bare ``.`` falls through to OP; the
-# comment branches must precede OP or ``--``/``/*`` would lex as minus
-# and divide.  STRING's trailing ``(?!')`` forbids a closing quote that
-# is immediately followed by another quote — that pair is always the
-# ``''`` escape — so an unterminated literal fails to match outright
-# instead of backtracking to a shorter string plus garbage.
+# cost a loop iteration.  ``\w`` and ``\d`` are Unicode-aware; on ASCII
+# text they are ``[A-Za-z0-9_]`` and ``[0-9]``.  Alternation order
+# matters: WORD cannot start with a decimal digit so it safely precedes
+# NUMBER; NUMBER must precede OP so ``.5`` lexes as a number while a bare
+# ``.`` falls through to OP; the comment branches must precede OP or
+# ``--``/``/*`` would lex as minus and divide.  STRING's trailing
+# ``(?!')`` forbids a closing quote that is immediately followed by
+# another quote — that pair is always the ``''`` escape — so an
+# unterminated literal fails to match outright instead of backtracking
+# to a shorter string plus garbage.
 _STRING = r"'[^']*(?:''[^']*)*'(?!')"
 _LINE_COMMENT = r"--[^\n]*(?:\n|$)"
 _BLOCK_COMMENT = r"/\*(?:[^*]|\*(?!/))*\*/"
 _TOKEN_RE = re.compile(
     rf"""\s*(?:
-      (?P<WORD>[A-Za-z_\#][A-Za-z0-9_]*)
+      (?P<WORD>(?:\#|[^\W\d])\w*)
     | (?P<NUMBER>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
     | (?P<STRING>{_STRING})
-    | (?P<PARAM>@\#?[A-Za-z0-9_]*)
+    | (?P<PARAM>@\#?\w*)
     | (?P<LINEC>{_LINE_COMMENT})
     | (?P<BLOCKC>{_BLOCK_COMMENT})
     | (?P<OP>(?:<=|>=|<>|!=|\|\|)|[=<>+\-*/.,();])
@@ -62,8 +61,6 @@ _G_WORD, _G_NUMBER, _G_STRING, _G_PARAM, _G_LINEC, _G_BLOCKC, _G_OP = \
 
 def tokenize(sql: str) -> list[Token]:
     """Tokenize ``sql``; raises :class:`SqlSyntaxError` on bad input."""
-    if not sql.isascii():
-        return _tokenize_slow(sql)
     tokens: list[Token] = []
     append = tokens.append
     match = _TOKEN_RE.match
@@ -145,115 +142,3 @@ def split_script(sql: str) -> list[str]:
     texts.append(sql[start:])
     return [text.strip() for text in texts if text.strip()]
 
-
-def _tokenize_slow(sql: str) -> list[Token]:
-    """Character-loop scanner (Unicode-aware identifier/digit classes)."""
-    tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end == -1:
-                raise SqlSyntaxError(f"unterminated block comment at {i}")
-            i = end + 2
-            continue
-        if ch == "'":
-            start = i
-            value, i = _read_string(sql, i)
-            tokens.append(Token(TokenType.STRING, value, start))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            start = i
-            value, i = _read_number(sql, i)
-            tokens.append(Token(TokenType.NUMBER, value, start))
-            continue
-        if ch == "@":
-            start = i
-            value, i = _read_word(sql, i + 1)
-            if not value:
-                raise SqlSyntaxError(f"lone '@' at position {start}")
-            tokens.append(Token(TokenType.PARAMETER, value.lower(), start))
-            continue
-        if ch.isalpha() or ch in "#_":
-            start = i
-            value, i = _read_word(sql, i)
-            upper = value.upper()
-            if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, start))
-            else:
-                tokens.append(Token(TokenType.IDENTIFIER, value, start))
-            continue
-        pair = sql[i:i + 2]
-        if pair in _OPERATOR_PAIRS:
-            tokens.append(Token(TokenType.OPERATOR,
-                                "<>" if pair == "!=" else pair, i))
-            i += 2
-            continue
-        if ch in _OPERATOR_SINGLES:
-            tokens.append(Token(TokenType.OPERATOR, ch, i))
-            i += 1
-            continue
-        raise SqlSyntaxError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(Token(TokenType.END, "", n))
-    return tokens
-
-
-def _read_string(sql: str, start: int) -> tuple[str, int]:
-    parts: list[str] = []
-    i = start + 1
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == "'":
-            if i + 1 < n and sql[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(ch)
-        i += 1
-    raise SqlSyntaxError(f"unterminated string literal at {start}")
-
-
-def _read_number(sql: str, start: int) -> tuple[str, int]:
-    i = start
-    n = len(sql)
-    seen_dot = False
-    seen_exp = False
-    while i < n:
-        ch = sql[i]
-        if ch.isdigit():
-            i += 1
-        elif ch == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            i += 1
-        elif ch in "eE" and not seen_exp and i > start:
-            nxt = sql[i + 1] if i + 1 < n else ""
-            if nxt.isdigit() or (nxt in "+-" and i + 2 < n
-                                 and sql[i + 2].isdigit()):
-                seen_exp = True
-                i += 2 if nxt in "+-" else 1
-            else:
-                break
-        else:
-            break
-    return sql[start:i], i
-
-
-def _read_word(sql: str, start: int) -> tuple[str, int]:
-    i = start
-    n = len(sql)
-    if i < n and sql[i] == "#":
-        i += 1
-    while i < n and (sql[i].isalnum() or sql[i] == "_"):
-        i += 1
-    return sql[start:i], i

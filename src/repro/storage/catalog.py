@@ -13,7 +13,7 @@ aliases no live catalog state, and ``restore()`` builds fresh objects
 without keeping references into the snapshot it read.
 
 Name scoping: all object names are case-insensitive (stored lowercased).
-Tables created in the ``phoenix`` schema (``phoenix.Txxx``) carry
+Tables named with :data:`~repro.phoenix_names.PHOENIX_PREFIX` carry
 ``amplified=False`` so the cost model does not scale-compensate Phoenix's
 own overhead tables (see DESIGN.md §6).
 """
@@ -28,6 +28,7 @@ from repro.errors import (
     TableExistsError,
     TableNotFoundError,
 )
+from repro.phoenix_names import PHOENIX_PREFIX
 from repro.types import Column, SqlType
 
 
@@ -106,7 +107,7 @@ class Catalog:
     versions: dict[str, int] = field(default_factory=dict)
     #: Client-visible schema version carried in the protocol.  Counts only
     #: application DDL: Phoenix's own result-set tables and load procedures
-    #: (``phoenix``-prefixed) churn constantly and must not invalidate the
+    #: (``phoenix_``-prefixed) churn constantly and must not invalidate the
     #: client metadata cache.
     schema_version: int = 0
     #: Per-table *DML* version counters, bumped once per committed
@@ -139,7 +140,7 @@ class Catalog:
         key = name.lower()
         self.versions[key] = self.versions.get(key, 0) + 1
         self.generation += 1
-        if not key.startswith("phoenix"):
+        if not key.startswith(PHOENIX_PREFIX):
             self.schema_version += 1
 
     def version_of(self, name: str) -> int:

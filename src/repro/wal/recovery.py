@@ -37,7 +37,6 @@ observability recovery log (``sys_recovery_phases``).
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 from repro.storage.heap import RowId
@@ -246,58 +245,44 @@ class RecoveryManager:
         meter.charge(SERVER_DISK, seconds, "restart recovery")
 
     def recover(self) -> RecoveryReport:
+        """The three passes, each timed by one phase of the world's
+        tracer; their durations are the restart's ``wal_*`` rows in the
+        recovery log."""
         meter = self._log.meter
-        if meter is None or not meter.obs.tracer.enabled:
-            return self._recover(lambda name: contextlib.nullcontext())
         tracer = meter.obs.tracer
-
-        def span(name):
-            return tracer.span(name, layer="wal")
-
-        with span("wal.recover") as root:
-            report = self._recover(span)
+        workers = meter.costs.redo_workers
+        report = RecoveryReport(redo_workers=workers)
+        with tracer.phase("wal.recover", "wal") as root:
+            with tracer.phase("wal.analysis", "wal") as analysis:
+                last_lsn, committed, ended, dpt = self._analysis(report)
+            report.winners = set(committed)
+            report.losers = set(last_lsn) - committed - ended
+            with tracer.phase("wal.redo", "wal") as redo:
+                if workers >= 1:
+                    self._redo_parallel(report, dpt, workers)
+                else:
+                    self._redo_serial(report, dpt)
+            with tracer.phase("wal.undo", "wal") as undo:
+                self._undo(report, {t: last_lsn[t] for t in report.losers})
+            # Indexes were maintained incrementally through redo/undo
+            # (see module docstring); no wholesale rebuild pass is
+            # needed.  But repeating history tolerates transient
+            # unique-key duplicates (apply-mode inserts do not enforce
+            # uniqueness), so check the invariant is restored now that
+            # both passes are done.
+            for runtime in self._touched_runtimes.values():
+                runtime.validate_unique_indexes()
+            self._log.force()
             root.set_attr("redo_applied", report.redo_applied)
             root.set_attr("undo_applied", report.undo_applied)
             root.set_attr("losers", len(report.losers))
-            return report
-
-    def _recover(self, span) -> RecoveryReport:
-        """The three passes, each under ``span(name)``."""
-        meter = self._log.meter
-        peek = meter.peek_now if meter is not None else (lambda: 0.0)
-        workers = meter.costs.redo_workers if meter is not None else 0
-        report = RecoveryReport(redo_workers=workers)
-        phase_seconds: dict[str, float] = {}
-        mark = peek()
-        with span("wal.analysis"):
-            last_lsn, committed, ended, dpt = self._analysis(report)
-        phase_seconds["wal_analysis"] = peek() - mark
-        report.winners = set(committed)
-        report.losers = set(last_lsn) - committed - ended
-        mark = peek()
-        with span("wal.redo"):
-            if workers >= 1:
-                self._redo_parallel(report, dpt, workers)
-            else:
-                self._redo_serial(report, dpt)
-        phase_seconds["wal_redo"] = peek() - mark
-        mark = peek()
-        with span("wal.undo"):
-            self._undo(report, {t: last_lsn[t] for t in report.losers})
-        phase_seconds["wal_undo"] = peek() - mark
-        # Indexes were maintained incrementally through redo/undo (see
-        # module docstring); no wholesale rebuild pass is needed.  But
-        # repeating history tolerates transient unique-key duplicates
-        # (apply-mode inserts do not enforce uniqueness), so check the
-        # invariant is restored now that both passes are done.
-        for runtime in self._touched_runtimes.values():
-            runtime.validate_unique_indexes()
-        self._log.force()
+        phase_seconds = {"wal_analysis": analysis.duration,
+                         "wal_redo": redo.duration,
+                         "wal_undo": undo.duration}
         for file_id in sorted(report.partition_seconds):
             phase_seconds[f"wal_redo_file_{file_id}"] = \
                 report.partition_seconds[file_id]
-        if meter is not None:
-            meter.obs.record_recovery(phase_seconds, finished_at=peek())
+        meter.obs.record_recovery(phase_seconds, finished_at=root.end)
         return report
 
     def _analysis(self, report: RecoveryReport):

@@ -10,6 +10,7 @@ with history; that is why it lives under ``tests/``.
 """
 
 from repro.obs.views import SYSTEM_VIEWS
+from repro.phoenix_names import PHOENIX_PREFIX
 from repro.wal.records import (
     AbortRecord,
     CommitRecord,
@@ -26,7 +27,7 @@ from repro.wal.records import (
 
 
 def _tracked(name: str) -> bool:
-    return not (name.startswith("#") or name.startswith("phoenix")
+    return not (name.startswith("#") or name.startswith(PHOENIX_PREFIX)
                 or name in SYSTEM_VIEWS)
 
 

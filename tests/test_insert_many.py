@@ -24,6 +24,7 @@ from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
 from repro.errors import ConstraintError, EngineError, TypeMismatchError
 from repro.odbc.constants import SQL_ERROR
+from repro.phoenix_names import STATUS_TABLE
 from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
 from repro.types import ROW_STATS
@@ -409,13 +410,12 @@ def test_phoenix_wrapped_update_failing_mid_batch_leaves_nothing():
     session = EngineSession(session_id=99)
     assert engine.execute("SELECT count(*) FROM items",
                           session).fetch_all() == [(3,)]
-    status = world.manager._status.name
-    recorded = engine.execute(f"SELECT count(*) FROM {status}",
+    recorded = engine.execute(f"SELECT count(*) FROM {STATUS_TABLE}",
                               session).fetch_all()
     world.execute("INSERT INTO items VALUES (10, 'x')")
     assert engine.execute("SELECT count(*) FROM items",
                           session).fetch_all() == [(4,)]
-    assert engine.execute(f"SELECT count(*) FROM {status}",
+    assert engine.execute(f"SELECT count(*) FROM {STATUS_TABLE}",
                           session).fetch_all() == [(recorded[0][0] + 1,)]
 
 

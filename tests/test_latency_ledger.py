@@ -300,7 +300,7 @@ def test_export_roundtrip_carries_latency_records(tmp_path):
     drain(app)
     app.meter.obs.tracer.enable()
     path = tmp_path / "trace.jsonl"
-    export_trace(app.meter.obs, path)
+    export_trace(app.meter, path)
     records = load_records(path)
     assert records[0]["schema_version"] == SCHEMA_VERSION == 2
     latency = [r for r in records if r.get("type") == "latency"]
@@ -316,7 +316,7 @@ def test_export_roundtrip_carries_latency_records(tmp_path):
 def test_latency_records_absent_when_ledger_idle():
     meter = Meter()
     meter.obs.tracer.enable()
-    records = trace_records(meter.obs)
+    records = trace_records(meter)
     assert [r for r in records if r.get("type") == "latency"] == []
 
 

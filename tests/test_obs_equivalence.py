@@ -34,15 +34,20 @@ def test_virtual_time_bit_identical_traced_vs_untraced(monkeypatch):
 
 
 def test_phoenix_crash_recovery_bit_identical(monkeypatch):
-    """Same contract on the recovery path (spans bracket every phase)."""
+    """Same contract on the recovery path (spans bracket every phase):
+    the clock, the rows and the counters, and every timing the phases
+    report — the persist steps, the two- and five-phase recovery splits
+    and each ``sys_recovery_phases`` row, the restart's ``wal_*`` passes
+    included — on both persist chains."""
     from repro.odbc.constants import SQL_SUCCESS
     from repro.server.server import DatabaseServer
     from repro.sim.costs import CostModel
     from repro.sim.meter import Meter
     from repro.workloads.app import BenchmarkApp
 
-    def crash_run() -> tuple:
-        meter = Meter(CostModel(output_buffer_bytes=16))
+    def crash_run(persist_pipeline: bool) -> tuple:
+        meter = Meter(CostModel(output_buffer_bytes=16,
+                                persist_pipeline=persist_pipeline))
         server = DatabaseServer(meter=meter)
         setup = BenchmarkApp(server)
         setup.run_statement("CREATE TABLE t (k INT NOT NULL, v INT, "
@@ -53,6 +58,7 @@ def test_phoenix_crash_recovery_bit_identical(monkeypatch):
         statement = app.manager.alloc_statement(app.conn)
         assert app.manager.exec_direct(
             statement, "SELECT k, v FROM t ORDER BY k") == SQL_SUCCESS
+        persist_steps = dict(app.manager.persist_step_seconds)
         for _ in range(3):
             rc, _row = app.manager.fetch(statement)
             assert rc == SQL_SUCCESS
@@ -64,11 +70,17 @@ def test_phoenix_crash_recovery_bit_identical(monkeypatch):
             if rc != SQL_SUCCESS:
                 break
             rows.append(row)
-        return (meter.now, rows, dict(meter.counters),
-                app.manager.recovery_phase_breakdown)
+        phases = app.query_rows("SELECT recovery_id, phase, seconds, "
+                                "finished_at FROM sys_recovery_phases")
+        assert {phase for _rid, phase, _s, _at in phases} >= {
+            "wal_analysis", "wal_redo", "wal_undo", "reposition"}
+        return (meter.now, rows, dict(meter.counters), persist_steps,
+                app.manager.recovery_phase_seconds,
+                app.manager.recovery_phase_breakdown, phases)
 
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
-    untraced = crash_run()
-    monkeypatch.setenv("REPRO_TRACE", "1")
-    traced = crash_run()
-    assert untraced == traced
+    for persist_pipeline in (True, False):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        untraced = crash_run(persist_pipeline)
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        traced = crash_run(persist_pipeline)
+        assert untraced == traced

@@ -418,9 +418,9 @@ def test_overlap_window_records_without_clocking():
     assert service == 5.0
     assert meter.clock.now == 1.5
     # Suppressed segments stay out of the request trace (the caller
-    # charges the unoverlapped remainder itself) but still hit metrics.
+    # charges the unoverlapped remainder itself); a charge is no counter.
     assert [s.note for s in trace.segments] == ["before", "after"]
-    assert meter.obs.metrics.counters == {}
+    assert meter.counters == {}
     with pytest.raises(ValueError):
         meter.begin_overlap()
         try:

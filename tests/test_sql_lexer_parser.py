@@ -3,11 +3,14 @@
 import datetime
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.errors import SqlSyntaxError
+from repro.errors import ReproError, SqlSyntaxError
 from repro.sql import ast
 from repro.sql.lexer import tokenize
 from repro.sql.parser import parse_script, parse_statement
+from repro.sql.plan_cache import _number_value
 from repro.sql.tokens import TokenType
 
 
@@ -58,6 +61,41 @@ class TestLexer:
     def test_unexpected_character(self):
         with pytest.raises(SqlSyntaxError):
             tokenize("SELECT ?")
+
+    @pytest.mark.parametrize("text, kind, value", [
+        ("café", TokenType.IDENTIFIER, "café"),
+        ("'é'", TokenType.STRING, "é"),
+        ("@é", TokenType.PARAMETER, "é"),
+        ("#é", TokenType.IDENTIFIER, "#é"),
+        ("١٢", TokenType.NUMBER, "١٢"),      # Arabic-Indic decimal digits
+        ("²", TokenType.IDENTIFIER, "²"),    # a digit, but not a decimal one
+    ])
+    def test_unicode_text(self, text, kind, value):
+        (token, end) = tokenize(text)
+        assert (token.type, token.value) == (kind, value)
+        assert end.type is TokenType.END
+
+    def test_superscript_digit_is_a_sql_error(self):
+        from repro.server.server import DatabaseServer
+        from repro.sim.meter import Meter
+        from repro.workloads.app import BenchmarkApp
+
+        app = BenchmarkApp(DatabaseServer(meter=Meter()))
+        app.run_statement("CREATE TABLE t (k INT NOT NULL, PRIMARY KEY (k))")
+        with pytest.raises(ReproError, match="unknown column"):
+            app.query_rows("SELECT ² FROM t")
+        assert app.query_rows("SELECT k FROM t WHERE k = ١٢") == []
+
+    @given(st.text())
+    def test_any_text_tokens_or_syntax_error(self, text):
+        try:
+            tokens = tokenize(text)
+        except SqlSyntaxError:
+            return
+        assert tokens[-1].type is TokenType.END
+        for token in tokens:
+            if token.type is TokenType.NUMBER:
+                _number_value(token.value)
 
 
 class TestParserSelect:
