@@ -8,10 +8,10 @@ application code below never mentions crashes — it just keeps calling
 
     python examples/quickstart.py
 
-With ``REPRO_TRACE=1`` the run is traced end to end and the span tree
-is exported as JSONL (``REPRO_TRACE_OUT``, default
-``quickstart_trace.jsonl``) for ``python -m repro.obs.validate`` and
-``python -m repro.bench trace-report --input``.
+With ``REPRO_TRACE=1`` the run is traced end to end and its records
+are exported as JSONL (``REPRO_TRACE_OUT``, default
+``quickstart_trace.jsonl``) for ``python -m repro.bench report --input``,
+which validates the file and renders it.
 """
 
 import os
@@ -75,12 +75,12 @@ def main() -> None:
               f"persisted, {stats['recoveries']} session recover(ies)")
     print(f"virtual time elapsed: {app.meter.now:.3f}s")
 
-    if app.meter.obs.enabled:
+    if app.meter.tracer.enabled:
         from repro.obs.export import export_trace
 
         out = os.environ.get("REPRO_TRACE_OUT", "quickstart_trace.jsonl")
         count = export_trace(app.meter, out)
-        print(f"trace: {len(app.meter.obs.tracer.finished)} span(s) "
+        print(f"trace: {len(app.meter.tracer.finished)} span(s) "
               f"recorded, {count} record(s) exported to {out}")
 
 

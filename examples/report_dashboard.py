@@ -7,14 +7,17 @@ Phoenix recovers the session and repositions inside the persisted result
 — compare the client-side and server-side repositioning costs (the
 paper's Figures 3 and 4) printed at the end.
 
-Each run is traced: the dashboard finishes with a per-layer span
-summary, the five-phase recovery breakdown, and a ``SELECT`` against
-the ``sys_recovery_phases`` system view — the observability tour.
+Each run is traced: the dashboard finishes with the five-phase
+recovery breakdown, a ``SELECT`` against the ``sys_recovery_phases``
+system view, and the report of the world's live records (latency by
+request kind, spans by layer, recoveries, counters) — the
+observability tour.
 
     python examples/report_dashboard.py
 """
 
-from repro.obs.report import summarize_spans
+from repro.obs.export import trace_records
+from repro.obs.report import render
 from repro.odbc.constants import SQL_NO_DATA, SQL_SUCCESS
 from repro.phoenix.config import PhoenixConfig
 from repro.server.server import DatabaseServer
@@ -36,7 +39,8 @@ def page_through_report(server: DatabaseServer, mode: str) -> dict:
     """Run the stock report, crash mid-paging, recover, finish."""
     config = PhoenixConfig(reposition_mode=mode)
     app = BenchmarkApp(server, use_phoenix=True, phoenix_config=config)
-    app.meter.obs.tracer.enable()
+    app.meter.tracer.enable()
+    app.meter.enable_latency_ledger()
     sql = q11(fraction=0.0)  # the Important Stock Identification Query
 
     statement = app.manager.alloc_statement(app.conn)
@@ -84,15 +88,9 @@ def main() -> None:
         print("  SELECT phase, seconds FROM sys_recovery_phases:")
         for _rid, phase, seconds in outcome["view_rows"]:
             print(f"    {phase:<18} {seconds:.4f}")
-        meter = outcome["meter"]
-        tracer = meter.obs.tracer
-        spans = [span.to_dict() for span in tracer.finished]
-        summary = summarize_spans(
-            spans, source=f"{mode}-side run",
-            dropped=tracer.dropped,
-            counters=meter.counters)
         print()
-        print(summary.format())
+        print(render(trace_records(outcome["meter"]),
+                     source=f"{mode}-side run"))
     client, server_side = results
     if server_side["sql_state_s"] > 0:
         speedup = client["sql_state_s"] / server_side["sql_state_s"]

@@ -1,29 +1,9 @@
-"""Experiment implementations.
+"""Experiments and their command line.
 
-One function per table/figure of the paper's evaluation section and per
-feature bench; see DESIGN.md §4 for the experiment index and
-``benchmarks/`` for the pytest-benchmark entry points that run them,
-write ``bench_results/`` and assert their gates.
+:mod:`repro.bench.experiments` has one function per table/figure of the
+paper's evaluation section and per feature bench; see DESIGN.md §4 for
+the experiment index and ``benchmarks/`` for the pytest-benchmark entry
+points that run them, write ``bench_results/`` and assert their gates.
+``python -m repro.bench`` prints them, and the report of a record
+stream.
 """
-
-from repro.bench.experiments import (
-    run_fig3,
-    run_fig4,
-    run_fig6,
-    run_micro_overheads,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-)
-
-__all__ = [
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_table4",
-    "run_fig3",
-    "run_fig4",
-    "run_fig6",
-    "run_micro_overheads",
-]

@@ -10,9 +10,10 @@ It only prints.  ``bench_results/`` has one writer and one gate,
 ``pytest benchmarks``: ``benchmarks/test_<name>.py`` runs the same
 experiment, writes the artifact and asserts its conditions.
 
-``trace-report`` is the odd one out: instead of running a simulation it
-summarizes an exported JSONL trace (``--input trace.jsonl``) per layer —
-see :mod:`repro.obs.export` for producing one.
+``report`` renders a record stream (:mod:`repro.obs.report`): with
+``--input trace.jsonl`` an exported file, which it validates first (an
+invalid file prints its ``INVALID:`` lines and exits 1); without, the
+records of the tracked mix — spans included under ``REPRO_TRACE=1``.
 """
 
 from __future__ import annotations
@@ -22,15 +23,8 @@ import sys
 import time
 
 from repro.bench import experiments
-
-
-def _trace_report(args):
-    from repro.obs.report import build_trace_report
-
-    if not args.input:
-        raise SystemExit("trace-report needs --input <trace.jsonl>")
-    return build_trace_report(args.input)
-
+from repro.obs.report import render
+from repro.obs.validate import read_trace
 
 EXPERIMENTS = {
     "table1": lambda args: experiments.run_table1(scale=args.scale or 0.002),
@@ -48,33 +42,55 @@ EXPERIMENTS = {
         scale=args.scale or experiments.OPTBENCH_SCALE),
     "recoveryscaling": lambda args: experiments.run_recovery_scaling(),
     "tpccbench": lambda args: experiments.run_tpccbench(),
-    "latency-report": lambda args: experiments.run_tracked_mix(),
-    "trace-report": _trace_report,
 }
+
+
+def report(path: str | None) -> int:
+    """Print the report of ``path``'s records (validated first), or of
+    the tracked mix's when ``path`` is None; returns the exit code."""
+    if path is None:
+        result = experiments.run_tracked_mix()
+        print(render(result.records, result.source))
+        return 0
+    warnings: list[str] = []
+    records, errors = read_trace(path, warnings)
+    for warning in warnings:
+        print(f"WARNING: {warning}", file=sys.stderr)
+    if errors:
+        for error in errors:
+            print(f"INVALID: {error}", file=sys.stderr)
+        return 1
+    print(f"{path}: trace is valid\n")
+    print(render(records, source=path))
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Print the paper's tables and figures and the "
-                    "feature benches.")
-    parser.add_argument("experiment", choices=sorted(EXPERIMENTS) + ["all"],
+        description="Print the paper's tables and figures, the feature "
+                    "benches, and the report of a record stream.")
+    parser.add_argument("experiment",
+                        choices=sorted(EXPERIMENTS) + ["report", "all"],
                         help="which table to print")
     parser.add_argument("--scale", type=float, default=None,
                         help="TPC-H scale factor override")
     parser.add_argument("--measure-seconds", type=float, default=900.0,
                         help="TPC-C measurement window (virtual seconds)")
     parser.add_argument("--input", default=None,
-                        help="exported JSONL trace (trace-report only)")
+                        help="exported JSONL trace (report only)")
     args = parser.parse_args(argv)
 
-    names = [args.experiment]
-    if args.experiment == "all":
-        names = sorted(set(EXPERIMENTS) - {"trace-report"})
+    if args.experiment == "report":
+        return report(args.input)
+    names = sorted(EXPERIMENTS) if args.experiment == "all" \
+        else [args.experiment]
     for name in names:
         started = time.time()
         print(EXPERIMENTS[name](args).format())
         print(f"[{name}: {time.time() - started:.1f}s wall]\n")
+    if args.experiment == "all":
+        return report(None)
     return 0
 
 

@@ -32,7 +32,8 @@ import random
 from dataclasses import dataclass, field
 
 from repro.engine.session import EngineSession
-from repro.obs.latency import format_latency_report
+from repro.obs.export import trace_records
+from repro.obs.report import latency_section
 from repro.phoenix.config import PhoenixConfig
 from repro.server.server import DatabaseServer
 from repro.sim.costs import CostModel
@@ -591,8 +592,11 @@ class TrackedMixResult:
     counters: dict
     cache_stats: dict
     #: Request latency ledger of the run (per-kind SLOs and component
-    #: attribution for ``latency-report`` / ``sys_latency``).
+    #: attribution, as ``sys_latency`` shows them).
     latency: object
+    #: The run's record stream (:func:`repro.obs.export.trace_records`),
+    #: what ``python -m repro.bench report`` renders.
+    records: list
     #: SHA-256 over every point-select result: the value-identity
     #: witness when two configurations run the same stream.
     rows_digest: str
@@ -601,14 +605,19 @@ class TrackedMixResult:
     point_reads: int
     cost_overrides: dict
 
-    def format(self) -> str:
-        """The latency report: per-kind SLO table + attribution table."""
+    @property
+    def source(self) -> str:
+        """What the report calls this run."""
         configuration = ", ".join(
             f"{name}={value!r}" for name, value
             in sorted(self.cost_overrides.items())) or "default configuration"
-        return format_latency_report(
-            self.latency, source=f"tracked mix ({configuration}, "
-                                 f"point_reads={self.point_reads})")
+        return (f"tracked mix ({configuration}, "
+                f"point_reads={self.point_reads})")
+
+    def format(self) -> str:
+        """The report's latency section: per-kind SLO table +
+        attribution table."""
+        return latency_section(self.records, self.source)
 
 
 def run_tracked_mix(txns: int = 120, point_reads: int = 2000,
@@ -660,7 +669,8 @@ def run_tracked_mix(txns: int = 120, point_reads: int = 2000,
     return TrackedMixResult(
         virtual_seconds=meter.now, counters=dict(meter.counters),
         cache_stats=dict(server.engine.cache_stats),
-        latency=meter.obs.latency, rows_digest=digest.hexdigest(),
+        latency=meter.latency, records=trace_records(meter),
+        rows_digest=digest.hexdigest(),
         point_reads=point_reads, cost_overrides=cost_overrides)
 
 

@@ -724,9 +724,9 @@ class DatabaseEngine:
         the per-statement parse/plan charge, then dispatch.  ``norm`` is
         the current text's normalization (its literal values), never the
         shared template entry's."""
-        obs = self.meter.obs
-        if obs.enabled:
-            with obs.tracer.span(
+        tracer = self.meter.tracer
+        if tracer.enabled:
+            with tracer.span(
                     "engine.execute", layer="engine",
                     statement=type(prepared.statement).__name__):
                 return self._execute_one_inner(prepared, norm, session,

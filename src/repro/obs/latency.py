@@ -23,9 +23,14 @@ of either are recorded in :attr:`LatencyLedger.identity_violations` —
 tests assert the list stays empty across the tracked mix and the crash
 fuzzers.
 
-The ledger is disabled by default (``REPRO_TRACE=1`` or :meth:`~repro.sim.meter.Meter.enable_latency_ledger` turn it on) and
-never charges or flushes on its own, so enabling it cannot move the
-virtual clock: traced and untraced runs stay bit-identical.
+A world has no ledger until ``REPRO_TRACE=1`` or
+:meth:`~repro.sim.meter.Meter.enable_latency_ledger` creates one, and
+the ledger never charges or flushes on its own, so turning it on cannot
+move the virtual clock: traced and untraced runs stay bit-identical.
+
+:meth:`LatencyLedger.records` is what the ledger shows the world: one
+``latency`` record per request kind, read alike by the ``sys_latency``
+view and the record stream (:func:`repro.obs.export.trace_records`).
 """
 
 from __future__ import annotations
@@ -34,10 +39,9 @@ from collections import deque
 from fractions import Fraction
 
 from repro.resources import CLIENT_CPU, NETWORK, SERVER_CPU, SERVER_DISK
-from repro.text_table import format_table
 
 __all__ = ["COMPONENTS", "LatencyLedger", "LedgerEntry", "classify",
-           "format_latency_report"]
+           "percentile"]
 
 #: Canonical component order (reports and views render in this order).
 COMPONENTS: tuple[str, ...] = (
@@ -46,6 +50,30 @@ COMPONENTS: tuple[str, ...] = (
     "prefetch_stall", "lock_wait", "cache", "other")
 
 _ZERO = Fraction(0)
+
+
+def percentile(sorted_values, q: float) -> float:
+    """Deterministic linear-interpolation percentile (inclusive method).
+
+    ``sorted_values`` must be sorted ascending.  This is numpy's default
+    ``linear`` method: rank ``q * (n - 1)`` with interpolation between
+    the straddling samples — unlike nearest-rank-by-``round()``, p95 of
+    a small sample does not collapse to the max.  The ledger and the
+    report's span statistics quote this one definition.
+    """
+    if not sorted_values:
+        return 0.0
+    if q <= 0.0:
+        return float(sorted_values[0])
+    if q >= 1.0:
+        return float(sorted_values[-1])
+    position = q * (len(sorted_values) - 1)
+    lower_index = int(position)
+    fraction = position - lower_index
+    lower = float(sorted_values[lower_index])
+    if fraction == 0.0:
+        return lower
+    return lower + (float(sorted_values[lower_index + 1]) - lower) * fraction
 
 #: NETWORK charge notes with a fixed component.
 _NETWORK_NOTES = {
@@ -155,33 +183,20 @@ class LedgerEntry:
         """Exact: per-component sums equal the recorded total."""
         return sum(self.components.values(), _ZERO) == self.total
 
-    @property
-    def total_seconds(self) -> float:
-        return float(self.total)
-
-    @property
-    def hidden_seconds(self) -> float:
-        return float(self.hidden)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"LedgerEntry({self.kind}, total={float(self.total):.6f}, "
-                f"closed={self.closed})")
-
 
 class _KindStats:
     """Aggregated ledger state of one request kind."""
 
-    __slots__ = ("count", "wasted", "samples", "samples_dropped",
-                 "total", "hidden", "components", "max")
+    __slots__ = ("count", "wasted", "samples", "total", "hidden",
+                 "components", "max")
 
     def __init__(self):
         self.count = 0
         self.wasted = 0
         #: Retained per-request latencies (exact percentiles come from
         #: these; a cap keeps soak runs bounded — beyond it the counts
-        #: keep growing but new samples are dropped and counted).
+        #: keep growing but new samples are dropped).
         self.samples: list[float] = []
-        self.samples_dropped = 0
         self.total = _ZERO
         self.hidden = _ZERO
         self.components: dict[str, Fraction] = {}
@@ -200,9 +215,8 @@ class LatencyLedger:
     entry; with no entry open they only move the clock, as before.
     """
 
-    def __init__(self, enabled: bool = False, entry_capacity: int = 8192,
+    def __init__(self, entry_capacity: int = 8192,
                  sample_capacity: int = 100_000):
-        self.enabled = enabled
         self.entry_capacity = entry_capacity
         self.sample_capacity = sample_capacity
         #: Innermost open entry — the meter reads this on every charge.
@@ -290,16 +304,12 @@ class LatencyLedger:
             stats.max = latency
         if len(stats.samples) < self.sample_capacity:
             stats.samples.append(latency)
-        else:
-            stats.samples_dropped += 1
         self.entries.append(entry)
 
     # -- reading ------------------------------------------------------------
 
     def kind_percentiles(self, kind: str) -> tuple[float, float, float]:
         """(p50, p95, p99) of the retained samples of ``kind``."""
-        from repro.obs.metrics import percentile
-
         stats = self.kinds.get(kind)
         if stats is None or not stats.samples:
             return (0.0, 0.0, 0.0)
@@ -316,97 +326,21 @@ class LatencyLedger:
         return {component: float(totals[component])
                 for component in totals}
 
-    def total_attributed_seconds(self) -> float:
-        return float(sum((stats.total for stats in self.kinds.values()),
-                         _ZERO))
-
-    def hidden_seconds(self) -> float:
-        return float(sum((stats.hidden for stats in self.kinds.values()),
-                         _ZERO))
-
-    def rows(self) -> list[tuple]:
-        """Per-kind (kind, count, wasted, p50, p95, p99, max, total,
-        hidden) rows for the ``sys_latency`` view and the exporter."""
-        out = []
+    def records(self) -> list[dict]:
+        """One ``latency`` record per request kind, sorted by kind: its
+        count, wasted count, p50/p95/p99/max, total and overlap-hidden
+        seconds, and per-component seconds."""
+        records = []
         for kind in sorted(self.kinds):
             stats = self.kinds[kind]
             p50, p95, p99 = self.kind_percentiles(kind)
-            out.append((kind, stats.count, stats.wasted, p50, p95, p99,
-                        stats.max, float(stats.total),
-                        float(stats.hidden)))
-        return out
-
-    def export_records(self) -> list[dict]:
-        """One ``latency`` JSONL record per request kind."""
-        records = []
-        for (kind, count, wasted, p50, p95, p99, peak, total,
-             hidden) in self.rows():
-            stats = self.kinds[kind]
             records.append({
-                "type": "latency", "kind": kind, "count": count,
-                "wasted": wasted, "p50": p50, "p95": p95, "p99": p99,
-                "max": peak, "total": total, "hidden": hidden,
+                "type": "latency", "kind": kind, "count": stats.count,
+                "wasted": stats.wasted, "p50": p50, "p95": p95,
+                "p99": p99, "max": stats.max, "total": float(stats.total),
+                "hidden": float(stats.hidden),
                 "components": {component: float(fraction)
                                for component, fraction
                                in sorted(stats.components.items())},
             })
         return records
-
-    def reset(self) -> None:
-        self.current = None
-        self._stack.clear()
-        self.entries.clear()
-        self.kinds.clear()
-        self.identity_violations.clear()
-        self.opened = 0
-        self.closed = 0
-
-
-def format_latency_report(ledger: LatencyLedger,
-                          source: str = "live") -> str:
-    """Render the per-kind SLO table + the component attribution table."""
-    total_requests = sum(stats.count for stats in ledger.kinds.values())
-    kind_rows = [[kind, count, f"{p50:.6f}", f"{p95:.6f}", f"{p99:.6f}",
-                  f"{peak:.6f}", f"{total:.6f}"]
-                 for (kind, count, _wasted, p50, p95, p99, peak, total,
-                      _hidden) in ledger.rows()]
-    blocks = [format_table(
-        f"Request latency by kind: {source} ({total_requests} requests, "
-        f"virtual seconds)",
-        ["Kind", "Count", "P50", "P95", "P99", "Max", "Total"],
-        kind_rows)]
-
-    totals = ledger.component_totals()
-    grand = ledger.total_attributed_seconds()
-    component_rows = []
-    for component in COMPONENTS:
-        seconds = totals.get(component, 0.0)
-        if seconds == 0.0:
-            continue
-        share = 100.0 * seconds / grand if grand else 0.0
-        component_rows.append([component, f"{seconds:.6f}",
-                               f"{share:.1f}%"])
-    blocks.append(format_table(
-        "Where the virtual seconds went (all request kinds)",
-        ["Component", "Seconds", "Share"], component_rows))
-
-    hidden = ledger.hidden_seconds()
-    lines = [f"attributed total: {grand:.6f}s across "
-             f"{total_requests} requests"]
-    if hidden:
-        lines.append(f"overlap-hidden service (ran under client compute, "
-                     f"never clocked): {hidden:.6f}s")
-    wasted = sum(stats.wasted for stats in ledger.kinds.values())
-    if wasted:
-        lines.append(f"wasted requests (produced but never delivered): "
-                     f"{wasted}")
-    if ledger.identity_violations:
-        lines.append(f"ACCOUNTING IDENTITY VIOLATED "
-                     f"({len(ledger.identity_violations)}):")
-        lines.extend(f"  {violation}"
-                     for violation in ledger.identity_violations[:10])
-    else:
-        lines.append("accounting identity: every request's components "
-                     "sum bit-exactly to its measured latency")
-    blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)

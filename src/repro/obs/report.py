@@ -1,148 +1,209 @@
-"""Render a per-layer latency summary from an exported JSONL trace.
+"""One report over a world's record stream.
 
-``python -m repro.bench trace-report --input trace.jsonl`` loads the
-span records, groups them by layer, and prints per-layer statistics
-(count, total/mean/p50/p95/max virtual seconds) followed by a
-fixed-bucket duration histogram per layer — the offline counterpart of
-the live ``sys_traces``/``sys_metrics`` views.
+:func:`render` takes the records of :func:`repro.obs.export.trace_records`
+— live, or loaded back from the exported JSONL file; both render alike —
+and prints these sections, each only when records of its type are
+present:
+
+* request latency by kind, and where the virtual seconds went
+  (``latency`` records, and the meta record's identity violations);
+* per-layer span statistics and duration histograms (``span`` records);
+* recoveries and their phases (``recovery`` records);
+* counters (``metric`` records of kind ``counter``).
+
+``python -m repro.bench report`` is its command line; the tracked mix's
+``format()`` is the latency section.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
 
-from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, percentile
+from repro.obs.latency import COMPONENTS, percentile
 from repro.text_table import format_table
+
+#: Span-duration histogram ladder (seconds): 1-3-10 steps from 0.1 ms
+#: to 30 s, fixed so two runs of one workload give comparable shapes.
+DEFAULT_BUCKETS: tuple[float, ...] = (
+    0.0001, 0.0003, 0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0,
+    30.0)
 
 _BAR_WIDTH = 36
 
 
-@dataclass
-class LayerSummary:
-    layer: str
-    count: int
-    total: float
-    mean: float
-    p50: float
-    p95: float
-    p99: float
-    max: float
-    histogram: Histogram
+def render(records: list, source: str = "live") -> str:
+    """Every section the records have, in the order above."""
+    sections = [section(records, source)
+                for section in (latency_section, span_section,
+                                recovery_section, counter_section)]
+    return ("\n\n".join(text for text in sections if text)
+            or f"{source}: no records to report")
 
 
-@dataclass
-class TraceReport:
-    """Per-layer breakdown of one exported trace."""
-
-    source: str
-    span_count: int = 0
-    dropped: int = 0
-    #: Spans whose timestamps were unusable (cut short, hand-edited);
-    #: excluded from the statistics instead of polluting the p50 as
-    #: zero-duration samples.
-    malformed_spans: int = 0
-    layers: list[LayerSummary] = field(default_factory=list)
-    counters: dict[str, float] = field(default_factory=dict)
-
-    def format(self) -> str:
-        head = format_table(
-            f"Trace report: {self.source} ({self.span_count} spans, "
-            f"virtual seconds)",
-            ["Layer", "Spans", "Total", "Mean", "P50", "P95", "P99",
-             "Max"],
-            [[s.layer, s.count, s.total, s.mean, s.p50, s.p95, s.p99,
-              s.max]
-             for s in self.layers])
-        blocks = [head]
-        if self.dropped:
-            blocks.append(f"(ring buffer dropped {self.dropped} older "
-                          f"spans)")
-        if self.malformed_spans:
-            blocks.append(f"(skipped {self.malformed_spans} malformed "
-                          f"spans with unusable timestamps — excluded "
-                          f"from the statistics above)")
-        for summary in self.layers:
-            blocks.append(_format_histogram(summary))
-        if self.counters:
-            names = sorted(self.counters)
-            blocks.append(format_table(
-                "Counters", ["Name", "Value"],
-                [[name, self.counters[name]] for name in names]))
-        return "\n\n".join(blocks)
+def _of_type(records: list, rtype: str) -> list[dict]:
+    return [r for r in records
+            if isinstance(r, dict) and r.get("type") == rtype]
 
 
-def _format_histogram(summary: LayerSummary) -> str:
-    histogram = summary.histogram
-    peak = max(histogram.bucket_counts) or 1
-    lines = [f"Layer {summary.layer!r} span durations:"]
-    for label, count in histogram.bucket_rows():
-        if not count:
+def _meta(records: list) -> dict:
+    meta = records[0] if records else None
+    return meta if isinstance(meta, dict) and meta.get("type") == "meta" \
+        else {}
+
+
+# -- latency ------------------------------------------------------------------
+
+
+def latency_section(records: list, source: str) -> str | None:
+    """The per-kind SLO table and the component attribution table."""
+    kinds = _of_type(records, "latency")
+    if not kinds:
+        return None
+    total_requests = sum(r["count"] for r in kinds)
+    blocks = [format_table(
+        f"Request latency by kind: {source} ({total_requests} requests, "
+        f"virtual seconds)",
+        ["Kind", "Count", "P50", "P95", "P99", "Max", "Total"],
+        [[r["kind"], r["count"], f"{r['p50']:.6f}", f"{r['p95']:.6f}",
+          f"{r['p99']:.6f}", f"{r['max']:.6f}", f"{r['total']:.6f}"]
+         for r in kinds])]
+
+    totals: dict[str, float] = {}
+    for record in kinds:
+        for component, seconds in record["components"].items():
+            totals[component] = totals.get(component, 0.0) + seconds
+    grand = sum(r["total"] for r in kinds)
+    component_rows = []
+    for component in COMPONENTS:
+        seconds = totals.get(component, 0.0)
+        if seconds == 0.0:
             continue
-        bar = "#" * max(1, round(_BAR_WIDTH * count / peak))
-        lines.append(f"  <= {label:>7}s  {bar} {count}")
-    if len(lines) == 1:
-        lines.append("  (no spans)")
-    return "\n".join(lines)
+        share = 100.0 * seconds / grand if grand else 0.0
+        component_rows.append([component, f"{seconds:.6f}",
+                               f"{share:.1f}%"])
+    blocks.append(format_table(
+        "Where the virtual seconds went (all request kinds)",
+        ["Component", "Seconds", "Share"], component_rows))
+
+    lines = [f"attributed total: {grand:.6f}s across "
+             f"{total_requests} requests"]
+    hidden = sum(r["hidden"] for r in kinds)
+    if hidden:
+        lines.append(f"overlap-hidden service (ran under client compute, "
+                     f"never clocked): {hidden:.6f}s")
+    wasted = sum(r["wasted"] for r in kinds)
+    if wasted:
+        lines.append(f"wasted requests (produced but never delivered): "
+                     f"{wasted}")
+    violations = _meta(records).get("identity_violations") or []
+    if violations:
+        lines.append(f"ACCOUNTING IDENTITY VIOLATED ({len(violations)}):")
+        lines.extend(f"  {violation}" for violation in violations[:10])
+    else:
+        lines.append("accounting identity: every request's components "
+                     "sum bit-exactly to its measured latency")
+    blocks.append("\n".join(lines))
+    return "\n\n".join(blocks)
+
+
+# -- spans --------------------------------------------------------------------
+
+
+def bucket_counts(values, bounds: tuple[float, ...] = DEFAULT_BUCKETS
+                  ) -> list[int]:
+    """How many ``values`` fall at or below each bound (and past the
+    last one, in the final slot)."""
+    counts = [0] * (len(bounds) + 1)
+    for value in values:
+        counts[bisect_left(bounds, value)] += 1
+    return counts
 
 
 def _span_duration(record: dict) -> float | None:
     """Duration of one span record, ``None`` when timestamps are
-    unusable.
-
-    Exported traces may contain spans that were cut short (no ``end``),
-    emitted outside any parent phase (no ``start`` inherited), or
-    hand-edited; the report counts them as malformed instead of either
-    crashing the run or silently folding zeros into the percentiles.
-    """
+    unusable (cut short, hand-edited): the report counts such spans as
+    malformed instead of folding zeros into the percentiles."""
     try:
         return float(record["end"]) - float(record["start"])
     except (KeyError, TypeError, ValueError):
         return None
 
 
-def summarize_spans(span_records: list[dict], source: str = "live",
-                    dropped: int = 0,
-                    counters: dict | None = None) -> TraceReport:
-    """Build a :class:`TraceReport` from span record dicts."""
+def span_section(records: list, source: str) -> str | None:
+    """Per-layer count, total/mean/p50/p95/p99/max virtual seconds, then
+    a duration histogram per layer."""
+    spans = _of_type(records, "span")
+    if not spans:
+        return None
     by_layer: dict[str, list[float]] = {}
     malformed = 0
-    for record in span_records:
+    for record in spans:
         duration = _span_duration(record)
         if duration is None:
             malformed += 1
             continue
-        layer = record.get("layer") or "(none)"
-        by_layer.setdefault(str(layer), []).append(duration)
-    report = TraceReport(source=source, span_count=len(span_records),
-                         dropped=dropped, malformed_spans=malformed,
-                         counters=dict(counters or {}))
-    for layer in sorted(by_layer):
-        durations = sorted(by_layer[layer])
-        histogram = Histogram(layer, DEFAULT_BUCKETS)
-        for duration in durations:
-            histogram.observe(duration)
-        report.layers.append(LayerSummary(
-            layer=layer, count=len(durations), total=sum(durations),
-            mean=sum(durations) / len(durations),
-            p50=percentile(durations, 0.50),
-            p95=percentile(durations, 0.95),
-            p99=percentile(durations, 0.99),
-            max=durations[-1], histogram=histogram))
-    report.layers.sort(key=lambda s: s.total, reverse=True)
-    return report
+        layer = str(record.get("layer") or "(none)")
+        by_layer.setdefault(layer, []).append(duration)
+    layers = sorted(((layer, sorted(durations))
+                     for layer, durations in sorted(by_layer.items())),
+                    key=lambda item: sum(item[1]), reverse=True)
+    blocks = [format_table(
+        f"Spans by layer: {source} ({len(spans)} spans, virtual seconds)",
+        ["Layer", "Spans", "Total", "Mean", "P50", "P95", "P99", "Max"],
+        [[layer, len(durations), sum(durations),
+          sum(durations) / len(durations), percentile(durations, 0.50),
+          percentile(durations, 0.95), percentile(durations, 0.99),
+          durations[-1]]
+         for layer, durations in layers])]
+    dropped = _meta(records).get("dropped")
+    if dropped:
+        blocks.append(f"(ring buffer dropped {dropped} older spans)")
+    if malformed:
+        blocks.append(f"(skipped {malformed} malformed spans with "
+                      f"unusable timestamps — excluded from the "
+                      f"statistics above)")
+    labels = [f"{bound:g}" for bound in DEFAULT_BUCKETS] + ["+Inf"]
+    for layer, durations in layers:
+        counts = bucket_counts(durations)
+        peak = max(counts)
+        lines = [f"Layer {layer!r} span durations:"]
+        lines.extend(
+            f"  <= {label:>7}s  "
+            f"{'#' * max(1, round(_BAR_WIDTH * count / peak))} {count}"
+            for label, count in zip(labels, counts) if count)
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks)
 
 
-def build_trace_report(path) -> TraceReport:
-    """Load an exported JSONL trace and summarize it per layer."""
-    from repro.obs.export import load_records
+# -- recoveries and counters --------------------------------------------------
 
-    records = load_records(path)
-    spans = [r for r in records if r.get("type") == "span"]
-    meta = next((r for r in records if r.get("type") == "meta"), {})
-    counters = {r["name"]: r["value"] for r in records
-                if r.get("type") == "metric"
-                and r.get("kind") == "counter"
-                and "name" in r and "value" in r}
-    return summarize_spans(spans, source=str(path),
-                           dropped=meta.get("dropped", 0),
-                           counters=counters)
+
+def recovery_rows(records: list) -> list[tuple]:
+    """(recovery_id, phase, seconds, finished_at) per phase of every
+    recovery — the rows of ``sys_recovery_phases``."""
+    return [(r["recovery_id"], phase, seconds, r["finished_at"])
+            for r in _of_type(records, "recovery")
+            for phase, seconds in r["phases"]]
+
+
+def recovery_section(records: list, source: str) -> str | None:
+    recoveries = _of_type(records, "recovery")
+    if not recoveries:
+        return None
+    return format_table(
+        f"Recoveries: {source} ({len(recoveries)} recoveries, virtual "
+        f"seconds)",
+        ["Recovery", "Phase", "Seconds", "Finished at"],
+        [[recovery_id, phase, f"{seconds:.6f}", f"{finished_at:.6f}"]
+         for recovery_id, phase, seconds, finished_at
+         in recovery_rows(records)])
+
+
+def counter_section(records: list, source: str) -> str | None:
+    counters = {r["name"]: r["value"] for r in _of_type(records, "metric")
+                if r.get("kind") == "counter" and "name" in r
+                and "value" in r}
+    if not counters:
+        return None
+    return format_table("Counters", ["Name", "Value"],
+                        [[name, counters[name]] for name in sorted(counters)])

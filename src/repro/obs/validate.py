@@ -2,12 +2,15 @@
 
 Checks, per record type:
 
-* ``meta`` — present first, integer counts;
+* ``meta`` — present first, integer counts, and from schema version 3
+  on an ``identity_violations`` list of strings;
 * ``span`` — required fields with the right types, ``end >= start``,
   unique ids, no ``open`` status, parents exist (unless the exporting
   ring dropped spans) and strictly-nested spans lie inside their
   parent's interval (``stream`` spans are exempt: they bracket lazy work
   whose lifetime legitimately overlaps siblings);
+* ``recovery`` — integer ``recovery_id``, numeric ``finished_at`` and a
+  list of ``[phase, seconds]`` pairs (schema version 3);
 * ``metric`` — known kind, numeric value;
 * ``latency`` — request kind, integer count, numeric percentiles, and a
   numeric per-component attribution map (schema version 2).
@@ -17,16 +20,12 @@ files stay checkable for the record types this validator knows.
 
 Also usable on live :class:`~repro.obs.trace.Span` objects
 (:func:`validate_spans`) — the crash-fuzz test asserts every fuzzed
-crash still yields a complete, well-nested span tree.
-
-CLI::
-
-    python -m repro.obs.validate trace.jsonl
+crash still yields a complete, well-nested span tree.  The command line
+is ``python -m repro.bench report --input trace.jsonl``, which checks a
+file with :func:`read_trace` before it renders it.
 """
 
 from __future__ import annotations
-
-import sys
 
 _SPAN_FIELDS = {
     "span_id": int,
@@ -83,6 +82,13 @@ def validate_records(records: list[dict],
                         f"{where}: meta.{field} must be an integer")
             dropped = record.get("dropped", 0) \
                 if isinstance(record.get("dropped"), int) else 0
+            # Version 3 writes the ledger's identity violations here.
+            violations = record.get("identity_violations")
+            if (violations is not None or declared == 3) and not (
+                    isinstance(violations, list)
+                    and all(isinstance(v, str) for v in violations)):
+                errors.append(f"{where}: meta.identity_violations must "
+                              f"be a list of strings")
         elif rtype == "span":
             errors.extend(_check_span_fields(record, where))
             span_id = record.get("span_id")
@@ -102,6 +108,8 @@ def validate_records(records: list[dict],
                 errors.append(f"{where}: metric.value must be numeric")
         elif rtype == "latency":
             errors.extend(_check_latency_fields(record, where))
+        elif rtype == "recovery":
+            errors.extend(_check_recovery_fields(record, where))
         else:
             errors.append(f"{where}: unknown record type {rtype!r}")
     errors.extend(_check_tree(spans, dropped))
@@ -126,6 +134,22 @@ def _check_latency_fields(record: dict, where: str) -> list[str]:
             if not isinstance(value, (int, float)):
                 errors.append(f"{where}: latency component {name!r} "
                               f"must be numeric")
+    return errors
+
+
+def _check_recovery_fields(record: dict, where: str) -> list[str]:
+    errors = []
+    if not isinstance(record.get("recovery_id"), int):
+        errors.append(f"{where}: recovery.recovery_id must be an integer")
+    if not isinstance(record.get("finished_at"), (int, float)):
+        errors.append(f"{where}: recovery.finished_at must be numeric")
+    phases = record.get("phases")
+    if not isinstance(phases, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and isinstance(pair[0], str)
+            and isinstance(pair[1], (int, float)) for pair in phases):
+        errors.append(f"{where}: recovery.phases must be a list of "
+                      f"[phase, seconds] pairs")
     return errors
 
 
@@ -192,41 +216,25 @@ def validate_spans(spans) -> list[str]:
     return validate_records([span.to_dict() for span in spans])
 
 
-def validate_file(path, warnings: list[str] | None = None) -> list[str]:
+def read_trace(path, warnings: list[str] | None = None
+               ) -> tuple[list, list[str]]:
+    """Load and check one trace file: (records, schema violations).
+
+    A file that cannot be read or parsed, or holds no record, is one
+    violation and no records.  The unknown-version warning lands in
+    ``warnings`` (when a list is passed), not in the global warning
+    machinery.
+    """
     import warnings as warnings_module
 
     from repro.obs.export import load_records
 
     try:
         with warnings_module.catch_warnings():
-            # The version warning surfaces through the ``warnings``
-            # out-list (and the CLI), not the global warning machinery.
             warnings_module.simplefilter("ignore")
             records = load_records(path)
     except (OSError, ValueError) as error:
-        return [str(error)]
+        return [], [str(error)]
     if not records:
-        return [f"{path}: empty trace file"]
-    return validate_records(records, warnings=warnings)
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = argv if argv is not None else sys.argv[1:]
-    if len(argv) != 1:
-        print("usage: python -m repro.obs.validate <trace.jsonl>",
-              file=sys.stderr)
-        return 2
-    warnings: list[str] = []
-    errors = validate_file(argv[0], warnings=warnings)
-    for warning in warnings:
-        print(f"WARNING: {warning}", file=sys.stderr)
-    if errors:
-        for error in errors:
-            print(f"INVALID: {error}", file=sys.stderr)
-        return 1
-    print(f"{argv[0]}: trace is valid")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        return [], [f"{path}: empty trace file"]
+    return records, validate_records(records, warnings=warnings)

@@ -66,7 +66,7 @@ def _sys_traces(engine):
                Column("end_s", SqlType.FLOAT),
                Column("duration_s", SqlType.FLOAT),
                Column("attrs", SqlType.VARCHAR, 200)]
-    tracer = engine.meter.obs.tracer
+    tracer = engine.meter.tracer
     # The newest spans matter most; cap the snapshot so one view query
     # does not insert tens of thousands of volatile rows.
     recent = list(tracer.finished)[-1000:]
@@ -134,7 +134,7 @@ def _sys_recovery_phases(engine):
                Column("finished_at", SqlType.FLOAT)]
     rows = [(record["recovery_id"], phase, seconds,
              record["finished_at"])
-            for record in engine.meter.obs.recovery_log
+            for record in engine.meter.recovery_log
             for phase, seconds in record["phases"]]
     return columns, rows
 
@@ -241,10 +241,10 @@ def _sys_latency(engine):
     """Per-request-kind latency SLOs from the request latency ledger.
 
     Percentiles are exact (linear interpolation over retained samples,
-    see :func:`repro.obs.metrics.percentile`), and ``identity_ok``
+    see :func:`repro.obs.latency.percentile`), and ``identity_ok``
     reports the ledger-wide accounting identity: 1 iff every closed
     entry's per-component attribution summed bit-exactly to its
-    measured latency.  Empty while the ledger is disabled
+    measured latency.  Empty while the world has no ledger
     (``REPRO_TRACE=1`` turns it on).
     """
     columns = [Column("kind", SqlType.VARCHAR, 32),
@@ -257,12 +257,14 @@ def _sys_latency(engine):
                Column("total_s", SqlType.FLOAT),
                Column("hidden_s", SqlType.FLOAT),
                Column("identity_ok", SqlType.INTEGER)]
-    ledger = engine.meter.obs.latency
+    ledger = engine.meter.latency
+    if ledger is None:
+        return columns, []
     ok = 0 if ledger.identity_violations else 1
-    rows = [(kind, count, wasted, p50, p95, p99, peak, total, hidden, ok)
-            for (kind, count, wasted, p50, p95, p99, peak, total, hidden)
-            in ledger.rows()]
-    return columns, rows
+    return columns, [(r["kind"], r["count"], r["wasted"], r["p50"],
+                      r["p95"], r["p99"], r["max"], r["total"],
+                      r["hidden"], ok)
+                     for r in ledger.records()]
 
 
 @system_view("sys_sessions")

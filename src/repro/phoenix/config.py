@@ -26,14 +26,6 @@ class PhoenixConfig:
     #: advances without shipping tuples (Fig. 4).
     reposition_mode: str = "client"
 
-    #: Seconds between reconnect attempts while the server is down.
-    retry_interval_seconds: float = 1.0
-
-    #: Total budget before Phoenix gives up and exposes the failure
-    #: ("after a period of time, if Phoenix is unable to connect, it
-    #: gives up and reveals the failure to the application").
-    reconnect_budget_seconds: float = 120.0
-
     def validate(self) -> None:
         if self.reposition_mode not in ("client", "server"):
             raise ValueError(
@@ -41,5 +33,3 @@ class PhoenixConfig:
                 f"got {self.reposition_mode!r}")
         if self.client_cache_rows < 0:
             raise ValueError("client_cache_rows cannot be negative")
-        if self.retry_interval_seconds <= 0:
-            raise ValueError("retry_interval_seconds must be positive")

@@ -77,7 +77,7 @@ class PhoenixDriverManager(DriverManager):
         self._vconns: dict[int, VirtualConnection] = {}
         self._status = StatusTable(driver)
         self._persistor = ResultPersistor(driver, self.meter, self._status)
-        self._detector = FailureDetector(driver, self.meter, self.config)
+        self._detector = FailureDetector(driver, self.meter)
         self._recovery = SessionRecovery(driver, self.meter, self.config,
                                          self._persistor, self._detector,
                                          self._redial_private)
@@ -162,9 +162,9 @@ class PhoenixDriverManager(DriverManager):
 
     def exec_direct(self, statement: StatementHandle, sql: str,
                     params: dict | None = None) -> int:
-        obs = self.meter.obs
-        if obs.enabled:
-            with obs.tracer.span("phoenix.exec_direct", layer="phoenix"):
+        tracer = self.meter.tracer
+        if tracer.enabled:
+            with tracer.span("phoenix.exec_direct", layer="phoenix"):
                 return self._exec_direct(statement, sql, params)
         return self._exec_direct(statement, sql, params)
 
@@ -692,8 +692,8 @@ class PhoenixDriverManager(DriverManager):
         # everything up to knowing whether the *session* (not just the
         # server) survived.  Its timer reads the clock purely, so the
         # bookkeeping itself costs no virtual time.
-        with self.meter.obs.tracer.phase("recovery.failure_detection",
-                                         "phoenix") as detection:
+        with self.meter.tracer.phase("recovery.failure_detection",
+                                     "phoenix") as detection:
             verdict = self._detect_failure(vconn)
         intercepted_at = detection.start
         if verdict == "down":

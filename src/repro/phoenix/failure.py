@@ -23,9 +23,16 @@ from repro.errors import (
 )
 from repro.odbc.driver import NativeDriver
 from repro.odbc.handles import ConnectionHandle, StatementHandle
-from repro.phoenix.config import PhoenixConfig
 from repro.sim.costs import CLIENT_CPU
 from repro.sim.meter import Meter
+
+#: Seconds between reconnect attempts while the server is down.
+RETRY_INTERVAL_SECONDS = 1.0
+
+#: Total budget before Phoenix gives up and exposes the failure ("after
+#: a period of time, if Phoenix is unable to connect, it gives up and
+#: reveals the failure to the application").
+RECONNECT_BUDGET_SECONDS = 120.0
 
 _TRANSPORT_ERRORS = (ServerDownError, ServerCrashedError,
                      ConnectionLostError, RequestTimeoutError)
@@ -39,11 +46,9 @@ def is_transport_failure(error: BaseException) -> bool:
 class FailureDetector:
     """Pings and probes on behalf of the recovery machinery."""
 
-    def __init__(self, driver: NativeDriver, meter: Meter,
-                 config: PhoenixConfig):
+    def __init__(self, driver: NativeDriver, meter: Meter):
         self._driver = driver
         self._meter = meter
-        self._config = config
         self.reconnect_attempts = 0
 
     def await_server(self) -> bool:
@@ -52,7 +57,7 @@ class FailureDetector:
         Waiting is charged to the (virtual) clock — the application
         pauses, it does not fail.  Returns False on give-up.
         """
-        budget = self._config.reconnect_budget_seconds
+        budget = RECONNECT_BUDGET_SECONDS
         waited = 0.0
         while True:
             self.reconnect_attempts += 1
@@ -63,8 +68,7 @@ class FailureDetector:
                 pass
             if waited >= budget:
                 return False
-            interval = min(self._config.retry_interval_seconds,
-                           budget - waited)
+            interval = min(RETRY_INTERVAL_SECONDS, budget - waited)
             self._meter.charge(CLIENT_CPU, interval, "reconnect wait")
             waited += interval
 

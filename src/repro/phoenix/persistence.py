@@ -87,7 +87,7 @@ class ResultPersistor:
         sql = sql.rstrip().rstrip(";")
         steps: dict[str, float] = {}
         meter = self._meter
-        tracer = meter.obs.tracer
+        tracer = meter.tracer
 
         def step(name: str, fn):
             # Timed by flushing reads: each step ends at a flush point.

@@ -91,8 +91,7 @@ class SessionRecovery:
         books exactly what an untraced one does.
         """
         self.recoveries += 1
-        obs = self._meter.obs
-        tracer = obs.tracer
+        tracer = self._meter.tracer
         timeline: list[tuple[str, float, float]] = []
 
         def phase(name: str, step) -> None:
@@ -117,7 +116,7 @@ class SessionRecovery:
             breakdown[name] += t1 - t0
         self.last_timeline = timeline
         self.last_phase_breakdown = breakdown
-        obs.record_recovery(breakdown, finished_at=recover.end)
+        self._meter.record_recovery(breakdown, finished_at=recover.end)
 
     # -- phase 1 ---------------------------------------------------------------
 

@@ -212,9 +212,8 @@ class DatabaseServer:
         # is not that client's service: it runs on the clock.
         window = self.meter.suspend_overlap()
         try:
-            with self.meter.obs.tracer.span("server.restart",
-                                            layer="server",
-                                            crash=self.crashes):
+            with self.meter.tracer.span("server.restart", layer="server",
+                                        crash=self.crashes):
                 self.engine = self._restart_engine()
         finally:
             self.meter.resume_overlap(window)
@@ -229,22 +228,19 @@ class DatabaseServer:
     def _restart_engine(self) -> DatabaseEngine:
         return DatabaseEngine.restart(self.disk, self.wal, meter=self.meter)
 
-    def checkpoint(self, fuzzy: bool = False) -> None:
+    def checkpoint(self) -> None:
         self._require_up()
-        if fuzzy:
-            self.engine.fuzzy_checkpoint()
-        else:
-            self.engine.checkpoint()
+        self.engine.checkpoint()
 
     # -- request dispatch ------------------------------------------------------
 
     def handle(self, request: Request):
         """Serve one request; returns its response — or, for a statement
         that met a lock, the :class:`HeldStatement` to :meth:`resume`."""
-        obs = self.meter.obs
-        if obs.enabled:
-            with obs.tracer.span("server.handle", layer="server",
-                                 request=type(request).__name__):
+        tracer = self.meter.tracer
+        if tracer.enabled:
+            with tracer.span("server.handle", layer="server",
+                             request=type(request).__name__):
                 return self._handle(request)
         return self._handle(request)
 
@@ -252,9 +248,9 @@ class DatabaseServer:
         """Run a held statement again now that its transaction is out of
         the lock queue; returns the response, or ``held`` once more when
         the statement met another lock."""
-        obs = self.meter.obs
-        if obs.enabled:
-            with obs.tracer.span("server.resume", layer="server"):
+        tracer = self.meter.tracer
+        if tracer.enabled:
+            with tracer.span("server.resume", layer="server"):
                 return self._resume(held)
         return self._resume(held)
 

@@ -20,10 +20,13 @@ the micro-overhead experiment and by tests.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from repro.obs import Observability
+from repro.obs import RECOVERY_PHASES, trace_enabled_from_env
+from repro.obs.latency import LatencyLedger
+from repro.obs.trace import Tracer
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import ALL_RESOURCES, CostModel
 
@@ -75,11 +78,21 @@ class Meter:
         self.costs = cost_model if cost_model is not None else CostModel()
         self.clock = clock if clock is not None else VirtualClock()
         self.traces: list[RequestTrace] = []
-        #: The observability bundle of this world: tracer + latency
-        #: ledger + recovery log.  Span timestamps come from
+        traced = trace_enabled_from_env()
+        #: Parent/child spans of this world.  Their timestamps come from
         #: :meth:`peek_now` — a pure read — so tracing can never move the
         #: virtual clock.
-        self.obs = Observability(self.peek_now)
+        self.tracer = Tracer(self.peek_now, enabled=traced)
+        #: The request latency ledger while it is on, else None: on with
+        #: ``REPRO_TRACE``, or from :meth:`enable_latency_ledger`.  It
+        #: never charges or flushes, so turning it on cannot move the
+        #: clock; ``charge`` reads this one attribute to decide its cost.
+        self.latency: LatencyLedger | None = (
+            LatencyLedger() if traced else None)
+        #: Most recent session recoveries, oldest first: dicts with
+        #: ``recovery_id``, ``finished_at`` and ordered ``phases``
+        #: (see :meth:`record_recovery`).
+        self.recovery_log: deque[dict] = deque(maxlen=64)
         #: The world's named counters — its only metrics (``sys_metrics``
         #: and the trace exporter read them here).
         self.counters: dict[str, float] = {}
@@ -103,10 +116,6 @@ class Meter:
         #: it never affects charging, so it exists whether or not the
         #: ledger is enabled.
         self._component_hint: str | None = None
-        #: The world's request latency ledger when enabled, else None —
-        #: one attribute read decides the hot path's extra cost.
-        latency = self.obs.latency
-        self._latency = latency if latency.enabled else None
         self._recorders: list[list[Segment]] = []
         #: Executor diagnostics (batches per operator, fast-path counts).
         #: Kept out of ``counters`` so virtual-output equivalence checks
@@ -148,7 +157,7 @@ class Meter:
                 trace.segments.append(segment)
             for sink in recorders:
                 sink.append(segment)
-        latency = self._latency
+        latency = self.latency
         if latency is not None:
             entry = latency.current
             if entry is not None:
@@ -175,7 +184,7 @@ class Meter:
         if self._window is not None:
             if seconds > 0 and not self._recorders:
                 self._window += seconds
-                latency = self._latency
+                latency = self.latency
                 if latency is not None and latency.current is not None:
                     latency.current.hide(seconds)
             else:
@@ -298,12 +307,12 @@ class Meter:
 
     # -- latency ledger -------------------------------------------------------
 
-    def enable_latency_ledger(self):
-        """Turn the request latency ledger on for this world."""
-        ledger = self.obs.latency
-        ledger.enabled = True
-        self._latency = ledger
-        return ledger
+    def enable_latency_ledger(self) -> LatencyLedger:
+        """Turn the request latency ledger on for this world; returns
+        it."""
+        if self.latency is None:
+            self.latency = LatencyLedger()
+        return self.latency
 
     class _AttributionContext:
         __slots__ = ("_meter", "_component", "_saved")
@@ -337,7 +346,7 @@ class Meter:
         ledger is disabled).  Flushes the pending batch first — the
         exchange's first charge would flush it anyway, so the flush
         point (and therefore the clock arithmetic) is unchanged."""
-        latency = self._latency
+        latency = self.latency
         if latency is None:
             return None
         self._flush_pending()
@@ -346,7 +355,7 @@ class Meter:
 
     def latency_close(self, entry, wasted: bool = False) -> None:
         """Finalize a ledger entry (no-op on None / double close)."""
-        latency = self._latency
+        latency = self.latency
         if latency is None or entry is None:
             return
         self._flush_pending()
@@ -355,23 +364,47 @@ class Meter:
     def latency_detach(self, entry) -> None:
         """Keep ``entry`` open but stop charging into it (the request
         went in flight; its stall is realized later)."""
-        if self._latency is not None and entry is not None:
-            self._latency.detach(entry)
+        if self.latency is not None and entry is not None:
+            self.latency.detach(entry)
 
     def latency_resume(self, entry) -> None:
         """Make a detached entry current again so its realized stall
         lands in it."""
-        if self._latency is not None and entry is not None:
-            self._latency.resume(entry)
+        if self.latency is not None and entry is not None:
+            self.latency.resume(entry)
 
     def latency_attribute(self, entry, component: str,
                           seconds: float) -> None:
         """Record clock time that bypassed :meth:`charge` (a failed
         overlapped exchange realizes its recorded seconds via a raw
         clock advance) into ``entry`` under ``component``."""
-        if self._latency is not None and entry is not None \
+        if self.latency is not None and entry is not None \
                 and seconds > 0:
             entry.add_attributed(component, seconds)
+
+    # -- recovery log ---------------------------------------------------------
+
+    def record_recovery(self, phase_seconds: dict[str, float],
+                        finished_at: float) -> dict:
+        """Log one completed recovery's phase breakdown.
+
+        Always recorded (recoveries are rare; the log is how
+        ``sys_recovery_phases`` answers even with tracing off).  The
+        canonical :data:`~repro.obs.RECOVERY_PHASES` come first in their
+        order, other phases (a restart's ``wal_*`` passes) after them by
+        name.  A phase that had nothing to do arrives as 0.0 and keeps
+        its row, so readers can look every canonical phase up by name.
+        """
+        log = self.recovery_log
+        ordered = [(phase, phase_seconds[phase])
+                   for phase in RECOVERY_PHASES if phase in phase_seconds]
+        ordered += sorted((name, seconds)
+                          for name, seconds in phase_seconds.items()
+                          if name not in RECOVERY_PHASES)
+        record = {"recovery_id": log[-1]["recovery_id"] + 1 if log else 1,
+                  "finished_at": finished_at, "phases": ordered}
+        log.append(record)
+        return record
 
     # -- request bracketing ---------------------------------------------------
 

@@ -1331,7 +1331,7 @@ def iterate_plan(root: PlanOperator, meter,
     and how many rows it ultimately produced.
     """
     rows = _batch_row_stream(root, ExecContext(meter=meter, outer=outer))
-    tracer = meter.obs.tracer
+    tracer = meter.tracer
     if not tracer.enabled:
         return rows
     return _traced_rows(rows, tracer, type(root).__name__)

@@ -249,7 +249,7 @@ class RecoveryManager:
         tracer; their durations are the restart's ``wal_*`` rows in the
         recovery log."""
         meter = self._log.meter
-        tracer = meter.obs.tracer
+        tracer = meter.tracer
         workers = meter.costs.redo_workers
         report = RecoveryReport(redo_workers=workers)
         with tracer.phase("wal.recover", "wal") as root:
@@ -282,7 +282,7 @@ class RecoveryManager:
         for file_id in sorted(report.partition_seconds):
             phase_seconds[f"wal_redo_file_{file_id}"] = \
                 report.partition_seconds[file_id]
-        meter.obs.record_recovery(phase_seconds, finished_at=root.end)
+        meter.record_recovery(phase_seconds, finished_at=root.end)
         return report
 
     def _analysis(self, report: RecoveryReport):

@@ -119,10 +119,10 @@ def test_fuzzy_checkpoints_and_truncation_survive_crash_sweep(seed):
                 else:
                     harness.run(sql)
             truncated = harness.wal.truncated_lsn
-            recoveries = len(harness.meter.obs.recovery_log)
+            recoveries = len(harness.meter.recovery_log)
             harness.crash()
             report = harness.restart()
-            assert len(harness.meter.obs.recovery_log) == recoveries + 1, \
+            assert len(harness.meter.recovery_log) == recoveries + 1, \
                 f"{where}: restart left no entry in the recovery log"
             assert report.redo_workers == workers
             if regime == "fuzzy":

@@ -15,8 +15,8 @@ from repro.bench.experiments import run_tracked_mix
 from repro.obs.export import (SCHEMA_VERSION, export_trace, load_records,
                               trace_records)
 from repro.obs.latency import (COMPONENTS, LatencyLedger, classify,
-                               format_latency_report)
-from repro.obs.metrics import percentile
+                               percentile)
+from repro.obs.report import latency_section, render
 from repro.obs.validate import validate_records
 from repro.odbc.constants import SQL_NO_DATA, SQL_SUCCESS
 from repro.phoenix.config import PhoenixConfig
@@ -74,7 +74,7 @@ def drain(app) -> list:
 def test_identity_holds_across_the_tracked_mix():
     """Every request of the tracked mix balances bit-exactly."""
     ledger = small_mix_ledger()
-    assert ledger.enabled
+    assert ledger is not None
     assert ledger.opened == ledger.closed > 0
     assert ledger.identity_violations == []
     # Spot-check the exactness claim on the raw entries too: the
@@ -89,7 +89,7 @@ def test_identity_holds_with_prefetch_knobs_on():
     _server, app = fetch_heavy_world(prefetch=True)
     rows = drain(app)
     assert len(rows) == 40
-    ledger = app.meter.obs.latency
+    ledger = app.meter.latency
     assert app.meter.counters.get("prefetch_issued", 0) > 0
     assert ledger.identity_violations == []
     assert "FetchRequest" in ledger.kinds
@@ -101,7 +101,7 @@ def test_identity_holds_with_prefetch_knobs_on():
 def test_fetch_requests_attributed_per_kind():
     _server, app = fetch_heavy_world(prefetch=False)
     drain(app)
-    ledger = app.meter.obs.latency
+    ledger = app.meter.latency
     stats = ledger.kinds["FetchRequest"]
     assert stats.count > 5
     assert float(stats.total) > 0.0
@@ -124,7 +124,7 @@ def test_wasted_entries_counted_when_crash_discards_prefetch():
     server.restart()
     while app.manager.fetch(statement)[0] == SQL_SUCCESS:
         pass
-    ledger = app.meter.obs.latency
+    ledger = app.meter.latency
     assert ledger.identity_violations == []
     assert sum(stats.wasted for stats in ledger.kinds.values()) > 0
 
@@ -137,16 +137,17 @@ def test_wasted_entries_counted_when_crash_discards_prefetch():
 def test_ledger_off_by_default(monkeypatch):
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     meter = Meter()
-    assert not meter.obs.latency.enabled
+    assert meter.latency is None
     meter.charge(SERVER_CPU, 0.001, "query cpu")
-    assert meter.obs.latency.opened == 0
+    assert meter.latency is None
+    assert meter.enable_latency_ledger().opened == 0
 
 
 def test_env_knob_enables_the_ledger(monkeypatch):
     """``REPRO_TRACE`` is the one env switch: tracing brings the ledger."""
     monkeypatch.setenv("REPRO_TRACE", "1")
     meter = Meter()
-    assert meter.obs.latency.enabled
+    assert meter.latency is not None
 
 
 def test_virtual_clock_bit_identical_ledger_on_vs_off():
@@ -175,7 +176,7 @@ def test_virtual_clock_bit_identical_ledger_on_vs_off():
 def test_ledger_rows_deterministic_across_identical_runs():
     first = small_mix_ledger()
     second = small_mix_ledger()
-    assert first.rows() == second.rows()
+    assert first.records() == second.records()
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +211,17 @@ def test_attribute_to_routes_charges_to_the_hinted_component():
     assert set(entry.components) == {"engine_execute", "checkpoint"}
     assert entry.components["checkpoint"] == Fraction(0.005) + Fraction(0.001)
     assert entry.identity_holds()
-    assert meter.obs.latency.identity_violations == []
+    assert meter.latency.identity_violations == []
 
 
-def test_attribute_to_is_inert_when_ledger_disabled():
+def test_attribute_to_is_inert_when_ledger_disabled(monkeypatch):
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
     meter = Meter()
     before = meter.now
     with meter.attribute_to("checkpoint"):
         meter.charge(SERVER_CPU, 0.001, "query cpu")
     assert meter.now == pytest.approx(before + 0.001)
-    assert meter.obs.latency.opened == 0
+    assert meter.latency is None
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +249,7 @@ def test_percentile_edge_cases():
 
 
 def test_kind_percentiles_exact_over_samples():
-    ledger = LatencyLedger(enabled=True)
+    ledger = LatencyLedger()
     for seconds in (0.001, 0.002, 0.003, 0.004):
         entry = ledger.open("K", start=0.0, clocked=False)
         entry.add_attributed("engine_execute", seconds)
@@ -298,11 +300,12 @@ def test_sys_sessions_view_reports_live_sessions():
 def test_export_roundtrip_carries_latency_records(tmp_path):
     _server, app = fetch_heavy_world(prefetch=False)
     drain(app)
-    app.meter.obs.tracer.enable()
+    app.meter.tracer.enable()
     path = tmp_path / "trace.jsonl"
     export_trace(app.meter, path)
     records = load_records(path)
-    assert records[0]["schema_version"] == SCHEMA_VERSION == 2
+    assert records[0]["schema_version"] == SCHEMA_VERSION == 3
+    assert records[0]["identity_violations"] == []
     latency = [r for r in records if r.get("type") == "latency"]
     assert {r["kind"] for r in latency} >= {"ExecuteRequest",
                                             "FetchRequest"}
@@ -315,14 +318,16 @@ def test_export_roundtrip_carries_latency_records(tmp_path):
 
 def test_latency_records_absent_when_ledger_idle():
     meter = Meter()
-    meter.obs.tracer.enable()
+    meter.tracer.enable()
     records = trace_records(meter)
     assert [r for r in records if r.get("type") == "latency"] == []
 
 
 def test_format_latency_report_renders_attribution_table():
-    ledger = small_mix_ledger()
-    text = format_latency_report(ledger, source="small mix")
+    result = run_tracked_mix(txns=15, point_reads=40, persists=2, seed=7)
+    text = latency_section(result.records, "small mix")
+    assert render(result.records, result.source).startswith(
+        result.format())
     assert "Request latency by kind" in text
     assert "ExecuteRequest" in text
     assert "Where the virtual seconds went" in text

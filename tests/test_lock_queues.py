@@ -538,7 +538,7 @@ class TestHeldStatement:
 
     def test_ledger_books_the_wait_and_still_adds_up(self):
         server, alice, bob, statement = blocked_update(ledger=True)
-        ledger = server.meter.obs.latency
+        ledger = server.meter.latency
         done(alice, "SELECT v FROM acct WHERE k = 0")  # time passes
         done(alice, "COMMIT")
         held_since = ledger.closed

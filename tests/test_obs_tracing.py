@@ -1,17 +1,18 @@
-"""The observability subsystem: spans, metrics, views, export, report.
+"""The observability subsystem: spans, counters, views, export, report.
 
 Covers the tracer's nesting rules, the ``sys_*`` views (including the
 acceptance scenario: a crash mid-fetch must leave one
 ``sys_recovery_phases`` row per phase with nonzero durations), the JSONL
-export/validate round trip, and the trace-report rendering.
+export/validate round trip, and the report's rendering of a record
+stream.
 """
 
 import pytest
 
-from repro.obs import RECOVERY_PHASES, Observability
+from repro.obs import RECOVERY_PHASES
 from repro.obs.export import export_trace, load_records, trace_records
-from repro.obs.metrics import Histogram
-from repro.obs.report import build_trace_report, summarize_spans
+from repro.obs.report import (bucket_counts, recovery_rows, render,
+                              span_section)
 from repro.obs.trace import NOOP_SPAN, Tracer
 from repro.obs.validate import validate_records, validate_spans
 from repro.odbc.constants import SQL_SUCCESS
@@ -103,12 +104,16 @@ def test_ring_buffer_drops_oldest_and_counts():
 
 
 def test_histogram_buckets_and_rollups():
-    histogram = Histogram("h", (1.0, 10.0))
-    for value in (0.5, 5.0, 50.0, 0.2):
-        histogram.observe(value)
-    assert histogram.count == 4
-    assert histogram.bucket_counts == [2, 1, 1]
-    assert histogram.mean == pytest.approx(55.7 / 4)
+    """The report's span histograms count each duration into the first
+    bucket whose bound it does not exceed."""
+    assert bucket_counts((0.5, 5.0, 50.0, 0.2), (1.0, 10.0)) == [2, 1, 1]
+    assert bucket_counts((1.0, 10.0, 10.5), (1.0, 10.0)) == [1, 1, 1]
+    spans = [{"type": "span", "layer": "a", "start": 0.0, "end": d}
+             for d in (0.0005, 0.002, 0.0025, 50.0)]
+    text = span_section(spans, "h")
+    assert "<=   0.001s" in text and text.count("#") > 0
+    assert [line.split()[-1] for line in text.splitlines()
+            if line.startswith("  <=")] == ["1", "2", "1"]
 
 
 def test_meter_counters_are_the_registry_counters():
@@ -143,7 +148,7 @@ def crashed_phoenix_world(default_chain: bool = False):
     otherwise the paper's recipe and serialized recovery."""
     meter = Meter(CostModel(output_buffer_bytes=16,
                             persist_pipeline=default_chain))
-    meter.obs.tracer.enable()
+    meter.tracer.enable()
     server = DatabaseServer(meter=meter)
     setup = BenchmarkApp(server)
     setup.run_statement("CREATE TABLE t (k INT NOT NULL, v INT, "
@@ -247,18 +252,42 @@ def test_export_validate_report_roundtrip(tmp_path):
     assert records[0]["type"] == "meta"
     assert validate_records(records) == []
 
-    report = build_trace_report(path)
-    assert report.span_count == len(app.meter.obs.tracer.finished)
-    reported_layers = {s.layer for s in report.layers}
-    assert {"phoenix", "server", "engine", "wal"} <= reported_layers
-    text = report.format()
-    assert "Trace report" in text and "phoenix" in text
+    text = render(records)
+    assert f"({len(app.meter.tracer.finished)} spans" in text
+    for layer in ("phoenix", "server", "engine", "wal"):
+        assert f"Layer {layer!r} span durations:" in text
+    assert "Spans by layer" in text and "phoenix" in text
+
+
+@pytest.mark.parametrize("default_chain", [False, True])
+def test_report_renders_live_and_reloaded_records_alike(
+        tmp_path, monkeypatch, default_chain):
+    """One record stream: the report of a traced crash world's live
+    records and of the same records exported and loaded back are one
+    text, and its recovery rows are ``sys_recovery_phases``'s."""
+    monkeypatch.setenv("REPRO_TRACE", "1")
+    _server, app = crashed_phoenix_world(default_chain)
+    # The view's query is the one that meets the dead session when the
+    # recovering fetch was served from rows the driver held.
+    phase_rows = app.query_rows("SELECT * FROM sys_recovery_phases")
+    records = trace_records(app.meter)
+    path = tmp_path / "trace.jsonl"
+    export_trace(app.meter, path)
+    reloaded = load_records(path)
+    assert validate_records(reloaded) == []
+    text = render(records, source="crash world")
+    assert render(reloaded, source="crash world") == text
+    for section in ("Request latency by kind", "Spans by layer",
+                    "Recoveries", "Counters"):
+        assert section in text
+    assert recovery_rows(records) == recovery_rows(reloaded) == phase_rows
+    assert {rid for rid, *_ in phase_rows} == {1, 2}
 
 
 def test_validator_rejects_corrupted_traces(tmp_path):
     meter = Meter()
-    meter.obs.tracer.enable()
-    with meter.obs.tracer.span("ok"):
+    meter.tracer.enable()
+    with meter.tracer.span("ok"):
         pass
     records = trace_records(meter)
 
@@ -274,8 +303,8 @@ def test_validator_rejects_corrupted_traces(tmp_path):
 
     # child escapes its parent's interval
     meter2 = Meter()
-    meter2.obs.tracer.enable()
-    tracer = meter2.obs.tracer
+    meter2.tracer.enable()
+    tracer = meter2.tracer
     with tracer.span("outer"):
         with tracer.span("inner"):
             pass
@@ -291,14 +320,21 @@ def test_validator_rejects_corrupted_traces(tmp_path):
         load_records(path)
 
 
+def span_table(text: str) -> dict[str, list[str]]:
+    """The per-layer table of a rendered span section: layer -> cells."""
+    lines = text.splitlines()
+    rows = lines[4:lines.index("")] if "" in lines else lines[4:]
+    return {row.split()[0]: row.split()[1:] for row in rows}
+
+
 def test_summarize_spans_groups_by_layer():
-    spans = [{"layer": "a", "start": 0.0, "end": 1.0},
-             {"layer": "a", "start": 0.0, "end": 3.0},
-             {"layer": "b", "start": 0.0, "end": 0.5}]
-    report = summarize_spans(spans)
-    assert [s.layer for s in report.layers] == ["a", "b"]
-    a = report.layers[0]
-    assert a.count == 2 and a.total == 4.0 and a.max == 3.0
+    spans = [{"type": "span", "layer": "a", "start": 0.0, "end": 1.0},
+             {"type": "span", "layer": "a", "start": 0.0, "end": 3.0},
+             {"type": "span", "layer": "b", "start": 0.0, "end": 0.5}]
+    table = span_table(span_section(spans, "live"))
+    assert list(table) == ["a", "b"]
+    count, total, _mean, _p50, _p95, _p99, peak = table["a"]
+    assert count == "2" and float(total) == 4.0 and float(peak) == 3.0
 
 
 def test_summarize_spans_tolerates_parentless_and_cut_spans(tmp_path):
@@ -306,20 +342,17 @@ def test_summarize_spans_tolerates_parentless_and_cut_spans(tmp_path):
     spans with unusable timestamps (cut short, hand-edited) are counted
     as ``malformed_spans`` and excluded from the statistics instead of
     folding zero durations into the percentiles."""
-    spans = [{"layer": "a", "start": 0.0, "end": 1.0},
-             {"start": 0.0, "end": 2.0},            # no parent phase
-             {"layer": None, "start": 1.0},          # cut short: no end
-             {"layer": "a", "start": "x", "end": 2}  # mangled timestamp
+    spans = [{"type": "span", "layer": "a", "start": 0.0, "end": 1.0},
+             {"type": "span", "start": 0.0, "end": 2.0},  # no parent
+             {"type": "span", "layer": None, "start": 1.0},  # no end
+             {"type": "span", "layer": "a", "start": "x", "end": 2}
              ]
-    report = summarize_spans(spans)
-    assert report.span_count == 4
-    assert report.malformed_spans == 2
-    by_layer = {s.layer: s for s in report.layers}
-    assert by_layer["(none)"].count == 1
-    assert by_layer["(none)"].total == 2.0
-    assert by_layer["a"].count == 1 and by_layer["a"].total == 1.0
-    text = report.format()
-    assert "Trace report" in text
+    text = span_section(spans, "live")
+    assert "(4 spans" in text
+    by_layer = span_table(text)
+    assert by_layer["(none)"][:2] == ["1", "2.000"]
+    assert by_layer["a"][:2] == ["1", "1.000"]
+    assert "Spans by layer" in text
     assert "skipped 2 malformed spans" in text
 
     # End to end through the file loader: a metric record missing its
@@ -329,11 +362,11 @@ def test_summarize_spans_tolerates_parentless_and_cut_spans(tmp_path):
         '{"type": "meta", "dropped": 0}\n'
         '{"type": "span", "name": "orphan"}\n'
         '{"type": "metric", "kind": "counter", "name": "incomplete"}\n')
-    report = build_trace_report(path)
-    assert report.span_count == 1
-    assert report.malformed_spans == 1
-    assert report.layers == []
-    assert report.counters == {}
+    text = render(load_records(path))
+    assert "(1 spans" in text
+    assert "skipped 1 malformed spans" in text
+    assert span_table(text) == {}
+    assert "Counters" not in text
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +374,17 @@ def test_summarize_spans_tolerates_parentless_and_cut_spans(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_recovery_log_records_even_when_tracing_disabled():
-    obs = Observability(lambda: 0.0, enabled=False)
-    record = obs.record_recovery(
+def test_recovery_log_records_even_when_tracing_disabled(monkeypatch):
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    meter = Meter()
+    record = meter.record_recovery(
         {"reposition": 0.5, "failure_detection": 0.1, "custom": 0.2,
          "option_replay": 0.0},
         finished_at=1.0)
     assert record["phases"][0] == ("failure_detection", 0.1)
     assert record["phases"][1] == ("option_replay", 0.0)  # zero is kept
     assert record["phases"][-1] == ("custom", 0.2)  # extras sort last
-    assert list(obs.recovery_log) == [record]
+    assert list(meter.recovery_log) == [record]
 
 
 def test_obs_imports_first():

@@ -5,6 +5,7 @@ import pytest
 from repro.odbc.constants import SQL_ERROR, SQL_NO_DATA, SQL_SUCCESS
 from repro.odbc.driver import NativeDriver
 from repro.odbc.driver_manager import DriverManager
+from repro.phoenix import failure
 from repro.phoenix.config import PhoenixConfig
 from repro.phoenix.driver_manager import PhoenixDriverManager
 from repro.server.network import SimulatedNetwork
@@ -183,10 +184,10 @@ class TestCrashMasking:
         world.network.fault_injector = None
         assert world.fetch_all(stmt) == [(i,) for i in range(8)]
 
-    def test_give_up_exposes_original_error(self):
-        config = PhoenixConfig(reconnect_budget_seconds=3.0,
-                               retry_interval_seconds=1.0)
-        world = PhoenixWorld(config)
+    def test_give_up_exposes_original_error(self, monkeypatch):
+        monkeypatch.setattr(failure, "RECONNECT_BUDGET_SECONDS", 3.0)
+        monkeypatch.setattr(failure, "RETRY_INTERVAL_SECONDS", 1.0)
+        world = PhoenixWorld(PhoenixConfig())
         world.seed(3)
         stmt = world.execute("SELECT id FROM items")
         world.server.crash()  # never restarted
@@ -203,9 +204,10 @@ class TestCrashMasking:
 
     def test_recovery_waits_for_server(self):
         """Server comes back only after a few ping rounds."""
-        config = PhoenixConfig(retry_interval_seconds=1.0,
-                               reconnect_budget_seconds=60.0)
-        world = PhoenixWorld(config)
+        # On the shipped timings: a 1 s ping interval, a 120 s budget.
+        assert failure.RETRY_INTERVAL_SECONDS == 1.0
+        assert failure.RECONNECT_BUDGET_SECONDS == 120.0
+        world = PhoenixWorld(PhoenixConfig())
         world.seed(4)
         stmt = world.execute("SELECT id FROM items ORDER BY id")
         world.server.crash()

@@ -61,7 +61,7 @@ def build_world(cache_rows: int = 0, prefetch: bool = False,
         # (and their survival across restarts) are actually exercised.
         costs.result_cache_entries = 64
     meter = Meter(costs)
-    meter.obs.tracer.enable()
+    meter.tracer.enable()
     # The latency ledger rides along on every fuzzed world: crash timing
     # must never break the accounting identity either.
     meter.enable_latency_ledger()
@@ -258,14 +258,14 @@ def test_crash_at_every_request_boundary(cache_rows, prefetch,
             assert stats and stats["row_count"] == 8, (
                 f"ANALYZE statistics lost when crashing at request "
                 f"{crash_at}")
-        tracer = app.meter.obs.tracer
+        tracer = app.meter.tracer
         assert tracer.open_span_count == 0, (
             f"spans leaked open when crashing at request {crash_at}")
         errors = validate_spans(tracer.finished)
         assert errors == [], (
             f"span tree invalid when crashing at request {crash_at}: "
             f"{errors[:3]}")
-        ledger = app.meter.obs.latency
+        ledger = app.meter.latency
         assert ledger.closed > 0
         assert ledger.identity_violations == [], (
             f"latency accounting identity broken when crashing at "
@@ -319,14 +319,14 @@ def assert_only_a_pause(server, app, observed, expected, expected_status,
     # counts those of the crash-free run.
     assert status_rows(server) == expected_status, (
         f"status table diverged {where}")
-    tracer = app.meter.obs.tracer
+    tracer = app.meter.tracer
     if crashed:
         # (Without a crash, a cursor the retry abandoned stays open on
         # the surviving session, and so does its executor stream span.)
         assert tracer.open_span_count == 0, f"spans leaked open {where}"
     errors = validate_spans(tracer.finished)
     assert errors == [], f"span tree invalid {where}: {errors[:3]}"
-    ledger = app.meter.obs.latency
+    ledger = app.meter.latency
     assert ledger.identity_violations == [], (
         f"latency accounting identity broken {where}: "
         f"{ledger.identity_violations[:3]}")
@@ -574,7 +574,7 @@ _CONCURRENT_SCHEDULE = [
 def build_concurrent_row_world():
     costs = CostModel(output_buffer_bytes=16)
     meter = Meter(costs)
-    meter.obs.tracer.enable()
+    meter.tracer.enable()
     meter.enable_latency_ledger()
     server = DatabaseServer(meter=meter)
     setup = BenchmarkApp(server)
@@ -728,7 +728,7 @@ def test_concurrent_row_sessions_survive_crash_at_every_boundary():
         assert rows == expected_rows, (
             f"final contents diverged when crashing at request "
             f"{crash_at}: {rows}")
-        tracer = apps[0].meter.obs.tracer
+        tracer = apps[0].meter.tracer
         assert tracer.open_span_count == 0, (
             f"spans leaked open when crashing at request {crash_at}")
         errors = validate_spans(tracer.finished)
@@ -874,8 +874,8 @@ def test_held_statement_survives_crash_at_every_boundary():
         assert server.engine.locks.queued() == [], where
         assert server.engine.locks.snapshot() == [], where
         meter = apps[0].meter
-        assert meter.obs.latency.identity_violations == [], where
-        tracer = meter.obs.tracer
+        assert meter.latency.identity_violations == [], where
+        tracer = meter.tracer
         assert tracer.open_span_count == 0, where
         assert validate_spans(tracer.finished) == [], where
     # Crashes did land on held statements, and transactions did abort.

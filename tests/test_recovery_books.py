@@ -191,7 +191,7 @@ def record_exchanges(app, operation):
     app.network.fault_injector = lambda request: sent.append(
         (type(request).__name__,
          " ".join(getattr(request, "sql", "").split()[:3])))
-    ledger = app.meter.obs.latency
+    ledger = app.meter.latency
     before, start = ledger.closed, app.meter.now
     operation()
     seconds = app.meter.now - start
