@@ -20,6 +20,7 @@ from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
 from tests import row_engine_oracle
 from tests.row_engine_oracle import same_clock
+from tests.schedules import Fault, ledger_run, ledger_workload
 
 
 # ---------------------------------------------------------------------------
@@ -87,28 +88,18 @@ def test_oracle_tolerance_is_tight():
 def _crash_run(crash_at: int | None, prefetch: bool = False,
                result_cache: bool = False, analyze: bool = False):
     """Observed app outputs + clock for one crash-injected run."""
-    from tests.test_phoenix_crash_fuzz import build_world, workload
-
     # The shared result cache admits via the §4 client cache, so the
     # cache-on variant turns both on — hits then bypass the server in
     # both executor modes, and the equivalence must still hold to the
     # bit (including the result_cache.* counters).
-    server, app = build_world(cache_rows=100 if result_cache else 0,
-                              prefetch=prefetch,
-                              result_cache=result_cache,
-                              analyze=analyze)
+    schedule = ledger_workload()
     if crash_at is not None:
-        fired = {"count": 0, "done": False}
-
-        def injector(request):
-            fired["count"] += 1
-            if fired["count"] == crash_at and not fired["done"]:
-                fired["done"] = True
-                server.crash()
-                server.restart()
-
-        app.network.fault_injector = injector
-    return workload(app), app.meter.now, dict(app.meter.counters)
+        schedule = schedule.under(Fault(crash_at))
+    run = ledger_run(schedule, cache_rows=100 if result_cache else 0,
+                     analyze=analyze, prefetch=prefetch,
+                     result_cache=result_cache)
+    meter = run.world.meter
+    return run.observed, meter.now, dict(meter.counters)
 
 
 @pytest.mark.parametrize("prefetch,result_cache,analyze",

@@ -8,33 +8,24 @@ effects provably reached disk.  Under ``CostModel.paper()`` there is
 no cadence and no checkpoint is ever taken.
 """
 
-import copy
-
-from repro.engine.database import DatabaseEngine
-from repro.engine.session import EngineSession
+from repro.odbc.constants import SQL_NO_DATA, SQL_SUCCESS
 from repro.server.server import DatabaseServer
 from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
 from repro.wal.records import BeginCheckpointRecord, EndCheckpointRecord
 from repro.workloads.app import BenchmarkApp
+from tests.schedules import EngineWorld
+
+
+def make_world(costs: CostModel | None = None) -> EngineWorld:
+    # No cadence unless a test asks for one: the directed tests take
+    # their checkpoints by hand and count them.
+    return EngineWorld(costs or CostModel(checkpoint_interval_seconds=0.0))
 
 
 def make_engine(costs: CostModel | None = None):
-    # No cadence unless a test asks for one: the directed tests take
-    # their checkpoints by hand and count them.
-    engine = DatabaseEngine(meter=Meter(
-        costs or CostModel(checkpoint_interval_seconds=0.0)))
-    session = EngineSession(session_id=1)
-
-    def run(sql):
-        result = engine.execute(sql, session)
-        if result.kind == "rows":
-            return result.fetch_all()
-        if result.kind == "rowcount":
-            return result.rowcount
-        return None
-
-    return engine, run
+    world = make_world(costs)
+    return world.engine, world.run
 
 
 # -- dirty-page table ---------------------------------------------------------
@@ -172,100 +163,117 @@ def test_fuzzy_recovery_equals_no_crash_state():
     _workload(run)
     expected = sorted(run("SELECT k, v FROM t"))
 
-    engine2, run2 = make_engine()
-    run2("CREATE TABLE t (k INT NOT NULL, v INT, PRIMARY KEY (k))")
+    world = make_world()
+    world.run("CREATE TABLE t (k INT NOT NULL, v INT, PRIMARY KEY (k))")
     for i in range(8):
-        run2(f"INSERT INTO t VALUES ({i}, 0)")
+        world.run(f"INSERT INTO t VALUES ({i}, 0)")
     for rnd in range(6):
-        run2(f"UPDATE t SET v = v + {rnd + 1} WHERE k < 4")
+        world.run(f"UPDATE t SET v = v + {rnd + 1} WHERE k < 4")
         if rnd % 2 == 0:
-            engine2.fuzzy_checkpoint(truncate=True)
-    disk, wal, meter = engine2.disk, engine2.wal, engine2.meter
-    wal.crash()
-    engine2.buffer_pool.crash()
-    restarted = DatabaseEngine.restart(disk, wal, meter=meter)
-    report = restarted.last_recovery
+            world.engine.fuzzy_checkpoint(truncate=True)
+    report = world.crash_and_restart()
     assert report.fuzzy
     assert report.redo_start >= 1
-    session = EngineSession(session_id=9)
-    rows = restarted.execute("SELECT k, v FROM t", session).fetch_all()
-    assert sorted(rows) == expected
+    assert sorted(world.run("SELECT k, v FROM t")) == expected
 
 
 def test_ddl_behind_a_checkpoint_with_no_dirty_page_is_redone():
     """Redo starts right behind the checkpoint even when the oldest
     dirty page is younger than that: DDL records name no page."""
-    engine, run = make_engine()
-    run("CREATE TABLE t (k INT NOT NULL, v INT, PRIMARY KEY (k))")
-    engine.checkpoint()            # clean pool ...
-    engine.fuzzy_checkpoint()      # ... so this one logs an empty table
-    run("CREATE TABLE u (k INT NOT NULL, PRIMARY KEY (k))")
-    run("INSERT INTO u VALUES (7)")
-    disk, wal, meter = engine.disk, engine.wal, engine.meter
-    wal.crash()
-    engine.buffer_pool.crash()
-    restarted = DatabaseEngine.restart(disk, wal, meter=meter)
-    report = restarted.last_recovery
+    world = make_world()
+    world.run("CREATE TABLE t (k INT NOT NULL, v INT, PRIMARY KEY (k))")
+    world.engine.checkpoint()        # clean pool ...
+    world.engine.fuzzy_checkpoint()  # ... so this one logs an empty table
+    world.run("CREATE TABLE u (k INT NOT NULL, PRIMARY KEY (k))")
+    world.run("INSERT INTO u VALUES (7)")
+    report = world.crash_and_restart()
     assert report.fuzzy
     assert report.redo_start == report.checkpoint_lsn + 1
-    session = EngineSession(session_id=9)
-    assert restarted.execute("SELECT k FROM u",
-                             session).fetch_all() == [(7,)]
+    assert world.run("SELECT k FROM u") == [(7,)]
 
 
 def test_worker_count_never_changes_recovered_contents():
     """1-worker and 4-worker redo recover bit-identical state (records
     are applied serially in LSN order either way)."""
-    engine, run = make_engine(CostModel(checkpoint_interval_seconds=0.02))
-    _workload(run)
-    engine.fuzzy_checkpoint()
-    run("UPDATE t SET v = v + 100 WHERE k >= 4")
-    engine.wal.force()
-    engine.wal.crash()
-    engine.buffer_pool.crash()
+    world = make_world(CostModel(checkpoint_interval_seconds=0.02))
+    _workload(world.run)
+    world.engine.fuzzy_checkpoint()
+    world.run("UPDATE t SET v = v + 100 WHERE k >= 4")
+    world.engine.wal.force()
+    world.crash()
 
     recovered = {}
     for workers in (1, 4):
-        disk = copy.deepcopy(engine.disk)
-        wal = copy.deepcopy(engine.wal)
-        meter = Meter(CostModel(redo_workers=workers))
-        wal.attach_meter(meter)
-        restarted = DatabaseEngine.restart(disk, wal, meter=meter)
-        assert restarted.last_recovery.redo_workers == workers
-        session = EngineSession(session_id=5)
-        recovered[workers] = sorted(
-            restarted.execute("SELECT k, v FROM t", session).fetch_all())
+        restarted = world.fork(CostModel(redo_workers=workers))
+        assert restarted.engine.last_recovery.redo_workers == workers
+        recovered[workers] = restarted.contents()
     assert recovered[1] == recovered[4]
 
 
 def test_parallel_redo_charges_at_most_serial_time():
     """More workers can only shrink the charged redo makespan."""
-    engine, run = make_engine()
+    world = make_world()
     # All DDL first: a CREATE in the redo stream is a serial barrier, so
     # interleaving it with the DML would leave each round one partition.
     for t in range(3):
-        run(f"CREATE TABLE m{t} (k INT NOT NULL, v INT, PRIMARY KEY (k))")
+        world.run(f"CREATE TABLE m{t} (k INT NOT NULL, v INT, "
+                  f"PRIMARY KEY (k))")
     for t in range(3):
         for i in range(6):
-            run(f"INSERT INTO m{t} VALUES ({i}, 0)")
-        run(f"UPDATE m{t} SET v = 1 WHERE k < 6")
-    engine.wal.force()
-    engine.wal.crash()
-    engine.buffer_pool.crash()
+            world.run(f"INSERT INTO m{t} VALUES ({i}, 0)")
+        world.run(f"UPDATE m{t} SET v = 1 WHERE k < 6")
+    world.engine.wal.force()
+    world.crash()
 
     elapsed = {}
     for workers in (1, 4):
-        disk = copy.deepcopy(engine.disk)
-        wal = copy.deepcopy(engine.wal)
-        meter = Meter(CostModel(redo_workers=workers))
-        wal.attach_meter(meter)
-        start = meter.now
-        restarted = DatabaseEngine.restart(disk, wal, meter=meter)
-        elapsed[workers] = meter.now - start
-        report = restarted.last_recovery
+        # A fresh meter: its clock reads the restart alone.
+        restarted = world.fork(CostModel(redo_workers=workers))
+        elapsed[workers] = restarted.meter.now
+        report = restarted.engine.last_recovery
         assert len(report.partition_seconds) == 3
     assert elapsed[4] < elapsed[1]
 
+
+
+def test_phoenix_session_survives_crash_with_fuzzy_knobs_on():
+    """Phoenix crash transparency is orthogonal to the checkpoint
+    regime: with cadence, truncation and parallel redo all on, a
+    session crashed mid-fetch still drains the same rows."""
+    def run_leg(crash_mid_fetch: bool):
+        costs = CostModel(checkpoint_interval_seconds=0.05,
+                          redo_workers=2, output_buffer_bytes=16)
+        server = DatabaseServer(meter=Meter(costs))
+        setup = BenchmarkApp(server)
+        setup.run_statement("CREATE TABLE t (k INT NOT NULL, v INT, "
+                            "PRIMARY KEY (k))")
+        setup.run_statement("INSERT INTO t VALUES " + ", ".join(
+            f"({i}, {i * i})" for i in range(12)))
+        for i in range(30):
+            setup.run_statement(
+                f"UPDATE t SET v = v + 1 WHERE k = {i % 12}")
+        app = BenchmarkApp(server, use_phoenix=True)
+        statement = app.manager.alloc_statement(app.conn)
+        assert app.manager.exec_direct(
+            statement, "SELECT k, v FROM t ORDER BY k") == SQL_SUCCESS
+        rows = []
+        for _ in range(3):
+            rc, row = app.manager.fetch(statement)
+            assert rc == SQL_SUCCESS
+            rows.append(row)
+        if crash_mid_fetch:
+            server.crash()
+            server.restart()
+            assert server.engine.last_recovery.fuzzy
+        while True:
+            rc, row = app.manager.fetch(statement)
+            if rc == SQL_NO_DATA:
+                break
+            assert rc == SQL_SUCCESS
+            rows.append(row)
+        return rows
+
+    assert run_leg(crash_mid_fetch=True) == run_leg(crash_mid_fetch=False)
 
 # -- observability ------------------------------------------------------------
 

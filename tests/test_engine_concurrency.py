@@ -2,21 +2,23 @@
 
 import pytest
 
-from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
 from repro.errors import DeadlockError, LockWaitError
-from repro.sim.meter import Meter
+from tests.schedules import EngineWorld
 
 
 @pytest.fixture
-def world():
-    engine = DatabaseEngine(meter=Meter())
-    alice = EngineSession(session_id=1)
-    bob = EngineSession(session_id=2)
-    engine.execute("CREATE TABLE acct (id INT NOT NULL, bal INT, "
-                   "PRIMARY KEY (id))", alice)
-    engine.execute("INSERT INTO acct VALUES (1, 100), (2, 200)", alice)
-    return engine, alice, bob
+def engine_world():
+    return EngineWorld(setup=(
+        "CREATE TABLE acct (id INT NOT NULL, bal INT, PRIMARY KEY (id))",
+        "INSERT INTO acct VALUES (1, 100), (2, 200)"))
+
+
+@pytest.fixture
+def world(engine_world):
+    """The engine, alice and bob."""
+    return engine_world.engine, engine_world.session(0), \
+        engine_world.session(1)
 
 
 def run(engine, session, sql):
@@ -135,23 +137,17 @@ class TestInterleavedCommits:
         assert run(engine, alice, "SELECT count(*) FROM a_log") == [(1,)]
         assert run(engine, alice, "SELECT count(*) FROM b_log") == [(0,)]
 
-    def test_crash_with_two_open_transactions(self, ledgers):
+    def test_crash_with_two_open_transactions(self, ledgers, engine_world):
         engine, alice, bob = ledgers
         run(engine, alice, "BEGIN TRANSACTION")
         run(engine, alice, "INSERT INTO a_log VALUES (1)")
         run(engine, bob, "BEGIN TRANSACTION")
         run(engine, bob, "INSERT INTO b_log VALUES (2)")
         engine.wal.force()
-        disk, wal = engine.disk, engine.wal
-        wal.crash()
-        engine.buffer_pool.crash()
-        restarted = DatabaseEngine.restart(disk, wal, meter=engine.meter)
-        assert len(restarted.last_recovery.losers) == 2
-        fresh = EngineSession(session_id=9)
+        assert len(engine_world.crash_and_restart().losers) == 2
         for table in ("a_log", "b_log"):
-            rows = restarted.execute(f"SELECT count(*) FROM {table}",
-                                     fresh).fetch_all()
-            assert rows == [(0,)]
+            assert engine_world.run(f"SELECT count(*) FROM {table}") \
+                == [(0,)]
 
     def test_abort_all_active(self, ledgers):
         engine, alice, bob = ledgers

@@ -7,45 +7,18 @@ idempotent.
 
 import pytest
 
-from repro.engine.database import DatabaseEngine
-from repro.engine.session import EngineSession
-from repro.sim.meter import Meter
-
-
-class CrashHarness:
-    """Owns the durable parts (disk + log) across engine incarnations."""
-
-    def __init__(self):
-        self.meter = Meter()
-        self.engine = DatabaseEngine(meter=self.meter)
-        self.disk = self.engine.disk
-        self.wal = self.engine.wal
-        self.session = EngineSession(session_id=1)
-
-    def run(self, sql, params=None):
-        result = self.engine.execute(sql, self.session, params)
-        if result.kind == "rows":
-            return result.fetch_all()
-        if result.kind == "rowcount":
-            return result.rowcount
-        return None
-
-    def crash(self):
-        """Power-cut: volatile state dies, disk and forced log survive."""
-        self.wal.crash()
-        self.engine.buffer_pool.crash()
-        self.engine = None
-        self.session = EngineSession(session_id=self.session.session_id + 1)
-
-    def restart(self):
-        self.engine = DatabaseEngine.restart(self.disk, self.wal,
-                                             meter=self.meter)
-        return self.engine.last_recovery
+from repro.errors import ConstraintError
+from tests.schedules import (
+    ACCT_SETUP,
+    EngineWorld,
+    acct_workload,
+    assert_indexes_match_heap,
+)
 
 
 @pytest.fixture
 def harness():
-    return CrashHarness()
+    return EngineWorld()
 
 
 class TestCrashRecovery:
@@ -143,7 +116,7 @@ class TestCrashRecovery:
         from repro.wal.records import BeginRecord
 
         harness.engine.wal.append(BeginRecord(txn_id=12345))
-        lost = harness.wal.crash()
+        lost = harness.crash()
         assert lost == 1
         assert harness.wal.last_lsn == flushed
 
@@ -179,8 +152,6 @@ class TestCrashRecovery:
         harness.run("INSERT INTO t VALUES (1)")
         harness.crash()
         harness.restart()
-        from repro.errors import ConstraintError
-
         with pytest.raises(ConstraintError):
             harness.run("INSERT INTO t VALUES (1)")
 
@@ -211,7 +182,7 @@ class TestCrashRecovery:
         harness.run("CREATE TABLE t (a INT)")
         harness.run("BEGIN TRANSACTION")
         harness.run("INSERT INTO t VALUES (1)")
-        loser_id = harness.session.current_txn.txn_id
+        loser_id = harness.session().current_txn.txn_id
         harness.engine.wal.force()
         harness.crash()
         harness.restart()
@@ -229,3 +200,98 @@ class TestCrashRecovery:
         harness.restart()
         rows = harness.run("SELECT count(*) FROM t")
         assert rows == [(50,)]
+
+
+class TestIndexRecovery:
+    """Recovery maintains the B-trees incrementally (the sweep is
+    ``tests/test_schedules.py``); these are its directed cases."""
+
+    @pytest.mark.parametrize("flush_pages", [False, True])
+    def test_loser_undo_restores_indexes(self, flush_pages):
+        """A transaction that dies mid-flight leaves no index trace: its
+        redone changes are compensated, B-trees included."""
+        harness = EngineWorld(setup=ACCT_SETUP)
+        for sql in acct_workload(seed=3, ops=12):
+            harness.run(sql)
+        committed = harness.contents()
+        harness.run("BEGIN TRANSACTION")
+        harness.run("INSERT INTO acct VALUES (900, 'own900', 1, 0)")
+        harness.run("UPDATE acct SET tag = 4, owner = 'ownx' WHERE id = 0")
+        harness.run("DELETE FROM acct WHERE id = 1")
+        # Durable loser: force the log (and optionally the stolen pages)
+        # so recovery must first redo the loser's work, then undo it —
+        # both legs routed through the index-maintaining apply path.
+        harness.engine.wal.force()
+        if flush_pages:
+            harness.engine.buffer_pool.flush_all()
+        report = harness.crash_and_restart()
+        assert len(report.losers) == 1
+        assert harness.contents() == committed
+        assert assert_indexes_match_heap(harness.engine) >= 3
+        # The unique index still works: reinserting the undone key
+        # succeeds, duplicating a committed one fails.
+        assert harness.run(
+            "INSERT INTO acct VALUES (901, 'own900', 1, 0)") == 1
+        with pytest.raises(ConstraintError):
+            harness.run("INSERT INTO acct VALUES (902, 'own900', 2, 1)")
+
+    def test_unique_key_reuse_survives_partial_flush(self, harness):
+        """Committed insert/delete/re-insert of one unique key, crashed
+        with only the re-insert's page flushed.
+
+        At restart the attach-time tree build (from the flushed page)
+        already holds the key, and redo then replays the *first* insert
+        of it — page-LSN can't skip it, the first page never reached
+        disk — before replaying the delete that resolves the duplicate.
+        Apply-mode inserts tolerate the transient duplicate and recovery
+        re-validates uniqueness once undo completes.
+        """
+        harness.run("CREATE TABLE t (id INT NOT NULL, k VARCHAR(8), "
+                    "PRIMARY KEY (id))")
+        harness.run("CREATE UNIQUE INDEX ux_k ON t (k)")
+        runtime = harness.engine._tables["t"]
+        heap = runtime.heap
+        per_page = heap.rows_per_page
+        # First incarnation of the reused key plus fillers fill page 0.
+        harness.run("INSERT INTO t VALUES (0, 'dup')")
+        for i in range(1, per_page):
+            harness.run(f"INSERT INTO t VALUES ({i}, 'f{i}')")
+        # Free page 0's slot, plug it, then re-insert the key: it must
+        # land on a fresh page so the two incarnations flush apart.
+        harness.run("DELETE FROM t WHERE id = 0")
+        harness.run(f"INSERT INTO t VALUES ({per_page}, 'plug')")
+        harness.run(f"INSERT INTO t VALUES ({per_page + 1}, 'dup')")
+        rids = runtime.index_tree("ux_k").search(("dup",))
+        assert len(rids) == 1 and rids[0].page_no > 0, \
+            "re-insert was expected to land on a new page"
+        # Everything is committed and log-durable; flush ONLY the
+        # re-insert's page, then crash.
+        harness.engine.wal.force()
+        harness.engine.buffer_pool.flush_page(heap.file_id, rids[0].page_no)
+        report = harness.crash_and_restart()
+        assert not report.losers
+        rows = dict(harness.run("SELECT k, id FROM t"))
+        assert rows["dup"] == per_page + 1
+        assert len(rows) == per_page + 1  # fillers + plug + dup, not id 0
+        assert assert_indexes_match_heap(harness.engine) >= 2
+
+    def test_null_indexed_rows_survive_restart(self, harness):
+        """NULL in a non-unique indexed column must not break attach-time
+        tree builds or index-aware redo (keys store the NULL sentinel)."""
+        harness.run("CREATE TABLE n (id INT NOT NULL, grp INT, "
+                    "PRIMARY KEY (id))")
+        harness.run("CREATE INDEX ix_grp ON n (grp)")
+        harness.run("INSERT INTO n VALUES (1, 10), (2, NULL), (3, 10), "
+                    "(4, NULL)")
+        harness.run("UPDATE n SET grp = NULL WHERE id = 3")
+        harness.run("UPDATE n SET grp = 7 WHERE id = 4")
+        harness.engine.wal.force()
+        harness.crash_and_restart()
+        assert sorted(harness.run("SELECT id, grp FROM n")) == \
+            [(1, 10), (2, None), (3, None), (4, 7)]
+        # The seek itself never matches NULL (three-valued logic)…
+        assert harness.run("SELECT id FROM n WHERE grp = 10") == [(1,)]
+        # …but IS NULL over the full table still sees the rows.
+        assert sorted(harness.run("SELECT id FROM n WHERE grp IS NULL")) \
+            == [(2,), (3,)]
+        assert assert_indexes_match_heap(harness.engine) >= 2

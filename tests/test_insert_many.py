@@ -20,16 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
 from repro.errors import ConstraintError, EngineError, TypeMismatchError
 from repro.odbc.constants import SQL_ERROR
 from repro.phoenix_names import STATUS_TABLE
 from repro.sim.costs import CostModel
-from repro.sim.meter import Meter
 from repro.types import ROW_STATS
 from tests import insert_oracle
 from tests.row_engine_oracle import same_clock
+from tests.schedules import EngineWorld
 from tests.test_phoenix_core import PhoenixWorld
 
 # ---------------------------------------------------------------------------
@@ -97,13 +96,11 @@ def scenarios(draw):
     return spec
 
 
-class World:
+class World(EngineWorld):
     def __init__(self, spec):
         self.spec = spec
-        self.meter = Meter(CostModel(page_size_bytes=spec["page_bytes"]))
-        self.engine = DatabaseEngine(meter=self.meter)
+        super().__init__(CostModel(page_size_bytes=spec["page_bytes"]))
         self.engine.buffer_pool.capacity_pages = spec["pool_pages"]
-        self.session = EngineSession(session_id=1)
         name = spec["name"]
         extras = "".join(f", x{i} {t}" for i, t in enumerate(spec["extras"]))
         pk = ", PRIMARY KEY (id)" if spec["pk"] else ""
@@ -113,7 +110,7 @@ class World:
             self.run(f"CREATE UNIQUE INDEX ux_u ON {name} (u)")
         if spec["index_tag"]:
             self.run(f"CREATE INDEX ix_tag ON {name} (tag, id)")
-        self.table = self.engine.table(name, self.session)
+        self.table = self.engine.table(name, self.session())
         # Prior history through the oracle in *both* worlds, so the
         # statement under test starts from bit-equal state: rows, then
         # deletes that leave holes (LIFO free slots, pages with space
@@ -128,9 +125,6 @@ class World:
         txns.commit(txn)
         if spec["checkpoint"]:
             self.engine.checkpoint()     # clean pages: evictable, re-read
-
-    def run(self, sql):
-        return self.engine.execute(sql, self.session)
 
     def statement(self, insert):
         """Run one batch insert under the scenario's meter mode."""
@@ -167,11 +161,7 @@ class World:
         elif ending == "force+crash":
             self.engine.wal.force()
         if "crash" in ending:
-            disk, wal = self.engine.disk, self.engine.wal
-            wal.crash()
-            self.engine.buffer_pool.crash()
-            self.engine = DatabaseEngine.restart(disk, wal, meter=self.meter)
-            self.session = EngineSession(session_id=2)
+            self.crash_and_restart()
             if self.spec["name"].startswith("#"):
                 self.table = None        # temp tables die with the server
                 return
@@ -357,10 +347,13 @@ def test_update_failing_mid_batch_is_rolled_back_in_a_transaction(
         == [(1, "a"), (2, "b"), (3, "seen")]
 
 
-def test_statement_rollback_is_durable_and_undone_once(run, tables, engine,
-                                                       meter):
+def test_statement_rollback_is_durable_and_undone_once():
     """The CLRs of a statement rollback make a later abort — online or at
     restart — skip what was already undone."""
+    world = EngineWorld()
+    run = world.run
+    run("CREATE TABLE u (id INT NOT NULL, name VARCHAR(8), "
+        "PRIMARY KEY (id))")
     run("BEGIN TRANSACTION")
     run("INSERT INTO u VALUES (1, 'a')")
     with pytest.raises(ConstraintError):
@@ -372,14 +365,9 @@ def test_statement_rollback_is_durable_and_undone_once(run, tables, engine,
     run("INSERT INTO u VALUES (1, 'a')")
     with pytest.raises(ConstraintError):
         run("INSERT INTO u VALUES (2, 'b'), (1, 'c')")
-    engine.wal.force()
-    engine.wal.crash()
-    engine.buffer_pool.crash()
-    restarted = DatabaseEngine.restart(engine.disk, engine.wal, meter=meter)
-    assert restarted.last_recovery.undo_applied == 1    # only (1, 'a')
-    result = restarted.execute("SELECT count(*) FROM u",
-                               EngineSession(session_id=9))
-    assert result.fetch_all() == [(0,)]
+    world.engine.wal.force()
+    assert world.crash_and_restart().undo_applied == 1    # only (1, 'a')
+    assert run("SELECT count(*) FROM u") == [(0,)]
 
 
 def test_wrapped_update_status_row_survives_a_statement_rollback(

@@ -12,41 +12,23 @@ Truncation may only drop a prefix no future recovery can need:
 
 import pytest
 
-from repro.engine.database import DatabaseEngine
-from repro.engine.session import EngineSession
 from repro.errors import LogTruncatedError
 from repro.sim.costs import CostModel
-from repro.sim.meter import Meter
 from repro.wal.records import EndCheckpointRecord
+from tests.schedules import EngineWorld
 
 
-def make_engine(costs: CostModel | None = None):
+def make_engine():
     # No cadence: the tests place their checkpoints by hand.
-    engine = DatabaseEngine(meter=Meter(
-        costs or CostModel(checkpoint_interval_seconds=0.0)))
-    session = EngineSession(session_id=1)
-
-    def run(sql):
-        result = engine.execute(sql, session)
-        if result.kind == "rows":
-            return result.fetch_all()
-        if result.kind == "rowcount":
-            return result.rowcount
-        return None
-
-    return engine, run, session
-
-
-def crash(engine):
-    engine.wal.crash()
-    engine.buffer_pool.crash()
+    world = EngineWorld(CostModel(checkpoint_interval_seconds=0.0))
+    return world.engine, world.run, world
 
 
 def test_truncation_preserves_loser_begun_before_checkpoint():
     """A transaction that began before the checkpoint pins the log: its
     whole undo chain must survive truncation, and after a crash the
     loser rolls back cleanly."""
-    engine, run, _session = make_engine()
+    engine, run, world = make_engine()
     run("CREATE TABLE t (k INT NOT NULL, v INT, PRIMARY KEY (k))")
     run("INSERT INTO t VALUES (1, 0)")
     committed = sorted(run("SELECT k, v FROM t"))
@@ -63,20 +45,15 @@ def test_truncation_preserves_loser_begun_before_checkpoint():
     assert loser.txn_id in end.active_first_lsns
 
     engine.wal.force()
-    crash(engine)
-    restarted = DatabaseEngine.restart(engine.disk, engine.wal,
-                                       meter=engine.meter)
-    report = restarted.last_recovery
+    report = world.crash_and_restart()
     assert loser.txn_id in report.losers
-    session = EngineSession(session_id=2)
-    rows = restarted.execute("SELECT k, v FROM t", session).fetch_all()
-    assert sorted(rows) == committed
+    assert sorted(run("SELECT k, v FROM t")) == committed
 
 
 def test_truncation_preserves_dirty_page_reclsn():
     """An unflushed page's recLSN caps the truncation point — redo must
     still find the records that rebuild the page."""
-    engine, run, _session = make_engine()
+    engine, run, world = make_engine()
     run("CREATE TABLE t (k INT NOT NULL, v INT, PRIMARY KEY (k))")
     run("INSERT INTO t VALUES (1, 0)")
     engine.buffer_pool.flush_all()
@@ -86,19 +63,14 @@ def test_truncation_preserves_dirty_page_reclsn():
     engine.fuzzy_checkpoint(truncate=True)
     assert engine.wal.truncated_lsn < rec_lsn
     # The page stayed dirty (hot), so recovery redoes from its recLSN.
-    crash(engine)
-    restarted = DatabaseEngine.restart(engine.disk, engine.wal,
-                                       meter=engine.meter)
-    assert restarted.last_recovery.redo_start <= rec_lsn
-    session = EngineSession(session_id=2)
-    rows = restarted.execute("SELECT k, v FROM t", session).fetch_all()
-    assert rows == [(1, 7)]
+    assert world.crash_and_restart().redo_start <= rec_lsn
+    assert run("SELECT k, v FROM t") == [(1, 7)]
 
 
 def test_unsafe_truncation_fails_loudly_not_silently():
     """Drop records a dirty page still needs: recovery must raise
     ``LogTruncatedError`` instead of recovering wrong contents."""
-    engine, run, _session = make_engine()
+    engine, run, world = make_engine()
     run("CREATE TABLE t (k INT NOT NULL, v INT, PRIMARY KEY (k))")
     run("INSERT INTO t VALUES (1, 0)")
     run("UPDATE t SET v = 5 WHERE k = 1")
@@ -106,14 +78,12 @@ def test_unsafe_truncation_fails_loudly_not_silently():
     # Bypass the safety rule: throw away the whole flushed prefix even
     # though the table's pages were never written to disk.
     engine.wal.truncate(engine.wal.flushed_lsn)
-    crash(engine)
     with pytest.raises(LogTruncatedError):
-        DatabaseEngine.restart(engine.disk, engine.wal,
-                               meter=engine.meter)
+        world.crash_and_restart()
 
 
 def test_truncate_beyond_flushed_tail_rejected():
-    engine, run, _session = make_engine()
+    engine, run, _world = make_engine()
     run("CREATE TABLE t (k INT NOT NULL, PRIMARY KEY (k))")
     wal = engine.wal
     with pytest.raises(ValueError):
@@ -121,7 +91,7 @@ def test_truncate_beyond_flushed_tail_rejected():
 
 
 def test_reads_below_truncation_point_raise():
-    engine, run, _session = make_engine()
+    engine, run, _world = make_engine()
     run("CREATE TABLE t (k INT NOT NULL, PRIMARY KEY (k))")
     run("INSERT INTO t VALUES (1)")
     engine.buffer_pool.flush_all()
@@ -138,22 +108,21 @@ def test_reads_below_truncation_point_raise():
 
 def test_txn_ids_never_reused_after_truncation():
     """Analysis would corrupt if an archived transaction id came back."""
-    engine, run, _session = make_engine()
+    engine, run, world = make_engine()
     run("CREATE TABLE t (k INT NOT NULL, PRIMARY KEY (k))")
     run("INSERT INTO t VALUES (1)")
     engine.buffer_pool.flush_all()
     engine.fuzzy_checkpoint(truncate=True)
     assert engine.wal.truncated_max_txn_id > 0
-    crash(engine)
-    restarted = DatabaseEngine.restart(engine.disk, engine.wal,
-                                       meter=engine.meter)
+    world.crash_and_restart()
+    restarted = world.engine
     txn = restarted.txns.begin()
     assert txn.txn_id > engine.wal.truncated_max_txn_id
     restarted.txns.commit(txn)
 
 
 def test_truncated_prefix_is_archived_in_order():
-    engine, run, _session = make_engine()
+    engine, run, _world = make_engine()
     run("CREATE TABLE t (k INT NOT NULL, PRIMARY KEY (k))")
     run("INSERT INTO t VALUES (1)")
     before = list(engine.wal.all_records())

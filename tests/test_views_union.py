@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import EngineError, PlanningError
+from tests.schedules import EngineWorld
 
 
 @pytest.fixture
@@ -134,9 +135,7 @@ class TestViews:
 
 class TestViewRecovery:
     def test_views_survive_crash(self):
-        from tests.test_engine_recovery import CrashHarness
-
-        harness = CrashHarness()
+        harness = EngineWorld()
         harness.run("CREATE TABLE t (a INT)")
         harness.run("INSERT INTO t VALUES (1), (2)")
         harness.run("CREATE VIEW v AS SELECT a FROM t WHERE a > 1")
@@ -145,9 +144,7 @@ class TestViewRecovery:
         assert harness.run("SELECT * FROM v") == [(2,)]
 
     def test_uncommitted_view_rolled_back(self):
-        from tests.test_engine_recovery import CrashHarness
-
-        harness = CrashHarness()
+        harness = EngineWorld()
         harness.run("CREATE TABLE t (a INT)")
         harness.run("BEGIN TRANSACTION")
         harness.run("CREATE VIEW doomed AS SELECT a FROM t")
@@ -157,9 +154,7 @@ class TestViewRecovery:
         assert harness.engine.catalog.get_view("doomed") is None
 
     def test_dropped_view_stays_dropped(self):
-        from tests.test_engine_recovery import CrashHarness
-
-        harness = CrashHarness()
+        harness = EngineWorld()
         harness.run("CREATE TABLE t (a INT)")
         harness.run("CREATE VIEW v AS SELECT a FROM t")
         harness.engine.checkpoint()
@@ -169,9 +164,7 @@ class TestViewRecovery:
         assert harness.engine.catalog.get_view("v") is None
 
     def test_view_rollback_online(self):
-        from tests.test_engine_recovery import CrashHarness
-
-        harness = CrashHarness()
+        harness = EngineWorld()
         harness.run("CREATE TABLE t (a INT)")
         harness.run("BEGIN TRANSACTION")
         harness.run("CREATE VIEW v AS SELECT a FROM t")
