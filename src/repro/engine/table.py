@@ -153,6 +153,9 @@ class Table:
         width = self.shape.width
         key_of = self.row_lock_key
         trees = [tree for _info, tree in self._indexes.values()]
+        # Slots that a live transaction's DELETE emptied are its own.
+        owner = txn.txn_id if txn is not None else 0
+        live = txns.live if txns is not None else ()
         pages = 0
         remaining = iter(rows)
         row = next(remaining, None)
@@ -160,17 +163,18 @@ class Table:
             # Checked before the pool is asked for the row's page: a
             # violation must not fault, allocate or evict anything.
             keys = self._checked_keys(row) if trees else ()
-            page_no, page = heap.page_for_insert()
-            room = page.capacity - page.live_rows
+            page_no, page = heap.page_for_insert(owner, live)
+            room = page.room(owner, live)
             first_lsn = lsn = placed = 0
             try:
                 while True:
-                    rid = RowId(file_id, page_no, page.next_slot())
+                    rid = RowId(file_id, page_no,
+                                page.next_slot(owner, live))
                     if logged:
                         lsn = txns.log_insert(txn, name, rid, row,
                                               width(row), factor, key_of)
                         first_lsn = first_lsn or lsn
-                    page.insert(row)
+                    page.insert(row, owner, live)
                     for tree, key in zip(trees, keys):
                         tree.insert(key, rid)
                     placed += 1
@@ -196,7 +200,8 @@ class Table:
             lsn = txns.log_delete(txn, self.info.name, rid, row,
                                   self.shape.width(row), self.cost_factor,
                                   self.row_lock_key)
-        self.heap.apply_delete(rid, lsn)
+        # A logged delete reserves the slot until its transaction ends.
+        self.heap.apply_delete(rid, lsn, txn.txn_id if lsn else 0)
         for info, tree in self._indexes.values():
             tree.delete(self._index_key(row, info), rid)
         self._charge_dml("cpu_per_tuple_delete")

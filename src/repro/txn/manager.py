@@ -167,6 +167,12 @@ class TransactionManager:
     def active_transactions(self) -> dict[int, Transaction]:
         return dict(self._active)
 
+    @property
+    def live(self) -> dict[int, Transaction]:
+        """The active transactions by id, uncopied: the heap asks it
+        whether a reserved slot's holder is still live."""
+        return self._active
+
     def active_txn_lsns(self) -> dict[int, int]:
         """txn_id -> last_lsn map recorded in checkpoint records."""
         return {t.txn_id: t.last_lsn for t in self._active.values()}
