@@ -36,7 +36,7 @@ def build_row(columns, positions, source) -> tuple:
 def _page_with_space(heap) -> int:
     for page_no in sorted(heap._pages_with_space):
         page = heap._page(page_no, create=False)
-        if page is not None and page.has_space():
+        if page is not None and page.has_empty_slot():
             return page_no
         heap._pages_with_space.discard(page_no)
     return heap.page_count

@@ -36,7 +36,7 @@ class TestBufferPool:
     def test_flush_writes_to_disk(self, disk, meter):
         pool = BufferPool(disk, meter)
         page = pool.new_page(1, 0, capacity=4)
-        page.insert(("x",))
+        page.insert(("x",), 0, ())
         pool.flush_page(1, 0)
         assert disk.has_page(1, 0)
         assert not pool.is_dirty(1, 0)
@@ -44,7 +44,7 @@ class TestBufferPool:
     def test_get_page_faults_from_disk_and_charges(self, disk, meter):
         pool = BufferPool(disk, meter)
         page = pool.new_page(1, 0, capacity=4)
-        page.insert(("x",))
+        page.insert(("x",), 0, ())
         pool.flush_all()
         pool.crash()
         before = meter.now
@@ -63,16 +63,16 @@ class TestBufferPool:
     def test_crash_loses_dirty_pages(self, disk, meter):
         pool = BufferPool(disk, meter)
         page = pool.new_page(1, 0, capacity=4)
-        page.insert(("lost",))
+        page.insert(("lost",), 0, ())
         pool.crash()
         assert pool.get_page(1, 0) is None
 
     def test_crash_keeps_flushed_pages_on_disk(self, disk, meter):
         pool = BufferPool(disk, meter)
         page = pool.new_page(1, 0, capacity=4)
-        page.insert(("kept",))
+        page.insert(("kept",), 0, ())
         pool.flush_all()
-        page.insert(("lost",))  # dirty again, not flushed
+        page.insert(("lost",), 0, ())  # dirty again, not flushed
         pool.mark_dirty(1, 0)
         pool.crash()
         refetched = pool.get_page(1, 0)
@@ -138,7 +138,7 @@ class TestBufferPool:
 
         pool = BufferPool(disk, meter, wal=FakeWal())
         page = pool.new_page(1, 0, capacity=4)
-        page.insert(("x",))
+        page.insert(("x",), 0, ())
         page.page_lsn = 42
         pool.flush_page(1, 0)
         # WAL-rule flushes are write-behind (no synchronous force).
@@ -155,7 +155,7 @@ class TestBufferPool:
     def test_cost_factor_scales_io(self, disk, meter):
         pool = BufferPool(disk, meter)
         page = pool.new_page(1, 0, capacity=4)
-        page.insert(("x",))
+        page.insert(("x",), 0, ())
         pool.flush_all()
         pool.crash()
         before = meter.now
@@ -167,7 +167,7 @@ class TestBufferPool:
         """Mutating a resident page must not leak to disk without flush."""
         pool = BufferPool(disk, meter)
         page = pool.new_page(1, 0, capacity=4)
-        page.insert(("v1",))
+        page.insert(("v1",), 0, ())
         pool.flush_all()
         page.update(0, ("v2",))
         pool.mark_dirty(1, 0)
