@@ -45,6 +45,7 @@ from repro.sql.plan_cache import (
     CachedStatement,
     LRUCache,
     PlanCacheEntry,
+    ShapeMemo,
     _type_signature,
     normalize_statement,
 )
@@ -254,13 +255,8 @@ class DatabaseEngine:
         # Statement/plan caches — a host-time optimization only: every
         # virtual charge (parse/plan CPU included) is still levied per
         # execution, so cached and cold runs meter identically.
-        # Normalization entries are tiny (text -> text + literal values),
-        # but the key space is every distinct literal combination, so the
-        # level-1 cache is sized far above the plan cache: a point-query
-        # mix over a small key domain must mostly hit here or every
-        # execution pays a full re-lex of the statement text.
         cap = PLAN_CACHE_ENTRIES
-        self._norm_cache = LRUCache(32 * cap)   # raw text -> normalization
+        self._shapes = ShapeMemo(4 * cap)       # shape -> token decisions
         self._stmt_cache = LRUCache(2 * cap)    # template text -> parsed AST
         self._plan_cache = LRUCache(cap)        # (text, sig) -> plan entry
         self.cache_stats = {
@@ -667,18 +663,13 @@ class DatabaseEngine:
         AST): what :meth:`execute` runs, and what the server keeps of a
         statement that has to wait for a lock.
 
-        Text resolves through the normalization and template caches to
+        Text resolves through the shape memo and the template cache to
         ``(shared template entry, this text's normalization)``; an AST
         has no text to key a plan on and is planned afresh each time.
         """
         if not isinstance(sql, str):
             return CachedStatement(statement=sql), None
-        norm = self._norm_cache.get(sql)
-        if norm is None:
-            norm = normalize_statement(sql)
-            self._norm_cache.put(sql, norm if norm is not None else False)
-        if norm is False:
-            norm = None
+        norm = normalize_statement(sql, self._shapes)
         template = norm.text if norm is not None else sql
         cached = self._stmt_cache.get(template)
         if cached is not None:
@@ -690,8 +681,8 @@ class DatabaseEngine:
                 statement = parse_statement(template)
             except SqlSyntaxError:
                 # The template hid a literal the grammar needed; remember
-                # that this text must be taken verbatim.
-                self._norm_cache.put(sql, False)
+                # that its texts must be taken verbatim.
+                self._shapes.refuse(norm)
                 norm, template = None, sql
                 statement = parse_statement(sql)
         else:

@@ -337,8 +337,8 @@ def _sys_plan_cache(engine):
              ("plan_evictions", engine._plan_cache.evictions),
              ("stmt_entries", len(engine._stmt_cache)),
              ("stmt_evictions", engine._stmt_cache.evictions),
-             ("norm_entries", len(engine._norm_cache)),
-             ("norm_evictions", engine._norm_cache.evictions)]
+             ("norm_entries", len(engine._shapes)),
+             ("norm_evictions", engine._shapes.evictions)]
     session_entries = 0
     session_evictions = 0
     for token in sorted(engine.sessions):

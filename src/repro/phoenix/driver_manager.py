@@ -84,6 +84,10 @@ class PhoenixDriverManager(DriverManager):
         self._cache = ClientCache(driver, self.config)
         self._private_env = EnvironmentHandle()
         self._private: ConnectionHandle | None = None
+        #: Result tables whose DROP a failure lost: durable, so still
+        #: owed; dropped after the next failure is handled, or at
+        #: disconnect.
+        self._undropped: list[str] = []
         # Incarnation nonce: makes op keys unique across driver-manager
         # incarnations so a restarted client never collides with keys a
         # previous incarnation persisted in the status table.  The counter
@@ -141,6 +145,7 @@ class PhoenixDriverManager(DriverManager):
             self._discard_staged(vconn)
             for state in vconn.statements.values():
                 self._drop_quietly(state.table_name)
+        self._drop_undropped()
         rc, _ = self._guard(connection,
                             lambda: self.driver.disconnect(connection))
         return rc
@@ -677,12 +682,21 @@ class PhoenixDriverManager(DriverManager):
                         f"giving up after {attempts} attempts: {error}"
                     ) from error
                 outcome = self._handle_failure(vconn, error)
+                # The drops failures lost go out now that the server
+                # answers, after the recovery's books are closed.
+                self._drop_undropped()
+                if outcome == "aborted":
+                    raise DeadlockError(
+                        "transaction aborted by server failure; "
+                        "please retry")
                 if outcome == "recovered" and not retry_after_recovery:
                     raise error
 
     def _handle_failure(self, vconn: VirtualConnection,
                         original: ReproError) -> str:
-        """Detect, reconnect, recover.  Returns 'blip' or 'recovered'."""
+        """Detect, reconnect, recover.  Returns 'blip', 'recovered', or
+        'aborted' when the application's transaction died with the
+        session."""
         logger.info("failure intercepted: %s", original)
         if self._private is not None:
             # Re-dialled by the one-window reconnect of recovery, or (the
@@ -726,8 +740,7 @@ class PhoenixDriverManager(DriverManager):
             # transaction staged for the shared cache die with it.
             vconn.in_app_txn = False
             self._discard_staged(vconn)
-            raise DeadlockError(
-                "transaction aborted by server failure; please retry")
+            return "aborted"
         return "recovered"
 
     # ------------------------------------------------------------------
@@ -817,5 +830,14 @@ class PhoenixDriverManager(DriverManager):
             else:
                 connection = self._private_connection()
             self._persistor.drop_result_table(connection, table_name)
-        except ReproError:
-            pass  # cleanup is best-effort
+        except ReproError as error:
+            # Best-effort, except that a drop the server never applied
+            # leaves a durable table behind: owe it.
+            if is_transport_failure(error):
+                self._undropped.append(table_name)
+
+    def _drop_undropped(self) -> None:
+        """Issue the drops failures lost, on the private connection."""
+        undropped, self._undropped = self._undropped, []
+        for table_name in undropped:
+            self._drop_quietly(table_name)

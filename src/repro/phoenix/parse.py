@@ -8,12 +8,20 @@ paper's measured parse cost (0.00023 s).
 
 from __future__ import annotations
 
+import datetime
 import enum
+import re
 
 from repro.errors import SqlSyntaxError
 from repro.sim.costs import CLIENT_CPU
 from repro.sim.meter import Meter
-from repro.sql.lexer import split_script
+from repro.sql.lexer import (
+    BLOCK_COMMENT_PATTERN,
+    LINE_COMMENT_PATTERN,
+    STRING_PATTERN,
+    WORD_PATTERN,
+    split_script,
+)
 
 
 class RequestClass(enum.Enum):
@@ -41,14 +49,23 @@ _FIRST_WORD = {
     "ROLLBACK": RequestClass.ROLLBACK,
 }
 
+#: The first word of a request as the server's lexer reads it, behind
+#: blanks and comments (an unterminated comment hides it).
+_FIRST_WORD_RE = re.compile(
+    rf"(?:\s|{LINE_COMMENT_PATTERN}|{BLOCK_COMMENT_PATTERN})*"
+    rf"({WORD_PATTERN})?")
+#: An ``@name`` marker, or a string literal or comment to step over.
+_MARKER_RE = re.compile(rf"{STRING_PATTERN}|{LINE_COMMENT_PATTERN}"
+                        rf"|{BLOCK_COMMENT_PATTERN}|@(\w*)")
+
 
 def classify_request(sql: str, meter: Meter | None = None) -> RequestClass:
     """Classify ``sql``; charges the one-pass parse cost if metered."""
     if meter is not None:
         meter.charge(CLIENT_CPU, meter.costs.client_parse_seconds,
                      "phoenix parse")
-    word = _first_word(sql)
-    return _FIRST_WORD.get(word, RequestClass.OTHER)
+    word = _FIRST_WORD_RE.match(sql).group(1)
+    return _FIRST_WORD.get(word.upper() if word else "", RequestClass.OTHER)
 
 
 def script_statement(sql: str) -> str | None:
@@ -72,78 +89,28 @@ def inline_parameters(sql: str, params: dict) -> str:
     (the WHERE 0=1 probe, the load script), where parameter
     bindings would not travel — so prepared statements are inlined before
     entering the pipeline, the way classic drivers expanded parameters.
+    A marker inside a string literal or a comment is text, not a marker.
     """
     if not params:
         return sql
-    import datetime
 
-    def render(value) -> str:
-        if value is None:
-            return "NULL"
-        if isinstance(value, bool):
-            return "1" if value else "0"
-        if isinstance(value, (int, float)):
-            return repr(value)
-        if isinstance(value, datetime.date):
-            return f"date '{value.isoformat()}'"
-        escaped = str(value).replace("'", "''")
-        return f"'{escaped}'"
+    def substitute(match) -> str:
+        name = match.group(1)
+        if name is None or name.lower() not in params:
+            return match.group()
+        return _render(params[name.lower()])
 
-    out = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == "'":  # skip string literals (may contain @)
-            out.append(ch)
-            i += 1
-            while i < n:
-                out.append(sql[i])
-                if sql[i] == "'":
-                    if i + 1 < n and sql[i + 1] == "'":
-                        out.append("'")
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                i += 1
-            continue
-        if ch == "@":
-            start = i + 1
-            j = start
-            while j < n and (sql[j].isalnum() or sql[j] == "_"):
-                j += 1
-            name = sql[start:j].lower()
-            if name in params:
-                out.append(render(params[name]))
-                i = j
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _MARKER_RE.sub(substitute, sql)
 
 
-def _first_word(sql: str) -> str:
-    i = 0
-    n = len(sql)
-    while i < n:
-        if sql[i].isspace():
-            i += 1
-            continue
-        if sql.startswith("--", i):
-            end = sql.find("\n", i)
-            if end == -1:
-                return ""
-            i = end + 1
-            continue
-        if sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end == -1:
-                return ""
-            i = end + 2
-            continue
-        break
-    start = i
-    while i < n and (sql[i].isalpha() or sql[i] == "_"):
-        i += 1
-    return sql[start:i].upper()
+def _render(value) -> str:
+    if value is None:
+        return "NULL"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if isinstance(value, datetime.date):
+        return f"date '{value.isoformat()}'"
+    escaped = str(value).replace("'", "''")
+    return f"'{escaped}'"

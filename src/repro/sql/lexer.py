@@ -12,9 +12,9 @@ worth knowing:
   it lexes as a word);
 * multi-character operators: ``<=`` ``>=`` ``<>`` ``!=`` ``||``.
 
-The scanner is on the statement-cache hot path (auto-parameterization
-re-lexes every distinct statement text), so all text goes through one
-compiled master regex.
+The scanner is on the statement-cache path (auto-parameterization lexes
+the first text of every statement shape, the parser every new
+template), so all text goes through one compiled master regex.
 """
 
 from __future__ import annotations
@@ -34,25 +34,30 @@ from repro.sql.tokens import KEYWORDS, Token, TokenType
 # ``(?!')`` forbids a closing quote that is immediately followed by
 # another quote — that pair is always the ``''`` escape — so an
 # unterminated literal fails to match outright instead of backtracking
-# to a shorter string plus garbage.
-_STRING = r"'[^']*(?:''[^']*)*'(?!')"
-_LINE_COMMENT = r"--[^\n]*(?:\n|$)"
-_BLOCK_COMMENT = r"/\*(?:[^*]|\*(?!/))*\*/"
+# to a shorter string plus garbage.  The token patterns are public: the
+# other scanners of SQL text (the normalizer's literal split, Phoenix's
+# request classifier) are built from them, so they read text alike.
+WORD_PATTERN = r"(?:\#|[^\W\d])\w*"
+STRING_PATTERN = r"'[^']*(?:''[^']*)*'(?!')"
+NUMBER_PATTERN = r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+LINE_COMMENT_PATTERN = r"--[^\n]*(?:\n|$)"
+BLOCK_COMMENT_PATTERN = r"/\*(?:[^*]|\*(?!/))*\*/"
 _TOKEN_RE = re.compile(
     rf"""\s*(?:
-      (?P<WORD>(?:\#|[^\W\d])\w*)
-    | (?P<NUMBER>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
-    | (?P<STRING>{_STRING})
+      (?P<WORD>{WORD_PATTERN})
+    | (?P<NUMBER>{NUMBER_PATTERN})
+    | (?P<STRING>{STRING_PATTERN})
     | (?P<PARAM>@\#?\w*)
-    | (?P<LINEC>{_LINE_COMMENT})
-    | (?P<BLOCKC>{_BLOCK_COMMENT})
+    | (?P<LINEC>{LINE_COMMENT_PATTERN})
+    | (?P<BLOCKC>{BLOCK_COMMENT_PATTERN})
     | (?P<OP>(?:<=|>=|<>|!=|\|\|)|[=<>+\-*/.,();])
     )?""",
     re.VERBOSE)
 #: What can hide a ``;`` from :func:`split_script`, or be one; a quote
 #: or ``/*`` left over is an unterminated literal or comment.
 _SEPARATOR_RE = re.compile(
-    f"{_STRING}|{_LINE_COMMENT}|{_BLOCK_COMMENT}|;|'|/\\*")
+    f"{STRING_PATTERN}|{LINE_COMMENT_PATTERN}|{BLOCK_COMMENT_PATTERN}"
+    "|;|'|/\\*")
 
 # Group numbers of the master pattern, for int dispatch on m.lastindex.
 _G_WORD, _G_NUMBER, _G_STRING, _G_PARAM, _G_LINEC, _G_BLOCKC, _G_OP = \

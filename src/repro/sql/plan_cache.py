@@ -7,11 +7,14 @@ statement hits or misses these caches.
 
 Three levels, all LRU-bounded:
 
-1. **Normalization cache** — raw statement text to its auto-parameterized
-   form (:func:`normalize_statement`): literals are replaced by ``@__litN``
+1. **Shape memo** (:class:`ShapeMemo`) — auto-parameterization
+   (:func:`normalize_statement`): literals are replaced by ``@__litN``
    markers so the thousands of distinct TPC-C texts that differ only in
-   inlined values collapse onto a handful of templates.  Pure text
-   transform, schema independent, never invalidated.
+   inlined values collapse onto a handful of templates.  The token rules
+   run once per statement *shape* (the text between its literals, and
+   each literal's class); every later text of that shape is cut at its
+   literals by one regex and takes its template from the memo.  Pure
+   text transform, schema independent, never invalidated.
 2. **Template cache** — normalized (or raw, when not normalizable) text to
    its parsed AST.  Parsing is schema independent too; cached ASTs are
    treated as read-only and shared.
@@ -38,9 +41,10 @@ import datetime
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.errors import SqlSyntaxError
-from repro.sql.lexer import tokenize
+from repro.sql.lexer import NUMBER_PATTERN, STRING_PATTERN, tokenize
 from repro.sql.tokens import Token, TokenType
 
 #: Namespace for auto-generated parameters; statements that already use it
@@ -57,7 +61,7 @@ _CONJUNCT_HEADS = frozenset({"WHERE", "AND", "OR", "HAVING", "NOT"})
 
 
 #: Entries of an engine's plan cache (its template cache holds twice as
-#: many, its normalization cache 32 times as many).
+#: many, its shape memo four times as many).
 PLAN_CACHE_ENTRIES = 128
 
 
@@ -113,228 +117,225 @@ class NormalizedStatement:
     text: str                     # template with @__litN markers
     values: tuple                 # (name, value) pairs, in marker order
     signature: tuple              # per-marker type signature (cache key part)
+    #: The shape memo's key of this text's template (None off the memo),
+    #: for :meth:`ShapeMemo.refuse`.
+    memo_key: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def params(self) -> dict:
         return dict(self.values)
 
 
-#: Fast-path eligibility: plain DML/query starter ...
-_FAST_STARTER = re.compile(r"\s*(?:SELECT|INSERT|UPDATE|DELETE)\b",
-                           re.IGNORECASE).match
-#: ... and none of the features whose literal-keeping rules need real
-#: token context: explicit parameters, comments, doubled-quote escapes,
-#: double-quoted identifiers, and the keywords after which literals stay
-#: verbatim (TOP/LIMIT/INTERVAL/DATE) or become positional (ORDER BY).
-_FAST_BLOCKER = re.compile(
-    r"[@?\";]|--|/\*|''|\b(?:TOP|LIMIT|ORDER|INTERVAL|DATE)\b",
-    re.IGNORECASE).search
-#: Simple string literals and stand-alone numbers (no exponent forms,
-#: nothing glued to identifiers or dots).
-_FAST_LITERAL = re.compile(r"'([^']*)'|(?<![\w.])\d+(?:\.\d+)?(?![\w.])")
-#: A literal is parameterized on the fast path only when the previous
-#: non-space character proves it is a comparison/arithmetic operand or a
-#: list element.  Every other context (bare conjuncts, select-list
-#: constants, keyword-adjacent literals) falls back to the tokenizer.
-_FAST_PREV_OK = frozenset("=<>(,+-*/")
-#: Characters that, adjacent to a comparison operator, may mean the other
-#: operand is a constant too (literal-vs-literal predicates are kept
-#: verbatim so the planner can fold them) — over-triggering is fine, it
-#: only costs a fallback to the exact path.
-_FAST_CONST_CHARS = frozenset("0123456789'.+-")
+#: A text cut at its literals: the lexer's own STRING and NUMBER
+#: patterns, captured, so the pieces alternate skeleton, literal,
+#: skeleton.  A number glued behind a word character, ``#`` or ``@`` is
+#: part of that word or parameter, so it is not cut out; any other
+#: disagreement with the lexer (a literal inside a comment, ``x.5``) is
+#: caught when the shape is learnt, and that shape takes the exact path.
+#: (The leading lookahead only rejects most positions early.)
+_LITERAL_SPLIT = re.compile(
+    rf"(?=['.\d])({STRING_PATTERN}|(?<![\w#@])(?:{NUMBER_PATTERN}))").split
+
+#: Shape memo value: the split does not find the lexer's literals.
+_EXACT = "exact"
+#: Template memo value: texts of this key are taken verbatim.
+_VERBATIM = False
 
 
-def _fast_compared_to_constant(sql: str, start: int, end: int) -> bool:
-    """Might the literal at ``sql[start:end]`` sit in a literal-vs-literal
-    comparison?  Conservative: True on any doubt."""
-    n = len(sql)
-    j = end
-    while j < n and sql[j].isspace():
-        j += 1
-    if j < n and sql[j] in "=<>":
-        while j < n and sql[j] in "=<>":
-            j += 1
-        while j < n and sql[j].isspace():
-            j += 1
-        if j < n and sql[j] in _FAST_CONST_CHARS:
-            return True
-    j = start - 1
-    while j >= 0 and sql[j].isspace():
-        j -= 1
-    if j >= 0 and sql[j] in "=<>":
-        while j >= 0 and sql[j] in "=<>":
-            j -= 1
-        while j >= 0 and sql[j].isspace():
-            j -= 1
-        if j >= 0 and sql[j] in _FAST_CONST_CHARS:
-            return True
-    return False
+class ShapeMemo(LRUCache):
+    """The token rules' decisions, remembered per statement shape.
 
+    A text's *shape* is its skeleton (what lies between its literals)
+    and the class of each literal: string, integer or other number.  The
+    token rules (:func:`_literal_roles`) decide each literal of a text from
+    the tokens around it and from its class alone, so one run of them
+    decides every text of the shape.  Two kinds of entry share the LRU:
 
-def _fast_normalize(sql: str) -> NormalizedStatement | None:
-    """Regex-only normalization for simple literal shapes.
+    * shape -> the role of each literal slot (``"num"``, ``"str"`` or
+      ``"date"`` parameter, None for verbatim), or ``_EXACT`` when the
+      split's literals are not the lexer's;
+    * (shape, which parameter literals repeat, the verbatim literals) ->
+      the exact path's template text, or ``_VERBATIM`` (also what
+      :meth:`refuse` records for a template the parser rejects).
 
-    Host-only shortcut: produces a usable template without tokenizing
-    when every literal is provably an operand position the keep-rules
-    never protect.  Returns None on *any* doubt — the caller then runs
-    the exact tokenizer path.  Fast templates keep the raw text's
-    spacing (the tokenizer path re-joins tokens), so the two paths can
-    yield different-but-equivalent templates; each is self-consistent,
-    which is all the statement/plan caches need.
+    A hit tokenizes nothing: values and signature come from the
+    literals, and the template from the memo.
     """
-    if _FAST_BLOCKER(sql) or not _FAST_STARTER(sql):
-        return None
-    matches = list(_FAST_LITERAL.finditer(sql))
-    if not matches:
-        return None
-    names: dict[tuple, str] = {}
-    values: list[tuple[str, object]] = []
-    signature: list[tuple] = []
-    out: list[str] = []
-    last = 0
-    for m in matches:
-        start = m.start()
-        j = start - 1
-        while j >= 0 and sql[j].isspace():
-            j -= 1
-        if j < 0 or sql[j] not in _FAST_PREV_OK:
+
+    def normalize(self, sql: str) -> NormalizedStatement | None:
+        parts = _LITERAL_SPLIT(sql)
+        literals = parts[1::2]
+        shape = ("".join(["s" if literal[0] == "'"
+                          else "i" if literal.isdecimal() else "f"
+                          for literal in literals]), *parts[0::2])
+        roles = self.get(shape)
+        tokens = None
+        if roles is None:
+            tokens, roles = self._learn(sql, parts, shape)
+        if roles is _EXACT:
+            return _normalize_exact(sql)
+        bound = _bind(roles, literals)
+        if bound is None:
             return None
-        if _fast_compared_to_constant(sql, start, m.end()):
+        pattern, kept, values, signature = bound
+        key = (shape, pattern, tuple(kept))
+        template = self.get(key)
+        if template is None:
+            exact = (_normalize_exact(sql) if tokens is None
+                     else _normalize_tokens(tokens, roles))
+            template = _VERBATIM if exact is None else exact.text
+            self.put(key, template)
+        if template is _VERBATIM:
             return None
-        content = m.group(1)
-        if content is not None:
-            key = ("str", content)
-            value: object = content
+        return NormalizedStatement(text=template, values=values,
+                                   signature=signature, memo_key=key)
+
+    def refuse(self, norm: NormalizedStatement) -> None:
+        """Take every text of ``norm``'s template verbatim from now on:
+        the template hid a literal the grammar needed."""
+        self.put(norm.memo_key, _VERBATIM)
+
+    def _learn(self, sql: str, parts: list, shape: tuple) -> tuple:
+        """The text's tokens (None when it does not lex) and the shape's
+        roles, stored."""
+        try:
+            tokens = tokenize(sql)
+        except SqlSyntaxError:
+            tokens, roles = None, _EXACT
         else:
-            text = m.group(0)
-            key = ("num", text)
-            value = _number_value(text)
-        name = names.get(key)
-        if name is None:
-            name = f"{PARAM_PREFIX}{len(names)}"
-            names[key] = name
-            values.append((name, value))
-            signature.append(_type_signature(value))
-        out.append(sql[last:start])
-        out.append("@")
-        out.append(name)
-        last = m.end()
-    out.append(sql[last:])
-    template = "".join(out)
-    if "'" in template:
-        # An unpaired quote survived the literal scan — string syntax is
-        # richer than the fast regex assumed; let the lexer decide.
-        return None
-    return NormalizedStatement(text=template, values=tuple(values),
-                               signature=tuple(signature))
+            starts = [tok.position for tok in tokens
+                      if tok.type in _LITERAL_TYPES]
+            if starts != list(accumulate(map(len, parts)))[0:-1:2]:
+                roles = _EXACT
+            else:
+                roles = tuple(_literal_roles(tokens) or [None] * len(starts))
+        self.put(shape, roles)
+        return tokens, roles
 
 
-def normalize_statement(sql: str) -> NormalizedStatement | None:
+def normalize_statement(sql: str, memo: ShapeMemo | None = None
+                        ) -> NormalizedStatement | None:
     """Auto-parameterize ``sql``; None when it must be taken verbatim.
 
     Only plain DML/queries are normalized — DDL carries literals that are
     grammar (VARCHAR lengths), and control statements have none worth
-    extracting.  Returns None rather than guessing whenever any rule is
-    unsure, in which case the caller caches on the raw text instead.
+    extracting.  With a ``memo`` the token rules run once per statement
+    shape; without one they run on this text (the exact path).  Both
+    give the same result.
     """
-    # Cheap starter screen before paying for a full tokenize: anything
-    # that is not plain DML/query (DDL, EXEC, BEGIN, ...) is verbatim.
-    # Only trusted when the text starts with a word — a leading comment
-    # hides the real starter, so fall through to the tokenizer then.
+    # Cheap starter screen: anything that is not plain DML/query (DDL,
+    # EXEC, BEGIN, ...) is verbatim.  Only trusted when the text starts
+    # with a word — a leading comment hides the real starter.
     head = sql.lstrip()[:6].upper()
     if head[:1].isalpha() and head not in _NORMALIZABLE_STARTERS:
         return None
-    fast = _fast_normalize(sql)
-    if fast is not None:
-        return fast
+    if memo is not None:
+        return memo.normalize(sql)
+    return _normalize_exact(sql)
+
+
+def _normalize_exact(sql: str) -> NormalizedStatement | None:
+    """The token path: the template is the statement's tokens joined by
+    single spaces, each parameter literal replaced by its marker."""
     try:
         tokens = tokenize(sql)
     except SqlSyntaxError:
         return None
-    if not tokens or tokens[0].type is not TokenType.KEYWORD:
-        return None
-    if tokens[0].value not in _NORMALIZABLE_STARTERS:
-        return None
-    if "@" in sql:  # parameter tokens cannot exist without an '@'
-        for tok in tokens:
-            if (tok.type is TokenType.PARAMETER
-                    and tok.value.startswith(PARAM_PREFIX)):
-                return None
+    roles = _literal_roles(tokens)
+    return None if roles is None else _normalize_tokens(tokens, roles)
 
-    keep = _literals_to_keep(tokens)
+
+def _normalize_tokens(tokens: list[Token],
+                      roles) -> NormalizedStatement | None:
+    """The token path's result from a text's tokens and the role of
+    each of its literal tokens (:func:`_literal_roles`)."""
+    bound = _bind(roles, [_render(tok) for tok in tokens
+                          if tok.type in _LITERAL_TYPES])
+    if bound is None:
+        return None
+    pattern, _, values, signature = bound
+    slot_roles = iter(roles)
+    names = iter(pattern)
     out: list[str] = []
-    names: dict[tuple, str] = {}       # (kind, key) -> param name
+    for tok in tokens[:-1]:
+        role = next(slot_roles) if tok.type in _LITERAL_TYPES else None
+        if role is None:
+            out.append(_render(tok))
+        elif role == "date":
+            # DATE 'yyyy-mm-dd' collapses into one date-valued parameter.
+            out[-1] = f"@{PARAM_PREFIX}{next(names)}"
+        else:
+            out.append(f"@{PARAM_PREFIX}{next(names)}")
+    return NormalizedStatement(text=" ".join(out), values=values,
+                               signature=signature)
+
+
+def _literal_roles(tokens: list[Token]) -> list | None:
+    """The role of each literal token, in order: ``"num"``, ``"str"`` or
+    ``"date"`` when it becomes a parameter, None when it stays verbatim.
+    None instead of a list when the statement is never normalized: not
+    plain DML/query, or it already uses the parameter namespace."""
+    first = tokens[0]
+    if (first.type is not TokenType.KEYWORD
+            or first.value not in _NORMALIZABLE_STARTERS):
+        return None
+    keep = _literals_to_keep(tokens)
+    roles: list = []
+    for i, tok in enumerate(tokens):
+        ttype = tok.type
+        if ttype is TokenType.NUMBER or ttype is TokenType.STRING:
+            # After DATE a string is the date's text (the parser accepts
+            # only a STRING there); any other literal after DATE or
+            # INTERVAL stays where the grammar put it.
+            prev = tokens[i - 1]
+            after = prev.value if prev.type is TokenType.KEYWORD else None
+            if i in keep or after == "INTERVAL":
+                roles.append(None)
+            elif after == "DATE":
+                roles.append("date" if ttype is TokenType.STRING else None)
+            else:
+                roles.append("num" if ttype is TokenType.NUMBER else "str")
+        elif (ttype is TokenType.PARAMETER
+              and tok.value.startswith(PARAM_PREFIX)):
+            return None
+    return roles
+
+
+def _bind(roles, literals) -> tuple | None:
+    """Name the parameter literals among ``literals`` (raw texts, in text
+    order, with their roles): equal literals share one name.  Returns the
+    name index of each parameter literal, the verbatim literals, and the
+    ``(name, value)`` pairs and type signature in name order; None when
+    no literal is a parameter, or a DATE literal is no date (the parser
+    would reject it anyway)."""
+    names: dict[tuple, int] = {}
+    pattern: list[int] = []
+    kept: list[str] = []
     values: list[tuple[str, object]] = []
     signature: list[tuple] = []
-
-    def intern(kind: str, key, value) -> str:
-        name = names.get((kind, key))
-        if name is None:
-            name = f"{PARAM_PREFIX}{len(names)}"
-            names[(kind, key)] = name
-            values.append((name, value))
-            signature.append(_type_signature(value))
-        return name
-
-    i = 0
-    n = len(tokens)
-    changed = False
-    append = out.append
-    while i < n:
-        tok = tokens[i]
-        ttype = tok.type
-        # Identifiers and operators — the bulk of any statement — render
-        # as their raw value; branch for them first.
-        if ttype is TokenType.IDENTIFIER or ttype is TokenType.OPERATOR:
-            append(tok.value)
-            i += 1
+    for role, literal in zip(roles, literals):
+        if role is None:
+            kept.append(literal)
             continue
-        if ttype is TokenType.KEYWORD:
-            # DATE 'yyyy-mm-dd' collapses into one date-valued parameter
-            # (the parser only accepts a STRING after DATE, so the pair
-            # must be absorbed together or left together).
-            if (tok.value == "DATE"
-                    and i + 1 < n
-                    and tokens[i + 1].type is TokenType.STRING
-                    and (i + 1) not in keep):
-                try:
-                    date_value = datetime.date.fromisoformat(
-                        tokens[i + 1].value)
-                except ValueError:
-                    return None  # the parser would reject it anyway
-                append("@" + intern("date", tokens[i + 1].value,
-                                    date_value))
-                changed = True
-                i += 2
-                continue
-            append(tok.value)
-            i += 1
-            continue
-        if ttype is TokenType.END:
-            break
-        if (ttype is TokenType.NUMBER or ttype is TokenType.STRING) \
-                and i not in keep:
-            prev = tokens[i - 1] if i > 0 else None
-            if (prev is not None and prev.type is TokenType.KEYWORD
-                    and prev.value in ("DATE", "INTERVAL")):
-                append(_render(tok))
-                i += 1
-                continue
-            if ttype is TokenType.NUMBER:
-                append("@" + intern("num", tok.value,
-                                    _number_value(tok.value)))
+        key = (role, literal)
+        index = names.get(key)
+        if index is None:
+            if role == "num":
+                value = _number_value(literal)
             else:
-                append("@" + intern("str", tok.value, tok.value))
-            changed = True
-            i += 1
-            continue
-        append(_render(tok))
-        i += 1
-
-    if not changed:
+                value = literal[1:-1].replace("''", "'")
+                if role == "date":
+                    try:
+                        value = datetime.date.fromisoformat(value)
+                    except ValueError:
+                        return None
+            index = names[key] = len(names)
+            values.append((f"{PARAM_PREFIX}{index}", value))
+            signature.append(_type_signature(value))
+        pattern.append(index)
+    if not names:
         return None
-    return NormalizedStatement(text=" ".join(out), values=tuple(values),
-                               signature=tuple(signature))
+    return tuple(pattern), tuple(kept), tuple(values), tuple(signature)
 
 
 def _number_value(text: str):

@@ -33,6 +33,11 @@ class TestClassifyRequest:
         ("ROLLBACK", RequestClass.ROLLBACK),
         ("WHATEVER", RequestClass.OTHER),
         ("", RequestClass.OTHER),
+        # The first word as the server's lexer reads it.
+        ("SELECT'a'", RequestClass.RESULT_QUERY),
+        ("SELECT1 FROM t", RequestClass.OTHER),
+        ("/* unterminated SELECT 1", RequestClass.OTHER),
+        ("-- SELECT 1", RequestClass.OTHER),
     ])
     def test_classification(self, sql, expected):
         assert classify_request(sql) is expected

@@ -11,14 +11,16 @@ import datetime
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
-from repro.errors import TypeMismatchError
+from repro.errors import SqlSyntaxError, TypeMismatchError
 from repro.server.protocol import ExecuteRequest
 from repro.server.server import DatabaseServer
 from repro.sim.meter import Meter
-from repro.sql.plan_cache import normalize_statement
+from repro.sql.plan_cache import ShapeMemo, normalize_statement
 from repro.workloads.app import BenchmarkApp
 from tests.conftest import verbatim
 
@@ -72,54 +74,92 @@ class TestNormalization:
     def test_no_literals_means_none(self):
         assert normalize_statement("SELECT a FROM t") is None
 
-    def test_fast_path_agrees_with_tokenizer_path(self, monkeypatch):
-        """The regex fast path must extract the same parameters as the
-        tokenizer path on every text it accepts (templates may differ in
-        whitespace only — each path is self-consistent as a cache key)."""
-        from repro.sql import plan_cache
-
+    def test_memo_corpus_equals_the_token_path(self):
+        """Texts that share a shape but not a decision: the memo must
+        key every one of them apart, in the order given."""
+        memo = ShapeMemo(64)
         corpus = [
-            "SELECT c_first, c_last FROM customer WHERE c_id = 42",
-            "SELECT s_quantity FROM stock WHERE s_i_id = 7 AND s_w_id = 1",
-            "SELECT a FROM t WHERE b IN (1, 2, 3)",
-            "UPDATE stock SET s_quantity = 18 WHERE s_i_id = 7",
-            "INSERT INTO history VALUES (1, 2, 'payment')",
-            "DELETE FROM new_order WHERE no_o_id = 3001",
-            "SELECT a FROM t WHERE s = 'abc' GROUP BY a HAVING COUNT(*) > 2",
-            # Texts the fast path must decline (constant folding, grammar
-            # literals, escapes) — the tokenizer path decides these.
-            "SELECT a FROM t WHERE 1 = 1",
-            "SELECT a FROM t WHERE (3 = 3)",
+            # The kept TOP count is part of the template.
             "SELECT TOP 5 a FROM t WHERE b = 1",
-            "SELECT a, b FROM t WHERE a = 3 ORDER BY 2",
-            "SELECT a FROM t WHERE s = 'it''s'",
-            "SELECT 1",
+            "SELECT TOP 10 a FROM t WHERE b = 1",
+            # One slot, a string then a float: each its own converter.
+            "SELECT a FROM t WHERE s = 'x''y'",
+            "SELECT a FROM t WHERE s = 1.5e3",
+            # The lexer reads `.5` as a number behind the word, and the
+            # digits glued to a word, `#` or `@` as part of it.
+            "SELECT x.5 FROM t WHERE b = 2",
+            "SELECT x.5 FROM t WHERE b = 3",
+            "SELECT x1.5 FROM t WHERE b = 3",
+            "SELECT #.5 FROM t WHERE b = 3",
+            "SELECT #1.5 FROM t WHERE b = 3",
+            "SELECT @1.5 FROM t WHERE b = 3",
+            # An integer is an output position, a decimal is not.
+            "SELECT a, b FROM t WHERE a = 3 ORDER BY 1",
+            "SELECT a, b FROM t WHERE a = 3 ORDER BY 1.5",
+            # Constant folding sees its literals.
+            "SELECT a FROM t WHERE 0 = 1",
+            "SELECT a FROM t WHERE 7 = 7 AND b = 2",
+            "SELECT a FROM t WHERE 5",
+            "SELECT a FROM t WHERE 5 AND b = 1",
+            # A comment's literals are no literals.
+            "SELECT a FROM t -- b = 'c' 5\n WHERE b = 1",
+            "SELECT a FROM t /* 5 */ WHERE b = 1",
+            # DATE absorbs its string; a bad date is taken verbatim.
+            "SELECT a FROM t WHERE d < date '2001-04-02'",
+            "SELECT a FROM t WHERE d < date '2001-13-02'",
+            "SELECT a FROM t WHERE d < date '1998-12-01' - interval '90' day",
+            # The parameter namespace is the application's to use.
+            "SELECT a FROM t WHERE b = @__lit0 AND c = 1",
+            "SELECT a FROM t WHERE b = @x AND c = 1",
+            # Equal literals share one name.
+            "SELECT a FROM t WHERE b IN (1, 2, 1)",
+            "SELECT a FROM t WHERE b IN (1, 2, 3)",
         ]
-        fast_hits = 0
         for sql in corpus:
-            fast = plan_cache._fast_normalize(sql)
-            with monkeypatch.context() as m:
-                m.setattr(plan_cache, "_fast_normalize", lambda s: None)
-                slow = normalize_statement(sql)
-            if fast is None:
-                continue
-            fast_hits += 1
-            assert slow is not None, sql
-            assert fast.values == slow.values, sql
-            assert fast.signature == slow.signature, sql
-        assert fast_hits >= 6  # the fast path actually covers the mix
+            assert normalize_statement(sql, memo) == normalize_statement(
+                sql), sql
+        top10 = normalize_statement("SELECT TOP 10 a FROM t WHERE b = 1",
+                                    memo)
+        assert "TOP 10" in top10.text and top10.params == {"__lit0": 1}
+        assert normalize_statement("SELECT a FROM t WHERE s = 1.5e3",
+                                   memo).params == {"__lit0": 1500.0}
+        assert normalize_statement(
+            "SELECT a, b FROM t WHERE a = 3 ORDER BY 1.5",
+            memo).params == {"__lit0": 3, "__lit1": 1.5}
 
-    def test_fast_path_declines_constant_folding_texts(self):
-        from repro.sql import plan_cache
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_memo_equals_the_token_path(self, data):
+        """Texts of one drawn skeleton with drawn literals, through one
+        memo: every result equals the token path's on that text."""
+        skeleton = data.draw(st.lists(_SKELETON_PIECES, min_size=1,
+                                      max_size=12))
+        head = data.draw(st.sampled_from(_HEADS))
+        slots = sum(piece == "?" for piece in skeleton)
+        memo = ShapeMemo(16)
+        for _ in range(4):
+            literals = iter(data.draw(st.lists(
+                st.sampled_from(_LITERALS), min_size=slots,
+                max_size=slots)))
+            sql = head + "".join(
+                next(literals) if piece == "?" else piece
+                for piece in skeleton)
+            assert normalize_statement(sql, memo) == normalize_statement(
+                sql), sql
 
-        for sql in ["SELECT a FROM t WHERE 1 = 1",
-                    "SELECT a FROM t WHERE (3 = 3)",
-                    "SELECT a FROM t WHERE 0 = 1",
-                    "SELECT TOP 5 a FROM t WHERE b = 1",
-                    "SELECT a, b FROM t WHERE a = 3 ORDER BY 2",
-                    "SELECT a FROM t WHERE s = 'it''s'",
-                    "SELECT 1"]:
-            assert plan_cache._fast_normalize(sql) is None, sql
+
+_HEADS = ["SELECT ", "select a FROM t WHERE ", "INSERT INTO t VALUES (",
+          "UPDATE t SET a = ", "DELETE FROM t WHERE ", " /* c */ SELECT ",
+          "-- 1\nSELECT ", "EXEC p ", ""]
+_SKELETON_PIECES = st.sampled_from(
+    ["?", "?", "?", " ", "", "\n", "a", "x", "#", "#t", "@p", "@__lit0", "@",
+     "WHERE", "AND", "OR", "NOT", "ORDER BY", "TOP", "LIMIT", "DATE",
+     "INTERVAL", "DAY", "ASC", "IN", "FROM", "=", "<>", "<", ">=", "(",
+     ")", ",", "+", "-", ".", "*", ";", "'", "-- c\n", "/* 5 'q' */",
+     "--", "e"])
+_LITERALS = ["0", "1", "5", "10", "007", "٣", "1.5", "1.5e3", ".5", "5.",
+             "2E-1", "'x'", "'x''y'", "''", "'2001-04-02'", "'2001-13-40'",
+             "'5'", "'--'", "'@__lit1'"]
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +201,16 @@ class TestPlanReuse:
         rows, hits = cached_run("SELECT name FROM people WHERE id = 3")
         assert hits == 1
         assert rows == [("carol",)]
+
+    def test_template_the_parser_rejects_is_taken_verbatim(self, engine,
+                                                           run, people):
+        """A template that hid a literal the grammar needed is
+        remembered as verbatim for every text of its shape."""
+        sql = "SELECT CAST(age AS VARCHAR(10)) FROM people WHERE id = {}"
+        with pytest.raises(SqlSyntaxError):
+            run(sql.format(1))
+        assert normalize_statement(sql.format(1)) is not None
+        assert normalize_statement(sql.format(2), engine._shapes) is None
 
     def test_cached_rows_match_cold_engine(self, people, run):
         cold = verbatim(DatabaseEngine(meter=Meter()))

@@ -176,6 +176,11 @@ class TestInlineParameters:
                                 {"a": 1})
         assert sql == "SELECT '@a' FROM t WHERE b = 1"
 
+    def test_markers_in_comments_untouched(self):
+        sql = inline_parameters(
+            "SELECT @a -- @a\nFROM t /* it's */ WHERE b = @a", {"a": 1})
+        assert sql == "SELECT 1 -- @a\nFROM t /* it's */ WHERE b = 1"
+
     def test_unbound_markers_left_alone(self):
         assert inline_parameters("SELECT @other", {"a": 1}) \
             == "SELECT @other"

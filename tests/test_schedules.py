@@ -387,6 +387,23 @@ def test_blip_at_every_request_boundary(cache_rows, pipelined):
         assert stats["blips"] == 1 and stats["recoveries"] == 0
 
 
+def test_a_result_drop_lost_to_a_failure_is_still_issued():
+    """Freeing a persisted result drops its table.  A failure that loses
+    that DROP leaves the table owed, not on the server for good: the
+    manager drops it after the recovery its next statement runs into."""
+    schedule = Schedule(LEDGER_SETUP, (
+        Step(0, "SELECT k, v FROM ledger ORDER BY k"),
+        Step(0, "UPDATE ledger SET v = v + 1 WHERE k = 1"),
+        Step(0, "SELECT sum(v) FROM ledger", fetch=1, keep=True)))
+    reference = ledger_run(schedule, default=True)
+    assert len(reference.world.result_tables()) == 1  # the kept one
+    for point in ("pre", "after"):
+        for at in range(1, reference.world.sent + 1):
+            run = ledger_run(schedule.under(Fault(at, point)),
+                             reference=reference, default=True)
+            run.check(*ONLY_A_PAUSE, exactly_once)
+
+
 def test_blip_then_crash_inside_one_wrapped_update():
     """A blip leaves the wrapper transaction half-done on a surviving
     session; a crash on the retry then takes that session away.  For
