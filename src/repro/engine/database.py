@@ -3,7 +3,7 @@
 ``DatabaseEngine`` wires storage, WAL, transactions and the SQL frontend
 together and executes statements under an :class:`EngineSession`.  It is
 also the *target* interface for restart recovery and online rollback
-(``heap_for_file`` / ``redo_*`` / ``undo_action`` / ``rebuild_indexes``).
+(``table_for_file`` and ``apply_catalog``; see ``repro.wal.recovery``).
 
 Crash model: the engine object is volatile.  The server keeps the
 :class:`SimulatedDisk` and :class:`WriteAheadLog` across a crash and calls
@@ -13,7 +13,7 @@ catalog from the last checkpoint snapshot and runs ARIES-lite recovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.engine.dml_versions import (
     BASE_BLOB,
@@ -64,12 +64,9 @@ from repro.types import Column, SqlType, coerce_column, row_width_bytes
 from repro.wal.log import WriteAheadLog
 from repro.wal.records import (
     BeginCheckpointRecord,
+    CatalogRecord,
     CheckpointRecord,
-    DeleteRecord,
     EndCheckpointRecord,
-    InsertRecord,
-    LogRecord,
-    UpdateRecord,
 )
 from repro.wal.recovery import RecoveryManager, RecoveryReport
 
@@ -390,10 +387,6 @@ class DatabaseEngine:
     # Recovery / rollback target interface
     # ------------------------------------------------------------------
 
-    def heap_for_file(self, file_id: int) -> HeapFile | None:
-        runtime = self.table_for_file(file_id)
-        return runtime.heap if runtime is not None else None
-
     def table_for_file(self, file_id: int) -> Table | None:
         """Table runtime for recovery: lets redo/undo maintain the
         secondary indexes alongside each heap change."""
@@ -402,89 +395,58 @@ class DatabaseEngine:
                 return self._runtime(info)
         return None
 
-    def redo_create_table(self, table: dict) -> None:
-        if not self.catalog.has_table(table["name"]):
-            columns = [Column(n, SqlType(t), length, nullable)
-                       for n, t, length, nullable in table["columns"]]
-            self.catalog.create_table(
-                table["name"], columns, amplified=table["amplified"],
-                primary_key=tuple(table["primary_key"]),
-                table_id=table["table_id"], file_id=table["file_id"])
-        self._tables.pop(table["name"], None)
-
-    def redo_drop_table(self, table: dict) -> None:
-        name = table["name"]
-        if self.catalog.has_table(name):
-            self.catalog.drop_table(name)
-        self._tables.pop(name, None)
-        self.buffer_pool.drop_file(table["file_id"])
-        self.disk.drop_file(table["file_id"])
-
-    def redo_create_procedure(self, name: str, param_names,
-                              body_sql: str) -> None:
-        if not self.catalog.has_procedure(name):
-            self.catalog.create_procedure(name, list(param_names), body_sql)
-
-    def redo_drop_procedure(self, name: str) -> None:
-        if self.catalog.has_procedure(name):
-            self.catalog.drop_procedure(name)
-
-    def redo_create_view(self, name: str, body_sql: str) -> None:
-        if self.catalog.get_view(name) is None:
-            self.catalog.create_view(name, body_sql)
-
-    def redo_drop_view(self, name: str) -> None:
-        if self.catalog.get_view(name) is not None:
-            self.catalog.drop_view(name)
-
-    def redo_create_index(self, index: dict) -> None:
-        if index["name"] not in self.catalog.indexes \
-                and self.catalog.has_table(index["table_name"]):
-            info = self.catalog.create_index(
-                index["name"], index["table_name"],
-                index["column_names"], index["unique"])
-            runtime = self._tables.get(info.table_name)
-            if runtime is not None:
-                runtime.add_index(info)
-
-    def redo_drop_index(self, index: dict) -> None:
-        if index["name"] in self.catalog.indexes:
-            self.catalog.drop_index(index["name"])
-        runtime = self._tables.get(index["table_name"])
-        if runtime is not None:
-            runtime.remove_index(index["name"])
-
-    def rebuild_indexes(self) -> None:
-        for runtime in self._tables.values():
-            runtime.rebuild_indexes()
-
-    def undo_action(self, action: LogRecord) -> None:
-        """Apply one online-rollback compensation with index maintenance."""
-        if isinstance(action, (InsertRecord, DeleteRecord, UpdateRecord)):
-            runtime = self._tables.get(action.table_name)
-            if runtime is None or runtime.info.file_id != action.file_id:
-                heap = self.heap_for_file(action.file_id)
-                if heap is None:
-                    return
-                runtime = self._tables[self._table_name_for(action.file_id)]
-            rid = RowId(action.file_id, action.page_no, action.slot)
-            if isinstance(action, InsertRecord):
-                runtime.apply_insert_with_indexes(rid, action.row, action.lsn)
-            elif isinstance(action, DeleteRecord):
-                runtime.apply_delete_with_indexes(rid, action.lsn)
-            else:
-                runtime.apply_update_with_indexes(rid, action.new_row,
-                                                  action.lsn)
-            return
-        from repro.wal.recovery import apply_compensation
-
-        apply_compensation(action, self)
-
-    def _table_name_for(self, file_id: int) -> str:
-        for info in self.catalog.tables.values():
-            if info.file_id == file_id:
-                return info.name
-        raise TableNotFoundError(f"no table with file id {file_id}")
+    def apply_catalog(self, record: CatalogRecord) -> None:
+        """Make the catalog hold what ``record`` says — the redo of a
+        DDL record, or its compensation.  Idempotent: a create of what
+        exists, or a drop of what does not, leaves the catalog as it is
+        (a dropped table's files are released either way)."""
+        obj, catalog = record.obj, self.catalog
+        name = obj["name"]
+        if record.kind == "table":
+            if not record.create:
+                if catalog.has_table(name):
+                    catalog.drop_table(name)
+                self.buffer_pool.drop_file(obj["file_id"])
+                self.disk.drop_file(obj["file_id"])
+            elif not catalog.has_table(name):
+                columns = [Column(n, SqlType(t), length, nullable)
+                           for n, t, length, nullable in obj["columns"]]
+                catalog.create_table(
+                    name, columns, amplified=obj["amplified"],
+                    primary_key=tuple(obj["primary_key"]),
+                    table_id=obj["table_id"], file_id=obj["file_id"])
+                for index in obj["indexes"]:
+                    catalog.create_index(index["name"], name,
+                                         index["column_names"],
+                                         index["unique"])
+            self._tables.pop(name, None)
+        elif record.kind == "index":
+            runtime = self._tables.get(obj["table_name"])
+            if not record.create:
+                if name in catalog.indexes:
+                    catalog.drop_index(name)
+                if runtime is not None:
+                    runtime.remove_index(name)
+            elif name not in catalog.indexes \
+                    and catalog.has_table(obj["table_name"]):
+                info = catalog.create_index(name, obj["table_name"],
+                                            obj["column_names"],
+                                            obj["unique"])
+                if runtime is not None:
+                    runtime.add_index(info)
+        elif record.kind == "procedure":
+            exists = catalog.has_procedure(name)
+            if record.create and not exists:
+                catalog.create_procedure(name, list(obj["param_names"]),
+                                         obj["body_sql"])
+            elif exists and not record.create:
+                catalog.drop_procedure(name)
+        else:
+            exists = catalog.get_view(name) is not None
+            if record.create and not exists:
+                catalog.create_view(name, obj["body_sql"])
+            elif exists and not record.create:
+                catalog.drop_view(name)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -1386,7 +1348,7 @@ class DatabaseEngine:
         info = self.catalog.create_table(
             name, columns, amplified=not name.startswith(PHOENIX_PREFIX),
             primary_key=tuple(primary_key))
-        self.txns.log_create_table(txn, self._table_snapshot(info))
+        self.txns.log_catalog(txn, "table", True, self._table_snapshot(info))
         return self._runtime(info)
 
     def _charge_table_creation(self) -> None:
@@ -1458,7 +1420,7 @@ class DatabaseEngine:
             self.locks.acquire(txn.txn_id, name, LockMode.EXCLUSIVE)
             snapshot = self._table_snapshot(info)
             self.catalog.drop_table(name)
-            self.txns.log_drop_table(txn, snapshot)
+            self.txns.log_catalog(txn, "table", False, snapshot)
             self._tables.pop(name, None)
             file_id = info.file_id
             txn.on_commit.append(
@@ -1472,7 +1434,8 @@ class DatabaseEngine:
             info = self.catalog.create_index(
                 statement.name, statement.table,
                 statement.columns, statement.unique)
-            self.txns.log_create_index(txn, self._index_snapshot(info))
+            self.txns.log_catalog(txn, "index", True,
+                                  self._index_snapshot(info))
             runtime = self._tables.get(info.table_name)
             if runtime is not None:
                 runtime.add_index(info)
@@ -1486,7 +1449,8 @@ class DatabaseEngine:
             raise EngineError(f"index {name!r} does not exist")
         with DatabaseEngine._TxnScope(self, session) as txn:
             self.catalog.drop_index(name)
-            self.txns.log_drop_index(txn, self._index_snapshot(info))
+            self.txns.log_catalog(txn, "index", False,
+                                  self._index_snapshot(info))
             runtime = self._tables.get(info.table_name)
             if runtime is not None:
                 runtime.remove_index(name)
@@ -1497,11 +1461,9 @@ class DatabaseEngine:
                                   session: EngineSession) -> StatementResult:
         param_names = [name for name, _type in statement.params]
         with DatabaseEngine._TxnScope(self, session) as txn:
-            self.catalog.create_procedure(statement.name, param_names,
-                                          statement.body_sql)
-            self.txns.log_create_procedure(txn, statement.name.lower(),
-                                           tuple(param_names),
-                                           statement.body_sql)
+            info = self.catalog.create_procedure(
+                statement.name, param_names, statement.body_sql)
+            self.txns.log_catalog(txn, "procedure", True, asdict(info))
         self.meter.charge(SERVER_CPU,
                           self.meter.costs.cpu_create_procedure_seconds,
                           "create procedure")
@@ -1512,9 +1474,7 @@ class DatabaseEngine:
         info = self.catalog.get_procedure(statement.name)
         with DatabaseEngine._TxnScope(self, session) as txn:
             self.catalog.drop_procedure(info.name)
-            self.txns.log_drop_procedure(txn, info.name,
-                                         tuple(info.param_names),
-                                         info.body_sql)
+            self.txns.log_catalog(txn, "procedure", False, asdict(info))
         return StatementResult.ok(f"procedure {info.name} dropped")
 
     def _execute_create_view(self, statement: ast.CreateViewStatement,
@@ -1525,9 +1485,9 @@ class DatabaseEngine:
         # Validate the definition by planning it now.
         self._planner(session, None).plan_select(body)
         with DatabaseEngine._TxnScope(self, session) as txn:
-            self.catalog.create_view(statement.name, statement.body_sql)
-            self.txns.log_create_view(txn, statement.name.lower(),
-                                      statement.body_sql)
+            info = self.catalog.create_view(statement.name,
+                                            statement.body_sql)
+            self.txns.log_catalog(txn, "view", True, asdict(info))
         return StatementResult.ok(f"view {statement.name} created")
 
     def _execute_drop_view(self, statement: ast.DropViewStatement,
@@ -1537,7 +1497,7 @@ class DatabaseEngine:
             raise EngineError(f"view {statement.name!r} does not exist")
         with DatabaseEngine._TxnScope(self, session) as txn:
             self.catalog.drop_view(info.name)
-            self.txns.log_drop_view(txn, info.name, info.body_sql)
+            self.txns.log_catalog(txn, "view", False, asdict(info))
         return StatementResult.ok(f"view {info.name} dropped")
 
     def view_provider(self):
@@ -1585,8 +1545,9 @@ class DatabaseEngine:
                       length=length, nullable=definition.nullable
                       and not definition.primary_key)
 
-    @staticmethod
-    def _table_snapshot(info: TableInfo) -> dict:
+    def _table_snapshot(self, info: TableInfo) -> dict:
+        """A table's log image: what recreating it takes, its indexes
+        included (a rolled-back DROP TABLE brings them back too)."""
         return {
             "name": info.name,
             "table_id": info.table_id,
@@ -1595,6 +1556,8 @@ class DatabaseEngine:
                         for c in info.columns],
             "amplified": info.amplified,
             "primary_key": list(info.primary_key),
+            "indexes": [self._index_snapshot(index)
+                        for index in self.catalog.indexes_on(info.name)],
         }
 
     @staticmethod

@@ -40,14 +40,9 @@ from repro.obs.views import SYSTEM_VIEWS
 from repro.phoenix_names import PHOENIX_PREFIX
 from repro.wal.records import (
     AbortRecord,
+    CatalogRecord,
     CommitRecord,
-    CreateIndexRecord,
-    CreateTableRecord,
-    CreateViewRecord,
     DeleteRecord,
-    DropIndexRecord,
-    DropTableRecord,
-    DropViewRecord,
     EndRecord,
     InsertRecord,
     UpdateRecord,
@@ -56,11 +51,10 @@ from repro.wal.records import (
 #: Disk blob holding :meth:`DmlVersionFold.snapshot` output.
 BASE_BLOB = "dml_versions_base"
 
-_DATA = frozenset((InsertRecord, DeleteRecord, UpdateRecord))
-_TABLE_DDL = frozenset((CreateTableRecord, DropTableRecord))
-_INDEX_DDL = frozenset((CreateIndexRecord, DropIndexRecord))
-_VIEW_DDL = frozenset((CreateViewRecord, DropViewRecord))
-# Procedures are not read dependencies of any cached result: untracked.
+#: Records that name what they write (``table_name``; None for a
+#: procedure's DDL, which no cached result reads).
+_WRITES = frozenset((InsertRecord, DeleteRecord, UpdateRecord,
+                     CatalogRecord))
 
 
 def version_tracked(name: str) -> bool:
@@ -113,8 +107,10 @@ class DmlVersionFold:
                 continue
             through = rec.lsn
             kind = type(rec)
-            if kind in _DATA:
+            if kind in _WRITES:
                 name = rec.table_name
+                if name is None:
+                    continue
             elif kind is CommitRecord:
                 for table in sorted(pending.pop(rec.txn_id, ())):
                     versions[table] = versions.get(table, 0) + 1
@@ -124,12 +120,6 @@ class DmlVersionFold:
                 # closes a restart loser, whose writes were undone.
                 pending.pop(rec.txn_id, None)
                 continue
-            elif kind in _TABLE_DDL:
-                name = rec.table["name"]
-            elif kind in _INDEX_DDL:
-                name = rec.index["table_name"]
-            elif kind in _VIEW_DDL:
-                name = rec.name
             else:
                 continue
             key = tracked.get(name)

@@ -113,13 +113,6 @@ class Table:
         self._indexes.pop(name.lower(), None)
         self._key_positions.pop(name, None)
 
-    def rebuild_indexes(self) -> None:
-        """Rebuild every index from the heap (after restart recovery)."""
-        infos = [info for info, _tree in self._indexes.values()]
-        self._indexes.clear()
-        for info in infos:
-            self.add_index(info)
-
     def _index_key(self, row: tuple, info: IndexInfo) -> tuple:
         positions = self._key_positions.get(info.name)
         if positions is None:

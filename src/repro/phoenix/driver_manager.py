@@ -28,6 +28,7 @@ from repro.errors import (
     EngineError,
     RecoveryFailedError,
     ReproError,
+    RequestTimeoutError,
 )
 from repro.odbc.constants import (
     SQL_NO_DATA,
@@ -819,22 +820,28 @@ class PhoenixDriverManager(DriverManager):
                       vconn: VirtualConnection | None = None) -> None:
         if not table_name:
             return
-        try:
-            # A table created inside a still-open application transaction
-            # is X-locked by it; drop it on the app connection (joining
-            # the transaction) instead of deadlocking from the private
-            # connection.
-            if vconn is not None and vconn.in_app_txn \
-                    and vconn.app_handle.connected:
-                connection = vconn.app_handle
-            else:
-                connection = self._private_connection()
-            self._persistor.drop_result_table(connection, table_name)
-        except ReproError as error:
-            # Best-effort, except that a drop the server never applied
-            # leaves a durable table behind: owe it.
-            if is_transport_failure(error):
-                self._undropped.append(table_name)
+        for attempt in (1, 2):
+            try:
+                # A table created inside a still-open application
+                # transaction is X-locked by it; drop it on the app
+                # connection (joining the transaction) instead of
+                # deadlocking from the private connection.
+                if vconn is not None and vconn.in_app_txn \
+                        and vconn.app_handle.connected:
+                    connection = vconn.app_handle
+                else:
+                    connection = self._private_connection()
+                self._persistor.drop_result_table(connection, table_name)
+            except ReproError as error:
+                # A timeout may have lost only the exchange, with the
+                # server up: try once more.  Otherwise best-effort,
+                # except that a drop the server never applied leaves a
+                # durable table behind: owe it.
+                if attempt == 1 and isinstance(error, RequestTimeoutError):
+                    continue
+                if is_transport_failure(error):
+                    self._undropped.append(table_name)
+            return
 
     def _drop_undropped(self) -> None:
         """Issue the drops failures lost, on the private connection."""

@@ -101,6 +101,10 @@ class BufferPool:
         self._admit(key, page)
         return page
 
+    def holds(self, file_id: int, page_no: int) -> bool:
+        """Whether the page is resident (a lookup: nothing is charged)."""
+        return (file_id, page_no) in self._frames
+
     def new_page(self, file_id: int, page_no: int, capacity: int) -> Page:
         """Allocate a fresh page in the pool (dirty, not yet on disk)."""
         key = (file_id, page_no)

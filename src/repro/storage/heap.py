@@ -50,6 +50,11 @@ class HeapFile:
         heap = cls(file_id, rows_per_page, buffer_pool, cost_factor)
         page_nos = disk.file_page_numbers(file_id)
         heap.page_count = (max(page_nos) + 1) if page_nos else 0
+        # Newer pages may be resident only, never written yet: the heap
+        # of a table whose DROP was rolled back is attached afresh.
+        while buffer_pool.holds(file_id, heap.page_count):
+            page_nos.append(heap.page_count)
+            heap.page_count += 1
         for page_no in page_nos:
             page = buffer_pool.get_page(file_id, page_no, cost_factor)
             if page is not None and page.has_empty_slot():

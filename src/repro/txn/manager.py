@@ -2,10 +2,10 @@
 
 The manager owns transaction identity and the write-ahead discipline.  The
 engine's table runtime calls the ``log_*`` helpers *before* mutating pages
-(WAL rule); commit forces the log; abort walks the transaction's backward
-log chain, applying inverse operations and logging CLRs — the same
-compensation helpers restart recovery uses, so rollback behaviour is
-identical online and after a crash.
+(WAL rule); commit forces the log; abort and statement rollback walk the
+transaction's backward log chain with restart undo's own walk
+(:func:`repro.wal.recovery.undo_txn`), so rollback behaviour is identical
+online and after a crash.
 
 Transaction ids restart above the highest id ever seen in the log so an id
 is never reused across crashes (reuse would corrupt a later analysis
@@ -24,20 +24,15 @@ from repro.wal.log import WriteAheadLog
 from repro.wal.records import (
     AbortRecord,
     BeginRecord,
-    CLRRecord,
+    CatalogRecord,
     CommitRecord,
-    CreateIndexRecord,
-    CreateProcedureRecord,
-    CreateTableRecord,
     DeleteRecord,
-    DropIndexRecord,
-    DropProcedureRecord,
-    DropTableRecord,
     EndRecord,
     InsertRecord,
     LogRecord,
     UpdateRecord,
 )
+from repro.wal.recovery import undo_txn
 
 
 #: Most primary keys one transaction remembers per table; a table written
@@ -85,7 +80,8 @@ class TransactionManager:
     """Creates transactions and mediates all logged changes."""
 
     def __init__(self, log: WriteAheadLog, locks: LockManager, target):
-        """``target`` is the engine-side recovery interface (heaps + DDL)."""
+        """``target`` is the engine-side recovery interface
+        (``table_for_file`` and ``apply_catalog``)."""
         self._log = log
         self.locks = locks
         self._target = target
@@ -146,7 +142,7 @@ class TransactionManager:
     def abort(self, txn: Transaction) -> None:
         self._require_active(txn)
         self._chain(txn, AbortRecord(txn_id=txn.txn_id))
-        self._rollback(txn)
+        self.rollback_to(txn, 0)
         self._log.append(EndRecord(txn_id=txn.txn_id))
         # Aborts need no synchronous force (the undo is repeatable from
         # whatever part of the log survives); flush write-behind.
@@ -210,11 +206,6 @@ class TransactionManager:
         if len(keys) > WRITE_KEY_CAP:
             written[name] = "cap"
 
-    @staticmethod
-    def _note_ddl(txn: Transaction, name: str) -> None:
-        if txn.modified_tables is not None:
-            txn.modified_tables[name.lower()] = "ddl"
-
     def log_insert(self, txn: Transaction, table_name: str, rid: RowId,
                    row: tuple, row_bytes: int, cost_factor: float = 1.0,
                    key_of=None) -> int:
@@ -244,55 +235,17 @@ class TransactionManager:
 
     # -- logged DDL -----------------------------------------------------------
 
-    def log_create_table(self, txn: Transaction, table: dict) -> int:
-        self._note_ddl(txn, table["name"])
-        return self._chain(txn, CreateTableRecord(txn_id=txn.txn_id,
-                                                  table=table))
-
-    def log_drop_table(self, txn: Transaction, table: dict) -> int:
-        self._note_ddl(txn, table["name"])
-        return self._chain(txn, DropTableRecord(txn_id=txn.txn_id,
-                                                table=table))
-
-    def log_create_procedure(self, txn: Transaction, name: str,
-                             param_names: tuple, body_sql: str) -> int:
-        return self._chain(txn, CreateProcedureRecord(
-            txn_id=txn.txn_id, name=name, param_names=param_names,
-            body_sql=body_sql))
-
-    def log_drop_procedure(self, txn: Transaction, name: str,
-                           param_names: tuple, body_sql: str) -> int:
-        return self._chain(txn, DropProcedureRecord(
-            txn_id=txn.txn_id, name=name, param_names=param_names,
-            body_sql=body_sql))
-
-    def log_create_view(self, txn: Transaction, name: str,
-                        body_sql: str) -> int:
-        from repro.wal.records import CreateViewRecord
-
-        self._note_ddl(txn, name)
-        return self._chain(txn, CreateViewRecord(txn_id=txn.txn_id,
-                                                 name=name,
-                                                 body_sql=body_sql))
-
-    def log_drop_view(self, txn: Transaction, name: str,
-                      body_sql: str) -> int:
-        from repro.wal.records import DropViewRecord
-
-        self._note_ddl(txn, name)
-        return self._chain(txn, DropViewRecord(txn_id=txn.txn_id,
-                                               name=name,
-                                               body_sql=body_sql))
-
-    def log_create_index(self, txn: Transaction, index: dict) -> int:
-        self._note_ddl(txn, index["table_name"])
-        return self._chain(txn, CreateIndexRecord(txn_id=txn.txn_id,
-                                                  index=index))
-
-    def log_drop_index(self, txn: Transaction, index: dict) -> int:
-        self._note_ddl(txn, index["table_name"])
-        return self._chain(txn, DropIndexRecord(txn_id=txn.txn_id,
-                                                index=index))
+    def log_catalog(self, txn: Transaction, kind: str, create: bool,
+                    obj: dict) -> int:
+        """Log the creation or drop of one catalog object (see
+        :class:`~repro.wal.records.CatalogRecord`); the name it moves
+        counts as written wholesale."""
+        record = CatalogRecord(txn_id=txn.txn_id, kind=kind, create=create,
+                               obj=obj)
+        name = record.table_name
+        if name is not None and txn.modified_tables is not None:
+            txn.modified_tables[name.lower()] = "ddl"
+        return self._chain(txn, record)
 
     # -- internals -------------------------------------------------------------
 
@@ -306,40 +259,14 @@ class TransactionManager:
     def rollback_to(self, txn: Transaction, lsn: int) -> None:
         """Undo what ``txn`` logged after record ``lsn`` and keep it
         open: how a failed statement inside an explicit transaction
-        takes back its own effects (locks stay, strict 2PL).  The CLRs
-        make a later abort — or restart undo — skip the undone range.
+        takes back its own effects (locks stay, strict 2PL), and, from
+        0, how abort takes back all of them.  The CLRs make a later
+        abort — or restart undo — skip the undone range.
         """
         self._require_active(txn)
-        self._rollback(txn, stop_lsn=lsn)
-
-    def _rollback(self, txn: Transaction, stop_lsn: int = 0) -> None:
-        """Online rollback of everything after ``stop_lsn``.
-
-        Compensating actions are applied through the target's
-        ``undo_action`` (which keeps indexes maintained) rather than the
-        raw-heap path restart recovery uses (which rebuilds indexes at
-        the end instead).
-        """
-        from repro.wal.recovery import compensate
-
-        lsn = txn.last_lsn
-        while lsn > stop_lsn:
-            rec = self._log.record(lsn)
-            if isinstance(rec, CLRRecord):
-                lsn = rec.undo_next_lsn
-                continue
-            if isinstance(rec, (BeginRecord, AbortRecord, CommitRecord,
-                                EndRecord)):
-                lsn = rec.prev_lsn
-                continue
-            action = compensate(rec)
-            if action is not None:
-                clr = CLRRecord(txn_id=txn.txn_id, prev_lsn=txn.last_lsn,
-                                action=action, undo_next_lsn=rec.prev_lsn)
-                txn.last_lsn = self._log.append(clr)
-                action.lsn = clr.lsn
-                self._target.undo_action(action)
-            lsn = rec.prev_lsn
+        txn.last_lsn, _applied = undo_txn(self._log, self._target,
+                                          txn.txn_id, txn.last_lsn,
+                                          stop_lsn=lsn)
 
     def _finish(self, txn: Transaction) -> None:
         self.locks.release_all(txn.txn_id)

@@ -19,16 +19,11 @@ from repro.wal.log import WriteAheadLog
 from repro.wal.records import (
     AbortRecord,
     BeginRecord,
+    CatalogRecord,
     CheckpointRecord,
     CLRRecord,
     CommitRecord,
-    CreateIndexRecord,
-    CreateProcedureRecord,
-    CreateTableRecord,
     DeleteRecord,
-    DropIndexRecord,
-    DropProcedureRecord,
-    DropTableRecord,
     EndRecord,
     InsertRecord,
     LogRecord,
@@ -46,12 +41,7 @@ __all__ = [
     "InsertRecord",
     "DeleteRecord",
     "UpdateRecord",
-    "CreateTableRecord",
-    "DropTableRecord",
-    "CreateProcedureRecord",
-    "DropProcedureRecord",
-    "CreateIndexRecord",
-    "DropIndexRecord",
+    "CatalogRecord",
     "CheckpointRecord",
     "CLRRecord",
     "RecoveryManager",

@@ -2,7 +2,9 @@
 
 Records are physiological: data records name a page/slot (physical) but
 carry whole row values (logical), which keeps redo idempotent via the
-page-LSN test and makes undo trivial (apply the inverse row operation).
+page-LSN test and makes undo trivial: a record's :meth:`~LogRecord.inverse`
+is its compensation (the inverse row operation, or the opposite catalog
+change).
 
 Every record carries ``txn_id`` and ``prev_lsn`` — the backward chain used
 by abort and by the undo pass of restart recovery.  ``lsn`` is assigned by
@@ -27,6 +29,10 @@ class LogRecord:
     def payload_bytes(self) -> int:
         """Estimated payload size, for log-write cost charging."""
         return 16
+
+    def inverse(self) -> LogRecord | None:
+        """The record that undoes this one; None when undo skips it."""
+        return None
 
 
 def _row_bytes(row) -> int:
@@ -72,6 +78,12 @@ class InsertRecord(LogRecord):
             return 24 + _row_bytes(self.row)
         return 24 + self.row_bytes
 
+    def inverse(self) -> DeleteRecord:
+        return DeleteRecord(txn_id=self.txn_id, table_name=self.table_name,
+                            file_id=self.file_id, page_no=self.page_no,
+                            slot=self.slot, row=self.row,
+                            row_bytes=self.row_bytes)
+
 
 @dataclass
 class DeleteRecord(LogRecord):
@@ -86,6 +98,12 @@ class DeleteRecord(LogRecord):
         if self.row_bytes is None:
             return 24 + _row_bytes(self.row)
         return 24 + self.row_bytes
+
+    def inverse(self) -> InsertRecord:
+        return InsertRecord(txn_id=self.txn_id, table_name=self.table_name,
+                            file_id=self.file_id, page_no=self.page_no,
+                            slot=self.slot, row=self.row,
+                            row_bytes=self.row_bytes)
 
 
 @dataclass
@@ -103,84 +121,53 @@ class UpdateRecord(LogRecord):
             return 24 + _row_bytes(self.old_row) + _row_bytes(self.new_row)
         return 24 + self.row_bytes
 
-
-@dataclass
-class CreateTableRecord(LogRecord):
-    """DDL: table metadata snapshot sufficient to recreate the table."""
-
-    table: dict = field(default_factory=dict)
-
-    def payload_bytes(self) -> int:
-        return 64 + 16 * len(self.table.get("columns", ()))
+    def inverse(self) -> UpdateRecord:
+        return UpdateRecord(txn_id=self.txn_id, table_name=self.table_name,
+                            file_id=self.file_id, page_no=self.page_no,
+                            slot=self.slot, old_row=self.new_row,
+                            new_row=self.old_row, row_bytes=self.row_bytes)
 
 
 @dataclass
-class DropTableRecord(LogRecord):
-    """DDL: carries the dropped table's metadata so undo can recreate it.
+class CatalogRecord(LogRecord):
+    """DDL: create or drop one catalog object.
 
-    Note: row contents of a dropped-and-rolled-back table are restored
-    because the drop only becomes physical at commit (the engine defers
-    page deallocation until the dropping transaction commits).
+    ``kind`` is ``"table"``, ``"index"``, ``"procedure"`` or ``"view"``;
+    ``obj`` is what it takes to create the object again (the engine's
+    table or index snapshot; a procedure's ``name``, ``param_names`` and
+    ``body_sql``; a view's ``name`` and ``body_sql``), so a drop carries
+    it for undo as a create does for redo.  A dropped table's rows
+    survive a rolled-back drop because its pages are deallocated only
+    when the dropping transaction commits.
     """
 
-    table: dict = field(default_factory=dict)
+    kind: str = ""
+    create: bool = True
+    obj: dict = field(default_factory=dict)
+
+    @property
+    def table_name(self) -> str | None:
+        """The name whose version this change moves: the table (an
+        index's table), or the view; None for a procedure, which no
+        result reads."""
+        if self.kind == "index":
+            return self.obj["table_name"]
+        if self.kind == "procedure":
+            return None
+        return self.obj["name"]
+
+    def inverse(self) -> CatalogRecord:
+        return CatalogRecord(txn_id=self.txn_id, kind=self.kind,
+                             create=not self.create, obj=self.obj)
 
     def payload_bytes(self) -> int:
-        return 64
-
-
-@dataclass
-class CreateProcedureRecord(LogRecord):
-    name: str = ""
-    param_names: tuple = ()
-    body_sql: str = ""
-
-    def payload_bytes(self) -> int:
-        return 32 + len(self.body_sql)
-
-
-@dataclass
-class DropProcedureRecord(LogRecord):
-    name: str = ""
-    param_names: tuple = ()
-    body_sql: str = ""  # retained for undo
-
-    def payload_bytes(self) -> int:
-        return 32 + len(self.body_sql)
-
-
-@dataclass
-class CreateViewRecord(LogRecord):
-    name: str = ""
-    body_sql: str = ""
-
-    def payload_bytes(self) -> int:
-        return 32 + len(self.body_sql)
-
-
-@dataclass
-class DropViewRecord(LogRecord):
-    name: str = ""
-    body_sql: str = ""  # retained for undo
-
-    def payload_bytes(self) -> int:
-        return 32 + len(self.body_sql)
-
-
-@dataclass
-class CreateIndexRecord(LogRecord):
-    index: dict = field(default_factory=dict)
-
-    def payload_bytes(self) -> int:
-        return 48
-
-
-@dataclass
-class DropIndexRecord(LogRecord):
-    index: dict = field(default_factory=dict)
-
-    def payload_bytes(self) -> int:
-        return 48
+        if self.kind == "table":
+            if self.create:
+                return 64 + 16 * len(self.obj["columns"])
+            return 64
+        if self.kind == "index":
+            return 48
+        return 32 + len(self.obj["body_sql"])
 
 
 @dataclass
@@ -192,7 +179,6 @@ class CheckpointRecord(LogRecord):
     """
 
     active_txns: dict = field(default_factory=dict)
-    catalog_blob: str = "catalog_snapshot"
 
     def payload_bytes(self) -> int:
         return 32 + 12 * len(self.active_txns)

@@ -3,17 +3,18 @@
 ``RecoveryManager`` drives the three passes against a *target* — the
 engine — through a narrow interface:
 
-* ``target.table_for_file(file_id)`` → Table runtime or None
-* ``target.heap_for_file(file_id)`` → HeapFile or None (fallback when the
-  target exposes no table runtimes)
-* ``target.redo_create_table / redo_drop_table`` (idempotent DDL redo)
-* ``target.redo_create_procedure / redo_drop_procedure``
-* ``target.redo_create_index / redo_drop_index``
+* ``target.table_for_file(file_id)`` → Table runtime or None; every
+  row change, redone or compensated, goes through :func:`apply_row`;
+* ``target.apply_catalog(record)`` → applies one
+  :class:`~repro.wal.records.CatalogRecord`, idempotently (redo, and the
+  compensation of a create or a drop).
 
 Redo repeats *history* — loser transactions' changes are re-applied and
 then rolled back by the undo pass, exactly as in ARIES.  Redo is
 idempotent via the page-LSN test; undo is restartable via CLRs carrying
-``undo_next_lsn``.
+``undo_next_lsn``.  :func:`undo_txn` is the one backward walk of a
+transaction's chain: restart's undo pass and the transaction manager's
+abort and statement rollback both run it.
 
 Secondary indexes are maintained *incrementally* during both passes:
 a table runtime materializes its B-trees from the heap's on-disk state
@@ -42,21 +43,12 @@ from dataclasses import dataclass, field
 from repro.storage.heap import RowId
 from repro.wal.log import WriteAheadLog
 from repro.wal.records import (
-    AbortRecord,
     BeginCheckpointRecord,
-    BeginRecord,
+    CatalogRecord,
     CheckpointRecord,
     CLRRecord,
     CommitRecord,
-    CreateIndexRecord,
-    CreateProcedureRecord,
-    CreateTableRecord,
-    CreateViewRecord,
     DeleteRecord,
-    DropIndexRecord,
-    DropProcedureRecord,
-    DropTableRecord,
-    DropViewRecord,
     EndCheckpointRecord,
     EndRecord,
     InsertRecord,
@@ -64,106 +56,58 @@ from repro.wal.records import (
     UpdateRecord,
 )
 
+_DATA_RECORDS = (InsertRecord, DeleteRecord, UpdateRecord)
 
-def compensate(rec: LogRecord) -> LogRecord | None:
-    """Build the record describing the inverse of ``rec``.
 
-    Shared by online rollback (abort) and the restart undo pass so the two
-    code paths cannot diverge.
-    """
+def apply_row(runtime, rec) -> None:
+    """Apply one row change to its table runtime, indexes included."""
+    rid = RowId(rec.file_id, rec.page_no, rec.slot)
     if isinstance(rec, InsertRecord):
-        return DeleteRecord(txn_id=rec.txn_id, table_name=rec.table_name,
-                            file_id=rec.file_id, page_no=rec.page_no,
-                            slot=rec.slot, row=rec.row,
-                            row_bytes=rec.row_bytes)
-    if isinstance(rec, DeleteRecord):
-        return InsertRecord(txn_id=rec.txn_id, table_name=rec.table_name,
-                            file_id=rec.file_id, page_no=rec.page_no,
-                            slot=rec.slot, row=rec.row,
-                            row_bytes=rec.row_bytes)
-    if isinstance(rec, UpdateRecord):
-        return UpdateRecord(txn_id=rec.txn_id, table_name=rec.table_name,
-                            file_id=rec.file_id, page_no=rec.page_no,
-                            slot=rec.slot, old_row=rec.new_row,
-                            new_row=rec.old_row, row_bytes=rec.row_bytes)
-    if isinstance(rec, CreateTableRecord):
-        return DropTableRecord(txn_id=rec.txn_id, table=rec.table)
-    if isinstance(rec, DropTableRecord):
-        return CreateTableRecord(txn_id=rec.txn_id, table=rec.table)
-    if isinstance(rec, CreateProcedureRecord):
-        return DropProcedureRecord(txn_id=rec.txn_id, name=rec.name,
-                                   param_names=rec.param_names,
-                                   body_sql=rec.body_sql)
-    if isinstance(rec, DropProcedureRecord):
-        return CreateProcedureRecord(txn_id=rec.txn_id, name=rec.name,
-                                     param_names=rec.param_names,
-                                     body_sql=rec.body_sql)
-    if isinstance(rec, CreateIndexRecord):
-        return DropIndexRecord(txn_id=rec.txn_id, index=rec.index)
-    if isinstance(rec, DropIndexRecord):
-        return CreateIndexRecord(txn_id=rec.txn_id, index=rec.index)
-    if isinstance(rec, CreateViewRecord):
-        return DropViewRecord(txn_id=rec.txn_id, name=rec.name,
-                              body_sql=rec.body_sql)
-    if isinstance(rec, DropViewRecord):
-        return CreateViewRecord(txn_id=rec.txn_id, name=rec.name,
-                                body_sql=rec.body_sql)
-    return None
+        runtime.apply_insert_with_indexes(rid, rec.row, rec.lsn)
+    elif isinstance(rec, DeleteRecord):
+        runtime.apply_delete_with_indexes(rid, rec.lsn)
+    else:
+        runtime.apply_update_with_indexes(rid, rec.new_row, rec.lsn)
 
 
-def apply_compensation(action: LogRecord, target) -> None:
-    """Apply a compensating action built by :func:`compensate`.
+def undo_txn(log: WriteAheadLog, target, txn_id: int, last_lsn: int,
+             stop_lsn: int = 0,
+             touched: dict | None = None) -> tuple[int, int]:
+    """Undo what transaction ``txn_id`` logged after ``stop_lsn``,
+    walking its chain back from ``last_lsn``.
 
-    DML compensations go through the table runtime when the target has
-    one, so loser-undo keeps the secondary indexes in step with the heap.
+    Each record's :meth:`~repro.wal.records.LogRecord.inverse` is logged
+    as a CLR — chained to the transaction's previous record — *before*
+    it is applied, and the CLR's ``undo_next_lsn`` lets a later walk
+    (an abort after a statement rollback, or restart undo after a crash
+    mid-rollback) skip what is already undone.  Runtimes whose rows were
+    compensated go into ``touched`` by file id.  Returns the
+    transaction's last LSN and the number of compensations applied.
     """
-    if isinstance(action, (InsertRecord, DeleteRecord, UpdateRecord)):
-        rid = RowId(action.file_id, action.page_no, action.slot)
-        runtime = _runtime_for(target, action.file_id)
-        if runtime is not None:
-            if isinstance(action, InsertRecord):
-                runtime.apply_insert_with_indexes(rid, action.row,
-                                                  action.lsn)
-            elif isinstance(action, DeleteRecord):
-                runtime.apply_delete_with_indexes(rid, action.lsn)
+    lsn = last_lsn
+    applied = 0
+    while lsn > stop_lsn:
+        rec = log.record(lsn)
+        if isinstance(rec, CLRRecord):
+            lsn = rec.undo_next_lsn
+            continue
+        action = rec.inverse()
+        if action is not None:
+            last_lsn = log.append(CLRRecord(
+                txn_id=txn_id, prev_lsn=last_lsn, action=action,
+                undo_next_lsn=rec.prev_lsn))
+            action.lsn = last_lsn
+            if isinstance(action, CatalogRecord):
+                target.apply_catalog(action)
             else:
-                runtime.apply_update_with_indexes(rid, action.new_row,
-                                                  action.lsn)
-            return
-        heap = target.heap_for_file(action.file_id)
-        if heap is None:
-            return
-        if isinstance(action, InsertRecord):
-            heap.apply_insert(rid, action.row, action.lsn)
-        elif isinstance(action, DeleteRecord):
-            heap.apply_delete(rid, action.lsn)
-        else:
-            heap.apply_update(rid, action.new_row, action.lsn)
-    elif isinstance(action, DropTableRecord):
-        target.redo_drop_table(action.table)
-    elif isinstance(action, CreateTableRecord):
-        target.redo_create_table(action.table)
-    elif isinstance(action, DropProcedureRecord):
-        target.redo_drop_procedure(action.name)
-    elif isinstance(action, CreateProcedureRecord):
-        target.redo_create_procedure(action.name, action.param_names,
-                                     action.body_sql)
-    elif isinstance(action, DropIndexRecord):
-        target.redo_drop_index(action.index)
-    elif isinstance(action, CreateIndexRecord):
-        target.redo_create_index(action.index)
-    elif isinstance(action, DropViewRecord):
-        target.redo_drop_view(action.name)
-    elif isinstance(action, CreateViewRecord):
-        target.redo_create_view(action.name, action.body_sql)
-
-
-def _runtime_for(target, file_id: int):
-    """The index-maintaining table runtime for ``file_id``, if any."""
-    table_for_file = getattr(target, "table_for_file", None)
-    if table_for_file is None:
-        return None
-    return table_for_file(file_id)
+                runtime = target.table_for_file(action.file_id)
+                if runtime is not None:
+                    if touched is not None:
+                        touched[action.file_id] = runtime
+                    apply_row(runtime, action)
+            applied += 1
+        lsn = rec.prev_lsn
+    return last_lsn, applied
 
 
 def _partition_makespan(loads: dict[int, float], workers: int) -> float:
@@ -182,16 +126,6 @@ def _partition_makespan(loads: dict[int, float], workers: int) -> float:
     for load, _file_id in ordered:
         bins[bins.index(min(bins))] += load
     return max(bins)
-
-
-#: Non-data records redo treats as DDL (redone via the target's
-#: ``redo_*`` hooks).  Used by the fuzzy path to skip DDL already
-#: captured by the checkpoint's catalog snapshot.
-_DDL_RECORDS = (CreateTableRecord, DropTableRecord, CreateProcedureRecord,
-                DropProcedureRecord, CreateIndexRecord, DropIndexRecord,
-                CreateViewRecord, DropViewRecord)
-
-_DATA_RECORDS = (InsertRecord, DeleteRecord, UpdateRecord)
 
 
 @dataclass
@@ -343,7 +277,10 @@ class RecoveryManager:
         checkpoint) or below the page's recLSN, or DDL at/below the Begin
         record (the catalog snapshot written with it already carries the
         change).  This is what bounds redone records by dirty pages
-        instead of log length.
+        instead of log length.  A table drop by a transaction that did
+        not commit is skipped too: online, its pages are released only
+        at commit, and undo (or the CLR after it) brings the table back
+        onto them — a redone drop would have released them.
         """
         target = rec.action if isinstance(rec, CLRRecord) else rec
         if isinstance(target, _DATA_RECORDS):
@@ -352,8 +289,11 @@ class RecoveryManager:
                 report.redo_skipped += 1
                 return True
             return False
-        if isinstance(target, _DDL_RECORDS) \
-                and rec.lsn <= report.checkpoint_lsn:
+        if isinstance(target, CatalogRecord) and (
+                rec.lsn <= report.checkpoint_lsn
+                or (target is rec and target.kind == "table"
+                    and not target.create
+                    and rec.txn_id not in report.winners)):
             report.redo_skipped += 1
             return True
         return False
@@ -431,100 +371,31 @@ class RecoveryManager:
 
     def _redo_one(self, rec: LogRecord, report: RecoveryReport) -> None:
         if isinstance(rec, CLRRecord):
-            if rec.action is not None:
-                action = rec.action
-                action.lsn = rec.lsn  # page-LSN stamp comes from the CLR
-                self._redo_one(action, report)
-            return
-        if isinstance(rec, (InsertRecord, DeleteRecord, UpdateRecord)):
-            runtime = _runtime_for(self._target, rec.file_id)
-            heap = (runtime.heap if runtime is not None
-                    else self._target.heap_for_file(rec.file_id))
-            if heap is None:
+            rec.action.lsn = rec.lsn  # page-LSN stamp comes from the CLR
+            rec = rec.action
+        if isinstance(rec, _DATA_RECORDS):
+            runtime = self._target.table_for_file(rec.file_id)
+            if runtime is None or runtime.heap.page_lsn(rec.page_no) \
+                    >= rec.lsn:
+                # No such table any more, or its page already carries
+                # this change — and the runtime's indexes were built from
+                # that heap state, so they carry it too.
                 report.redo_skipped += 1
                 return
-            if heap.page_lsn(rec.page_no) >= rec.lsn:
-                # Page already carries this change — and the runtime's
-                # indexes were built from that heap state, so they carry
-                # it too.
-                report.redo_skipped += 1
-                return
-            rid = RowId(rec.file_id, rec.page_no, rec.slot)
-            if runtime is not None:
-                self._touched_runtimes[rec.file_id] = runtime
-                if isinstance(rec, InsertRecord):
-                    runtime.apply_insert_with_indexes(rid, rec.row, rec.lsn)
-                elif isinstance(rec, DeleteRecord):
-                    runtime.apply_delete_with_indexes(rid, rec.lsn)
-                else:
-                    runtime.apply_update_with_indexes(rid, rec.new_row,
-                                                      rec.lsn)
-            elif isinstance(rec, InsertRecord):
-                heap.apply_insert(rid, rec.row, rec.lsn)
-            elif isinstance(rec, DeleteRecord):
-                heap.apply_delete(rid, rec.lsn)
-            else:
-                heap.apply_update(rid, rec.new_row, rec.lsn)
-            report.redo_applied += 1
+            self._touched_runtimes[rec.file_id] = runtime
+            apply_row(runtime, rec)
+        elif isinstance(rec, CatalogRecord):
+            self._target.apply_catalog(rec)
+        else:
             return
-        if isinstance(rec, CreateTableRecord):
-            self._target.redo_create_table(rec.table)
-            report.redo_applied += 1
-        elif isinstance(rec, DropTableRecord):
-            self._target.redo_drop_table(rec.table)
-            report.redo_applied += 1
-        elif isinstance(rec, CreateProcedureRecord):
-            self._target.redo_create_procedure(rec.name, rec.param_names,
-                                               rec.body_sql)
-            report.redo_applied += 1
-        elif isinstance(rec, DropProcedureRecord):
-            self._target.redo_drop_procedure(rec.name)
-            report.redo_applied += 1
-        elif isinstance(rec, CreateIndexRecord):
-            self._target.redo_create_index(rec.index)
-            report.redo_applied += 1
-        elif isinstance(rec, DropIndexRecord):
-            self._target.redo_drop_index(rec.index)
-            report.redo_applied += 1
-        elif isinstance(rec, CreateViewRecord):
-            self._target.redo_create_view(rec.name, rec.body_sql)
-            report.redo_applied += 1
-        elif isinstance(rec, DropViewRecord):
-            self._target.redo_drop_view(rec.name)
-            report.redo_applied += 1
+        report.redo_applied += 1
 
     # -- undo ----------------------------------------------------------------
 
     def _undo(self, report: RecoveryReport, losers: dict[int, int]) -> None:
         for txn_id in sorted(losers):
-            self._undo_txn(txn_id, losers[txn_id], report)
-
-    def _undo_txn(self, txn_id: int, last_lsn: int,
-                  report: RecoveryReport) -> None:
-        lsn = last_lsn
-        while lsn:
-            rec = self._log.record(lsn)
-            if isinstance(rec, CLRRecord):
-                lsn = rec.undo_next_lsn  # already-undone prefix is skipped
-                continue
-            if isinstance(rec, (BeginRecord, AbortRecord)):
-                lsn = rec.prev_lsn
-                continue
-            compensation = compensate(rec)
-            if compensation is not None:
-                clr = CLRRecord(txn_id=txn_id, prev_lsn=0,
-                                action=compensation,
-                                undo_next_lsn=rec.prev_lsn)
-                self._log.append(clr)
-                compensation.lsn = clr.lsn
-                if isinstance(compensation,
-                              (InsertRecord, DeleteRecord, UpdateRecord)):
-                    runtime = _runtime_for(self._target,
-                                           compensation.file_id)
-                    if runtime is not None:
-                        self._touched_runtimes[compensation.file_id] = \
-                            runtime
-                apply_compensation(compensation, self._target)
-                report.undo_applied += 1
-            lsn = rec.prev_lsn
-        self._log.append(EndRecord(txn_id=txn_id))
+            _last, applied = undo_txn(self._log, self._target, txn_id,
+                                      losers[txn_id],
+                                      touched=self._touched_runtimes)
+            report.undo_applied += applied
+            self._log.append(EndRecord(txn_id=txn_id))

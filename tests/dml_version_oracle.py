@@ -4,8 +4,10 @@ This is the restart code the engine ran before log truncation started
 folding versions into a durable base (``repro.engine.dml_versions``):
 one +1 per table per committed transaction, replayed over the *whole*
 history — the archived prefix plus the live log.  It is deliberately an
-independent implementation (isinstance chains, no shared helper), so the
-production fold has a judge that does not share its bugs.  Cost grows
+independent implementation (isinstance chains, no shared helper, and its
+own reading of a ``CatalogRecord``'s ``kind`` and ``obj`` rather than
+``CatalogRecord.table_name``), so the production fold has a judge that
+does not share its bugs.  Cost grows
 with history; that is why it lives under ``tests/``.
 """
 
@@ -13,14 +15,9 @@ from repro.obs.views import SYSTEM_VIEWS
 from repro.phoenix_names import PHOENIX_PREFIX
 from repro.wal.records import (
     AbortRecord,
+    CatalogRecord,
     CommitRecord,
-    CreateIndexRecord,
-    CreateTableRecord,
-    CreateViewRecord,
     DeleteRecord,
-    DropIndexRecord,
-    DropTableRecord,
-    DropViewRecord,
     InsertRecord,
     UpdateRecord,
 )
@@ -46,12 +43,12 @@ def full_history_dml_versions(disk, wal) -> dict[str, int]:
         name = None
         if isinstance(rec, (InsertRecord, DeleteRecord, UpdateRecord)):
             name = rec.table_name
-        elif isinstance(rec, (CreateTableRecord, DropTableRecord)):
-            name = rec.table["name"]
-        elif isinstance(rec, (CreateIndexRecord, DropIndexRecord)):
-            name = rec.index["table_name"]
-        elif isinstance(rec, (CreateViewRecord, DropViewRecord)):
-            name = rec.name
+        elif isinstance(rec, CatalogRecord):
+            # Procedures are read by no cached result: untracked.
+            if rec.kind in ("table", "view"):
+                name = rec.obj["name"]
+            elif rec.kind == "index":
+                name = rec.obj["table_name"]
         elif isinstance(rec, CommitRecord):
             for table in sorted(pending.pop(rec.txn_id, ())):
                 versions[table] = versions.get(table, 0) + 1

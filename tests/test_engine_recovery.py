@@ -8,11 +8,15 @@ idempotent.
 import pytest
 
 from repro.errors import ConstraintError
+from repro.sim.costs import CostModel
+from repro.wal.records import CatalogRecord, CLRRecord
 from tests.schedules import (
     ACCT_SETUP,
     EngineWorld,
+    _sorted,
     acct_workload,
     assert_indexes_match_heap,
+    user_tables,
 )
 
 
@@ -295,3 +299,121 @@ class TestIndexRecovery:
         assert sorted(harness.run("SELECT id FROM n WHERE grp IS NULL")) \
             == [(2,), (3,)]
         assert assert_indexes_match_heap(harness.engine) >= 2
+
+
+#: What every DDL case starts from: a table no case drops, one DROP
+#: TABLE takes with its index, and an index, a view and a procedure for
+#: the other drops.
+DDL_SETUP = (
+    "CREATE TABLE keep (a INT NOT NULL, b INT, PRIMARY KEY (a))",
+    "INSERT INTO keep VALUES (1, 10), (2, 20)",
+    "CREATE TABLE gone (x INT)",
+    "INSERT INTO gone VALUES (5)",
+    "CREATE INDEX ix_x ON gone (x)",
+    "CREATE INDEX ix_b ON keep (b)",
+    "CREATE VIEW v_old AS SELECT a FROM keep",
+    "CREATE PROCEDURE p_old (@v INT) AS INSERT INTO keep VALUES (@v, 0)",
+)
+
+#: Each DDL statement, with the ``payload_bytes()`` of its record and of
+#: the CLR its rollback logs (16 + the inverse record's).  A table
+#: create is 64 + 16 per column, a table drop 64, an index 48, a
+#: procedure or a view 32 + its body's length (31 and 18 here).
+DDL_CASES = {
+    "create_table": ("CREATE TABLE fresh (y INT, z VARCHAR(8))", 96, 80),
+    "drop_table": ("DROP TABLE gone", 64, 96),
+    "create_index": ("CREATE INDEX ix_ba ON keep (b, a)", 48, 64),
+    "drop_index": ("DROP INDEX ix_b", 48, 64),
+    "create_procedure": ("CREATE PROCEDURE p_new (@v INT) AS "
+                         "INSERT INTO keep VALUES (@v, 1)", 63, 79),
+    "drop_procedure": ("DROP PROCEDURE p_old", 63, 79),
+    "create_view": ("CREATE VIEW v_new AS SELECT b FROM keep", 50, 66),
+    "drop_view": ("DROP VIEW v_old", 50, 66),
+}
+
+#: What each object holds or gives once the DDL cases are done: a
+#: table's rows, a view's rows, the row ``EXEC <procedure> <row[0]>``
+#: inserts into ``keep``.
+TABLE_ROWS = {"keep": [(1, 10), (2, 20)], "gone": [(5,)], "fresh": []}
+VIEW_ROWS = {"v_old": [(1,), (2,)], "v_new": [(10,), (20,)]}
+PROC_ROWS = {"p_old": (7, 0), "p_new": (8, 1)}
+
+
+def catalog_state(engine) -> tuple:
+    catalog = engine.catalog
+    return (user_tables(engine),
+            sorted((i.name, i.table_name, tuple(i.column_names), i.unique)
+                   for i in catalog.indexes.values()),
+            sorted((p.name, p.param_names, p.body_sql)
+                   for p in catalog.procedures.values()),
+            sorted((v.name, v.body_sql) for v in catalog.views.values()))
+
+
+def assert_catalog_works(world) -> None:
+    """Every table, view and procedure the catalog holds answers as it
+    should, and every index equals its heap."""
+    catalog = world.engine.catalog
+    for name in catalog.views:
+        assert _sorted(world.run(f"SELECT * FROM {name}")) == VIEW_ROWS[name]
+    added = []
+    for name in sorted(catalog.procedures):
+        row = PROC_ROWS[name]
+        world.run(f"EXEC {name} {row[0]}")
+        added.append(row)
+    expected = {name: _sorted(TABLE_ROWS[name]) for name in catalog.tables}
+    expected["keep"] = _sorted(TABLE_ROWS["keep"] + added)
+    assert world.contents() == expected
+    assert world.run("SELECT a FROM keep WHERE b = 20") == [(2,)]
+    # Every index tree, and keep's primary key.
+    assert assert_indexes_match_heap(world.engine) \
+        == len(catalog.indexes) + 1
+
+
+class TestCatalogRecovery:
+    """Every DDL statement through its three ends — rolled back online,
+    undone at restart as a loser, committed and redone — with and
+    without a checkpoint before it, then a second restart."""
+
+    @pytest.mark.parametrize("checkpoint", [False, True],
+                             ids=["no_checkpoint", "checkpoint"])
+    @pytest.mark.parametrize("end", ["rollback", "loser", "committed"])
+    @pytest.mark.parametrize("ddl", list(DDL_CASES))
+    def test_ddl_end_to_end(self, ddl, end, checkpoint):
+        world = EngineWorld(CostModel(checkpoint_interval_seconds=0.0),
+                            DDL_SETUP)
+        if checkpoint:
+            world.engine.fuzzy_checkpoint()
+        before = catalog_state(world.engine)
+        if end != "committed":
+            world.run("BEGIN TRANSACTION")
+        world.run(DDL_CASES[ddl][0])
+        changed = catalog_state(world.engine)
+        assert changed != before
+        if end == "rollback":
+            world.run("ROLLBACK")
+        elif end == "loser":
+            world.engine.wal.force()
+            assert len(world.crash_and_restart().losers) == 1
+        else:
+            world.crash_and_restart()
+        expected = changed if end == "committed" else before
+        assert catalog_state(world.engine) == expected
+        world.crash_and_restart()
+        assert catalog_state(world.engine) == expected
+        assert_catalog_works(world)
+
+    @pytest.mark.parametrize("ddl", list(DDL_CASES))
+    def test_ddl_log_pricing(self, ddl):
+        """Log bytes are virtual time: the DDL record and its CLR."""
+        sql, record_bytes, clr_bytes = DDL_CASES[ddl]
+        world = EngineWorld(setup=DDL_SETUP)
+        first = world.wal.last_lsn + 1
+        world.run("BEGIN TRANSACTION")
+        world.run(sql)
+        world.run("ROLLBACK")
+        records = list(world.wal.records_from(first))
+        [record] = [r for r in records if isinstance(r, CatalogRecord)]
+        [clr] = [r for r in records if isinstance(r, CLRRecord)]
+        assert clr.action.create is not record.create
+        assert (record.payload_bytes(), clr.payload_bytes()) \
+            == (record_bytes, clr_bytes)
