@@ -419,6 +419,7 @@ class DatabaseEngine:
                     catalog.create_index(index["name"], name,
                                          index["column_names"],
                                          index["unique"])
+                catalog.restore_stats_image(name, obj.get("stats"))
             self._tables.pop(name, None)
         elif record.kind == "index":
             runtime = self._tables.get(obj["table_name"])
@@ -498,6 +499,10 @@ class DatabaseEngine:
         # The catalog snapshot reflects every DDL record below begin_lsn
         # (appends are single-threaded), so redo skips pre-Begin DDL.
         self._write_catalog_snapshot()
+        # Redo cannot replay the dirty pages of a table an uncommitted
+        # DROP took out of that snapshot: on disk, its undo finds them.
+        self.buffer_pool.flush_files_except(
+            {info.file_id for info in self.catalog.tables.values()})
         # Background flusher: write out pages that stayed dirty for a
         # whole interval, advancing the DPT's minimum recLSN.
         flushed = self.buffer_pool.flush_dirtied_before(
@@ -543,28 +548,23 @@ class DatabaseEngine:
 
     def _archive_log_records(self, records: list) -> None:
         """Truncation sink: fold the dropped prefix's DML-version effect
-        into the durable base, then move it to cold storage.
-
-        The records are archived by reference (see the ownership
-        contract in :mod:`repro.storage.disk`).  ``through_lsn`` guards
-        both steps, so a prefix handed over twice is folded and archived
-        once.
-        """
+        into the durable base, and keep nothing else of it.
+        ``through_lsn`` guards the fold, so a prefix handed over twice
+        is folded once."""
         base = DmlVersionFold.restore(self.disk.read_blob(BASE_BLOB))
         fresh = [rec for rec in records if rec.lsn > base.through_lsn]
         if not fresh:
             return
         base.fold(fresh)
-        self.disk.append_blob("wal_archive", fresh)
         self.disk.write_blob(BASE_BLOB, base.snapshot())
 
     def durable_log_stats(self) -> dict[str, int]:
-        """What truncation has left on disk (``sys_checkpoint`` rows)."""
+        """What truncation has left on disk (``sys_checkpoint`` rows):
+        the base's ``through_lsn``, which counts every record dropped."""
         base = self.disk.read_blob(BASE_BLOB)
-        return {
-            "archived_records": len(self.disk.read_blob("wal_archive", ())),
-            "dml_versions_through_lsn": base["through_lsn"] if base else 0,
-        }
+        through = base["through_lsn"] if base else 0
+        return {"archived_records": through,
+                "dml_versions_through_lsn": through}
 
     # ------------------------------------------------------------------
     # Per-table DML versions (shared result cache invalidation keys)
@@ -608,7 +608,7 @@ class DatabaseEngine:
     def _restore_dml_versions(self) -> None:
         """Rebuild ``catalog.dml_versions`` after a crash: the durable
         base (everything log truncation ever dropped, folded at the
-        time) plus a fold over the live log — never the archive.  See
+        time) plus a fold over the live log.  See
         :mod:`repro.engine.dml_versions` for why this equals replaying
         the full history."""
         state = DmlVersionFold.restore(self.disk.read_blob(BASE_BLOB))
@@ -1546,8 +1546,8 @@ class DatabaseEngine:
                       and not definition.primary_key)
 
     def _table_snapshot(self, info: TableInfo) -> dict:
-        """A table's log image: what recreating it takes, its indexes
-        included (a rolled-back DROP TABLE brings them back too)."""
+        """A table's log image: what recreating it takes, indexes and
+        statistics included (a rolled-back DROP brings them back too)."""
         return {
             "name": info.name,
             "table_id": info.table_id,
@@ -1558,6 +1558,7 @@ class DatabaseEngine:
             "primary_key": list(info.primary_key),
             "indexes": [self._index_snapshot(index)
                         for index in self.catalog.indexes_on(info.name)],
+            "stats": self.catalog.stats_image(info.name),
         }
 
     @staticmethod

@@ -14,17 +14,22 @@ small and durable:
 * ``versions``  — the counters so far;
 * ``pending``   — tables written by transactions whose COMMIT/ABORT has
   not been seen yet (a transaction can straddle a truncation boundary:
-  its data records archived, its COMMIT still in the live log);
+  its data records dropped, its COMMIT still in the live log);
 * ``through_lsn`` — every record up to here has been folded in.  Records
   at or below it are skipped, so folding a prefix twice (a crash between
-  archiving a prefix and dropping it from the live log) is harmless.
+  folding a prefix and dropping it from the live log) is harmless.
+  LSNs run from 1 and truncation drops a prefix, so it is also the
+  number of records ever archived (``sys_checkpoint``'s
+  ``archived_records``).
 
 Log truncation folds the dropped prefix into the state and writes it to
-the ``dml_versions_base`` blob; restart loads that blob and runs the
-*same* fold over the live log only.  Because a fold over ``archive +
-live`` equals a fold over ``live`` started from the state after
-``archive``, the result is the full-history replay — ``tests/`` keeps
-that replay as the oracle.
+the ``dml_versions_base`` blob, and keeps nothing else of it: the
+records, and the rows they carry, are garbage once the live log lets
+go of them.  Restart loads that blob and runs the *same* fold over the
+live log only.  Because a fold over ``dropped + live`` equals a fold
+over ``live`` started from the state after ``dropped``, the result is
+the full-history replay — ``tests/`` keeps that replay as the oracle,
+over a history the tests record themselves.
 
 With asynchronous commit a crash can lose acked commits, so the same
 count can name different data across a crash; the client side handles

@@ -299,10 +299,11 @@ def _sys_checkpoint(engine):
     ``log_records_truncated``, ``catalog_snapshots_written`` /
     ``_skipped``) accumulate in the world counters; the remaining rows
     are instantaneous state read straight off the buffer pool, the WAL
-    and the disk's blobs (``archived_records``: length of the log
-    archive; ``dml_versions_through_lsn``: how far truncation has folded
-    the log into the durable DML-version base), so a query always sees
-    the live dirty-page table even between checkpoints.
+    and the disk's DML-version base (``dml_versions_through_lsn``: how
+    far truncation has folded the log into it; ``archived_records``:
+    how many records truncation has dropped, the same number, since
+    LSNs run from 1 and no dropped record is kept), so a query always
+    sees the live dirty-page table even between checkpoints.
     """
 
     columns = [Column("metric", SqlType.VARCHAR, 48),

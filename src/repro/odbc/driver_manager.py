@@ -100,7 +100,7 @@ class DriverManager:
     def free_statement(self, statement: StatementHandle) -> int:
         rc, _ = self._guard(statement,
                             lambda: self.driver.close_statement(statement))
-        statement.freed = True
+        statement.free()
         return rc
 
     def get_diag(self, handle) -> list[Diagnostic]:

@@ -118,6 +118,13 @@ class StatementHandle(_Handle):
         self.bound_params: dict[str, object] = {}
         connection.statements.append(self)
 
+    def free(self) -> None:
+        """SQLFreeHandle's bookkeeping: the handle is dead and leaves its
+        connection, whose ``statements`` are the live handles only."""
+        if not self.freed:
+            self.freed = True
+            self.connection.statements.remove(self)
+
     @property
     def has_open_result(self) -> bool:
         return self.result is not None

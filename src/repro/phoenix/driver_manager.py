@@ -54,6 +54,7 @@ from repro.phoenix.parse import (
 from repro.phoenix.persistence import ResultPersistor
 from repro.phoenix.recovery import SessionRecovery
 from repro.phoenix.result_cache import SharedResultCache
+from repro.phoenix.scratch import scratch_statement
 from repro.phoenix.status_table import StatusTable
 from repro.phoenix.virtual_session import (
     StatementMode,
@@ -413,21 +414,21 @@ class PhoenixDriverManager(DriverManager):
                     state.rowcount = recorded
                     return
             retry = True
-            scratch = StatementHandle(handle)
-            vconn.wrapper_txn_open = True
-            self.driver.execute(scratch, "BEGIN TRANSACTION")
-            try:
-                result = self.driver.execute(state.handle, sql, params)
-                count = max(result.rowcount, 0)
-                self.driver.execute(scratch,
-                                    self._status.record_sql(op_key, count))
-                self.driver.execute(scratch, "COMMIT")
-            except EngineError:
-                # Statement failed for SQL reasons: roll back our wrapper
-                # transaction and surface the error unchanged.
-                self._status.reset_open_transaction(handle)
-                vconn.wrapper_txn_open = False
-                raise
+            with scratch_statement(self.driver, handle) as scratch:
+                vconn.wrapper_txn_open = True
+                self.driver.execute(scratch, "BEGIN TRANSACTION")
+                try:
+                    result = self.driver.execute(state.handle, sql, params)
+                    count = max(result.rowcount, 0)
+                    self.driver.execute(
+                        scratch, self._status.record_sql(op_key, count))
+                    self.driver.execute(scratch, "COMMIT")
+                except EngineError:
+                    # Statement failed for SQL reasons: roll back our
+                    # wrapper transaction and surface the error unchanged.
+                    self._status.reset_open_transaction(handle)
+                    vconn.wrapper_txn_open = False
+                    raise
             vconn.wrapper_txn_open = False
             state.rowcount = count
 
@@ -590,11 +591,10 @@ class PhoenixDriverManager(DriverManager):
             return state.result_size
 
         def count():
-            scratch = StatementHandle(vconn.app_handle)
-            self.driver.execute(
-                scratch, f"SELECT count(*) FROM {state.table_name}")
-            row = self.driver.fetch_one(scratch)
-            self.driver.close_statement(scratch)
+            with scratch_statement(self.driver, vconn.app_handle) as scratch:
+                self.driver.execute(
+                    scratch, f"SELECT count(*) FROM {state.table_name}")
+                row = self.driver.fetch_one(scratch)
             return row[0]
 
         state.result_size = self._with_recovery(vconn, count)

@@ -22,7 +22,8 @@ from repro.errors import (
     ServerDownError,
 )
 from repro.odbc.driver import NativeDriver
-from repro.odbc.handles import ConnectionHandle, StatementHandle
+from repro.odbc.handles import ConnectionHandle
+from repro.phoenix.scratch import scratch_statement
 from repro.sim.costs import CLIENT_CPU
 from repro.sim.meter import Meter
 
@@ -77,11 +78,10 @@ class FailureDetector:
         """Probe the session's temp table: alive → it was only a blip."""
         if not connection.connected:
             return False
-        scratch = StatementHandle(connection)
         try:
-            self._driver.execute(scratch,
-                                 f"SELECT count(*) FROM {probe_table}")
-            self._driver.close_statement(scratch)
+            with scratch_statement(self._driver, connection) as scratch:
+                self._driver.execute(scratch,
+                                     f"SELECT count(*) FROM {probe_table}")
             return True
         except ReproError:
             return False
@@ -89,6 +89,6 @@ class FailureDetector:
     def create_probe(self, connection: ConnectionHandle,
                      probe_table: str) -> None:
         """(Re)create the session-probe temp table after (re)connect."""
-        scratch = StatementHandle(connection)
-        self._driver.execute(scratch,
-                             f"CREATE TABLE {probe_table} (alive INT)")
+        with scratch_statement(self._driver, connection) as scratch:
+            self._driver.execute(scratch,
+                                 f"CREATE TABLE {probe_table} (alive INT)")

@@ -19,12 +19,9 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.odbc.driver import NativeDriver
-from repro.odbc.handles import (
-    ConnectionHandle,
-    EnvironmentHandle,
-    StatementHandle,
-)
+from repro.odbc.handles import ConnectionHandle, EnvironmentHandle
 from repro.phoenix.driver_manager import PhoenixDriverManager
+from repro.phoenix.scratch import scratch_statement
 from repro.phoenix_names import PHOENIX_PREFIX, STATUS_TABLE
 
 _RS_PREFIX = f"{PHOENIX_PREFIX}rs_"
@@ -116,22 +113,22 @@ def _prune_status(driver: NativeDriver, connection: ConnectionHandle,
 
 def _query_column(driver: NativeDriver, connection: ConnectionHandle,
                   sql: str) -> list:
-    scratch = StatementHandle(connection)
-    driver.execute(scratch, sql)
     values = []
-    while True:
-        row = driver.fetch_one(scratch)
-        if row is None:
-            break
-        values.append(row[0])
+    with scratch_statement(driver, connection) as scratch:
+        driver.execute(scratch, sql)
+        while True:
+            row = driver.fetch_one(scratch)
+            if row is None:
+                break
+            values.append(row[0])
     return values
 
 
 def _execute_quietly(driver: NativeDriver, connection: ConnectionHandle,
                      sql: str) -> bool:
-    scratch = StatementHandle(connection)
     try:
-        driver.execute(scratch, sql)
+        with scratch_statement(driver, connection) as scratch:
+            driver.execute(scratch, sql)
         return True
     except ReproError:
         return False

@@ -41,8 +41,9 @@ from __future__ import annotations
 
 from repro.errors import CatalogError, TableExistsError, TableNotFoundError
 from repro.odbc.driver import NativeDriver
-from repro.odbc.handles import ConnectionHandle, StatementHandle
+from repro.odbc.handles import ConnectionHandle
 from repro.phoenix.parse import script_statement
+from repro.phoenix.scratch import scratch_statement
 from repro.phoenix.status_table import StatusTable
 from repro.phoenix.virtual_session import (
     StatementMode,
@@ -154,11 +155,10 @@ class ResultPersistor:
         """Step 1: the WHERE 0=1 trick — compile-only, metadata back.
         The newline ends a trailing ``--`` comment of ``sql`` before the
         closing parenthesis."""
-        scratch = StatementHandle(connection)
-        self._driver.execute(
-            scratch, f"SELECT * FROM ({sql}\n) phx_md WHERE 0 = 1")
-        columns = list(scratch.result.columns)
-        self._driver.close_statement(scratch)
+        with scratch_statement(self._driver, connection) as scratch:
+            self._driver.execute(
+                scratch, f"SELECT * FROM ({sql}\n) phx_md WHERE 0 = 1")
+            columns = list(scratch.result.columns)
         self._meter.charge(CLIENT_CPU,
                            self._meter.costs.metadata_read_seconds,
                            "phoenix metadata")
@@ -171,12 +171,12 @@ class ResultPersistor:
         defs = ", ".join(
             f"c{i + 1} {self._render_type(col)}"
             for i, col in enumerate(columns))
-        scratch = StatementHandle(connection)
-        try:
-            self._driver.execute(scratch,
-                                 f"CREATE TABLE {table_name} ({defs})")
-        except TableExistsError:
-            pass  # created before a crash interrupted us — reuse it
+        with scratch_statement(self._driver, connection) as scratch:
+            try:
+                self._driver.execute(scratch,
+                                     f"CREATE TABLE {table_name} ({defs})")
+            except TableExistsError:
+                pass  # created before a crash interrupted us — reuse it
 
     def _load_result(self, vconn: VirtualConnection, table_name: str,
                      sql: str, op_key: str) -> None:
@@ -194,30 +194,31 @@ class ResultPersistor:
             if self._status.completed(connection, op_key) is not None:
                 return  # a pre-crash incarnation already loaded the table
         proc_name = f"{PHOENIX_PREFIX}load_{op_key}"
-        scratch = StatementHandle(connection)
         execute = self._driver.execute
-        try:
-            execute(
-                scratch,
-                f"CREATE PROCEDURE {proc_name} AS "
-                f"INSERT INTO {table_name} {sql}")
-        except CatalogError:
-            pass  # procedure survived an interrupted earlier attempt
-        if in_app_txn:
-            # Join the application's transaction: the load must see its
-            # uncommitted writes, and it aborts with the transaction.
-            execute(scratch, f"EXEC {proc_name}")
-        else:
-            vconn.wrapper_txn_open = True
-            execute(scratch, "BEGIN TRANSACTION")
-            execute(scratch, f"EXEC {proc_name}")
-            execute(scratch, self._status.record_sql(op_key, 0))
-            execute(scratch, "COMMIT")
-            vconn.wrapper_txn_open = False
-        try:
-            execute(scratch, f"DROP PROCEDURE {proc_name}")
-        except CatalogError:
-            pass
+        with scratch_statement(self._driver, connection) as scratch:
+            try:
+                execute(
+                    scratch,
+                    f"CREATE PROCEDURE {proc_name} AS "
+                    f"INSERT INTO {table_name} {sql}")
+            except CatalogError:
+                pass  # procedure survived an interrupted earlier attempt
+            if in_app_txn:
+                # Join the application's transaction: the load must see
+                # its uncommitted writes, and it aborts with the
+                # transaction.
+                execute(scratch, f"EXEC {proc_name}")
+            else:
+                vconn.wrapper_txn_open = True
+                execute(scratch, "BEGIN TRANSACTION")
+                execute(scratch, f"EXEC {proc_name}")
+                execute(scratch, self._status.record_sql(op_key, 0))
+                execute(scratch, "COMMIT")
+                vconn.wrapper_txn_open = False
+            try:
+                execute(scratch, f"DROP PROCEDURE {proc_name}")
+            except CatalogError:
+                pass
 
     def reopen(self, state: StatementState, table_name: str,
                columns: list[Column], sql: str, position: int) -> None:
@@ -241,24 +242,23 @@ class ResultPersistor:
         """Cleanup when the application closes/re-executes a statement."""
         if not table_name:
             return
-        scratch = StatementHandle(connection)
-        try:
-            self._driver.execute(scratch, f"DROP TABLE {table_name}")
-        except TableNotFoundError:
-            pass
+        with scratch_statement(self._driver, connection) as scratch:
+            try:
+                self._driver.execute(scratch, f"DROP TABLE {table_name}")
+            except TableNotFoundError:
+                pass
 
     def table_exists(self, connection: ConnectionHandle,
                      table_name: str) -> bool:
         """Recovery verification: did database recovery bring the
         materialized result back?  (It must have — it was committed.)"""
-        scratch = StatementHandle(connection)
-        try:
-            self._driver.execute(scratch,
-                                 f"SELECT count(*) FROM {table_name} "
-                                 f"WHERE 0 = 1")
-        except TableNotFoundError:
-            return False
-        self._driver.close_statement(scratch)
+        with scratch_statement(self._driver, connection) as scratch:
+            try:
+                self._driver.execute(scratch,
+                                     f"SELECT count(*) FROM {table_name} "
+                                     f"WHERE 0 = 1")
+            except TableNotFoundError:
+                return False
         return True
 
     @staticmethod

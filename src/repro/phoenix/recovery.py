@@ -34,11 +34,11 @@ from __future__ import annotations
 from repro.errors import PhoenixError, ReproError
 from repro.obs import RECOVERY_PHASES
 from repro.odbc.driver import NativeDriver
-from repro.odbc.handles import StatementHandle
 from repro.phoenix.config import PhoenixConfig
 from repro.phoenix.failure import FailureDetector
 from repro.phoenix.persistence import ResultPersistor
 from repro.phoenix.reposition import reposition
+from repro.phoenix.scratch import scratch_statement
 from repro.phoenix.virtual_session import (
     StatementMode,
     VirtualConnection,
@@ -205,10 +205,10 @@ class SessionRecovery:
         driver = self._driver
         if handle.result is not None:
             driver.discard_prefetch(handle.result)
-        scratch = StatementHandle(handle.connection)
-        scratch.attrs = handle.attrs
-        driver.execute(scratch, f"SELECT * FROM {state.table_name}")
-        reposition(driver, scratch,
-                   state.position + driver.rows_held(handle),
-                   self._config.reposition_mode)
-        driver.hand_back(handle, scratch)
+        with scratch_statement(driver, handle.connection) as scratch:
+            scratch.attrs = handle.attrs
+            driver.execute(scratch, f"SELECT * FROM {state.table_name}")
+            reposition(driver, scratch,
+                       state.position + driver.rows_held(handle),
+                       self._config.reposition_mode)
+            driver.hand_back(handle, scratch)

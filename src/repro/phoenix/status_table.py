@@ -18,6 +18,7 @@ from __future__ import annotations
 from repro.errors import TableExistsError, TransactionError
 from repro.odbc.driver import NativeDriver
 from repro.odbc.handles import ConnectionHandle, StatementHandle
+from repro.phoenix.scratch import scratch_statement
 from repro.phoenix_names import STATUS_TABLE
 
 
@@ -29,26 +30,25 @@ class StatusTable:
 
     def ensure(self, connection: ConnectionHandle) -> None:
         """Create the status table if this is the first Phoenix client."""
-        scratch = StatementHandle(connection)
-        try:
-            self._driver.execute(
-                scratch,
-                f"CREATE TABLE {STATUS_TABLE} "
-                f"(op_key VARCHAR(64) NOT NULL, rows_affected INT, "
-                f"PRIMARY KEY (op_key))")
-        except TableExistsError:
-            pass
+        with scratch_statement(self._driver, connection) as scratch:
+            try:
+                self._driver.execute(
+                    scratch,
+                    f"CREATE TABLE {STATUS_TABLE} "
+                    f"(op_key VARCHAR(64) NOT NULL, rows_affected INT, "
+                    f"PRIMARY KEY (op_key))")
+            except TableExistsError:
+                pass
 
     def completed(self, connection: ConnectionHandle,
                   op_key: str) -> int | None:
         """Recorded row count of ``op_key``, or None if never completed."""
-        scratch = StatementHandle(connection)
-        self._driver.execute(
-            scratch,
-            f"SELECT rows_affected FROM {STATUS_TABLE} "
-            f"WHERE op_key = '{op_key}'")
-        row = self._driver.fetch_one(scratch)
-        self._driver.close_statement(scratch)
+        with scratch_statement(self._driver, connection) as scratch:
+            self._driver.execute(
+                scratch,
+                f"SELECT rows_affected FROM {STATUS_TABLE} "
+                f"WHERE op_key = '{op_key}'")
+            row = self._driver.fetch_one(scratch)
         return None if row is None else row[0]
 
     def record_sql(self, op_key: str, rows_affected: int) -> str:
@@ -98,8 +98,8 @@ class StatusTable:
         statement: the server session may still hold the half-done
         transaction, which must be discarded before the retry.
         """
-        scratch = StatementHandle(connection)
-        try:
-            self._driver.execute(scratch, "ROLLBACK")
-        except TransactionError:
-            pass  # no transaction was open — nothing to discard
+        with scratch_statement(self._driver, connection) as scratch:
+            try:
+                self._driver.execute(scratch, "ROLLBACK")
+            except TransactionError:
+                pass  # no transaction was open — nothing to discard

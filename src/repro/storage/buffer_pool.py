@@ -179,6 +179,15 @@ class BufferPool:
             self.flush_page(file_id, page_no, cost_factor)
         return len(keys)
 
+    def flush_files_except(self, file_ids,
+                           cost_factor: float = 1.0) -> int:
+        """Flush every dirty page of a file not in ``file_ids``; returns
+        the count."""
+        keys = sorted(k for k in self._dirty if k[0] not in file_ids)
+        for file_id, page_no in keys:
+            self.flush_page(file_id, page_no, cost_factor)
+        return len(keys)
+
     def dirty_page_table(self) -> dict[tuple[int, int], int]:
         """Snapshot of the dirty-page table ((file, page) -> recLSN)."""
         return dict(self._dirty)

@@ -172,6 +172,18 @@ class Catalog:
     def stats_version_of(self, name: str) -> int:
         return self.stats_versions.get(name.lower(), 0)
 
+    def stats_image(self, name: str) -> dict | None:
+        """A plain-data copy of a table's statistics (None before its
+        first ANALYZE): what a DROP TABLE's log image carries, so the
+        create that undoes the drop brings them back."""
+        stats = self.table_stats.get(name.lower())
+        return None if stats is None else _copy_plain(stats)
+
+    def restore_stats_image(self, name: str, image: dict | None) -> None:
+        """Store a copy of :meth:`stats_image` output (None: nothing)."""
+        if image is not None:
+            self.set_table_stats(name, _copy_plain(image))
+
     # -- tables ---------------------------------------------------------------
 
     def create_table(self, name: str, columns: list[Column],

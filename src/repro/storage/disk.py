@@ -2,10 +2,12 @@
 
 ``SimulatedDisk`` is the only component whose contents survive a server
 crash.  It stores page images per file (``file_id -> {page_no: image}``)
-plus named blobs (catalog snapshots, the archived log prefix, the
-DML-version base; the WAL keeps its own durable tail).  All I/O *timing*
-is charged by the buffer pool / WAL, not here; the disk itself only
-counts operations so tests can assert physical behaviour.
+plus named blobs (the catalog snapshot, the statistics written at
+ANALYZE time, the DML-version base; the WAL keeps its own durable
+tail).  The disk holds live state only, never history: log truncation
+keeps none of the records it drops, just the base's fold of them.  All
+I/O *timing* is charged by the buffer pool / WAL, not here; the disk
+itself only counts operations so tests can assert physical behaviour.
 
 Ownership contract — one rule for pages and blobs: the disk stores the
 exact object it is given and returns the exact object it stored, and it
@@ -22,10 +24,11 @@ produced, which is far cheaper than a generic deep copy here:
   builds a fresh plain-data structure and
   :meth:`Catalog.restore <repro.storage.catalog.Catalog.restore>` builds
   fresh catalog objects from it;
-* log truncation archives forced log records by reference: a forced
-  record already *is* durable state inside the log, nothing mutates it
-  after it leaves the live log, and moving it to the archive changes
-  where it lives, not who owns it.
+* :meth:`DmlVersionFold.snapshot
+  <repro.engine.dml_versions.DmlVersionFold.snapshot>` builds fresh
+  plain data for the DML-version base and
+  :meth:`~repro.engine.dml_versions.DmlVersionFold.restore` builds
+  fresh fold state from it.
 
 So a post-crash read can never observe in-memory mutation that was not
 explicitly written back.
@@ -80,18 +83,6 @@ class SimulatedDisk:
         """Durably store ``value`` under ``name`` (caller transfers
         ownership: ``value`` must alias no live mutable state)."""
         self._blobs[name] = value
-
-    def append_blob(self, name: str, items: list) -> None:
-        """Append ``items`` to a list-valued blob (ownership of each item
-        transfers; the list itself is not kept).
-
-        Used by WAL truncation to archive the dropped log prefix without
-        rewriting the whole archive each time.
-        """
-        existing = self._blobs.setdefault(name, [])
-        if not isinstance(existing, list):
-            raise TypeError(f"blob {name!r} is not appendable")
-        existing.extend(items)
 
     def read_blob(self, name: str, default=None):
         """Return the stored object (caller must not mutate it)."""

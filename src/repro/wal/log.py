@@ -132,7 +132,7 @@ class WriteAheadLog:
         yield from self._records[start:]
 
     def all_records(self):
-        """Yield every *live* record (the truncated prefix is archived)."""
+        """Yield every *live* record (the truncated prefix is gone)."""
         yield from self._records
 
     def last_complete_checkpoint(self) -> LogRecord | None:
@@ -152,15 +152,14 @@ class WriteAheadLog:
     # -- truncation ------------------------------------------------------------
 
     def truncate(self, up_to_lsn: int, archive=None) -> int:
-        """Archive and drop every record with LSN <= ``up_to_lsn``.
+        """Drop every record with LSN <= ``up_to_lsn``.
 
         Only the durable prefix may be truncated (the volatile tail is
-        not yet on the log disk, let alone the archive).  ``archive``,
-        when given, receives the list of dropped records — the records
-        themselves, which nothing mutates once forced — before they
-        leave the live log; the engine folds them into its durable
-        DML-version base and moves them to a disk blob.
-        Returns how many records were truncated.
+        not yet on the log disk).  ``archive``, when given, receives the
+        list of dropped records — the records themselves, which nothing
+        mutates once forced — before they leave the live log; the engine
+        folds them into its durable DML-version base and keeps nothing
+        else of them.  Returns how many records were truncated.
 
         The *caller* is responsible for the safety rule: ``up_to_lsn``
         must lie below every dirty page's recLSN and below every active

@@ -3,12 +3,16 @@
 This is the restart code the engine ran before log truncation started
 folding versions into a durable base (``repro.engine.dml_versions``):
 one +1 per table per committed transaction, replayed over the *whole*
-history — the archived prefix plus the live log.  It is deliberately an
-independent implementation (isinstance chains, no shared helper, and its
-own reading of a ``CatalogRecord``'s ``kind`` and ``obj`` rather than
+history — every record truncation dropped plus the live log.  The
+engine keeps no dropped record, so the history is recorded here: a
+:class:`HistoryRecorder` wraps a log's ``truncate`` and keeps what each
+truncation drops, and a world installs one on every log it builds an
+engine on.  It is deliberately an independent implementation
+(isinstance chains, no shared helper, and its own reading of a
+``CatalogRecord``'s ``kind`` and ``obj`` rather than
 ``CatalogRecord.table_name``), so the production fold has a judge that
-does not share its bugs.  Cost grows
-with history; that is why it lives under ``tests/``.
+does not share its bugs.  Cost grows with history; that is why it lives
+under ``tests/``.
 """
 
 from repro.obs.views import SYSTEM_VIEWS
@@ -28,18 +32,41 @@ def _tracked(name: str) -> bool:
                 or name in SYSTEM_VIEWS)
 
 
-def full_history_records(disk, wal) -> list:
-    """Every record ever logged, once each, in LSN order."""
-    by_lsn = {rec.lsn: rec for rec in disk.read_blob("wal_archive", ())}
-    for rec in wal.all_records():
-        by_lsn.setdefault(rec.lsn, rec)
-    return [by_lsn[lsn] for lsn in sorted(by_lsn)]
+class HistoryRecorder:
+    """Keeps every record ``wal``'s truncations drop, in LSN order."""
+
+    def __init__(self, wal):
+        self.dropped: list = []
+        self._truncate = wal.truncate
+        # An instance attribute, and a bound method: a deep copy of the
+        # log (``EngineWorld.fork``) copies its recorder along with it.
+        wal.truncate = self.truncate
+
+    def truncate(self, up_to_lsn: int, archive=None) -> int:
+        def sink(records):
+            self.dropped.extend(records)
+            if archive is not None:
+                archive(records)
+
+        return self._truncate(up_to_lsn, archive=sink)
 
 
-def full_history_dml_versions(disk, wal) -> dict[str, int]:
+def full_history_records(wal) -> list:
+    """Every record ever logged, once each, in LSN order: the recorded
+    prefix, then the live log."""
+    recorder = getattr(vars(wal).get("truncate"), "__self__", None)
+    dropped = recorder.dropped \
+        if isinstance(recorder, HistoryRecorder) else []
+    assert [rec.lsn for rec in dropped] == \
+        list(range(1, wal.truncated_lsn + 1)), \
+        "the log was truncated without a history recorder"
+    return dropped + list(wal.all_records())
+
+
+def full_history_dml_versions(wal) -> dict[str, int]:
     versions: dict[str, int] = {}
     pending: dict[int, set[str]] = {}
-    for rec in full_history_records(disk, wal):
+    for rec in full_history_records(wal):
         name = None
         if isinstance(rec, (InsertRecord, DeleteRecord, UpdateRecord)):
             name = rec.table_name
@@ -64,6 +91,6 @@ def full_history_dml_versions(disk, wal) -> dict[str, int]:
 def assert_versions_match_full_history(engine) -> dict[str, int]:
     """``catalog.dml_versions`` of a just-restarted engine equals the
     full-history replay; returns the versions."""
-    expected = full_history_dml_versions(engine.disk, engine.wal)
+    expected = full_history_dml_versions(engine.wal)
     assert engine.catalog.dml_versions == expected
     return expected

@@ -80,7 +80,10 @@ from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
 from repro.storage.btree import encode_key
 from repro.workloads.app import BenchmarkApp
-from tests.dml_version_oracle import assert_versions_match_full_history
+from tests.dml_version_oracle import (
+    HistoryRecorder,
+    assert_versions_match_full_history,
+)
 
 
 class Step(NamedTuple):
@@ -147,6 +150,8 @@ class EngineWorld:
         self.meter = Meter(costs if costs is not None else CostModel())
         self.engine = DatabaseEngine(meter=self.meter)
         self.disk, self.wal = self.engine.disk, self.engine.wal
+        # Oracle (i) replays the whole history; the engine keeps none.
+        HistoryRecorder(self.wal)
         self.setup = tuple(setup)
         self._sessions: dict[int, EngineSession] = {}
         for sql in self.setup:

@@ -291,8 +291,8 @@ def test_sys_checkpoint_view_is_queryable():
     assert rows["last_checkpoint_lsn"] > 0
     assert rows["flushed_lsn"] >= rows["truncated_lsn"]
     assert rows["dirty_pages"] >= 0
-    # What truncation left on disk: the archive holds every dropped
-    # record, and the DML-version base has folded exactly that prefix.
+    # What truncation left on disk: the DML-version base has folded
+    # exactly the dropped prefix, and counts it as archived.
     assert rows["truncated_lsn"] > 0
     assert rows["archived_records"] == rows["log_records_truncated"] \
         == rows["dml_versions_through_lsn"] == rows["truncated_lsn"]

@@ -11,8 +11,10 @@ only.  Two families of contracts:
   twice.  (Oracle (i) of ``tests/schedules.py`` asserts the same at every
   restart of every engine schedule.)
 * **history independence and crash semantics** — restart scans exactly
-  the live log and never reads the archive, however long it is; what the
-  disk holds never aliases live state, although it no longer copies.
+  the live log and reads no blob but the base and the catalog's, however
+  long the history; the engine keeps no dropped record (the oracle's
+  history is recorded by the test world); what the disk holds never
+  aliases live state, although it no longer copies.
 """
 
 import copy
@@ -193,11 +195,11 @@ def test_prefix_archived_but_not_yet_dropped_is_not_folded_twice():
     restarted = world.crash_and_restart()
     assert assert_versions_match_full_history(restarted) == live_before
     # The truncation that finally happens hands the same prefix over
-    # again: archived once, in LSN order, folded once.
+    # again: folded once, and each dropped record counted once.
     assert world.truncating_checkpoint() > 0
-    archive = world.disk.read_blob("wal_archive")
-    assert [rec.lsn for rec in archive] == \
-        list(range(1, world.wal.truncated_lsn + 1))
+    assert world.engine.durable_log_stats()["archived_records"] == \
+        world.disk.read_blob(BASE_BLOB)["through_lsn"] == \
+        world.wal.truncated_lsn
     restarted = world.crash_and_restart()
     assert assert_versions_match_full_history(restarted) == live_before
 
@@ -235,14 +237,16 @@ def test_restart_scans_the_live_log_only_whatever_the_history():
         del world.disk.read_blob
         engine = world.engine
         assert BASE_BLOB in blobs_read
-        assert "wal_archive" not in blobs_read
+        assert set(blobs_read) == {BASE_BLOB, "catalog_snapshot",
+                                   "table_stats_snapshot"}
         assert report.version_records_scanned == \
             world.wal.last_lsn - world.wal.truncated_lsn
         assert engine.catalog.dml_versions == \
-            full_history_dml_versions(world.disk, world.wal)
+            full_history_dml_versions(world.wal)
         assert engine.catalog.dml_versions["t"] == 2 + rounds + 4
         scanned[rounds] = report.version_records_scanned
-        archived[rounds] = len(world.disk.read_blob("wal_archive"))
+        archived[rounds] = \
+            world.engine.durable_log_stats()["archived_records"]
     assert archived[100] > 8 * archived[10]
     assert scanned[100] == scanned[10]
 
@@ -259,7 +263,7 @@ def test_checkpointed_catalog_is_isolated_from_live_mutation():
     world.truncating_checkpoint()
     catalog = world.engine.catalog
     checkpointed = copy.deepcopy(catalog.snapshot())
-    archived = len(world.disk.read_blob("wal_archive"))
+    archived = world.engine.durable_log_stats()["archived_records"]
 
     # Scribble over everything the snapshot was built from, and keep
     # logging: none of it was written back, so none of it may survive.
@@ -274,7 +278,7 @@ def test_checkpointed_catalog_is_isolated_from_live_mutation():
     del catalog.procedures["p"]
     world.run("UPDATE t SET v = v + 1 WHERE k = 1")
     assert world.disk.read_blob("catalog_snapshot") == checkpointed
-    assert len(world.disk.read_blob("wal_archive")) == archived
+    assert world.engine.durable_log_stats()["archived_records"] == archived
 
     restarted = world.crash_and_restart()
     assert restarted.catalog.snapshot() == checkpointed

@@ -5,6 +5,8 @@ tables survive any crash, uncommitted work never does, and recovery is
 idempotent.
 """
 
+import copy
+
 import pytest
 
 from repro.errors import ConstraintError
@@ -401,6 +403,46 @@ class TestCatalogRecovery:
         world.crash_and_restart()
         assert catalog_state(world.engine) == expected
         assert_catalog_works(world)
+
+    @pytest.mark.parametrize("checkpoint", [False, True],
+                             ids=["no_checkpoint", "checkpoint_after_drop"])
+    @pytest.mark.parametrize("end", ["rollback", "loser"])
+    def test_rolled_back_drop_keeps_statistics_and_rows(self, end,
+                                                        checkpoint):
+        """ANALYZE; BEGIN; DROP TABLE; ROLLBACK — online, or undone as a
+        loser at restart — brings the table back with its rows and its
+        statistics, so its next plan is costed from them.  A checkpoint
+        after the DROP, and an ANALYZE of another table, leave neither
+        the catalog snapshot nor the statistics blob holding the table:
+        its pages and the DROP's log image must do."""
+        world = EngineWorld(CostModel(checkpoint_interval_seconds=0.0),
+                            DDL_SETUP)
+        world.run("ANALYZE")
+        analyzed = copy.deepcopy(world.engine.catalog.get_table_stats("gone"))
+        assert analyzed is not None
+        world.run("BEGIN TRANSACTION")
+        world.run("DROP TABLE gone")
+        assert world.engine.catalog.get_table_stats("gone") is None
+        if checkpoint:
+            world.engine.fuzzy_checkpoint()
+            world.run("ANALYZE keep", who=1)
+            assert "gone" not in world.disk.read_blob(
+                "table_stats_snapshot")["table_stats"]
+        if end == "rollback":
+            world.run("ROLLBACK")
+        else:
+            world.engine.wal.force()
+            assert len(world.crash_and_restart().losers) == 1
+        for _ in range(2):      # and again after a restart
+            catalog = world.engine.catalog
+            assert catalog.get_table_stats("gone") == analyzed
+            fallbacks = world.meter.counters.get(
+                "optimizer.stats_missing_fallbacks", 0)
+            assert world.run("SELECT x FROM gone WHERE x = 5") == [(5,)]
+            assert world.meter.counters.get(
+                "optimizer.stats_missing_fallbacks", 0) == fallbacks
+            world.engine.wal.force()
+            world.crash_and_restart()
 
     @pytest.mark.parametrize("ddl", list(DDL_CASES))
     def test_ddl_log_pricing(self, ddl):

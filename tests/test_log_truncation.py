@@ -122,7 +122,18 @@ def test_txn_ids_never_reused_after_truncation():
 
 
 def test_truncated_prefix_is_archived_in_order():
+    """The truncation sink receives each dropped record once, in LSN
+    order, across two truncating checkpoints — and nothing keeps them:
+    the archived count is the DML-version base's ``through_lsn``."""
     engine, run, _world = make_engine()
+    handed = []
+    sink = engine._archive_log_records
+
+    def spy(records):
+        handed.append(list(records))
+        sink(records)
+
+    engine._archive_log_records = spy
     run("CREATE TABLE t (k INT NOT NULL, PRIMARY KEY (k))")
     run("INSERT INTO t VALUES (1)")
     before = list(engine.wal.all_records())
@@ -130,15 +141,17 @@ def test_truncated_prefix_is_archived_in_order():
     engine.fuzzy_checkpoint(truncate=True)
     dropped = engine.wal.truncated_lsn
     assert dropped > 0
-    archive = engine.disk.read_blob("wal_archive")
-    assert [rec.lsn for rec in archive] == list(range(1, dropped + 1))
-    assert [type(rec) for rec in archive] == \
+    assert len(handed) == 1
+    assert [rec.lsn for rec in handed[0]] == list(range(1, dropped + 1))
+    assert [type(rec) for rec in handed[0]] == \
         [type(rec) for rec in before[:dropped]]
-    # A second truncating checkpoint appends to the same archive.
+    # A second truncating checkpoint hands over the records after those.
     run("INSERT INTO t VALUES (2)")
     engine.buffer_pool.flush_all()
     engine.fuzzy_checkpoint(truncate=True)
-    if engine.wal.truncated_lsn > dropped:
-        archive = engine.disk.read_blob("wal_archive")
-        assert [rec.lsn for rec in archive] == \
-            list(range(1, engine.wal.truncated_lsn + 1))
+    assert engine.wal.truncated_lsn > dropped
+    assert len(handed) == 2
+    assert [rec.lsn for batch in handed for rec in batch] == \
+        list(range(1, engine.wal.truncated_lsn + 1))
+    assert engine.durable_log_stats()["archived_records"] == \
+        engine.wal.truncated_lsn

@@ -42,6 +42,22 @@ class TestHandles:
         s2 = manager.alloc_statement(conn)
         assert conn.statements[-2:] == [s1, s2]
 
+    def test_freed_statement_leaves_connection(self, manager_conn):
+        """SQLFreeHandle: the connection keeps its live handles only —
+        a freed one, its result drained or still open, is gone."""
+        manager, conn = manager_conn
+        s1 = manager.alloc_statement(conn)
+        s2 = manager.alloc_statement(conn)
+        s3 = manager.alloc_statement(conn)
+        assert manager.exec_direct(s1, "SELECT 1") == SQL_SUCCESS
+        assert manager.free_statement(s1) == SQL_SUCCESS
+        assert manager.free_statement(s3) == SQL_SUCCESS
+        assert s1.freed and s3.freed
+        assert conn.statements[-1:] == [s2]
+        assert s1 not in conn.statements and s3 not in conn.statements
+        assert manager.free_statement(s1) == SQL_SUCCESS    # twice: no-op
+        assert conn.statements[-1:] == [s2]
+
     def test_handle_ids_unique(self, manager_conn):
         manager, conn = manager_conn
         ids = {manager.alloc_statement(conn).handle_id for _ in range(5)}
