@@ -4,8 +4,8 @@
 count, number of distinct values (NDV), min/max, null fraction, and an
 equi-depth histogram for orderable (numeric/string) columns.  The result
 is a plain dict stored in the catalog (``Catalog.table_stats``), so it
-rides the ``catalog_snapshot`` blob through checkpoints and survives both
-restart recovery and Phoenix recovery.
+rides the ``catalog_snapshot`` blob through checkpoints, inside its
+table's image, and survives both restart recovery and Phoenix recovery.
 
 The estimation half turns those statistics into selectivities for the
 planner's conjunct extraction:

@@ -21,9 +21,11 @@ produced, which is far cheaper than a generic deep copy here:
   the boundary (:meth:`~repro.storage.page.Page.clone` is cheap because
   row tuples are immutable);
 * :meth:`Catalog.snapshot <repro.storage.catalog.Catalog.snapshot>`
-  builds a fresh plain-data structure and
+  builds fresh plain-data object images and
   :meth:`Catalog.restore <repro.storage.catalog.Catalog.restore>` builds
-  fresh catalog objects from it;
+  fresh catalog objects from them, through the same
+  :meth:`~repro.storage.catalog.Catalog.apply` that DDL, redo and undo
+  run;
 * :meth:`DmlVersionFold.snapshot
   <repro.engine.dml_versions.DmlVersionFold.snapshot>` builds fresh
   plain data for the DML-version base and

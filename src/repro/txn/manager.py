@@ -236,16 +236,18 @@ class TransactionManager:
     # -- logged DDL -----------------------------------------------------------
 
     def log_catalog(self, txn: Transaction, kind: str, create: bool,
-                    obj: dict) -> int:
+                    obj: dict) -> CatalogRecord:
         """Log the creation or drop of one catalog object (see
-        :class:`~repro.wal.records.CatalogRecord`); the name it moves
-        counts as written wholesale."""
+        :class:`~repro.wal.records.CatalogRecord`) and return the record
+        for the statement to apply; the name it moves counts as written
+        wholesale."""
         record = CatalogRecord(txn_id=txn.txn_id, kind=kind, create=create,
                                obj=obj)
         name = record.table_name
         if name is not None and txn.modified_tables is not None:
             txn.modified_tables[name.lower()] = "ddl"
-        return self._chain(txn, record)
+        self._chain(txn, record)
+        return record
 
     # -- internals -------------------------------------------------------------
 

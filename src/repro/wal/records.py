@@ -133,10 +133,10 @@ class CatalogRecord(LogRecord):
     """DDL: create or drop one catalog object.
 
     ``kind`` is ``"table"``, ``"index"``, ``"procedure"`` or ``"view"``;
-    ``obj`` is what it takes to create the object again (the engine's
-    table or index snapshot; a procedure's ``name``, ``param_names`` and
-    ``body_sql``; a view's ``name`` and ``body_sql``), so a drop carries
-    it for undo as a create does for redo.  A dropped table's rows
+    ``obj`` is the object's image (:meth:`Catalog.image
+    <repro.storage.catalog.Catalog.image>` — what it takes to create the
+    object again, a table's indexes and statistics included), so a drop
+    carries it for undo as a create does for redo.  A dropped table's rows
     survive a rolled-back drop because its pages are deallocated only
     when the dropping transaction commits.
     """

@@ -7,7 +7,10 @@ engine — through a narrow interface:
   row change, redone or compensated, goes through :func:`apply_row`;
 * ``target.apply_catalog(record)`` → applies one
   :class:`~repro.wal.records.CatalogRecord`, idempotently (redo, and the
-  compensation of a create or a drop).
+  compensation of a create or a drop) — through the one
+  :meth:`Catalog.apply <repro.storage.catalog.Catalog.apply>` the DDL
+  statement itself ran and ``Catalog.restore`` runs over a checkpoint
+  snapshot, from the object image the record carries.
 
 Redo repeats *history* — loser transactions' changes are re-applied and
 then rolled back by the undo pass, exactly as in ARIES.  Redo is

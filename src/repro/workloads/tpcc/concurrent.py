@@ -611,9 +611,6 @@ def digest_database(engine) -> dict[str, str]:
     digests: dict[str, str] = {}
     try:
         for name in sorted(engine.catalog.tables):
-            info = engine.catalog.tables[name]
-            if info.volatile:
-                continue
             table = engine.table(name)
             rows = sorted(repr(row)
                           for _page_no, page in table.heap.scan_pages()

@@ -290,7 +290,8 @@ def test_checkpointed_catalog_is_isolated_from_live_mutation():
     restarted.catalog.table_stats["t"]["row_count"] = -5
     assert world.disk.read_blob("catalog_snapshot") == checkpointed
     assert world.disk.read_blob("table_stats_snapshot")["table_stats"] \
-        == checkpointed["table_stats"]
+        == {image["name"]: image["stats"]
+            for kind, image in checkpointed["objects"] if kind == "table"}
     assert world.crash_and_restart().catalog.snapshot() == checkpointed
 
 
