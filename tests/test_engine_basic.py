@@ -5,9 +5,11 @@ import datetime
 import pytest
 
 from repro.errors import (
+    CatalogError,
     ConstraintError,
     EngineError,
     SqlSyntaxError,
+    TableExistsError,
     TableNotFoundError,
     TransactionError,
 )
@@ -30,6 +32,24 @@ class TestDdl:
         run("CREATE TABLE t (a INT)")
         with pytest.raises(EngineError):
             run("CREATE TABLE t (a INT)")
+
+    def test_ddl_names_fold_to_lowercase(self, run, engine):
+        """Object, column and primary-key names are stored lowercased,
+        so a second CREATE in another case clashes with the first."""
+        run("CREATE TABLE T (ID INT NOT NULL, PRIMARY KEY (ID))")
+        info = engine.catalog.tables["t"]
+        assert (info.name, info.primary_key) == ("t", ("id",))
+        assert [c.name for c in info.columns] == ["id"]
+        with pytest.raises(TableExistsError):
+            run("CREATE TABLE t (a INT)")
+        run("CREATE INDEX IX ON T (ID)")
+        index = engine.catalog.indexes["ix"]
+        assert (index.table_name, index.column_names) == ("t", ("id",))
+        with pytest.raises(CatalogError):
+            run("CREATE INDEX ix ON t (id)")
+        run("DROP INDEX IX")
+        run("DROP TABLE T")
+        assert engine.catalog.tables == {}
 
     def test_drop_table(self, run):
         run("CREATE TABLE t (a INT)")
