@@ -7,11 +7,11 @@ also the *target* interface for restart recovery and online rollback
 
 Every CREATE and DROP changes the catalog through one funnel,
 :meth:`_change_catalog`: check, build the object's image
-(:meth:`Catalog.image <repro.storage.catalog.Catalog.image>`), log it,
+(:meth:`Catalog.image <repro.storage.catalog.Catalog.image>`), lock, log it,
 apply it with :meth:`apply_catalog` — the same apply redo and undo run,
 and the one :meth:`Catalog.apply <repro.storage.catalog.Catalog.apply>`
-that restoring a checkpoint snapshot runs too.  A table's own work (its
-lock, its files, ``CREATE TABLE ... AS``'s rows, its charges) is
+that restoring a checkpoint snapshot runs too.  A table's own work
+(its files, ``CREATE TABLE ... AS``'s rows, its charges) is
 :meth:`_table_ddl`'s.
 
 Crash model: the engine object is volatile.  The server keeps the
@@ -1347,22 +1347,28 @@ class DatabaseEngine:
 
     def _change_catalog(self, txn: Transaction, kind: str, create: bool,
                         info) -> None:
-        """Check, build the object's image, log it and apply it with
-        :meth:`apply_catalog` — the apply redo and undo run, so a
-        statement, its redo and its compensation cannot disagree.  A
-        dropped table's files stay until its transaction commits."""
+        """Check, build the object's image, lock, log it and apply it
+        with :meth:`apply_catalog` — the apply redo and undo run, so a
+        statement, its redo and its compensation cannot disagree.  The
+        X lock is on the table the record names (an index's table), or
+        on the view or procedure itself, and is held to the end of the
+        transaction: no other session changes what a compensation would
+        have to put back.  A dropped table's files stay until its
+        transaction commits."""
         if create:
             self.catalog.check_new(kind, info)
-        record = self.txns.log_catalog(txn, kind, create,
-                                       self.catalog.image(info))
+        record = CatalogRecord(txn_id=txn.txn_id, kind=kind, create=create,
+                               obj=self.catalog.image(info))
+        self.locks.acquire(txn.txn_id, record.table_name or info.name,
+                           LockMode.EXCLUSIVE)
+        self.txns.log_catalog(txn, record)
         self.apply_catalog(record, release=False)
 
     def _table_ddl(self, statement: ast.Statement, name: str, create: bool,
                    session: EngineSession,
                    params: dict) -> StatementResult:
-        """CREATE or DROP of a durable table.  A DROP TABLE takes the
-        table's X lock first and frees its files only when its
-        transaction commits.
+        """CREATE or DROP of a durable table.  A DROP TABLE frees the
+        table's files only when its transaction commits.
 
         ``CREATE TABLE t AS <query>`` shapes ``t`` like the query's
         result: column ``i`` is ``c<i>``, of the query column's type;
@@ -1374,7 +1380,6 @@ class DatabaseEngine:
         if not create:
             info = self.catalog.lookup("table", name)
             with DatabaseEngine._TxnScope(self, session) as txn:
-                self.locks.acquire(txn.txn_id, name, LockMode.EXCLUSIVE)
                 self._change_catalog(txn, "table", False, info)
                 txn.on_commit.append(partial(self._release_file,
                                              info.file_id))

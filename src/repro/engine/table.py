@@ -127,10 +127,11 @@ class Table:
                     txns: TransactionManager | None) -> None:
         """Insert ``rows`` in order, a page at a time.
 
-        Per page: one pool access, then per row the unique check, the
-        log record (payload from the row's width, sized once), the slot
-        and the index entries; then one page-LSN / dirty-table /
-        free-space update and one CPU charge for the rows placed.
+        Per page: one pool access handing out the page's open slots,
+        then per row only the unique check and the index entries; then,
+        for the run of rows the page took, one log append (one record
+        per row, payload from the row's width), one placement, one
+        page-LSN / dirty-table / free-space update and one CPU charge.
         Charging per page keeps every ``page io`` charge — which only a
         page acquisition can make — at its position among the per-row
         CPU charges.
@@ -144,42 +145,42 @@ class Table:
             and txns is not None
         factor = self.cost_factor
         width = self.shape.width
-        key_of = self.row_lock_key
         trees = [tree for _info, tree in self._indexes.values()]
         # Slots that a live transaction's DELETE emptied are its own.
         owner = txn.txn_id if txn is not None else 0
         live = txns.live if txns is not None else ()
-        pages = 0
-        remaining = iter(rows)
-        row = next(remaining, None)
-        while row is not None:
+        start = pages = 0
+        while start < len(rows):
             # Checked before the pool is asked for the row's page: a
             # violation must not fault, allocate or evict anything.
-            keys = self._checked_keys(row) if trees else ()
-            page_no, page = heap.page_for_insert(owner, live)
-            room = page.room(owner, live)
-            first_lsn = lsn = placed = 0
+            keys = self._checked_keys(rows[start]) if trees else ()
+            page_no, page, slots = heap.page_for_insert(owner, live)
+            run = rows[start:start + len(slots)]
+            placed = 0
             try:
-                while True:
-                    rid = RowId(file_id, page_no,
-                                page.next_slot(owner, live))
-                    if logged:
-                        lsn = txns.log_insert(txn, name, rid, row,
-                                              width(row), factor, key_of)
-                        first_lsn = first_lsn or lsn
-                    page.insert(row, owner, live)
-                    for tree, key in zip(trees, keys):
-                        tree.insert(key, rid)
+                for slot, row in zip(slots, run):
+                    if trees:
+                        if placed:
+                            keys = self._checked_keys(row)
+                        rid = RowId(file_id, page_no, slot)
+                        for tree, key in zip(trees, keys):
+                            tree.insert(key, rid)
                     placed += 1
-                    row = next(remaining, None)
-                    if row is None or placed == room:
-                        break
-                    keys = self._checked_keys(row) if trees else ()
             finally:
+                # A violation cuts the run at the offending row.
                 if placed:
-                    heap.stamp_filled(page_no, page, first_lsn, lsn)
+                    run, slots = run[:placed], slots[:placed]
+                    first_lsn = last_lsn = 0
+                    if logged:
+                        last_lsn = txns.log_inserts(
+                            txn, name, file_id, page_no, slots, run,
+                            map(width, run), factor, self.row_lock_key)
+                        first_lsn = last_lsn - placed + 1
+                    page.fill(slots, run)
+                    heap.stamp_filled(page_no, page, first_lsn, last_lsn)
                     self._charge_dml("cpu_per_tuple_insert", placed)
                     pages += 1
+            start += placed
         ROW_STATS["rows_inserted_bulk"] += len(rows)
         ROW_STATS["pages_filled_bulk"] += pages
 

@@ -60,6 +60,14 @@ _LITERAL_TYPES = (TokenType.NUMBER, TokenType.STRING)
 _CONJUNCT_HEADS = frozenset({"WHERE", "AND", "OR", "HAVING", "NOT"})
 
 
+#: A text with more literals than this is taken verbatim.  What carries
+#: that many is a bulk ``INSERT ... VALUES`` whose row list is written
+#: once — a new shape for every row count — so the token rules would
+#: run over the whole text for a template nothing reuses.  The largest
+#: statement the tests repeat has 200; no benchmark workload repeats one
+#: above 256.
+MAX_LITERALS = 256
+
 #: Entries of an engine's plan cache (its template cache holds twice as
 #: many, its shape memo four times as many).
 PLAN_CACHE_ENTRIES = 128
@@ -162,8 +170,10 @@ class ShapeMemo(LRUCache):
     literals, and the template from the memo.
     """
 
-    def normalize(self, sql: str) -> NormalizedStatement | None:
-        parts = _LITERAL_SPLIT(sql)
+    def normalize(self, sql: str,
+                  parts: list[str]) -> NormalizedStatement | None:
+        """``sql``'s normalization; ``parts``: the text cut at its
+        literals (``_LITERAL_SPLIT``)."""
         literals = parts[1::2]
         shape = ("".join(["s" if literal[0] == "'"
                           else "i" if literal.isdecimal() else "f"
@@ -221,7 +231,8 @@ def normalize_statement(sql: str, memo: ShapeMemo | None = None
     grammar (VARCHAR lengths), and control statements have none worth
     extracting.  With a ``memo`` the token rules run once per statement
     shape; without one they run on this text (the exact path).  Both
-    give the same result.
+    give the same result.  A text with more than :data:`MAX_LITERALS`
+    literals is verbatim on both.
     """
     # Cheap starter screen: anything that is not plain DML/query (DDL,
     # EXEC, BEGIN, ...) is verbatim.  Only trusted when the text starts
@@ -229,8 +240,11 @@ def normalize_statement(sql: str, memo: ShapeMemo | None = None
     head = sql.lstrip()[:6].upper()
     if head[:1].isalpha() and head not in _NORMALIZABLE_STARTERS:
         return None
+    parts = _LITERAL_SPLIT(sql)
+    if len(parts) > 2 * MAX_LITERALS + 1:
+        return None
     if memo is not None:
-        return memo.normalize(sql)
+        return memo.normalize(sql, parts)
     return _normalize_exact(sql)
 
 

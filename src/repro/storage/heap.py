@@ -63,11 +63,12 @@ class HeapFile:
 
     # -- normal operations (used via the transaction manager) -----------------
 
-    def page_for_insert(self, owner: int, live) -> tuple[int, Page]:
-        """The page a row of transaction ``owner`` goes to: the
-        lowest-numbered page with a slot it may take (see
-        :meth:`Page.next_slot`; ``live``: the ids of the active
-        transactions), else a fresh one.  One pool access per call, bar
+    def page_for_insert(self, owner: int,
+                        live) -> tuple[int, Page, list[int]]:
+        """The page a row of transaction ``owner`` goes to and the slots
+        it hands out there (:meth:`Page.open_slots`; ``live``: the ids of
+        the active transactions): the lowest-numbered page with a slot
+        it may take, else a fresh one.  One pool access per call, bar
         pages whose empty slots other live transactions hold: those are
         passed over and stay candidates.  The bulk insert path fills the
         page it gets and reports back through :meth:`stamp_filled`."""
@@ -76,16 +77,19 @@ class HeapFile:
         while candidates:
             page_no = min(candidates)
             page = self._page(page_no, create=False)
-            if page is not None and page.next_slot(owner, live) is not None:
-                break
+            if page is not None:
+                slots = page.open_slots(owner, live)
+                if slots:
+                    break
             candidates.discard(page_no)
             if page is not None and page.has_empty_slot():
                 held.append(page_no)
         else:
             page_no = self.page_count
             page = self._page(page_no, create=True)
+            slots = page.open_slots(owner, live)
         candidates.update(held)
-        return page_no, page
+        return page_no, page, slots
 
     def stamp_filled(self, page_no: int, page: Page, first_lsn: int,
                      last_lsn: int) -> None:

@@ -63,42 +63,33 @@ class Page:
             self.reserved = None
         return held
 
-    def next_slot(self, owner: int, live) -> int | None:
-        """The slot :meth:`insert` would give a row of transaction
-        ``owner``: the most recently emptied slot no other live
-        transaction holds, else the next unused one; None when the page
-        has neither."""
+    def open_slots(self, owner: int, live) -> list[int]:
+        """The slots successive rows of transaction ``owner`` take, in
+        order: the empty slots no other live transaction holds, most
+        recently emptied first, then the unused ones.  Its length is how
+        many rows the page still takes."""
         if self.reserved:
             held = self._held_by_others(owner, live)
-            for slot in reversed(self.free_slots):
-                if slot not in held:
-                    return slot
-        elif self.free_slots:
-            return self.free_slots[-1]
-        return len(self.slots) if len(self.slots) < self.capacity else None
-
-    def room(self, owner: int, live) -> int:
-        """How many rows of transaction ``owner`` the page still takes."""
-        room = self.capacity - self.live_rows
-        if self.reserved:
-            room -= len(self._held_by_others(owner, live))
-        return room
-
-    def insert(self, row: tuple, owner: int, live) -> int:
-        """Place ``row`` in :meth:`next_slot`; returns the slot number."""
-        slot = self.next_slot(owner, live)
-        if slot is None:
-            raise ValueError(f"page {self.page_no} is full")
-        if slot == len(self.slots):
-            self.slots.append(row)
-            return slot
-        free = self.free_slots
-        if free[-1] == slot:
-            free.pop()
+            reuse = [slot for slot in reversed(self.free_slots)
+                     if slot not in held]
         else:
-            free.remove(slot)
-        self.slots[slot] = row
-        return slot
+            reuse = self.free_slots[::-1]
+        return reuse + list(range(len(self.slots), self.capacity))
+
+    def fill(self, slots: list[int], rows: list[tuple]) -> None:
+        """Place ``rows`` in ``slots``, a non-empty prefix of
+        :meth:`open_slots`: the reused slots come first, then the unused
+        ones in order."""
+        # The unused slots run on from the end of the slot list, so the
+        # run's last slot says how many of them it takes.
+        reused = len(slots) - max(0, slots[-1] + 1 - len(self.slots))
+        if reused:
+            taken = set(slots[:reused])
+            self.free_slots = [slot for slot in self.free_slots
+                               if slot not in taken]
+            for slot, row in zip(slots[:reused], rows):
+                self.slots[slot] = row
+        self.slots.extend(rows[reused:])
 
     def insert_at(self, slot: int, row: tuple) -> None:
         """Place ``row`` in a specific slot (used by redo/undo)."""

@@ -187,7 +187,7 @@ class TransactionManager:
 
     @staticmethod
     def _note_write(txn: Transaction, table_name: str, key_of,
-                    *rows: tuple) -> None:
+                    rows) -> None:
         """Add the keys of ``rows`` to ``txn``'s write set."""
         written = txn.modified_tables
         if written is None:
@@ -201,24 +201,39 @@ class TransactionManager:
             return
         if keys is None:
             keys = written[name] = set()
-        for row in rows:
-            keys.add(key_of(row))
+        keys.update(map(key_of, rows))
         if len(keys) > WRITE_KEY_CAP:
             written[name] = "cap"
 
-    def log_insert(self, txn: Transaction, table_name: str, rid: RowId,
-                   row: tuple, row_bytes: int, cost_factor: float = 1.0,
-                   key_of=None) -> int:
-        self._note_write(txn, table_name, key_of, row)
-        return self._chain(txn, InsertRecord(
-            txn_id=txn.txn_id, table_name=table_name, file_id=rid.file_id,
-            page_no=rid.page_no, slot=rid.slot, row=row,
-            row_bytes=row_bytes), cost_factor)
+    def log_inserts(self, txn: Transaction, table_name: str, file_id: int,
+                    page_no: int, slots, rows, widths,
+                    cost_factor: float = 1.0, key_of=None) -> int:
+        """Log one :class:`InsertRecord` per row of a run placed into
+        ``slots`` of one page (``widths``: the rows' sizes), chained in
+        order, and return the last LSN: the records, LSNs and charges
+        one append per row would have made."""
+        self._require_active(txn)
+        self._note_write(txn, table_name, key_of, rows)
+        txn_id = txn.txn_id
+        records = [InsertRecord(txn_id=txn_id, table_name=table_name,
+                                file_id=file_id, page_no=page_no, slot=slot,
+                                row=row, row_bytes=width)
+                   for slot, row, width in zip(slots, rows, widths)]
+        self._log.append_run(records, cost_factor)
+        # Chained after the append, so that a record's prev_lsn is the
+        # same int object as the previous record's lsn (as _chain leaves
+        # it): the log holds one int per record, not two.
+        prev = txn.last_lsn
+        for record in records:
+            record.prev_lsn = prev
+            prev = record.lsn
+        txn.last_lsn = prev
+        return prev
 
     def log_delete(self, txn: Transaction, table_name: str, rid: RowId,
                    row: tuple, row_bytes: int, cost_factor: float = 1.0,
                    key_of=None) -> int:
-        self._note_write(txn, table_name, key_of, row)
+        self._note_write(txn, table_name, key_of, (row,))
         return self._chain(txn, DeleteRecord(
             txn_id=txn.txn_id, table_name=table_name, file_id=rid.file_id,
             page_no=rid.page_no, slot=rid.slot, row=row,
@@ -227,7 +242,7 @@ class TransactionManager:
     def log_update(self, txn: Transaction, table_name: str, rid: RowId,
                    old_row: tuple, new_row: tuple, row_bytes: int,
                    cost_factor: float = 1.0, key_of=None) -> int:
-        self._note_write(txn, table_name, key_of, old_row, new_row)
+        self._note_write(txn, table_name, key_of, (old_row, new_row))
         return self._chain(txn, UpdateRecord(
             txn_id=txn.txn_id, table_name=table_name, file_id=rid.file_id,
             page_no=rid.page_no, slot=rid.slot, old_row=old_row,
@@ -235,19 +250,14 @@ class TransactionManager:
 
     # -- logged DDL -----------------------------------------------------------
 
-    def log_catalog(self, txn: Transaction, kind: str, create: bool,
-                    obj: dict) -> CatalogRecord:
+    def log_catalog(self, txn: Transaction, record: CatalogRecord) -> None:
         """Log the creation or drop of one catalog object (see
-        :class:`~repro.wal.records.CatalogRecord`) and return the record
-        for the statement to apply; the name it moves counts as written
-        wholesale."""
-        record = CatalogRecord(txn_id=txn.txn_id, kind=kind, create=create,
-                               obj=obj)
+        :class:`~repro.wal.records.CatalogRecord`); the name it moves
+        counts as written wholesale."""
         name = record.table_name
         if name is not None and txn.modified_tables is not None:
             txn.modified_tables[name.lower()] = "ddl"
         self._chain(txn, record)
-        return record
 
     # -- internals -------------------------------------------------------------
 

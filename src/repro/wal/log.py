@@ -63,6 +63,24 @@ class WriteAheadLog:
             self._pending_write_seconds += seconds
         return record.lsn
 
+    def append_run(self, records: list[LogRecord],
+                   cost_factor: float = 1.0) -> int:
+        """:meth:`append` each of ``records`` in order; returns the last
+        LSN.  The pending write time is added record by record, so the
+        sum is the one the single appends would have made."""
+        lsn = self._base_lsn + len(self._records)
+        for record in records:
+            lsn += 1
+            record.lsn = lsn
+        self._records.extend(records)
+        if self._meter is not None:
+            write_seconds = self._meter.costs.log_write_seconds
+            pending = self._pending_write_seconds
+            for record in records:
+                pending += write_seconds(record.payload_bytes()) * cost_factor
+            self._pending_write_seconds = pending
+        return lsn
+
     def force(self, up_to_lsn: int | None = None,
               sync: bool = True) -> None:
         """Make the log durable up to ``up_to_lsn`` (default: everything).

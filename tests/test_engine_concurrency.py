@@ -160,3 +160,36 @@ class TestInterleavedCommits:
         fresh = EngineSession(session_id=3)
         assert run(engine, fresh, "SELECT count(*) FROM a_log") == [(0,)]
         assert run(engine, fresh, "SELECT count(*) FROM b_log") == [(0,)]
+
+
+class TestDdlLocks:
+    """A CREATE or DROP takes X on the table its record names (an
+    index's table) and keeps it to the end of its transaction."""
+
+    def test_a_dropped_index_keeps_its_table_until_the_rollback(self):
+        # Without the lock the other session drops and re-creates t,
+        # and the rollback's compensating CREATE INDEX fails with
+        # "CatalogError: table 't' has no column 'a'".
+        world = EngineWorld(setup=("CREATE TABLE t (a INT, v INT)",
+                                   "CREATE INDEX ix ON t (a)",
+                                   "INSERT INTO t VALUES (1, 10)"))
+        world.run("BEGIN TRANSACTION", 1)
+        world.run("DROP INDEX ix", 1)
+        waited = []
+        for sql in ("DROP TABLE t", "CREATE TABLE t (b INT)"):
+            try:
+                world.run(sql, 2)
+            except LockWaitError:
+                waited.append(sql)
+                break
+        world.run("ROLLBACK", 1)
+        assert waited == ["DROP TABLE t"]
+        assert world.engine.table("t").has_index("ix")
+        assert world.run("SELECT a, v FROM t WHERE a = 1", 2) == [(1, 10)]
+        # The release granted the wait: the drop runs now, then the
+        # create, and both survive a restart.
+        world.run("DROP TABLE t", 2)
+        world.run("CREATE TABLE t (b INT)", 2)
+        world.crash_and_restart()
+        assert world.run("SELECT b FROM t") == []
+        assert world.engine.catalog.get_table("t").column_index("b") == 0

@@ -76,12 +76,19 @@ def scenarios(draw):
     spec["seed_rows"] = rows(range(seeded))
     spec["deleted"] = sorted(draw(st.sets(st.integers(0, max(0, seeded - 1)),
                                           max_size=seeded)))
-    batch = rows(range(20, 20 + draw(st.integers(0, 12))))
+    # Rows a second transaction deletes and leaves uncommitted: their
+    # slots are held while the batch runs.
+    spec["held"] = sorted(draw(st.sets(st.sampled_from(
+        [i for i in range(seeded) if i not in spec["deleted"]] or [None]),
+        max_size=3)) - {None})
+    batch = rows(range(20, 20 + draw(st.integers(0, 40))))
     # A unique violation anywhere in the batch: against a live row, a
-    # deleted (free) key, or an earlier row of the same batch.
+    # deleted (free) key, or an earlier row of the same batch.  (Not a
+    # held row's key: the deleter's row lock would keep the batch out.)
     if batch and draw(st.booleans()):
         at = draw(st.integers(0, len(batch) - 1))
-        taken = spec["seed_rows"] + batch[:at]
+        taken = [row for i, row in enumerate(spec["seed_rows"])
+                 if i not in spec["held"]] + batch[:at]
         if taken:
             victim = draw(st.sampled_from(taken))
             row = list(batch[at])
@@ -123,6 +130,9 @@ class World(EngineWorld):
         for i in spec["deleted"]:
             self.table.delete(rids[i], txn, txns)
         txns.commit(txn)
+        self.deleter = txns.begin()
+        for i in spec["held"]:
+            self.table.delete(rids[i], self.deleter, txns)
         if spec["checkpoint"]:
             self.engine.checkpoint()     # clean pages: evictable, re-read
 
@@ -160,6 +170,9 @@ class World(EngineWorld):
             txns.abort(self.txn)
         elif ending == "force+crash":
             self.engine.wal.force()
+        if ending in ("commit", "abort"):
+            # The deleter's undo puts its rows back into their slots.
+            txns.abort(self.deleter)
         if "crash" in ending:
             self.crash_and_restart()
             if self.spec["name"].startswith("#"):
@@ -255,13 +268,20 @@ def test_insert_select_asks_the_pool_and_the_meter_once_per_page(
         "PRIMARY KEY (id))")
     engine.bulk_load("src", [(i, f"row{i}", i / 2) for i in range(n)])
     run("CREATE TABLE dst (id INT, name VARCHAR(16), v FLOAT)")
-    calls = {"get_page": 0, "meter": 0}
+    calls = {"get_page": 0, "meter": 0, "append": 0, "append_run": 0}
 
     def count_pool_access(*args, _get_page=engine.buffer_pool.get_page):
         calls["get_page"] += 1
         return _get_page(*args)
 
     monkeypatch.setattr(engine.buffer_pool, "get_page", count_pool_access)
+    for name in ("append", "append_run"):
+        def count_append(*args, _name=name,
+                         _append=getattr(engine.wal, name)):
+            calls[_name] += 1
+            return _append(*args)
+
+        monkeypatch.setattr(engine.wal, name, count_append)
     for name in ("charge", "charge_batched", "charge_rows"):
         def count_charge(resource, amount, note, *rest,
                          _charge=getattr(engine.meter, name)):
@@ -278,6 +298,11 @@ def test_insert_select_asks_the_pool_and_the_meter_once_per_page(
     # The parent commit made 3 pool accesses and 1 charge per row.
     assert calls["get_page"] <= 2 * pages
     assert calls["meter"] <= 4 * pages
+    # One log append per page filled, and no insert record on its own:
+    # the single appends are the statement transaction's begin, commit
+    # and end.
+    assert calls["append_run"] == engine.table("dst").heap.page_count
+    assert calls["append"] == 3
     assert ROW_STATS["rows_inserted_bulk"] - before["rows_inserted_bulk"] == n
     assert ROW_STATS["pages_filled_bulk"] - before["pages_filled_bulk"] \
         == engine.table("dst").heap.page_count

@@ -20,7 +20,7 @@ from repro.errors import SqlSyntaxError, TypeMismatchError
 from repro.server.protocol import ExecuteRequest
 from repro.server.server import DatabaseServer
 from repro.sim.meter import Meter
-from repro.sql.plan_cache import ShapeMemo, normalize_statement
+from repro.sql.plan_cache import MAX_LITERALS, ShapeMemo, normalize_statement
 from repro.workloads.app import BenchmarkApp
 from tests.conftest import verbatim
 
@@ -146,6 +146,23 @@ class TestNormalization:
                 for piece in skeleton)
             assert normalize_statement(sql, memo) == normalize_statement(
                 sql), sql
+
+    def test_a_bulk_row_list_is_taken_verbatim(self):
+        """A text with more than ``MAX_LITERALS`` literals is verbatim on
+        both paths, and the memo learns no shape of it."""
+        def insert(rows):
+            return "INSERT INTO t VALUES " + ", ".join(
+                f"({k}, 'v')" for k in range(rows))
+
+        memo = ShapeMemo(16)
+        at_cap = insert(MAX_LITERALS // 2)
+        norm = normalize_statement(at_cap, memo)
+        assert norm is not None and norm == normalize_statement(at_cap)
+        assert len(memo) == 2                   # its shape, its template
+        over = insert(MAX_LITERALS // 2 + 1)
+        assert normalize_statement(over, memo) is None
+        assert normalize_statement(over) is None
+        assert len(memo) == 2
 
 
 _HEADS = ["SELECT ", "select a FROM t WHERE ", "INSERT INTO t VALUES (",

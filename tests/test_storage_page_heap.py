@@ -10,27 +10,34 @@ from repro.storage.page import Page
 from tests.insert_oracle import find_insert_target
 
 
+def put(page, row):
+    """Place one row as the insert path does: in the first slot the
+    page hands out."""
+    slots = page.open_slots(0, ())[:1]
+    page.fill(slots, [row])
+    return slots[0]
+
+
 class TestPage:
     def test_insert_and_read(self):
         page = Page(0, capacity=4)
-        slot = page.insert(("a", 1), 0, ())
+        slot = put(page, ("a", 1))
         assert page.read(slot) == ("a", 1)
 
     def test_capacity_enforced(self):
         page = Page(0, capacity=2)
-        page.insert((1,), 0, ())
-        page.insert((2,), 0, ())
+        put(page, (1,))
+        put(page, (2,))
         assert not page.has_empty_slot()
-        with pytest.raises(ValueError):
-            page.insert((3,), 0, ())
+        assert page.open_slots(0, ()) == []
 
     def test_delete_frees_slot_for_reuse(self):
         page = Page(0, capacity=2)
-        slot = page.insert((1,), 0, ())
-        page.insert((2,), 0, ())
+        slot = put(page, (1,))
+        put(page, (2,))
         page.delete(slot)
         assert page.has_empty_slot()
-        new_slot = page.insert((3,), 0, ())
+        new_slot = put(page, (3,))
         assert new_slot == slot
         assert page.live_rows == 2
 
@@ -41,7 +48,7 @@ class TestPage:
 
     def test_update_returns_old_row(self):
         page = Page(0, capacity=2)
-        slot = page.insert((1,), 0, ())
+        slot = put(page, (1,))
         assert page.update(slot, (2,)) == (1,)
         assert page.read(slot) == (2,)
 
@@ -55,15 +62,15 @@ class TestPage:
 
     def test_rows_iterates_live_only(self):
         page = Page(0, capacity=4)
-        a = page.insert((1,), 0, ())
-        page.insert((2,), 0, ())
+        a = put(page, (1,))
+        put(page, (2,))
         page.delete(a)
         assert [row for _slot, row in page.rows()] == [(2,)]
 
     def test_live_is_a_snapshot_of_the_live_rows(self):
         page = Page(0, capacity=8)
         for value in range(3):
-            page.insert((value,), 0, ())
+            put(page, (value,))
         whole = page.live()
         assert whole == [(0,), (1,), (2,)] and whole is not page.slots
         page.delete(1)
@@ -75,28 +82,43 @@ class TestPage:
 
     def test_clone_is_independent(self):
         page = Page(0, capacity=4)
-        page.insert((1,), 0, ())
+        put(page, (1,))
         clone = page.clone()
-        clone.insert((2,), 0, ())
+        put(clone, (2,))
         assert page.live_rows == 1
         assert clone.live_rows == 2
 
     def test_a_deleted_slot_is_its_deleters_while_it_lives(self):
         page = Page(0, capacity=2)
-        page.insert((1,), 0, ())
-        page.insert((2,), 0, ())
+        put(page, (1,))
+        put(page, (2,))
         page.delete(0, owner=7)              # transaction 7 deletes
         image = page.clone()                 # what the flusher writes
         for copy in (page, image):
             assert copy.has_empty_slot()
-            assert copy.next_slot(owner=8, live={7}) is None
-            assert copy.room(owner=8, live={7}) == 0
-            assert copy.next_slot(owner=7, live={7}) == 0
+            assert copy.open_slots(owner=8, live={7}) == []
+            assert copy.open_slots(owner=7, live={7}) == [0]
         page.insert_at(0, (1,))              # 7 aborts: undo puts it back
         assert not page.reserved and page.free_slots == []
         # 7 has ended: the image's first look drops the reservation.
-        assert image.next_slot(owner=8, live=()) == 0
+        assert image.open_slots(owner=8, live=()) == [0]
         assert image.reserved is None
+
+    def test_a_run_takes_the_slots_successive_rows_would(self):
+        page = Page(0, capacity=6)
+        for value in range(4):
+            put(page, (value,))
+        page.delete(1, owner=7)
+        page.delete(3)
+        page.delete(0, owner=8)
+        # Transaction 8: its own slot 0 and the free slot 3, most
+        # recently emptied first, then the unused 4 and 5; 7 holds 1.
+        slots = page.open_slots(owner=8, live={7, 8})
+        assert slots == [0, 3, 4, 5]
+        page.fill(slots[:3], [("a",), ("b",), ("c",)])
+        assert page.slots == [("a",), None, (2,), ("b",), ("c",)]
+        assert page.free_slots == [1]
+        assert page.open_slots(owner=8, live={7, 8}) == [5]
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,23 @@ class TestWriteAheadLog:
         assert (first, second) == (1, 2)
         assert log.last_lsn == 2
 
+    def test_a_run_appends_as_its_records_one_by_one(self):
+        """Same LSNs, same records, and the pending write time summed
+        record by record: bit-equal, not merely close."""
+        def run():
+            return [InsertRecord(txn_id=1, table_name="t", slot=slot,
+                                 row=("x" * slot,), row_bytes=slot)
+                    for slot in range(7)]
+
+        one, many = WriteAheadLog(Meter()), WriteAheadLog(Meter())
+        for log in (one, many):
+            log.append(BeginRecord(txn_id=1))
+        for record in run():
+            one.append(record, 500.0)
+        assert many.append_run(run(), 500.0) == one.last_lsn == 8
+        assert list(many.all_records()) == list(one.all_records())
+        assert many._pending_write_seconds == one._pending_write_seconds
+
     def test_force_advances_flushed_lsn(self):
         log = WriteAheadLog()
         log.append(BeginRecord(txn_id=1))
