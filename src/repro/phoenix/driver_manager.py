@@ -4,8 +4,8 @@ Exposes exactly the native :class:`DriverManager` surface (the
 application cannot tell the difference) while wrapping every call point:
 
 * ``exec_direct`` classifies the request (one-pass parse) and routes it
-  through result persistence, the client cache, or status-table-wrapped
-  execution;
+  through result persistence, the client cache, or status-table-guarded
+  execution (``StatusTable.run_once``);
 * every driver interaction runs inside a recovery loop that intercepts
   transport errors, pings/reconnects, distinguishes crash from blip via
   the session-probe temp table, runs two-phase session recovery, and
@@ -15,7 +15,10 @@ application cannot tell the difference) while wrapping every call point:
 * an application transaction interrupted by a crash surfaces as a
   transaction abort (SQLSTATE 40001) after the session has been rebuilt
   — "transaction failure is considered a normal event that most
-  applications already handle."
+  applications already handle."  The application's COMMIT carries a
+  status record of its own, so a COMMIT whose answer a failure lost is
+  told apart from one the crash aborted: the record found, the COMMIT
+  reports success; absent, 40001.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from repro.phoenix.failure import FailureDetector, is_transport_failure
 from repro.phoenix.parse import (
     RequestClass,
     classify_request,
+    inline_parameters,
     script_statement,
 )
 from repro.phoenix.persistence import ResultPersistor
@@ -57,6 +61,7 @@ from repro.phoenix.result_cache import SharedResultCache
 from repro.phoenix.scratch import scratch_statement
 from repro.phoenix.status_table import StatusTable
 from repro.phoenix.virtual_session import (
+    DEFAULT_CONNECTION_OPTIONS,
     StatementMode,
     StatementState,
     VirtualConnection,
@@ -126,13 +131,8 @@ class PhoenixDriverManager(DriverManager):
         def do():
             self.driver.connect(connection, login, options)
             vconn = VirtualConnection(app_handle=connection, login=login)
-            from repro.phoenix.virtual_session import (
-                DEFAULT_CONNECTION_OPTIONS,
-            )
-
             vconn.option_log.extend(DEFAULT_CONNECTION_OPTIONS)
-            for name, value in (options or {}).items():
-                vconn.option_log.append((name, value))
+            vconn.option_log.extend((options or {}).items())
             self._detector.create_probe(connection, vconn.probe_table)
             self._vconns[connection.handle_id] = vconn
             vconn.connected = True
@@ -181,10 +181,7 @@ class PhoenixDriverManager(DriverManager):
         if params:
             # Phoenix re-embeds the SQL text in generated statements, so
             # parameters are inlined as literals up front.
-            from repro.phoenix.parse import inline_parameters
-
             sql = inline_parameters(sql, params)
-            params = None
         state = vconn.statement_state(statement)
         held = self.driver.outstanding(statement)
         if held is not None and statement.last_sql == sql:
@@ -203,50 +200,40 @@ class PhoenixDriverManager(DriverManager):
             state.request_class = request_class
             statement.last_sql = sql
         rc, _ = self._guard(statement, lambda: self._dispatch(
-            vconn, state, request_class, sql, params, old_table))
+            vconn, state, request_class, sql, old_table))
         return rc
 
     def _dispatch(self, vconn: VirtualConnection, state: StatementState,
                   request_class: RequestClass, sql: str,
-                  params: dict | None, old_table: str) -> None:
+                  old_table: str) -> None:
         self._drop_quietly(old_table, vconn)
-        if request_class is RequestClass.BEGIN:
-            self._with_recovery(vconn, lambda: self.driver.execute(
-                state.handle, sql, params))
-            vconn.in_app_txn = True
-            state.mode = StatementMode.PASSTHROUGH
-            return
-        if request_class is RequestClass.COMMIT:
-            self._with_recovery(vconn, lambda: self.driver.execute(
-                state.handle, sql, params))
-            vconn.in_app_txn = False
-            self._promote_staged(vconn)
-            state.mode = StatementMode.PASSTHROUGH
-            return
-        if request_class is RequestClass.ROLLBACK:
-            self._with_recovery(vconn, lambda: self.driver.execute(
-                state.handle, sql, params))
-            vconn.in_app_txn = False
-            self._discard_staged(vconn)
-            state.mode = StatementMode.PASSTHROUGH
-            return
         if request_class is RequestClass.RESULT_QUERY:
-            self._execute_query(vconn, state, sql, params)
-        elif request_class in (RequestClass.UPDATE, RequestClass.DDL):
-            self._execute_update(vconn, state, sql, params)
+            self._execute_query(vconn, state, sql)
+        elif request_class is RequestClass.COMMIT and vconn.in_app_txn:
+            self._commit(vconn, state)
+        elif request_class in (RequestClass.UPDATE, RequestClass.DDL,
+                               RequestClass.EXEC) and not vconn.in_app_txn:
+            self._execute_update(vconn, state, request_class, sql)
         else:
-            # EXEC / OTHER: pass through; recovery resubmits.
-            result = self._with_recovery(vconn, lambda: self.driver.execute(
-                state.handle, sql, params))
+            # Resubmitted after a recovery: a statement inside the
+            # application's transaction (a crash ends it: 40001), EXPLAIN
+            # and ANALYZE (``repro.phoenix.parse``), BEGIN, ROLLBACK and
+            # a COMMIT with no transaction, which the server refuses.
+            result = self._with_recovery(
+                vconn, lambda: self.driver.execute(state.handle, sql))
             state.mode = StatementMode.PASSTHROUGH
             state.rowcount = result.rowcount
             state.columns = list(result.columns)
+            if request_class is RequestClass.BEGIN:
+                vconn.in_app_txn = True
+            elif request_class is RequestClass.ROLLBACK:
+                vconn.in_app_txn = False
+                self._discard_staged(vconn)
 
     # -- result-generating statements (§2.1 / §4) ------------------------------
 
     def _execute_query(self, vconn: VirtualConnection,
-                       state: StatementState, sql: str,
-                       params: dict | None) -> None:
+                       state: StatementState, sql: str) -> None:
         if self._serve_from_shared_cache(vconn, state, sql):
             return
         if self._cache.enabled:
@@ -260,17 +247,8 @@ class PhoenixDriverManager(DriverManager):
                 return
             self.stats["cache_overflows"] += 1
         op_key = self._next_op_key()
-        attempted = False
-
-        def persist():
-            nonlocal attempted
-            # ``_with_recovery`` calls again only after a transport
-            # failure cut the previous attempt short.
-            retry, attempted = attempted, True
-            self._persistor.persist(vconn, state, sql, op_key, retry,
-                                    self._private_connection)
-
-        self._with_recovery(vconn, persist)
+        self._once(vconn, lambda retry: self._persistor.persist(
+            vconn, state, sql, op_key, retry, self._private_connection))
         self.stats["persisted_results"] += 1
 
     # -- shared result cache (transaction-consistent, all sessions) ----------
@@ -354,87 +332,50 @@ class PhoenixDriverManager(DriverManager):
         if self._shared_cache is not None:
             self._shared_cache.discard(vconn.app_handle.handle_id)
 
-    # -- modifications / DDL (status-table wrapping, §3.2) -----------------------
-    #
-    # On the default chain the wrapper is one script exchange,
-    # ``BEGIN TRANSACTION; <stmt>; INSERT INTO phoenix_status VALUES
-    # ('<op_key>', @rowcount); COMMIT``; on the paper's it is those four
-    # statements as four round trips.  Either way the status record
-    # commits with the statement, and a retry looks it up only when an
-    # earlier attempt might have committed.
+    # -- writes whose answer can be lost: ``StatusTable.run_once`` (§3.2) ----
 
     def _execute_update(self, vconn: VirtualConnection,
-                        state: StatementState, sql: str,
-                        params: dict | None) -> None:
-        if vconn.in_app_txn:
-            result = self._with_recovery(
-                vconn, lambda: self.driver.execute(state.handle, sql,
-                                                   params))
-            state.mode = StatementMode.PASSTHROUGH
-            state.rowcount = result.rowcount
-            return
+                        state: StatementState, request_class: RequestClass,
+                        sql: str) -> None:
+        """An autocommit update, DDL statement or ``EXEC``: one script
+        exchange on the default chain, four round trips on the paper's."""
         # A call that resumes a statement the server holds keeps the op
         # key of the call that sent it: the same request, collected.
         if not state.op_key:
             state.op_key = self._next_op_key()
         op_key = state.op_key
-        retry = False
-        handle = vconn.app_handle
         statement = script_statement(sql)
-        one_script = (self.meter.costs.persist_pipeline
-                      and statement is not None)
+        # A script answers with its last statement's result only, and a
+        # procedure may end in a query: EXEC goes the paper's way.
+        script = (self.meter.costs.persist_pipeline and statement is not None
+                  and request_class is not RequestClass.EXEC)
 
-        def one_exchange():
-            nonlocal retry
-            # ``_with_recovery`` calls again only after a transport
-            # failure cut the previous attempt short.
-            again, retry = retry, True
+        def attempt(retry: bool) -> None:
             recorded, outcome = self._status.run_once(
-                state.handle, op_key, again, statement, "@rowcount",
-                params=params)
+                vconn, state.handle, op_key, retry,
+                statement if script else sql, script=script)
             state.rowcount = (recorded if outcome is None
                               else max(outcome.rowcount, 0))
 
-        def wrapped():
-            nonlocal retry
-            if vconn.wrapper_txn_open:
-                # The session survived a blip and may hold the half-done
-                # transaction of the attempt it interrupted.  Discard it
-                # before looking anything up: inside it the lookup would
-                # read back that attempt's own uncommitted status row.
-                self._status.reset_open_transaction(handle)
-                vconn.wrapper_txn_open = False
-            if retry:
-                # ``_with_recovery`` calls again only after a transport
-                # failure interrupted the previous attempt, and only such
-                # an attempt can have committed ``op_key`` unacknowledged:
-                # the first one has nothing to look up.
-                recorded = self._status.completed(handle, op_key)
-                if recorded is not None:
-                    state.rowcount = recorded
-                    return
-            retry = True
-            with scratch_statement(self.driver, handle) as scratch:
-                vconn.wrapper_txn_open = True
-                self.driver.execute(scratch, "BEGIN TRANSACTION")
-                try:
-                    result = self.driver.execute(state.handle, sql, params)
-                    count = max(result.rowcount, 0)
-                    self.driver.execute(
-                        scratch, self._status.record_sql(op_key, count))
-                    self.driver.execute(scratch, "COMMIT")
-                except EngineError:
-                    # Statement failed for SQL reasons: roll back our
-                    # wrapper transaction and surface the error unchanged.
-                    self._status.reset_open_transaction(handle)
-                    vconn.wrapper_txn_open = False
-                    raise
-            vconn.wrapper_txn_open = False
-            state.rowcount = count
-
-        self._with_recovery(vconn, one_exchange if one_script else wrapped)
+        self._once(vconn, attempt)
         state.mode = StatementMode.UPDATE
         self.stats["wrapped_updates"] += 1
+
+    def _commit(self, vconn: VirtualConnection,
+                state: StatementState) -> None:
+        """The application's COMMIT, a status record in its exchange: after
+        a failure the record, not ``_handle_failure``, tells success (its
+        answer was lost) from 40001 (it died with the session)."""
+        op_key = self._next_op_key()
+        vconn.in_app_txn = False
+        try:
+            self._once(vconn, lambda retry: self._status.run_once(
+                vconn, state.handle, op_key, retry, rows_affected="0",
+                script=self.meter.costs.persist_pipeline))
+        except ReproError:
+            self._discard_staged(vconn)
+            raise
+        self._promote_staged(vconn)
 
     # ------------------------------------------------------------------
     # Row delivery
@@ -652,8 +593,7 @@ class PhoenixDriverManager(DriverManager):
         if vconn.wrapper_txn_open \
                 and self.driver.outstanding(statement) is not None:
             try:
-                self._status.reset_open_transaction(vconn.app_handle)
-                vconn.wrapper_txn_open = False
+                self._status.end_transaction(vconn)
             except ReproError:
                 pass  # the next wrapped statement rolls back first
 
@@ -661,14 +601,25 @@ class PhoenixDriverManager(DriverManager):
     # The recovery loop (§2.3)
     # ------------------------------------------------------------------
 
-    def _with_recovery(self, vconn: VirtualConnection, operation,
-                       retry_after_recovery: bool = True):
+    def _once(self, vconn: VirtualConnection, attempt):
+        """``_with_recovery`` over ``attempt(retry)``; ``retry``: a
+        transport failure cut an earlier attempt short."""
+        attempted = False
+
+        def call():
+            nonlocal attempted
+            retry, attempted = attempted, True
+            return attempt(retry)
+
+        return self._with_recovery(vconn, call)
+
+    def _with_recovery(self, vconn: VirtualConnection, operation):
         """Run ``operation``, masking server failures.
 
         Transport errors trigger ping/reconnect and, if the session died,
         full two-phase recovery — then the operation is retried.  Every
-        operation passed here is idempotent (persistence steps are
-        guarded by the status table).
+        operation passed here is idempotent: a write whose answer can be
+        lost is guarded by the status table (``_once``).
         """
         attempts = 0
         while True:
@@ -690,8 +641,6 @@ class PhoenixDriverManager(DriverManager):
                     raise DeadlockError(
                         "transaction aborted by server failure; "
                         "please retry")
-                if outcome == "recovered" and not retry_after_recovery:
-                    raise error
 
     def _handle_failure(self, vconn: VirtualConnection,
                         original: ReproError) -> str:

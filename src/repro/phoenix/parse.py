@@ -32,6 +32,10 @@ class RequestClass(enum.Enum):
     BEGIN = "begin"
     COMMIT = "commit"
     ROLLBACK = "rollback"
+    #: What else the server accepts, passed through and sent again after
+    #: a failure: ``EXPLAIN`` plans a query and writes nothing, and
+    #: ``ANALYZE`` recomputes each table's statistics from its rows — a
+    #: second run writes what the first wrote.  Neither is wrapped.
     OTHER = "other"
 
 

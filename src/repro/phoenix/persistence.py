@@ -10,10 +10,9 @@ transaction it is::
 
 and inside one ``CREATE TABLE T AS <query>; SELECT * FROM T``, joining
 it.  The rows move server-locally, the table and its status record
-commit together, and the response carries the load's outcome (the
-query's column metadata) and the first wire batch of ``T``.  A retry
-looks the status record up only when an earlier attempt of the same
-op key might have committed — the update wrapper's rule.
+commit together (``StatusTable.run_once``), and the response carries
+the load's outcome (the query's column metadata) and the first wire
+batch of ``T``.
 
 The paper's chain (``CostModel.paper()``) keeps §2.1's recipe:
 
@@ -137,7 +136,8 @@ class ResultPersistor:
             loaded = result.outcomes[0]
         else:
             recorded, loaded = self._status.run_once(
-                state.handle, op_key, retry, load, "0", then=reopen)
+                vconn, state.handle, op_key, retry, load, "0", script=True,
+                then=reopen)
             if recorded is not None:
                 # An earlier attempt committed the table; only its
                 # response was lost, and with it the query's metadata.
@@ -181,40 +181,31 @@ class ResultPersistor:
     def _load_result(self, vconn: VirtualConnection, table_name: str,
                      sql: str, op_key: str) -> None:
         """Step 3 of the paper's chain: stored-procedure load,
-        status-guarded for idempotence."""
-        connection = vconn.app_handle
-        in_app_txn = vconn.in_app_txn
-        if not in_app_txn:
-            if vconn.wrapper_txn_open:
-                # A blip interrupted an earlier wrapper transaction on
-                # this surviving session; inside it the lookup below
-                # would read that attempt's own uncommitted status row.
-                self._status.reset_open_transaction(connection)
-                vconn.wrapper_txn_open = False
-            if self._status.completed(connection, op_key) is not None:
-                return  # a pre-crash incarnation already loaded the table
+        status-guarded for idempotence.  The recipe runs again from its
+        first step after a failure, so its record is always looked up."""
         proc_name = f"{PHOENIX_PREFIX}load_{op_key}"
         execute = self._driver.execute
-        with scratch_statement(self._driver, connection) as scratch:
-            try:
-                execute(
-                    scratch,
-                    f"CREATE PROCEDURE {proc_name} AS "
-                    f"INSERT INTO {table_name} {sql}")
-            except CatalogError:
-                pass  # procedure survived an interrupted earlier attempt
-            if in_app_txn:
+        with scratch_statement(self._driver, vconn.app_handle) as scratch:
+            def create() -> None:
+                try:
+                    execute(scratch, f"CREATE PROCEDURE {proc_name} AS "
+                                     f"INSERT INTO {table_name} {sql}")
+                except CatalogError:
+                    pass  # survived an interrupted earlier attempt
+
+            load = f"EXEC {proc_name}"
+            if vconn.in_app_txn:
                 # Join the application's transaction: the load must see
                 # its uncommitted writes, and it aborts with the
                 # transaction.
-                execute(scratch, f"EXEC {proc_name}")
+                create()
+                execute(scratch, load)
             else:
-                vconn.wrapper_txn_open = True
-                execute(scratch, "BEGIN TRANSACTION")
-                execute(scratch, f"EXEC {proc_name}")
-                execute(scratch, self._status.record_sql(op_key, 0))
-                execute(scratch, "COMMIT")
-                vconn.wrapper_txn_open = False
+                recorded, _ = self._status.run_once(
+                    vconn, scratch, op_key, True, load, "0", script=False,
+                    before=create)
+                if recorded is not None:
+                    return  # a pre-crash incarnation loaded the table
             try:
                 execute(scratch, f"DROP PROCEDURE {proc_name}")
             except CatalogError:

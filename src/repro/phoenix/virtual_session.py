@@ -103,11 +103,10 @@ class VirtualConnection:
     #: Name of the session-probe temp table (crash-vs-blip detection).
     probe_table: str = "#phoenix_probe"
     connected: bool = False
-    #: True from the moment a status-table-wrapped statement sends its
-    #: BEGIN until its COMMIT (or a ROLLBACK) is acknowledged: the
-    #: server session may hold that wrapper transaction.  A blip leaves
-    #: it set, and the next wrapped attempt rolls back first; session
-    #: recovery clears it, because a new session holds nothing.
+    #: True while a lost exchange of ``StatusTable.run_once`` could leave
+    #: a transaction open on the session: Phoenix's wrapper, or the
+    #: application's under its COMMIT.  Session recovery clears it: a
+    #: new session holds nothing.
     wrapper_txn_open: bool = False
 
     def login_options(self) -> dict:

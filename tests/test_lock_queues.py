@@ -663,8 +663,9 @@ class TestHeldStatement:
         assert counters["locks.held_statements_cancelled"] == 1
         assert bob.manager.stats["wrapped_updates"] == 1
         assert bob.query_rows("SELECT v FROM acct WHERE k = 1") == [(211,)]
+        # Bob's update's record and Alice's COMMIT's.
         status = bob.query_rows("SELECT count(*) FROM phoenix_status")
-        assert status == [(1,)]
+        assert status == [(2,)]
         assert server.engine.locks.snapshot() == []
 
     def test_freeing_a_held_wrapped_update_closes_its_wrapper(self):

@@ -35,6 +35,7 @@ from tests.schedules import (
     same_status,
     session_steps,
 )
+from tests.test_result_cache_read_sets import POINT, CacheWorld
 
 CHAINS = {"paper": CostModel.paper, "default": CostModel}
 
@@ -173,8 +174,8 @@ def test_a_trailing_line_comment_stays_inside_its_statement(in_app_txn):
     assert rows == expected and expected[3][1] == 1
     assert server.engine.txns.active_transactions == {}
     # The update's record and the persisted result's, when each ran
-    # under its own status record.
-    assert len(status_rows(server)) == (0 if in_app_txn else 2)
+    # under its own status record; else the application COMMIT's.
+    assert len(status_rows(server)) == (1 if in_app_txn else 2)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +292,9 @@ def test_held_script_resumes_where_it_waited():
     assert waiter.manager.row_count(statement) == 1
     assert waiter.query_rows("SELECT v FROM ledger WHERE k = 3") == [(2,)]
     assert meter.counters.get("locks.held_statements_cancelled", 0) == 0
-    # The update's record, and the read-back's persisted result.
-    assert [count for _key, count in status_rows(server)] == [1, 0]
+    # The holder's COMMIT's record, the update's, and the read-back's
+    # persisted result's.
+    assert [count for _key, count in status_rows(server)] == [0, 1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +368,6 @@ def test_crash_after_apply_at_every_request(chain, monkeypatch):
     assert reference.world.applied > 5
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
 @pytest.mark.parametrize("steps", [
     session_steps(0, "BEGIN TRANSACTION", UPDATE_SQL, "COMMIT"),
     [Step(0, "EXEC bump")],
@@ -379,3 +380,105 @@ def test_crash_after_apply_in_a_transaction_or_exec(chain, steps,
     although the transaction is durable (the application replays it),
     and an ``EXEC``, which Phoenix resubmits."""
     crash_after_apply_at_every_request(chain, steps, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# Writes outside the update wrapper: the application's COMMIT and EXEC
+# ---------------------------------------------------------------------------
+
+BUMP = "UPDATE t SET v = v + 1000 WHERE a = 1 AND b = 1"
+
+
+def crash_after_applying(server, app, head: str) -> list:
+    """Crash and restart ``server`` once, after it applied the first
+    request of ``app`` whose text starts with ``head``; returns the
+    requests it fired on."""
+    fired = []
+
+    def dies_answering(request):
+        if getattr(request, "sql", "").startswith(head) and not fired:
+            fired.append(request)
+            server.crash()
+            server.restart()
+
+    app.network.after_apply_injector = dies_answering
+    return fired
+
+
+def run_through(app, sql: str):
+    """``(rc, row count)`` of ``sql`` through ``app``'s manager."""
+    statement = app.manager.alloc_statement(app.conn)
+    rc = app.manager.exec_direct(statement, sql)
+    count = app.manager.row_count(statement)
+    app.manager.free_statement(statement)
+    return rc, count
+
+
+@pytest.mark.parametrize("pipeline", [False, True], ids=["paper", "default"])
+def test_a_commit_whose_answer_is_lost_reports_success(pipeline):
+    """The server applies the application's COMMIT and dies before it
+    answers.  The COMMIT's status record is durable with the
+    transaction, so Phoenix reports success — not 40001, which an
+    application would answer by applying the transaction again."""
+    world = CacheWorld(persist_pipeline=pipeline)
+    writer = world.writer
+    writer.run_statement("BEGIN TRANSACTION")
+    writer.run_statement(BUMP)
+    # The guard travels in the COMMIT's own exchange on the default
+    # chain; the paper's sends the record, then the COMMIT.
+    fired = crash_after_applying(
+        world.server, writer,
+        "INSERT INTO phoenix_status" if pipeline else "COMMIT")
+    assert run_through(writer, "COMMIT")[0] == SQL_SUCCESS
+    assert fired and writer.manager.stats["recoveries"] == 1
+    assert fired[0].sql.endswith("COMMIT")
+    assert world.read(POINT.format(1, 1))[0] == [(1011,)]
+
+
+@pytest.mark.parametrize("pipeline", [False, True], ids=["paper", "default"])
+def test_an_exec_whose_answer_is_lost_is_applied_once(pipeline):
+    """``EXEC bump`` outside a transaction is wrapped like an update: the
+    server applies it and dies before it answers, and the retry finds
+    its status record instead of running the procedure again."""
+    world = CacheWorld(extra_schema=(f"CREATE PROCEDURE bump AS {BUMP}",),
+                       persist_pipeline=pipeline)
+    fired = crash_after_applying(world.server, world.writer, "EXEC bump")
+    assert run_through(world.writer, "EXEC bump") == (SQL_SUCCESS, 1)
+    assert fired and world.writer.manager.stats["recoveries"] == 1
+    assert world.read(POINT.format(1, 1))[0] == [(1011,)]
+
+
+@pytest.mark.parametrize("chain", list(CHAINS))
+def test_an_exec_that_returns_rows_delivers_them(chain):
+    """A procedure that ends in a query: wrapped outside a transaction,
+    passed through inside one, its rows reach the application — also
+    when the server dies answering the wrapper's COMMIT, because they
+    were read before it."""
+    server, native, phoenix = ledger_world(chain)
+    native.run_statement("CREATE PROCEDURE who (@v INT) AS "
+                         "SELECT k, pad FROM ledger WHERE k < @v")
+    expected = native.query_rows("EXEC who 3")
+    assert expected == [(0, "pad-0"), (1, "pad-1"), (2, "pad-2")]
+    assert phoenix.query_rows("EXEC who 3") == expected
+    phoenix.run_statement("BEGIN TRANSACTION")
+    assert phoenix.query_rows("EXEC who 3") == expected
+    phoenix.run_statement("COMMIT")
+    fired = crash_after_applying(server, phoenix, "COMMIT")
+    assert phoenix.query_rows("EXEC who 3") == expected
+    assert fired and phoenix.manager.stats["recoveries"] == 1
+
+
+@pytest.mark.parametrize("chain", list(CHAINS))
+def test_analyze_sent_again_after_a_lost_answer_keeps_its_statistics(chain):
+    """ANALYZE is not wrapped: sent again after the server applied it
+    and died, it recomputes the statistics it had written."""
+    statistics = []
+    for faulty in (False, True):
+        server, _native, phoenix = ledger_world(chain)
+        if faulty:
+            fired = crash_after_applying(server, phoenix, "ANALYZE")
+        phoenix.run_statement("ANALYZE ledger")
+        assert phoenix.manager.stats["recoveries"] == int(faulty)
+        statistics.append(server.engine.catalog.get_table_stats("ledger"))
+    assert fired and statistics[0] is not None
+    assert statistics[1] == statistics[0]
