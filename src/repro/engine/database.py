@@ -177,15 +177,12 @@ def _sys_table_stats(engine: "DatabaseEngine"):
     for name in sorted(engine.catalog.table_stats):
         stats = engine.catalog.table_stats[name]
         version = engine.catalog.stats_version_of(name)
-        for col_name, col in stats.get("columns", {}).items():
-            hist = col.get("histogram")
-            rows.append((name, col_name, stats.get("row_count", 0),
-                         stats.get("page_count", 0), col.get("ndv", 0),
-                         col.get("null_frac", 0.0),
-                         None if col.get("min") is None
-                         else str(col["min"]),
-                         None if col.get("max") is None
-                         else str(col["max"]),
+        for col in stats.columns:
+            hist = col.histogram
+            rows.append((name, col.name, stats.row_count, stats.page_count,
+                         col.ndv, col.null_frac,
+                         None if col.min is None else str(col.min),
+                         None if col.max is None else str(col.max),
                          0 if not hist else len(hist) - 1, version))
     return columns, rows
 
@@ -1142,9 +1139,9 @@ class DatabaseEngine:
             stats = collect_table_stats(
                 runtime, buckets=costs.analyze_histogram_buckets)
             per_tuple = costs.cpu_per_tuple_analyze * runtime.cost_factor
-            if per_tuple > 0 and stats["row_count"]:
+            if per_tuple > 0 and stats.row_count:
                 self.meter.charge_rows(SERVER_CPU, per_tuple,
-                                       stats["row_count"], "analyze scan")
+                                       stats.row_count, "analyze scan")
             self.catalog.set_table_stats(name, stats)
         if names:
             self.disk.write_blob("table_stats_snapshot",

@@ -7,6 +7,13 @@ fix indexes) and charge CPU/log costs scaled by the table's
 amplification factor.  Inserts are set-oriented: a statement hands over
 all its rows and they are placed a page at a time.
 
+A tree filled from many rows is built, not grown
+(:meth:`BTree.build <repro.storage.btree.BTree.build>`): attaching an
+index to a heap (:meth:`add_index` — restart, first touch, CREATE
+INDEX) and an insert into a table whose trees are all empty
+(:meth:`insert_many` — a bulk load, a fresh table's first INSERT) sort
+the rows' keys once instead of inserting them one by one.
+
 Volatile (temp) tables skip logging entirely: they die with the server
 session, which is exactly the property Phoenix exploits to detect whether
 a post-reconnect server session is the same one it had before.
@@ -14,12 +21,11 @@ a post-reconnect server session is the same one it had before.
 
 from __future__ import annotations
 
-from itertools import groupby
 from operator import itemgetter
 
 from repro.errors import ConstraintError
 from repro.sim.costs import SERVER_CPU
-from repro.storage.btree import BTree, NullKey, encode_key
+from repro.storage.btree import NULL_KEY, BTree, encode_key
 from repro.storage.catalog import IndexInfo, TableInfo
 from repro.storage.heap import HeapFile, RowId
 from repro.txn.manager import Transaction, TransactionManager
@@ -36,8 +42,8 @@ class Table:
         #: Row building and sizing compiled for this table's columns.
         self.shape = RowShape(info.columns)
         self._indexes: dict[str, tuple[IndexInfo, BTree]] = {}
-        #: index name -> column positions, memoized off the DML hot path
-        self._key_positions: dict[str, list[int]] = {}
+        #: index name -> ``row -> key``, memoized off the DML hot path
+        self._key_fns: dict[str, object] = {}
         #: ``row -> primary-key tuple`` identifying a row for the row
         #: lock manager and for a transaction's write set (None without
         #: a primary key).  Row locks are logical (keyed by primary key,
@@ -93,33 +99,39 @@ class Table:
 
     def add_index(self, info: IndexInfo,
                   enforce_unique: bool = True) -> None:
-        """Register an index and build it from the current heap contents.
+        """Register an index and build it from the current heap contents
+        in one :meth:`BTree.build` over the heap scan's rows.
 
         ``enforce_unique=False`` is the attach-time mode: a heap read
         mid-recovery can transiently hold two rows with one unique key
         (a stale pre-delete page plus a flushed re-insert), and redo
-        resolves that — so the build tolerates duplicates there, while
-        user ``CREATE UNIQUE INDEX`` keeps raising on real ones.
+        resolves that — so the build admits duplicates there (the
+        tree's ``admitted`` keys, which recovery re-checks), while user
+        ``CREATE UNIQUE INDEX`` keeps raising on real ones.
         """
-        tree = BTree(unique=info.unique)
-        positions = [self.info.column_index(c) for c in info.column_names]
-        for rid, row in self.heap.scan():
-            tree.insert(encode_key(row[p] for p in positions), rid,
-                        enforce_unique=enforce_unique)
+        self._key_fns.pop(info.name, None)
+        key_of = self._key_fn(info)
+        tree = BTree.build([(key_of(row), rid)
+                            for rid, row in self.heap.scan()],
+                           info.unique, enforce_unique)
         self._indexes[info.name.lower()] = (info, tree)
-        self._key_positions.pop(info.name, None)
 
     def remove_index(self, name: str) -> None:
         self._indexes.pop(name.lower(), None)
-        self._key_positions.pop(name, None)
+        self._key_fns.pop(name, None)
+
+    def _key_fn(self, info: IndexInfo):
+        """``row -> key`` of index ``info`` (:func:`encode_key` of its
+        columns)."""
+        key_of = self._key_fns.get(info.name)
+        if key_of is None:
+            key_of = _key_function([self.info.column_index(c)
+                                    for c in info.column_names])
+            self._key_fns[info.name] = key_of
+        return key_of
 
     def _index_key(self, row: tuple, info: IndexInfo) -> tuple:
-        positions = self._key_positions.get(info.name)
-        if positions is None:
-            positions = [self.info.column_index(c)
-                         for c in info.column_names]
-            self._key_positions[info.name] = positions
-        return encode_key(row[p] for p in positions)
+        return self._key_fn(info)(row)
 
     # -- mutations ----------------------------------------------------------
 
@@ -127,14 +139,18 @@ class Table:
                     txns: TransactionManager | None) -> None:
         """Insert ``rows`` in order, a page at a time.
 
-        Per page: one pool access handing out the page's open slots,
-        then per row only the unique check and the index entries; then,
+        The unique checks run first, over the whole statement
+        (:meth:`_clean_run`), and cut it at the first offender.  Then
+        per page: one pool access handing out the page's open slots and,
         for the run of rows the page took, one log append (one record
         per row, payload from the row's width), one placement, one
         page-LSN / dirty-table / free-space update and one CPU charge.
         Charging per page keeps every ``page io`` charge — which only a
         page acquisition can make — at its position among the per-row
-        CPU charges.
+        CPU charges.  A page passed over because another live
+        transaction holds its empty slots is not asked for again while
+        the statement runs.  Last, the placed rows enter the index
+        trees (:meth:`_index_rows`: an empty tree is built from them).
 
         Raises ConstraintError on a unique violation, leaving the rows
         before the offender inserted (the statement scope undoes them).
@@ -145,42 +161,41 @@ class Table:
             and txns is not None
         factor = self.cost_factor
         width = self.shape.width
-        trees = [tree for _info, tree in self._indexes.values()]
         # Slots that a live transaction's DELETE emptied are its own.
         owner = txn.txn_id if txn is not None else 0
         live = txns.live if txns is not None else ()
+        passed: set[int] = set()
+        # Checked before the pool is asked for a page: a violation must
+        # not fault, allocate or evict anything.
+        end, error = self._clean_run(rows)
+        indexed = bool(self._indexes)
+        rids: list[RowId] = []
         start = pages = 0
-        while start < len(rows):
-            # Checked before the pool is asked for the row's page: a
-            # violation must not fault, allocate or evict anything.
-            keys = self._checked_keys(rows[start]) if trees else ()
-            page_no, page, slots = heap.page_for_insert(owner, live)
-            run = rows[start:start + len(slots)]
-            placed = 0
-            try:
-                for slot, row in zip(slots, run):
-                    if trees:
-                        if placed:
-                            keys = self._checked_keys(row)
-                        rid = RowId(file_id, page_no, slot)
-                        for tree, key in zip(trees, keys):
-                            tree.insert(key, rid)
-                    placed += 1
-            finally:
-                # A violation cuts the run at the offending row.
-                if placed:
-                    run, slots = run[:placed], slots[:placed]
-                    first_lsn = last_lsn = 0
-                    if logged:
-                        last_lsn = txns.log_inserts(
-                            txn, name, file_id, page_no, slots, run,
-                            map(width, run), factor, self.row_lock_key)
-                        first_lsn = last_lsn - placed + 1
-                    page.fill(slots, run)
-                    heap.stamp_filled(page_no, page, first_lsn, last_lsn)
-                    self._charge_dml("cpu_per_tuple_insert", placed)
-                    pages += 1
-            start += placed
+        try:
+            while start < end:
+                page_no, page, slots = heap.page_for_insert(owner, live,
+                                                            passed)
+                run = rows[start:min(start + len(slots), end)]
+                slots = slots[:len(run)]
+                first_lsn = last_lsn = 0
+                if logged:
+                    last_lsn = txns.log_inserts(
+                        txn, name, file_id, page_no, slots, run,
+                        map(width, run), factor, self.row_lock_key)
+                    first_lsn = last_lsn - len(run) + 1
+                page.fill(slots, run)
+                heap.stamp_filled(page_no, page, first_lsn, last_lsn)
+                self._charge_dml("cpu_per_tuple_insert", len(run))
+                if indexed:
+                    rids.extend(RowId(file_id, page_no, slot)
+                                for slot in slots)
+                pages += 1
+                start += len(run)
+        finally:
+            if indexed:
+                self._index_rows(rows, rids)
+        if error is not None:
+            raise error
         ROW_STATS["rows_inserted_bulk"] += len(rows)
         ROW_STATS["pages_filled_bulk"] += pages
 
@@ -227,8 +242,9 @@ class Table:
     # Index inserts here never enforce uniqueness: repeating history can
     # transiently duplicate a unique key (e.g. redo replays an insert of
     # a key the attach-time tree build already picked up from a flushed
-    # re-insert; the delete between them replays later).  Recovery
-    # re-validates every touched unique tree once undo completes.
+    # re-insert; the delete between them replays later).  The tree
+    # remembers such keys, and recovery re-checks them once undo
+    # completes.
 
     def apply_insert_with_indexes(self, rid: RowId, row: tuple,
                                   lsn: int) -> None:
@@ -262,17 +278,19 @@ class Table:
         """Assert every unique tree holds exactly one rid per key.
 
         Called by restart recovery after undo: transient duplicates
-        admitted while repeating history must all have resolved.
+        admitted while repeating history must all have resolved.  Only
+        a tree's ``admitted`` keys can hold more than one rid, so only
+        they are read.
         """
         for info, tree in self._indexes.values():
-            if not info.unique:
-                continue
-            for key, rids in _grouped(tree.items()):
+            for key in sorted(tree.admitted):
+                rids = tree.search(key)
                 if len(rids) > 1:
                     raise ConstraintError(
                         f"unique index {info.name!r} of {self.info.name!r} "
                         f"holds {len(rids)} rows for key {key!r} after "
                         f"recovery")
+            tree.admitted.clear()
 
     # -- internals ----------------------------------------------------------
 
@@ -289,14 +307,52 @@ class Table:
         return keys
 
     def _require_unique(self, info: IndexInfo, tree: BTree, key: tuple,
-                        ignore_rid: RowId | None = None) -> None:
-        if any(isinstance(v, NullKey) for v in key):
+                        ignore_rid: RowId | None = None,
+                        seen: set[tuple] | tuple = ()) -> None:
+        """Raise unless ``key`` may enter unique index ``info``: no NULL
+        in it, and no other row has it — in ``tree`` (but the row at
+        ``ignore_rid``) or among the statement's ``seen`` keys."""
+        if NULL_KEY in key:
             raise ConstraintError(
                 f"NULL in unique key {info.name!r} of {self.info.name!r}")
         hits = tree.search(key)
-        if hits and (ignore_rid is None or hits != [ignore_rid]):
+        if key in seen or hits and (ignore_rid is None
+                                    or hits != [ignore_rid]):
             raise ConstraintError(
                 f"duplicate key {key!r} in {self.info.name!r}")
+
+    def _clean_run(self, rows: list[tuple]):
+        """``(n, error)``: inserted in order, the first ``n`` rows pass
+        the unique checks — against the trees and against the rows
+        before them — and row ``n`` fails them with ``error`` (None
+        when all pass)."""
+        checks = [(info, tree, self._key_fn(info), set())
+                  for info, tree in self._indexes.values() if info.unique]
+        if checks:
+            for n, row in enumerate(rows):
+                try:
+                    for info, tree, key_of, seen in checks:
+                        key = key_of(row)
+                        self._require_unique(info, tree, key, seen=seen)
+                        seen.add(key)
+                except ConstraintError as error:
+                    return n, error
+        return len(rows), None
+
+    def _index_rows(self, rows: list[tuple], rids: list[RowId]) -> None:
+        """Enter the first ``len(rids)`` of ``rows``, placed at
+        ``rids``, into every index tree.  An empty tree (a bulk load, a
+        fresh table's first INSERT) is built from them — one tree at a
+        time, its pairs dropped before the next —; any other takes them
+        one by one."""
+        for name, (info, tree) in self._indexes.items():
+            pairs = zip(map(self._key_fn(info), rows), rids)
+            if len(tree):
+                for key, rid in pairs:
+                    tree.insert(key, rid)
+            else:
+                self._indexes[name] = (info, BTree.build(list(pairs),
+                                                         info.unique))
 
     def _charge_dml(self, cost_attr: str, rows: int = 1) -> None:
         if self._meter is None:
@@ -305,8 +361,13 @@ class Table:
         self._meter.charge_rows(SERVER_CPU, seconds, rows, cost_attr)
 
 
-def _grouped(entries):
-    """Group an ordered ``(key, rid)`` stream by key (duplicates are
-    adjacent in a B-tree walk)."""
-    for key, group in groupby(entries, key=lambda kv: kv[0]):
-        yield key, [rid for _key, rid in group]
+def _key_function(positions: list[int]):
+    """``row -> encode_key(row[p] for p in positions)``, as one closure
+    (an index's key function, made once per index)."""
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda row: (
+            NULL_KEY if row[position] is None else row[position],)
+    get = itemgetter(*positions)
+    return lambda row: (key if None not in (key := get(row))
+                        else encode_key(key))

@@ -196,7 +196,8 @@ class Planner:
         return scope
 
     def _row_count(self, table_name: str | None,
-                   counted: bool = True) -> tuple[dict | None, float]:
+                   counted: bool = True
+                   ) -> tuple[table_stats.TableStats | None, float]:
         """``(statistics, rows)`` of a base table: its ANALYZE row count,
         or the default guess when it was never analysed (or is no base
         table at all: ``None``).  A guess ticks
@@ -205,7 +206,7 @@ class Planner:
         stats = (self._catalog.get_table_stats(table_name)
                  if table_name is not None else None)
         if stats is not None:
-            return stats, float(stats["row_count"])
+            return stats, float(stats.row_count)
         if counted:
             self._meter.count("optimizer.stats_missing_fallbacks")
         return None, self._DEFAULT_ROWS
@@ -1072,7 +1073,7 @@ class Planner:
         except Exception:
             return None
 
-    def _relation_selectivity(self, table, stats: dict,
+    def _relation_selectivity(self, table, stats: table_stats.TableStats,
                               exprs: list[ast.Expr],
                               const_scope: Scope) -> float:
         """Combined selectivity of a relation's pushed conjuncts, from
@@ -1170,7 +1171,7 @@ class Planner:
             return None
         stats = self._catalog.get_table_stats(table_name)
         col = table_stats.column_stats(stats, expr.name.lower())
-        return col["ndv"] if col else None
+        return col.ndv if col else None
 
     def _unique_key_rows(self, rel: _Relation, binding: str | None,
                          exprs: list[ast.Expr]) -> float | None:
@@ -1412,7 +1413,7 @@ class Planner:
             # An estimate made before this pass already counted a guess.
             stats, rows = self._row_count(op.table.info.name,
                                           counted=est is None)
-            pages = (float(stats["page_count"]) if stats
+            pages = (float(stats.page_count) if stats
                      else max(1.0, rows / 50.0))
             if est is None:
                 est = rows

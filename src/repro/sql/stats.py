@@ -3,9 +3,14 @@
 ``ANALYZE [table]`` scans a table once and records, per column: the row
 count, number of distinct values (NDV), min/max, null fraction, and an
 equi-depth histogram for orderable (numeric/string) columns.  The result
-is a plain dict stored in the catalog (``Catalog.table_stats``), so it
-rides the ``catalog_snapshot`` blob through checkpoints, inside its
-table's image, and survives both restart recovery and Phoenix recovery.
+is an immutable value — a :class:`TableStats` of :class:`ColumnStats`,
+named tuples all the way down (the histogram a tuple) — stored in the
+catalog (``Catalog.table_stats``).  Being immutable it is shared, never
+copied: a table's image, the ``catalog_snapshot`` blob, the statistics
+blob and a restored catalog all hold the one object ANALYZE made, and
+``copy.deepcopy`` (a forked engine) hands back the same object.  It
+survives both restart recovery and Phoenix recovery.  Readers go
+through :func:`column_stats` and the named fields.
 
 The estimation half turns those statistics into selectivities for the
 planner's conjunct extraction:
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import datetime
 from bisect import bisect_left, bisect_right
+from typing import NamedTuple
 
 #: Fallbacks when a column has no usable statistics.
 DEFAULT_EQ_SELECTIVITY = 0.1
@@ -33,6 +39,48 @@ DEFAULT_RANGE_SELECTIVITY = 0.3
 #: Sanity clamp: no predicate stack may claim fewer than this fraction
 #: of a table's rows (guards against correlated-conjunct underestimates).
 MIN_SELECTIVITY = 1e-4
+
+
+# ---------------------------------------------------------------------------
+# The statistics value
+# ---------------------------------------------------------------------------
+
+
+def _itself(value, _memo=None):
+    """A copy of an immutable value: the value itself."""
+    return value
+
+
+class ColumnStats(NamedTuple):
+    """ANALYZE output for one column."""
+
+    name: str
+    ndv: int
+    null_frac: float
+    min: object = None
+    max: object = None
+    #: Equi-depth bucket boundaries (see _equi_depth_histogram), or None.
+    histogram: tuple | None = None
+
+    __copy__ = __deepcopy__ = _itself
+
+
+class TableStats(NamedTuple):
+    """ANALYZE output for one table: its row and page counts and one
+    :class:`ColumnStats` per column, in column order."""
+
+    row_count: int
+    page_count: int
+    columns: tuple[ColumnStats, ...] = ()
+
+    __copy__ = __deepcopy__ = _itself
+
+    def column(self, name: str) -> ColumnStats | None:
+        """The statistics of column ``name`` (lowercase), or None."""
+        for col in self.columns:
+            if col.name == name:
+                return col
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +113,8 @@ def _as_number(value):
     return None
 
 
-def _equi_depth_histogram(sorted_values: list, buckets: int) -> list | None:
+def _equi_depth_histogram(sorted_values: list,
+                          buckets: int) -> tuple | None:
     """Bucket boundaries ``[b0, .., bB]`` with ~equal row counts per
     bucket.  ``b0``/``bB`` are the column min/max; interior boundaries
     sit at the equi-depth quantiles."""
@@ -77,19 +126,11 @@ def _equi_depth_histogram(sorted_values: list, buckets: int) -> list | None:
     for i in range(1, buckets):
         bounds.append(sorted_values[(i * n) // buckets])
     bounds.append(sorted_values[-1])
-    return bounds
+    return tuple(bounds)
 
 
-def collect_table_stats(table, buckets: int = 16) -> dict:
-    """One-pass statistics for a table runtime (see module docstring).
-
-    Returns a plain dict (catalog/snapshot friendly)::
-
-        {"row_count": int, "page_count": int,
-         "columns": {name: {"ndv": int, "null_frac": float,
-                            "min": v | None, "max": v | None,
-                            "histogram": [bounds...] | None}}}
-    """
+def collect_table_stats(table, buckets: int = 16) -> TableStats:
+    """One-pass statistics for a table runtime (see module docstring)."""
     column_names = [c.name.lower() for c in table.info.columns]
     values: list[list] = [[] for _ in column_names]
     nulls = [0] * len(column_names)
@@ -106,24 +147,19 @@ def collect_table_stats(table, buckets: int = 16) -> dict:
             present = [v for v in column if v is not None]
             nulls[i] += len(column) - len(present)
             values[i].extend(present)
-    columns: dict[str, dict] = {}
+    columns = []
     for i, name in enumerate(column_names):
         col_values = values[i]
-        col: dict = {
-            "ndv": len(set(col_values)),
-            "null_frac": (nulls[i] / row_count) if row_count else 0.0,
-            "min": None,
-            "max": None,
-            "histogram": None,
-        }
+        col = ColumnStats(
+            name=name, ndv=len(set(col_values)),
+            null_frac=(nulls[i] / row_count) if row_count else 0.0)
         if _orderable(col_values):
             col_values.sort()
-            col["min"] = col_values[0]
-            col["max"] = col_values[-1]
-            col["histogram"] = _equi_depth_histogram(col_values, buckets)
-        columns[name] = col
-    return {"row_count": row_count, "page_count": page_count,
-            "columns": columns}
+            col = col._replace(
+                min=col_values[0], max=col_values[-1],
+                histogram=_equi_depth_histogram(col_values, buckets))
+        columns.append(col)
+    return TableStats(row_count, page_count, tuple(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -131,21 +167,21 @@ def collect_table_stats(table, buckets: int = 16) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def equality_selectivity(col: dict | None) -> float:
+def equality_selectivity(col: ColumnStats | None) -> float:
     """Selectivity of ``col = constant`` (uniform over distinct values)."""
     if not col:
         return DEFAULT_EQ_SELECTIVITY
-    ndv = col.get("ndv") or 0
+    ndv = col.ndv or 0
     if ndv <= 0:
         return DEFAULT_EQ_SELECTIVITY
-    non_null = 1.0 - float(col.get("null_frac") or 0.0)
+    non_null = 1.0 - float(col.null_frac or 0.0)
     return max(MIN_SELECTIVITY, min(1.0, non_null / ndv))
 
 
-def _fraction_below(col: dict, value, inclusive: bool) -> float:
+def _fraction_below(col: ColumnStats, value, inclusive: bool) -> float:
     """Estimated fraction of non-null rows with ``col < value`` (or
     ``<=`` when inclusive), via the equi-depth histogram."""
-    hist = col.get("histogram")
+    hist = col.histogram
     if hist and len(hist) >= 2:
         try:
             if inclusive:
@@ -166,13 +202,13 @@ def _fraction_below(col: dict, value, inclusive: bool) -> float:
             frac_in_bucket = min(1.0, max(0.0, (v - lo) / (hi - lo)))
         return (pos - 1 + frac_in_bucket) / buckets
     v = _as_number(value)
-    lo, hi = _as_number(col.get("min")), _as_number(col.get("max"))
+    lo, hi = _as_number(col.min), _as_number(col.max)
     if v is not None and lo is not None and hi is not None and hi > lo:
         return min(1.0, max(0.0, (v - lo) / (hi - lo)))
     return 0.5
 
 
-def range_selectivity(col: dict | None, lo=None, hi=None,
+def range_selectivity(col: ColumnStats | None, lo=None, hi=None,
                       lo_inclusive: bool = True,
                       hi_inclusive: bool = True) -> float:
     """Selectivity of ``lo <op> col <op> hi`` (either bound optional)."""
@@ -182,7 +218,7 @@ def range_selectivity(col: dict | None, lo=None, hi=None,
                 if hi is not None else 1.0)
     below_lo = (_fraction_below(col, lo, not lo_inclusive)
                 if lo is not None else 0.0)
-    non_null = 1.0 - float(col.get("null_frac") or 0.0)
+    non_null = 1.0 - float(col.null_frac or 0.0)
     sel = (below_hi - below_lo) * non_null
     return max(MIN_SELECTIVITY, min(1.0, sel))
 
@@ -195,8 +231,10 @@ def combine_conjuncts(selectivities: list[float]) -> float:
     return max(MIN_SELECTIVITY, min(1.0, sel))
 
 
-def column_stats(stats: dict | None, column: str) -> dict | None:
-    """The per-column stats dict, or None when never analyzed."""
-    if not stats:
+def column_stats(stats: TableStats | None,
+                 column: str) -> ColumnStats | None:
+    """A column's statistics, or None when its table was never
+    analyzed."""
+    if stats is None:
         return None
-    return stats.get("columns", {}).get(column.lower())
+    return stats.column(column.lower())

@@ -11,11 +11,19 @@ at attach time, and restart recovery then maintains the trees
 *incrementally*, routing every redone or undone heap change through the
 index-aware apply methods (see ``wal/recovery.py`` and DESIGN.md §8),
 so no wholesale post-recovery rebuild is needed.
+
+A tree filled from many rows at once is built, not grown:
+:meth:`BTree.build` sorts the ``(key, rid)`` pairs once and packs the
+nodes level by level, leaves first.  The result holds exactly what
+inserting the pairs one by one would hold — the same keys, the same
+payload order, the same :attr:`BTree.admitted` keys — in a tree of
+minimal height whose every non-root node holds ``t-1..2t-1`` keys.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 
 from repro.errors import ConstraintError
 
@@ -70,10 +78,10 @@ def decode_key_value(value):
 class _Node:
     __slots__ = ("keys", "values", "children")
 
-    def __init__(self):
-        self.keys: list[tuple] = []
-        self.values: list[list] = []     # parallel to keys; leaf payloads
-        self.children: list["_Node"] = []  # empty for leaves
+    def __init__(self, keys=None, values=None, children=None):
+        self.keys: list[tuple] = keys or []
+        self.values: list[list] = values or []  # parallel to keys
+        self.children: list["_Node"] = children or []  # empty for leaves
 
     @property
     def is_leaf(self) -> bool:
@@ -90,9 +98,39 @@ class BTree:
         self.unique = unique
         self._root = _Node()
         self._size = 0  # number of (key, value) pairs
+        #: Keys of a unique tree that took a second value unchecked
+        #: (``enforce_unique=False``): the only keys that can hold more
+        #: than one, so the only ones a uniqueness check must read.
+        self.admitted: set[tuple] = set()
 
     def __len__(self) -> int:
         return self._size
+
+    @classmethod
+    def build(cls, pairs, unique: bool = False, enforce_unique: bool = True,
+              t: int = 16) -> "BTree":
+        """A tree holding ``pairs`` (a sequence of ``(key, value)``),
+        equal to inserting them one by one in order: one stable sort,
+        then the nodes packed level by level (see the module
+        docstring).  ``enforce_unique`` as for :meth:`insert`: a unique
+        tree raises the error the first duplicate in ``pairs`` order
+        would raise, or else admits the duplicates."""
+        tree = cls(unique, t)
+        keys: list[tuple] = []
+        values: list[list] = []
+        for key, value in sorted(pairs, key=_first):
+            if keys and keys[-1] == key:
+                if unique:
+                    if enforce_unique:
+                        _raise_first_duplicate(pairs)
+                    tree.admitted.add(keys[-1])
+                values[-1].append(value)
+            else:
+                keys.append(key)
+                values.append([value])
+        tree._size = len(pairs)
+        tree._root = _pack(keys, values, t)
+        return tree
 
     # -- search -------------------------------------------------------------
 
@@ -147,12 +185,15 @@ class BTree:
         re-create a key the tree already holds (the delete that resolves
         it replays later), so redo/undo appends instead of raising and
         uniqueness is re-validated once undo completes (see
-        ``wal/recovery.py``).
+        ``wal/recovery.py``) on the keys :attr:`admitted` names.
         """
         existing = self._find_payload(self._root, key)
         if existing is not None:
-            if self.unique and enforce_unique:
-                raise ConstraintError(f"duplicate key {key!r} in unique index")
+            if self.unique:
+                if enforce_unique:
+                    raise ConstraintError(
+                        f"duplicate key {key!r} in unique index")
+                self.admitted.add(key)
             existing.append(value)
             self._size += 1
             return
@@ -362,3 +403,46 @@ class BTree:
         child.values.extend(right.values)
         child.children.extend(right.children)
         node.children.pop(i + 1)
+
+
+_first = itemgetter(0)
+
+
+def _raise_first_duplicate(pairs) -> None:
+    """Raise what inserting ``pairs`` one by one into a unique tree
+    raises: the error of the first key already seen."""
+    seen = set()
+    for key, _value in pairs:
+        if key in seen:
+            raise ConstraintError(f"duplicate key {key!r} in unique index")
+        seen.add(key)
+
+
+def _pack(keys: list, values: list, t: int) -> _Node:
+    """The root of a tree over sorted distinct ``keys`` (payloads
+    ``values``), built bottom-up.  A level of ``m`` entries that does
+    not fit one node becomes ``p`` nodes of ``t-1..2t-1`` entries with
+    one separator between neighbours; the ``p-1`` separators are the
+    next level's entries and the nodes its children, until a level
+    fits the root."""
+    children = None
+    full = 2 * t - 1
+    while len(keys) > full:
+        m = len(keys)
+        p = -(-(m + 1) // (full + 1))
+        size, extra = divmod(m - p + 1, p)
+        nodes, up_keys, up_values = [], [], []
+        start = child = 0
+        for j in range(p):
+            stop = start + size + (j < extra)
+            node = _Node(keys[start:stop], values[start:stop])
+            if children is not None:
+                node.children = children[child:child + stop - start + 1]
+                child += stop - start + 1
+            nodes.append(node)
+            if stop < m:
+                up_keys.append(keys[stop])
+                up_values.append(values[stop])
+            start = stop + 1
+        keys, values, children = up_keys, up_values, nodes
+    return _Node(keys, values, children)

@@ -22,9 +22,12 @@ blob of their own (:meth:`Catalog.stats_snapshot`); restart lays them
 back only onto the tables they were taken from, matched by table id.
 
 Snapshots obey the disk's ownership contract (see
-:mod:`repro.storage.disk`): an image aliases no live catalog state, and
-``apply`` builds fresh objects without keeping references into the
-image it reads.
+:mod:`repro.storage.disk`): an image aliases no live mutable catalog
+state, and ``apply`` builds fresh objects without keeping references
+into the image's mutable parts.  A table's statistics are an immutable
+:class:`~repro.sql.stats.TableStats`, so images, snapshots, the
+statistics blob and restored catalogs share the one value ANALYZE made
+instead of copying it.
 
 Name scoping: all object names are case-insensitive (stored lowercased).
 Tables named with :data:`~repro.phoenix_names.PHOENIX_PREFIX` carry
@@ -34,7 +37,9 @@ own overhead tables (see DESIGN.md §6).
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import (
     CatalogError,
@@ -45,21 +50,14 @@ from repro.errors import (
 from repro.phoenix_names import PHOENIX_PREFIX
 from repro.types import Column, SqlType
 
-
-def _copy_plain(value):
-    """Structural copy of plain data (nested dicts/lists; scalars and
-    tuples are immutable and shared) — the shape of ANALYZE output."""
-    if isinstance(value, dict):
-        return {key: _copy_plain(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_copy_plain(item) for item in value]
-    return value
+if TYPE_CHECKING:
+    from repro.sql.stats import TableStats
 
 
 #: The kinds a snapshot lists images of, in order (a table's indexes
 #: ride inside its image).
 _SNAPSHOT_KINDS = ("table", "procedure", "view")
-#: What a snapshot holds besides the images.
+#: What a snapshot holds besides the images: ints and name -> int maps.
 _COUNTERS = ("next_table_id", "next_file_id", "versions", "schema_version",
              "stats_versions")
 #: The not-found error of a kind that has its own.
@@ -144,10 +142,10 @@ class Catalog:
     #: recovered data.  Commits bump them only while the result cache
     #: is on.
     dml_versions: dict[str, int] = field(default_factory=dict)
-    #: ANALYZE output per table (plain dicts — see repro.sql.stats).
-    #: Part of each table's image, so statistics survive restart and
-    #: Phoenix recovery.
-    table_stats: dict[str, dict] = field(default_factory=dict)
+    #: ANALYZE output per table (immutable ``TableStats`` values — see
+    #: repro.sql.stats).  Part of each table's image, so statistics
+    #: survive restart and Phoenix recovery.
+    table_stats: dict[str, TableStats] = field(default_factory=dict)
     #: Per-table statistics version counters, bumped by ANALYZE.  These
     #: are the plan cache's stale-statistics invalidation keys — kept
     #: separate from :attr:`versions` because a stats refresh is not DDL
@@ -185,14 +183,14 @@ class Catalog:
 
     # -- table statistics ----------------------------------------------------
 
-    def set_table_stats(self, name: str, stats: dict) -> None:
+    def set_table_stats(self, name: str, stats: TableStats) -> None:
         """Store ANALYZE output for a table and bump its stats version."""
         key = name.lower()
         self.table_stats[key] = stats
         self.stats_versions[key] = self.stats_versions.get(key, 0) + 1
         self.generation += 1
 
-    def get_table_stats(self, name: str) -> dict | None:
+    def get_table_stats(self, name: str) -> TableStats | None:
         return self.table_stats.get(name.lower())
 
     def stats_version_of(self, name: str) -> int:
@@ -253,10 +251,9 @@ class Catalog:
         """The plain-data image of one object (see the module
         docstring): what its DDL record logs, what a snapshot holds and
         what :meth:`apply` creates it from.  Shares nothing mutable with
-        the catalog."""
+        the catalog (a table's statistics are immutable, so shared)."""
         if not isinstance(info, TableInfo):
             return asdict(info)
-        stats = self.table_stats.get(info.name)
         return {
             "name": info.name,
             "table_id": info.table_id,
@@ -267,7 +264,7 @@ class Catalog:
             "primary_key": list(info.primary_key),
             "indexes": [self.image(index)
                         for index in self.indexes_on(info.name)],
-            "stats": None if stats is None else _copy_plain(stats),
+            "stats": self.table_stats.get(info.name),
         }
 
     def apply(self, kind: str, create: bool, image: dict):
@@ -322,7 +319,7 @@ class Catalog:
             for index in image["indexes"]:
                 self.apply("index", True, index)
             if image["stats"] is not None:
-                self.set_table_stats(name, _copy_plain(image["stats"]))
+                self.set_table_stats(name, image["stats"])
         return info
 
     # -- snapshot / restore ----------------------------------------------------
@@ -331,8 +328,7 @@ class Catalog:
         """Plain-data snapshot for the disk blob: every object's image
         and the id and version counters; shares no mutable object with
         the live catalog."""
-        snapshot = {name: _copy_plain(getattr(self, name))
-                    for name in _COUNTERS}
+        snapshot = {name: copy(getattr(self, name)) for name in _COUNTERS}
         snapshot["objects"] = [(kind, self.image(info))
                                for kind in _SNAPSHOT_KINDS
                                for info in self._objects(kind).values()]
@@ -348,14 +344,14 @@ class Catalog:
             for kind, image in snapshot["objects"]:
                 catalog.apply(kind, True, image)
             for name in _COUNTERS:
-                setattr(catalog, name, _copy_plain(snapshot[name]))
+                setattr(catalog, name, copy(snapshot[name]))
         return catalog
 
     def stats_snapshot(self) -> dict:
         """Just the statistics, for the blob ANALYZE writes immediately
         (statistics are not WAL-logged, so they cannot wait for the next
         checkpoint), each with the id of the table it was taken from."""
-        return {"table_stats": _copy_plain(self.table_stats),
+        return {"table_stats": dict(self.table_stats),
                 "table_ids": {name: self.tables[name].table_id
                               for name in self.table_stats},
                 "stats_versions": dict(self.stats_versions)}
@@ -373,7 +369,7 @@ class Catalog:
         for name, stats in snapshot["table_stats"].items():
             info = self.tables.get(name)
             if info is not None and info.table_id == taken_from[name]:
-                self.table_stats[name] = _copy_plain(stats)
+                self.table_stats[name] = stats
             else:
                 stale = True
         for name, version in snapshot["stats_versions"].items():

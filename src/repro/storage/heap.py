@@ -19,9 +19,10 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.page import Page
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class RowId:
-    """Physical row address: file, page, slot."""
+    """Physical row address: file, page, slot.  Slotted: every index
+    entry holds one, and a tree build makes one per row."""
 
     file_id: int
     page_no: int
@@ -63,33 +64,37 @@ class HeapFile:
 
     # -- normal operations (used via the transaction manager) -----------------
 
-    def page_for_insert(self, owner: int,
-                        live) -> tuple[int, Page, list[int]]:
+    def page_for_insert(self, owner: int, live, passed: set[int] | None = None
+                        ) -> tuple[int, Page, list[int]]:
         """The page a row of transaction ``owner`` goes to and the slots
         it hands out there (:meth:`Page.open_slots`; ``live``: the ids of
         the active transactions): the lowest-numbered page with a slot
         it may take, else a fresh one.  One pool access per call, bar
         pages whose empty slots other live transactions hold: those are
-        passed over and stay candidates.  The bulk insert path fills the
-        page it gets and reports back through :meth:`stamp_filled`."""
+        passed over, stay candidates, and go into ``passed`` — the
+        statement's set of such pages, which no later call asks the pool
+        for again (no transaction ends while a statement runs).  The
+        bulk insert path fills the page it gets and reports back through
+        :meth:`stamp_filled`."""
         candidates = self._pages_with_space
-        held = []
-        while candidates:
-            page_no = min(candidates)
+        if passed is None:
+            passed = set()
+        while True:
+            open_pages = candidates - passed if passed else candidates
+            if not open_pages:
+                page_no = self.page_count
+                page = self._page(page_no, create=True)
+                return page_no, page, page.open_slots(owner, live)
+            page_no = min(open_pages)
             page = self._page(page_no, create=False)
             if page is not None:
                 slots = page.open_slots(owner, live)
                 if slots:
-                    break
+                    return page_no, page, slots
+                if page.has_empty_slot():
+                    passed.add(page_no)
+                    continue
             candidates.discard(page_no)
-            if page is not None and page.has_empty_slot():
-                held.append(page_no)
-        else:
-            page_no = self.page_count
-            page = self._page(page_no, create=True)
-            slots = page.open_slots(owner, live)
-        candidates.update(held)
-        return page_no, page, slots
 
     def stamp_filled(self, page_no: int, page: Page, first_lsn: int,
                      last_lsn: int) -> None:

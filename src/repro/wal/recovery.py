@@ -24,8 +24,10 @@ a table runtime materializes its B-trees from the heap's on-disk state
 the first time recovery touches the table, and every redone or undone
 heap change also applies the matching index updates (the logical
 equivalent of redoing/undoing index pages).  No wholesale post-recovery
-index rebuild is needed — restart cost scales with the log tail, not
-with total data volume.
+index rebuild is needed, so the passes scale with the log tail; the
+attach-time build of each touched table's trees still reads all its
+rows (one ``BTree.build`` a tree).  Uniqueness is re-checked after undo
+on the keys a unique tree admitted a second rid for, and no others.
 
 One pass serves every checkpoint regime: analysis merges the dirty-page
 table the last complete checkpoint logged with the pages touched after
@@ -205,8 +207,8 @@ class RecoveryManager:
             # (see module docstring); no wholesale rebuild pass is
             # needed.  But repeating history tolerates transient
             # unique-key duplicates (apply-mode inserts do not enforce
-            # uniqueness), so check the invariant is restored now that
-            # both passes are done.
+            # uniqueness), so check the keys that took one are unique
+            # again now that both passes are done.
             for runtime in self._touched_runtimes.values():
                 runtime.validate_unique_indexes()
             self._log.force()

@@ -7,13 +7,15 @@ value by value, one ``charge_batched`` per row.  This file keeps that
 loop — ``_build_row``, ``find_insert_target``/``_page_with_space`` and
 ``Table.insert`` as they stood — as the judge of ``RowShape.build`` and
 ``Table.insert_many``: same rows, same addresses, same log, same page
-and pool state, same virtual charges.  Three rules came after it and
+and pool state, same virtual charges.  Four rules came after it and
 are written out here row by row: a slot another live transaction's
 DELETE emptied is that transaction's (ARIES space reservation), a page
-a row fills leaves the free-space set at once, and a row goes to the
-page the statement's previous row went to while that page has a slot
-for it (so a page held by another deleter is looked at once per page
-filled, not once per row).  Each row builds, chains and appends its own
+a row fills leaves the free-space set at once, a row goes to the page
+the statement's previous row went to while that page has a slot for
+it, and a page held by another deleter is looked at once per
+statement, not once per page filled (no transaction ends while the
+statement runs, so none of its slots can open).  Each row builds,
+chains and appends its own
 ``InsertRecord``.  It reaches into the runtime's private parts on
 purpose (that is what the old code did); it shares no helper with the
 new path beyond the storage primitives both sit on.
@@ -54,13 +56,14 @@ def _open_slot(page, owner, live):
     return len(page.slots) if len(page.slots) < page.capacity else None
 
 
-def _page_with_space(heap, owner, live, previous=None) -> int:
+def _page_with_space(heap, owner, live, previous=None, passed=None) -> int:
     """The page the statement's previous row went to while it has a
     slot ``owner`` may take, else the lowest such page, else a new one.
     A page whose empty slots are all held by another live deleter stays
-    a candidate (looked at again only once the previous row's page is
-    done), a page without an empty slot leaves the set."""
-    candidates = sorted(heap._pages_with_space)
+    a candidate but joins the statement's ``passed`` pages, which are
+    not looked at again; a page without an empty slot leaves the set."""
+    passed = set() if passed is None else passed
+    candidates = sorted(heap._pages_with_space - passed)
     if previous in heap._pages_with_space:
         candidates.insert(0, previous)
     for page_no in candidates:
@@ -69,11 +72,13 @@ def _page_with_space(heap, owner, live, previous=None) -> int:
             return page_no
         if page is None or not page.has_empty_slot():
             heap._pages_with_space.discard(page_no)
+        else:
+            passed.add(page_no)
     return heap.page_count
 
 
-def _insert_target(heap, owner, live, previous=None):
-    page_no = _page_with_space(heap, owner, live, previous)
+def _insert_target(heap, owner, live, previous=None, passed=None):
+    page_no = _page_with_space(heap, owner, live, previous, passed)
     page = heap._page(page_no, create=True)
     return RowId(heap.file_id, page_no, _open_slot(page, owner, live)), page
 
@@ -95,14 +100,15 @@ def _check_unique(table, row) -> None:
                 f"duplicate key {key!r} in {table.info.name!r}")
 
 
-def insert(table, row, txn, txns, previous=None) -> RowId:
+def insert(table, row, txn, txns, previous=None, passed=None) -> RowId:
     """``Table.insert``: one row, logged, placed, indexed, charged
-    (``previous``: the page the statement's previous row went to)."""
+    (``previous``: the page the statement's previous row went to;
+    ``passed``: the held pages the statement has looked at)."""
     _check_unique(table, row)
     owner = txn.txn_id if txn is not None else 0
     heap = table.heap
     rid, page = _insert_target(heap, owner, txns.live if txns else (),
-                               previous)
+                               previous, passed)
     lsn = 0
     if not table.info.volatile and txn is not None and txns is not None:
         # One record per row, chained and appended on its own.
@@ -129,8 +135,8 @@ def insert(table, row, txn, txns, previous=None) -> RowId:
 def insert_each(table, rows, txn, txns) -> list[RowId]:
     """The statement loop: stops at the first row that raises, leaving
     the rows before it inserted."""
-    rids = []
+    rids, passed = [], set()
     for row in rows:
         rids.append(insert(table, row, txn, txns,
-                           rids[-1].page_no if rids else None))
+                           rids[-1].page_no if rids else None, passed))
     return rids

@@ -16,19 +16,18 @@ import pytest
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
 from repro.sim.meter import Meter
+from repro.sql.stats import ColumnStats, TableStats
 
 
 def _explain(run, sql: str) -> list[str]:
     return [str(row[0]) for row in run("EXPLAIN " + sql)]
 
 
-def _stats(row_count: int, page_count: int = 1, **ndvs) -> dict:
-    """A doctored statistics dict in the ANALYZE format."""
-    columns = {name: {"ndv": ndv, "null_frac": 0.0, "min": None,
-                      "max": None, "histogram": None}
-               for name, ndv in ndvs.items()}
-    return {"row_count": row_count, "page_count": page_count,
-            "columns": columns}
+def _stats(row_count: int, page_count: int = 1, **ndvs) -> TableStats:
+    """Doctored statistics in the ANALYZE format."""
+    return TableStats(row_count, page_count,
+                      tuple(ColumnStats(name, ndv, 0.0)
+                            for name, ndv in ndvs.items()))
 
 
 @pytest.fixture
@@ -57,12 +56,12 @@ class TestAnalyze:
             f"({i % 7}, 's{i % 4}')" for i in range(20)))
         run("ANALYZE t")
         stats = engine.catalog.get_table_stats("t")
-        assert stats["row_count"] == 20
-        assert stats["columns"]["a"]["ndv"] == 7
-        assert stats["columns"]["a"]["min"] == 0
-        assert stats["columns"]["a"]["max"] == 6
-        assert stats["columns"]["s"]["ndv"] == 4
-        assert stats["columns"]["a"]["histogram"] is not None
+        assert stats.row_count == 20
+        assert stats.column("a").ndv == 7
+        assert stats.column("a").min == 0
+        assert stats.column("a").max == 6
+        assert stats.column("s").ndv == 4
+        assert stats.column("a").histogram is not None
         assert engine.catalog.stats_version_of("t") == 1
 
     def test_analyze_all_tables_and_view(self, run, engine):
@@ -81,9 +80,9 @@ class TestAnalyze:
         run("CREATE TABLE t (a INT)")
         run("INSERT INTO t VALUES (1), (NULL), (NULL), (4)")
         run("ANALYZE t")
-        col = engine.catalog.get_table_stats("t")["columns"]["a"]
-        assert col["null_frac"] == pytest.approx(0.5)
-        assert col["ndv"] == 2
+        col = engine.catalog.get_table_stats("t").column("a")
+        assert col.null_frac == pytest.approx(0.5)
+        assert col.ndv == 2
 
     def test_analyze_charges_virtual_time(self, run, engine):
         run("CREATE TABLE t (a INT)")
@@ -604,7 +603,7 @@ class TestStatsPersistence:
     def test_stats_survive_restart(self):
         server, app = self._world()
         expected = server.engine.catalog.get_table_stats("t")
-        assert expected["row_count"] == 24
+        assert expected.row_count == 24
         server.crash()
         server.restart()
         assert server.engine.catalog.get_table_stats("t") == expected

@@ -19,6 +19,8 @@ only.  Two families of contracts:
 
 import copy
 
+import pytest
+
 from repro.engine.dml_versions import BASE_BLOB
 from repro.sim.costs import CostModel
 from repro.wal.records import AbortRecord, CommitRecord
@@ -267,11 +269,17 @@ def test_checkpointed_catalog_is_isolated_from_live_mutation():
 
     # Scribble over everything the snapshot was built from, and keep
     # logging: none of it was written back, so none of it may survive.
+    # The statistics themselves are immutable (shared with the
+    # snapshot, not copied): only the catalog's entry can be replaced.
     stats = catalog.table_stats["t"]
-    stats["row_count"] = 10 ** 9
-    stats["columns"]["v"]["ndv"] = -1
-    stats["columns"]["v"]["histogram"].append("garbage")
-    del stats["columns"]["k"]
+    with pytest.raises(AttributeError):
+        stats.row_count = 10 ** 9
+    with pytest.raises(AttributeError):
+        stats.column("v").ndv = -1
+    with pytest.raises(AttributeError):
+        stats.column("v").histogram.append("garbage")
+    catalog.table_stats["t"] = stats._replace(row_count=10 ** 9,
+                                              columns=stats.columns[1:])
     catalog.stats_versions["t"] = 99
     catalog.versions["t"] = 99
     catalog.schema_version = 99
@@ -286,8 +294,8 @@ def test_checkpointed_catalog_is_isolated_from_live_mutation():
 
     # The reader's side of the contract: the restored catalog owns its
     # structures, so scribbling on *it* cannot reach the disk either.
-    restarted.catalog.table_stats["t"]["columns"]["v"]["histogram"].clear()
-    restarted.catalog.table_stats["t"]["row_count"] = -5
+    restarted.catalog.table_stats["t"] = \
+        restarted.catalog.table_stats["t"]._replace(row_count=-5)
     assert world.disk.read_blob("catalog_snapshot") == checkpointed
     assert world.disk.read_blob("table_stats_snapshot")["table_stats"] \
         == {image["name"]: image["stats"]
@@ -303,8 +311,8 @@ def test_analyze_blob_is_isolated_from_live_mutation():
     world.run("INSERT INTO t VALUES (1, 1), (2, 2), (3, 3)")
     world.run("ANALYZE t")
     analyzed = copy.deepcopy(world.engine.catalog.table_stats["t"])
-    world.engine.catalog.table_stats["t"]["row_count"] = 12345
-    world.engine.catalog.table_stats["t"]["columns"]["k"]["max"] = 0
+    world.engine.catalog.table_stats["t"] = analyzed._replace(
+        row_count=12345)
     restarted = world.crash_and_restart()
     assert restarted.catalog.table_stats["t"] == analyzed
     assert restarted.catalog.stats_version_of("t") == 1

@@ -72,7 +72,10 @@ def scenarios(draw):
                                 st.integers(0, 2))),
                  *[draw(EXTRA_TYPES[t]) for t in extras]) for i in ids]
 
-    seeded = draw(st.integers(0, 9))
+    # Half the tables are fresh: with no history their trees are empty,
+    # so insert_many builds them after placement (BTree.build) where the
+    # oracle inserts row by row.
+    seeded = 0 if draw(st.booleans()) else draw(st.integers(0, 9))
     spec["seed_rows"] = rows(range(seeded))
     spec["deleted"] = sorted(draw(st.sets(st.integers(0, max(0, seeded - 1)),
                                           max_size=seeded)))
@@ -254,6 +257,72 @@ def test_insert_many_equals_the_per_row_loop(spec):
     if bulk.table is not None:
         assert list(bulk.table.heap.scan()) \
             == list(oracle.table.heap.scan())
+
+
+def _spec(**changes):
+    spec = {"name": "t", "extras": [], "pk": True, "unique_u": True,
+            "index_tag": True, "page_bytes": 48, "pool_pages": 2,
+            "checkpoint": False, "mode": "clocked", "ending": "commit",
+            "seed_rows": [], "deleted": [], "held": [], "batch": []}
+    spec.update(changes)
+    return spec
+
+
+@pytest.mark.parametrize("offender", [None, "duplicate", "null"])
+def test_a_fresh_table_builds_its_trees_once(offender, monkeypatch):
+    """Into empty trees, the run is checked up front and every tree is
+    built from the placed rows — no per-row tree insert — with the
+    per-row loop's rows, log, pool state and error."""
+    batch = [(i, 100 + i, i % 3) for i in range(30)]
+    if offender == "duplicate":
+        batch[17] = (17, 105, 0)         # u of row 5
+    elif offender == "null":
+        batch[17] = (17, None, 0)
+    bulk, oracle = World(_spec(batch=batch)), World(_spec(batch=batch))
+
+    def no_insert(*args, **kwargs):
+        raise AssertionError("a per-row tree insert")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.storage.btree.BTree.insert", no_insert)
+        observed = bulk.statement(via_insert_many)
+    assert same_observed(observed,
+                         oracle.statement(insert_oracle.insert_each))
+    assert observed.get("error") == {
+        None: None, "duplicate": "duplicate key (105,) in 't'",
+        "null": "NULL in unique key 'ux_u' of 't'"}[offender]
+    state = bulk.state()
+    assert len(state["indexes"]["__pk_t"]) == (30 if offender is None
+                                                else 17)
+    assert same_state(state, oracle.state())
+    bulk.end()
+    oracle.end()
+    assert same_state(bulk.state(), oracle.state())
+
+
+def test_a_held_page_is_asked_for_once_per_statement(monkeypatch):
+    """Two pages whose one empty slot each is held by another live
+    transaction's DELETE: a 30-row INSERT that fills eight new pages
+    asks the pool for each held page once, not once per page filled."""
+    spec = _spec(pk=False, unique_u=False, index_tag=False,
+                 seed_rows=[(i, 100 + i, None) for i in range(8)],
+                 held=[0, 4],
+                 batch=[(20 + i, 120 + i, None) for i in range(30)])
+    world = World(spec)
+    heap, pool = world.table.heap, world.engine.buffer_pool
+    assert heap.rows_per_page == 4 and heap.page_count == 2
+    asked = {}
+
+    def counting(file_id, page_no, *rest, _get_page=pool.get_page):
+        if file_id == heap.file_id:
+            asked[page_no] = asked.get(page_no, 0) + 1
+        return _get_page(file_id, page_no, *rest)
+
+    monkeypatch.setattr(pool, "get_page", counting)
+    world.statement(via_insert_many)
+    assert heap.page_count == 10
+    assert asked[0] == asked[1] == 1
+    assert {0, 1} <= heap._pages_with_space    # still candidates
 
 
 # ---------------------------------------------------------------------------

@@ -264,7 +264,7 @@ def test_crash_at_every_request_boundary(cache_rows, prefetch,
                 f"a hit on a rewritten row {run.where}"
         if analyze:
             stats = run.world.server.engine.catalog.get_table_stats("ledger")
-            assert stats and stats["row_count"] == 8, \
+            assert stats and stats.row_count == 8, \
                 f"ANALYZE statistics lost {run.where}"
 
 

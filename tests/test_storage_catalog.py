@@ -6,6 +6,8 @@ with the log write between the last two; ``create`` and ``drop`` below
 are those steps without the log.
 """
 
+import copy
+
 import pytest
 
 from repro.errors import (
@@ -20,6 +22,7 @@ from repro.storage.catalog import (
     ProcedureInfo,
     TableInfo,
 )
+from repro.sql.stats import ColumnStats, TableStats
 from repro.types import Column, SqlType
 
 
@@ -176,16 +179,17 @@ class TestApply:
         catalog = Catalog()
         info = create(catalog, "table", new_table(catalog, "t"))
         create(catalog, "index", new_index("ix", "t", "name"))
-        catalog.set_table_stats("t", {"row_count": 3, "columns": {}})
+        stats = TableStats(3, 1, (ColumnStats("id", 3, 0.0, 1, 3, (1, 3)),))
+        catalog.set_table_stats("t", stats)
         image = catalog.image(info)
         drop(catalog, "table", "t")
         assert catalog.get_table_stats("t") is None
         assert catalog.apply("table", True, image) == info
         assert catalog.indexes_on("t") == [IndexInfo("ix", "t", ("name",))]
-        assert catalog.get_table_stats("t") == {"row_count": 3,
-                                                "columns": {}}
-        image["stats"]["row_count"] = 99     # the apply copied it
-        assert catalog.get_table_stats("t")["row_count"] == 3
+        # Immutable, so the image and the re-created table share it.
+        assert catalog.get_table_stats("t") is stats
+        image["stats"] = None
+        assert catalog.get_table_stats("t") is stats
 
 
 class TestSnapshotRestore:
@@ -203,6 +207,37 @@ class TestSnapshotRestore:
         assert restored.next_file_id == catalog.next_file_id
         assert restored.versions == catalog.versions
         assert restored.snapshot() == catalog.snapshot()
+
+    def test_statistics_are_one_shared_immutable_value(self):
+        """Images, snapshots, the statistics blob and a restored catalog
+        hold the one value ANALYZE made; it cannot be changed, and a
+        deep copy (a forked engine's disk) is the value itself."""
+        catalog = Catalog()
+        info = create(catalog, "table", new_table(catalog, "t"))
+        stats = TableStats(3, 1, (ColumnStats("id", 3, 0.0, 1, 3, (1, 2, 3)),
+                                  ColumnStats("name", 1, 0.5)))
+        catalog.set_table_stats("t", stats)
+        snapshot = catalog.snapshot()
+        restored = Catalog.restore(snapshot)
+        blob = catalog.stats_snapshot()
+        assert catalog.image(info)["stats"] is stats
+        assert dict(snapshot["objects"])["table"]["stats"] is stats
+        assert restored.get_table_stats("t") is stats
+        assert blob["table_stats"]["t"] is stats
+        other = Catalog.restore(snapshot)
+        assert other.load_stats_snapshot(blob) is False
+        assert other.get_table_stats("t") is stats
+        for mutate in (lambda: setattr(stats, "row_count", 9),
+                       lambda: setattr(stats.column("id"), "ndv", 9),
+                       lambda: stats.column("id").histogram.append(4),
+                       lambda: stats.columns.append(None)):
+            with pytest.raises(AttributeError):
+                mutate()
+        assert copy.deepcopy(stats) is stats
+        assert copy.deepcopy(snapshot) == snapshot
+        assert copy.deepcopy(restored).get_table_stats("t") is stats
+        assert stats.column("name") == ColumnStats("name", 1, 0.5)
+        assert stats.column("missing") is None
 
     def test_restore_none_is_empty(self):
         catalog = Catalog.restore(None)
