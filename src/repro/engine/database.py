@@ -49,7 +49,11 @@ from repro.phoenix_names import PHOENIX_PREFIX
 from repro.sim.costs import SERVER_CPU, SERVER_DISK
 from repro.sim.meter import Meter
 from repro.sql import ast
-from repro.sql.executor import is_streamable_plan, iterate_plan
+from repro.sql.executor import (
+    is_streamable_plan,
+    iterate_plan,
+    stored_rows_source,
+)
 from repro.sql.expressions import EvalContext, reset_memos
 from repro.sql.parser import parse_script, parse_statement
 from repro.sql.plan_cache import (
@@ -78,7 +82,13 @@ from repro.txn.manager import (
     Transaction,
     TransactionManager,
 )
-from repro.types import Column, SqlType, coerce_column, row_width_bytes
+from repro.types import (
+    ROW_STATS,
+    Column,
+    SqlType,
+    coerce_column,
+    row_width_bytes,
+)
 from repro.wal.log import WriteAheadLog
 from repro.wal.records import (
     BeginCheckpointRecord,
@@ -249,6 +259,34 @@ _DDL_STATEMENTS = {
     ast.CreateViewStatement: ("view", True),
     ast.DropViewStatement: ("view", False),
 }
+
+
+def _stored_rows(plan, source_rows: list, table: Table,
+                 positions: list | None) -> list:
+    """The rows ``table`` stores for an INSERT's (or a ``CREATE TABLE
+    ... AS``'s) ``source_rows``, produced by ``plan`` (None: a VALUES
+    list).
+
+    ``RowShape.build`` of each row, except where the source provably
+    yields what ``build`` would return: the plan hands on the stored
+    tuples of one durable table (:func:`stored_rows_source`), no column
+    list reorders them, the two tables' columns have the same runtime
+    types, and no NOT NULL column of ``table`` takes a nullable source
+    column.  Such a source row's values are each of its column's type
+    or NULL, so ``build`` would return the row or an equal tuple and
+    raise nothing — and the rows go in as they are, counted as
+    conforming.
+    """
+    source = None if plan is None or positions is not None \
+        else stored_rows_source(plan.root)
+    if source is not None and source.shape.types == table.shape.types \
+            and all(column.nullable or not origin.nullable
+                    for origin, column in zip(source.info.columns,
+                                              table.info.columns)):
+        ROW_STATS["rows_built_fast"] += len(source_rows)
+        return source_rows
+    build = table.shape.build
+    return [build(row, positions) for row in source_rows]
 
 
 class DatabaseEngine:
@@ -1211,8 +1249,8 @@ class DatabaseEngine:
                                         inserting=True)
             # Every row is built before the first one is placed, so a
             # malformed row fails the statement before it mutates.
-            build = table.shape.build
-            rows = [build(source, positions) for source in source_rows]
+            rows = _stored_rows(compiled.select_plan, source_rows, table,
+                                positions)
             if mode is LockMode.INTENT_EXCLUSIVE \
                     and table.row_lock_key is not None:
                 # All row X locks before the first insert too, so a
@@ -1354,8 +1392,8 @@ class DatabaseEngine:
         transaction commits."""
         if create:
             self.catalog.check_new(kind, info)
-        record = CatalogRecord(txn_id=txn.txn_id, kind=kind, create=create,
-                               obj=self.catalog.image(info))
+        record = CatalogRecord(txn.txn_id, 0, 0, kind, create,
+                               self.catalog.image(info))
         self.locks.acquire(txn.txn_id, record.table_name or info.name,
                            LockMode.EXCLUSIVE)
         self.txns.log_catalog(txn, record)
@@ -1404,9 +1442,9 @@ class DatabaseEngine:
             table = self._runtime(catalog.get_table(name))
             if plan is not None:
                 self._lock_for_write(session, txn, table, inserting=True)
-                build = table.shape.build
-                rows = [build(row, None) for row in source_rows]
-                table.insert_many(rows, txn, self.txns)
+                table.insert_many(
+                    _stored_rows(plan, source_rows, table, None), txn,
+                    self.txns)
         # Table creation as the paper measured it (§3.5).
         costs = self.meter.costs
         self.meter.charge(SERVER_CPU, costs.create_table_cpu_seconds,

@@ -540,9 +540,24 @@ class Filter(PlanOperator):
 
 
 class Project(PlanOperator):
-    def __init__(self, child: PlanOperator, exprs: list):
+    """One output tuple per input row, of ``exprs``' values.
+
+    ``input_width`` is how wide the child's rows are, when the planner
+    knows it.  Expressions that are the bare columns ``0..n-1`` of an
+    ``n``-wide input make the projection the identity (``SELECT *`` over
+    one table or a join, and Phoenix's ``SELECT * FROM phoenix_rs_…``):
+    ``identity`` is set once, at plan time, and the operator hands its
+    child's batches on — the same list, the same tuples, the same owed
+    costs.  It stays in the plan, so EXPLAIN, the ``batches.Project``
+    count and the row-at-a-time oracle see the projection as before.
+    """
+
+    def __init__(self, child: PlanOperator, exprs: list,
+                 input_width: int | None = None):
         self.child = child
         self.exprs = exprs
+        self.identity = (input_width is not None
+                         and _all_slots(exprs) == list(range(input_width)))
 
     def children(self):
         return [self.child]
@@ -550,6 +565,11 @@ class Project(PlanOperator):
     def batches(self, exec_ctx: ExecContext):
         exprs = self.exprs
         stats = exec_ctx.meter.executor_stats
+        if self.identity:
+            for batch in self.child.batches(exec_ctx):
+                _count_batch(stats, "batches.Project")
+                yield batch
+            return
         slots = _all_slots(exprs)
         if slots is not None and slots:
             # Pure column projection: index tuples directly, no contexts.
@@ -1305,6 +1325,27 @@ def is_streamable_plan(root: PlanOperator) -> bool:
     while isinstance(op, Project):
         op = op.child
     return isinstance(op, SeqScan)
+
+
+def stored_rows_source(root: PlanOperator):
+    """The table whose stored tuples a plan hands on as they are: a
+    chain of Limits and identity Projects over a plain SeqScan (no
+    hidden row address) of a durable table; None for any other plan.
+
+    Every value of such a table was coerced to its column's type on its
+    way in (``RowShape.build`` on insert, ``coerce_column`` on update;
+    redo replays those rows), so it has the column's runtime type or is
+    NULL.  (A system view's snapshot is volatile and filled without
+    either; a temp table is volatile too and is left out with it.)
+    """
+    op = root
+    while isinstance(op, Limit) \
+            or (isinstance(op, Project) and op.identity):
+        op = op.child
+    if isinstance(op, SeqScan) and not op.with_rid \
+            and not op.table.info.volatile:
+        return op.table
+    return None
 
 
 def _batch_row_stream(root: PlanOperator, exec_ctx: ExecContext):

@@ -391,7 +391,7 @@ class Planner:
                 top = None  # consumed by the heap
             else:
                 op = Sort(op, pre_keys, cost_factor=factor)
-        op = Project(op, out_exprs)
+        op = Project(op, out_exprs, input_width=len(schema))
         op = _maybe_point_lookup(op)
         if select.distinct:
             op = Distinct(op, cost_factor=factor)

@@ -215,9 +215,8 @@ class TransactionManager:
         self._require_active(txn)
         self._note_write(txn, table_name, key_of, rows)
         txn_id = txn.txn_id
-        records = [InsertRecord(txn_id=txn_id, table_name=table_name,
-                                file_id=file_id, page_no=page_no, slot=slot,
-                                row=row, row_bytes=width)
+        records = [InsertRecord(txn_id, 0, 0, table_name, file_id, page_no,
+                                slot, row, width)
                    for slot, row, width in zip(slots, rows, widths)]
         self._log.append_run(records, cost_factor)
         # Chained after the append, so that a record's prev_lsn is the
@@ -235,18 +234,16 @@ class TransactionManager:
                    key_of=None) -> int:
         self._note_write(txn, table_name, key_of, (row,))
         return self._chain(txn, DeleteRecord(
-            txn_id=txn.txn_id, table_name=table_name, file_id=rid.file_id,
-            page_no=rid.page_no, slot=rid.slot, row=row,
-            row_bytes=row_bytes), cost_factor)
+            txn.txn_id, 0, 0, table_name, rid.file_id, rid.page_no,
+            rid.slot, row, row_bytes), cost_factor)
 
     def log_update(self, txn: Transaction, table_name: str, rid: RowId,
                    old_row: tuple, new_row: tuple, row_bytes: int,
                    cost_factor: float = 1.0, key_of=None) -> int:
         self._note_write(txn, table_name, key_of, (old_row, new_row))
         return self._chain(txn, UpdateRecord(
-            txn_id=txn.txn_id, table_name=table_name, file_id=rid.file_id,
-            page_no=rid.page_no, slot=rid.slot, old_row=old_row,
-            new_row=new_row, row_bytes=row_bytes), cost_factor)
+            txn.txn_id, 0, 0, table_name, rid.file_id, rid.page_no,
+            rid.slot, old_row, new_row, row_bytes), cost_factor)
 
     # -- logged DDL -----------------------------------------------------------
 

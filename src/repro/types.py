@@ -25,7 +25,7 @@ from repro.errors import EngineError, TypeMismatchError
 #: only — never in ``Meter.counters``, which equivalence gates compare.
 ROW_STATS: dict[str, int] = {
     "row_shapes_generated": 0,  # width functions compiled from source
-    "rows_built_fast": 0,       # source row already conformed: untouched
+    "rows_built_fast": 0,       # stored untouched: conforming source rows
     "rows_built_coerced": 0,    # ... went through the coerce ladder
     "rows_inserted_bulk": 0,    # rows placed by Table.insert_many
     "pages_filled_bulk": 0,     # ... and the pages they were placed on

@@ -9,6 +9,12 @@ change).
 Every record carries ``txn_id`` and ``prev_lsn`` — the backward chain used
 by abort and by the undo pass of restart recovery.  ``lsn`` is assigned by
 the log at append time.
+
+Data, catalog and compensation records are built positionally, in field
+order — ``txn_id, prev_lsn, lsn``, then the class's own fields — since a
+keyword call costs measurably more on the per-row write path
+(``tests/test_wal_log.py`` checks each against its keyword-built twin);
+the field order of these classes is therefore part of their interface.
 """
 
 from __future__ import annotations
@@ -79,10 +85,9 @@ class InsertRecord(LogRecord):
         return 24 + self.row_bytes
 
     def inverse(self) -> DeleteRecord:
-        return DeleteRecord(txn_id=self.txn_id, table_name=self.table_name,
-                            file_id=self.file_id, page_no=self.page_no,
-                            slot=self.slot, row=self.row,
-                            row_bytes=self.row_bytes)
+        return DeleteRecord(self.txn_id, 0, 0, self.table_name,
+                            self.file_id, self.page_no, self.slot, self.row,
+                            self.row_bytes)
 
 
 @dataclass
@@ -100,10 +105,9 @@ class DeleteRecord(LogRecord):
         return 24 + self.row_bytes
 
     def inverse(self) -> InsertRecord:
-        return InsertRecord(txn_id=self.txn_id, table_name=self.table_name,
-                            file_id=self.file_id, page_no=self.page_no,
-                            slot=self.slot, row=self.row,
-                            row_bytes=self.row_bytes)
+        return InsertRecord(self.txn_id, 0, 0, self.table_name,
+                            self.file_id, self.page_no, self.slot, self.row,
+                            self.row_bytes)
 
 
 @dataclass
@@ -122,10 +126,9 @@ class UpdateRecord(LogRecord):
         return 24 + self.row_bytes
 
     def inverse(self) -> UpdateRecord:
-        return UpdateRecord(txn_id=self.txn_id, table_name=self.table_name,
-                            file_id=self.file_id, page_no=self.page_no,
-                            slot=self.slot, old_row=self.new_row,
-                            new_row=self.old_row, row_bytes=self.row_bytes)
+        return UpdateRecord(self.txn_id, 0, 0, self.table_name,
+                            self.file_id, self.page_no, self.slot,
+                            self.new_row, self.old_row, self.row_bytes)
 
 
 @dataclass
@@ -157,8 +160,8 @@ class CatalogRecord(LogRecord):
         return self.obj["name"]
 
     def inverse(self) -> CatalogRecord:
-        return CatalogRecord(txn_id=self.txn_id, kind=self.kind,
-                             create=not self.create, obj=self.obj)
+        return CatalogRecord(self.txn_id, 0, 0, self.kind, not self.create,
+                             self.obj)
 
     def payload_bytes(self) -> int:
         if self.kind == "table":

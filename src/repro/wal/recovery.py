@@ -98,9 +98,8 @@ def undo_txn(log: WriteAheadLog, target, txn_id: int, last_lsn: int,
             continue
         action = rec.inverse()
         if action is not None:
-            last_lsn = log.append(CLRRecord(
-                txn_id=txn_id, prev_lsn=last_lsn, action=action,
-                undo_next_lsn=rec.prev_lsn))
+            last_lsn = log.append(CLRRecord(txn_id, last_lsn, 0, action,
+                                            rec.prev_lsn))
             action.lsn = last_lsn
             if isinstance(action, CatalogRecord):
                 target.apply_catalog(action)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import settings
 
+import repro
 from repro.engine.database import DatabaseEngine
 from repro.engine.session import EngineSession
 from repro.sim.costs import CostModel
@@ -14,8 +18,19 @@ from repro.sql.plan_cache import CachedStatement
 from tests import row_engine_oracle
 
 #: ``--hypothesis-profile=ci``: the same examples on every run, so a red
-#: build is the code's doing and not the draw's.
+#: build is the code's doing and not the draw's.  Hypothesis mixes into
+#: its draws constants it reads from the source of every loaded non-test
+#: module, read when a draw first needs them; so every ``repro`` module
+#: is imported here, before any test runs, and a test draws the same
+#: examples whichever tests are selected or ran before it.  The limit:
+#: the examples are a function of the test, the Hypothesis version and
+#: the package source, so a change that adds or removes a literal in
+#: ``src/repro`` (a string of up to 20 characters outside a docstring or
+#: f-string, a float, an int outside -99..99) may redraw them.
 settings.register_profile("ci", derandomize=True)
+for _module in pkgutil.walk_packages(repro.__path__, "repro."):
+    if not _module.name.endswith(".__main__"):
+        importlib.import_module(_module.name)
 
 
 @pytest.fixture(params=["batch", "rows"])

@@ -1,15 +1,27 @@
 """Unit tests for the write-ahead log and lock manager."""
 
-import pytest
+from dataclasses import fields
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine.database import DatabaseEngine
+from repro.engine.session import EngineSession
 from repro.errors import LockWaitError
+from repro.sim.costs import CostModel
 from repro.sim.meter import Meter
+from repro.storage.heap import RowId
 from repro.txn.locks import LockManager, LockMode
+from repro.txn.manager import TransactionManager
 from repro.wal.log import WriteAheadLog
 from repro.wal.records import (
     BeginRecord,
+    CatalogRecord,
     CheckpointRecord,
+    CLRRecord,
     CommitRecord,
+    DeleteRecord,
     InsertRecord,
     UpdateRecord,
 )
@@ -98,6 +110,82 @@ class TestWriteAheadLog:
         assert large.payload_bytes() > small.payload_bytes()
         update = UpdateRecord(txn_id=1, old_row=(1,), new_row=(2,))
         assert update.payload_bytes() > small.payload_bytes()
+
+
+def field_by_field(record) -> tuple:
+    return type(record), [(f.name, getattr(record, f.name))
+                          for f in fields(record)]
+
+
+class _NoRuntimes:
+    """An undo target with no table runtimes and no catalog."""
+
+    def table_for_file(self, file_id):
+        return None
+
+    def apply_catalog(self, record):
+        pass
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=st.text("tu", min_size=1, max_size=3),
+       place=st.lists(st.integers(0, 99), min_size=4, max_size=4,
+                      unique=True),
+       rows=st.lists(st.tuples(st.integers(-9, 9), st.none() | st.text("x")),
+                     min_size=2, max_size=2, unique=True))
+def test_positional_records_equal_their_keyword_twins(name, place, rows):
+    """The records the transaction manager logs, their inverses and the
+    compensations a rollback logs are built positionally; each equals,
+    field by field, the record its keyword-built twin would be (every
+    position holds a different value, so a swap cannot hide)."""
+    file_id, page_no, slot, width = place
+    row, new_row = rows
+    log = WriteAheadLog()
+    txns = TransactionManager(log, LockManager(), _NoRuntimes())
+    txn = txns.begin()
+    rid = RowId(file_id, page_no, slot)
+    txns.log_inserts(txn, name, file_id, page_no, [slot], [row], [width])
+    txns.log_delete(txn, name, rid, row, width)
+    txns.log_update(txn, name, rid, row, new_row, width)
+    data = [r for r in log.all_records() if r.lsn > txn.first_lsn]
+    where = dict(txn_id=txn.txn_id, table_name=name, file_id=file_id,
+                 page_no=page_no, slot=slot, row_bytes=width)
+    twins = [InsertRecord(**where, row=row), DeleteRecord(**where, row=row),
+             UpdateRecord(**where, old_row=row, new_row=new_row)]
+    inverses = [DeleteRecord(**where, row=row), InsertRecord(**where, row=row),
+                UpdateRecord(**where, old_row=new_row, new_row=row)]
+    prev = txn.first_lsn
+    for record, twin, inverse in zip(data, twins, inverses):
+        twin.prev_lsn, twin.lsn = prev, record.lsn
+        prev = record.lsn
+        assert field_by_field(record) == field_by_field(twin)
+        assert field_by_field(record.inverse()) == field_by_field(inverse)
+    txns.abort(txn)
+    clrs = [r for r in log.all_records() if isinstance(r, CLRRecord)]
+    prev = clrs[0].prev_lsn      # the abort record
+    for clr, record, inverse in zip(clrs, reversed(data),
+                                    reversed(inverses)):
+        inverse.lsn = clr.lsn
+        twin = CLRRecord(txn_id=txn.txn_id, prev_lsn=prev, lsn=clr.lsn,
+                         action=inverse, undo_next_lsn=record.prev_lsn)
+        prev = clr.lsn
+        assert field_by_field(clr) == field_by_field(twin)
+        assert field_by_field(clr.action) == field_by_field(inverse)
+
+
+def test_catalog_records_equal_their_keyword_twins():
+    # No checkpoint cadence: the first commit's would truncate the log.
+    engine = DatabaseEngine(meter=Meter(CostModel(
+        checkpoint_interval_seconds=0.0)))
+    engine.execute("CREATE TABLE t (a INT)", EngineSession(session_id=1))
+    record, = [r for r in engine.wal.all_records()
+               if isinstance(r, CatalogRecord)]
+    image = engine.catalog.image(engine.catalog.get_table("t"))
+    twin = CatalogRecord(txn_id=record.txn_id, prev_lsn=record.prev_lsn,
+                         lsn=record.lsn, kind="table", create=True, obj=image)
+    assert field_by_field(record) == field_by_field(twin)
+    assert field_by_field(record.inverse()) == field_by_field(CatalogRecord(
+        txn_id=record.txn_id, kind="table", create=False, obj=image))
 
 
 class TestLockManager:
